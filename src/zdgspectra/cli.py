@@ -1,7 +1,8 @@
 """Command-line front end: ring specs in, JSON or CSV reports out.
 
-Exit codes: 0 on success, 2 when a verification comparison fails, 1 for
-bad input of any kind.  All output is deterministic for fixed inputs,
+Exit codes: 0 on success, 2 when a verification comparison fails or a
+ring in a verify run errors (its rows carry the error), 1 for bad input
+of any kind.  All output is deterministic for fixed inputs,
 except the seconds column of the verify CSV.
 """
 from __future__ import annotations
@@ -251,6 +252,28 @@ def _sweep_rings(text: str):
     return [parse_ring_spec(text)]
 
 
+_VERIFY_KEYS = ("ring", "order", "flavor", "matched", "max_deviation", "skipped", "error")
+
+
+def _unverified_rows(ring, flavors, error: str | None = None) -> list[dict]:
+    """One row per flavor for a ring that produced no comparison: skipped
+    over a cap when error is None, otherwise failed with that error."""
+    extra = {} if error is None else {"error": error}
+    return [
+        {
+            "ring": ring.spec_string(),
+            "order": None,
+            "flavor": flavor,
+            "matched": None,
+            "max_deviation": None,
+            "skipped": error is None,
+            "seconds": 0.0,
+            **extra,
+        }
+        for flavor in flavors
+    ]
+
+
 def _run_verify(args):
     if args.sweep and args.ring:
         raise UsageError("give either --ring or --sweep, not both")
@@ -277,18 +300,12 @@ def _run_verify(args):
                 vertex_cap=args.max_vertices,
             )
         except (GraphCapError, EnumerationCapError):
-            for flavor in flavors:
-                rows.append(
-                    {
-                        "ring": ring.spec_string(),
-                        "order": None,
-                        "flavor": flavor,
-                        "matched": None,
-                        "max_deviation": None,
-                        "skipped": True,
-                        "seconds": 0.0,
-                    }
-                )
+            rows.extend(_unverified_rows(ring, flavors))
+            continue
+        except (JacobiConvergenceError, DecompositionError) as exc:
+            # one ring the pipeline cannot handle fails its own rows, not the sweep
+            mismatch = True
+            rows.extend(_unverified_rows(ring, flavors, f"{type(exc).__name__}: {exc}"))
             continue
         seconds = time.perf_counter() - started
         for flavor in flavors:
@@ -312,15 +329,15 @@ def _run_verify(args):
             "relation": args.relation,
             "all_matched": not mismatch,
             "results": [
-                {key: row[key] for key in ("ring", "order", "flavor", "matched", "max_deviation", "skipped")}
-                for row in rows
+                {key: row[key] for key in _VERIFY_KEYS if key in row} for row in rows
             ],
         }
         return code, _json_text(payload)
     lines = ["ring,|Z|,flavor,method_agreement,max_dev,seconds"]
     for row in rows:
-        if row["skipped"]:
-            lines.append(f"{row['ring']},,{row['flavor']},skipped,,")
+        if row["skipped"] or "error" in row:
+            status = "error" if "error" in row else "skipped"
+            lines.append(f"{row['ring']},,{row['flavor']},{status},,")
             continue
         dev = "" if row["max_deviation"] is None else _g12(row["max_deviation"])
         lines.append(

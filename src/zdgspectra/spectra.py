@@ -13,6 +13,12 @@ with n_i the cell size, r_i its inner regularity and N_i the total size
 of its H-neighborhood.  A complete cell contributes -1 (adjacency) and
 N_i + n_i (Laplacian), each n_i - 1 times; a null cell contributes 0 and
 N_i.  Everything is verified against a dense eigensolver oracle.
+
+A spectrum is stored as runs of (value, multiplicity, provenance): one
+run per cell of two or more vertices and one per quotient eigenvalue,
+so assembly costs time and memory in the class count m, not in the
+vertex count |V|.  The flat per-vertex lists are expanded only when a
+caller reads `values` or `provenance`.
 """
 from __future__ import annotations
 
@@ -77,7 +83,7 @@ class Cell:
 class JoinDecomposition:
     relation: str
     cells: list[Cell]
-    h_adjacency: np.ndarray  # boolean, no self-loops
+    h_adjacency: np.ndarray  # boolean, symmetric, no self-loops
     neighbor_weights: list[int]  # N_i = sum of n_j over H-neighbors
     source: str  # 'graph' | 'closed'
 
@@ -102,18 +108,37 @@ class QuotientMatrix:
 
 @dataclass
 class SpectrumMultiset:
-    values: list[float]  # ascending
-    provenance: list[str]  # aligned tags: 'cell-inherited' | 'quotient' | 'brute'
+    """An eigenvalue multiset as ascending runs (value, multiplicity,
+    provenance), with provenance one of 'cell-inherited', 'quotient' or
+    'brute'.  `len()` is the total multiplicity; `values` and `provenance`
+    expand the runs into aligned per-eigenvalue lists."""
+
+    runs: list[tuple[float, int, str]]
 
     def __post_init__(self):
-        assert len(self.values) == len(self.provenance)
-        assert all(math.isfinite(v) for v in self.values)
-        assert all(a <= b for a, b in zip(self.values, self.values[1:]))
+        assert all(math.isfinite(v) and k >= 1 for v, k, _ in self.runs)
+        assert all(a[0] <= b[0] for a, b in zip(self.runs, self.runs[1:]))
+
+    def __len__(self) -> int:
+        return sum(k for _, k, _ in self.runs)
+
+    @property
+    def values(self) -> list[float]:
+        out: list[float] = []
+        for v, k, _ in self.runs:
+            out += [v] * k
+        return out
+
+    @property
+    def provenance(self) -> list[str]:
+        out: list[str] = []
+        for _, k, tag in self.runs:
+            out += [tag] * k
+        return out
 
     @staticmethod
     def from_pairs(pairs) -> "SpectrumMultiset":
-        pairs = sorted(pairs, key=lambda t: t[0])
-        return SpectrumMultiset([p[0] for p in pairs], [p[1] for p in pairs])
+        return SpectrumMultiset([(v, 1, tag) for v, tag in sorted(pairs, key=lambda t: t[0])])
 
     def clusters(self, gap: float = CLUSTER_GAP) -> list[dict]:
         """Group near-equal sorted values for presentation only."""
@@ -224,8 +249,9 @@ def decompose(
                     f"adjacency between the classes of {cells[i].label} and "
                     f"{cells[j].label} is not constant"
                 )
-    weights = [int(sum(cells[j].size for j in range(m) if h[i, j])) for i in range(m)]
-    dec = JoinDecomposition(partition.relation, cells, h, weights, source="graph")
+    dec = JoinDecomposition(
+        partition.relation, cells, h, _neighbor_weights(cells, h), source="graph"
+    )
 
     if graph.order <= reconstruction_limit:
         if not np.array_equal(blow_up(dec), adj):
@@ -260,56 +286,72 @@ def blow_up(dec: JoinDecomposition) -> np.ndarray:
     return out
 
 
-def quotient_adjacency(dec: JoinDecomposition) -> QuotientMatrix:
+def _cell_sizes(cells: list[Cell]) -> np.ndarray:
+    return np.array([c.size for c in cells], dtype=np.int64)
+
+
+def _neighbor_weights(cells: list[Cell], h: np.ndarray) -> list[int]:
+    """N_i = sum of n_j over the H-neighbors j of cell i."""
+    return (h @ _cell_sizes(cells)).tolist()
+
+
+def _quotient_entries(dec: JoinDecomposition, diagonal, sign: float) -> np.ndarray:
+    """sign * sqrt(n_i n_j) on the H-edges, the given diagonal, 0 elsewhere.
+
+    The size products are exact int64 and both the int-to-float cast and
+    sqrt are correctly rounded, so every entry equals math.sqrt of the
+    Python integer product bit for bit."""
     m = dec.class_count
+    sizes = _cell_sizes(dec.cells)
+    i, j = np.nonzero(dec.h_adjacency)
     c = np.zeros((m, m))
-    for i in range(m):
-        c[i, i] = dec.cells[i].regularity
-        for j in range(i + 1, m):
-            if dec.h_adjacency[i, j]:
-                c[i, j] = c[j, i] = math.sqrt(dec.cells[i].size * dec.cells[j].size)
-    return QuotientMatrix("adjacency", c)
+    c[i, j] = sign * np.sqrt(sizes[i] * sizes[j])
+    np.fill_diagonal(c, diagonal)
+    return c
+
+
+def quotient_adjacency(dec: JoinDecomposition) -> QuotientMatrix:
+    regularity = [c.regularity for c in dec.cells]
+    return QuotientMatrix("adjacency", _quotient_entries(dec, regularity, 1.0))
 
 
 def quotient_laplacian(dec: JoinDecomposition) -> QuotientMatrix:
-    m = dec.class_count
-    c = np.zeros((m, m))
-    for i in range(m):
-        c[i, i] = dec.neighbor_weights[i]
-        for j in range(i + 1, m):
-            if dec.h_adjacency[i, j]:
-                c[i, j] = c[j, i] = -math.sqrt(dec.cells[i].size * dec.cells[j].size)
-    return QuotientMatrix("laplacian", c)
+    return QuotientMatrix("laplacian", _quotient_entries(dec, dec.neighbor_weights, -1.0))
+
+
+def _assemble(dec: JoinDecomposition, inherited: list[float], quotient) -> SpectrumMultiset:
+    """One run per cell (its inherited value, n_i - 1 times; singletons
+    give none) and one per eigenvalue of the quotient matrix.  The stable
+    sort keeps the cell runs ahead of equal quotient values, which is the
+    tie order that sorting the per-vertex values gives."""
+    runs = [
+        (value, cell.size - 1, "cell-inherited")
+        for value, cell in zip(inherited, dec.cells)
+        if cell.size > 1
+    ]
+    if dec.class_count:
+        runs += [(v, 1, "quotient") for v in jacobi_eigen(quotient(dec).entries)]
+    runs.sort(key=lambda run: run[0])
+    spectrum = SpectrumMultiset(runs)
+    assert len(spectrum) == dec.order
+    return spectrum
 
 
 def assemble_adjacency_spectrum(dec: JoinDecomposition) -> SpectrumMultiset:
     """Cell-inherited values (-1 per complete cell, 0 per null cell, each
     n_i - 1 times) together with the eigenvalues of C_A."""
-    pairs = []
-    for cell in dec.cells:
-        inherited = -1.0 if cell.kind == "complete" else 0.0
-        pairs.extend((inherited, "cell-inherited") for _ in range(cell.size - 1))
-    if dec.class_count:
-        for v in jacobi_eigen(quotient_adjacency(dec).entries):
-            pairs.append((v, "quotient"))
-    spectrum = SpectrumMultiset.from_pairs(pairs)
-    assert len(spectrum.values) == dec.order
-    return spectrum
+    inherited = [-1.0 if cell.kind == "complete" else 0.0 for cell in dec.cells]
+    return _assemble(dec, inherited, quotient_adjacency)
 
 
 def assemble_laplacian_spectrum(dec: JoinDecomposition) -> SpectrumMultiset:
     """Cell-inherited values (N_i + n_i per complete cell, N_i per null
     cell, each n_i - 1 times) together with the eigenvalues of C_N."""
-    pairs = []
-    for cell, big_n in zip(dec.cells, dec.neighbor_weights):
-        inherited = float(big_n + cell.size) if cell.kind == "complete" else float(big_n)
-        pairs.extend((inherited, "cell-inherited") for _ in range(cell.size - 1))
-    if dec.class_count:
-        for v in jacobi_eigen(quotient_laplacian(dec).entries):
-            pairs.append((v, "quotient"))
-    spectrum = SpectrumMultiset.from_pairs(pairs)
-    assert len(spectrum.values) == dec.order
-    return spectrum
+    inherited = [
+        float(big_n + cell.size) if cell.kind == "complete" else float(big_n)
+        for cell, big_n in zip(dec.cells, dec.neighbor_weights)
+    ]
+    return _assemble(dec, inherited, quotient_laplacian)
 
 
 def assemble_spectrum(dec: JoinDecomposition, flavor: str) -> SpectrumMultiset:
@@ -341,8 +383,7 @@ def brute_spectrum(graph: ZeroDivisorGraph, flavor: str) -> SpectrumMultiset:
         m = laplacian_matrix(graph)
     else:
         raise ValueError(f"unknown flavor '{flavor}'")
-    values = dense_eigenvalues(m)
-    return SpectrumMultiset(values, ["brute"] * len(values))
+    return SpectrumMultiset([(v, 1, "brute") for v in dense_eigenvalues(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +575,7 @@ def decomposition_semisimple_closed(
                 for k in range(len(factors))
             )
             h[i, j] = h[j, i] = left or right
-    weights = [int(sum(cells[j].size for j in range(m) if h[i, j])) for i in range(m)]
-    return JoinDecomposition("associate", cells, h, weights, source="closed")
+    return JoinDecomposition("associate", cells, h, _neighbor_weights(cells, h), source="closed")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from zdgspectra.cli import main
+from zdgspectra.eig import JacobiConvergenceError
+from zdgspectra.spectra import DecompositionError
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "zdgspectra", "schemas", "report.schema.json"
@@ -178,6 +180,60 @@ def test_lift_json(tmp_path):
     validate(payload)
     assert payload["mu"] == 4.0
     assert payload["vector"] == [0.0, 1.0, 1.0, 0.0]
+
+
+def test_verify_sweep_skips_over_cap_rings():
+    code, out, _ = run_inproc(["verify", "--sweep", "Zn:9..10", "--max-vertices", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload)
+    assert payload["all_matched"] is True
+    skipped = [r for r in payload["results"] if r["skipped"]]
+    assert [r["ring"] for r in skipped] == ["Zn(10)", "Zn(10)"]
+    assert all(r["order"] is None and r["matched"] is None and "error" not in r for r in skipped)
+    code, out, _ = run_inproc(
+        ["verify", "--sweep", "Zn:9..10", "--max-vertices", "3", "--format", "csv"]
+    )
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "Zn(10),,laplacian,skipped,,"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [JacobiConvergenceError(1.0, 1e-9, 100), DecompositionError("blow-up does not match")],
+)
+def test_verify_sweep_reports_error_rows(monkeypatch, exc):
+    from zdgspectra import cli
+
+    real = cli.verify_ring
+
+    def flaky(ring, *args, **kwargs):
+        if ring.spec_string() == "Zn(8)":
+            raise exc
+        return real(ring, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_ring", flaky)
+    code, out, _ = run_inproc(["verify", "--sweep", "Zn:6..9"])
+    assert code == 2
+    payload = json.loads(out)
+    validate(payload)
+    assert payload["all_matched"] is False
+    bad = [r for r in payload["results"] if r["ring"] == "Zn(8)"]
+    assert [r["flavor"] for r in bad] == ["adjacency", "laplacian"]
+    for r in bad:
+        assert r["error"] == f"{type(exc).__name__}: {exc}"
+        assert r["matched"] is None and r["order"] is None and r["max_deviation"] is None
+        assert r["skipped"] is False
+    good = [r for r in payload["results"] if r["ring"] != "Zn(8)"]
+    assert [r["ring"] for r in good] == ["Zn(6)", "Zn(6)", "Zn(7)", "Zn(7)", "Zn(9)", "Zn(9)"]
+    assert all(r["matched"] is True and "error" not in r for r in good)
+
+    code, out, _ = run_inproc(["verify", "--sweep", "Zn:6..9", "--format", "csv"])
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert lines[0] == "ring,|Z|,flavor,method_agreement,max_dev,seconds"
+    assert "Zn(8),,adjacency,error,," in lines and "Zn(8),,laplacian,error,," in lines
+    assert any(line.startswith("Zn(9),2,laplacian,true,") for line in lines)
 
 
 # --- determinism ---

@@ -291,10 +291,96 @@ def test_multiset_equal_tolerance_edges():
 
 
 def test_spectrum_multiset_validation():
+    s = SpectrumMultiset([(-1.0, 2, "cell-inherited"), (0.5, 1, "quotient")])
+    assert len(s) == 3
+    assert s.values == [-1.0, -1.0, 0.5]
+    assert s.provenance == ["cell-inherited", "cell-inherited", "quotient"]
     with pytest.raises(AssertionError):
-        SpectrumMultiset(values=[1.0, 0.0], provenance=["a", "b"])  # not ascending
+        SpectrumMultiset([(1.0, 1, "a"), (0.0, 1, "b")])  # runs not ascending
     with pytest.raises(AssertionError):
-        SpectrumMultiset(values=[0.0], provenance=[])  # misaligned
+        SpectrumMultiset([(0.0, 0, "a")])  # empty run
+    with pytest.raises(AssertionError):
+        SpectrumMultiset([(math.nan, 1, "a")])  # not finite
+
+
+# --- run-form assembly ---
+
+
+def per_vertex_reference(dec, flavor):
+    """Assembly with one (value, provenance) pair per eigenvalue, sorted by
+    from_pairs: the reference the run form must reproduce exactly."""
+    pairs = []
+    for cell, big_n in zip(dec.cells, dec.neighbor_weights):
+        complete = cell.kind == "complete"
+        if flavor == "adjacency":
+            inherited = -1.0 if complete else 0.0
+        else:
+            inherited = float(big_n + cell.size) if complete else float(big_n)
+        pairs.extend((inherited, "cell-inherited") for _ in range(cell.size - 1))
+    quotient = quotient_adjacency if flavor == "adjacency" else quotient_laplacian
+    if dec.class_count:
+        pairs.extend((v, "quotient") for v in jacobi_eigen(quotient(dec).entries))
+    return SpectrumMultiset.from_pairs(pairs)
+
+
+def test_runs_expand_to_per_vertex_assembly():
+    decs = [
+        decompose(build_zdg(Zn(n)), classes_for(Zn(n), relation))
+        for n in range(6, 61)
+        for relation in ("associate", "neighborhood")
+    ]
+    decs.append(decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)")))
+    for dec in decs:
+        for flavor in ("adjacency", "laplacian"):
+            ours = assemble_spectrum(dec, flavor)
+            ref = per_vertex_reference(dec, flavor)
+            assert ours.values == ref.values, (dec.cells[0].label, flavor)
+            assert ours.provenance == ref.provenance, (dec.cells[0].label, flavor)
+
+
+def test_closed_route_runs_scale_with_class_count():
+    # 2^23 - 1 vertices in 23 classes: checked from the runs alone, since
+    # expanding them would build lists of 8M entries
+    dec = decomposition_from_zn_profile(2**24)
+    adj, lap = spectrum_zn(2**24, method="closed")
+    m = dec.class_count
+    edges2 = sum(c.size * (w + c.regularity) for c, w in zip(dec.cells, dec.neighbor_weights))
+    assert len(adj) == len(lap) == 2**23 - 1
+    assert len(adj.runs) <= 2 * m and len(lap.runs) <= 2 * m
+    assert abs(math.fsum(v * k for v, k, _ in adj.runs)) <= 1e-6
+    assert abs(math.fsum(v * k for v, k, _ in lap.runs) - edges2) <= 1e-12 * edges2
+
+
+def quotient_by_loops(dec, flavor):
+    m = dec.class_count
+    c = np.zeros((m, m))
+    for i in range(m):
+        if flavor == "adjacency":
+            c[i, i] = dec.cells[i].regularity
+        else:
+            c[i, i] = dec.neighbor_weights[i]
+        for j in range(i + 1, m):
+            if dec.h_adjacency[i, j]:
+                root = math.sqrt(dec.cells[i].size * dec.cells[j].size)
+                c[i, j] = c[j, i] = root if flavor == "adjacency" else -root
+    return c
+
+
+def test_quotients_equal_loop_formula_bit_for_bit():
+    for dec in (
+        decompose(build_zdg(Zn(720)), classes_for(Zn(720), "associate")),
+        decomposition_from_zn_profile(720),
+        decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)")),
+    ):
+        weights = [
+            int(sum(dec.cells[j].size for j in range(dec.class_count) if dec.h_adjacency[i, j]))
+            for i in range(dec.class_count)
+        ]
+        assert dec.neighbor_weights == weights
+        for flavor, quotient in (("adjacency", quotient_adjacency), ("laplacian", quotient_laplacian)):
+            # compare bit patterns, so that -0.0 against 0.0 counts too
+            ours = quotient(dec).entries.view(np.uint64)
+            assert np.array_equal(ours, quotient_by_loops(dec, flavor).view(np.uint64)), flavor
 
 
 # --- duplicate lift ---
