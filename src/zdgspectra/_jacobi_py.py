@@ -1,9 +1,8 @@
-"""Pure-Python cyclic Jacobi kernel.
+"""Pure-Python cyclic Jacobi kernel behind `eig.jacobi_eigen`.
 
-Fallback used when the compiled extension is unavailable.  Same row-cyclic
-rotation order, rotation formulas and convergence bookkeeping as the
-Cython kernel, with numpy slice updates doing the row/column work, so both
-backends agree to rounding.
+Row-cyclic (p, q) rotations with numpy slice updates doing the row and
+column work.  It serves the small matrices of the combination and shift
+identities and the tests' cross-check of the LAPACK quotient solves.
 """
 from __future__ import annotations
 

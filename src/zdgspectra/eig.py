@@ -1,32 +1,26 @@
-"""Symmetric eigensolvers: the package's Jacobi solver and the dense oracle.
+"""Symmetric eigensolvers: LAPACK for the pipeline, Jacobi for the toolbox.
 
-`jacobi_eigen` and `jacobi_eigen_system` solve the quotient matrices and
-the small matrices of the combination and shift identities.
-`dense_eigenvalues` is the oracle behind `spectra.brute_spectrum`: it hands
-the full matrix of a graph to LAPACK through `numpy.linalg.eigvalsh`, so
-the oracle route shares no eigensolver code with the quotient route.
+`dense_eigenvalues` hands a symmetric matrix to LAPACK through
+`numpy.linalg.eigvalsh`.  Both routes of the pipeline use it: spectrum
+assembly on the order-m quotient matrices and `spectra.brute_spectrum`,
+the oracle, on the full matrix of a graph.
 
-Jacobi is cyclic, with a fixed row-cyclic rotation order.  Convergence is
-declared when the off-diagonal Frobenius norm falls to
+`jacobi_eigen` and `jacobi_eigen_system` are a pure-Python cyclic Jacobi
+solver for the small matrices of the combination and shift identities,
+and the independent cross-check of the LAPACK quotient solves in the
+tests.  Jacobi runs with a fixed row-cyclic rotation order.  Convergence
+is declared when the off-diagonal Frobenius norm falls to
 1e-10 * (1 + ||M||_F); at most 100 full sweeps are attempted and a
 non-converged run raises with the residual attached.
-
-The compiled kernel (zdgspectra._jacobi_cy) is picked at import time when
-the extension was built; otherwise the pure-Python twin takes over with
-identical semantics.
 """
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from ._jacobi_cy import jacobi_sweeps as _jacobi_sweeps
+from ._jacobi_py import jacobi_sweeps as _jacobi_sweeps
 
-    BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on the build
-    from ._jacobi_py import jacobi_sweeps as _jacobi_sweeps
-
-    BACKEND = "python"
+# the solver behind both pipeline routes, reported by the benchmark
+BACKEND = "lapack"
 
 SYMMETRY_TOL = 1e-12
 OFF_TOL_FACTOR = 1e-10

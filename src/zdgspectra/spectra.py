@@ -14,6 +14,11 @@ of its H-neighborhood.  A complete cell contributes -1 (adjacency) and
 N_i + n_i (Laplacian), each n_i - 1 times; a null cell contributes 0 and
 N_i.  Everything is verified against a dense eigensolver oracle.
 
+Both routes solve with LAPACK (`eig.dense_eigenvalues`): the assembled
+route the order-m quotient, the oracle the order-|V| matrix of the
+whole graph, so the two share no matrix.  The pure-Python Jacobi solver
+serves the combination and shift identities.
+
 A spectrum is stored as runs of (value, multiplicity, provenance): one
 run per cell of two or more vertices and one per quotient eigenvalue,
 so assembly costs time and memory in the class count m, not in the
@@ -330,7 +335,7 @@ def _assemble(dec: JoinDecomposition, inherited: list[float], quotient) -> Spect
         if cell.size > 1
     ]
     if dec.class_count:
-        runs += [(v, 1, "quotient") for v in jacobi_eigen(quotient(dec).entries)]
+        runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient(dec).entries)]
     runs.sort(key=lambda run: run[0])
     spectrum = SpectrumMultiset(runs)
     assert len(spectrum) == dec.order

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import zdgspectra
 from zdgspectra.cli import main
-from zdgspectra.eig import JacobiConvergenceError
 from zdgspectra.spectra import DecompositionError
 
 SCHEMA_PATH = os.path.join(
@@ -18,12 +19,17 @@ SCHEMA_PATH = os.path.join(
 )
 with open(SCHEMA_PATH) as fh:
     SCHEMA = json.load(fh)
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(zdgspectra.__file__))
 
 
 def run_cli(args, env=None):
     """Run through a subprocess so exit codes and stream separation are real."""
     cmd = [sys.executable, "-m", "zdgspectra.cli", *args]
     merged = dict(os.environ)
+    # the child imports the package this process imported, installed or not
+    merged["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+    )
     if env:
         merged.update(env)
     proc = subprocess.run(cmd, capture_output=True, text=True, env=merged)
@@ -200,7 +206,7 @@ def test_verify_sweep_skips_over_cap_rings():
 
 @pytest.mark.parametrize(
     "exc",
-    [JacobiConvergenceError(1.0, 1e-9, 100), DecompositionError("blow-up does not match")],
+    [np.linalg.LinAlgError("Eigenvalues did not converge"), DecompositionError("blow-up does not match")],
 )
 def test_verify_sweep_reports_error_rows(monkeypatch, exc):
     from zdgspectra import cli

@@ -1,4 +1,4 @@
-"""Jacobi eigensolver: known spectra, numpy oracle, backend agreement."""
+"""Jacobi eigensolver: known spectra, numpy oracle, kernel off-norm."""
 
 import math
 
@@ -85,26 +85,8 @@ def test_against_numpy_oracle(n, seed):
     assert float(np.abs(ours - ref).max()) < 1e-8
 
 
-def test_python_kernel_matches_selected_backend():
-    """Run the pure-Python sweep kernel directly and compare against
-    whatever backend the package selected at import (cython when built)."""
-    rng = np.random.default_rng(23)
-    for n in (3, 6, 11):
-        a0 = rng.normal(size=(n, n))
-        a0 = (a0 + a0.T) / 2
-
-        a = a0.copy()
-        off_tol = 1e-10 * (1.0 + float(np.sqrt((a * a).sum())))
-        v = np.eye(n)
-        py_sweeps(a, v, off_tol, 100, True)
-        py_vals = np.sort(np.diagonal(a))
-
-        via_package = np.array(jacobi_eigen(a0))
-        assert float(np.abs(py_vals - via_package).max()) < 1e-9
-
-
 def test_backend_is_reported():
-    assert eig.BACKEND in ("cython", "python")
+    assert eig.BACKEND == "lapack"
 
 
 def test_input_not_mutated():

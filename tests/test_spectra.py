@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zdgspectra.classes import classes_for
-from zdgspectra.eig import jacobi_eigen
+from zdgspectra.eig import dense_eigenvalues, jacobi_eigen
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import GF, MatRing, Zn, parse_ring_spec
 from zdgspectra.spectra import (
@@ -308,7 +308,9 @@ def test_spectrum_multiset_validation():
 
 def per_vertex_reference(dec, flavor):
     """Assembly with one (value, provenance) pair per eigenvalue, sorted by
-    from_pairs: the reference the run form must reproduce exactly."""
+    from_pairs: the reference the run form must reproduce exactly.  It
+    solves the quotient with the same solver as `_assemble`, so that the
+    comparison is about how runs expand, not about the eigensolver."""
     pairs = []
     for cell, big_n in zip(dec.cells, dec.neighbor_weights):
         complete = cell.kind == "complete"
@@ -319,23 +321,37 @@ def per_vertex_reference(dec, flavor):
         pairs.extend((inherited, "cell-inherited") for _ in range(cell.size - 1))
     quotient = quotient_adjacency if flavor == "adjacency" else quotient_laplacian
     if dec.class_count:
-        pairs.extend((v, "quotient") for v in jacobi_eigen(quotient(dec).entries))
+        pairs.extend((v, "quotient") for v in dense_eigenvalues(quotient(dec).entries))
     return SpectrumMultiset.from_pairs(pairs)
 
 
-def test_runs_expand_to_per_vertex_assembly():
+def run_form_decompositions():
     decs = [
         decompose(build_zdg(Zn(n)), classes_for(Zn(n), relation))
         for n in range(6, 61)
         for relation in ("associate", "neighborhood")
     ]
     decs.append(decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)")))
-    for dec in decs:
+    return decs
+
+
+def test_runs_expand_to_per_vertex_assembly():
+    for dec in run_form_decompositions():
         for flavor in ("adjacency", "laplacian"):
             ours = assemble_spectrum(dec, flavor)
             ref = per_vertex_reference(dec, flavor)
             assert ours.values == ref.values, (dec.cells[0].label, flavor)
             assert ours.provenance == ref.provenance, (dec.cells[0].label, flavor)
+
+
+def test_quotient_runs_match_jacobi():
+    # the assembled route's LAPACK quotient solve pinned against the
+    # pure-Python Jacobi solver on the same quotient matrix
+    for dec in run_form_decompositions():
+        for flavor, quotient in (("adjacency", quotient_adjacency), ("laplacian", quotient_laplacian)):
+            ours = [v for v, _, tag in assemble_spectrum(dec, flavor).runs if tag == "quotient"]
+            ref = jacobi_eigen(quotient(dec).entries)
+            assert ours == pytest.approx(ref, rel=0.0, abs=1e-9), (dec.cells[0].label, flavor)
 
 
 def test_closed_route_runs_scale_with_class_count():
