@@ -4,6 +4,11 @@ The graph Gamma(R) has the nonzero zero-divisors of R as vertices and an
 edge a-b exactly when ab = 0 or ba = 0.  Adjacency is a dense symmetric
 numpy bool matrix with a zero diagonal; vertex order is the canonical
 element order of the ring, so everything downstream is deterministic.
+
+The adjacency comes from the ring's `zero_products` table (ab = 0 for
+every vertex pair at once, built from per-ring lookup tables), OR-ed with
+its transpose when the ring is not commutative.  `annihilator_set` keeps
+the per-element definition as an independent check.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numth
-from .rings import MatRing, Ring, RingError, Zn
+from .rings import MatRing, Ring, RingError
 
 DEFAULT_VERTEX_CAP = 5000
 
@@ -58,22 +63,9 @@ def _build(ring: Ring, vertex_cap, element_cap) -> ZeroDivisorGraph:
         raise GraphCapError(
             f"Gamma({ring.spec_string()}) has {m} vertices, over the cap {vertex_cap}"
         )
-    adj = np.zeros((m, m), dtype=bool)
-    if isinstance(ring, Zn) and ring.n < 2**31:
-        vals = np.asarray(zd, dtype=np.int64)
-        adj = (np.outer(vals, vals) % ring.n) == 0
-        np.fill_diagonal(adj, False)
-    else:
-        zero = ring.zero
-        mul = ring.mul
-        comm = ring.commutative
-        for i in range(m):
-            a = zd[i]
-            for j in range(i + 1, m):
-                b = zd[j]
-                if mul(a, b) == zero or (not comm and mul(b, a) == zero):
-                    adj[i, j] = True
-                    adj[j, i] = True
+    z = ring.zero_products(zd)
+    adj = z if ring.commutative else z | z.T
+    np.fill_diagonal(adj, False)
     return ZeroDivisorGraph(ring, list(zd), adj)
 
 

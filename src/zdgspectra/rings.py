@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
+import numpy as np
+
 from . import numth
 
 DEFAULT_ELEMENT_CAP = 20000
@@ -139,6 +141,12 @@ class Ring:
     def mul(self, a, b):
         raise NotImplementedError
 
+    def zero_products(self, xs) -> np.ndarray:
+        """Bool array z of shape (len(xs), len(xs)) with z[i, j] exactly
+        when xs[i] * xs[j] == 0, built from tables instead of one `mul`
+        per pair.  It is not symmetric when the ring is not commutative."""
+        raise NotImplementedError
+
     def is_unit(self, a) -> bool:
         raise NotImplementedError
 
@@ -219,6 +227,11 @@ class Zn(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.n
+
+    def zero_products(self, xs):
+        # the int64 products are exact for n below 3e9, far past any ring that can be enumerated
+        vals = np.asarray(xs, dtype=np.int64)
+        return np.outer(vals, vals) % self.n == 0
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1
@@ -317,6 +330,10 @@ class GF(Ring):
         if self._tabled:
             return self._mul_t[a][b]
         return self._raw_mul(a, b)
+
+    def zero_products(self, xs):
+        z = np.asarray(xs) == 0
+        return z[:, None] | z[None, :]
 
     def inv(self, a):
         if a == 0:
@@ -474,6 +491,32 @@ class MatRing(Ring):
             out.append(tuple(orow))
         return tuple(out)
 
+    def zero_products(self, xs):
+        """AB = 0 exactly when every row of A times every column of B is 0.
+
+        A row or column vector is coded base q (entry k times q^k), and one
+        q^n x q^n table says which row code times which column code gives 0;
+        each of the n^2 (row i of A, column j of B) lookups is a table gather.
+        """
+        F, n, q = self.field, self.n, self.field.q
+        mats = np.array(xs, dtype=np.int64).reshape(len(xs), n, n)
+        weights = q ** np.arange(n, dtype=np.int64)
+        row_codes = mats @ weights  # [a, i]: code of row i of xs[a]
+        col_codes = weights @ mats  # [a, j]: code of column j of xs[a]
+        digits = np.arange(q**n)[:, None] // weights % q  # [code, k]: entry k
+        mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)])
+        add = np.array([[F.add(a, b) for b in range(q)] for a in range(q)])
+        dot = np.zeros((q**n, q**n), dtype=np.int64)
+        for k in range(n):
+            dot = add[dot, mul[digits[:, k][:, None], digits[:, k][None, :]]]
+        kills = dot == 0
+        out = np.ones((len(xs), len(xs)), dtype=bool)
+        for i in range(n):
+            rows = kills[row_codes[:, i]]
+            for j in range(n):
+                out &= rows[:, col_codes[:, j]]
+        return out
+
     def det(self, a):
         F, n = self.field, self.n
         work = [list(row) for row in a]
@@ -554,6 +597,16 @@ class ProductRing(Ring):
 
     def mul(self, a, b):
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
+
+    def zero_products(self, xs):
+        """A product is 0 exactly when it is 0 in every component: the AND
+        of each factor's table on the distinct values of that component."""
+        out = np.ones((len(xs), len(xs)), dtype=bool)
+        for k, f in enumerate(self.factors):
+            index = {}
+            idx = np.array([index.setdefault(x[k], len(index)) for x in xs], dtype=np.intp)
+            out &= f.zero_products(list(index))[idx][:, idx]
+        return out
 
     def is_unit(self, a):
         return all(f.is_unit(x) for f, x in zip(self.factors, a))

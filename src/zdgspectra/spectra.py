@@ -197,63 +197,73 @@ def decompose(
 
     Each part must induce a complete or an edgeless subgraph, and
     adjacency between two parts must be all-or-nothing; both facts are
-    re-verified here rather than trusted.  For graphs of at most
-    reconstruction_limit vertices the blow-up of the result is compared
-    with the original adjacency matrix entry for entry.
+    re-verified here rather than trusted.  H and each cell's kind are read
+    off one vertex pair per block of the adjacency permuted into class
+    order; the pattern they predict is expanded to full size, compared
+    with the permuted adjacency, and the mismatches are OR-reduced to one
+    flag per block.  The first failing cell in order raises, then the
+    first non-constant class pair in row-major order.  For graphs of at
+    most reconstruction_limit vertices the blow-up of the result is
+    compared with the original adjacency matrix entry for entry.
     """
     adj = graph.adjacency
-    covered = sorted(i for c in partition.classes for i in c.members)
-    if covered != list(range(graph.order)):
+    classes = partition.classes
+    order = np.array([i for c in classes for i in c.members], dtype=np.intp)
+    if sorted(order.tolist()) != list(range(graph.order)):
         raise DecompositionError("partition does not cover the vertex set exactly")
 
+    m = len(classes)
+    sizes = np.array([len(c.members) for c in classes], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    permuted = adj[order[:, None], order]
+    h = permuted[starts[:, None], starts]
+    complete = np.zeros(m, dtype=bool)
+    multi = sizes > 1
+    complete[multi] = permuted[starts[multi], starts[multi] + 1]
+    pattern = h.copy()
+    np.fill_diagonal(pattern, complete)
+    mismatch = _layout(pattern, np.repeat(np.arange(m), sizes))
+    mismatch ^= permuted
+    bad = np.zeros((m, m), dtype=bool)
+    if m:  # reduceat rejects an empty index
+        bad = np.logical_or.reduceat(
+            np.logical_or.reduceat(mismatch, starts, axis=0), starts, axis=1
+        )
+
     cells = []
-    for c in partition.classes:
-        members = c.members
-        n_i = len(members)
-        sub = adj[np.ix_(members, members)]
-        off_diag = sub[~np.eye(n_i, dtype=bool)]
-        if off_diag.size and off_diag.all():
-            observed = "complete"
-        elif not off_diag.any():
-            observed = "null"
-        else:
+    for i, c in enumerate(classes):
+        label = graph.ring.label(graph.vertices[c.representative])
+        if bad[i, i]:
             raise DecompositionError(
-                f"class of {graph.ring.label(graph.vertices[c.representative])} "
-                "induces neither a complete nor an edgeless subgraph"
+                f"class of {label} induces neither a complete nor an edgeless subgraph"
             )
+        observed = "complete" if complete[i] else "null"
         kind = c.kind
-        if kind is None or n_i == 1:
+        if kind is None or sizes[i] == 1:
             # singletons are both complete and edgeless; keep the claimed
             # kind when the partition supplies one, it does not affect
             # assembly (r_i = 0 either way)
             kind = c.kind or observed
         elif kind != observed:
             raise DecompositionError(
-                f"claimed {kind} cell is actually {observed} "
-                f"(representative {graph.ring.label(graph.vertices[c.representative])})"
+                f"claimed {kind} cell is actually {observed} (representative {label})"
             )
+        n_i = len(c.members)
         cells.append(
             Cell(
                 size=n_i,
                 regularity=n_i - 1 if kind == "complete" else 0,
                 kind=kind,
-                label=graph.ring.label(graph.vertices[c.representative]),
-                members=list(members),
+                label=label,
+                members=list(c.members),
             )
         )
-
-    m = len(cells)
-    h = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            block = adj[np.ix_(cells[i].members, cells[j].members)]
-            if block.all():
-                h[i, j] = h[j, i] = True
-            elif block.any():
-                raise DecompositionError(
-                    f"adjacency between the classes of {cells[i].label} and "
-                    f"{cells[j].label} is not constant"
-                )
+    if bad.any():
+        i, j = np.argwhere(np.triu(bad, 1))[0]
+        raise DecompositionError(
+            f"adjacency between the classes of {cells[i].label} and "
+            f"{cells[j].label} is not constant"
+        )
     dec = JoinDecomposition(
         partition.relation, cells, h, _neighbor_weights(cells, h), source="graph"
     )
@@ -264,31 +274,30 @@ def decompose(
     return dec
 
 
+def _layout(pattern: np.ndarray, cell_of: np.ndarray) -> np.ndarray:
+    """Vertex-level adjacency of a join: entry (a, b) is
+    pattern[cell_of[a], cell_of[b]] off the diagonal, False on it."""
+    out = pattern[cell_of][:, cell_of]
+    np.fill_diagonal(out, False)
+    return out
+
+
 def blow_up(dec: JoinDecomposition) -> np.ndarray:
     """Reconstruct the full adjacency matrix from the decomposition.
 
     Cells built from a graph carry their original vertex indices and the
     result is laid out on those; closed-form cells are laid out in cell
-    order."""
-    total = dec.order
-    out = np.zeros((total, total), dtype=bool)
-    if all(c.members is not None for c in dec.cells):
-        spans = [c.members for c in dec.cells]
-    else:
-        spans = []
-        start = 0
-        for c in dec.cells:
-            spans.append(list(range(start, start + c.size)))
-            start += c.size
-    for i, c in enumerate(dec.cells):
-        if c.kind == "complete" and c.size > 1:
-            block = ~np.eye(c.size, dtype=bool)
-            out[np.ix_(spans[i], spans[i])] = block
-        for j in range(i + 1, dec.class_count):
-            if dec.h_adjacency[i, j]:
-                out[np.ix_(spans[i], spans[j])] = True
-                out[np.ix_(spans[j], spans[i])] = True
-    return out
+    order.  H fills the off-diagonal blocks and each cell's kind its own
+    block, with one gather per axis."""
+    m = dec.class_count
+    pattern = dec.h_adjacency.copy()
+    np.fill_diagonal(pattern, [c.kind == "complete" for c in dec.cells])
+    cell_of = np.repeat(np.arange(m), _cell_sizes(dec.cells))  # in cell order
+    if dec.cells and all(c.members is not None for c in dec.cells):
+        in_cell_order = cell_of
+        cell_of = np.empty_like(in_cell_order)
+        cell_of[[i for c in dec.cells for i in c.members]] = in_cell_order
+    return _layout(pattern, cell_of)
 
 
 def _cell_sizes(cells: list[Cell]) -> np.ndarray:
@@ -435,15 +444,6 @@ class _FactorClass:
     sq_zero: bool = False
 
 
-def _left_kills(field, width, x: _FactorClass, y: _FactorClass) -> bool:
-    """Does x * y = 0 hold for this component, at class level?"""
-    if x.tag == "zero" or y.tag == "zero":
-        return True
-    if x.tag == "unit" or y.tag == "unit":
-        return False
-    return gf_span_contains(field, x.kernel, y.col_space, width)
-
-
 def _all_subspaces(field, n: int, r: int):
     """Canonical RREF bases of every r-dimensional subspace of F_q^n,
     generated by pivot-column choice plus free entries."""
@@ -466,36 +466,61 @@ def _all_subspaces(field, n: int, r: int):
             yield tuple(tuple(row) for row in rows)
 
 
-def _matrix_factor_classes(field, n: int) -> list[_FactorClass]:
+def _class_kills(classes: list[_FactorClass], proper: np.ndarray) -> np.ndarray:
+    """Class-level table kills[x, y] = (x * y = 0) of one factor: true
+    when x or y is the zero class, false when either is the unit class,
+    and `proper` (indexed by the proper classes in order) otherwise."""
+    zero = np.array([f.tag == "zero" for f in classes])
+    kills = zero[:, None] | zero[None, :]
+    is_proper = np.array([f.tag == "proper" for f in classes])
+    kills[np.ix_(is_proper, is_proper)] = proper
+    return kills
+
+
+def _matrix_factor_classes(field, n: int) -> tuple[list[_FactorClass], np.ndarray]:
+    """The associate classes of M_n(F_q) and their x * y = 0 table.
+
+    xy = 0 exactly when the column space of y lies in the right kernel of
+    x, which the row space of x fixes; so one span check per (row space,
+    column space) pair gives the table, whose size is the square of the
+    subspace count rather than of the class count."""
+    spaces = [s for r in range(1, n) for s in _all_subspaces(field, n, r)]
+    kernels = [gf_nullspace(field, s, n) for s in spaces]
+    contains = np.array(
+        [[gf_span_contains(field, k, s, n) for s in spaces] for k in kernels], dtype=bool
+    )
     out = [_FactorClass("zero", 0, 1, "0")]
+    row_ids, col_ids = [], []
     for r in range(1, n):
         size = gl_order(r, field.q)
-        row_spaces = list(_all_subspaces(field, n, r))
-        col_spaces = row_spaces
-        for ri, row in enumerate(row_spaces):
-            kernel = gf_nullspace(field, row, n)
-            for ci, col in enumerate(col_spaces):
+        ids = [a for a, s in enumerate(spaces) if len(s) == r]
+        for ri, a in enumerate(ids):
+            for ci, b in enumerate(ids):
+                row_ids.append(a)
+                col_ids.append(b)
                 out.append(
                     _FactorClass(
                         "proper",
                         r,
                         size,
                         f"r{r}.{ri}.{ci}",
-                        row_space=row,
-                        col_space=col,
-                        kernel=kernel,
-                        sq_zero=gf_span_contains(field, kernel, col, n),
+                        row_space=spaces[a],
+                        col_space=spaces[b],
+                        kernel=kernels[a],
+                        sq_zero=bool(contains[a, b]),
                     )
                 )
     out.append(_FactorClass("unit", n, gl_order(n, field.q), "u"))
-    return out
+    proper = contains[np.ix_(row_ids, col_ids)]
+    return out, _class_kills(out, proper)
 
 
-def _field_factor_classes(q: int) -> list[_FactorClass]:
-    return [
+def _field_factor_classes(q: int) -> tuple[list[_FactorClass], np.ndarray]:
+    out = [
         _FactorClass("zero", 0, 1, "0"),
         _FactorClass("unit", 1, q - 1, "u"),
     ]
+    return out, _class_kills(out, np.zeros((0, 0), dtype=bool))
 
 
 def _semisimple_factors(ring: Ring):
@@ -528,19 +553,17 @@ def decomposition_semisimple_closed(
     descriptors: sizes by the GL-order products, kinds by the square-zero
     test on (row space, column space) pairs, compressed adjacency by
     kernel containment.  No ring elements are enumerated."""
-    factors = _semisimple_factors(ring)
-    per_factor = []
-    for field, n in factors:
-        if n == 1:
-            per_factor.append(_field_factor_classes(field.q if isinstance(field, GF) else field.n))
-        else:
-            per_factor.append(_matrix_factor_classes(field, n))
+    per_factor = [
+        _field_factor_classes(field.q if isinstance(field, GF) else field.n)
+        if n == 1
+        else _matrix_factor_classes(field, n)
+        for field, n in _semisimple_factors(ring)
+    ]
 
     combos = []
-    for combo in itertools.product(*per_factor):
-        if all(f.tag == "zero" for f in combo):
-            continue
-        if all(f.tag == "unit" for f in combo):
+    for combo in itertools.product(*[range(len(classes)) for classes, _ in per_factor]):
+        tags = [per_factor[k][0][c].tag for k, c in enumerate(combo)]
+        if all(t == "zero" for t in tags) or all(t == "unit" for t in tags):
             continue
         combos.append(combo)
     if len(combos) > cell_cap:
@@ -550,11 +573,10 @@ def decomposition_semisimple_closed(
 
     cells = []
     for combo in combos:
-        size = 1
-        for f in combo:
-            size *= f.size
-        complete = all(f.tag == "zero" or (f.tag == "proper" and f.sq_zero) for f in combo)
-        label = "(" + ",".join(f.label for f in combo) + ")" if len(combo) > 1 else combo[0].label
+        parts = [per_factor[k][0][c] for k, c in enumerate(combo)]
+        size = math.prod(f.size for f in parts)
+        complete = all(f.tag == "zero" or (f.tag == "proper" and f.sq_zero) for f in parts)
+        label = "(" + ",".join(f.label for f in parts) + ")" if len(parts) > 1 else parts[0].label
         cells.append(
             Cell(
                 size=size,
@@ -565,21 +587,14 @@ def decomposition_semisimple_closed(
             )
         )
 
+    # x * y = 0 at class level exactly when it holds in every factor
     m = len(combos)
-    h = np.zeros((m, m), dtype=bool)
-    widths = [n for _, n in factors]
-    fields = [field for field, _ in factors]
-    for i in range(m):
-        for j in range(i + 1, m):
-            left = all(
-                _left_kills(fields[k], widths[k], combos[i][k], combos[j][k])
-                for k in range(len(factors))
-            )
-            right = left or all(
-                _left_kills(fields[k], widths[k], combos[j][k], combos[i][k])
-                for k in range(len(factors))
-            )
-            h[i, j] = h[j, i] = left or right
+    left = np.ones((m, m), dtype=bool)
+    idx = np.array(combos, dtype=np.intp).reshape(m, len(per_factor))
+    for k, (_, kills) in enumerate(per_factor):
+        left &= kills[idx[:, k]][:, idx[:, k]]
+    h = left | left.T
+    np.fill_diagonal(h, False)
     return JoinDecomposition("associate", cells, h, _neighbor_weights(cells, h), source="closed")
 
 

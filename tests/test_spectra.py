@@ -1,15 +1,17 @@
 """Join decompositions, quotient matrices, spectrum assembly, and the
 eigenvalue toolbox (duplicate lift, two-graph combination, shift lemma)."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from zdgspectra.classes import classes_for
+from zdgspectra import spectra
+from zdgspectra.classes import ClassPartition, VertexClass, classes_for
 from zdgspectra.eig import dense_eigenvalues, jacobi_eigen
-from zdgspectra.graph import build_zdg
-from zdgspectra.rings import GF, MatRing, Zn, parse_ring_spec
+from zdgspectra.graph import build_zdg, degree_matring
+from zdgspectra.rings import GF, MatRing, Zn, gf_span_contains, parse_ring_spec
 from zdgspectra.spectra import (
     DecompositionError,
     LiftError,
@@ -118,7 +120,7 @@ def test_decompose_rejects_mixed_cell():
             dataclasses.replace(part.classes[1], members=[2], size=1),
         ],
     )
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError, match="claimed null cell is actually complete"):
         decompose(g, bad)
 
 
@@ -129,8 +131,31 @@ def test_decompose_rejects_incomplete_cover():
     from zdgspectra.classes import ClassPartition
 
     bad = ClassPartition(relation="associate", classes=part.classes[:1])
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError, match="does not cover the vertex set"):
         decompose(g, bad)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        # Gamma(Z_8) is the path 2 - 4 - 6 on the vertex indices 0, 1, 2
+        ([([0, 1, 2], None)], "neither a complete nor an edgeless"),
+        ([([0, 2], "complete"), ([1], None)], "claimed complete cell is actually null"),
+        ([([0, 1], None), ([2], None)], "classes of 2 and 6 is not constant"),
+    ],
+)
+def test_decompose_error_messages(blocks, message):
+    bad = ClassPartition("associate", [VertexClass.make(m, kind) for m, kind in blocks])
+    with pytest.raises(DecompositionError, match=message):
+        decompose(build_zdg(Zn(8)), bad)
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "Zn(7)"])
+def test_field_decomposes_to_no_cells(spec):
+    for relation in ("associate", "neighborhood"):
+        dec = decomposition_of(spec, relation)
+        assert dec.cells == [] and dec.h_adjacency.shape == (0, 0)
+        assert blow_up(dec).shape == (0, 0)
 
 
 # --- assembled spectra against the dense oracle ---
@@ -179,13 +204,16 @@ def test_assembly_matches_brute_small_sweep():
 
 
 def test_brute_spectrum_matches_jacobi():
-    # the LAPACK oracle pinned against the Jacobi solver, on one ring
-    g = build_zdg(Zn(36))
-    for flavor, matrix in (("adjacency", adjacency_matrix), ("laplacian", laplacian_matrix)):
-        brute = brute_spectrum(g, flavor)
-        assert brute.provenance == ["brute"] * g.order
-        ref = jacobi_eigen(matrix(g))
-        assert np.abs(np.array(brute.values) - np.array(ref)).max() < 1e-9, flavor
+    # the LAPACK oracle pinned against the Jacobi solver; on Z_2^4 and
+    # Z_2^5 every associate class is a singleton, so the assembled route
+    # solves the graph's own matrix and only Jacobi checks it independently
+    for spec in ("Zn(36)", "x".join(["Zn(2)"] * 4), "x".join(["Zn(2)"] * 5)):
+        g = build_zdg(parse_ring_spec(spec))
+        for flavor, matrix in (("adjacency", adjacency_matrix), ("laplacian", laplacian_matrix)):
+            brute = brute_spectrum(g, flavor)
+            assert brute.provenance == ["brute"] * g.order
+            ref = jacobi_eigen(matrix(g))
+            assert np.abs(np.array(brute.values) - np.array(ref)).max() < 1e-9, (spec, flavor)
 
 
 def test_matrix_ring_spectra_match_brute():
@@ -224,6 +252,66 @@ def test_closed_semisimple_route_equals_graph_route():
             s1 = assemble_spectrum(closed, flavor)
             s2 = assemble_spectrum(explicit, flavor)
             assert multiset_equal(s1, s2, tol=1e-9).matched, (spec, flavor)
+
+
+def left_kills_by_pairs(field, width, x, y) -> bool:
+    """Does x * y = 0 hold in one factor, at class level: the pairwise
+    span check the closed route's tables replace."""
+    if x.tag == "zero" or y.tag == "zero":
+        return True
+    if x.tag == "unit" or y.tag == "unit":
+        return False
+    return gf_span_contains(field, x.kernel, y.col_space, width)
+
+
+def closed_h_by_pairs(ring):
+    factors = spectra._semisimple_factors(ring)
+    per_factor = [
+        spectra._field_factor_classes(field.q)[0] if n == 1 else spectra._matrix_factor_classes(field, n)[0]
+        for field, n in factors
+    ]
+    combos = [
+        combo
+        for combo in itertools.product(*per_factor)
+        if not all(f.tag == "zero" for f in combo) and not all(f.tag == "unit" for f in combo)
+    ]
+    m = len(combos)
+    h = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(i + 1, m):
+            left = all(
+                left_kills_by_pairs(field, n, combos[i][k], combos[j][k])
+                for k, (field, n) in enumerate(factors)
+            )
+            right = left or all(
+                left_kills_by_pairs(field, n, combos[j][k], combos[i][k])
+                for k, (field, n) in enumerate(factors)
+            )
+            h[i, j] = h[j, i] = left or right
+    return h
+
+
+@pytest.mark.parametrize("spec", ["M(3,GF(2))", "M(2,GF(3))xM(2,GF(2))", "M(2,GF(2))xGF(3)xGF(4)"])
+def test_closed_h_equals_pairwise_span_checks(spec):
+    ring = parse_ring_spec(spec)
+    dec = decomposition_semisimple_closed(ring)
+    assert np.array_equal(dec.h_adjacency, closed_h_by_pairs(ring))
+
+
+def test_closed_m4_f2_spectra():
+    # 45,375 vertices in 1,675 classes: no enumeration, only the traces
+    # and the length are checked
+    dec = decomposition_semisimple_closed(parse_ring_spec("M(4,GF(2))"))
+    proper = [f for f in spectra._matrix_factor_classes(GF(2), 4)[0] if f.tag == "proper"]
+    assert dec.class_count == len(proper) == 1675
+    assert [c.size for c in dec.cells] == [f.size for f in proper]
+    adj, lap = spectrum_pair(dec)
+    assert len(adj) == len(lap) == dec.order == 45375
+    degree_sum = sum(
+        c.size * degree_matring(4, 2, f.rank, c.kind == "complete") for c, f in zip(dec.cells, proper)
+    )
+    assert abs(math.fsum(v * k for v, k, _ in adj.runs)) <= 1e-9 * degree_sum
+    assert abs(math.fsum(v * k for v, k, _ in lap.runs) - degree_sum) <= 1e-9 * degree_sum
 
 
 def test_ring_join_decomposition_methods():
