@@ -12,11 +12,8 @@ from .classes import (
     check_relation_agreements,
     classes_annihilator,
     classes_associate,
-    classes_associate_matrix,
-    classes_associate_zn,
     classes_for,
     classes_neighborhood,
-    classes_product,
     partitions_equal,
 )
 from .counts import (

@@ -11,17 +11,22 @@ representative (the smallest member), with the cell kind needed by the
 join machinery: an associate class induces a complete subgraph exactly
 when its representative squares to zero, and is edgeless otherwise;
 neighborhood classes are always edgeless.
+
+Associate classes come from one path for every ring: `classes_for` groups
+the zero-divisors by the ring's `associate_keys` (gcd with n for Z_n, the
+pair of kernels for a matrix, componentwise for a product).
+`classes_associate` orbits by units, the definition, and stays as the
+reference the tests compare with.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from . import numth
 from .graph import ZeroDivisorGraph, build_zdg
-from .rings import GF, MatRing, ProductRing, Ring, RingError, Zn, construct_field, is_reduced
+from .rings import GF, MatRing, ProductRing, Ring, RingError, Zn, is_reduced
 
 
 class RelationAgreementError(RingError):
@@ -110,62 +115,6 @@ def classes_associate(ring: Ring, element_cap: int | None = None) -> ClassPartit
     return _finish("associate", blocks)
 
 
-def classes_associate_zn(n: int) -> ClassPartition:
-    """Associate classes of Z_n: one class per nontrivial divisor d of n,
-    holding the phi(n/d) vertices x with gcd(x, n) = d; complete iff n | d^2.
-    """
-    ring = Zn(n)
-    zd = ring.zero_divisors()
-    index = {a: i for i, a in enumerate(zd)}
-    blocks = []
-    for d in numth.nontrivial_divisors(n):
-        members = [index[x] for x in zd if gcd(x, n) == d]
-        kind = "complete" if (d * d) % n == 0 else "null"
-        blocks.append((members, kind))
-    return _finish("associate", blocks)
-
-
-def matrix_class_records(n: int, q: int, element_cap: int | None = None):
-    """Associate classes of M_n(F_q) keyed by (row space, column space).
-
-    Returns (ring, records); each record is a dict with the RREF bases,
-    rank, member indices and a squares-to-zero flag.  The key determines
-    the class: B ~ A exactly when B = UA = AV for invertible U, V, which
-    preserves and is determined by the pair of spaces.
-    """
-    pk = numth.prime_power(q)
-    if pk is None:
-        raise RingError(f"{q} is not a prime power")
-    ring = MatRing(n, construct_field(*pk))
-    zd = ring.zero_divisors(element_cap)
-    groups: dict[tuple, list[int]] = {}
-    for i, a in enumerate(zd):
-        key = (ring.row_space(a), ring.column_space(a))
-        groups.setdefault(key, []).append(i)
-    records = []
-    for key, members in groups.items():
-        rep = zd[members[0]]
-        records.append(
-            {
-                "row_space": key[0],
-                "column_space": key[1],
-                "rank": len(key[0]),
-                "members": sorted(members),
-                "squares_to_zero": ring.mul(rep, rep) == ring.zero,
-            }
-        )
-    records.sort(key=lambda r: r["members"][0])
-    return ring, records
-
-
-def classes_associate_matrix(n: int, q: int, element_cap: int | None = None) -> ClassPartition:
-    _, records = matrix_class_records(n, q, element_cap)
-    blocks = [
-        (r["members"], "complete" if r["squares_to_zero"] else "null") for r in records
-    ]
-    return _finish("associate", blocks)
-
-
 def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
     """Partition by equal open neighborhoods.
 
@@ -231,54 +180,17 @@ def classes_annihilator(ring: Ring, element_cap: int | None = None) -> ClassPart
     return _finish("annihilator", blocks)
 
 
-def _factor_blocks(factor: Ring, element_cap=None):
-    """Blocks of one product component: {0}, the units, and each associate
-    class of its zero-divisors.  Every element lands in exactly one block."""
-    blocks = [[factor.zero]]
-    zd = factor.zero_divisors(element_cap)
-    if zd:
-        part = classes_associate(factor, element_cap)
-        for c in part.classes:
-            blocks.append([zd[i] for i in c.members])
-    units = factor.units(element_cap)
-    blocks.append(units)
-    return blocks  # all-zero block first, units last
-
-
-def classes_product(ring: ProductRing, element_cap: int | None = None) -> ClassPartition:
-    """Associate classes of a direct product: componentwise choices of
-    (zero | unit | per-factor class), excluding all-zero and all-unit."""
-    if not isinstance(ring, ProductRing):
-        raise RingError("classes_product needs a direct product ring")
-    zd = ring.zero_divisors(element_cap)
-    index = {a: i for i, a in enumerate(zd)}
-    factor_blocks = [_factor_blocks(f, element_cap) for f in ring.factors]
-    blocks = []
-    import itertools
-
-    for choice in itertools.product(*[range(len(bs)) for bs in factor_blocks]):
-        if all(c == 0 for c in choice):
-            continue  # the zero element
-        if all(c == len(bs) - 1 for c, bs in zip(choice, factor_blocks)):
-            continue  # the units
-        members = []
-        for combo in itertools.product(*[bs[c] for c, bs in zip(choice, factor_blocks)]):
-            members.append(index[combo])
-        rep = zd[min(members)]
-        blocks.append((members, _associate_kind(ring, rep)))
-    return _finish("associate", blocks)
-
-
 def classes_for(ring: Ring, relation: str = "associate", element_cap: int | None = None) -> ClassPartition:
-    """Dispatch to the right partition constructor for (ring, relation)."""
+    """The partition of Z(ring)* under the named relation.  Associate
+    classes group the zero-divisors by the ring's `associate_keys`;
+    `classes_associate` is the definition they must equal."""
     if relation == "associate":
-        if isinstance(ring, Zn):
-            return classes_associate_zn(ring.n)
-        if isinstance(ring, MatRing):
-            return classes_associate_matrix(ring.n, ring.field.q, element_cap)
-        if isinstance(ring, ProductRing):
-            return classes_product(ring, element_cap)
-        return classes_associate(ring, element_cap)
+        zd = ring.zero_divisors(element_cap)
+        groups: dict[int, list[int]] = {}
+        for i, key in enumerate(ring.associate_keys(zd).tolist()):
+            groups.setdefault(key, []).append(i)
+        blocks = [(members, _associate_kind(ring, zd[members[0]])) for members in groups.values()]
+        return _finish("associate", blocks)
     if relation == "neighborhood":
         return classes_neighborhood(build_zdg(ring, element_cap=element_cap))
     if relation == "annihilator":
@@ -361,7 +273,7 @@ def check_relation_agreements(ring: Ring, element_cap: int | None = None) -> dic
         record(
             "Z_n associate classes are gcd classes",
             True,
-            partitions_equal(classes_associate(ring, element_cap), classes_associate_zn(ring.n)),
+            partitions_equal(classes_associate(ring, element_cap), assoc),
         )
 
     semisimple_like = isinstance(ring, MatRing) or (

@@ -3,8 +3,8 @@
 Ring elements are plain hashable payloads: residues and field elements are
 ints, matrices are row-major tuples of tuples of field ints, product
 elements are tuples of component payloads.  Each ring object supplies exact
-arithmetic, unit detection, zero-divisor enumeration and canonical labels
-for its own payloads.  Element order is always lexicographic on the payload,
+arithmetic, table-built zero products and associate keys, unit and
+zero-divisor enumeration and canonical labels for its own payloads.  Element order is always lexicographic on the payload,
 so index 0 is the zero element and enumeration is reproducible.
 
 Field elements are encoded as integers in [0, p^k): the value
@@ -147,6 +147,13 @@ class Ring:
         per pair.  It is not symmetric when the ring is not commutative."""
         raise NotImplementedError
 
+    def associate_keys(self, xs) -> np.ndarray:
+        """Int64 array k with k[i] == k[j] exactly when xs[i] and xs[j] are
+        associates (xs[i] = u xs[j] and xs[j] = xs[i] v for units u, v).
+        0 is a class of its own and the units form one class.  Keys are
+        comparable only within one call."""
+        raise NotImplementedError
+
     def is_unit(self, a) -> bool:
         raise NotImplementedError
 
@@ -170,33 +177,33 @@ class Ring:
         return cached
 
     def units(self, cap: int | None = None) -> list:
-        cached = getattr(self, "_units", None)
-        if cached is None:
-            self._split(cap)
-            cached = self._units
-        return cached
+        els = self.elements(cap)  # checks the cap on every call
+        if getattr(self, "_units", None) is None:
+            self._split(els)
+        return self._units
 
     def zero_divisors(self, cap: int | None = None) -> list:
         """Nonzero non-units, in element order.
 
         In a finite ring every nonzero element is a unit or a (one-sided)
-        zero divisor, so no annihilator search is needed here; tests check
-        the definition directly.
+        zero divisor, so no annihilator search is needed here: `_split`
+        tells the units by the associate key of `one`.  Tests check the
+        definition directly.
         """
-        cached = getattr(self, "_zero_divisors", None)
-        if cached is None:
-            self._split(cap)
-            cached = self._zero_divisors
-        return cached
+        els = self.elements(cap)  # checks the cap on every call
+        if getattr(self, "_zero_divisors", None) is None:
+            self._split(els)
+        return self._zero_divisors
 
-    def _split(self, cap):
-        units, zds = [], []
-        for a in self.elements(cap):
-            if a == self.zero:
-                continue
-            (units if self.is_unit(a) else zds).append(a)
-        self._units = units
-        self._zero_divisors = zds
+    def _split(self, els):
+        """Units and zero-divisors from one `associate_keys` call: the units
+        are the associate class of `one`, and every element outside the
+        classes of 0 and `one` is a zero-divisor."""
+        keys = self.associate_keys([*els, self.one])
+        unit = keys[:-1] == keys[-1]
+        zd = ~unit & (keys[:-1] != keys[0])  # els[0] is 0
+        self._units = [els[i] for i in np.flatnonzero(unit)]
+        self._zero_divisors = [els[i] for i in np.flatnonzero(zd)]
 
 
 class Zn(Ring):
@@ -232,6 +239,10 @@ class Zn(Ring):
         # the int64 products are exact for n below 3e9, far past any ring that can be enumerated
         vals = np.asarray(xs, dtype=np.int64)
         return np.outer(vals, vals) % self.n == 0
+
+    def associate_keys(self, xs):
+        # x ~ y exactly when gcd(x, n) = gcd(y, n)
+        return np.gcd(np.asarray(xs, dtype=np.int64), self.n)
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1
@@ -334,6 +345,9 @@ class GF(Ring):
     def zero_products(self, xs):
         z = np.asarray(xs) == 0
         return z[:, None] | z[None, :]
+
+    def associate_keys(self, xs):
+        return (np.asarray(xs, dtype=np.int64) != 0).astype(np.int64)
 
     def inv(self, a):
         if a == 0:
@@ -491,31 +505,56 @@ class MatRing(Ring):
             out.append(tuple(orow))
         return tuple(out)
 
-    def zero_products(self, xs):
-        """AB = 0 exactly when every row of A times every column of B is 0.
+    def _kills(self):
+        """The q^n x q^n bool table of "row vector code r times column
+        vector code c is 0", vectors coded base q (entry k times q^k).
+        Built once per ring."""
+        cached = getattr(self, "_kills_table", None)
+        if cached is None:
+            F, n, q = self.field, self.n, self.field.q
+            digits = np.arange(q**n)[:, None] // q ** np.arange(n) % q  # [code, k]: entry k
+            mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)])
+            add = np.array([[F.add(a, b) for b in range(q)] for a in range(q)])
+            dot = np.zeros((q**n, q**n), dtype=np.int64)
+            for k in range(n):
+                dot = add[dot, mul[digits[:, k][:, None], digits[:, k][None, :]]]
+            cached = self._kills_table = dot == 0
+        return cached
 
-        A row or column vector is coded base q (entry k times q^k), and one
-        q^n x q^n table says which row code times which column code gives 0;
-        each of the n^2 (row i of A, column j of B) lookups is a table gather.
-        """
-        F, n, q = self.field, self.n, self.field.q
+    def _codes(self, xs):
+        """Row and column codes of the matrices xs: [a, i] is the code of
+        row i (column i) of xs[a]."""
+        n = self.n
         mats = np.array(xs, dtype=np.int64).reshape(len(xs), n, n)
-        weights = q ** np.arange(n, dtype=np.int64)
-        row_codes = mats @ weights  # [a, i]: code of row i of xs[a]
-        col_codes = weights @ mats  # [a, j]: code of column j of xs[a]
-        digits = np.arange(q**n)[:, None] // weights % q  # [code, k]: entry k
-        mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)])
-        add = np.array([[F.add(a, b) for b in range(q)] for a in range(q)])
-        dot = np.zeros((q**n, q**n), dtype=np.int64)
-        for k in range(n):
-            dot = add[dot, mul[digits[:, k][:, None], digits[:, k][None, :]]]
-        kills = dot == 0
+        weights = self.field.q ** np.arange(n, dtype=np.int64)
+        return mats @ weights, weights @ mats
+
+    def zero_products(self, xs):
+        """AB = 0 exactly when every row of A times every column of B is 0:
+        each of the n^2 (row i of A, column j of B) lookups is a gather
+        from the `_kills` table."""
+        kills = self._kills()
+        row_codes, col_codes = self._codes(xs)
         out = np.ones((len(xs), len(xs)), dtype=bool)
-        for i in range(n):
+        for i in range(self.n):
             rows = kills[row_codes[:, i]]
-            for j in range(n):
+            for j in range(self.n):
                 out &= rows[:, col_codes[:, j]]
         return out
+
+    def associate_keys(self, xs):
+        """B = UA for an invertible U exactly when B and A have one row
+        space, that is one right kernel {v : Av = 0}; B = AV likewise for
+        the column space and the left kernel {v : v^T A = 0}.  The key is
+        the pair of kernels, as bitsets over F_q^n."""
+        kills = self._kills()
+        row_codes, col_codes = self._codes(xs)
+        right = kills[row_codes].all(axis=1)
+        left = kills.T[col_codes].all(axis=1)
+        bits = np.packbits(np.concatenate([right, left], axis=1), axis=1)
+        # one byte string per matrix: a 1-D unique, far faster than axis=0
+        rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+        return np.unique(rows, return_inverse=True)[1].astype(np.int64)
 
     def det(self, a):
         F, n = self.field, self.n
@@ -565,6 +604,14 @@ class MatRing(Ring):
         return out
 
 
+def _component(xs, k):
+    """Distinct values of component k of the tuples xs, in first-seen
+    order, and the position of each x[k] among them."""
+    index = {}
+    idx = np.array([index.setdefault(x[k], len(index)) for x in xs], dtype=np.intp)
+    return list(index), idx
+
+
 class ProductRing(Ring):
     """Direct product of component rings, elementwise operations on tuples."""
 
@@ -603,10 +650,19 @@ class ProductRing(Ring):
         of each factor's table on the distinct values of that component."""
         out = np.ones((len(xs), len(xs)), dtype=bool)
         for k, f in enumerate(self.factors):
-            index = {}
-            idx = np.array([index.setdefault(x[k], len(index)) for x in xs], dtype=np.intp)
-            out &= f.zero_products(list(index))[idx][:, idx]
+            values, idx = _component(xs, k)
+            out &= f.zero_products(values)[idx][:, idx]
         return out
+
+    def associate_keys(self, xs):
+        """Associates componentwise: each factor's keys on the distinct
+        values of its component, combined in mixed radix."""
+        keys = np.zeros(len(xs), dtype=np.int64)
+        for k, f in enumerate(self.factors):
+            values, idx = _component(xs, k)
+            fk = f.associate_keys(values)
+            keys = keys * (int(fk.max()) + 1) + fk[idx]
+        return keys
 
     def is_unit(self, a):
         return all(f.is_unit(x) for f, x in zip(self.factors, a))

@@ -37,8 +37,9 @@ from . import numth
 from .classes import ClassPartition, classes_for
 from .counts import gl_order, zn_profile
 from .eig import dense_eigenvalues, jacobi_eigen, jacobi_eigen_system
-from .graph import ZeroDivisorGraph, build_zdg
+from .graph import GraphCapError, ZeroDivisorGraph, build_zdg
 from .rings import (
+    EnumerationCapError,
     GF,
     MatRing,
     ProductRing,
@@ -614,7 +615,9 @@ def ring_join_decomposition(
     method 'graph' enumerates the ring and verifies the join structure;
     'closed' derives cells from the divisor lattice (Z_n) or component
     ranks (semisimple rings) without enumeration; 'auto' prefers the
-    graph route while it fits under the caps."""
+    graph route while it fits under the caps, and when the closed route
+    cannot take the ring either it raises the cap error, chained to the
+    closed route's refusal."""
     if method not in ("auto", "graph", "closed"):
         raise ValueError(f"unknown method '{method}'")
     if method == "closed":
@@ -625,10 +628,13 @@ def ring_join_decomposition(
         return decomposition_semisimple_closed(ring)
     try:
         graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
-    except RingError:
+    except (GraphCapError, EnumerationCapError) as cap_error:
         if method == "graph":
             raise
-        return ring_join_decomposition(ring, relation, "closed")
+        try:
+            return ring_join_decomposition(ring, relation, "closed")
+        except RingError as closed_error:
+            raise cap_error from closed_error
     partition = classes_for(ring, relation, element_cap)
     return decompose(graph, partition)
 

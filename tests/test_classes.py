@@ -7,11 +7,8 @@ from zdgspectra.classes import (
     check_relation_agreements,
     classes_annihilator,
     classes_associate,
-    classes_associate_matrix,
-    classes_associate_zn,
     classes_for,
     classes_neighborhood,
-    classes_product,
     partitions_equal,
 )
 from zdgspectra.graph import build_zdg
@@ -142,9 +139,7 @@ def test_zn_fast_path_agreement():
         ring = Zn(n)
         if not ring.zero_divisors():
             continue
-        fast = classes_associate_zn(n)
-        generic = classes_associate(ring)
-        assert partitions_equal(fast, generic), n
+        assert partitions_equal(classes_for(ring), classes_associate(ring)), n
 
 
 def test_zn_class_sizes_are_phi():
@@ -153,22 +148,22 @@ def test_zn_class_sizes_are_phi():
         if not ring.zero_divisors():
             continue
         vertices = build_zdg(ring).vertices
-        part = classes_associate_zn(n)
+        part = classes_for(ring)
         by_rep = {vertices[c.representative]: c.size for c in part.classes}
         for d in nontrivial_divisors(n):
             assert by_rep[d] == euler_phi(n // d), (n, d)
 
 
 def test_matrix_fast_path_agreement():
-    for q in (2, 3):
-        ring = MatRing(2, GF(q))
-        assert partitions_equal(classes_associate_matrix(2, q), classes_associate(ring))
+    for spec in ["M(2,GF(2))", "M(2,GF(3))", "M(2,GF(4))", "M(3,GF(2))"]:
+        ring = parse_ring_spec(spec)
+        assert partitions_equal(classes_for(ring), classes_associate(ring)), spec
 
 
 def test_product_fast_path_agreement():
     for spec in ["Zn(2)xZn(3)", "Zn(2)xZn(2)xZn(2)", "Zn(3)xZn(5)", "M(2,GF(2))xGF(2)"]:
         ring = parse_ring_spec(spec)
-        assert partitions_equal(classes_product(ring), classes_associate(ring)), spec
+        assert partitions_equal(classes_for(ring), classes_associate(ring)), spec
 
 
 def test_masked_and_raw_neighborhood_comparators_agree():

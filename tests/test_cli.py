@@ -11,7 +11,10 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import zdgspectra
+from zdgspectra.classes import classes_associate
 from zdgspectra.cli import main
+from zdgspectra.graph import build_zdg
+from zdgspectra.rings import parse_ring_spec
 from zdgspectra.spectra import DecompositionError
 
 SCHEMA_PATH = os.path.join(
@@ -72,6 +75,17 @@ def test_classes_csv():
     lines = out.strip().splitlines()
     assert lines[0] == "rep,size,kind,members"
     assert len(lines) == 4  # header + 3 associate classes
+
+
+def test_classes_json_equals_unit_orbit_definition():
+    # the keyed associate partition, as printed, against the unit-orbit
+    # definition: same classes, members and kinds, in the same order
+    for spec in ["M(2,GF(3))", "M(2,GF(2))xZn(4)", "Zn(30)"]:
+        code, out, err = run_cli(["classes", "--ring", spec, "--format", "json"])
+        assert code == 0, err
+        ring = parse_ring_spec(spec)
+        payload = {"ring": ring.spec_string(), **classes_associate(ring).to_json(build_zdg(ring))}
+        assert out == json.dumps(payload, indent=2) + "\n", spec
 
 
 def test_graph_json_and_csv():
@@ -345,6 +359,18 @@ def test_exit_code_cap_exceeded():
         ["graph", "--ring", "Zn(210)", "--max-vertices", "10"]
     )
     assert code == 1
+
+
+def test_auto_route_reports_the_cap():
+    # neither ring has a closed route here (a Z_{p^a} factor; a relation
+    # other than the associate one), so the cap is what the user must see
+    for args in (
+        ["spectrum", "--ring", "Zn(4)xM(2,GF(3))", "--max-vertices", "10"],
+        ["spectrum", "--ring", "Zn(30)", "--relation", "neighborhood", "--max-vertices", "10"],
+    ):
+        code, _, err = run_inproc(args)
+        assert code == 1, args
+        assert "GraphCapError" in err and "over the cap 10" in err, err
 
 
 def test_env_cap_is_weaker_than_flag():

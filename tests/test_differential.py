@@ -5,7 +5,8 @@ GF(2|3|4|5), M(2,GF(2)) and M(2,GF(3)), with at most MAX_VERTICES
 vertices.  The table-built adjacency is compared with the annihilator
 definition, the join decomposition is checked under both relations
 against the dense oracle, and semisimple products are also compared with
-the closed route.
+the closed route.  The keyed associate partition and the unit list are
+compared with their definitions (unit orbits, per-element `is_unit`).
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdgspectra import numth
-from zdgspectra.classes import classes_for
+from zdgspectra.classes import classes_associate, classes_for
 from zdgspectra.counts import gl_order
 from zdgspectra.graph import annihilator_set, build_zdg
 from zdgspectra.rings import parse_ring_spec
@@ -58,6 +59,9 @@ def test_graph_route_matches_definition_and_oracles(factors):
     for i, a in enumerate(g.vertices):
         row = {g.vertices[j] for j in np.nonzero(g.adjacency[i])[0]}
         assert row == annihilator_set(ring, a) - {a}, (spec, a)
+
+    assert classes_for(ring, "associate") == classes_associate(ring), spec
+    assert ring.units() == [a for a in ring.elements() if a != ring.zero and ring.is_unit(a)], spec
 
     brute = {flavor: brute_spectrum(g, flavor) for flavor in FLAVORS}
     graph_route = {}

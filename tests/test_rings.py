@@ -216,3 +216,15 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         Zn(30000).elements()
     assert len(Zn(30000).elements(cap=40000)) == 30000
+
+
+def test_cached_splits_check_the_cap():
+    # units and zero-divisors are cached after the first call; the cap must
+    # still be checked on every later one, as elements() does
+    ring = Zn(50)
+    assert len(ring.zero_divisors(100)) == 29
+    assert len(ring.units(100)) == 20
+    with pytest.raises(EnumerationCapError):
+        ring.zero_divisors(10)
+    with pytest.raises(EnumerationCapError):
+        ring.units(10)
