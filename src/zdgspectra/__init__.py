@@ -73,7 +73,6 @@ from .spectra import (
     brute_spectrum,
     check_shift_lemma,
     decompose,
-    decomposition_from_zn_profile,
     decomposition_semisimple_closed,
     duplicate_lift,
     fiedler_check,
@@ -82,7 +81,6 @@ from .spectra import (
     quotient_adjacency,
     quotient_laplacian,
     ring_join_decomposition,
-    spectrum_semisimple,
     spectrum_zn,
     verify_ring,
 )

@@ -3,9 +3,12 @@
 Ring elements are plain hashable payloads: residues and field elements are
 ints, matrices are row-major tuples of tuples of field ints, product
 elements are tuples of component payloads.  Each ring object supplies exact
-arithmetic, table-built zero products and associate keys, unit and
-zero-divisor enumeration and canonical labels for its own payloads.  Element order is always lexicographic on the payload,
-so index 0 is the zero element and enumeration is reproducible.
+arithmetic, table-built zero products and associate keys, a class table
+(the associate classes with their sizes and xy = 0 relation, built
+without enumerating), unit and zero-divisor enumeration and canonical
+labels for its own payloads.  Element order is always lexicographic on
+the payload, so index 0 is the zero element and enumeration is
+reproducible.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -21,11 +24,12 @@ right):
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from . import numth
+from .counts import gl_order, q_binomial
 
 DEFAULT_ELEMENT_CAP = 20000
 FIELD_TABLE_MAX_ORDER = 512
@@ -154,6 +158,30 @@ class Ring:
         comparable only within one call."""
         raise NotImplementedError
 
+    def class_count(self) -> int:
+        """Number of associate classes, 0 and the units included."""
+        raise NotImplementedError
+
+    def class_table(self, cap: int):
+        """(sizes, kills, labels) over all associate classes, built without
+        enumerating the ring: sizes an int64 array, kills the bool m x m
+        table of "class i times class j is 0" (its diagonal marks the
+        classes that square to 0) and one label per class.  Class 0 is
+        {0} and the last class is the units.  The class count is checked
+        against cap before any table is built."""
+        count = self.class_count()
+        if count > cap:
+            raise RingError(
+                f"{self.spec_string()}: {count} classes (0 and the units included) "
+                f"exceed the closed-route cap of {cap}"
+            )
+        if self.cardinality >= 2**63:  # every class size must fit int64
+            raise RingError(f"{self.spec_string()} has 2^63 or more elements")
+        return self._class_table()
+
+    def _class_table(self):
+        raise NotImplementedError
+
     def is_unit(self, a) -> bool:
         raise NotImplementedError
 
@@ -243,6 +271,30 @@ class Zn(Ring):
     def associate_keys(self, xs):
         # x ~ y exactly when gcd(x, n) = gcd(y, n)
         return np.gcd(np.asarray(xs, dtype=np.int64), self.n)
+
+    def class_count(self):
+        return prod(a + 1 for _, a in numth.factorize(self.n))
+
+    def _class_table(self):
+        """Z_n is the product of the Z_{p^a} over n = prod p^a (CRT).  The
+        classes of Z_{p^a} are p^e times the units, of size phi(p^(a-e)),
+        and p^e * p^f = 0 exactly when e + f >= a; indexed by i = a - e,
+        0 comes first and the units last.  The product's classes are then
+        put in the order 0, the proper classes by ascending d = prod p^e
+        (the gcd of their members with n), the units."""
+        factors = numth.factorize(self.n)
+        tables = []
+        for p, a in factors:
+            i = np.arange(a + 1)
+            sizes = [1] + [(p - 1) * p ** (k - 1) for k in range(1, a + 1)]
+            tables.append((np.array(sizes, dtype=np.int64), i[:, None] + i[None, :] <= a))
+        sizes, kills, idx = _product_table(tables)
+        d = np.ones(len(sizes), dtype=np.int64)
+        for (p, a), i in zip(factors, idx):
+            d *= p ** (a - i)
+        order = np.concatenate(([0], np.argsort(d[1:-1]) + 1, [len(d) - 1]))
+        labels = ["0"] + [f"[{x}]" for x in d[order[1:-1]].tolist()] + ["u"]
+        return sizes[order], kills[np.ix_(order, order)], labels
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1
@@ -349,6 +401,13 @@ class GF(Ring):
     def associate_keys(self, xs):
         return (np.asarray(xs, dtype=np.int64) != 0).astype(np.int64)
 
+    def class_count(self):
+        return 2
+
+    def _class_table(self):
+        kills = np.array([[True, True], [True, False]])
+        return np.array([1, self.q - 1], dtype=np.int64), kills, ["0", "u"]
+
     def inv(self, a):
         if a == 0:
             raise RingError("0 has no inverse")
@@ -454,6 +513,28 @@ def gf_span_contains(field, basis_rref, other_rows, width):
     return stacked == tuple(basis_rref)
 
 
+def _all_subspaces(field, n: int, r: int):
+    """Canonical RREF bases of every r-dimensional subspace of F_q^n,
+    generated by pivot-column choice plus free entries."""
+    if r == 0:
+        yield ()
+        return
+    for pivots in itertools.combinations(range(n), r):
+        free = [
+            (i, j)
+            for i, p in enumerate(pivots)
+            for j in range(p + 1, n)
+            if j not in pivots
+        ]
+        for values in itertools.product(range(field.q), repeat=len(free)):
+            rows = [[0] * n for _ in range(r)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield tuple(tuple(row) for row in rows)
+
+
 class MatRing(Ring):
     """Full n x n matrix ring over a GF field.
 
@@ -556,6 +637,38 @@ class MatRing(Ring):
         rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
         return np.unique(rows, return_inverse=True)[1].astype(np.int64)
 
+    def class_count(self):
+        return sum(q_binomial(self.n, r, self.field.q) ** 2 for r in range(1, self.n)) + 2
+
+    def _class_table(self):
+        """0, one class per (row space, column space) pair of each rank
+        r = 1..n-1, labelled r{r}.{row space}.{column space} by the index
+        of each space among those of rank r in `_all_subspaces` order and
+        of size |GL_r(F_q)|, then the units.
+
+        xy = 0 exactly when the column space of y lies in the right kernel
+        of x, which the row space of x fixes; so one span check per
+        (row space, column space) pair fills the table, whose cost is the
+        square of the subspace count rather than of the class count."""
+        F, n, q = self.field, self.n, self.field.q
+        spaces = [s for r in range(1, n) for s in _all_subspaces(F, n, r)]
+        kernels = [gf_nullspace(F, s, n) for s in spaces]
+        contains = np.array(
+            [[gf_span_contains(F, k, s, n) for s in spaces] for k in kernels], dtype=bool
+        ).reshape(len(spaces), len(spaces))
+        rank = np.array([len(s) for s in spaces], dtype=np.intp)
+        rows, cols = np.nonzero(rank[:, None] == rank[None, :])  # by rank, row, column
+        first = np.searchsorted(rank, rank)  # where each space's rank starts
+        m = len(rows) + 2
+        kills = np.zeros((m, m), dtype=bool)
+        kills[0, :] = kills[:, 0] = True
+        kills[1:-1, 1:-1] = contains[np.ix_(rows, cols)]
+        ranks = rank[rows].tolist()
+        sizes = [1] + [gl_order(r, q) for r in ranks] + [gl_order(n, q)]
+        proper = zip(ranks, (rows - first[rows]).tolist(), (cols - first[cols]).tolist())
+        labels = ["0"] + [f"r{r}.{a}.{b}" for r, a, b in proper] + ["u"]
+        return np.array(sizes, dtype=np.int64), kills, labels
+
     def det(self, a):
         F, n = self.field, self.n
         work = [list(row) for row in a]
@@ -602,6 +715,21 @@ class MatRing(Ring):
         for flat in itertools.product(elems, repeat=n * n):
             out.append(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
         return out
+
+
+def _product_table(tables):
+    """Sizes and kills of a product of (sizes, kills) class tables: one
+    class per tuple of factor classes, in C order of the index tuples,
+    with the sizes multiplied and xy = 0 exactly when it holds in every
+    component.  The index tuples come back too, one row per factor."""
+    idx = np.indices([len(sizes) for sizes, _ in tables]).reshape(len(tables), -1)
+    m = idx.shape[1]
+    sizes = np.ones(m, dtype=np.int64)
+    kills = np.ones((m, m), dtype=bool)
+    for (factor_sizes, factor_kills), i in zip(tables, idx):
+        sizes *= factor_sizes[i]
+        kills &= factor_kills[i][:, i]
+    return sizes, kills, idx
 
 
 def _component(xs, k):
@@ -663,6 +791,21 @@ class ProductRing(Ring):
             fk = f.associate_keys(values)
             keys = keys * (int(fk.max()) + 1) + fk[idx]
         return keys
+
+    def class_count(self):
+        return prod(f.class_count() for f in self.factors)
+
+    def _class_table(self):
+        """Associates and xy = 0 are componentwise: the product of the
+        factors' tables, so the all-zero class comes first and the all-unit
+        class last."""
+        tables = [f._class_table() for f in self.factors]
+        sizes, kills, idx = _product_table([(s, k) for s, k, _ in tables])
+        labels = [
+            "(" + ",".join(t[2][c] for t, c in zip(tables, combo)) + ")"
+            for combo in idx.T.tolist()
+        ]
+        return sizes, kills, labels
 
     def is_unit(self, a):
         return all(f.is_unit(x) for f, x in zip(self.factors, a))

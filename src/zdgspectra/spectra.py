@@ -14,9 +14,16 @@ of its H-neighborhood.  A complete cell contributes -1 (adjacency) and
 N_i + n_i (Laplacian), each n_i - 1 times; a null cell contributes 0 and
 N_i.  Everything is verified against a dense eigensolver oracle.
 
-Both routes solve with LAPACK (`eig.dense_eigenvalues`): the assembled
-route the order-m quotient, the oracle the order-|V| matrix of the
-whole graph, so the two share no matrix.  The pure-Python Jacobi solver
+A decomposition comes from one of two routes.  The graph route enumerates
+the ring, builds Gamma(R), partitions it and checks the join structure
+(`decompose`).  The closed route reads the cells and H off the ring's
+associate-class table (`Ring.class_table`), enumerating nothing; it takes
+every ring the parser builds, Z_n through the CRT product of its Z_{p^a}
+tables, under one cap on the class count (CLOSED_CELL_CAP).
+
+Both spectrum routes solve with LAPACK (`eig.dense_eigenvalues`): the
+assembled route the order-m quotient, the oracle the order-|V| matrix of
+the whole graph, so the two share no matrix.  The pure-Python Jacobi solver
 serves the combination and shift identities.
 
 A spectrum is stored as runs of (value, multiplicity, provenance): one
@@ -27,28 +34,16 @@ caller reads `values` or `provenance`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numth
 from .classes import ClassPartition, classes_for
-from .counts import gl_order, zn_profile
+from .counts import zn_profile  # unused: perfbench's tracer wraps this name for its counts.profile span
 from .eig import dense_eigenvalues, jacobi_eigen, jacobi_eigen_system
 from .graph import GraphCapError, ZeroDivisorGraph, build_zdg
-from .rings import (
-    EnumerationCapError,
-    GF,
-    MatRing,
-    ProductRing,
-    Ring,
-    RingError,
-    Zn,
-    gf_nullspace,
-    gf_span_contains,
-)
+from .rings import EnumerationCapError, Ring, RingError, Zn
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
@@ -405,196 +400,30 @@ def brute_spectrum(graph: ZeroDivisorGraph, flavor: str) -> SpectrumMultiset:
 # closed-form decompositions (no element enumeration)
 
 
-def decomposition_from_zn_profile(n: int) -> JoinDecomposition:
-    """Join decomposition of Gamma(Z_n) straight from the divisor lattice."""
-    profile = zn_profile(n)
-    cells = [
-        Cell(
-            size=e.size,
-            regularity=e.size - 1 if e.kind == "complete" else 0,
-            kind=e.kind,
-            label=f"[{e.d}]",
-            members=None,
-        )
-        for e in profile.entries
-    ]
-    m = len(cells)
-    index = {e.d: i for i, e in enumerate(profile.entries)}
-    h = np.zeros((m, m), dtype=bool)
-    for i, e in enumerate(profile.entries):
-        for d_prime in e.neighbors:
-            h[i, index[d_prime]] = True
-    assert np.array_equal(h, h.T)
-    weights = [e.big_n for e in profile.entries]
-    return JoinDecomposition("associate", cells, h, weights, source="closed")
-
-
-@dataclass(frozen=True)
-class _FactorClass:
-    """One associate class inside a single factor M_n(F_q) (fields are the
-    n = 1 case): the zero class, the unit class, or a proper class keyed
-    by its (row space, column space) pair of RREF bases."""
-
-    tag: str  # 'zero' | 'unit' | 'proper'
-    rank: int
-    size: int
-    label: str
-    row_space: tuple = ()
-    col_space: tuple = ()
-    kernel: tuple = ()  # RREF basis of the right kernel, proper classes only
-    sq_zero: bool = False
-
-
-def _all_subspaces(field, n: int, r: int):
-    """Canonical RREF bases of every r-dimensional subspace of F_q^n,
-    generated by pivot-column choice plus free entries."""
-    if r == 0:
-        yield ()
-        return
-    for pivots in itertools.combinations(range(n), r):
-        free = [
-            (i, j)
-            for i, p in enumerate(pivots)
-            for j in range(p + 1, n)
-            if j not in pivots
-        ]
-        for values in itertools.product(range(field.q), repeat=len(free)):
-            rows = [[0] * n for _ in range(r)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield tuple(tuple(row) for row in rows)
-
-
-def _class_kills(classes: list[_FactorClass], proper: np.ndarray) -> np.ndarray:
-    """Class-level table kills[x, y] = (x * y = 0) of one factor: true
-    when x or y is the zero class, false when either is the unit class,
-    and `proper` (indexed by the proper classes in order) otherwise."""
-    zero = np.array([f.tag == "zero" for f in classes])
-    kills = zero[:, None] | zero[None, :]
-    is_proper = np.array([f.tag == "proper" for f in classes])
-    kills[np.ix_(is_proper, is_proper)] = proper
-    return kills
-
-
-def _matrix_factor_classes(field, n: int) -> tuple[list[_FactorClass], np.ndarray]:
-    """The associate classes of M_n(F_q) and their x * y = 0 table.
-
-    xy = 0 exactly when the column space of y lies in the right kernel of
-    x, which the row space of x fixes; so one span check per (row space,
-    column space) pair gives the table, whose size is the square of the
-    subspace count rather than of the class count."""
-    spaces = [s for r in range(1, n) for s in _all_subspaces(field, n, r)]
-    kernels = [gf_nullspace(field, s, n) for s in spaces]
-    contains = np.array(
-        [[gf_span_contains(field, k, s, n) for s in spaces] for k in kernels], dtype=bool
-    )
-    out = [_FactorClass("zero", 0, 1, "0")]
-    row_ids, col_ids = [], []
-    for r in range(1, n):
-        size = gl_order(r, field.q)
-        ids = [a for a, s in enumerate(spaces) if len(s) == r]
-        for ri, a in enumerate(ids):
-            for ci, b in enumerate(ids):
-                row_ids.append(a)
-                col_ids.append(b)
-                out.append(
-                    _FactorClass(
-                        "proper",
-                        r,
-                        size,
-                        f"r{r}.{ri}.{ci}",
-                        row_space=spaces[a],
-                        col_space=spaces[b],
-                        kernel=kernels[a],
-                        sq_zero=bool(contains[a, b]),
-                    )
-                )
-    out.append(_FactorClass("unit", n, gl_order(n, field.q), "u"))
-    proper = contains[np.ix_(row_ids, col_ids)]
-    return out, _class_kills(out, proper)
-
-
-def _field_factor_classes(q: int) -> tuple[list[_FactorClass], np.ndarray]:
-    out = [
-        _FactorClass("zero", 0, 1, "0"),
-        _FactorClass("unit", 1, q - 1, "u"),
-    ]
-    return out, _class_kills(out, np.zeros((0, 0), dtype=bool))
-
-
-def _semisimple_factors(ring: Ring):
-    """Normalize a semisimple ring into (field, n) component descriptors;
-    rejects anything with nilpotents."""
-    if isinstance(ring, ProductRing):
-        parts = ring.factors
-    else:
-        parts = (ring,)
-    out = []
-    for part in parts:
-        if isinstance(part, MatRing):
-            out.append((part.field, part.n))
-        elif isinstance(part, GF):
-            out.append((part, 1))
-        elif isinstance(part, Zn) and numth.is_prime(part.n):
-            out.append((part, 1))
-        else:
-            raise RingError(
-                f"{part.spec_string()} is not a matrix ring over a field; "
-                "closed-form class data only covers semisimple rings"
-            )
-    return out
-
-
 def decomposition_semisimple_closed(
     ring: Ring, cell_cap: int = CLOSED_CELL_CAP
 ) -> JoinDecomposition:
-    """Join decomposition of a semisimple ring from componentwise class
-    descriptors: sizes by the GL-order products, kinds by the square-zero
-    test on (row space, column space) pairs, compressed adjacency by
-    kernel containment.  No ring elements are enumerated."""
-    per_factor = [
-        _field_factor_classes(field.q if isinstance(field, GF) else field.n)
-        if n == 1
-        else _matrix_factor_classes(field, n)
-        for field, n in _semisimple_factors(ring)
+    """Join decomposition of Gamma(ring) from `ring.class_table`, for every
+    ring the parser builds (Z_n and Z_{p^a} factors too, despite the name):
+    the cells are the classes other than 0 and the units, complete where
+    the class squares to 0, and H joins two cells when their product is 0
+    in either order.  No ring elements are enumerated; more than cell_cap
+    cells raise RingError before any table is built."""
+    sizes, kills, labels = ring.class_table(cell_cap + 2)
+    kills = kills[1:-1, 1:-1]
+    cells = [
+        Cell(
+            size=size,
+            regularity=size - 1 if complete else 0,
+            kind="complete" if complete else "null",
+            label=label,
+            members=None,
+        )
+        for size, complete, label in zip(
+            sizes[1:-1].tolist(), np.diag(kills).tolist(), labels[1:-1]
+        )
     ]
-
-    combos = []
-    for combo in itertools.product(*[range(len(classes)) for classes, _ in per_factor]):
-        tags = [per_factor[k][0][c].tag for k, c in enumerate(combo)]
-        if all(t == "zero" for t in tags) or all(t == "unit" for t in tags):
-            continue
-        combos.append(combo)
-    if len(combos) > cell_cap:
-        raise RingError(
-            f"{len(combos)} classes exceed the closed-route cap of {cell_cap}"
-        )
-
-    cells = []
-    for combo in combos:
-        parts = [per_factor[k][0][c] for k, c in enumerate(combo)]
-        size = math.prod(f.size for f in parts)
-        complete = all(f.tag == "zero" or (f.tag == "proper" and f.sq_zero) for f in parts)
-        label = "(" + ",".join(f.label for f in parts) + ")" if len(parts) > 1 else parts[0].label
-        cells.append(
-            Cell(
-                size=size,
-                regularity=size - 1 if complete else 0,
-                kind="complete" if complete else "null",
-                label=label,
-                members=None,
-            )
-        )
-
-    # x * y = 0 at class level exactly when it holds in every factor
-    m = len(combos)
-    left = np.ones((m, m), dtype=bool)
-    idx = np.array(combos, dtype=np.intp).reshape(m, len(per_factor))
-    for k, (_, kills) in enumerate(per_factor):
-        left &= kills[idx[:, k]][:, idx[:, k]]
-    h = left | left.T
+    h = kills | kills.T
     np.fill_diagonal(h, False)
     return JoinDecomposition("associate", cells, h, _neighbor_weights(cells, h), source="closed")
 
@@ -613,18 +442,16 @@ def ring_join_decomposition(
     """Decompose Gamma(ring) by the requested relation.
 
     method 'graph' enumerates the ring and verifies the join structure;
-    'closed' derives cells from the divisor lattice (Z_n) or component
-    ranks (semisimple rings) without enumeration; 'auto' prefers the
-    graph route while it fits under the caps, and when the closed route
-    cannot take the ring either it raises the cap error, chained to the
-    closed route's refusal."""
+    'closed' reads the cells and H off the ring's class table without
+    enumeration (associate relation only, at most CLOSED_CELL_CAP cells);
+    'auto' prefers the graph route while it fits under the caps, and when
+    the closed route cannot take the ring either it raises the cap error,
+    chained to the closed route's refusal."""
     if method not in ("auto", "graph", "closed"):
         raise ValueError(f"unknown method '{method}'")
     if method == "closed":
         if relation != "associate":
             raise RingError("closed-form decompositions exist for the associate relation only")
-        if isinstance(ring, Zn) and not numth.is_prime(ring.n):
-            return decomposition_from_zn_profile(ring.n)
         return decomposition_semisimple_closed(ring)
     try:
         graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
@@ -650,15 +477,6 @@ def spectrum_zn(
     if n < 2:
         raise ValueError("n must be at least 2")
     return spectrum_pair(ring_join_decomposition(Zn(n), relation, method))
-
-
-def spectrum_semisimple(
-    ring: Ring, relation: str = "associate", method: str = "auto"
-) -> tuple[SpectrumMultiset, SpectrumMultiset]:
-    """Adjacency and Laplacian spectra of Gamma(R) for a product of
-    matrix rings over fields (fields themselves included)."""
-    _semisimple_factors(ring)  # raises for non-semisimple input
-    return spectrum_pair(ring_join_decomposition(ring, relation, method))
 
 
 @dataclass

@@ -362,15 +362,31 @@ def test_exit_code_cap_exceeded():
 
 
 def test_auto_route_reports_the_cap():
-    # neither ring has a closed route here (a Z_{p^a} factor; a relation
-    # other than the associate one), so the cap is what the user must see
+    # neither ring has a closed route here (Z_2^13 has 8,192 classes, over
+    # the closed route's cell cap; a relation other than the associate
+    # one), so the cap is what the user must see
     for args in (
-        ["spectrum", "--ring", "Zn(4)xM(2,GF(3))", "--max-vertices", "10"],
+        ["spectrum", "--ring", "x".join(["Zn(2)"] * 13), "--max-vertices", "10"],
         ["spectrum", "--ring", "Zn(30)", "--relation", "neighborhood", "--max-vertices", "10"],
     ):
         code, _, err = run_inproc(args)
         assert code == 1, args
         assert "GraphCapError" in err and "over the cap 10" in err, err
+
+
+def test_auto_route_falls_back_to_the_closed_route():
+    # a Z_{p^a} factor next to a matrix ring: over the vertex cap, the
+    # closed route answers with the graph route's spectrum
+    ring = ["--ring", "Zn(4)xM(2,GF(3))"]
+    code, out, _ = run_inproc(["spectrum", *ring, "--max-vertices", "10"])
+    assert code == 0
+    code, ref, _ = run_inproc(["spectrum", *ring, "--method", "join"])
+    assert code == 0
+    closed, graph = json.loads(out), json.loads(ref)
+    assert [r["flavor"] for r in closed] == [r["flavor"] for r in graph] == ["adjacency", "laplacian"]
+    for a, b in zip(closed, graph):
+        assert len(a["values"]) == len(b["values"]) == 227
+        assert np.abs(np.array(a["values"]) - np.array(b["values"])).max() <= 1e-9, a["flavor"]
 
 
 def test_env_cap_is_weaker_than_flag():

@@ -160,7 +160,7 @@ def test_q_binomial_counts_subspaces():
     # number of r-dimensional subspaces of F_p^n, counted by brute force
     # over all tuples of basis candidates (distinct row spaces)
     from zdgspectra.rings import GF as _GF
-    from zdgspectra.spectra import _all_subspaces
+    from zdgspectra.rings import _all_subspaces
 
     for p in (2, 3):
         field = _GF(p)

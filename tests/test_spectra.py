@@ -3,15 +3,27 @@ eigenvalue toolbox (duplicate lift, two-graph combination, shift lemma)."""
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from zdgspectra import spectra
+from zdgspectra import numth
 from zdgspectra.classes import ClassPartition, VertexClass, classes_for
+from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
 from zdgspectra.eig import dense_eigenvalues, jacobi_eigen
 from zdgspectra.graph import build_zdg, degree_matring
-from zdgspectra.rings import GF, MatRing, Zn, gf_span_contains, parse_ring_spec
+from zdgspectra.rings import (
+    GF,
+    MatRing,
+    ProductRing,
+    RingError,
+    Zn,
+    _all_subspaces,
+    gf_nullspace,
+    gf_span_contains,
+    parse_ring_spec,
+)
 from zdgspectra.spectra import (
     DecompositionError,
     LiftError,
@@ -28,7 +40,6 @@ from zdgspectra.spectra import (
     brute_spectrum,
     check_shift_lemma,
     decompose,
-    decomposition_from_zn_profile,
     decomposition_semisimple_closed,
     duplicate_lift,
     fiedler_check,
@@ -227,20 +238,27 @@ def test_matrix_ring_spectra_match_brute():
 
 def test_closed_zn_route_equals_graph_route():
     for n in (8, 16, 18, 30, 36, 72, 100, 144):
-        via_profile = decomposition_from_zn_profile(n)
+        closed = ring_join_decomposition(Zn(n), method="closed")
         ring = Zn(n)
         via_graph = decompose(build_zdg(ring), classes_for(ring, "associate"))
         key = lambda dec: sorted(
             (c.size, c.kind, w) for c, w in zip(dec.cells, dec.neighbor_weights)
         )
-        assert key(via_profile) == key(via_graph), n
-        a1 = assemble_adjacency_spectrum(via_profile)
+        assert key(closed) == key(via_graph), n
+        a1 = assemble_adjacency_spectrum(closed)
         a2 = assemble_adjacency_spectrum(via_graph)
         assert multiset_equal(a1, a2, tol=1e-9).matched, n
 
 
 def test_closed_semisimple_route_equals_graph_route():
-    for spec in ["Zn(2)xZn(3)", "Zn(2)xZn(2)xZn(2)", "M(2,GF(2))xGF(2)", "M(2,GF(3))"]:
+    for spec in [
+        "Zn(2)xZn(3)",
+        "Zn(2)xZn(2)xZn(2)",
+        "M(2,GF(2))xGF(2)",
+        "M(2,GF(3))",
+        "Zn(4)xM(2,GF(3))",
+        "Zn(8)xZn(9)xGF(2)",
+    ]:
         ring = parse_ring_spec(spec)
         closed = decomposition_semisimple_closed(ring)
         explicit = decompose(build_zdg(ring), classes_for(ring, "associate"))
@@ -254,38 +272,83 @@ def test_closed_semisimple_route_equals_graph_route():
             assert multiset_equal(s1, s2, tol=1e-9).matched, (spec, flavor)
 
 
-def left_kills_by_pairs(field, width, x, y) -> bool:
+def test_closed_zn_cells_equal_zn_profile():
+    # counts.zn_profile, the divisor-by-divisor scan, is the oracle for
+    # the CRT-built Z_n table: same classes in the same order
+    for n in [n for n in range(4, 401) if not numth.is_prime(n)] + [720720]:
+        dec = ring_join_decomposition(Zn(n), method="closed")
+        profile = zn_profile(n).entries
+        assert [c.label for c in dec.cells] == [f"[{e.d}]" for e in profile], n
+        assert [(c.size, c.kind) for c in dec.cells] == [(e.size, e.kind) for e in profile], n
+        neighbors = [[profile[j].d for j in np.flatnonzero(row)] for row in dec.h_adjacency]
+        assert neighbors == [e.neighbors for e in profile], n
+        assert dec.neighbor_weights == [e.big_n for e in profile], n
+
+
+@pytest.mark.parametrize(
+    "spec", ["M(5,GF(2))", "M(3,GF(3))xM(3,GF(3))", "Zn(963761198400)", "Zn(97821761637600)"]
+)
+def test_closed_route_refuses_over_the_cap_before_building(spec):
+    # 49,972, 115,598, 6,718 and 17,278 cells against the 4,096-cell cap;
+    # the tables themselves would take gigabytes or minutes
+    start = time.perf_counter()
+    with pytest.raises(RingError, match="exceed the closed-route cap"):
+        ring_join_decomposition(parse_ring_spec(spec), method="closed")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_closed_route_refuses_sizes_past_int64():
+    for spec in ("Zn(1180591620717411303424)", "Zn(4)xZn(1180591620717411303424)"):
+        with pytest.raises(RingError, match="2\\^63 or more elements"):
+            ring_join_decomposition(parse_ring_spec(spec), method="closed")
+
+
+def factor_classes(field, n):
+    """The proper classes of M_n(F_q) by label: (rank, RREF basis of the
+    right kernel, column space), rebuilt from `_all_subspaces`."""
+    out = {}
+    for r in range(1, n):
+        spaces = list(_all_subspaces(field, n, r))
+        for a, row in enumerate(spaces):
+            kernel = gf_nullspace(field, row, n)
+            for b, col in enumerate(spaces):
+                out[f"r{r}.{a}.{b}"] = (r, kernel, col)
+    return out
+
+
+def left_kills_by_pairs(field, width, classes, x, y) -> bool:
     """Does x * y = 0 hold in one factor, at class level: the pairwise
     span check the closed route's tables replace."""
-    if x.tag == "zero" or y.tag == "zero":
+    if x == "0" or y == "0":
         return True
-    if x.tag == "unit" or y.tag == "unit":
+    if x == "u" or y == "u":
         return False
-    return gf_span_contains(field, x.kernel, y.col_space, width)
+    return gf_span_contains(field, classes[x][1], classes[y][2], width)
 
 
-def closed_h_by_pairs(ring):
-    factors = spectra._semisimple_factors(ring)
-    per_factor = [
-        spectra._field_factor_classes(field.q)[0] if n == 1 else spectra._matrix_factor_classes(field, n)[0]
-        for field, n in factors
+def factors_of(ring):
+    """(field, n, proper classes by label) per factor; fields are n = 1."""
+    return [
+        (f.field, f.n, factor_classes(f.field, f.n)) if isinstance(f, MatRing) else (f, 1, {})
+        for f in (ring.factors if isinstance(ring, ProductRing) else [ring])
     ]
-    combos = [
-        combo
-        for combo in itertools.product(*per_factor)
-        if not all(f.tag == "zero" for f in combo) and not all(f.tag == "unit" for f in combo)
-    ]
+
+
+def closed_h_by_pairs(ring, labels):
+    factors = factors_of(ring)
+    combos = [label.strip("()").split(",") for label in labels]
+    assert all(len(c) == len(factors) for c in combos)
     m = len(combos)
     h = np.zeros((m, m), dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
             left = all(
-                left_kills_by_pairs(field, n, combos[i][k], combos[j][k])
-                for k, (field, n) in enumerate(factors)
+                left_kills_by_pairs(field, n, classes, combos[i][k], combos[j][k])
+                for k, (field, n, classes) in enumerate(factors)
             )
             right = left or all(
-                left_kills_by_pairs(field, n, combos[j][k], combos[i][k])
-                for k, (field, n) in enumerate(factors)
+                left_kills_by_pairs(field, n, classes, combos[j][k], combos[i][k])
+                for k, (field, n, classes) in enumerate(factors)
             )
             h[i, j] = h[j, i] = left or right
     return h
@@ -295,20 +358,27 @@ def closed_h_by_pairs(ring):
 def test_closed_h_equals_pairwise_span_checks(spec):
     ring = parse_ring_spec(spec)
     dec = decomposition_semisimple_closed(ring)
-    assert np.array_equal(dec.h_adjacency, closed_h_by_pairs(ring))
+    expected = [
+        "(" + ",".join(combo) + ")" if len(combo) > 1 else combo[0]
+        for combo in itertools.product(*[["0", *classes, "u"] for _, _, classes in factors_of(ring)])
+    ][1:-1]
+    assert [c.label for c in dec.cells] == expected
+    assert np.array_equal(dec.h_adjacency, closed_h_by_pairs(ring, expected))
 
 
 def test_closed_m4_f2_spectra():
     # 45,375 vertices in 1,675 classes: no enumeration, only the traces
     # and the length are checked
     dec = decomposition_semisimple_closed(parse_ring_spec("M(4,GF(2))"))
-    proper = [f for f in spectra._matrix_factor_classes(GF(2), 4)[0] if f.tag == "proper"]
-    assert dec.class_count == len(proper) == 1675
-    assert [c.size for c in dec.cells] == [f.size for f in proper]
+    proper = factor_classes(GF(2), 4)
+    assert dec.class_count == len(proper) == class_count_matrix(4, 2) == 1675
+    assert [c.label for c in dec.cells] == list(proper)
+    ranks = [proper[c.label][0] for c in dec.cells]
+    assert [c.size for c in dec.cells] == [gl_order(r, 2) for r in ranks]
     adj, lap = spectrum_pair(dec)
     assert len(adj) == len(lap) == dec.order == 45375
     degree_sum = sum(
-        c.size * degree_matring(4, 2, f.rank, c.kind == "complete") for c, f in zip(dec.cells, proper)
+        c.size * degree_matring(4, 2, r, c.kind == "complete") for c, r in zip(dec.cells, ranks)
     )
     assert abs(math.fsum(v * k for v, k, _ in adj.runs)) <= 1e-9 * degree_sum
     assert abs(math.fsum(v * k for v, k, _ in lap.runs) - degree_sum) <= 1e-9 * degree_sum
@@ -445,7 +515,7 @@ def test_quotient_runs_match_jacobi():
 def test_closed_route_runs_scale_with_class_count():
     # 2^23 - 1 vertices in 23 classes: checked from the runs alone, since
     # expanding them would build lists of 8M entries
-    dec = decomposition_from_zn_profile(2**24)
+    dec = ring_join_decomposition(Zn(2**24), method="closed")
     adj, lap = spectrum_zn(2**24, method="closed")
     m = dec.class_count
     edges2 = sum(c.size * (w + c.regularity) for c, w in zip(dec.cells, dec.neighbor_weights))
@@ -473,7 +543,7 @@ def quotient_by_loops(dec, flavor):
 def test_quotients_equal_loop_formula_bit_for_bit():
     for dec in (
         decompose(build_zdg(Zn(720)), classes_for(Zn(720), "associate")),
-        decomposition_from_zn_profile(720),
+        ring_join_decomposition(Zn(720), method="closed"),
         decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)")),
     ):
         weights = [
