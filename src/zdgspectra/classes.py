@@ -286,9 +286,10 @@ def check_relation_agreements(ring: Ring, element_cap: int | None = None) -> dic
         partitions_equal(assoc, annih) if semisimple_like else True,
     )
 
-    refinement = all(
-        any(set(a.members) <= set(m.members) for m in annih.classes) for a in assoc.classes
-    )
+    annih_of = np.empty(graph.order, dtype=np.intp)  # vertex -> annihilator class
+    for n, c in enumerate(annih.classes):
+        annih_of[c.members] = n
+    refinement = all(len(set(annih_of[a.members].tolist())) == 1 for a in assoc.classes)
     record("associate refines annihilator", True, refinement)
 
     if failures:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numth
-from .rings import MatRing, Ring, RingError
+from .rings import Ring, RingError
 
 DEFAULT_VERTEX_CAP = 5000
 
@@ -138,10 +138,6 @@ def degree_matring(n: int, q: int, r: int, squares_to_zero: bool) -> int:
         raise RingError("rank must be between 1 and n-1 for a zero-divisor matrix")
     val = 2 * q ** (n * (n - r)) - q ** ((n - r) ** 2) - 1
     return val - 1 if squares_to_zero else val
-
-
-def matrix_squares_to_zero(ring: MatRing, a) -> bool:
-    return ring.mul(a, a) == ring.zero
 
 
 def connected_component_count(graph: ZeroDivisorGraph) -> int:

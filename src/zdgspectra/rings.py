@@ -32,7 +32,6 @@ from . import numth
 from .counts import gl_order, q_binomial
 
 DEFAULT_ELEMENT_CAP = 20000
-FIELD_TABLE_MAX_ORDER = 512
 
 
 class RingError(Exception):
@@ -62,17 +61,6 @@ def _poly_trim(a):
     while i > 0 and a[i - 1] == 0:
         i -= 1
     return a[:i]
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
 
 
 def _poly_mod(a, m, p):
@@ -309,9 +297,11 @@ class Zn(Ring):
 class GF(Ring):
     """The finite field with p^k elements.
 
-    Multiplication and inverses go through lookup tables for orders up to
-    FIELD_TABLE_MAX_ORDER; larger fields fall back to on-the-fly polynomial
-    arithmetic modulo the stored irreducible.
+    Arithmetic runs on discrete logarithms to the base g, the first
+    primitive element in code order: exp[i] = g^i (listed twice over, so
+    exponent sums need no reduction), log[g^i] = i, and the Zech
+    logarithms zech[i] = log(1 + g^i), with None where 1 + g^i = 0.  Each
+    of add, neg, mul and inv is then a few list lookups.
     """
 
     kind = "GF"
@@ -329,9 +319,7 @@ class GF(Ring):
         self.zero = 0
         self.one = 1
         self.modulus = _smallest_irreducible(p, k)
-        self._tabled = self.q <= FIELD_TABLE_MAX_ORDER
-        if self._tabled:
-            self._build_tables()
+        self._build_logs()
 
     def key(self):
         return ("GF", self.p, self.k)
@@ -346,53 +334,57 @@ class GF(Ring):
             cs.append(r)
         return tuple(cs)
 
-    def _undigits(self, cs):
-        v = 0
-        for c in reversed(cs):
-            v = v * self.p + c
-        return v
-
-    def _raw_add(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits(tuple((x + y) % self.p for x, y in zip(da, db)))
-
-    def _raw_mul(self, a, b):
-        prod = _poly_mul(_poly_trim(self._digits(a)), _poly_trim(self._digits(b)), self.p)
-        rem = _poly_mod(prod, self.modulus, self.p)
-        return self._undigits(rem + (0,) * (self.k - len(rem)))
-
-    def _build_tables(self):
-        q = self.q
-        self._add_t = [[self._raw_add(a, b) for b in range(q)] for a in range(q)]
-        self._mul_t = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
-        self._neg_t = [self._raw_mul(a, self._undigits(((self.p - 1),) + (0,) * (self.k - 1))) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            row = self._mul_t[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_t = inv
-        for a in range(1, q):
-            if self._mul_t[a][inv[a]] != 1:  # construction sanity check
-                raise RingError(f"inverse table broken at {a} in {self.spec_string()}")
+    def _build_logs(self):
+        """Find g and fill the exp, log and Zech tables.  Each candidate g
+        gets one vectorised multiply-by-g map over all codes, and g is
+        primitive when the walk of its powers takes q - 1 steps to return
+        to 1.  Every power of a candidate that fails has order below q - 1
+        too, so later candidates among them are skipped."""
+        p, k, q = self.p, self.k, self.q
+        codes = np.arange(q, dtype=np.int64)
+        weights = p ** np.arange(k, dtype=np.int64)
+        digits = np.stack([codes // w % p for w in weights.tolist()], axis=1)  # [code, i]: coefficient of x^i
+        companion = np.eye(k, k, 1, dtype=np.int64)  # row i: the digits of x^(i+1)
+        companion[-1] = np.negative(self.modulus[:k]) % p
+        failed = np.zeros(q, dtype=bool)
+        # for k > 1 the codes below p are F_p, whose elements have order below q - 1
+        for g in range(1 if k == 1 else p, q):
+            if failed[g]:
+                continue
+            rows = [digits[g]]  # rows[i]: the digits of g x^i, so c g = sum of c_i rows[i]
+            for _ in range(k - 1):
+                rows.append(rows[-1] @ companion % p)
+            times_g = (digits @ np.array(rows) % p @ weights).tolist()
+            powers = [1]
+            while len(powers) < q and times_g[powers[-1]] != 1:
+                powers.append(times_g[powers[-1]])
+            if len(powers) == q - 1:
+                break
+            failed[powers] = True
+        else:
+            raise RingError(f"no element of order {q - 1} in {self.spec_string()}")
+        exp = np.array(powers, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        plus_one = np.where(codes % p == p - 1, codes + 1 - p, codes + 1)  # only the constant digit changes
+        zech = log[plus_one[exp]].tolist()
+        zech[log[p - 1]] = None  # 1 + g^i = 0 exactly when g^i = -1
+        self._exp, self._log, self._zech = powers + powers, log.tolist(), zech
 
     def add(self, a, b):
-        if self._tabled:
-            return self._add_t[a][b]
-        return self._raw_add(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        i = self._log[a]
+        z = self._zech[self._log[b] - i]  # log(1 + b/a); a negative index wraps mod q - 1
+        return 0 if z is None else self._exp[i + z]
 
     def neg(self, a):
-        if self._tabled:
-            return self._neg_t[a]
-        cs = self._digits(a)
-        return self._undigits(tuple((-c) % self.p for c in cs))
+        return self._exp[self._log[a] + self._log[self.p - 1]] if a else 0
 
     def mul(self, a, b):
-        if self._tabled:
-            return self._mul_t[a][b]
-        return self._raw_mul(a, b)
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def zero_products(self, xs):
         z = np.asarray(xs) == 0
@@ -411,15 +403,7 @@ class GF(Ring):
     def inv(self, a):
         if a == 0:
             raise RingError("0 has no inverse")
-        if self._tabled:
-            return self._inv_t[a]
-        out, e, base = 1, self.q - 2, a
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
+        return self._exp[-self._log[a]]
 
     def is_unit(self, a):
         return a != 0

@@ -2,8 +2,11 @@
 
 import pytest
 
+from zdgspectra import classes
 from zdgspectra.classes import (
+    ClassPartition,
     RelationAgreementError,
+    VertexClass,
     check_relation_agreements,
     classes_annihilator,
     classes_associate,
@@ -185,6 +188,16 @@ def test_relation_agreement_battery():
         report = check_relation_agreements(parse_ring_spec(spec))
         for check in report["checks"]:
             assert check["holds"], (spec, check)
+
+
+def test_relation_check_reports_an_associate_class_across_annihilator_classes(monkeypatch):
+    # Zn(2)xZn(4) has four annihilator classes, so one associate class
+    # holding every vertex must fail the refinement check
+    ring = parse_ring_spec("Zn(2)xZn(4)")
+    merged = ClassPartition("associate", [VertexClass.make(range(build_zdg(ring).order), "null")])
+    monkeypatch.setattr(classes, "classes_for", lambda *args: merged)
+    with pytest.raises(RelationAgreementError, match="associate refines annihilator"):
+        check_relation_agreements(ring)
 
 
 def test_reduced_ring_collapses_neighborhood_to_annihilator():

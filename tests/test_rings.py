@@ -1,11 +1,15 @@
 """Ring construction, arithmetic axioms, and the spec-string parser."""
 
+import random
+import time
+
 import pytest
 
 from zdgspectra.rings import (
     GF,
     MatRing,
     ProductRing,
+    RingError,
     RingSpecError,
     EnumerationCapError,
     Zn,
@@ -125,6 +129,79 @@ def test_gf4_model():
     # x^2 + x + 1 is the only monic irreducible quadratic over F_2
     assert field.modulus == (1, 1, 1)
     assert field.zero_divisors() == []
+
+
+def schoolbook(field):
+    """Sum, product and negation of field codes by schoolbook polynomial
+    arithmetic modulo field.modulus: the reference the field's tables must
+    match."""
+    p, k, m = field.p, field.k, field.modulus
+
+    def digits(a):
+        return [a // p**i % p for i in range(k)]
+
+    def code(cs):
+        return sum(c * p**i for i, c in enumerate(cs))
+
+    def add(a, b):
+        return code([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def mul(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for d in range(2 * k - 2, k - 1, -1):  # x^d = x^(d-k) x^k, and m is monic of degree k
+            top = prod[d] % p
+            for i in range(k + 1):
+                prod[d - k + i] -= top * m[i]
+        return code([c % p for c in prod[:k]])
+
+    def neg(a):
+        return code([-c % p for c in digits(a)])
+
+    return add, mul, neg
+
+
+def check_against_schoolbook(field, pairs):
+    add, mul, neg = schoolbook(field)
+    for a, b in pairs:
+        assert field.add(a, b) == add(a, b), (a, b)
+        assert field.mul(a, b) == mul(a, b), (a, b)
+        assert field.neg(a) == neg(a), a
+        if a:
+            assert mul(a, field.inv(a)) == 1, a
+
+
+FIELDS_TO_81 = [
+    (p, k)
+    for p in range(2, 82)
+    if all(p % d for d in range(2, p))
+    for k in range(1, 7)
+    if p**k <= 81
+]
+
+
+@pytest.mark.parametrize("p,k", FIELDS_TO_81)
+def test_field_arithmetic_every_pair(p, k):
+    field = GF(p, k)
+    q = field.q
+    check_against_schoolbook(field, [(a, b) for a in range(q) for b in range(q)])
+    with pytest.raises(RingError, match="0 has no inverse"):
+        field.inv(0)
+
+
+@pytest.mark.parametrize("p,k", [(23, 2), (2, 10), (3, 7)])
+def test_field_arithmetic_random_pairs(p, k):
+    field = GF(p, k)
+    rng = random.Random(p * 100 + k)
+    check_against_schoolbook(field, [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(2000)])
+
+
+def test_gf512_builds_in_under_a_second():
+    start = time.perf_counter()
+    GF(2, 9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_matring_basics():
