@@ -3,15 +3,18 @@
 `dense_eigenvalues` hands a symmetric matrix to LAPACK through
 `numpy.linalg.eigvalsh`.  Both routes of the pipeline use it: spectrum
 assembly on the order-m quotient matrices and `spectra.brute_spectrum`,
-the oracle, on the full matrix of a graph.
+the oracle, on the full matrix of a graph.  An exactly symmetric float64
+matrix goes to LAPACK as the caller's own array, with no copy; eigvalsh
+never writes to its input.  Only a matrix asymmetric within SYMMETRY_TOL
+is symmetrised into a new array.
 
 `jacobi_eigen` and `jacobi_eigen_system` are a pure-Python cyclic Jacobi
 solver for the small matrices of the combination and shift identities,
 and the independent cross-check of the LAPACK quotient solves in the
-tests.  Jacobi runs with a fixed row-cyclic rotation order.  Convergence
-is declared when the off-diagonal Frobenius norm falls to
-1e-10 * (1 + ||M||_F); at most 100 full sweeps are attempted and a
-non-converged run raises with the residual attached.
+tests.  Jacobi rotates a copy of its input in place, with a fixed
+row-cyclic rotation order.  Convergence is declared when the off-diagonal
+Frobenius norm falls to 1e-10 * (1 + ||M||_F); at most 100 full sweeps
+are attempted and a non-converged run raises with the residual attached.
 """
 from __future__ import annotations
 
@@ -43,16 +46,23 @@ class JacobiConvergenceError(RuntimeError):
 
 
 def _prepare(m):
-    a = np.array(m, dtype=np.float64)
+    """m as a float64 square matrix, symmetric to the last bit.
+
+    An exactly symmetric float64 input comes back as the caller's own
+    array, uncopied; only an input asymmetric within SYMMETRY_TOL pays for
+    |A - A^T| and (A + A^T) / 2."""
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("a square matrix is required")
-    if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_TOL:
+    if np.array_equal(a, a.T):
+        return a
+    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
-    return np.ascontiguousarray((a + a.T) / 2.0)
+    return (a + a.T) / 2.0
 
 
 def _solve(m, with_vectors, max_sweeps):
-    a = _prepare(m)
+    a = np.array(_prepare(m), order="C")  # rotated in place: our own copy
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
@@ -69,7 +79,8 @@ def _solve(m, with_vectors, max_sweeps):
 
 
 def dense_eigenvalues(m) -> list[float]:
-    """Eigenvalues of a symmetric matrix, ascending, from LAPACK (eigvalsh)."""
+    """Eigenvalues of a symmetric matrix, ascending, from LAPACK (eigvalsh),
+    which reads the matrix without writing to it."""
     return [float(x) for x in np.linalg.eigvalsh(_prepare(m))]
 
 

@@ -33,6 +33,8 @@ class ZeroDivisorGraph:
     vertices: list
     adjacency: np.ndarray  # bool, symmetric, zero diagonal
     _index: dict = field(repr=False, default=None)
+    # flavor -> spectra.brute_spectrum of this graph; empty again after dataclasses.replace
+    _oracle: dict = field(repr=False, compare=False, init=False, default_factory=dict)
 
     def __post_init__(self):
         if self._index is None:

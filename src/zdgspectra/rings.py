@@ -88,6 +88,8 @@ def _poly_is_irreducible(poly, p):
 
 def _smallest_irreducible(p, k):
     # Lexicographic scan over (c_0, ..., c_{k-1}); leading coefficient is 1.
+    if k == 1:
+        return (0, 1)  # x; product() would first build tuple(range(p))
     for cs in itertools.product(range(p), repeat=k):
         poly = cs + (1,)
         if _poly_is_irreducible(poly, p):

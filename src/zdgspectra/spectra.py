@@ -23,7 +23,10 @@ tables, under one cap on the class count (CLOSED_CELL_CAP).
 
 Both spectrum routes solve with LAPACK (`eig.dense_eigenvalues`): the
 assembled route the order-m quotient, the oracle the order-|V| matrix of
-the whole graph, so the two share no matrix.  The pure-Python Jacobi solver
+the whole graph, so the two share no matrix.  The oracle's spectrum is
+kept on its graph, one per flavor, so every caller that checks the same
+cached graph (each relation of `verify_ring`, `zdg spectrum --method
+both`) pays for the order-|V| solve once.  The pure-Python Jacobi solver
 serves the combination and shift identities.
 
 A spectrum is stored as runs of (value, multiplicity, provenance): one
@@ -381,19 +384,25 @@ def adjacency_matrix(graph: ZeroDivisorGraph) -> np.ndarray:
 
 
 def laplacian_matrix(graph: ZeroDivisorGraph) -> np.ndarray:
-    a = adjacency_matrix(graph)
-    return np.diag(a.sum(axis=1)) - a
+    # 0 - A keeps the off-diagonal zeros +0.0; the diagonal of A is zero
+    lap = np.subtract(0.0, graph.adjacency, dtype=np.float64)
+    np.fill_diagonal(lap, graph.degrees())
+    return lap
 
 
 def brute_spectrum(graph: ZeroDivisorGraph, flavor: str) -> SpectrumMultiset:
-    """Direct dense eigendecomposition of A or D - A (LAPACK eigvalsh)."""
-    if flavor == "adjacency":
-        m = adjacency_matrix(graph)
-    elif flavor == "laplacian":
-        m = laplacian_matrix(graph)
-    else:
-        raise ValueError(f"unknown flavor '{flavor}'")
-    return SpectrumMultiset([(v, 1, "brute") for v in dense_eigenvalues(m)])
+    """Direct dense eigendecomposition of A or D - A (LAPACK eigvalsh),
+    solved once per graph and flavor: the result is kept on the graph."""
+    memo = graph._oracle
+    if flavor not in memo:
+        if flavor == "adjacency":
+            m = adjacency_matrix(graph)
+        elif flavor == "laplacian":
+            m = laplacian_matrix(graph)
+        else:
+            raise ValueError(f"unknown flavor '{flavor}'")
+        memo[flavor] = SpectrumMultiset([(v, 1, "brute") for v in dense_eigenvalues(m)])
+    return memo[flavor]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Jacobi eigensolver: known spectra, numpy oracle, kernel off-norm."""
+"""Jacobi eigensolver: known spectra, numpy oracle, kernel off-norm; the
+LAPACK entry's symmetry check and its copy-free path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,12 @@ from hypothesis import strategies as st
 
 from zdgspectra import eig
 from zdgspectra._jacobi_py import jacobi_sweeps as py_sweeps
-from zdgspectra.eig import JacobiConvergenceError, jacobi_eigen, jacobi_eigen_system
+from zdgspectra.eig import (
+    JacobiConvergenceError,
+    dense_eigenvalues,
+    jacobi_eigen,
+    jacobi_eigen_system,
+)
 
 
 def test_known_2x2():
@@ -90,10 +97,51 @@ def test_backend_is_reported():
 
 
 def test_input_not_mutated():
+    # an exactly symmetric float64 input reaches the solvers uncopied, so
+    # Jacobi's in-place rotations must run on a copy of their own
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     before = a.copy()
-    jacobi_eigen(a)
-    assert np.array_equal(a, before)
+    for solve in (jacobi_eigen, jacobi_eigen_system, dense_eigenvalues):
+        solve(a)
+        assert np.array_equal(a, before), solve.__name__
+
+
+def test_dense_symmetric_input_is_bit_identical_to_eigvalsh():
+    rng = np.random.default_rng(17)
+    for n in (1, 4, 30):
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        assert dense_eigenvalues(a) == np.linalg.eigvalsh(a).tolist()
+
+
+def test_dense_small_asymmetry_is_symmetrised():
+    # eigvalsh reads the lower triangle: unsymmetrised it would see 0.5 + 1e-13
+    b = np.array([[0.0, 0.5], [0.5 + 1e-13, 0.0]])
+    vals = dense_eigenvalues(b)
+    assert vals == np.linalg.eigvalsh((b + b.T) / 2).tolist()
+    assert vals != np.linalg.eigvalsh(b).tolist()
+
+
+def test_dense_large_asymmetry_rejected():
+    b = np.array([[0.0, 0.5], [0.5 + 1e-11, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+        dense_eigenvalues(b)
+    with pytest.raises(ValueError, match="square"):
+        dense_eigenvalues(np.zeros((2, 3)))
+
+
+def test_dense_symmetric_input_is_not_copied():
+    m = 1500
+    a = np.random.default_rng(19).normal(size=(m, m))
+    a = a + a.T
+    tracemalloc.start()
+    try:
+        dense_eigenvalues(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the exact-symmetry check's bool temporary is m*m bytes, 0.125 * m*m*8
+    assert peak <= 0.25 * m * m * 8
 
 
 def test_python_kernel_off_norm_is_direct():

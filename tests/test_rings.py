@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from zdgspectra.rings import (
     RingSpecError,
     EnumerationCapError,
     Zn,
+    _smallest_irreducible,
     parse_ring_spec,
 )
 
@@ -202,6 +204,18 @@ def test_gf512_builds_in_under_a_second():
     start = time.perf_counter()
     GF(2, 9)
     assert time.perf_counter() - start < 1.0
+
+
+def test_prime_field_modulus_needs_no_scan():
+    for p in (2, 3, 5, 7, 101, 1009):
+        assert GF(p).modulus == (0, 1)
+    tracemalloc.start()
+    try:
+        assert _smallest_irreducible(1000003, 1) == (0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_matring_basics():

@@ -1,6 +1,7 @@
 """Join decompositions, quotient matrices, spectrum assembly, and the
 eigenvalue toolbox (duplicate lift, two-graph combination, shift lemma)."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -8,7 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from zdgspectra import graph as graph_module
 from zdgspectra import numth
+from zdgspectra import spectra as spectra_module
 from zdgspectra.classes import ClassPartition, VertexClass, classes_for
 from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
 from zdgspectra.eig import dense_eigenvalues, jacobi_eigen
@@ -403,6 +406,63 @@ def test_verify_ring_reports():
     assert set(out.results) == {"adjacency", "laplacian"}
     assert out.matched
     assert out.max_deviation <= 1e-7
+
+
+def test_verify_ring_solves_each_oracle_once(monkeypatch):
+    """Both relations of verify_ring check the one cached graph, so each
+    flavor's order-|V| solve runs once; the results are those of a graph
+    built afresh."""
+    ring = Zn(72)
+    graph_module._build_cached.cache_clear()
+    orders = []
+
+    def counting(m):
+        orders.append(len(m))
+        return dense_eigenvalues(m)
+
+    monkeypatch.setattr(spectra_module, "dense_eigenvalues", counting)
+    relations = ("associate", "neighborhood")
+    outcomes = [verify_ring(ring, relation) for relation in relations]
+    g = build_zdg(ring)
+    assert orders.count(g.order) == 2
+    assert brute_spectrum(g, "laplacian") is brute_spectrum(g, "laplacian")
+    assert orders.count(g.order) == 2
+
+    fresh = graph_module._build(ring, graph_module.DEFAULT_VERTEX_CAP, None)
+    assert fresh._oracle == {}
+    for relation, out in zip(relations, outcomes):
+        dec = decompose(fresh, classes_for(ring, relation))
+        for flavor in ("adjacency", "laplacian"):
+            ref = multiset_equal(assemble_spectrum(dec, flavor), brute_spectrum(fresh, flavor))
+            assert out.results[flavor].matched == ref.matched
+            assert out.results[flavor].max_deviation == ref.max_deviation
+
+
+def test_replaced_graph_recomputes_its_oracle(monkeypatch):
+    g = build_zdg(Zn(48))
+    before = brute_spectrum(g, "adjacency")
+    solves = []
+
+    def counting(m):
+        solves.append(len(m))
+        return dense_eigenvalues(m)
+
+    monkeypatch.setattr(spectra_module, "dense_eigenvalues", counting)
+    copy = dataclasses.replace(g)
+    assert copy._oracle == {}
+    after = brute_spectrum(copy, "adjacency")
+    assert solves == [g.order]
+    assert after is not before and after.runs == before.runs
+
+
+@pytest.mark.parametrize("spec", ["Zn(30)", "Zn(64)", "M(2,GF(2))", "Zn(2)xZn(2)xZn(2)"])
+def test_laplacian_matrix_equals_d_minus_a(spec):
+    g = build_zdg(parse_ring_spec(spec))
+    a = g.adjacency.astype(np.float64)
+    ref = np.diag(a.sum(1)) - a
+    lap = laplacian_matrix(g)
+    assert lap.dtype == ref.dtype and np.array_equal(lap, ref)
+    assert np.array_equal(np.signbit(lap), np.signbit(ref))
 
 
 # --- trace and component invariants ---
