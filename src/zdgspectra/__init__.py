@@ -58,7 +58,6 @@ from .rings import (
     Ring,
     RingError,
     Zn,
-    construct_field,
     is_reduced,
     parse_ring_spec,
 )

@@ -12,11 +12,14 @@ join machinery: an associate class induces a complete subgraph exactly
 when its representative squares to zero, and is edgeless otherwise;
 neighborhood classes are always edgeless.
 
-Associate classes come from one path for every ring: `classes_for` groups
-the zero-divisors by the ring's `associate_keys` (gcd with n for Z_n, the
-pair of kernels for a matrix, componentwise for a product).
-`classes_associate` orbits by units, the definition, and stays as the
-reference the tests compare with.
+Every relation takes one path: `classes_for` groups the vertices by a key
+array.  Associates are keyed by the ring's `associate_keys` (gcd with n
+for Z_n, the pair of kernels for a matrix, componentwise for a product);
+equal neighborhoods by the id of each adjacency row (`rings.row_keys`);
+equal annihilators by the id of each adjacency row with the graph's
+`loops` on the diagonal, since a lies in ann(a) exactly when a^2 = 0.
+`classes_associate` (unit orbits) and `_neighborhood_classes_masked`
+(pairwise row comparison) keep the definitions as the tests' references.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import numth
 from .graph import ZeroDivisorGraph, build_zdg
-from .rings import GF, MatRing, ProductRing, Ring, RingError, Zn, is_reduced
+from .rings import GF, MatRing, ProductRing, Ring, RingError, Zn, row_keys
 
 
 class RelationAgreementError(RingError):
@@ -81,6 +84,15 @@ def _finish(relation, blocks_with_kind) -> ClassPartition:
     return ClassPartition(relation, classes)
 
 
+def _group(relation, keys: np.ndarray, kind) -> ClassPartition:
+    """The classes of the vertices with equal keys[i]; kind(i) is the cell
+    kind of the class whose smallest member is vertex i."""
+    groups: dict[int, list[int]] = {}
+    for i, key in enumerate(keys.tolist()):
+        groups.setdefault(key, []).append(i)
+    return _finish(relation, [(members, kind(members[0])) for members in groups.values()])
+
+
 def partitions_equal(p: ClassPartition, q: ClassPartition) -> bool:
     return p.index_sets() == q.index_sets()
 
@@ -120,15 +132,11 @@ def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
 
     With a zero diagonal, N(a) = N(b) is exactly row equality: equality off
     positions {a, b} plus the forced non-adjacency of a and b (a in N(b)
-    would put b's row apart from a's at position b).  Grouping by raw row
-    bytes therefore implements the masked comparison; the pairwise masked
+    would put b's row apart from a's at position b).  Grouping by row ids
+    therefore implements the masked comparison; the pairwise masked
     comparator in _neighborhood_classes_masked exists as a cross-check.
     """
-    groups: dict[bytes, list[int]] = {}
-    for i in range(graph.order):
-        groups.setdefault(graph.adjacency[i].tobytes(), []).append(i)
-    blocks = [(members, "null") for members in groups.values()]
-    return _finish("neighborhood", blocks)
+    return _group("neighborhood", row_keys(graph.adjacency), lambda i: "null")
 
 
 def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
@@ -158,39 +166,22 @@ def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
     return _finish("neighborhood", blocks)
 
 
-def annihilator_keys(graph: ZeroDivisorGraph) -> list[bytes]:
-    """Per-vertex ann(a) as a row of bits: the adjacency row with the
-    diagonal position set when a^2 = 0 (a lies in its own annihilator)."""
-    ring = graph.ring
-    zero = ring.zero
-    keys = []
-    for i, a in enumerate(graph.vertices):
-        row = graph.adjacency[i].copy()
-        row[i] = ring.mul(a, a) == zero
-        keys.append(row.tobytes())
-    return keys
-
-
 def classes_annihilator(ring: Ring, element_cap: int | None = None) -> ClassPartition:
+    """Partition by equal annihilators: ann(a) as a row of bits is the
+    adjacency row of a with its diagonal position set when a^2 = 0."""
     graph = build_zdg(ring, element_cap=element_cap)
-    groups: dict[bytes, list[int]] = {}
-    for i, key in enumerate(annihilator_keys(graph)):
-        groups.setdefault(key, []).append(i)
-    blocks = [(members, None) for members in groups.values()]
-    return _finish("annihilator", blocks)
+    ann = graph.adjacency.copy()
+    np.fill_diagonal(ann, graph.loops)
+    return _group("annihilator", row_keys(ann), lambda i: None)
 
 
 def classes_for(ring: Ring, relation: str = "associate", element_cap: int | None = None) -> ClassPartition:
-    """The partition of Z(ring)* under the named relation.  Associate
-    classes group the zero-divisors by the ring's `associate_keys`;
-    `classes_associate` is the definition they must equal."""
+    """The partition of Z(ring)* under the named relation, grouped by one
+    key per vertex (see the module docstring); `classes_associate` is the
+    definition the associate classes must equal."""
     if relation == "associate":
         zd = ring.zero_divisors(element_cap)
-        groups: dict[int, list[int]] = {}
-        for i, key in enumerate(ring.associate_keys(zd).tolist()):
-            groups.setdefault(key, []).append(i)
-        blocks = [(members, _associate_kind(ring, zd[members[0]])) for members in groups.values()]
-        return _finish("associate", blocks)
+        return _group("associate", ring.associate_keys(zd), lambda i: _associate_kind(ring, zd[i]))
     if relation == "neighborhood":
         return classes_neighborhood(build_zdg(ring, element_cap=element_cap))
     if relation == "annihilator":
@@ -229,7 +220,7 @@ def check_relation_agreements(ring: Ring, element_cap: int | None = None) -> dic
     assoc = classes_for(ring, "associate", element_cap)
     neigh = classes_neighborhood(graph)
     annih = classes_annihilator(ring, element_cap)
-    reduced = is_reduced(ring, element_cap)
+    reduced = not graph.loops.any()  # a nonzero a with a^2 = 0 is a vertex with a loop
     checks = []
     failures = []
 
@@ -252,21 +243,10 @@ def check_relation_agreements(ring: Ring, element_cap: int | None = None) -> dic
         hyp_name = "units u, v with u + v = 1"
     split_ok = True
     if hyp:
-        neigh_by_vertex = {}
-        for c in neigh.classes:
-            for i in c.members:
-                neigh_by_vertex[i] = frozenset(c.members)
-        annih_by_vertex = {}
-        for c in annih.classes:
-            for i in c.members:
-                annih_by_vertex[i] = frozenset(c.members)
-        zero = ring.zero
-        for i, a in enumerate(graph.vertices):
-            if ring.mul(a, a) == zero:
-                if neigh_by_vertex[i] != frozenset({i}):
-                    split_ok = False
-            elif neigh_by_vertex[i] != annih_by_vertex[i]:
-                split_ok = False
+        # each vertex that squares to 0 is alone in its class, the rest keep their annihilator classes
+        expected = {frozenset([i]) for i in np.flatnonzero(graph.loops).tolist()}
+        expected |= {frozenset(c.members) for c in annih.classes if not graph.loops[c.members].any()}
+        split_ok = neigh.index_sets() == expected
     record(f"neighborhood classes split by squares ({hyp_name})", hyp, split_ok)
 
     if isinstance(ring, Zn):

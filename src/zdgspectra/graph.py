@@ -7,8 +7,11 @@ element order of the ring, so everything downstream is deterministic.
 
 The adjacency comes from the ring's `zero_products` table (ab = 0 for
 every vertex pair at once, built from per-ring lookup tables), OR-ed with
-its transpose when the ring is not commutative.  `annihilator_set` keeps
-the per-element definition as an independent check.
+its transpose when the ring is not commutative.  The table's diagonal is
+kept as `loops`, the vertices that square to 0, before the adjacency's
+is cleared: it marks the vertices inside their own annihilator, and the
+ring is reduced exactly when no vertex has a loop.  `annihilator_set`
+keeps the per-element definition as an independent check.
 """
 from __future__ import annotations
 
@@ -32,13 +35,13 @@ class ZeroDivisorGraph:
     ring: Ring
     vertices: list
     adjacency: np.ndarray  # bool, symmetric, zero diagonal
-    _index: dict = field(repr=False, default=None)
+    loops: np.ndarray  # bool, loops[i] exactly when vertices[i] squares to 0
+    _index: dict = field(repr=False, init=False)
     # flavor -> spectra.brute_spectrum of this graph; empty again after dataclasses.replace
     _oracle: dict = field(repr=False, compare=False, init=False, default_factory=dict)
 
     def __post_init__(self):
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._index = {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def order(self) -> int:
@@ -66,9 +69,10 @@ def _build(ring: Ring, vertex_cap, element_cap) -> ZeroDivisorGraph:
             f"Gamma({ring.spec_string()}) has {m} vertices, over the cap {vertex_cap}"
         )
     z = ring.zero_products(zd)
+    loops = z.diagonal().copy()
     adj = z if ring.commutative else z | z.T
     np.fill_diagonal(adj, False)
-    return ZeroDivisorGraph(ring, list(zd), adj)
+    return ZeroDivisorGraph(ring, list(zd), adj, loops)
 
 
 @lru_cache(maxsize=64)
@@ -160,28 +164,22 @@ def connected_component_count(graph: ZeroDivisorGraph) -> int:
     return count
 
 
+def _edge_pairs(graph: ZeroDivisorGraph) -> list[list[int]]:
+    """Every edge as [i, j] with i < j, in row-major (i, j) order."""
+    return np.argwhere(np.triu(graph.adjacency, 1)).tolist()
+
+
 def edge_list_text(graph: ZeroDivisorGraph) -> str:
     """One edge per line, 'u v' with canonical labels, (i, j) sorted."""
-    ring = graph.ring
-    lines = []
-    m = graph.order
-    for i in range(m):
-        row = graph.adjacency[i]
-        for j in np.nonzero(row[i + 1 :])[0] + i + 1:
-            lines.append(f"{ring.label(graph.vertices[i])} {ring.label(graph.vertices[int(j)])}")
+    labels = [graph.ring.label(v) for v in graph.vertices]
+    lines = [f"{labels[i]} {labels[j]}" for i, j in _edge_pairs(graph)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def graph_json(graph: ZeroDivisorGraph) -> dict:
     ring = graph.ring
-    edges = []
-    m = graph.order
-    for i in range(m):
-        row = graph.adjacency[i]
-        for j in np.nonzero(row[i + 1 :])[0] + i + 1:
-            edges.append([i, int(j)])
     return {
         "ring": ring.spec_string(),
         "vertices": [ring.label(v) for v in graph.vertices],
-        "edges": edges,
+        "edges": _edge_pairs(graph),
     }

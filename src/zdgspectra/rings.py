@@ -100,6 +100,17 @@ def _smallest_irreducible(p, k):
 # ---------------------------------------------------------------------------
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Int64 array k with k[i] == k[j] exactly when rows i and j of the 2-D
+    bool array are equal: the ids 0, 1, ... in order of first appearance.
+    Each row is packed into one byte string and numbered by a dict, which
+    beats a sort of the strings (np.unique) from tens of rows to thousands."""
+    bits = np.packbits(rows, axis=1)
+    ids: dict[bytes, int] = {}
+    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel().tolist()
+    return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.int64)
+
+
 class Ring:
     """Common behavior: cached enumeration, unit/zero-divisor splits."""
 
@@ -296,6 +307,19 @@ class Zn(Ring):
         return list(range(self.n))
 
 
+class _Unbuilt:
+    """A GF table before its first lookup, which builds all three tables on
+    the field; from then on the field holds plain lists, so add, neg, mul
+    and inv pay nothing for the laziness."""
+
+    def __init__(self, field, name):
+        self.field, self.name = field, name
+
+    def __getitem__(self, i):
+        self.field._build_logs()
+        return getattr(self.field, self.name)[i]
+
+
 class GF(Ring):
     """The finite field with p^k elements.
 
@@ -303,7 +327,9 @@ class GF(Ring):
     primitive element in code order: exp[i] = g^i (listed twice over, so
     exponent sums need no reduction), log[g^i] = i, and the Zech
     logarithms zech[i] = log(1 + g^i), with None where 1 + g^i = 0.  Each
-    of add, neg, mul and inv is then a few list lookups.
+    of add, neg, mul and inv is then a few list lookups.  The tables take
+    O(q) memory and are built on first use, so a large GF(p) that only
+    gives its class table or labels never builds them.
     """
 
     kind = "GF"
@@ -321,7 +347,7 @@ class GF(Ring):
         self.zero = 0
         self.one = 1
         self.modulus = _smallest_irreducible(p, k)
-        self._build_logs()
+        self._exp, self._log, self._zech = (_Unbuilt(self, name) for name in ("_exp", "_log", "_zech"))
 
     def key(self):
         return ("GF", self.p, self.k)
@@ -428,11 +454,6 @@ class GF(Ring):
 
     def _enumerate(self):
         return list(range(self.q))
-
-
-def construct_field(p: int, k: int = 1) -> GF:
-    """GF(p^k) with the canonical (smallest) irreducible modulus."""
-    return GF(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +639,7 @@ class MatRing(Ring):
         row_codes, col_codes = self._codes(xs)
         right = kills[row_codes].all(axis=1)
         left = kills.T[col_codes].all(axis=1)
-        bits = np.packbits(np.concatenate([right, left], axis=1), axis=1)
-        # one byte string per matrix: a 1-D unique, far faster than axis=0
-        rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-        return np.unique(rows, return_inverse=True)[1].astype(np.int64)
+        return row_keys(np.concatenate([right, left], axis=1))
 
     def class_count(self):
         return sum(q_binomial(self.n, r, self.field.q) ** 2 for r in range(1, self.n)) + 2

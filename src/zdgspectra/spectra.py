@@ -187,11 +187,7 @@ def multiset_equal(s1, s2, tol: float = DEFAULT_TOL) -> MultisetMatch:
 # decomposition
 
 
-def decompose(
-    graph: ZeroDivisorGraph,
-    partition: ClassPartition,
-    reconstruction_limit: int = RECONSTRUCTION_LIMIT,
-) -> JoinDecomposition:
+def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecomposition:
     """Turn a vertex partition into a generalized-join decomposition.
 
     Each part must induce a complete or an edgeless subgraph, and
@@ -202,7 +198,7 @@ def decompose(
     with the permuted adjacency, and the mismatches are OR-reduced to one
     flag per block.  The first failing cell in order raises, then the
     first non-constant class pair in row-major order.  For graphs of at
-    most reconstruction_limit vertices the blow-up of the result is
+    most RECONSTRUCTION_LIMIT vertices the blow-up of the result is
     compared with the original adjacency matrix entry for entry.
     """
     adj = graph.adjacency
@@ -267,7 +263,7 @@ def decompose(
         partition.relation, cells, h, _neighbor_weights(cells, h), source="graph"
     )
 
-    if graph.order <= reconstruction_limit:
+    if graph.order <= RECONSTRUCTION_LIMIT:
         if not np.array_equal(blow_up(dec), adj):
             raise DecompositionError("blow-up does not reproduce the adjacency matrix")
     return dec
@@ -409,16 +405,14 @@ def brute_spectrum(graph: ZeroDivisorGraph, flavor: str) -> SpectrumMultiset:
 # closed-form decompositions (no element enumeration)
 
 
-def decomposition_semisimple_closed(
-    ring: Ring, cell_cap: int = CLOSED_CELL_CAP
-) -> JoinDecomposition:
+def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     """Join decomposition of Gamma(ring) from `ring.class_table`, for every
     ring the parser builds (Z_n and Z_{p^a} factors too, despite the name):
     the cells are the classes other than 0 and the units, complete where
     the class squares to 0, and H joins two cells when their product is 0
-    in either order.  No ring elements are enumerated; more than cell_cap
-    cells raise RingError before any table is built."""
-    sizes, kills, labels = ring.class_table(cell_cap + 2)
+    in either order.  No ring elements are enumerated; more than
+    CLOSED_CELL_CAP cells raise RingError before any table is built."""
+    sizes, kills, labels = ring.class_table(CLOSED_CELL_CAP + 2)
     kills = kills[1:-1, 1:-1]
     cells = [
         Cell(

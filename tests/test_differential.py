@@ -5,8 +5,11 @@ GF(2|3|4|5), M(2,GF(2)) and M(2,GF(3)), with at most MAX_VERTICES
 vertices.  The table-built adjacency is compared with the annihilator
 definition, the join decomposition is checked under both relations
 against the dense oracle, and every product is also compared with the
-closed route.  The keyed associate partition and the unit list are
-compared with their definitions (unit orbits, per-element `is_unit`).
+closed route.  The keyed partitions and the unit list are compared with
+their definitions: associates with unit orbits, equal neighborhoods with
+the pairwise masked row comparison, equal annihilators with grouping by
+`annihilator_set`, units with per-element `is_unit`.  The graph's loops
+are compared with a^2 = 0 and with `is_reduced`.
 """
 
 import math
@@ -16,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdgspectra import numth
-from zdgspectra.classes import classes_associate, classes_for
+from zdgspectra.classes import _neighborhood_classes_masked, classes_associate, classes_for
 from zdgspectra.counts import gl_order
 from zdgspectra.graph import annihilator_set, build_zdg
-from zdgspectra.rings import parse_ring_spec
+from zdgspectra.rings import is_reduced, parse_ring_spec
 from zdgspectra.spectra import (
     assemble_spectrum,
     blow_up,
@@ -56,11 +59,20 @@ def test_graph_route_matches_definition_and_oracles(factors):
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
     assert g.order == vertex_count(factors)
+    by_annihilator = {}
     for i, a in enumerate(g.vertices):
+        ann = annihilator_set(ring, a)
         row = {g.vertices[j] for j in np.nonzero(g.adjacency[i])[0]}
-        assert row == annihilator_set(ring, a) - {a}, (spec, a)
+        assert row == ann - {a}, (spec, a)
+        assert g.loops[i] == (ring.mul(a, a) == ring.zero), (spec, a)
+        by_annihilator.setdefault(frozenset(ann), []).append(i)
+    assert is_reduced(ring) == (not g.loops.any()), spec
 
     assert classes_for(ring, "associate") == classes_associate(ring), spec
+    assert classes_for(ring, "neighborhood") == _neighborhood_classes_masked(g), spec
+    # members ascend and distinct classes start apart, so sorting puts them in representative order
+    annihilator = [c.members for c in classes_for(ring, "annihilator").classes]
+    assert annihilator == sorted(by_annihilator.values()), spec
     assert ring.units() == [a for a in ring.elements() if a != ring.zero and ring.is_unit(a)], spec
 
     brute = {flavor: brute_spectrum(g, flavor) for flavor in FLAVORS}

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,17 @@ def test_closed_route_refuses_over_the_cap_before_building(spec):
     with pytest.raises(RingError, match="exceed the closed-route cap"):
         ring_join_decomposition(parse_ring_spec(spec), method="closed")
     assert time.perf_counter() - start < 1.0
+
+
+def test_closed_route_reads_a_large_prime_field_without_its_tables():
+    tracemalloc.start()
+    try:
+        dec = ring_join_decomposition(parse_ring_spec("GF(1000003)xZn(2)"), method="closed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(c.size for c in dec.cells) == [1, 1000002]
+    assert peak < 1 << 20  # the field's log tables alone take tens of MB
 
 
 def test_closed_route_refuses_sizes_past_int64():

@@ -1,0 +1,32 @@
+"""The benchmark's tracer still finds a binding into every layer.
+
+perfbench/tracing.py wraps names that zdgspectra's modules look up at call
+time (`classes.build_zdg`, `spectra.classes_for`, ...).  After a rename in
+the package the tracer would find no binding for a layer, and that layer's
+metrics would read 0 with no error.  Installing the tracer, without running
+anything, turns such a rename into a failure here.
+"""
+import importlib.util
+from pathlib import Path
+
+from zdgspectra import classes, spectra
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_a_binding_for_every_span():
+    tracer = load_tracing().Tracer().install()
+    try:
+        assert tracer.missing_spans() == set()
+        assert hasattr(spectra.classes_for, "__wrapped__")
+    finally:
+        tracer.close()
+    assert not hasattr(spectra.classes_for, "__wrapped__")
+    assert not hasattr(classes.build_zdg, "__wrapped__")
