@@ -12,12 +12,12 @@ join machinery: an associate class induces a complete subgraph exactly
 when its representative squares to zero, and is edgeless otherwise;
 neighborhood classes are always edgeless.
 
-Every relation takes one path: `classes_for` groups the vertices by a key
-array.  Associates are keyed by the ring's `associate_keys` (gcd with n
-for Z_n, the pair of kernels for a matrix, componentwise for a product);
-equal neighborhoods by the id of each adjacency row (`rings.row_keys`);
-equal annihilators by the id of each adjacency row with the graph's
-`loops` on the diagonal, since a lies in ann(a) exactly when a^2 = 0.
+Every relation takes one path: `classes_for` groups the vertices of the
+caller's graph by a key array.  Associates are keyed by `associate_keys`
+(gcd with n for Z_n, the pair of kernels for a matrix, componentwise for
+a product); equal neighborhoods by the id of each adjacency row
+(`rings.row_keys`); equal annihilators by the id of each adjacency row
+with the graph's `loops` on the diagonal (a in ann(a) iff a^2 = 0).
 `classes_associate` (unit orbits) and `_neighborhood_classes_masked`
 (pairwise row comparison) keep the definitions as the tests' references.
 """
@@ -166,26 +166,25 @@ def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
     return _finish("neighborhood", blocks)
 
 
-def classes_annihilator(ring: Ring, element_cap: int | None = None) -> ClassPartition:
+def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
     """Partition by equal annihilators: ann(a) as a row of bits is the
     adjacency row of a with its diagonal position set when a^2 = 0."""
-    graph = build_zdg(ring, element_cap=element_cap)
     ann = graph.adjacency.copy()
     np.fill_diagonal(ann, graph.loops)
     return _group("annihilator", row_keys(ann), lambda i: None)
 
 
-def classes_for(ring: Ring, relation: str = "associate", element_cap: int | None = None) -> ClassPartition:
-    """The partition of Z(ring)* under the named relation, grouped by one
-    key per vertex (see the module docstring); `classes_associate` is the
-    definition the associate classes must equal."""
+def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPartition:
+    """The partition of the vertices of `graph` under the named relation,
+    grouped by one key per vertex (see the module docstring);
+    `classes_associate` is the definition the associate classes must equal."""
     if relation == "associate":
-        zd = ring.zero_divisors(element_cap)
+        ring, zd = graph.ring, graph.vertices
         return _group("associate", ring.associate_keys(zd), lambda i: _associate_kind(ring, zd[i]))
     if relation == "neighborhood":
-        return classes_neighborhood(build_zdg(ring, element_cap=element_cap))
+        return classes_neighborhood(graph)
     if relation == "annihilator":
-        return classes_annihilator(ring, element_cap)
+        return classes_annihilator(graph)
     raise RingError(f"unknown relation '{relation}'")
 
 
@@ -217,9 +216,9 @@ def check_relation_agreements(ring: Ring, element_cap: int | None = None) -> dic
     implementation bug, not bad input); returns a per-check report.
     """
     graph = build_zdg(ring, element_cap=element_cap)
-    assoc = classes_for(ring, "associate", element_cap)
+    assoc = classes_for(graph, "associate")
     neigh = classes_neighborhood(graph)
-    annih = classes_annihilator(ring, element_cap)
+    annih = classes_annihilator(graph)
     reduced = not graph.loops.any()  # a nonzero a with a^2 = 0 is a vertex with a loop
     checks = []
     failures = []

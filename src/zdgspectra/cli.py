@@ -81,10 +81,8 @@ def _flavors(args) -> list[str]:
 
 def _run_classes(args):
     ring = parse_ring_spec(args.ring)
-    cap = _element_cap(args)
-    graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=cap)
-    partition = classes_for(ring, args.relation, cap)
-    payload = {"ring": ring.spec_string(), **partition.to_json(graph)}
+    graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=_element_cap(args))
+    payload = {"ring": ring.spec_string(), **classes_for(graph, args.relation).to_json(graph)}
     if args.format == "json":
         return EXIT_OK, _json_text(payload)
     lines = ["rep,size,kind,members"]

@@ -11,7 +11,9 @@ its transpose when the ring is not commutative.  The table's diagonal is
 kept as `loops`, the vertices that square to 0, before the adjacency's
 is cleared: it marks the vertices inside their own annihilator, and the
 ring is reduced exactly when no vertex has a loop.  `annihilator_set`
-keeps the per-element definition as an independent check.
+keeps the per-element definition as an independent check.  There is one
+graph per ring: `build_zdg` checks the caller's caps before any V x V
+array exists and caches the graph under the ring alone.
 """
 from __future__ import annotations
 
@@ -61,13 +63,8 @@ class ZeroDivisorGraph:
         return self.adjacency.sum(axis=1, dtype=np.int64)
 
 
-def _build(ring: Ring, vertex_cap, element_cap) -> ZeroDivisorGraph:
-    zd = ring.zero_divisors(element_cap)
-    m = len(zd)
-    if m > vertex_cap:
-        raise GraphCapError(
-            f"Gamma({ring.spec_string()}) has {m} vertices, over the cap {vertex_cap}"
-        )
+def _build(ring: Ring) -> ZeroDivisorGraph:
+    zd = ring.zero_divisors(ring.cardinality)  # build_zdg checked the caller's caps
     z = ring.zero_products(zd)
     loops = z.diagonal().copy()
     adj = z if ring.commutative else z | z.T
@@ -75,15 +72,16 @@ def _build(ring: Ring, vertex_cap, element_cap) -> ZeroDivisorGraph:
     return ZeroDivisorGraph(ring, list(zd), adj, loops)
 
 
-@lru_cache(maxsize=64)
-def _build_cached(ring, vertex_cap, element_cap):
-    return _build(ring, vertex_cap, element_cap)
+_build_cached = lru_cache(maxsize=64)(_build)
 
 
 def build_zdg(ring: Ring, vertex_cap: int | None = None, element_cap: int | None = None) -> ZeroDivisorGraph:
-    """Construct Gamma(R).  Results are cached per ring and caps."""
+    """Construct Gamma(R), cached per ring: a cap refuses the graph, it never changes it."""
     vertex_cap = DEFAULT_VERTEX_CAP if vertex_cap is None else vertex_cap
-    return _build_cached(ring, vertex_cap, element_cap)
+    m = len(ring.zero_divisors(element_cap))
+    if m > vertex_cap:
+        raise GraphCapError(f"Gamma({ring.spec_string()}) has {m} vertices, over the cap {vertex_cap}")
+    return _build_cached(ring)
 
 
 def annihilator_set(ring: Ring, a, element_cap: int | None = None) -> set:

@@ -24,10 +24,11 @@ tables, under one cap on the class count (CLOSED_CELL_CAP).
 Both spectrum routes solve with LAPACK (`eig.dense_eigenvalues`): the
 assembled route the order-m quotient, the oracle the order-|V| matrix of
 the whole graph, so the two share no matrix.  The oracle's spectrum is
-kept on its graph, one per flavor, so every caller that checks the same
-cached graph (each relation of `verify_ring`, `zdg spectrum --method
-both`) pays for the order-|V| solve once.  The pure-Python Jacobi solver
-serves the combination and shift identities.
+kept on its graph, one per flavor, and `build_zdg` keeps one graph per
+ring whatever the caps, so every caller that checks a ring (each relation
+of `verify_ring`, `zdg spectrum --method both`) partitions that graph and
+pays for the order-|V| solve once.  The pure-Python Jacobi solver serves
+the combination and shift identities.
 
 A spectrum is stored as runs of (value, multiplicity, provenance): one
 run per cell of two or more vertices and one per quotient eigenvalue,
@@ -465,8 +466,7 @@ def ring_join_decomposition(
             return ring_join_decomposition(ring, relation, "closed")
         except RingError as closed_error:
             raise cap_error from closed_error
-    partition = classes_for(ring, relation, element_cap)
-    return decompose(graph, partition)
+    return decompose(graph, classes_for(graph, relation))
 
 
 def spectrum_pair(dec: JoinDecomposition) -> tuple[SpectrumMultiset, SpectrumMultiset]:
@@ -507,10 +507,12 @@ def verify_ring(
     element_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> VerifyOutcome:
-    """Assemble spectra through the join and compare with the dense oracle."""
+    """Assemble spectra through the join and compare with the dense oracle.
+    With every class a singleton (Z_2^k, associates) both routes solve one
+    matrix, so a max_deviation of 0.0 there is no independent check; the
+    Jacobi solver pins those spectra (`test_brute_spectrum_matches_jacobi`)."""
     graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
-    partition = classes_for(ring, relation, element_cap)
-    dec = decompose(graph, partition)
+    dec = decompose(graph, classes_for(graph, relation))
     results = {}
     for flavor in flavors:
         assembled = assemble_spectrum(dec, flavor)

@@ -90,7 +90,7 @@ def sweep_results():
             adjacency = adjacency_matrix(g)
             brute = {f: brute_spectrum(g, f) for f in ("adjacency", "laplacian")}
             for relation in ("associate", "neighborhood"):
-                dec = decompose(g, classes_for(ring, relation))
+                dec = decompose(g, classes_for(g, relation))
                 reconstructed = np.array_equal(blow_up(dec), adjacency)
                 for flavor in ("adjacency", "laplacian"):
                     ours = assemble_spectrum(dec, flavor)
@@ -115,14 +115,14 @@ def test_criterion_01_partition_anchors():
 
         ring = Zn(18)
         vertices = build_zdg(ring).vertices
-        annih = classes_for(ring, "annihilator").member_sets(vertices)
+        annih = classes_for(build_zdg(ring), "annihilator").member_sets(vertices)
         assert annih == {
             frozenset({2, 4, 8, 10, 14, 16}),
             frozenset({3, 15}),
             frozenset({6, 12}),
             frozenset({9}),
         }
-        neigh = classes_for(ring, "neighborhood").member_sets(vertices)
+        neigh = classes_for(build_zdg(ring), "neighborhood").member_sets(vertices)
         assert neigh == {
             frozenset({2, 4, 8, 10, 14, 16}),
             frozenset({3, 15}),
@@ -133,13 +133,13 @@ def test_criterion_01_partition_anchors():
 
         ring = Zn(16)
         vertices = build_zdg(ring).vertices
-        assoc = classes_for(ring, "associate").member_sets(vertices)
+        assoc = classes_for(build_zdg(ring), "associate").member_sets(vertices)
         assert assoc == {
             frozenset({2, 6, 10, 14}),
             frozenset({8}),
             frozenset({4, 12}),
         }
-        neigh = classes_for(ring, "neighborhood").member_sets(vertices)
+        neigh = classes_for(build_zdg(ring), "neighborhood").member_sets(vertices)
         assert neigh == {
             frozenset({2, 6, 10, 14}),
             frozenset({8}),
@@ -187,7 +187,7 @@ def test_criterion_04_matrix_ring_oracle_and_class_data():
         for q in (2, 3):
             ring = MatRing(2, GF(q))
             g = build_zdg(ring)
-            part = classes_for(ring, "associate")
+            part = classes_for(build_zdg(ring), "associate")
             for c in part.classes:
                 rep = g.vertices[c.representative]
                 r = ring.rank(rep)
@@ -222,7 +222,7 @@ def test_criterion_05_semisimple_oracle_and_closed_forms():
         for spec in SEMISIMPLE_RINGS:
             ring = parse_ring_spec(spec)
             g = build_zdg(ring)
-            part = classes_for(ring, "associate")
+            part = classes_for(build_zdg(ring), "associate")
             factors = ring.factors if hasattr(ring, "factors") else [ring]
             shape = []
             for f in factors:
@@ -288,7 +288,7 @@ def test_criterion_06_counting_census():
             {(ring3.row_space(a), ring3.column_space(a)) for a in ring3.zero_divisors()}
         )
         sizes = {
-            c.size for c in classes_for(ring3, "associate").classes
+            c.size for c in classes_for(build_zdg(ring3), "associate").classes
         }
         assert sizes == {class_size_matrix(1, 3)}  # every class is rank 1
 

@@ -41,7 +41,7 @@ def element_sets(ring, partition):
 
 def test_zn18_annihilator_classes():
     ring = Zn(18)
-    part = classes_for(ring, "annihilator")
+    part = classes_for(build_zdg(ring), "annihilator")
     assert element_sets(ring, part) == {
         frozenset({2, 4, 8, 10, 14, 16}),
         frozenset({3, 15}),
@@ -54,7 +54,7 @@ def test_zn18_neighborhood_classes_split_the_adjacent_pair():
     # 6 and 12 annihilate each other, so N(6) != N(12) even though
     # ann(6) = ann(12); the neighborhood relation keeps them apart
     ring = Zn(18)
-    part = classes_for(ring, "neighborhood")
+    part = classes_for(build_zdg(ring), "neighborhood")
     assert element_sets(ring, part) == {
         frozenset({2, 4, 8, 10, 14, 16}),
         frozenset({3, 15}),
@@ -66,7 +66,7 @@ def test_zn18_neighborhood_classes_split_the_adjacent_pair():
 
 def test_zn16_associate_classes():
     ring = Zn(16)
-    part = classes_for(ring, "associate")
+    part = classes_for(build_zdg(ring), "associate")
     assert element_sets(ring, part) == {
         frozenset({2, 6, 10, 14}),
         frozenset({8}),
@@ -76,7 +76,7 @@ def test_zn16_associate_classes():
 
 def test_zn16_neighborhood_classes():
     ring = Zn(16)
-    part = classes_for(ring, "neighborhood")
+    part = classes_for(build_zdg(ring), "neighborhood")
     assert element_sets(ring, part) == {
         frozenset({2, 6, 10, 14}),
         frozenset({8}),
@@ -87,17 +87,17 @@ def test_zn16_neighborhood_classes():
 
 def test_m2f2_singletons():
     ring = MatRing(2, GF(2))
-    part = classes_for(ring, "associate")
+    part = classes_for(build_zdg(ring), "associate")
     assert len(part.classes) == 9
     assert all(c.size == 1 for c in part.classes)
-    assert partitions_equal(part, classes_for(ring, "annihilator"))
+    assert partitions_equal(part, classes_for(build_zdg(ring), "annihilator"))
 
 
 @pytest.mark.parametrize("spec", RING_BATTERY)
 def test_associate_refines_annihilator(spec):
     ring = parse_ring_spec(spec)
-    assoc = classes_for(ring, "associate")
-    annih = classes_for(ring, "annihilator")
+    assoc = classes_for(build_zdg(ring), "associate")
+    annih = classes_for(build_zdg(ring), "annihilator")
     annih_sets = annih.index_sets()
     for c in assoc.classes:
         mem = set(c.members)
@@ -108,7 +108,7 @@ def test_associate_refines_annihilator(spec):
 def test_cross_class_adjacency_well_defined(spec):
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
-    part = classes_for(ring, "associate")
+    part = classes_for(g, "associate")
     for ci in part.classes:
         for cj in part.classes:
             if ci is cj:
@@ -121,7 +121,7 @@ def test_cross_class_adjacency_well_defined(spec):
 def test_within_class_structure(spec):
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
-    for c in classes_for(ring, "associate").classes:
+    for c in classes_for(g, "associate").classes:
         rep = g.vertices[c.representative]
         rep_sq_zero = ring.mul(rep, rep) == ring.zero
         assert (c.kind == "complete") == rep_sq_zero
@@ -131,7 +131,7 @@ def test_within_class_structure(spec):
                     continue
                 assert bool(g.adjacency[x, y]) == rep_sq_zero, spec
     # an equal-neighborhood class can never contain an adjacent pair
-    for c in classes_for(ring, "neighborhood").classes:
+    for c in classes_for(build_zdg(ring), "neighborhood").classes:
         for x in c.members:
             for y in c.members:
                 assert x == y or not g.adjacency[x, y]
@@ -142,7 +142,7 @@ def test_zn_fast_path_agreement():
         ring = Zn(n)
         if not ring.zero_divisors():
             continue
-        assert partitions_equal(classes_for(ring), classes_associate(ring)), n
+        assert partitions_equal(classes_for(build_zdg(ring)), classes_associate(ring)), n
 
 
 def test_zn_class_sizes_are_phi():
@@ -151,7 +151,7 @@ def test_zn_class_sizes_are_phi():
         if not ring.zero_divisors():
             continue
         vertices = build_zdg(ring).vertices
-        part = classes_for(ring)
+        part = classes_for(build_zdg(ring))
         by_rep = {vertices[c.representative]: c.size for c in part.classes}
         for d in nontrivial_divisors(n):
             assert by_rep[d] == euler_phi(n // d), (n, d)
@@ -160,13 +160,13 @@ def test_zn_class_sizes_are_phi():
 def test_matrix_fast_path_agreement():
     for spec in ["M(2,GF(2))", "M(2,GF(3))", "M(2,GF(4))", "M(3,GF(2))"]:
         ring = parse_ring_spec(spec)
-        assert partitions_equal(classes_for(ring), classes_associate(ring)), spec
+        assert partitions_equal(classes_for(build_zdg(ring)), classes_associate(ring)), spec
 
 
 def test_product_fast_path_agreement():
     for spec in ["Zn(2)xZn(3)", "Zn(2)xZn(2)xZn(2)", "Zn(3)xZn(5)", "M(2,GF(2))xGF(2)"]:
         ring = parse_ring_spec(spec)
-        assert partitions_equal(classes_for(ring), classes_associate(ring)), spec
+        assert partitions_equal(classes_for(build_zdg(ring)), classes_associate(ring)), spec
 
 
 def test_masked_and_raw_neighborhood_comparators_agree():
@@ -206,13 +206,13 @@ def test_reduced_ring_collapses_neighborhood_to_annihilator():
     for spec in ["Zn(2)xZn(3)", "Zn(3)xZn(5)", "Zn(2)xZn(2)xZn(2)"]:
         ring = parse_ring_spec(spec)
         assert partitions_equal(
-            classes_neighborhood(build_zdg(ring)), classes_annihilator(ring)
+            classes_neighborhood(build_zdg(ring)), classes_annihilator(build_zdg(ring))
         ), spec
 
 
 def test_annihilator_splits_only_square_zero_classes():
     ring = Zn(16)
-    annih = element_sets(ring, classes_annihilator(ring))
+    annih = element_sets(ring, classes_annihilator(build_zdg(ring)))
     neigh = element_sets(ring, classes_neighborhood(build_zdg(ring)))
     # {4,12} has 4*4 = 0: it splits under the neighborhood relation
     assert frozenset({4, 12}) in annih
@@ -226,7 +226,7 @@ def test_partition_covers_all_vertices_once():
         ring = parse_ring_spec(spec)
         order = len(ring.zero_divisors())
         for relation in ("associate", "neighborhood", "annihilator"):
-            part = classes_for(ring, relation)
+            part = classes_for(build_zdg(ring), relation)
             seen = []
             for c in part.classes:
                 assert c.size == len(c.members)
@@ -238,4 +238,4 @@ def test_partition_covers_all_vertices_once():
 
 def test_unknown_relation_rejected():
     with pytest.raises(Exception):
-        classes_for(Zn(12), "wibble")
+        classes_for(build_zdg(Zn(12)), "wibble")

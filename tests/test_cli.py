@@ -374,6 +374,31 @@ def test_auto_route_reports_the_cap():
         assert "GraphCapError" in err and "over the cap 10" in err, err
 
 
+def test_verify_checks_the_ring_under_the_flag_cap(monkeypatch):
+    from zdgspectra import graph
+
+    monkeypatch.setattr(graph, "DEFAULT_VERTEX_CAP", 10)
+    code, out, err = run_inproc(
+        ["verify", "--ring", "Zn(30)", "--relation", "neighborhood", "--max-vertices", "100"]
+    )
+    assert code == 0, err
+    rows = json.loads(out)["results"]
+    assert [(r["flavor"], r["skipped"], r["matched"]) for r in rows] == [
+        ("adjacency", False, True),
+        ("laplacian", False, True),
+    ]
+
+
+def test_classes_over_the_default_cap():
+    # 5,999 vertices: the relation reads the graph built under --max-vertices
+    code, out, err = run_inproc(
+        ["classes", "--ring", "Zn(10000)", "--relation", "neighborhood",
+         "--max-vertices", "10000", "--format", "csv"]
+    )
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 1 + 114
+
+
 def test_auto_route_falls_back_to_the_closed_route():
     # a Z_{p^a} factor next to a matrix ring: over the vertex cap, the
     # closed route answers with the graph route's spectrum

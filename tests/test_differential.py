@@ -68,17 +68,17 @@ def test_graph_route_matches_definition_and_oracles(factors):
         by_annihilator.setdefault(frozenset(ann), []).append(i)
     assert is_reduced(ring) == (not g.loops.any()), spec
 
-    assert classes_for(ring, "associate") == classes_associate(ring), spec
-    assert classes_for(ring, "neighborhood") == _neighborhood_classes_masked(g), spec
+    assert classes_for(g, "associate") == classes_associate(ring), spec
+    assert classes_for(g, "neighborhood") == _neighborhood_classes_masked(g), spec
     # members ascend and distinct classes start apart, so sorting puts them in representative order
-    annihilator = [c.members for c in classes_for(ring, "annihilator").classes]
+    annihilator = [c.members for c in classes_for(g, "annihilator").classes]
     assert annihilator == sorted(by_annihilator.values()), spec
     assert ring.units() == [a for a in ring.elements() if a != ring.zero and ring.is_unit(a)], spec
 
     brute = {flavor: brute_spectrum(g, flavor) for flavor in FLAVORS}
     graph_route = {}
     for relation in ("associate", "neighborhood"):
-        dec = decompose(g, classes_for(ring, relation))
+        dec = decompose(g, classes_for(g, relation))
         assert np.array_equal(blow_up(dec), g.adjacency), (spec, relation)
         for flavor in FLAVORS:
             assembled = assemble_spectrum(dec, flavor)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from zdgspectra import graph as graph_module
 from zdgspectra.graph import (
     GraphCapError,
     annihilator_set,
@@ -14,7 +15,7 @@ from zdgspectra.graph import (
     graph_json,
     neighborhood,
 )
-from zdgspectra.rings import GF, MatRing, ProductRing, Zn, parse_ring_spec
+from zdgspectra.rings import GF, EnumerationCapError, MatRing, ProductRing, Zn, parse_ring_spec
 
 
 def edges_of(g):
@@ -115,6 +116,19 @@ def test_component_counts():
 def test_graph_cap():
     with pytest.raises(GraphCapError):
         build_zdg(Zn(210), vertex_cap=10)
+
+
+def test_caps_refuse_a_graph_and_do_not_key_it():
+    ring = Zn(60)
+    g = build_zdg(ring)
+    misses = graph_module._build_cached.cache_info().misses
+    assert build_zdg(ring, vertex_cap=20000) is g
+    assert build_zdg(ring, element_cap=ring.cardinality) is g
+    with pytest.raises(GraphCapError, match=f"has {g.order} vertices, over the cap {g.order - 1}$"):
+        build_zdg(ring, vertex_cap=g.order - 1)
+    with pytest.raises(EnumerationCapError):
+        build_zdg(ring, element_cap=ring.cardinality - 1)
+    assert graph_module._build_cached.cache_info().misses == misses
 
 
 def test_graph_json_and_edge_list_are_deterministic():

@@ -13,7 +13,7 @@ import pytest
 from zdgspectra import graph as graph_module
 from zdgspectra import numth
 from zdgspectra import spectra as spectra_module
-from zdgspectra.classes import ClassPartition, VertexClass, classes_for
+from zdgspectra.classes import ClassPartition, VertexClass, check_relation_agreements, classes_for
 from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
 from zdgspectra.eig import dense_eigenvalues, jacobi_eigen
 from zdgspectra.graph import build_zdg, degree_matring
@@ -59,9 +59,13 @@ from zdgspectra.spectra import (
 )
 
 
+def graph_route(ring, relation="associate"):
+    g = build_zdg(ring)
+    return decompose(g, classes_for(g, relation))
+
+
 def decomposition_of(spec, relation="associate"):
-    ring = parse_ring_spec(spec)
-    return decompose(build_zdg(ring), classes_for(ring, relation))
+    return graph_route(parse_ring_spec(spec), relation)
 
 
 # --- decomposition structure ---
@@ -114,7 +118,7 @@ def test_blow_up_reconstructs_bit_exact():
         ring = parse_ring_spec(spec)
         g = build_zdg(ring)
         for relation in ("associate", "neighborhood"):
-            dec = decompose(g, classes_for(ring, relation))
+            dec = decompose(g, classes_for(g, relation))
             assert np.array_equal(blow_up(dec), adjacency_matrix(g)), (spec, relation)
 
 
@@ -123,7 +127,7 @@ def test_decompose_rejects_mixed_cell():
     # adjacent pair and 6 is joined to 4 but not to 2
     ring = Zn(8)
     g = build_zdg(ring)
-    part = classes_for(ring, "associate")
+    part = classes_for(build_zdg(ring), "associate")
     import dataclasses
 
     from zdgspectra.classes import ClassPartition, VertexClass
@@ -142,7 +146,7 @@ def test_decompose_rejects_mixed_cell():
 def test_decompose_rejects_incomplete_cover():
     ring = Zn(8)
     g = build_zdg(ring)
-    part = classes_for(ring, "associate")
+    part = classes_for(build_zdg(ring), "associate")
     from zdgspectra.classes import ClassPartition
 
     bad = ClassPartition(relation="associate", classes=part.classes[:1])
@@ -207,7 +211,7 @@ def test_assembly_matches_brute_small_sweep():
         if g.order == 0:
             continue
         for relation in ("associate", "neighborhood"):
-            dec = decompose(g, classes_for(ring, relation))
+            dec = decompose(g, classes_for(g, relation))
             for flavor, assemble in (
                 ("adjacency", assemble_adjacency_spectrum),
                 ("laplacian", assemble_laplacian_spectrum),
@@ -244,7 +248,7 @@ def test_closed_zn_route_equals_graph_route():
     for n in (8, 16, 18, 30, 36, 72, 100, 144):
         closed = ring_join_decomposition(Zn(n), method="closed")
         ring = Zn(n)
-        via_graph = decompose(build_zdg(ring), classes_for(ring, "associate"))
+        via_graph = graph_route(ring)
         key = lambda dec: sorted(
             (c.size, c.kind, w) for c, w in zip(dec.cells, dec.neighbor_weights)
         )
@@ -265,7 +269,7 @@ def test_closed_semisimple_route_equals_graph_route():
     ]:
         ring = parse_ring_spec(spec)
         closed = decomposition_semisimple_closed(ring)
-        explicit = decompose(build_zdg(ring), classes_for(ring, "associate"))
+        explicit = graph_route(ring)
         key = lambda dec: sorted(
             (c.size, c.kind, w) for c, w in zip(dec.cells, dec.neighbor_weights)
         )
@@ -440,14 +444,36 @@ def test_verify_ring_solves_each_oracle_once(monkeypatch):
     assert brute_spectrum(g, "laplacian") is brute_spectrum(g, "laplacian")
     assert orders.count(g.order) == 2
 
-    fresh = graph_module._build(ring, graph_module.DEFAULT_VERTEX_CAP, None)
+    fresh = graph_module._build(ring)
     assert fresh._oracle == {}
     for relation, out in zip(relations, outcomes):
-        dec = decompose(fresh, classes_for(ring, relation))
+        dec = decompose(fresh, classes_for(fresh, relation))
         for flavor in ("adjacency", "laplacian"):
             ref = multiset_equal(assemble_spectrum(dec, flavor), brute_spectrum(fresh, flavor))
             assert out.results[flavor].matched == ref.matched
             assert out.results[flavor].max_deviation == ref.max_deviation
+
+
+def test_verify_ring_partitions_the_graph_built_under_its_cap(monkeypatch):
+    """Every relation partitions the one graph verify_ring built under the
+    caller's cap, so a default cap below |V| refuses none of them."""
+    monkeypatch.setattr(graph_module, "DEFAULT_VERTEX_CAP", 10)
+    ring = Zn(30)
+    graph_module._build_cached.cache_clear()
+    for relation in ("associate", "neighborhood", "annihilator"):
+        out = verify_ring(ring, relation, vertex_cap=100)
+        assert out.order == 21 and out.matched, (relation, out.results)
+    assert graph_module._build_cached.cache_info().misses == 1
+
+
+def test_every_relation_reads_one_graph_per_ring():
+    ring = parse_ring_spec("M(2,GF(2))xZn(4)")
+    graph_module._build_cached.cache_clear()
+    build_zdg(ring, vertex_cap=20000)
+    check_relation_agreements(ring)
+    for relation in ("associate", "neighborhood", "annihilator"):
+        assert verify_ring(ring, relation, vertex_cap=6000).matched, relation
+    assert graph_module._build_cached.cache_info().misses == 1
 
 
 def test_replaced_graph_recomputes_its_oracle(monkeypatch):
@@ -487,7 +513,7 @@ INVARIANT_RINGS = ["Zn(24)", "Zn(64)", "M(2,GF(2))", "Zn(2)xZn(3)xZn(5)", "Zn(4)
 def test_trace_identities(spec):
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
-    dec = decompose(g, classes_for(ring, "associate"))
+    dec = decompose(g, classes_for(g, "associate"))
     adj = assemble_adjacency_spectrum(dec)
     lap = assemble_laplacian_spectrum(dec)
     assert abs(sum(adj.values)) <= 1e-6
@@ -500,7 +526,7 @@ def test_laplacian_positivity_and_components(spec):
 
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
-    dec = decompose(g, classes_for(ring, "associate"))
+    dec = decompose(g, classes_for(g, "associate"))
     lap = assemble_laplacian_spectrum(dec)
     assert min(lap.values) >= -1e-8
     zero_mult = sum(1 for v in lap.values if abs(v) < 1e-6)
@@ -557,7 +583,7 @@ def per_vertex_reference(dec, flavor):
 
 def run_form_decompositions():
     decs = [
-        decompose(build_zdg(Zn(n)), classes_for(Zn(n), relation))
+        graph_route(Zn(n), relation)
         for n in range(6, 61)
         for relation in ("associate", "neighborhood")
     ]
@@ -614,7 +640,7 @@ def quotient_by_loops(dec, flavor):
 
 def test_quotients_equal_loop_formula_bit_for_bit():
     for dec in (
-        decompose(build_zdg(Zn(720)), classes_for(Zn(720), "associate")),
+        graph_route(Zn(720)),
         ring_join_decomposition(Zn(720), method="closed"),
         decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)")),
     ):
