@@ -15,9 +15,10 @@ neighborhood classes are always edgeless.
 Every relation takes one path: `classes_for` groups the vertices of the
 caller's graph by a key array.  Associates are keyed by `associate_keys`
 (gcd with n for Z_n, the pair of kernels for a matrix, componentwise for
-a product); equal neighborhoods by the id of each adjacency row
-(`rings.row_keys`); equal annihilators by the id of each adjacency row
-with the graph's `loops` on the diagonal (a in ann(a) iff a^2 = 0).
+a product), with the cell kind read off the graph's `loops`; equal
+neighborhoods by the id of each adjacency row (`rings.row_keys`); equal
+annihilators by the id of each adjacency row with the graph's `loops` on
+the diagonal (a in ann(a) iff a^2 = 0).
 `classes_associate` (unit orbits) and `_neighborhood_classes_masked`
 (pairwise row comparison) keep the definitions as the tests' references.
 """
@@ -42,13 +43,11 @@ class VertexClass:
     members: list[int]  # sorted vertex indices
     size: int
     kind: str | None  # 'complete' | 'null' | None (annihilator partition)
-    regularity: int  # degree inside the cell: size-1 if complete else 0
 
     @staticmethod
     def make(members, kind):
         members = sorted(members)
-        reg = len(members) - 1 if kind == "complete" else 0
-        return VertexClass(members[0], members, len(members), kind, reg)
+        return VertexClass(members[0], members, len(members), kind)
 
 
 @dataclass
@@ -179,8 +178,8 @@ def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPa
     grouped by one key per vertex (see the module docstring);
     `classes_associate` is the definition the associate classes must equal."""
     if relation == "associate":
-        ring, zd = graph.ring, graph.vertices
-        return _group("associate", ring.associate_keys(zd), lambda i: _associate_kind(ring, zd[i]))
+        keys = graph.ring.associate_keys(graph.vertices)
+        return _group("associate", keys, lambda i: "complete" if graph.loops[i] else "null")
     if relation == "neighborhood":
         return classes_neighborhood(graph)
     if relation == "annihilator":

@@ -9,17 +9,20 @@ and the eigenvalues of two small quotient matrices:
     C_A[i][i] = r_i             C_A[i][j] = +sqrt(n_i n_j) on H-edges
     C_N[i][i] = N_i             C_N[i][j] = -sqrt(n_i n_j) on H-edges
 
-with n_i the cell size, r_i its inner regularity and N_i the total size
-of its H-neighborhood.  A complete cell contributes -1 (adjacency) and
-N_i + n_i (Laplacian), each n_i - 1 times; a null cell contributes 0 and
-N_i.  Everything is verified against a dense eigensolver oracle.
+with n_i the cell size, r_i its inner regularity (`Cell.regularity`)
+and N_i the total size of its H-neighborhood (`JoinDecomposition`).  A
+complete cell contributes -1 (adjacency) and N_i + n_i (Laplacian), each
+n_i - 1 times; a null cell contributes 0 and N_i.  Everything is
+verified against a dense eigensolver oracle.
 
 A decomposition comes from one of two routes.  The graph route enumerates
-the ring, builds Gamma(R), partitions it and checks the join structure
-(`decompose`).  The closed route reads the cells and H off the ring's
-associate-class table (`Ring.class_table`), enumerating nothing; it takes
-every ring the parser builds, Z_n through the CRT product of its Z_{p^a}
-tables, under one cap on the class count (CLOSED_CELL_CAP).
+the ring, builds Gamma(R), partitions it and checks the join structure:
+`decompose` compares the blow-up of its result with the adjacency matrix
+entry for entry, at every graph size.  The closed route reads the cells
+and H off the ring's associate-class table (`Ring.class_table`),
+enumerating nothing; it takes every ring the parser builds, Z_n through
+the CRT product of its Z_{p^a} tables, under one cap on the class count
+(CLOSED_CELL_CAP).
 
 Both spectrum routes solve with LAPACK (`eig.dense_eigenvalues`): the
 assembled route the order-m quotient, the oracle the order-|V| matrix of
@@ -39,7 +42,7 @@ caller reads `values` or `provenance`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +54,6 @@ from .rings import EnumerationCapError, Ring, RingError, Zn
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
-RECONSTRUCTION_LIMIT = 2000
 CLOSED_CELL_CAP = 4096
 
 
@@ -78,10 +80,14 @@ class ShiftLemmaError(Exception):
 @dataclass
 class Cell:
     size: int  # n_i
-    regularity: int  # r_i: size-1 for complete cells, 0 for null cells
     kind: str  # 'complete' | 'null'
     label: str
     members: list[int] | None  # original vertex indices; None on closed routes
+
+    @property
+    def regularity(self) -> int:
+        """r_i: size-1 for complete cells, 0 for null cells."""
+        return self.size - 1 if self.kind == "complete" else 0
 
 
 @dataclass
@@ -89,8 +95,11 @@ class JoinDecomposition:
     relation: str
     cells: list[Cell]
     h_adjacency: np.ndarray  # boolean, symmetric, no self-loops
-    neighbor_weights: list[int]  # N_i = sum of n_j over H-neighbors
     source: str  # 'graph' | 'closed'
+    neighbor_weights: list[int] = field(init=False)  # N_i = sum of n_j over H-neighbors
+
+    def __post_init__(self):
+        self.neighbor_weights = (self.h_adjacency @ _cell_sizes(self.cells)).tolist()
 
     @property
     def class_count(self) -> int:
@@ -194,13 +203,12 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     Each part must induce a complete or an edgeless subgraph, and
     adjacency between two parts must be all-or-nothing; both facts are
     re-verified here rather than trusted.  H and each cell's kind are read
-    off one vertex pair per block of the adjacency permuted into class
-    order; the pattern they predict is expanded to full size, compared
-    with the permuted adjacency, and the mismatches are OR-reduced to one
-    flag per block.  The first failing cell in order raises, then the
-    first non-constant class pair in row-major order.  For graphs of at
-    most RECONSTRUCTION_LIMIT vertices the blow-up of the result is
-    compared with the original adjacency matrix entry for entry.
+    off the class representatives, and the blow-up of the result is
+    compared with the adjacency matrix entry for entry, at every graph
+    size.  Only when they differ are the mismatches permuted into class
+    order and OR-reduced to one flag per block: the first failing cell in
+    order raises, then the first non-constant class pair in row-major
+    order.
     """
     adj = graph.adjacency
     classes = partition.classes
@@ -211,71 +219,47 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     m = len(classes)
     sizes = np.array([len(c.members) for c in classes], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    permuted = adj[order[:, None], order]
-    h = permuted[starts[:, None], starts]
+    reps = order[starts]
+    h = adj[reps[:, None], reps]
     complete = np.zeros(m, dtype=bool)
     multi = sizes > 1
-    complete[multi] = permuted[starts[multi], starts[multi] + 1]
-    pattern = h.copy()
-    np.fill_diagonal(pattern, complete)
-    mismatch = _layout(pattern, np.repeat(np.arange(m), sizes))
-    mismatch ^= permuted
-    bad = np.zeros((m, m), dtype=bool)
-    if m:  # reduceat rejects an empty index
-        bad = np.logical_or.reduceat(
-            np.logical_or.reduceat(mismatch, starts, axis=0), starts, axis=1
-        )
+    complete[multi] = adj[reps[multi], order[starts[multi] + 1]]
 
     cells = []
     for i, c in enumerate(classes):
-        label = graph.ring.label(graph.vertices[c.representative])
-        if bad[i, i]:
-            raise DecompositionError(
-                f"class of {label} induces neither a complete nor an edgeless subgraph"
-            )
         observed = "complete" if complete[i] else "null"
-        kind = c.kind
-        if kind is None or sizes[i] == 1:
-            # singletons are both complete and edgeless; keep the claimed
-            # kind when the partition supplies one, it does not affect
-            # assembly (r_i = 0 either way)
-            kind = c.kind or observed
-        elif kind != observed:
-            raise DecompositionError(
-                f"claimed {kind} cell is actually {observed} (representative {label})"
-            )
-        n_i = len(c.members)
-        cells.append(
-            Cell(
-                size=n_i,
-                regularity=n_i - 1 if kind == "complete" else 0,
-                kind=kind,
-                label=label,
-                members=list(c.members),
-            )
+        # singletons are both complete and edgeless; keep the claimed kind
+        # when the partition supplies one, it does not affect assembly
+        kind = observed if multi[i] else c.kind or observed
+        label = graph.ring.label(graph.vertices[c.representative])
+        cells.append(Cell(len(c.members), kind, label, list(c.members)))
+    dec = JoinDecomposition(partition.relation, cells, h, source="graph")
+
+    mismatch = blow_up(dec)
+    mismatch ^= adj
+    bad = np.zeros((m, m), dtype=bool)
+    if mismatch.any():
+        bad = np.logical_or.reduceat(
+            np.logical_or.reduceat(mismatch[order[:, None], order], starts, axis=0),
+            starts,
+            axis=1,
         )
+    for c, cell, bad_cell in zip(classes, cells, bad.diagonal()):
+        if bad_cell:
+            raise DecompositionError(
+                f"class of {cell.label} induces neither a complete nor an edgeless subgraph"
+            )
+        if cell.size > 1 and c.kind not in (None, cell.kind):
+            raise DecompositionError(
+                f"claimed {c.kind} cell is actually {cell.kind} (representative {cell.label})"
+            )
     if bad.any():
         i, j = np.argwhere(np.triu(bad, 1))[0]
         raise DecompositionError(
             f"adjacency between the classes of {cells[i].label} and "
             f"{cells[j].label} is not constant"
         )
-    dec = JoinDecomposition(
-        partition.relation, cells, h, _neighbor_weights(cells, h), source="graph"
-    )
-
-    if graph.order <= RECONSTRUCTION_LIMIT:
-        if not np.array_equal(blow_up(dec), adj):
-            raise DecompositionError("blow-up does not reproduce the adjacency matrix")
     return dec
-
-
-def _layout(pattern: np.ndarray, cell_of: np.ndarray) -> np.ndarray:
-    """Vertex-level adjacency of a join: entry (a, b) is
-    pattern[cell_of[a], cell_of[b]] off the diagonal, False on it."""
-    out = pattern[cell_of][:, cell_of]
-    np.fill_diagonal(out, False)
-    return out
 
 
 def blow_up(dec: JoinDecomposition) -> np.ndarray:
@@ -284,7 +268,10 @@ def blow_up(dec: JoinDecomposition) -> np.ndarray:
     Cells built from a graph carry their original vertex indices and the
     result is laid out on those; closed-form cells are laid out in cell
     order.  H fills the off-diagonal blocks and each cell's kind its own
-    block, with one gather per axis."""
+    block, with one gather per axis (columns first, so the rows come out
+    C-contiguous like the graph's adjacency); the diagonal is False.
+    `decompose` checks every graph-route result against its adjacency
+    this way."""
     m = dec.class_count
     pattern = dec.h_adjacency.copy()
     np.fill_diagonal(pattern, [c.kind == "complete" for c in dec.cells])
@@ -293,16 +280,13 @@ def blow_up(dec: JoinDecomposition) -> np.ndarray:
         in_cell_order = cell_of
         cell_of = np.empty_like(in_cell_order)
         cell_of[[i for c in dec.cells for i in c.members]] = in_cell_order
-    return _layout(pattern, cell_of)
+    out = pattern.take(cell_of, axis=1).take(cell_of, axis=0)
+    np.fill_diagonal(out, False)
+    return out
 
 
 def _cell_sizes(cells: list[Cell]) -> np.ndarray:
     return np.array([c.size for c in cells], dtype=np.int64)
-
-
-def _neighbor_weights(cells: list[Cell], h: np.ndarray) -> list[int]:
-    """N_i = sum of n_j over the H-neighbors j of cell i."""
-    return (h @ _cell_sizes(cells)).tolist()
 
 
 def _quotient_entries(dec: JoinDecomposition, diagonal, sign: float) -> np.ndarray:
@@ -416,20 +400,14 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     sizes, kills, labels = ring.class_table(CLOSED_CELL_CAP + 2)
     kills = kills[1:-1, 1:-1]
     cells = [
-        Cell(
-            size=size,
-            regularity=size - 1 if complete else 0,
-            kind="complete" if complete else "null",
-            label=label,
-            members=None,
-        )
+        Cell(size, "complete" if complete else "null", label, None)
         for size, complete, label in zip(
             sizes[1:-1].tolist(), np.diag(kills).tolist(), labels[1:-1]
         )
     ]
     h = kills | kills.T
     np.fill_diagonal(h, False)
-    return JoinDecomposition("associate", cells, h, _neighbor_weights(cells, h), source="closed")
+    return JoinDecomposition("associate", cells, h, source="closed")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ eigenvalue toolbox (duplicate lift, two-graph combination, shift lemma)."""
 import dataclasses
 import itertools
 import math
+import random
 import time
 import tracemalloc
 
@@ -167,6 +168,118 @@ def test_decompose_error_messages(blocks, message):
     bad = ClassPartition("associate", [VertexClass.make(m, kind) for m, kind in blocks])
     with pytest.raises(DecompositionError, match=message):
         decompose(build_zdg(Zn(8)), bad)
+
+
+def reference_decompose(g, partition):
+    """decompose by its definition, one block at a time: each cell's induced
+    block must be complete or edgeless (and match a claimed kind), then each
+    class pair must be all-or-nothing.  Returns (cells, H, N_i) with cells
+    as (size, kind, label, members)."""
+    adj = g.adjacency
+    classes = partition.classes
+    if sorted(i for c in classes for i in c.members) != list(range(g.order)):
+        raise DecompositionError("partition does not cover the vertex set exactly")
+    cells = []
+    for c in classes:
+        label = g.ring.label(g.vertices[c.representative])
+        n = len(c.members)
+        inner = adj[np.ix_(c.members, c.members)][~np.eye(n, dtype=bool)]
+        if inner.any() and not inner.all():
+            raise DecompositionError(
+                f"class of {label} induces neither a complete nor an edgeless subgraph"
+            )
+        observed = "complete" if inner.any() else "null"
+        if n > 1 and c.kind not in (None, observed):
+            raise DecompositionError(
+                f"claimed {c.kind} cell is actually {observed} (representative {label})"
+            )
+        cells.append((n, observed if n > 1 else c.kind or observed, label, list(c.members)))
+    m = len(classes)
+    h = np.zeros((m, m), dtype=bool)
+    for i, j in itertools.combinations(range(m), 2):
+        block = adj[np.ix_(classes[i].members, classes[j].members)]
+        if block.any() and not block.all():
+            raise DecompositionError(
+                f"adjacency between the classes of {cells[i][2]} and {cells[j][2]} is not constant"
+            )
+        h[i, j] = h[j, i] = block.all()
+    weights = [sum(cells[j][0] for j in range(m) if h[i, j]) for i in range(m)]
+    return cells, h, weights
+
+
+def bad_partitions(partition, rng):
+    """The partition itself, then one seeded edit of each sort: two classes
+    merged, one vertex moved, one claimed kind flipped, all kinds dropped."""
+    blocks = [(list(c.members), c.kind) for c in partition.classes]
+    yield blocks
+    if len(blocks) > 1:
+        i, j = sorted(rng.sample(range(len(blocks)), 2))
+        yield [b for k, b in enumerate(blocks) if k not in (i, j)] + [
+            (blocks[i][0] + blocks[j][0], blocks[i][1])
+        ]
+        movable = [k for k, (members, _) in enumerate(blocks) if len(members) > 1]
+        if movable:
+            i = rng.choice(movable)
+            j = rng.choice([k for k in range(len(blocks)) if k != i])
+            moved = [(list(members), kind) for members, kind in blocks]
+            moved[j][0].append(moved[i][0].pop(rng.randrange(len(moved[i][0]))))
+            yield moved
+    if blocks:
+        i = rng.randrange(len(blocks))
+        flip = {"complete": "null", "null": "complete", None: "complete"}[blocks[i][1]]
+        yield [(members, flip if k == i else kind) for k, (members, kind) in enumerate(blocks)]
+    yield [(members, None) for members, _ in blocks]
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [[f"Zn({n})" for n in range(8, 61)], ["M(2,GF(2))"], ["Zn(2)xZn(4)"], ["Zn(4620)"]],
+    ids=["Zn(8..60)", "M(2,GF(2))", "Zn(2)xZn(4)", "Zn(4620)"],
+)
+def test_decompose_equals_the_per_block_reference(specs):
+    """The blow-up check gives the reference's cells, H and N_i, or its
+    first error, on true and broken partitions; Zn(4620) has 3,659
+    vertices."""
+    rng = random.Random(12)
+    outcomes = set()
+    for spec in specs:
+        g = build_zdg(parse_ring_spec(spec))
+        for relation in ("associate", "neighborhood", "annihilator"):
+            for blocks in bad_partitions(classes_for(g, relation), rng):
+                classes = [VertexClass.make(m, k) for m, k in blocks]
+                partition = ClassPartition(relation, sorted(classes, key=lambda c: c.representative))
+                try:
+                    expected = reference_decompose(g, partition)
+                except DecompositionError as error:
+                    with pytest.raises(DecompositionError) as raised:
+                        decompose(g, partition)
+                    assert str(raised.value) == str(error), (spec, relation, blocks)
+                    kinds = ("neither", "claimed", "not constant")
+                    outcomes.add(next(k for k in kinds if k in str(error)))
+                    continue
+                dec = decompose(g, partition)
+                cells = [(c.size, c.kind, c.label, c.members) for c in dec.cells]
+                assert cells == expected[0], (spec, relation)
+                assert np.array_equal(dec.h_adjacency, expected[1]), (spec, relation)
+                assert dec.neighbor_weights == expected[2], (spec, relation)
+                outcomes.add("ok")
+    if len(specs) > 1:
+        assert outcomes == {"ok", "neither", "claimed", "not constant"}, outcomes
+
+
+@pytest.mark.parametrize("spec", ["Zn(720)", "Zn(4620)"])
+def test_decompose_peak_memory_is_one_adjacency(spec):
+    """The success path holds the blow-up and little else: no permuted copy
+    of the adjacency and no second layout."""
+    g = build_zdg(parse_ring_spec(spec))
+    partition = classes_for(g, "associate")
+    tracemalloc.start()
+    try:
+        decompose(g, partition)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * g.order**2, peak / g.order**2
 
 
 @pytest.mark.parametrize("spec", ["GF(4)", "Zn(7)"])
