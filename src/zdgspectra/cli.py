@@ -398,7 +398,6 @@ def _build_parser() -> _Parser:
                 default="associate",
             )
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--max-elements", type=int, default=None, help="enumeration cap override")
         p.add_argument("--max-vertices", type=int, default=None, help="graph size cap override")
 
@@ -412,6 +411,7 @@ def _build_parser() -> _Parser:
 
     p_spectrum = sub.add_parser("spectrum", help="assembled and/or brute-force spectra")
     common(p_spectrum)
+    p_spectrum.add_argument("--tol", type=float, default=1e-7)
     p_spectrum.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_spectrum.add_argument("--method", choices=("join", "brute", "both"), default="join")
     p_spectrum.set_defaults(handler=_run_spectrum)
@@ -430,6 +430,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="compare join spectra against the dense oracle")
     common(p_verify)
+    p_verify.add_argument("--tol", type=float, default=1e-7)
     p_verify.add_argument("--sweep", help='e.g. "Zn:6..200" or "M:2,GF(3)"')
     p_verify.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_verify.set_defaults(handler=_run_verify)

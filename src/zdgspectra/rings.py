@@ -609,36 +609,33 @@ class MatRing(Ring):
             cached = self._kills_table = dot == 0
         return cached
 
-    def _codes(self, xs):
-        """Row and column codes of the matrices xs: [a, i] is the code of
-        row i (column i) of xs[a]."""
+    def _right_kernels(self, xs):
+        """Right kernels and column codes of the matrices xs, vectors coded
+        as in `_kills`: ker[a, c] is set exactly when xs[a] v = 0 for the
+        vector v of code c, and cols[a, j] is the code of column j of xs[a]."""
         n = self.n
-        mats = np.array(xs, dtype=np.int64).reshape(len(xs), n, n)
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(xs))
+        mats = np.fromiter(flat, dtype=np.int64, count=len(xs) * n * n).reshape(len(xs), n, n)
         weights = self.field.q ** np.arange(n, dtype=np.int64)
-        return mats @ weights, weights @ mats
+        return self._kills()[mats @ weights].all(axis=1), weights @ mats
 
     def zero_products(self, xs):
-        """AB = 0 exactly when every row of A times every column of B is 0:
-        each of the n^2 (row i of A, column j of B) lookups is a gather
-        from the `_kills` table."""
-        kills = self._kills()
-        row_codes, col_codes = self._codes(xs)
-        out = np.ones((len(xs), len(xs)), dtype=bool)
-        for i in range(self.n):
-            rows = kills[row_codes[:, i]]
-            for j in range(self.n):
-                out &= rows[:, col_codes[:, j]]
+        """AB = 0 exactly when every column of B lies in the right kernel
+        of A: one gather of the right-kernel bitsets per column of B."""
+        ker, cols = self._right_kernels(xs)
+        out = ker[:, cols[:, 0]]
+        for j in range(1, self.n):
+            out &= ker[:, cols[:, j]]
         return out
 
     def associate_keys(self, xs):
         """B = UA for an invertible U exactly when B and A have one row
         space, that is one right kernel {v : Av = 0}; B = AV likewise for
-        the column space and the left kernel {v : v^T A = 0}.  The key is
-        the pair of kernels, as bitsets over F_q^n."""
-        kills = self._kills()
-        row_codes, col_codes = self._codes(xs)
-        right = kills[row_codes].all(axis=1)
-        left = kills.T[col_codes].all(axis=1)
+        the column space and the left kernel {v : v^T A = 0}, read off the
+        columns as the right kernel is off the rows.  The key is the pair
+        of kernels, as bitsets over F_q^n."""
+        right, cols = self._right_kernels(xs)
+        left = self._kills().T[cols].all(axis=1)
         return row_keys(np.concatenate([right, left], axis=1))
 
     def class_count(self):

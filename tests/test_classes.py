@@ -3,6 +3,7 @@
 import pytest
 
 from zdgspectra import classes
+from zdgspectra import graph as graph_module
 from zdgspectra.classes import (
     ClassPartition,
     RelationAgreementError,
@@ -185,7 +186,7 @@ def test_masked_and_raw_neighborhood_comparators_agree():
 
 def test_relation_agreement_battery():
     for spec in RING_BATTERY:
-        report = check_relation_agreements(parse_ring_spec(spec))
+        report = check_relation_agreements(build_zdg(parse_ring_spec(spec)))
         for check in report["checks"]:
             assert check["holds"], (spec, check)
 
@@ -197,7 +198,14 @@ def test_relation_check_reports_an_associate_class_across_annihilator_classes(mo
     merged = ClassPartition("associate", [VertexClass.make(range(build_zdg(ring).order), "null")])
     monkeypatch.setattr(classes, "classes_for", lambda *args: merged)
     with pytest.raises(RelationAgreementError, match="associate refines annihilator"):
-        check_relation_agreements(ring)
+        check_relation_agreements(build_zdg(ring))
+
+
+def test_relation_check_reads_the_callers_graph(monkeypatch):
+    # Zn(30) has 21 vertices: the check must not rebuild its graph under the default cap
+    monkeypatch.setattr(graph_module, "DEFAULT_VERTEX_CAP", 10)
+    report = check_relation_agreements(build_zdg(Zn(30), vertex_cap=100))
+    assert all(check["holds"] for check in report["checks"]), report
 
 
 def test_reduced_ring_collapses_neighborhood_to_annihilator():

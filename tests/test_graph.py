@@ -1,8 +1,10 @@
 """Zero-divisor graph construction, annihilators, degrees."""
 
+import numpy as np
 import pytest
 
 from zdgspectra import graph as graph_module
+from zdgspectra.classes import classes_for
 from zdgspectra.graph import (
     GraphCapError,
     annihilator_set,
@@ -162,3 +164,27 @@ def test_product_graph_matches_definition():
             i, j = g.index_of(a), g.index_of(b)
             assert bool(g.adjacency[i, j]) == joined
     assert len(els) == 8
+
+
+def test_matrix_graph_over_gf3_matches_element_arithmetic():
+    # M(3,GF(3)) has 8,450 vertices; _build leaves its 71 MB adjacency out
+    # of the graph cache
+    ring = MatRing(3, GF(3))
+    g = graph_module._build(ring)
+    mul, zero = ring.mul, ring.zero
+    assert g.order == 8450
+    assert g.loops.tolist() == [mul(a, a) == zero for a in g.vertices]
+    rng = np.random.default_rng(3)
+    edges = np.argwhere(g.adjacency)
+    i = rng.integers(g.order, size=1500)
+    j = (i + rng.integers(1, g.order, size=1500)) % g.order  # any pair with i != j
+    pairs = np.concatenate([edges[rng.choice(len(edges), size=1500)], np.stack([i, j], axis=1)])
+    for i, j in pairs.tolist():
+        a, b = g.vertices[i], g.vertices[j]
+        assert bool(g.adjacency[i, j]) == (mul(a, b) == zero or mul(b, a) == zero), (a, b)
+    spaces = {}
+    for i, a in enumerate(g.vertices):
+        spaces.setdefault((ring.row_space(a), ring.column_space(a)), []).append(i)
+    part = classes_for(g)
+    assert len(part.classes) == 338
+    assert part.index_sets() == {frozenset(members) for members in spaces.values()}

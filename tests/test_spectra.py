@@ -582,8 +582,7 @@ def test_verify_ring_partitions_the_graph_built_under_its_cap(monkeypatch):
 def test_every_relation_reads_one_graph_per_ring():
     ring = parse_ring_spec("M(2,GF(2))xZn(4)")
     graph_module._build_cached.cache_clear()
-    build_zdg(ring, vertex_cap=20000)
-    check_relation_agreements(ring)
+    check_relation_agreements(build_zdg(ring, vertex_cap=20000))
     for relation in ("associate", "neighborhood", "annihilator"):
         assert verify_ring(ring, relation, vertex_cap=6000).matched, relation
     assert graph_module._build_cached.cache_info().misses == 1
