@@ -192,7 +192,23 @@ def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPa
 
 
 def _commutative_hypothesis(ring):
-    """A unit u with (1-u)^2 != 0."""
+    """A unit u with (1-u)^2 != 0.  On a product it holds exactly when it
+    holds in some factor: the other components of u can be 1."""
+    if isinstance(ring, ProductRing):
+        return any(_commutative_hypothesis(f) for f in ring.factors)
+    return _scan_commutative_hypothesis(ring)
+
+
+def _noncommutative_hypothesis(ring):
+    """Units u, v with u + v = 1.  On a product it holds exactly when it
+    holds in every factor, as units and sums are componentwise."""
+    if isinstance(ring, ProductRing):
+        return all(_noncommutative_hypothesis(f) for f in ring.factors)
+    return _scan_noncommutative_hypothesis(ring)
+
+
+def _scan_commutative_hypothesis(ring):
+    """The commutative hypothesis by a scan over every unit of the ring."""
     one, zero = ring.one, ring.zero
     for u in ring.units(ring.cardinality):
         d = ring.sub(one, u)
@@ -201,8 +217,8 @@ def _commutative_hypothesis(ring):
     return False
 
 
-def _noncommutative_hypothesis(ring):
-    """Units u, v with u + v = 1."""
+def _scan_noncommutative_hypothesis(ring):
+    """The noncommutative hypothesis by a scan over every unit of the ring."""
     one = ring.one
     unit_set = set(ring.units(ring.cardinality))
     return any(ring.sub(one, u) in unit_set for u in unit_set)

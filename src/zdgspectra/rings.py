@@ -216,23 +216,27 @@ class Ring:
 
         In a finite ring every nonzero element is a unit or a (one-sided)
         zero divisor, so no annihilator search is needed here: `_split`
-        tells the units by the associate key of `one`.  Tests check the
-        definition directly.
+        tells the units by `_unit_mask`, from the element indices alone.
+        Tests check the definition directly.
         """
         els = self.elements(cap)  # checks the cap on every call
         if getattr(self, "_zero_divisors", None) is None:
             self._split(els)
         return self._zero_divisors
 
+    def _unit_mask(self) -> np.ndarray:
+        """Bool array aligned with `elements()`, set exactly at the units.
+        It is computed from the element indices and reads no payload."""
+        raise NotImplementedError
+
     def _split(self, els):
-        """Units and zero-divisors from one `associate_keys` call: the units
-        are the associate class of `one`, and every element outside the
-        classes of 0 and `one` is a zero-divisor."""
-        keys = self.associate_keys([*els, self.one])
-        unit = keys[:-1] == keys[-1]
-        zd = ~unit & (keys[:-1] != keys[0])  # els[0] is 0
-        self._units = [els[i] for i in np.flatnonzero(unit)]
-        self._zero_divisors = [els[i] for i in np.flatnonzero(zd)]
+        """Units and zero-divisors from `_unit_mask`: every element that is
+        neither a unit nor els[0] = 0 is a zero-divisor."""
+        unit = self._unit_mask()
+        zd = ~unit
+        zd[0] = False
+        self._units = list(itertools.compress(els, unit.tolist()))
+        self._zero_divisors = list(itertools.compress(els, zd.tolist()))
 
 
 class Zn(Ring):
@@ -299,6 +303,9 @@ class Zn(Ring):
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1
+
+    def _unit_mask(self):
+        return np.gcd(np.arange(self.n, dtype=np.int64), self.n) == 1
 
     def label(self, a):
         return str(a)
@@ -435,6 +442,9 @@ class GF(Ring):
 
     def is_unit(self, a):
         return a != 0
+
+    def _unit_mask(self):
+        return np.arange(self.q) != 0
 
     def label(self, a):
         if self.k == 1:
@@ -705,17 +715,26 @@ class MatRing(Ring):
     def is_unit(self, a):
         return self.det(a) != 0
 
+    def _unit_mask(self):
+        """A matrix is a unit exactly when its right kernel is {0}.  Element
+        i lists the n^2 entries row by row as the base-q digits of i, most
+        significant first; each row's digits give its code as in `_kills`,
+        and the kernel is the AND of the `_kills` rows of those codes."""
+        n, q = self.n, self.field.q
+        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        entries = np.arange(q ** (n * n), dtype=np.int64)[:, None] // place % q
+        codes = entries.reshape(-1, n, n) @ q ** np.arange(n, dtype=np.int64)  # [i, row]
+        return ~self._kills()[codes, 1:].all(axis=1).any(axis=1)
+
     def label(self, a):
         F = self.field
         rows = ",".join("[" + ",".join(F.label(x) for x in row) + "]" for row in a)
         return "[" + rows + "]"
 
     def _enumerate(self):
-        n, elems = self.n, list(range(self.field.q))
-        out = []
-        for flat in itertools.product(elems, repeat=n * n):
-            out.append(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
-        return out
+        # lexicographic on the rows, so on the flat row-major entries too
+        rows = list(itertools.product(range(self.field.q), repeat=self.n))
+        return list(itertools.product(rows, repeat=self.n))
 
 
 def _product_table(tables):
@@ -776,11 +795,17 @@ class ProductRing(Ring):
 
     def zero_products(self, xs):
         """A product is 0 exactly when it is 0 in every component: the AND
-        of each factor's table on the distinct values of that component."""
-        out = np.ones((len(xs), len(xs)), dtype=bool)
+        of each factor's table on the distinct values of that component,
+        expanded with one gather per axis (columns first, as in
+        `spectra.blow_up`)."""
+        out = None
         for k, f in enumerate(self.factors):
             values, idx = _component(xs, k)
-            out &= f.zero_products(values)[idx][:, idx]
+            table = f.zero_products(values).take(idx, axis=1).take(idx, axis=0)
+            if out is None:
+                out = table
+            else:
+                out &= table
         return out
 
     def associate_keys(self, xs):
@@ -810,6 +835,13 @@ class ProductRing(Ring):
 
     def is_unit(self, a):
         return all(f.is_unit(x) for f, x in zip(self.factors, a))
+
+    def _unit_mask(self):
+        # a unit in every component; C order is the order of itertools.product
+        mask = np.ones((), dtype=bool)
+        for f in self.factors:
+            mask = np.logical_and.outer(mask, f._unit_mask())
+        return mask.ravel()
 
     def label(self, a):
         return "(" + ",".join(f.label(x) for f, x in zip(self.factors, a)) + ")"

@@ -6,6 +6,12 @@ import tracemalloc
 
 import pytest
 
+from zdgspectra.classes import (
+    _commutative_hypothesis,
+    _noncommutative_hypothesis,
+    _scan_commutative_hypothesis,
+    _scan_noncommutative_hypothesis,
+)
 from zdgspectra.rings import (
     GF,
     MatRing,
@@ -320,3 +326,34 @@ def test_cached_splits_check_the_cap():
         ring.zero_divisors(10)
     with pytest.raises(EnumerationCapError):
         ring.units(10)
+
+
+# `_unit_mask` computes the units from element indices alone, so it relies on
+# elements() being the sorted payloads; these rings cover every ring class
+SPLIT_RINGS = [
+    "M(3,GF(2))",
+    "M(2,GF(4))",
+    "M(2,GF(8))",
+    "M(2,GF(3))xZn(4)",
+    "M(2,GF(2))xGF(9)",
+    "Zn(2)xZn(2)xZn(2)xZn(2)xZn(2)",
+]
+SPLIT_PRODUCTS = [spec for spec in SPLIT_RINGS if "x" in spec] + ["M(2,GF(2))xZn(3)"]
+
+
+@pytest.mark.parametrize("spec", SPLIT_RINGS)
+def test_units_and_zero_divisors_align_with_sorted_elements(spec):
+    ring = parse_ring_spec(spec)
+    els = ring.elements()
+    assert len(els) == ring.cardinality
+    assert els[0] == ring.zero
+    assert all(a < b for a, b in zip(els, els[1:]))
+    assert ring.units() == [a for a in els if ring.is_unit(a)]
+    assert ring.zero_divisors() == [a for a in els if a != ring.zero and not ring.is_unit(a)]
+
+
+@pytest.mark.parametrize("spec", SPLIT_PRODUCTS)
+def test_product_hypotheses_read_the_factors(spec):
+    ring = parse_ring_spec(spec)
+    assert _commutative_hypothesis(ring) == _scan_commutative_hypothesis(ring)
+    assert _noncommutative_hypothesis(ring) == _scan_noncommutative_hypothesis(ring)
