@@ -11,12 +11,17 @@ from math import prod
 from . import numth
 
 
+def _check_q(q: int) -> None:
+    """Every formula here counts over a field of q >= 2 elements."""
+    if q < 2:
+        raise ValueError("q must be at least 2")
+
+
 class QBinomTable:
     """Memo of Gaussian binomial coefficients at a fixed q."""
 
     def __init__(self, q: int):
-        if q < 2:
-            raise ValueError("q must be at least 2")
+        _check_q(q)
         self.q = q
         self._memo: dict[tuple[int, int], int] = {}
 
@@ -55,12 +60,14 @@ def q_binomial(n: int, r: int, q: int) -> int:
 
 def gl_order(n: int, q: int) -> int:
     """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i)."""
+    _check_q(q)
     return prod(q**n - q**i for i in range(n))
 
 
 def rank_count(n: int, m: int, r: int, q: int) -> int:
     """Number of n x m matrices over F_q of rank exactly r:
     prod_{j=0}^{r-1} (q^n - q^j)(q^m - q^j) / (q^r - q^j), exact."""
+    _check_q(q)
     if r < 0 or r > min(n, m):
         return 0
     num = 1
@@ -93,6 +100,8 @@ def class_count_matrix(n: int, q: int) -> int:
 def idempotent_count(n: int, q: int) -> int:
     """Nonzero non-identity idempotents in M_n(F_q):
     sum_{r=0}^{n} q^{r(n-r)} (n choose r)_q minus the two trivial ones."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return sum(q ** (r * (n - r)) * q_binomial(n, r, q) for r in range(n + 1)) - 2
 
 

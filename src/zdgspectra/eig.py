@@ -8,19 +8,21 @@ matrix goes to LAPACK as the caller's own array, with no copy; eigvalsh
 never writes to its input.  Only a matrix asymmetric within SYMMETRY_TOL
 is symmetrised into a new array.
 
-`jacobi_eigen` and `jacobi_eigen_system` are a pure-Python cyclic Jacobi
-solver for the small matrices of the combination and shift identities,
-and the independent cross-check of the LAPACK quotient solves in the
-tests.  Jacobi rotates a copy of its input in place, with a fixed
-row-cyclic rotation order.  Convergence is declared when the off-diagonal
-Frobenius norm falls to 1e-10 * (1 + ||M||_F); at most 100 full sweeps
-are attempted and a non-converged run raises with the residual attached.
+`jacobi_eigen_system` is a pure-Python cyclic Jacobi solver for the small
+matrices of the combination and shift identities, and the independent
+cross-check of the LAPACK quotient solves in the tests; `jacobi_eigen`
+returns its eigenvalues as a list.  Jacobi rotates a copy of its input in
+place, with a fixed row-cyclic rotation order, and accumulates the
+rotations into the eigenvectors.  Convergence is declared when the
+off-diagonal Frobenius norm falls to 1e-10 * (1 + ||M||_F); at most 100
+full sweeps are attempted and a non-converged run raises with the
+residual attached.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from ._jacobi_py import jacobi_sweeps as _jacobi_sweeps
+import numpy as np
 
 # the solver behind both pipeline routes, reported by the benchmark
 BACKEND = "lapack"
@@ -28,8 +30,6 @@ BACKEND = "lapack"
 SYMMETRY_TOL = 1e-12
 OFF_TOL_FACTOR = 1e-10
 MAX_SWEEPS = 100
-
-_EMPTY = np.zeros((1, 1))
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -61,36 +61,73 @@ def _prepare(m):
     return (a + a.T) / 2.0
 
 
-def _solve(m, with_vectors, max_sweeps):
-    a = np.array(_prepare(m), order="C")  # rotated in place: our own copy
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    off_tol = OFF_TOL_FACTOR * (1.0 + float(np.sqrt((a * a).sum())))
-    v = np.eye(n) if with_vectors else _EMPTY
-    sweeps, off = _jacobi_sweeps(a, v, off_tol, max_sweeps, with_vectors)
-    if off > off_tol:
-        raise JacobiConvergenceError(off, off_tol, sweeps)
-    vals = np.diagonal(a).copy()
-    order = np.argsort(vals, kind="stable")
-    if with_vectors:
-        return vals[order], v[:, order]
-    return vals[order], None
-
-
 def dense_eigenvalues(m) -> list[float]:
     """Eigenvalues of a symmetric matrix, ascending, from LAPACK (eigvalsh),
     which reads the matrix without writing to it."""
-    return [float(x) for x in np.linalg.eigvalsh(_prepare(m))]
+    return np.linalg.eigvalsh(_prepare(m)).tolist()
+
+
+def _off_norm(a):
+    # sum the off-diagonal squares directly: sum(a*a) - sum(diag^2) cancels
+    # catastrophically once the off-diagonal part is small next to the diagonal
+    off = a[~np.eye(a.shape[0], dtype=bool)]
+    return math.sqrt(float(np.dot(off, off)))
 
 
 def jacobi_eigen(m, max_sweeps: int = MAX_SWEEPS) -> list[float]:
     """Eigenvalues of a symmetric matrix, ascending, as a plain list."""
-    vals, _ = _solve(m, False, max_sweeps)
-    return [float(x) for x in vals]
+    return jacobi_eigen_system(m, max_sweeps)[0].tolist()
 
 
 def jacobi_eigen_system(m, max_sweeps: int = MAX_SWEEPS):
-    """(eigenvalues, eigenvectors): ascending values, orthonormal columns."""
-    vals, vecs = _solve(m, True, max_sweeps)
-    return vals, vecs
+    """(eigenvalues, eigenvectors): ascending values, orthonormal columns.
+
+    Runs full row-cyclic sweeps of (p, q) rotations on a copy of m until
+    the off-diagonal Frobenius norm drops to the threshold, accumulating
+    the rotations into the eigenvector matrix."""
+    a = np.array(_prepare(m))  # rotated in place: our own copy
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    off_tol = OFF_TOL_FACTOR * (1.0 + float(np.sqrt((a * a).sum())))
+    v = np.eye(n)
+    sweeps = 0
+    while (off := _off_norm(a)) > off_tol:
+        if sweeps >= max_sweeps:
+            raise JacobiConvergenceError(off, off_tol, sweeps)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                # when the pivot is negligible next to the diagonal gap the
+                # angle is apq/diff to machine precision; this branch also
+                # keeps tau*tau below overflow in the general formula
+                if abs(diff) + 100.0 * abs(apq) == abs(diff):
+                    t = apq / diff
+                else:
+                    tau = diff / (2.0 * apq)
+                    if tau >= 0.0:
+                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                    else:
+                        t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                # A <- J^T A J for the (p, q) rotation J, and V <- V J
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+        sweeps += 1
+    vals = np.diagonal(a)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], v[:, order]

@@ -121,7 +121,7 @@ def degree_zn(n: int, d: int) -> int:
     Sums the sizes phi(n/d') of the divisor classes annihilating d and
     drops the self term when n | d^2.
     """
-    if n % d != 0 or d <= 1 or d >= n:
+    if not 1 < d < n or n % d != 0:
         raise RingError(f"{d} is not a nontrivial divisor of {n}")
     total = 0
     for dd in numth.nontrivial_divisors(n):

@@ -10,10 +10,11 @@ and the eigenvalues of two small quotient matrices:
     C_N[i][i] = N_i             C_N[i][j] = -sqrt(n_i n_j) on H-edges
 
 with n_i the cell size, r_i its inner regularity (`Cell.regularity`)
-and N_i the total size of its H-neighborhood (`JoinDecomposition`).  A
-complete cell contributes -1 (adjacency) and N_i + n_i (Laplacian), each
-n_i - 1 times; a null cell contributes 0 and N_i.  Everything is
-verified against a dense eigensolver oracle.
+and N_i the total size of its H-neighborhood (`JoinDecomposition`);
+`quotient_adjacency` and `quotient_laplacian` return them as m x m
+arrays.  A complete cell contributes -1 (adjacency) and N_i + n_i
+(Laplacian), each n_i - 1 times; a null cell contributes 0 and N_i.
+Everything is verified against a dense eigensolver oracle.
 
 A decomposition comes from one of two routes.  The graph route enumerates
 the ring, builds Gamma(R), partitions it and checks the join structure:
@@ -30,8 +31,9 @@ the whole graph, so the two share no matrix.  The oracle's spectrum is
 kept on its graph, one per flavor, and `build_zdg` keeps one graph per
 ring whatever the caps, so every caller that checks a ring (each relation
 of `verify_ring`, `zdg spectrum --method both`) partitions that graph and
-pays for the order-|V| solve once.  The pure-Python Jacobi solver serves
-the combination and shift identities.
+pays for the order-|V| solve once.  The pure-Python Jacobi solver of
+`eig` (`jacobi_eigen`, `jacobi_eigen_system`) serves the combination and
+shift identities.
 
 A spectrum is stored as runs of (value, multiplicity, provenance): one
 run per cell of two or more vertices and one per quotient eigenvalue,
@@ -95,7 +97,6 @@ class JoinDecomposition:
     relation: str
     cells: list[Cell]
     h_adjacency: np.ndarray  # boolean, symmetric, no self-loops
-    source: str  # 'graph' | 'closed'
     neighbor_weights: list[int] = field(init=False)  # N_i = sum of n_j over H-neighbors
 
     def __post_init__(self):
@@ -108,16 +109,6 @@ class JoinDecomposition:
     @property
     def order(self) -> int:
         return sum(c.size for c in self.cells)
-
-
-@dataclass
-class QuotientMatrix:
-    flavor: str  # 'adjacency' | 'laplacian'
-    entries: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass
@@ -233,7 +224,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
         kind = observed if multi[i] else c.kind or observed
         label = graph.ring.label(graph.vertices[c.representative])
         cells.append(Cell(len(c.members), kind, label, list(c.members)))
-    dec = JoinDecomposition(partition.relation, cells, h, source="graph")
+    dec = JoinDecomposition(partition.relation, cells, h)
 
     mismatch = blow_up(dec)
     mismatch ^= adj
@@ -304,13 +295,13 @@ def _quotient_entries(dec: JoinDecomposition, diagonal, sign: float) -> np.ndarr
     return c
 
 
-def quotient_adjacency(dec: JoinDecomposition) -> QuotientMatrix:
+def quotient_adjacency(dec: JoinDecomposition) -> np.ndarray:
     regularity = [c.regularity for c in dec.cells]
-    return QuotientMatrix("adjacency", _quotient_entries(dec, regularity, 1.0))
+    return _quotient_entries(dec, regularity, 1.0)
 
 
-def quotient_laplacian(dec: JoinDecomposition) -> QuotientMatrix:
-    return QuotientMatrix("laplacian", _quotient_entries(dec, dec.neighbor_weights, -1.0))
+def quotient_laplacian(dec: JoinDecomposition) -> np.ndarray:
+    return _quotient_entries(dec, dec.neighbor_weights, -1.0)
 
 
 def _assemble(dec: JoinDecomposition, inherited: list[float], quotient) -> SpectrumMultiset:
@@ -324,7 +315,7 @@ def _assemble(dec: JoinDecomposition, inherited: list[float], quotient) -> Spect
         if cell.size > 1
     ]
     if dec.class_count:
-        runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient(dec).entries)]
+        runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient(dec))]
     runs.sort(key=lambda run: run[0])
     spectrum = SpectrumMultiset(runs)
     assert len(spectrum) == dec.order
@@ -407,7 +398,7 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     ]
     h = kills | kills.T
     np.fill_diagonal(h, False)
-    return JoinDecomposition("associate", cells, h, source="closed")
+    return JoinDecomposition("associate", cells, h)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,15 @@ def test_exit_code_missing_count_arg():
     assert "error:" in err
 
 
+def test_degree_zn_zero_divisor_is_an_input_error():
+    # d = 0 must be refused before n % d is taken
+    code, out, err = run_cli(["counts", "--what", "degree-zn", "--n", "5", "--d", "0"])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.strip() == "error: RingError: 0 is not a nontrivial divisor of 5"
+
+
 def test_exit_code_verification_mismatch():
     # a negative tolerance can never be met, so verify reports a mismatch
     code, out, _ = run_inproc(["verify", "--ring", "Zn(36)", "--tol", "-1"])

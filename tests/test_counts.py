@@ -231,6 +231,26 @@ def test_qbinom_table_memoizes():
         QBinomTable(1)
 
 
+def test_rank_count_rejects_q_below_two():
+    # at q = 1 the denominator q^r - q^j is zero
+    with pytest.raises(ValueError, match="q must be at least 2"):
+        rank_count(2, 2, 1, 1)
+
+
+def test_gl_order_rejects_q_below_two():
+    # at q = 1 the product would be an order of 0
+    with pytest.raises(ValueError, match="q must be at least 2"):
+        gl_order(1, 1)
+
+
+def test_idempotent_count_rejects_n_below_one():
+    # at n = 0 and n = -3 the formula would give -1 and -2
+    assert idempotent_count(1, 2) == 0
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            idempotent_count(n, 2)
+
+
 def test_consistency_class_sizes_cover_rank_counts():
     # summing |class| over all (row space, column space) pairs of rank r
     # must recover the number of rank-r matrices

@@ -79,9 +79,9 @@ def test_zn8_decomposition_and_quotients():
         (1, "complete", 0),
     ]
     assert dec.neighbor_weights == [1, 2]
-    ca = quotient_adjacency(dec).entries
+    ca = quotient_adjacency(dec)
     assert ca == pytest.approx(np.array([[0, math.sqrt(2)], [math.sqrt(2), 0]]))
-    cn = quotient_laplacian(dec).entries
+    cn = quotient_laplacian(dec)
     assert cn == pytest.approx(np.array([[1, -math.sqrt(2)], [-math.sqrt(2), 2]]))
     # C_N of a connected join always has eigenvalue 0; here the other is 3
     import numpy.linalg as la
@@ -689,7 +689,7 @@ def per_vertex_reference(dec, flavor):
         pairs.extend((inherited, "cell-inherited") for _ in range(cell.size - 1))
     quotient = quotient_adjacency if flavor == "adjacency" else quotient_laplacian
     if dec.class_count:
-        pairs.extend((v, "quotient") for v in dense_eigenvalues(quotient(dec).entries))
+        pairs.extend((v, "quotient") for v in dense_eigenvalues(quotient(dec)))
     return SpectrumMultiset.from_pairs(pairs)
 
 
@@ -718,7 +718,7 @@ def test_quotient_runs_match_jacobi():
     for dec in run_form_decompositions():
         for flavor, quotient in (("adjacency", quotient_adjacency), ("laplacian", quotient_laplacian)):
             ours = [v for v, _, tag in assemble_spectrum(dec, flavor).runs if tag == "quotient"]
-            ref = jacobi_eigen(quotient(dec).entries)
+            ref = jacobi_eigen(quotient(dec))
             assert ours == pytest.approx(ref, rel=0.0, abs=1e-9), (dec.cells[0].label, flavor)
 
 
@@ -763,7 +763,7 @@ def test_quotients_equal_loop_formula_bit_for_bit():
         assert dec.neighbor_weights == weights
         for flavor, quotient in (("adjacency", quotient_adjacency), ("laplacian", quotient_laplacian)):
             # compare bit patterns, so that -0.0 against 0.0 counts too
-            ours = quotient(dec).entries.view(np.uint64)
+            ours = quotient(dec).view(np.uint64)
             assert np.array_equal(ours, quotient_by_loops(dec, flavor).view(np.uint64)), flavor
 
 
