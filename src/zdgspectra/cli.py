@@ -57,16 +57,26 @@ def _g12(x) -> str:
     return format(float(x), ".12g")
 
 
+def _cap(text: str) -> int:
+    """An element or vertex cap: an integer, 0 or more.  A negative cap
+    would refuse every ring, so that `verify` checks nothing and passes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be 0 or more, got {value}")
+    return value
+
+
 def _element_cap(args) -> int | None:
     if args.max_elements is not None:
         return args.max_elements
     env = os.environ.get("ZDG_MAX_ELEMENTS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"ZDG_MAX_ELEMENTS is not an integer: {env!r}")
-    return None
+    try:
+        return None if env is None else _cap(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"ZDG_MAX_ELEMENTS: {exc}") from None
 
 
 def _flavors(args) -> list[str]:
@@ -398,8 +408,8 @@ def _build_parser() -> _Parser:
                 default="associate",
             )
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--max-elements", type=int, default=None, help="enumeration cap override")
-        p.add_argument("--max-vertices", type=int, default=None, help="graph size cap override")
+        p.add_argument("--max-elements", type=_cap, default=None, help="enumeration cap override")
+        p.add_argument("--max-vertices", type=_cap, default=None, help="graph size cap override")
 
     p_classes = sub.add_parser("classes", help="vertex classes under a relation")
     common(p_classes)

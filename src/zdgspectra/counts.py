@@ -108,6 +108,9 @@ def idempotent_count(n: int, q: int) -> int:
 def nilpotent2_count(n: int, q: int) -> int:
     """Matrices A != 0 in M_n(F_q) with A^2 = 0: the column space must sit
     inside the kernel, forcing rank r <= n - r."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    _check_q(q)
     return sum(
         q_binomial(n, r, q) * q_binomial(n - r, r, q) * class_size_matrix(r, q)
         for r in range(1, n // 2 + 1)

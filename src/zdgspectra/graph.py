@@ -138,6 +138,8 @@ def degree_matring(n: int, q: int, r: int, squares_to_zero: bool) -> int:
     2*q^(n(n-r)) - q^((n-r)^2) - 1, and one less when the matrix squares
     to zero (it then sits inside its own annihilator).
     """
+    if q < 2:
+        raise ValueError("q must be at least 2")
     if not 1 <= r <= n - 1:
         raise RingError("rank must be between 1 and n-1 for a zero-divisor matrix")
     val = 2 * q ** (n * (n - r)) - q ** ((n - r) ** 2) - 1

@@ -9,18 +9,20 @@ and the eigenvalues of two small quotient matrices:
     C_A[i][i] = r_i             C_A[i][j] = +sqrt(n_i n_j) on H-edges
     C_N[i][i] = N_i             C_N[i][j] = -sqrt(n_i n_j) on H-edges
 
-with n_i the cell size, r_i its inner regularity (`Cell.regularity`)
-and N_i the total size of its H-neighborhood (`JoinDecomposition`);
+with n_i the cell size, r_i its inner regularity (n_i - 1 if complete,
+else 0) and N_i the total size of its H-neighborhood (`neighbor_weights`);
 `quotient_adjacency` and `quotient_laplacian` return them as m x m
 arrays.  A complete cell contributes -1 (adjacency) and N_i + n_i
 (Laplacian), each n_i - 1 times; a null cell contributes 0 and N_i.
 Everything is verified against a dense eigensolver oracle.
 
-A decomposition comes from one of two routes.  The graph route enumerates
-the ring, builds Gamma(R), partitions it and checks the join structure:
-`decompose` compares the blow-up of its result with the adjacency matrix
-entry for entry, at every graph size.  The closed route reads the cells
-and H off the ring's associate-class table (`Ring.class_table`),
+A decomposition holds its cells as aligned arrays and comes from one of
+two routes, which both hand `JoinDecomposition` a bool class table.  The
+graph route enumerates the ring, builds Gamma(R), partitions it and
+checks the join structure: `decompose` reads the table off the class
+representatives and compares the blow-up of its result with the
+adjacency matrix entry for entry, at every graph size.  The closed route
+reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
 the CRT product of its Z_{p^a} tables, under one cap on the class count
 (CLOSED_CELL_CAP).
@@ -44,7 +46,7 @@ caller reads `values` or `provenance`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -79,36 +81,34 @@ class ShiftLemmaError(Exception):
     pass
 
 
-@dataclass
-class Cell:
-    size: int  # n_i
-    kind: str  # 'complete' | 'null'
-    label: str
-    members: list[int] | None  # original vertex indices; None on closed routes
-
-    @property
-    def regularity(self) -> int:
-        """r_i: size-1 for complete cells, 0 for null cells."""
-        return self.size - 1 if self.kind == "complete" else 0
-
-
-@dataclass
+@dataclass(eq=False)
 class JoinDecomposition:
-    relation: str
-    cells: list[Cell]
-    h_adjacency: np.ndarray  # boolean, symmetric, no self-loops
-    neighbor_weights: list[int] = field(init=False)  # N_i = sum of n_j over H-neighbors
+    """Gamma(R) as a generalized join over H, built by both routes from a
+    symmetric bool m x m class table: its diagonal marks the complete
+    cells and its off-diagonal part is H.  `cell_of` is None on the closed
+    route, which lays the vertices out in cell order."""
 
-    def __post_init__(self):
-        self.neighbor_weights = (self.h_adjacency @ _cell_sizes(self.cells)).tolist()
+    relation: str
+    sizes: np.ndarray  # int64, n_i
+    table: InitVar[np.ndarray]
+    labels: list[str]
+    cell_of: np.ndarray | None = None  # intp, the cell of each vertex
+    complete: np.ndarray = field(init=False)  # bool, one per cell
+    h_adjacency: np.ndarray = field(init=False)  # symmetric, no self-loops
+    neighbor_weights: np.ndarray = field(init=False)  # int64, N_i = sum of n_j over H-neighbors
+
+    def __post_init__(self, table):
+        self.complete = table.diagonal().copy()
+        self.h_adjacency = table & ~np.eye(len(self.sizes), dtype=bool)
+        self.neighbor_weights = self.h_adjacency @ self.sizes
 
     @property
     def class_count(self) -> int:
-        return len(self.cells)
+        return len(self.sizes)
 
     @property
     def order(self) -> int:
-        return sum(c.size for c in self.cells)
+        return int(self.sizes.sum())
 
 
 @dataclass
@@ -208,23 +208,21 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
         raise DecompositionError("partition does not cover the vertex set exactly")
 
     m = len(classes)
-    sizes = np.array([len(c.members) for c in classes], dtype=np.intp)
+    sizes = np.array([len(c.members) for c in classes], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     reps = order[starts]
-    h = adj[reps[:, None], reps]
-    complete = np.zeros(m, dtype=bool)
+    table = adj[reps[:, None], reps]
+    # a cell of two or more vertices is complete when its representative
+    # meets its second member; singletons are both complete and edgeless,
+    # so they keep the claimed kind, which does not affect assembly
+    complete = np.array([c.kind == "complete" for c in classes], dtype=bool)
     multi = sizes > 1
     complete[multi] = adj[reps[multi], order[starts[multi] + 1]]
-
-    cells = []
-    for i, c in enumerate(classes):
-        observed = "complete" if complete[i] else "null"
-        # singletons are both complete and edgeless; keep the claimed kind
-        # when the partition supplies one, it does not affect assembly
-        kind = observed if multi[i] else c.kind or observed
-        label = graph.ring.label(graph.vertices[c.representative])
-        cells.append(Cell(len(c.members), kind, label, list(c.members)))
-    dec = JoinDecomposition(partition.relation, cells, h)
+    np.fill_diagonal(table, complete)
+    cell_of = np.empty(graph.order, dtype=np.intp)
+    cell_of[order] = np.repeat(np.arange(m), sizes)
+    labels = [graph.ring.label(graph.vertices[c.representative]) for c in classes]
+    dec = JoinDecomposition(partition.relation, sizes, table, labels, cell_of)
 
     mismatch = blow_up(dec)
     mismatch ^= adj
@@ -235,20 +233,21 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
             starts,
             axis=1,
         )
-    for c, cell, bad_cell in zip(classes, cells, bad.diagonal()):
+    for c, label, is_complete, bad_cell in zip(classes, labels, complete, bad.diagonal()):
+        kind = "complete" if is_complete else "null"
         if bad_cell:
             raise DecompositionError(
-                f"class of {cell.label} induces neither a complete nor an edgeless subgraph"
+                f"class of {label} induces neither a complete nor an edgeless subgraph"
             )
-        if cell.size > 1 and c.kind not in (None, cell.kind):
+        if len(c.members) > 1 and c.kind not in (None, kind):
             raise DecompositionError(
-                f"claimed {c.kind} cell is actually {cell.kind} (representative {cell.label})"
+                f"claimed {c.kind} cell is actually {kind} (representative {label})"
             )
     if bad.any():
         i, j = np.argwhere(np.triu(bad, 1))[0]
         raise DecompositionError(
-            f"adjacency between the classes of {cells[i].label} and "
-            f"{cells[j].label} is not constant"
+            f"adjacency between the classes of {labels[i]} and "
+            f"{labels[j]} is not constant"
         )
     return dec
 
@@ -256,28 +255,20 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
 def blow_up(dec: JoinDecomposition) -> np.ndarray:
     """Reconstruct the full adjacency matrix from the decomposition.
 
-    Cells built from a graph carry their original vertex indices and the
-    result is laid out on those; closed-form cells are laid out in cell
-    order.  H fills the off-diagonal blocks and each cell's kind its own
-    block, with one gather per axis (columns first, so the rows come out
-    C-contiguous like the graph's adjacency); the diagonal is False.
-    `decompose` checks every graph-route result against its adjacency
-    this way."""
-    m = dec.class_count
+    The result is laid out on the graph's vertices through `cell_of`, or
+    in cell order when that is None (the closed route).  H fills the
+    off-diagonal blocks and `complete` each cell's own block, with one
+    gather per axis (columns first, so the rows come out C-contiguous like
+    the graph's adjacency); the diagonal is False.  `decompose` checks
+    every graph-route result against its adjacency this way."""
+    cell_of = dec.cell_of
+    if cell_of is None:
+        cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)
     pattern = dec.h_adjacency.copy()
-    np.fill_diagonal(pattern, [c.kind == "complete" for c in dec.cells])
-    cell_of = np.repeat(np.arange(m), _cell_sizes(dec.cells))  # in cell order
-    if dec.cells and all(c.members is not None for c in dec.cells):
-        in_cell_order = cell_of
-        cell_of = np.empty_like(in_cell_order)
-        cell_of[[i for c in dec.cells for i in c.members]] = in_cell_order
+    np.fill_diagonal(pattern, dec.complete)
     out = pattern.take(cell_of, axis=1).take(cell_of, axis=0)
     np.fill_diagonal(out, False)
     return out
-
-
-def _cell_sizes(cells: list[Cell]) -> np.ndarray:
-    return np.array([c.size for c in cells], dtype=np.int64)
 
 
 def _quotient_entries(dec: JoinDecomposition, diagonal, sign: float) -> np.ndarray:
@@ -287,16 +278,15 @@ def _quotient_entries(dec: JoinDecomposition, diagonal, sign: float) -> np.ndarr
     sqrt are correctly rounded, so every entry equals math.sqrt of the
     Python integer product bit for bit."""
     m = dec.class_count
-    sizes = _cell_sizes(dec.cells)
     i, j = np.nonzero(dec.h_adjacency)
     c = np.zeros((m, m))
-    c[i, j] = sign * np.sqrt(sizes[i] * sizes[j])
+    c[i, j] = sign * np.sqrt(dec.sizes[i] * dec.sizes[j])
     np.fill_diagonal(c, diagonal)
     return c
 
 
 def quotient_adjacency(dec: JoinDecomposition) -> np.ndarray:
-    regularity = [c.regularity for c in dec.cells]
+    regularity = np.where(dec.complete, dec.sizes - 1, 0)  # r_i
     return _quotient_entries(dec, regularity, 1.0)
 
 
@@ -304,15 +294,15 @@ def quotient_laplacian(dec: JoinDecomposition) -> np.ndarray:
     return _quotient_entries(dec, dec.neighbor_weights, -1.0)
 
 
-def _assemble(dec: JoinDecomposition, inherited: list[float], quotient) -> SpectrumMultiset:
+def _assemble(dec: JoinDecomposition, inherited: np.ndarray, quotient) -> SpectrumMultiset:
     """One run per cell (its inherited value, n_i - 1 times; singletons
     give none) and one per eigenvalue of the quotient matrix.  The stable
     sort keeps the cell runs ahead of equal quotient values, which is the
     tie order that sorting the per-vertex values gives."""
+    multi = dec.sizes > 1
     runs = [
-        (value, cell.size - 1, "cell-inherited")
-        for value, cell in zip(inherited, dec.cells)
-        if cell.size > 1
+        (value, k, "cell-inherited")
+        for value, k in zip(inherited[multi].tolist(), (dec.sizes[multi] - 1).tolist())
     ]
     if dec.class_count:
         runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient(dec))]
@@ -325,17 +315,14 @@ def _assemble(dec: JoinDecomposition, inherited: list[float], quotient) -> Spect
 def assemble_adjacency_spectrum(dec: JoinDecomposition) -> SpectrumMultiset:
     """Cell-inherited values (-1 per complete cell, 0 per null cell, each
     n_i - 1 times) together with the eigenvalues of C_A."""
-    inherited = [-1.0 if cell.kind == "complete" else 0.0 for cell in dec.cells]
-    return _assemble(dec, inherited, quotient_adjacency)
+    return _assemble(dec, np.where(dec.complete, -1.0, 0.0), quotient_adjacency)
 
 
 def assemble_laplacian_spectrum(dec: JoinDecomposition) -> SpectrumMultiset:
     """Cell-inherited values (N_i + n_i per complete cell, N_i per null
     cell, each n_i - 1 times) together with the eigenvalues of C_N."""
-    inherited = [
-        float(big_n + cell.size) if cell.kind == "complete" else float(big_n)
-        for cell, big_n in zip(dec.cells, dec.neighbor_weights)
-    ]
+    big_n = dec.neighbor_weights
+    inherited = np.where(dec.complete, big_n + dec.sizes, big_n).astype(np.float64)
     return _assemble(dec, inherited, quotient_laplacian)
 
 
@@ -390,15 +377,7 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     CLOSED_CELL_CAP cells raise RingError before any table is built."""
     sizes, kills, labels = ring.class_table(CLOSED_CELL_CAP + 2)
     kills = kills[1:-1, 1:-1]
-    cells = [
-        Cell(size, "complete" if complete else "null", label, None)
-        for size, complete, label in zip(
-            sizes[1:-1].tolist(), np.diag(kills).tolist(), labels[1:-1]
-        )
-    ]
-    h = kills | kills.T
-    np.fill_diagonal(h, False)
-    return JoinDecomposition("associate", cells, h)
+    return JoinDecomposition("associate", sizes[1:-1], kills | kills.T, labels[1:-1])
 
 
 # ---------------------------------------------------------------------------

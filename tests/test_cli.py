@@ -311,6 +311,41 @@ def test_degree_zn_zero_divisor_is_an_input_error():
     assert err.strip() == "error: RingError: 0 is not a nontrivial divisor of 5"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--what", "nilpotent2-count", "--n", "0", "--q", "2"],
+        ["--what", "nilpotent2-count", "--n", "-2", "--q", "2"],
+        ["--what", "degree-matrix", "--n", "2", "--q", "1", "--r", "1"],
+    ],
+    ids=["nilpotent2-n0", "nilpotent2-n-2", "degree-matrix-q1"],
+)
+def test_counts_out_of_domain_is_an_input_error(args):
+    # each of these used to print a count of 0
+    code, out, err = run_cli(["counts", *args])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["verify", "--sweep", "Zn:6..8", "--max-elements", "-3"], None),
+        (["verify", "--ring", "GF(4)", "--max-vertices", "-1"], None),
+        (["verify", "--sweep", "Zn:6..8"], {"ZDG_MAX_ELEMENTS": "-3"}),
+    ],
+    ids=["max-elements", "max-vertices", "env"],
+)
+def test_negative_cap_is_a_usage_error(args, env):
+    # a negative cap refuses every ring, so verify would check nothing
+    # and still report all_matched
+    code, out, err = run_cli(args, env=env)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and "a cap must be 0 or more" in err
+
+
 def test_exit_code_verification_mismatch():
     # a negative tolerance can never be met, so verify reports a mismatch
     code, out, _ = run_inproc(["verify", "--ring", "Zn(36)", "--tol", "-1"])

@@ -251,6 +251,13 @@ def test_idempotent_count_rejects_n_below_one():
             idempotent_count(n, 2)
 
 
+def test_nilpotent2_count_rejects_n_below_one():
+    assert nilpotent2_count(1, 2) == 0
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            nilpotent2_count(n, 2)
+
+
 def test_consistency_class_sizes_cover_rank_counts():
     # summing |class| over all (row space, column space) pairs of rank r
     # must recover the number of rank-r matrices

@@ -69,16 +69,25 @@ def decomposition_of(spec, relation="associate"):
     return graph_route(parse_ring_spec(spec), relation)
 
 
+def cell_kinds(dec):
+    return ["complete" if c else "null" for c in dec.complete.tolist()]
+
+
+def regularity(dec):
+    """r_i: n_i - 1 on a complete cell, 0 on a null one."""
+    return [n - 1 if k == "complete" else 0 for n, k in zip(dec.sizes.tolist(), cell_kinds(dec))]
+
+
 # --- decomposition structure ---
 
 
 def test_zn8_decomposition_and_quotients():
     dec = decomposition_of("Zn(8)")
-    assert [(c.size, c.kind, c.regularity) for c in dec.cells] == [
+    assert list(zip(dec.sizes.tolist(), cell_kinds(dec), regularity(dec))) == [
         (2, "null", 0),
         (1, "complete", 0),
     ]
-    assert dec.neighbor_weights == [1, 2]
+    assert dec.neighbor_weights.tolist() == [1, 2]
     ca = quotient_adjacency(dec)
     assert ca == pytest.approx(np.array([[0, math.sqrt(2)], [math.sqrt(2), 0]]))
     cn = quotient_laplacian(dec)
@@ -91,13 +100,14 @@ def test_zn8_decomposition_and_quotients():
 
 def test_zn18_decomposition():
     dec = decomposition_of("Zn(18)")
-    by_label = {c.label: c for c in dec.cells}
-    assert by_label["2"].size == 6 and by_label["2"].kind == "null"
-    assert by_label["3"].size == 2 and by_label["3"].kind == "null"
-    assert by_label["6"].size == 2 and by_label["6"].kind == "complete"
-    assert by_label["9"].size == 1
+    idx = {label: i for i, label in enumerate(dec.labels)}
+    size = dict(zip(dec.labels, dec.sizes.tolist()))
+    kind = dict(zip(dec.labels, cell_kinds(dec)))
+    assert size["2"] == 6 and kind["2"] == "null"
+    assert size["3"] == 2 and kind["3"] == "null"
+    assert size["6"] == 2 and kind["6"] == "complete"
+    assert size["9"] == 1
     # H-edges: 2-9, 3-6, 6-9 (products divisible by 18)
-    idx = {c.label: i for i, c in enumerate(dec.cells)}
     h = dec.h_adjacency
     assert h[idx["2"], idx["9"]] and h[idx["3"], idx["6"]] and h[idx["6"], idx["9"]]
     assert not h[idx["2"], idx["3"]] and not h[idx["2"], idx["6"]]
@@ -106,12 +116,14 @@ def test_zn18_decomposition():
 
 def test_complete_cell_regularity():
     dec = decomposition_of("Zn(16)")
-    by_label = {c.label: c for c in dec.cells}
+    kind = dict(zip(dec.labels, cell_kinds(dec)))
+    # r_i is the diagonal of C_A
+    r = dict(zip(dec.labels, np.diag(quotient_adjacency(dec)).tolist()))
     # the class of 4 is {4, 12} with 4*12 = 48 = 0 mod 16: complete, K_2
-    assert by_label["4"].kind == "complete"
-    assert by_label["4"].regularity == 1
-    assert by_label["2"].kind == "null"
-    assert by_label["2"].regularity == 0
+    assert kind["4"] == "complete"
+    assert r["4"] == 1
+    assert kind["2"] == "null"
+    assert r["2"] == 0
 
 
 def test_blow_up_reconstructs_bit_exact():
@@ -121,6 +133,24 @@ def test_blow_up_reconstructs_bit_exact():
         for relation in ("associate", "neighborhood"):
             dec = decompose(g, classes_for(g, relation))
             assert np.array_equal(blow_up(dec), adjacency_matrix(g)), (spec, relation)
+
+
+def test_closed_blow_up_is_the_graph_in_cell_order():
+    # the closed route has no vertices of its own: its blow-up lays the
+    # cells out one after another, in the graph route's class order on Z_n
+    for n in range(2, 201):
+        g = build_zdg(Zn(n))
+        order = np.argsort(graph_route(Zn(n)).cell_of, kind="stable")
+        closed = ring_join_decomposition(Zn(n), method="closed")
+        assert np.array_equal(blow_up(closed), g.adjacency[np.ix_(order, order)]), n
+
+
+@pytest.mark.parametrize("spec", ["M(2,GF(3))", "M(3,GF(2))", "M(2,GF(2))xGF(3)"])
+def test_closed_blow_up_has_the_graph_degrees(spec):
+    ring = parse_ring_spec(spec)
+    closed = ring_join_decomposition(ring, method="closed")
+    degrees = blow_up(closed).sum(axis=1)
+    assert sorted(degrees.tolist()) == sorted(build_zdg(ring).degrees().tolist())
 
 
 def test_decompose_rejects_mixed_cell():
@@ -258,10 +288,13 @@ def test_decompose_equals_the_per_block_reference(specs):
                     outcomes.add(next(k for k in kinds if k in str(error)))
                     continue
                 dec = decompose(g, partition)
-                cells = [(c.size, c.kind, c.label, c.members) for c in dec.cells]
+                members = [
+                    np.flatnonzero(dec.cell_of == i).tolist() for i in range(dec.class_count)
+                ]
+                cells = list(zip(dec.sizes.tolist(), cell_kinds(dec), dec.labels, members))
                 assert cells == expected[0], (spec, relation)
                 assert np.array_equal(dec.h_adjacency, expected[1]), (spec, relation)
-                assert dec.neighbor_weights == expected[2], (spec, relation)
+                assert dec.neighbor_weights.tolist() == expected[2], (spec, relation)
                 outcomes.add("ok")
     if len(specs) > 1:
         assert outcomes == {"ok", "neither", "claimed", "not constant"}, outcomes
@@ -286,7 +319,7 @@ def test_decompose_peak_memory_is_one_adjacency(spec):
 def test_field_decomposes_to_no_cells(spec):
     for relation in ("associate", "neighborhood"):
         dec = decomposition_of(spec, relation)
-        assert dec.cells == [] and dec.h_adjacency.shape == (0, 0)
+        assert dec.class_count == 0 and dec.labels == [] and dec.h_adjacency.shape == (0, 0)
         assert blow_up(dec).shape == (0, 0)
 
 
@@ -314,7 +347,7 @@ def test_provenance_lengths_align():
     dec = decomposition_of("Zn(18)")
     s = assemble_adjacency_spectrum(dec)
     assert len(s.values) == len(s.provenance) == 11
-    assert s.provenance.count("quotient") == len(dec.cells)
+    assert s.provenance.count("quotient") == dec.class_count
 
 
 def test_assembly_matches_brute_small_sweep():
@@ -363,7 +396,7 @@ def test_closed_zn_route_equals_graph_route():
         ring = Zn(n)
         via_graph = graph_route(ring)
         key = lambda dec: sorted(
-            (c.size, c.kind, w) for c, w in zip(dec.cells, dec.neighbor_weights)
+            zip(dec.sizes.tolist(), cell_kinds(dec), dec.neighbor_weights.tolist())
         )
         assert key(closed) == key(via_graph), n
         a1 = assemble_adjacency_spectrum(closed)
@@ -384,7 +417,7 @@ def test_closed_semisimple_route_equals_graph_route():
         closed = decomposition_semisimple_closed(ring)
         explicit = graph_route(ring)
         key = lambda dec: sorted(
-            (c.size, c.kind, w) for c, w in zip(dec.cells, dec.neighbor_weights)
+            zip(dec.sizes.tolist(), cell_kinds(dec), dec.neighbor_weights.tolist())
         )
         assert key(closed) == key(explicit), spec
         for flavor in ("adjacency", "laplacian"):
@@ -399,11 +432,12 @@ def test_closed_zn_cells_equal_zn_profile():
     for n in [n for n in range(4, 401) if not numth.is_prime(n)] + [720720]:
         dec = ring_join_decomposition(Zn(n), method="closed")
         profile = zn_profile(n).entries
-        assert [c.label for c in dec.cells] == [f"[{e.d}]" for e in profile], n
-        assert [(c.size, c.kind) for c in dec.cells] == [(e.size, e.kind) for e in profile], n
+        assert dec.labels == [f"[{e.d}]" for e in profile], n
+        cells = list(zip(dec.sizes.tolist(), cell_kinds(dec)))
+        assert cells == [(e.size, e.kind) for e in profile], n
         neighbors = [[profile[j].d for j in np.flatnonzero(row)] for row in dec.h_adjacency]
         assert neighbors == [e.neighbors for e in profile], n
-        assert dec.neighbor_weights == [e.big_n for e in profile], n
+        assert dec.neighbor_weights.tolist() == [e.big_n for e in profile], n
 
 
 @pytest.mark.parametrize(
@@ -425,7 +459,7 @@ def test_closed_route_reads_a_large_prime_field_without_its_tables():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sorted(c.size for c in dec.cells) == [1, 1000002]
+    assert sorted(dec.sizes.tolist()) == [1, 1000002]
     assert peak < 1 << 20  # the field's log tables alone take tens of MB
 
 
@@ -494,7 +528,7 @@ def test_closed_h_equals_pairwise_span_checks(spec):
         "(" + ",".join(combo) + ")" if len(combo) > 1 else combo[0]
         for combo in itertools.product(*[["0", *classes, "u"] for _, _, classes in factors_of(ring)])
     ][1:-1]
-    assert [c.label for c in dec.cells] == expected
+    assert dec.labels == expected
     assert np.array_equal(dec.h_adjacency, closed_h_by_pairs(ring, expected))
 
 
@@ -504,13 +538,14 @@ def test_closed_m4_f2_spectra():
     dec = decomposition_semisimple_closed(parse_ring_spec("M(4,GF(2))"))
     proper = factor_classes(GF(2), 4)
     assert dec.class_count == len(proper) == class_count_matrix(4, 2) == 1675
-    assert [c.label for c in dec.cells] == list(proper)
-    ranks = [proper[c.label][0] for c in dec.cells]
-    assert [c.size for c in dec.cells] == [gl_order(r, 2) for r in ranks]
+    assert dec.labels == list(proper)
+    ranks = [proper[label][0] for label in dec.labels]
+    assert dec.sizes.tolist() == [gl_order(r, 2) for r in ranks]
     adj, lap = spectrum_pair(dec)
     assert len(adj) == len(lap) == dec.order == 45375
     degree_sum = sum(
-        c.size * degree_matring(4, 2, r, c.kind == "complete") for c, r in zip(dec.cells, ranks)
+        n * degree_matring(4, 2, r, complete)
+        for n, complete, r in zip(dec.sizes.tolist(), dec.complete.tolist(), ranks)
     )
     assert abs(math.fsum(v * k for v, k, _ in adj.runs)) <= 1e-9 * degree_sum
     assert abs(math.fsum(v * k for v, k, _ in lap.runs) - degree_sum) <= 1e-9 * degree_sum
@@ -680,13 +715,14 @@ def per_vertex_reference(dec, flavor):
     solves the quotient with the same solver as `_assemble`, so that the
     comparison is about how runs expand, not about the eigensolver."""
     pairs = []
-    for cell, big_n in zip(dec.cells, dec.neighbor_weights):
-        complete = cell.kind == "complete"
+    weights = dec.neighbor_weights.tolist()
+    for size, kind, big_n in zip(dec.sizes.tolist(), cell_kinds(dec), weights):
+        complete = kind == "complete"
         if flavor == "adjacency":
             inherited = -1.0 if complete else 0.0
         else:
-            inherited = float(big_n + cell.size) if complete else float(big_n)
-        pairs.extend((inherited, "cell-inherited") for _ in range(cell.size - 1))
+            inherited = float(big_n + size) if complete else float(big_n)
+        pairs.extend((inherited, "cell-inherited") for _ in range(size - 1))
     quotient = quotient_adjacency if flavor == "adjacency" else quotient_laplacian
     if dec.class_count:
         pairs.extend((v, "quotient") for v in dense_eigenvalues(quotient(dec)))
@@ -708,8 +744,8 @@ def test_runs_expand_to_per_vertex_assembly():
         for flavor in ("adjacency", "laplacian"):
             ours = assemble_spectrum(dec, flavor)
             ref = per_vertex_reference(dec, flavor)
-            assert ours.values == ref.values, (dec.cells[0].label, flavor)
-            assert ours.provenance == ref.provenance, (dec.cells[0].label, flavor)
+            assert ours.values == ref.values, (dec.labels[0], flavor)
+            assert ours.provenance == ref.provenance, (dec.labels[0], flavor)
 
 
 def test_quotient_runs_match_jacobi():
@@ -719,7 +755,7 @@ def test_quotient_runs_match_jacobi():
         for flavor, quotient in (("adjacency", quotient_adjacency), ("laplacian", quotient_laplacian)):
             ours = [v for v, _, tag in assemble_spectrum(dec, flavor).runs if tag == "quotient"]
             ref = jacobi_eigen(quotient(dec))
-            assert ours == pytest.approx(ref, rel=0.0, abs=1e-9), (dec.cells[0].label, flavor)
+            assert ours == pytest.approx(ref, rel=0.0, abs=1e-9), (dec.labels[0], flavor)
 
 
 def test_closed_route_runs_scale_with_class_count():
@@ -728,7 +764,10 @@ def test_closed_route_runs_scale_with_class_count():
     dec = ring_join_decomposition(Zn(2**24), method="closed")
     adj, lap = spectrum_zn(2**24, method="closed")
     m = dec.class_count
-    edges2 = sum(c.size * (w + c.regularity) for c, w in zip(dec.cells, dec.neighbor_weights))
+    edges2 = sum(
+        n * (w + r)
+        for n, w, r in zip(dec.sizes.tolist(), dec.neighbor_weights.tolist(), regularity(dec))
+    )
     assert len(adj) == len(lap) == 2**23 - 1
     assert len(adj.runs) <= 2 * m and len(lap.runs) <= 2 * m
     assert abs(math.fsum(v * k for v, k, _ in adj.runs)) <= 1e-6
@@ -737,15 +776,17 @@ def test_closed_route_runs_scale_with_class_count():
 
 def quotient_by_loops(dec, flavor):
     m = dec.class_count
+    sizes = dec.sizes.tolist()
+    r = regularity(dec)
     c = np.zeros((m, m))
     for i in range(m):
         if flavor == "adjacency":
-            c[i, i] = dec.cells[i].regularity
+            c[i, i] = r[i]
         else:
             c[i, i] = dec.neighbor_weights[i]
         for j in range(i + 1, m):
             if dec.h_adjacency[i, j]:
-                root = math.sqrt(dec.cells[i].size * dec.cells[j].size)
+                root = math.sqrt(sizes[i] * sizes[j])
                 c[i, j] = c[j, i] = root if flavor == "adjacency" else -root
     return c
 
@@ -756,11 +797,12 @@ def test_quotients_equal_loop_formula_bit_for_bit():
         ring_join_decomposition(Zn(720), method="closed"),
         decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)")),
     ):
+        sizes = dec.sizes.tolist()
         weights = [
-            int(sum(dec.cells[j].size for j in range(dec.class_count) if dec.h_adjacency[i, j]))
+            int(sum(sizes[j] for j in range(dec.class_count) if dec.h_adjacency[i, j]))
             for i in range(dec.class_count)
         ]
-        assert dec.neighbor_weights == weights
+        assert dec.neighbor_weights.tolist() == weights
         for flavor, quotient in (("adjacency", quotient_adjacency), ("laplacian", quotient_laplacian)):
             # compare bit patterns, so that -0.0 against 0.0 counts too
             ours = quotient(dec).view(np.uint64)
