@@ -34,13 +34,7 @@ from .counts import (
     semisimple_vertex_degree,
     zn_profile,
 )
-from .eig import (
-    BACKEND,
-    JacobiConvergenceError,
-    dense_eigenvalues,
-    jacobi_eigen,
-    jacobi_eigen_system,
-)
+from .eig import BACKEND, dense_eigenvalues
 from .graph import (
     ZeroDivisorGraph,
     annihilator_set,

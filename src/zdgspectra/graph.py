@@ -11,9 +11,10 @@ its transpose when the ring is not commutative.  The table's diagonal is
 kept as `loops`, the vertices that square to 0, before the adjacency's
 is cleared: it marks the vertices inside their own annihilator, and the
 ring is reduced exactly when no vertex has a loop.  `annihilator_set`
-keeps the per-element definition as an independent check.  There is one
-graph per ring: `build_zdg` checks the caller's caps before any V x V
-array exists and caches the graph under the ring alone.
+keeps the per-element definition as an independent check.  `build_zdg`
+checks the caller's caps before any V x V array exists and caches the
+graph under the ring alone, one graph at a time: every reuse is of the
+ring just built, so a sweep holds one V x V array, not one per ring.
 """
 from __future__ import annotations
 
@@ -72,11 +73,11 @@ def _build(ring: Ring) -> ZeroDivisorGraph:
     return ZeroDivisorGraph(ring, list(zd), adj, loops)
 
 
-_build_cached = lru_cache(maxsize=64)(_build)
+_build_cached = lru_cache(maxsize=1)(_build)
 
 
 def build_zdg(ring: Ring, vertex_cap: int | None = None, element_cap: int | None = None) -> ZeroDivisorGraph:
-    """Construct Gamma(R), cached per ring: a cap refuses the graph, it never changes it."""
+    """Construct Gamma(R), cached for the last ring: a cap refuses the graph, it never changes it."""
     vertex_cap = DEFAULT_VERTEX_CAP if vertex_cap is None else vertex_cap
     m = len(ring.zero_divisors(element_cap))
     if m > vertex_cap:

@@ -27,15 +27,15 @@ enumerating nothing; it takes every ring the parser builds, Z_n through
 the CRT product of its Z_{p^a} tables, under one cap on the class count
 (CLOSED_CELL_CAP).
 
-Both spectrum routes solve with LAPACK (`eig.dense_eigenvalues`): the
-assembled route the order-m quotient, the oracle the order-|V| matrix of
-the whole graph, so the two share no matrix.  The oracle's spectrum is
-kept on its graph, one per flavor, and `build_zdg` keeps one graph per
-ring whatever the caps, so every caller that checks a ring (each relation
-of `verify_ring`, `zdg spectrum --method both`) partitions that graph and
-pays for the order-|V| solve once.  The pure-Python Jacobi solver of
-`eig` (`jacobi_eigen`, `jacobi_eigen_system`) serves the combination and
-shift identities.
+Every eigenvalue here comes from LAPACK (`eig.dense_eigenvalues`): the
+assembled route solves the order-m quotient, the oracle the order-|V|
+matrix of the whole graph, so the two share no matrix unless every cell
+is a singleton, and the combination and shift identities solve their
+small blocks.  The oracle's spectrum is kept on its graph, one per
+flavor, and `build_zdg` keeps the graph of the ring it built last
+whatever the caps, so every caller that checks a ring (each relation of
+`verify_ring`, `zdg spectrum --method both`) partitions that graph and
+pays for the order-|V| solve once.
 
 A spectrum is stored as runs of (value, multiplicity, provenance): one
 run per cell of two or more vertices and one per quotient eigenvalue,
@@ -52,7 +52,8 @@ import numpy as np
 
 from .classes import ClassPartition, classes_for
 from .counts import zn_profile  # unused: perfbench's tracer wraps this name for its counts.profile span
-from .eig import dense_eigenvalues, jacobi_eigen, jacobi_eigen_system
+from .eig import dense_eigenvalues
+from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
 from .graph import GraphCapError, ZeroDivisorGraph, build_zdg
 from .rings import EnumerationCapError, Ring, RingError, Zn
 
@@ -458,7 +459,8 @@ def verify_ring(
     """Assemble spectra through the join and compare with the dense oracle.
     With every class a singleton (Z_2^k, associates) both routes solve one
     matrix, so a max_deviation of 0.0 there is no independent check; the
-    Jacobi solver pins those spectra (`test_brute_spectrum_matches_jacobi`)."""
+    tests certify those spectra by their residual against the graph's own
+    matrix (`test_brute_spectrum_certified_by_residuals`)."""
     graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
     dec = decompose(graph, classes_for(graph, relation))
     results = {}
@@ -488,7 +490,7 @@ def fiedler_combine(alpha, u, beta, v, rho: float) -> list[float]:
     alpha = [float(x) for x in alpha]
     beta = [float(x) for x in beta]
     corner = np.array([[alpha[0], rho], [rho, beta[0]]])
-    return sorted(alpha[1:] + beta[1:] + jacobi_eigen(corner))
+    return sorted(alpha[1:] + beta[1:] + dense_eigenvalues(corner))
 
 
 def fiedler_check(a, b, u, v, rho: float, tol: float = 1e-8) -> MultisetMatch:
@@ -508,7 +510,7 @@ def fiedler_check(a, b, u, v, rho: float, tol: float = 1e-8) -> MultisetMatch:
             raise ValueError(f"{name} is not an eigenvector of its matrix within {tol}")
 
     def spectrum_without(mat, val):
-        values = jacobi_eigen(mat)
+        values = dense_eigenvalues(mat)
         values.pop(min(range(len(values)), key=lambda i: abs(values[i] - val)))
         return values
 
@@ -519,7 +521,7 @@ def fiedler_check(a, b, u, v, rho: float, tol: float = 1e-8) -> MultisetMatch:
     top = np.hstack([a, rho * np.outer(u, v)])
     bottom = np.hstack([rho * np.outer(v, u), b])
     combined = np.vstack([top, bottom])
-    return multiset_equal(predicted, jacobi_eigen(combined), tol)
+    return multiset_equal(predicted, dense_eigenvalues(combined), tol)
 
 
 @dataclass
@@ -533,10 +535,12 @@ def check_shift_lemma(b_diag, a, d_diag, tol: float = 1e-8) -> ShiftReport:
     """Verify sigma(B + DAD) = sigma(B) + sigma(DAD) for diagonal B, D and
     symmetric A with AB = BA.
 
-    Commutation makes B and DAD simultaneously diagonalizable: every
-    eigenvector w of DAD must already be an eigenvector of B, so each
-    eigenvalue mu of DAD picks up the diagonal value beta carried by w,
-    and the spectrum of the sum is the multiset of mu + beta."""
+    Commutation makes DAD vanish between coordinates where B differs, so
+    DAD splits into one block per distinct diagonal value beta of B; on
+    that block B is beta times the identity.  Each eigenvalue mu of the
+    block picks up beta, and the spectrum of the sum is the multiset of
+    mu + beta.  The split is checked exactly and each block solved on its
+    own, so no eigenvector of DAD ever mixes two eigenspaces of B."""
     b_diag = np.asarray(b_diag, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     d_diag = np.asarray(d_diag, dtype=np.float64)
@@ -544,20 +548,15 @@ def check_shift_lemma(b_diag, a, d_diag, tol: float = 1e-8) -> ShiftReport:
     if np.any(commutator != 0.0):
         raise ShiftLemmaError("A and B do not commute")
     dad = d_diag[:, None] * a * d_diag[None, :]
-    mus, vecs = jacobi_eigen_system(dad)
+    if np.any(dad[b_diag[:, None] != b_diag[None, :]] != 0.0):
+        raise ShiftLemmaError("DAD couples coordinates where B differs")
     pairs = []
-    for idx in range(len(mus)):
-        w = vecs[:, idx]
-        beta = float(w @ (b_diag * w))
-        residual = float(np.max(np.abs(b_diag * w - beta * w)))
-        if residual > tol:
-            raise ShiftLemmaError(
-                f"eigenvector {idx} of DAD is not an eigenvector of B "
-                f"(residual {residual:.3e})"
-            )
-        pairs.append((float(mus[idx]), beta))
+    for beta in np.unique(b_diag).tolist():
+        block = np.flatnonzero(b_diag == beta)
+        pairs += [(mu, beta) for mu in dense_eigenvalues(dad[np.ix_(block, block)])]
+    pairs.sort()
     summed = [mu + beta for mu, beta in pairs]
-    direct = jacobi_eigen(np.diag(b_diag) + dad)
+    direct = dense_eigenvalues(np.diag(b_diag) + dad)
     match = multiset_equal(summed, direct, tol)
     return ShiftReport(pairs, match.matched, match.max_deviation)
 

@@ -1,5 +1,8 @@
 """Zero-divisor graph construction, annihilators, degrees."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,15 @@ def test_caps_refuse_a_graph_and_do_not_key_it():
     with pytest.raises(EnumerationCapError):
         build_zdg(ring, element_cap=ring.cardinality - 1)
     assert graph_module._build_cached.cache_info().misses == misses
+
+
+def test_cache_keeps_only_the_last_graph():
+    # a sweep builds one ring after another; the cache must not keep the
+    # V x V graphs (and their oracle spectra) of the rings it has left
+    first = weakref.ref(build_zdg(Zn(90)))
+    build_zdg(Zn(91))
+    gc.collect()
+    assert first() is None
 
 
 def test_graph_json_and_edge_list_are_deterministic():

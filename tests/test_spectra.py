@@ -16,7 +16,7 @@ from zdgspectra import numth
 from zdgspectra import spectra as spectra_module
 from zdgspectra.classes import ClassPartition, VertexClass, check_relation_agreements, classes_for
 from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
-from zdgspectra.eig import dense_eigenvalues, jacobi_eigen
+from zdgspectra.eig import dense_eigenvalues
 from zdgspectra.graph import build_zdg, degree_matring
 from zdgspectra.rings import (
     GF,
@@ -76,6 +76,22 @@ def cell_kinds(dec):
 def regularity(dec):
     """r_i: n_i - 1 on a complete cell, 0 on a null one."""
     return [n - 1 if k == "complete" else 0 for n, k in zip(dec.sizes.tolist(), cell_kinds(dec))]
+
+
+def laplacian_of(adj):
+    """D - A from a bool adjacency matrix, built here and not by the package."""
+    return np.diag(adj.sum(axis=1)).astype(float) - adj
+
+
+def certificate(full, x, lam):
+    """(||AX - X diag(lam)||_F, ||X^T X - I||_F): when both are small, the
+    columns of X are orthonormal eigenvectors of `full` with eigenvalues
+    lam, up to a Weyl bound of the residual."""
+    residual = full @ x - x * np.asarray(lam)
+    return (
+        float(np.linalg.norm(residual)),
+        float(np.linalg.norm(x.T @ x - np.eye(x.shape[1]))),
+    )
 
 
 # --- decomposition structure ---
@@ -368,17 +384,23 @@ def test_assembly_matches_brute_small_sweep():
                 assert match.matched, (n, relation, flavor, match.max_deviation)
 
 
-def test_brute_spectrum_matches_jacobi():
-    # the LAPACK oracle pinned against the Jacobi solver; on Z_2^4 and
-    # Z_2^5 every associate class is a singleton, so the assembled route
-    # solves the graph's own matrix and only Jacobi checks it independently
+def test_brute_spectrum_certified_by_residuals():
+    # the oracle's values against eigenvectors of the graph's own matrix,
+    # with the residual taken from the adjacency and a Laplacian built
+    # here; on Z_2^4 and Z_2^5 every associate class is a singleton, so
+    # the assembled route solves the graph's own matrix and this residual
+    # is the independent check
     for spec in ("Zn(36)", "x".join(["Zn(2)"] * 4), "x".join(["Zn(2)"] * 5)):
         g = build_zdg(parse_ring_spec(spec))
-        for flavor, matrix in (("adjacency", adjacency_matrix), ("laplacian", laplacian_matrix)):
+        for flavor, matrix, full in (
+            ("adjacency", adjacency_matrix, g.adjacency.astype(float)),
+            ("laplacian", laplacian_matrix, laplacian_of(g.adjacency)),
+        ):
             brute = brute_spectrum(g, flavor)
             assert brute.provenance == ["brute"] * g.order
-            ref = jacobi_eigen(matrix(g))
-            assert np.abs(np.array(brute.values) - np.array(ref)).max() < 1e-9, (spec, flavor)
+            _, x = np.linalg.eigh(matrix(g))
+            residual, loss = certificate(full, x, brute.values)
+            assert residual <= 1e-9 and loss <= 1e-12, (spec, flavor, residual, loss)
 
 
 def test_matrix_ring_spectra_match_brute():
@@ -730,17 +752,20 @@ def per_vertex_reference(dec, flavor):
 
 
 def run_form_decompositions():
-    decs = [
-        graph_route(Zn(n), relation)
-        for n in range(6, 61)
-        for relation in ("associate", "neighborhood")
-    ]
-    decs.append(decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)")))
-    return decs
+    """(decomposition, full bool adjacency) pairs: the graph's own matrix on
+    the graph route, the blow-up on the closed one."""
+    out = []
+    for n in range(6, 61):
+        g = build_zdg(Zn(n))
+        for relation in ("associate", "neighborhood"):
+            out.append((decompose(g, classes_for(g, relation)), g.adjacency))
+    dec = decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)"))
+    out.append((dec, blow_up(dec)))
+    return out
 
 
 def test_runs_expand_to_per_vertex_assembly():
-    for dec in run_form_decompositions():
+    for dec, _ in run_form_decompositions():
         for flavor in ("adjacency", "laplacian"):
             ours = assemble_spectrum(dec, flavor)
             ref = per_vertex_reference(dec, flavor)
@@ -748,14 +773,23 @@ def test_runs_expand_to_per_vertex_assembly():
             assert ours.provenance == ref.provenance, (dec.labels[0], flavor)
 
 
-def test_quotient_runs_match_jacobi():
-    # the assembled route's LAPACK quotient solve pinned against the
-    # pure-Python Jacobi solver on the same quotient matrix
-    for dec in run_form_decompositions():
-        for flavor, quotient in (("adjacency", quotient_adjacency), ("laplacian", quotient_laplacian)):
+def test_quotient_runs_certified_by_lifted_residuals():
+    # each quotient eigenvector y lifts to an eigenvector of the whole
+    # matrix, y_i / sqrt(n_i) on every vertex of cell i (the equitable
+    # partition lift); the assembled quotient runs must be its eigenvalues
+    for dec, adj in run_form_decompositions():
+        cell_of = dec.cell_of
+        if cell_of is None:
+            cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)
+        for flavor, quotient, full in (
+            ("adjacency", quotient_adjacency, adj.astype(float)),
+            ("laplacian", quotient_laplacian, laplacian_of(adj)),
+        ):
             ours = [v for v, _, tag in assemble_spectrum(dec, flavor).runs if tag == "quotient"]
-            ref = jacobi_eigen(quotient(dec))
-            assert ours == pytest.approx(ref, rel=0.0, abs=1e-9), (dec.labels[0], flavor)
+            _, y = np.linalg.eigh(quotient(dec))
+            x = y[cell_of] / np.sqrt(dec.sizes[cell_of])[:, None]
+            residual, loss = certificate(full, x, ours)
+            assert residual <= 1e-9 and loss <= 1e-12, (dec.labels[0], flavor, residual, loss)
 
 
 def test_closed_route_runs_scale_with_class_count():
@@ -1001,6 +1035,44 @@ def test_shift_lemma_random_block_instances():
         ddiag = rng.integers(1, 4, size=n).astype(float)
         report = check_shift_lemma(bdiag, a, ddiag)
         assert report.matched and report.max_deviation <= 1e-8
+
+
+def interleaved_shift_instance(seed):
+    """(b, a, d) with B taking two or three values on shuffled coordinates
+    and DAD repeating one block on every eigenspace of B, so each
+    eigenvalue of DAD is shared by all of them."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    values = rng.choice(np.arange(-3.0, 4.0), size=int(rng.integers(2, 4)), replace=False)
+    labels = rng.permutation(np.repeat(np.arange(len(values)), k))
+    block = rng.integers(-2, 3, size=(k, k)).astype(float)
+    block = (block + block.T) / 2
+    d_block = rng.integers(1, 4, size=k).astype(float)
+    n = k * len(values)
+    a = np.zeros((n, n))
+    d = np.zeros(n)
+    for c in range(len(values)):
+        idx = np.flatnonzero(labels == c)
+        a[np.ix_(idx, idx)] = block
+        d[idx] = d_block
+    return values[labels], a, d
+
+
+def test_shift_lemma_interleaved_eigenspaces():
+    # B = diag(1, 2, 1, 2): DAD couples 0 with 2 and 1 with 3 by the same
+    # block, so its eigenvalues -1 and 1 each span both eigenspaces of B
+    a = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+    report = check_shift_lemma([1.0, 2.0, 1.0, 2.0], a, [1.0] * 4)
+    assert report.matched and report.max_deviation <= 1e-8
+    by_beta = sorted(report.pairs, key=lambda pair: (pair[1], pair[0]))
+    assert np.allclose(by_beta, [(-1, 1), (1, 1), (-1, 2), (1, 2)], rtol=0.0, atol=1e-12)
+    # on seed 0 and about half of the others, eigenvectors of the whole of
+    # DAD from numpy.linalg.eigh (numpy 2.4) mix eigenspaces of B
+    for seed in range(40):
+        b, a, d = interleaved_shift_instance(seed)
+        report = check_shift_lemma(b, a, d)
+        assert report.matched and report.max_deviation <= 1e-8, seed
+        assert sorted(beta for _, beta in report.pairs) == pytest.approx(sorted(b)), seed
 
 
 # --- boolean pairing ---
