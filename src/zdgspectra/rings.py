@@ -24,6 +24,7 @@ right):
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import gcd, prod
 
 import numpy as np
@@ -169,15 +170,16 @@ class Ring:
         table of "class i times class j is 0" (its diagonal marks the
         classes that square to 0) and one label per class.  Class 0 is
         {0} and the last class is the units.  The class count is checked
-        against cap before any table is built."""
+        against cap before any table is built, and the size (every class
+        size must fit int64) before the class count is computed."""
+        if self.cardinality >= 2**63:
+            raise RingError(f"{self.spec_string()} has 2^63 or more elements")
         count = self.class_count()
         if count > cap:
             raise RingError(
                 f"{self.spec_string()}: {count} classes (0 and the units included) "
                 f"exceed the closed-route cap of {cap}"
             )
-        if self.cardinality >= 2**63:  # every class size must fit int64
-            raise RingError(f"{self.spec_string()} has 2^63 or more elements")
         return self._class_table()
 
     def _class_table(self):
@@ -277,29 +279,30 @@ class Zn(Ring):
         # x ~ y exactly when gcd(x, n) = gcd(y, n)
         return np.gcd(np.asarray(xs, dtype=np.int64), self.n)
 
+    @cached_property
+    def factors(self) -> list[tuple[int, int]]:  # computed once per ring
+        return numth.factorize(self.n)
+
     def class_count(self):
-        return prod(a + 1 for _, a in numth.factorize(self.n))
+        return prod(a + 1 for _, a in self.factors)
 
     def _class_table(self):
-        """Z_n is the product of the Z_{p^a} over n = prod p^a (CRT).  The
-        classes of Z_{p^a} are p^e times the units, of size phi(p^(a-e)),
-        and p^e * p^f = 0 exactly when e + f >= a; indexed by i = a - e,
-        0 comes first and the units last.  The product's classes are then
-        put in the order 0, the proper classes by ascending d = prod p^e
-        (the gcd of their members with n), the units."""
-        factors = numth.factorize(self.n)
-        tables = []
-        for p, a in factors:
-            i = np.arange(a + 1)
-            sizes = [1] + [(p - 1) * p ** (k - 1) for k in range(1, a + 1)]
-            tables.append((np.array(sizes, dtype=np.int64), i[:, None] + i[None, :] <= a))
-        sizes, kills, idx = _product_table(tables)
-        d = np.ones(len(sizes), dtype=np.int64)
-        for (p, a), i in zip(factors, idx):
-            d *= p ** (a - i)
-        order = np.concatenate(([0], np.argsort(d[1:-1]) + 1, [len(d) - 1]))
-        labels = ["0"] + [f"[{x}]" for x in d[order[1:-1]].tolist()] + ["u"]
-        return sizes[order], kills[np.ix_(order, order)], labels
+        """One class per divisor d = prod p^e of n: the x with gcd(x, n) = d,
+        phi(n/d) = prod phi(p^(a-e)) of them.  By the CRT class d times
+        class d' is 0 exactly when e + e' >= a at every prime.  The divisors
+        come from the factorization in ascending order, d = n (the class
+        {0}) is put first and d = 1 (the units) last."""
+        divisors = [(1, (), 1)]  # (d, its exponents e, phi(n/d))
+        for p, a in self.factors:
+            phi = [p ** (a - e) - p ** (a - e - 1) for e in range(a)] + [1]
+            divisors = [(d * p**e, es + (e,), s * phi[e]) for d, es, s in divisors for e in range(a + 1)]
+        divisors.sort()
+        ds, exps, sizes = zip(*divisors[-1:], *divisors[1:-1], *divisors[:1])
+        kills = np.ones((len(ds), len(ds)), dtype=bool)
+        for e, (_, a) in zip(np.array(exps).T, self.factors):  # by prime: no m x m x k array
+            kills &= e[:, None] >= a - e
+        labels = ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
+        return np.array(sizes, dtype=np.int64), kills, labels
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1

@@ -24,7 +24,7 @@ representatives and compares the blow-up of its result with the
 adjacency matrix entry for entry, at every graph size.  The closed route
 reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
-the CRT product of its Z_{p^a} tables, under one cap on the class count
+one class per divisor of n, under one cap on the class count
 (CLOSED_CELL_CAP).
 
 Every eigenvalue here comes from LAPACK (`eig.dense_eigenvalues`): the
@@ -100,7 +100,8 @@ class JoinDecomposition:
 
     def __post_init__(self, table):
         self.complete = table.diagonal().copy()
-        self.h_adjacency = table & ~np.eye(len(self.sizes), dtype=bool)
+        self.h_adjacency = table.copy()
+        np.fill_diagonal(self.h_adjacency, False)
         self.neighbor_weights = self.h_adjacency @ self.sizes
 
     @property
@@ -295,36 +296,35 @@ def quotient_laplacian(dec: JoinDecomposition) -> np.ndarray:
     return _quotient_entries(dec, dec.neighbor_weights, -1.0)
 
 
-def _assemble(dec: JoinDecomposition, inherited: np.ndarray, quotient) -> SpectrumMultiset:
-    """One run per cell (its inherited value, n_i - 1 times; singletons
-    give none) and one per eigenvalue of the quotient matrix.  The stable
-    sort keeps the cell runs ahead of equal quotient values, which is the
-    tie order that sorting the per-vertex values gives."""
-    multi = dec.sizes > 1
-    runs = [
-        (value, k, "cell-inherited")
-        for value, k in zip(inherited[multi].tolist(), (dec.sizes[multi] - 1).tolist())
-    ]
-    if dec.class_count:
+def _assemble(dec: JoinDecomposition, inherited, quotient) -> SpectrumMultiset:
+    """One run per cell of two or more vertices (its inherited value, n_i - 1
+    times) and one per eigenvalue of the quotient matrix, built as Python
+    lists from `inherited`, which maps (complete, n_i, N_i) to a cell's
+    value.  The stable sort keeps the cell runs ahead of equal quotient
+    values, which is the tie order that sorting the per-vertex values gives."""
+    sizes = dec.sizes.tolist()
+    cells = zip(dec.complete.tolist(), sizes, dec.neighbor_weights.tolist())
+    runs = [(inherited(*cell), cell[1] - 1, "cell-inherited") for cell in cells if cell[1] > 1]
+    if sizes:
         runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient(dec))]
     runs.sort(key=lambda run: run[0])
     spectrum = SpectrumMultiset(runs)
-    assert len(spectrum) == dec.order
+    assert len(spectrum) == sum(sizes)
     return spectrum
 
 
 def assemble_adjacency_spectrum(dec: JoinDecomposition) -> SpectrumMultiset:
     """Cell-inherited values (-1 per complete cell, 0 per null cell, each
     n_i - 1 times) together with the eigenvalues of C_A."""
-    return _assemble(dec, np.where(dec.complete, -1.0, 0.0), quotient_adjacency)
+    return _assemble(dec, lambda complete, n, big_n: -1.0 if complete else 0.0, quotient_adjacency)
 
 
 def assemble_laplacian_spectrum(dec: JoinDecomposition) -> SpectrumMultiset:
     """Cell-inherited values (N_i + n_i per complete cell, N_i per null
     cell, each n_i - 1 times) together with the eigenvalues of C_N."""
-    big_n = dec.neighbor_weights
-    inherited = np.where(dec.complete, big_n + dec.sizes, big_n).astype(np.float64)
-    return _assemble(dec, inherited, quotient_laplacian)
+    return _assemble(
+        dec, lambda complete, n, big_n: float(big_n + n if complete else big_n), quotient_laplacian
+    )
 
 
 def assemble_spectrum(dec: JoinDecomposition, flavor: str) -> SpectrumMultiset:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from zdgspectra import numth
 from zdgspectra.classes import (
     _commutative_hypothesis,
     _noncommutative_hypothesis,
@@ -326,6 +327,34 @@ def test_cached_splits_check_the_cap():
         ring.zero_divisors(10)
     with pytest.raises(EnumerationCapError):
         ring.units(10)
+
+
+ZN_TABLE_MODULI = list(range(2, 401)) + [720720, 6983776800, 48886437600, 2**40, 2 * 3**20]
+
+
+@pytest.mark.parametrize("n", ZN_TABLE_MODULI, ids=str)
+def test_zn_class_table_by_divisor_arithmetic(n):
+    # class d holds the x with gcd(x, n) = d: phi(n/d) of them, and class d
+    # times class d' is 0 exactly when n/d divides d'; checked on Python ints
+    sizes, kills, labels = Zn(n).class_table(4098)
+    ds = numth.divisors(n)
+    assert labels == ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
+    ds = ds[-1:] + ds[1:-1] + ds[:1]
+    assert sizes.tolist() == [numth.euler_phi(n // d) for d in ds]
+    assert sum(sizes.tolist()) == n
+    assert kills.tolist() == [[dj % (n // di) == 0 for dj in ds] for di in ds]
+
+
+def test_class_table_refuses_a_huge_ring_before_factoring(monkeypatch):
+    # trial division of a prime near 2^63 would run for hours; the size
+    # check must come first, so a factorization here is a failure
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(numth, "factorize", no_factorize)
+    for spec in ("Zn(9223372036854775837)", "Zn(4294967311)xZn(4294967311)"):
+        with pytest.raises(RingError, match="2\\^63 or more elements"):
+            parse_ring_spec(spec).class_table(4098)
 
 
 # `_unit_mask` computes the units from element indices alone, so it relies on
