@@ -18,7 +18,6 @@ from .classes import (
 )
 from .counts import (
     BooleanSkeleton,
-    QBinomTable,
     SemisimpleProfile,
     ZnProfile,
     boolean_skeleton,

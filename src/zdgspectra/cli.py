@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -66,6 +67,17 @@ def _cap(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"a cap must be 0 or more, got {value}")
+    return value
+
+
+def _tol(text: str) -> float:
+    """A finite float: no residual or deviation compares above nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"a tolerance must be finite, got {text!r}")
     return value
 
 
@@ -421,7 +433,7 @@ def _build_parser() -> _Parser:
 
     p_spectrum = sub.add_parser("spectrum", help="assembled and/or brute-force spectra")
     common(p_spectrum)
-    p_spectrum.add_argument("--tol", type=float, default=1e-7)
+    p_spectrum.add_argument("--tol", type=_tol, default=1e-7)
     p_spectrum.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_spectrum.add_argument("--method", choices=("join", "brute", "both"), default="join")
     p_spectrum.set_defaults(handler=_run_spectrum)
@@ -440,7 +452,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="compare join spectra against the dense oracle")
     common(p_verify)
-    p_verify.add_argument("--tol", type=float, default=1e-7)
+    p_verify.add_argument("--tol", type=_tol, default=1e-7)
     p_verify.add_argument("--sweep", help='e.g. "Zn:6..200" or "M:2,GF(3)"')
     p_verify.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_verify.set_defaults(handler=_run_verify)
@@ -452,7 +464,7 @@ def _build_parser() -> _Parser:
     p_lift.add_argument("--value", type=float, required=True, help="eigenvalue of the input matrix")
     p_lift.add_argument("--vector", required=True, help="comma-separated eigenvector entries")
     p_lift.add_argument("--format", choices=("json", "csv"), default="json")
-    p_lift.add_argument("--tol", type=float, default=1e-8)
+    p_lift.add_argument("--tol", type=_tol, default=1e-8)
     p_lift.set_defaults(handler=_run_lift)
 
     return parser

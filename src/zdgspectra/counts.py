@@ -6,6 +6,7 @@ exhaustive enumeration in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from . import numth
@@ -17,45 +18,24 @@ def _check_q(q: int) -> None:
         raise ValueError("q must be at least 2")
 
 
-class QBinomTable:
-    """Memo of Gaussian binomial coefficients at a fixed q."""
-
-    def __init__(self, q: int):
-        _check_q(q)
-        self.q = q
-        self._memo: dict[tuple[int, int], int] = {}
-
-    def get(self, n: int, r: int) -> int:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if r < 0 or r > n:
-            return 0
-        if r > n - r:
-            r = n - r  # symmetry keeps the memo small
-        key = (n, r)
-        if key not in self._memo:
-            q = self.q
-            num = 1
-            den = 1
-            for i in range(r):
-                num *= q**n - q**i
-                den *= q**r - q**i
-            quotient, remainder = divmod(num, den)
-            assert remainder == 0, "Gaussian binomial must divide exactly"
-            self._memo[key] = quotient
-        return self._memo[key]
-
-
-_TABLES: dict[int, QBinomTable] = {}
-
-
+@cache
 def q_binomial(n: int, r: int, q: int) -> int:
     """Gaussian binomial coefficient: the number of r-dimensional subspaces
     of an n-dimensional space over a field with q elements."""
-    table = _TABLES.get(q)
-    if table is None:
-        table = _TABLES[q] = QBinomTable(q)
-    return table.get(n, r)
+    _check_q(q)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if r < 0 or r > n:
+        return 0
+    r = min(r, n - r)  # symmetry shortens the products
+    num = 1
+    den = 1
+    for i in range(r):
+        num *= q**n - q**i
+        den *= q**r - q**i
+    quotient, remainder = divmod(num, den)
+    assert remainder == 0, "Gaussian binomial must divide exactly"
+    return quotient
 
 
 def gl_order(n: int, q: int) -> int:
@@ -65,19 +45,13 @@ def gl_order(n: int, q: int) -> int:
 
 
 def rank_count(n: int, m: int, r: int, q: int) -> int:
-    """Number of n x m matrices over F_q of rank exactly r:
-    prod_{j=0}^{r-1} (q^n - q^j)(q^m - q^j) / (q^r - q^j), exact."""
+    """Number of n x m matrices over F_q of rank exactly r: one of the
+    (n choose r)_q column spaces, onto which F_q^m maps in
+    prod_{j=0}^{r-1} (q^m - q^j) ways."""
     _check_q(q)
     if r < 0 or r > min(n, m):
         return 0
-    num = 1
-    den = 1
-    for j in range(r):
-        num *= (q**n - q**j) * (q**m - q**j)
-        den *= q**r - q**j
-    quotient, remainder = divmod(num, den)
-    assert remainder == 0, "rank count must divide exactly"
-    return quotient
+    return q_binomial(n, r, q) * prod(q**m - q**j for j in range(r))
 
 
 def class_size_matrix(r: int, q: int) -> int:

@@ -19,7 +19,7 @@ ring just built, so a sweep holds one V x V array, not one per ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,12 +39,8 @@ class ZeroDivisorGraph:
     vertices: list
     adjacency: np.ndarray  # bool, symmetric, zero diagonal
     loops: np.ndarray  # bool, loops[i] exactly when vertices[i] squares to 0
-    _index: dict = field(repr=False, init=False)
     # flavor -> spectra.brute_spectrum of this graph; empty again after dataclasses.replace
     _oracle: dict = field(repr=False, compare=False, init=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def order(self) -> int:
@@ -53,6 +49,10 @@ class ZeroDivisorGraph:
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency)) // 2
+
+    @cached_property
+    def _index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     def index_of(self, a) -> int:
         try:

@@ -1,56 +1,85 @@
 """Small number-theory helpers: primality, factorization, divisors, Euler phi.
 
-Everything here is trial-division based; the inputs this package sees are
-ring orders and moduli, which stay far below the range where that matters.
+`is_prime` is Miller-Rabin to the prime bases 2..37: exact below 3.3e24,
+far past the 2^63 that `Ring.class_table` accepts.  `factorize`
+trial-divides below 1,000 only and splits the rest by Pollard's rho with
+Brent's cycle search (Brent 1980), so a large prime factor costs
+milliseconds, not a trial division up to its root.
 """
 from __future__ import annotations
+
+from itertools import count
+from math import gcd
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a passes when a^(d 2^i) = -1 for some i < s
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
+
+
+def _rho(n: int) -> int:
+    """A factor 1 < d < n of a composite n with no factor below 1,000: Brent's
+    cycle search on y -> y^2 + c mod n, with the next c if it finds only n."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 2 as ordered (prime, exponent) pairs."""
     if n < 2:
         raise ValueError("factorize needs n >= 2")
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out.append((f, e))
+    out, f = {}, 2
+    while f < 1000 and f * f <= n:
+        while n % f == 0:
+            n //= f
+            out[f] = out.get(f, 0) + 1
         f += 1 if f == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < f * f or is_prime(m):  # every factor of m is f or more
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            rest += [d, m // d]
+    return sorted(out.items())
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
+    out = [1]
+    for p, a in factorize(n) if n > 1 else []:
+        out = [d * p**e for d in out for e in range(a + 1)]
+    return sorted(out)
 
 
 def nontrivial_divisors(n: int) -> list[int]:

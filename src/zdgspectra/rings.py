@@ -208,37 +208,35 @@ class Ring:
         return cached
 
     def units(self, cap: int | None = None) -> list:
-        els = self.elements(cap)  # checks the cap on every call
-        if getattr(self, "_units", None) is None:
-            self._split(els)
-        return self._units
+        self.elements(cap)  # checks the cap on every call
+        return self._split[0]
 
     def zero_divisors(self, cap: int | None = None) -> list:
         """Nonzero non-units, in element order.
 
         In a finite ring every nonzero element is a unit or a (one-sided)
-        zero divisor, so no annihilator search is needed here: `_split`
-        tells the units by `_unit_mask`, from the element indices alone.
-        Tests check the definition directly.
+        zero divisor, so no annihilator search is needed here: `_split`,
+        cached once per ring, tells the units by `_unit_mask`, from the
+        element indices alone.  Tests check the definition directly.
         """
-        els = self.elements(cap)  # checks the cap on every call
-        if getattr(self, "_zero_divisors", None) is None:
-            self._split(els)
-        return self._zero_divisors
+        self.elements(cap)  # checks the cap on every call
+        return self._split[1]
 
     def _unit_mask(self) -> np.ndarray:
         """Bool array aligned with `elements()`, set exactly at the units.
         It is computed from the element indices and reads no payload."""
         raise NotImplementedError
 
-    def _split(self, els):
-        """Units and zero-divisors from `_unit_mask`: every element that is
-        neither a unit nor els[0] = 0 is a zero-divisor."""
+    @cached_property
+    def _split(self) -> tuple[list, list]:
+        """(units, zero-divisors) of the elements that `elements` cached,
+        found once from `_unit_mask`: every element that is neither a unit
+        nor 0 (element 0) is a zero-divisor."""
+        els = self._elements
         unit = self._unit_mask()
         zd = ~unit
         zd[0] = False
-        self._units = list(itertools.compress(els, unit.tolist()))
-        self._zero_divisors = list(itertools.compress(els, zd.tolist()))
+        return list(itertools.compress(els, unit.tolist())), list(itertools.compress(els, zd.tolist()))
 
 
 class Zn(Ring):
@@ -317,19 +315,6 @@ class Zn(Ring):
         return list(range(self.n))
 
 
-class _Unbuilt:
-    """A GF table before its first lookup, which builds all three tables on
-    the field; from then on the field holds plain lists, so add, neg, mul
-    and inv pay nothing for the laziness."""
-
-    def __init__(self, field, name):
-        self.field, self.name = field, name
-
-    def __getitem__(self, i):
-        self.field._build_logs()
-        return getattr(self.field, self.name)[i]
-
-
 class GF(Ring):
     """The finite field with p^k elements.
 
@@ -337,9 +322,9 @@ class GF(Ring):
     primitive element in code order: exp[i] = g^i (listed twice over, so
     exponent sums need no reduction), log[g^i] = i, and the Zech
     logarithms zech[i] = log(1 + g^i), with None where 1 + g^i = 0.  Each
-    of add, neg, mul and inv is then a few list lookups.  The tables take
-    O(q) memory and are built on first use, so a large GF(p) that only
-    gives its class table or labels never builds them.
+    of add, neg, mul and inv is then a few list lookups.  The modulus and
+    the tables, which take O(q) memory, are found on first use, so a large
+    GF(p^k) that only gives its class table or labels never builds them.
     """
 
     kind = "GF"
@@ -356,8 +341,10 @@ class GF(Ring):
         self.cardinality = self.q
         self.zero = 0
         self.one = 1
-        self.modulus = _smallest_irreducible(p, k)
-        self._exp, self._log, self._zech = (_Unbuilt(self, name) for name in ("_exp", "_log", "_zech"))
+
+    @cached_property
+    def modulus(self) -> tuple[int, ...]:
+        return _smallest_irreducible(self.p, self.k)
 
     def key(self):
         return ("GF", self.p, self.k)
@@ -365,15 +352,9 @@ class GF(Ring):
     def spec_string(self):
         return f"GF({self.q})"
 
-    def _digits(self, a):
-        cs, p = [], self.p
-        for _ in range(self.k):
-            a, r = divmod(a, p)
-            cs.append(r)
-        return tuple(cs)
-
-    def _build_logs(self):
-        """Find g and fill the exp, log and Zech tables.  Each candidate g
+    @cached_property
+    def _logs(self):
+        """Find g and build the exp, log and Zech tables.  Each candidate g
         gets one vectorised multiply-by-g map over all codes, and g is
         primitive when the walk of its powers takes q - 1 steps to return
         to 1.  Every power of a candidate that fails has order below q - 1
@@ -407,7 +388,12 @@ class GF(Ring):
         plus_one = np.where(codes % p == p - 1, codes + 1 - p, codes + 1)  # only the constant digit changes
         zech = log[plus_one[exp]].tolist()
         zech[log[p - 1]] = None  # 1 + g^i = 0 exactly when g^i = -1
-        self._exp, self._log, self._zech = powers + powers, log.tolist(), zech
+        return powers + powers, log.tolist(), zech
+
+    # plain instance attributes once read, so add, neg, mul and inv pay nothing for the laziness
+    _exp = cached_property(lambda self: self._logs[0])
+    _log = cached_property(lambda self: self._logs[1])
+    _zech = cached_property(lambda self: self._logs[2])
 
     def add(self, a, b):
         if not a:
@@ -452,7 +438,7 @@ class GF(Ring):
     def label(self, a):
         if self.k == 1:
             return str(a)
-        cs = self._digits(a)
+        cs = [a // self.p**i % self.p for i in range(self.k)]
         terms = []
         for d in range(self.k - 1, -1, -1):
             c = cs[d]
@@ -606,21 +592,18 @@ class MatRing(Ring):
             out.append(tuple(orow))
         return tuple(out)
 
-    def _kills(self):
+    @cached_property
+    def _kills(self) -> np.ndarray:
         """The q^n x q^n bool table of "row vector code r times column
-        vector code c is 0", vectors coded base q (entry k times q^k).
-        Built once per ring."""
-        cached = getattr(self, "_kills_table", None)
-        if cached is None:
-            F, n, q = self.field, self.n, self.field.q
-            digits = np.arange(q**n)[:, None] // q ** np.arange(n) % q  # [code, k]: entry k
-            mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)])
-            add = np.array([[F.add(a, b) for b in range(q)] for a in range(q)])
-            dot = np.zeros((q**n, q**n), dtype=np.int64)
-            for k in range(n):
-                dot = add[dot, mul[digits[:, k][:, None], digits[:, k][None, :]]]
-            cached = self._kills_table = dot == 0
-        return cached
+        vector code c is 0", vectors coded base q (entry k times q^k)."""
+        F, n, q = self.field, self.n, self.field.q
+        digits = np.arange(q**n)[:, None] // q ** np.arange(n) % q  # [code, k]: entry k
+        mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)])
+        add = np.array([[F.add(a, b) for b in range(q)] for a in range(q)])
+        dot = np.zeros((q**n, q**n), dtype=np.int64)
+        for k in range(n):
+            dot = add[dot, mul[digits[:, k][:, None], digits[:, k][None, :]]]
+        return dot == 0
 
     def _right_kernels(self, xs):
         """Right kernels and column codes of the matrices xs, vectors coded
@@ -630,7 +613,7 @@ class MatRing(Ring):
         flat = itertools.chain.from_iterable(itertools.chain.from_iterable(xs))
         mats = np.fromiter(flat, dtype=np.int64, count=len(xs) * n * n).reshape(len(xs), n, n)
         weights = self.field.q ** np.arange(n, dtype=np.int64)
-        return self._kills()[mats @ weights].all(axis=1), weights @ mats
+        return self._kills[mats @ weights].all(axis=1), weights @ mats
 
     def zero_products(self, xs):
         """AB = 0 exactly when every column of B lies in the right kernel
@@ -648,7 +631,7 @@ class MatRing(Ring):
         columns as the right kernel is off the rows.  The key is the pair
         of kernels, as bitsets over F_q^n."""
         right, cols = self._right_kernels(xs)
-        left = self._kills().T[cols].all(axis=1)
+        left = self._kills.T[cols].all(axis=1)
         return row_keys(np.concatenate([right, left], axis=1))
 
     def class_count(self):
@@ -727,7 +710,7 @@ class MatRing(Ring):
         place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
         entries = np.arange(q ** (n * n), dtype=np.int64)[:, None] // place % q
         codes = entries.reshape(-1, n, n) @ q ** np.arange(n, dtype=np.int64)  # [i, row]
-        return ~self._kills()[codes, 1:].all(axis=1).any(axis=1)
+        return ~self._kills[codes, 1:].all(axis=1).any(axis=1)
 
     def label(self, a):
         F = self.field

@@ -592,6 +592,8 @@ def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftR
         raise LiftError(f"index {j} out of range for order {n}")
     if m < 1:
         raise LiftError("multiplicity must be at least 1")
+    if not math.isfinite(tol):
+        raise LiftError(f"tolerance must be finite, got {tol}")
     base_residual = float(np.max(np.abs(b @ v - lam * v))) if n else 0.0
     if base_residual > tol:
         raise LiftError(

@@ -346,6 +346,28 @@ def test_negative_cap_is_a_usage_error(args, env):
     assert "Traceback" not in err and "a cap must be 0 or more" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--ring", "Zn(18)", "--method", "both", "--tol=-inf"],
+        ["verify", "--ring", "Zn(36)", "--tol", "inf"],
+        ["lift", "--j", "0", "--m", "2", "--value", "5", "--vector", "1,0,0", "--tol", "nan"],
+    ],
+    ids=["spectrum", "verify", "lift"],
+)
+def test_non_finite_tol_is_a_usage_error(args, tmp_path):
+    # against nan or inf no residual or deviation is ever too large, so lift
+    # passed diag(2, 0, 1) with a value that is no eigenvalue of it
+    matrix = tmp_path / "b.txt"
+    matrix.write_text("2 0 0\n0 0 0\n0 0 1\n")
+    if args[0] == "lift":
+        args = [*args, "--matrix", str(matrix)]
+    code, out, err = run_inproc(args)
+    assert code == 1
+    assert out == ""
+    assert "UsageError" in err and "a tolerance must be finite" in err
+
+
 def test_exit_code_verification_mismatch():
     # a negative tolerance can never be met, so verify reports a mismatch
     code, out, _ = run_inproc(["verify", "--ring", "Zn(36)", "--tol", "-1"])

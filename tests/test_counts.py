@@ -10,7 +10,6 @@ import math
 import pytest
 
 from zdgspectra.counts import (
-    QBinomTable,
     SemisimpleProfile,
     boolean_skeleton,
     class_count_matrix,
@@ -222,13 +221,15 @@ def test_q_binomial_limit_q_to_1():
             assert num // den == math.comb(n, r)
 
 
-def test_qbinom_table_memoizes():
-    table = QBinomTable(3)
-    assert table.get(4, 2) == q_binomial(4, 2, 3)
-    assert table.get(4, 2) == table.get(4, 4 - 2)
-    assert table.get(2, 5) == 0
-    with pytest.raises(ValueError):
-        QBinomTable(1)
+def test_q_binomial_memoizes():
+    q_binomial(4, 2, 3)
+    hits = q_binomial.cache_info().hits
+    assert q_binomial(4, 2, 3) == 130
+    assert q_binomial.cache_info().hits == hits + 1
+    assert q_binomial(4, 1, 3) == q_binomial(4, 4 - 1, 3) == 40
+    assert q_binomial(2, 5, 3) == q_binomial(2, -1, 3) == 0
+    with pytest.raises(ValueError, match="q must be at least 2"):
+        q_binomial(4, 2, 1)
 
 
 def test_rank_count_rejects_q_below_two():

@@ -209,8 +209,12 @@ def test_field_arithmetic_random_pairs(p, k):
 
 def test_gf512_builds_in_under_a_second():
     start = time.perf_counter()
-    GF(2, 9).mul(2, 3)  # the first product builds the log tables
+    field = GF(2, 9)
+    field.mul(2, 3)  # the first product builds the log tables
     assert time.perf_counter() - start < 1.0
+    field.add(2, 3)
+    # from then on add, neg, mul and inv index plain lists on the field
+    assert all(type(vars(field)[name]) is list for name in ("_exp", "_log", "_zech"))
 
 
 def test_prime_field_modulus_needs_no_scan():
@@ -346,8 +350,8 @@ def test_zn_class_table_by_divisor_arithmetic(n):
 
 
 def test_class_table_refuses_a_huge_ring_before_factoring(monkeypatch):
-    # trial division of a prime near 2^63 would run for hours; the size
-    # check must come first, so a factorization here is a failure
+    # the size check must come before the class count, so a factorization
+    # here is a failure
     def no_factorize(n):
         raise AssertionError(f"factorize({n}) called")
 
@@ -355,6 +359,33 @@ def test_class_table_refuses_a_huge_ring_before_factoring(monkeypatch):
     for spec in ("Zn(9223372036854775837)", "Zn(4294967311)xZn(4294967311)"):
         with pytest.raises(RingError, match="2\\^63 or more elements"):
             parse_ring_spec(spec).class_table(4098)
+
+
+def test_factorize_splits_large_prime_factors():
+    # trial division up to the root ran for hours on each of these
+    p, q = 2147483647, 2147483659
+    assert numth.factorize(2**61 - 1) == [(2**61 - 1, 1)]
+    assert numth.factorize(p * q) == [(p, 1), (q, 1)]
+    assert numth.factorize(p * p) == [(p, 2)]
+    assert numth.factorize(3 * 5 * p * q * q) == [(3, 1), (5, 1), (p, 1), (q, 2)]
+    assert numth.is_prime(2**61 - 1) and not numth.is_prime(p * q)
+    assert numth.divisors(p * q) == [1, p, q, p * q]
+
+
+def test_factorize_and_is_prime_agree_with_a_sieve():
+    limit = 10**5
+    smallest = list(range(limit + 1))  # smallest prime factor, by a sieve
+    for f in range(2, int(limit**0.5) + 1):
+        if smallest[f] == f:
+            for m in range(f * f, limit + 1, f):
+                smallest[m] = min(smallest[m], f)
+    for n in range(2, limit + 1):
+        expected, m = {}, n
+        while m > 1:
+            expected[smallest[m]] = expected.get(smallest[m], 0) + 1
+            m //= smallest[m]
+        assert numth.factorize(n) == sorted(expected.items()), n
+        assert numth.is_prime(n) == (smallest[n] == n), n
 
 
 # `_unit_mask` computes the units from element indices alone, so it relies on

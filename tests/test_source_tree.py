@@ -5,6 +5,9 @@ Only the modules themselves and the JSON schemas ship in src/zdgspectra; a
 C extension, its .pyx source or its generated .c file would fail here.
 Every eigenvalue goes through `eig.dense_eigenvalues`: a module that calls
 a `linalg.eig*` routine itself, or a second solver in `eig`, fails here.
+Values computed once per object or per argument use `functools.cached_property`
+or `functools.cache`: a hand-rolled `getattr(self, "_name", None)` memo
+fails here, with one exception named in the test.
 """
 import ast
 from pathlib import Path
@@ -53,3 +56,28 @@ def test_only_eig_calls_the_eigensolver():
         node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     ]
     assert defined == ["_prepare", "dense_eigenvalues"]
+
+
+def getattr_memos(path):
+    """The names read by `getattr(self, "<name>", None)` in a module."""
+    return [
+        node.args[1].value
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) == 3
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "self"
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[2], ast.Constant)
+        and node.args[2].value is None
+    ]
+
+
+def test_memos_use_functools():
+    memos = {p.name: getattr_memos(p) for p in sorted(PACKAGE.glob("*.py"))}
+    # Ring.elements keeps a plain `_elements` attribute because the benchmark's
+    # tracer reads it with getattr to count fresh enumerations; a cached
+    # property there would enumerate inside the tracer.
+    assert {name: m for name, m in memos.items() if m} == {"rings.py": ["_elements"]}

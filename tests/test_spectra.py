@@ -13,6 +13,7 @@ import pytest
 
 from zdgspectra import graph as graph_module
 from zdgspectra import numth
+from zdgspectra import rings as rings_module
 from zdgspectra import spectra as spectra_module
 from zdgspectra.classes import ClassPartition, VertexClass, check_relation_agreements, classes_for
 from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
@@ -474,15 +475,30 @@ def test_closed_route_refuses_over_the_cap_before_building(spec):
     assert time.perf_counter() - start < 1.0
 
 
-def test_closed_route_reads_a_large_prime_field_without_its_tables():
+@pytest.mark.parametrize("spec", ["GF(1000003)xZn(2)", "GF(1048576)xZn(2)"])
+def test_closed_route_reads_a_large_prime_field_without_its_tables(spec, monkeypatch):
+    # neither the modulus (seconds of search for GF(2^20)) nor the log tables are needed
+    def no_search(p, k):
+        raise AssertionError(f"searched for a modulus of GF({p}^{k})")
+
+    monkeypatch.setattr(rings_module, "_smallest_irreducible", no_search)
     tracemalloc.start()
     try:
-        dec = ring_join_decomposition(parse_ring_spec("GF(1000003)xZn(2)"), method="closed")
+        ring = parse_ring_spec(spec)
+        dec = ring_join_decomposition(ring, method="closed")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sorted(dec.sizes.tolist()) == [1, 1000002]
+    assert sorted(dec.sizes.tolist()) == [1, ring.factors[0].q - 1]
     assert peak < 1 << 20  # the field's log tables alone take tens of MB
+
+
+def test_closed_route_on_a_large_prime_modulus():
+    # Z_n with n = 2^61 - 1 is a field: no zero-divisors, so no cells
+    start = time.perf_counter()
+    dec = ring_join_decomposition(Zn(2**61 - 1), method="closed")
+    assert dec.class_count == 0 and dec.sizes.tolist() == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_closed_route_refuses_sizes_past_int64():
@@ -883,6 +899,14 @@ def test_lift_rejects_non_eigenpair():
     b = [[0.0, 1.0], [1.0, 0.0]]
     with pytest.raises(LiftError):
         duplicate_lift(b, j=0, m=2, lam=0.5, v=[1.0, 1.0])
+
+
+def test_lift_rejects_a_non_finite_tol():
+    # no residual compares greater than nan or inf, so this non-eigenpair passed
+    b = np.diag([2.0, 0.0, 1.0])
+    for tol in (math.nan, math.inf):
+        with pytest.raises(LiftError, match="tolerance must be finite"):
+            duplicate_lift(b, j=0, m=2, lam=5.0, v=[1.0, 0.0, 0.0], tol=tol)
 
 
 def test_lift_m_one_is_identity():
