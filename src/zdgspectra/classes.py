@@ -14,8 +14,9 @@ neighborhood classes are always edgeless.
 
 Every relation takes one path: `classes_for` groups the vertices of the
 caller's graph by a key array.  Associates are keyed by `associate_keys`
-(gcd with n for Z_n, the pair of kernels for a matrix, componentwise for
-a product), with the cell kind read off the graph's `loops`; equal
+on the graph's `element_index` (gcd with n for Z_n, the pair of kernels
+for a matrix, componentwise for a product), with the cell kind read off
+the graph's `loops`; equal
 neighborhoods by the id of each adjacency row (`rings.row_keys`); equal
 annihilators by the id of each adjacency row with the graph's `loops` on
 the diagonal (a in ann(a) iff a^2 = 0).
@@ -178,7 +179,7 @@ def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPa
     grouped by one key per vertex (see the module docstring);
     `classes_associate` is the definition the associate classes must equal."""
     if relation == "associate":
-        keys = graph.ring.associate_keys(graph.vertices)
+        keys = graph.ring.associate_keys(graph.element_index)
         return _group("associate", keys, lambda i: "complete" if graph.loops[i] else "null")
     if relation == "neighborhood":
         return classes_neighborhood(graph)

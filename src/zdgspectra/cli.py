@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISMATCH = 2
 
+MAX_PRINTED_VALUES = 10**6  # per flavor; Zn(1000000) prints 599,999 at a 200 MB peak
+
 
 class UsageError(Exception):
     pass
@@ -70,14 +72,14 @@ def _cap(text: str) -> int:
     return value
 
 
-def _tol(text: str) -> float:
-    """A finite float: no residual or deviation compares above nan or inf."""
+def _finite(text: str) -> float:
+    """A finite tolerance or eigenvalue: against nan or inf no residual check fails."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"a tolerance must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
@@ -139,26 +141,25 @@ def _run_spectrum(args):
     reports = []
     mismatch = False
     for flavor in _flavors(args):
-        if need_join:
-            spectrum = assemble_spectrum(dec, flavor)
-            verification = None
-            if need_brute:
-                check = multiset_equal(spectrum, brute_spectrum(graph, flavor), args.tol)
-                verification = {
-                    "matched": check.matched,
-                    "max_deviation": None if check.length_mismatch else check.max_deviation,
-                }
-                mismatch = mismatch or not check.matched
-            method = "join"
-        else:
-            spectrum = brute_spectrum(graph, flavor)
-            verification = None
-            method = "brute"
+        spectrum = assemble_spectrum(dec, flavor) if need_join else brute_spectrum(graph, flavor)
+        if len(spectrum) > MAX_PRINTED_VALUES:  # len() reads the runs; values would expand them
+            raise RingError(
+                f"Gamma({ring.spec_string()}) has {len(spectrum)} eigenvalues per flavor, "
+                f"over the {MAX_PRINTED_VALUES} that json and csv print"
+            )
+        verification = None
+        if need_join and need_brute:
+            check = multiset_equal(spectrum, brute_spectrum(graph, flavor), args.tol)
+            verification = {
+                "matched": check.matched,
+                "max_deviation": None if check.length_mismatch else check.max_deviation,
+            }
+            mismatch = mismatch or not check.matched
         reports.append(
             {
                 "ring": ring.spec_string(),
                 "relation": args.relation,
-                "method": method,
+                "method": "join" if need_join else "brute",
                 "flavor": flavor,
                 "values": spectrum.values,
                 "clusters": spectrum.clusters(),
@@ -433,7 +434,7 @@ def _build_parser() -> _Parser:
 
     p_spectrum = sub.add_parser("spectrum", help="assembled and/or brute-force spectra")
     common(p_spectrum)
-    p_spectrum.add_argument("--tol", type=_tol, default=1e-7)
+    p_spectrum.add_argument("--tol", type=_finite, default=1e-7)
     p_spectrum.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_spectrum.add_argument("--method", choices=("join", "brute", "both"), default="join")
     p_spectrum.set_defaults(handler=_run_spectrum)
@@ -452,7 +453,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="compare join spectra against the dense oracle")
     common(p_verify)
-    p_verify.add_argument("--tol", type=_tol, default=1e-7)
+    p_verify.add_argument("--tol", type=_finite, default=1e-7)
     p_verify.add_argument("--sweep", help='e.g. "Zn:6..200" or "M:2,GF(3)"')
     p_verify.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_verify.set_defaults(handler=_run_verify)
@@ -461,10 +462,10 @@ def _build_parser() -> _Parser:
     p_lift.add_argument("--matrix", required=True, help="text file, one whitespace-separated row per line")
     p_lift.add_argument("--j", type=int, required=True, help="index to duplicate (0-based)")
     p_lift.add_argument("--m", type=int, required=True, help="how many copies the index ends up with")
-    p_lift.add_argument("--value", type=float, required=True, help="eigenvalue of the input matrix")
+    p_lift.add_argument("--value", type=_finite, required=True, help="eigenvalue of the input matrix")
     p_lift.add_argument("--vector", required=True, help="comma-separated eigenvector entries")
     p_lift.add_argument("--format", choices=("json", "csv"), default="json")
-    p_lift.add_argument("--tol", type=_tol, default=1e-8)
+    p_lift.add_argument("--tol", type=_finite, default=1e-8)
     p_lift.set_defaults(handler=_run_lift)
 
     return parser

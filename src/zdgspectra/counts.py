@@ -12,10 +12,13 @@ from math import prod
 from . import numth
 
 
+@cache  # gl_order runs once per class of a matrix ring's class table
 def _check_q(q: int) -> None:
-    """Every formula here counts over a field of q >= 2 elements."""
+    """Every formula here counts over a field of q elements, a prime power."""
     if q < 2:
         raise ValueError("q must be at least 2")
+    if numth.prime_power(q) is None:
+        raise ValueError(f"{q} is not a prime power")
 
 
 @cache

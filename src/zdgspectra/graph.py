@@ -7,9 +7,11 @@ element order of the ring, so everything downstream is deterministic.
 
 The adjacency comes from the ring's `zero_products` table (ab = 0 for
 every vertex pair at once, built from per-ring lookup tables), OR-ed with
-its transpose when the ring is not commutative.  The table's diagonal is
-kept as `loops`, the vertices that square to 0, before the adjacency's
-is cleared: it marks the vertices inside their own annihilator, and the
+its transpose when the ring is not commutative.  The table reads the
+vertices' element indices (positions in the ring's `elements()`, kept as
+`element_index`), never a payload.  The table's diagonal is kept as
+`loops`, the vertices that square to 0, before the adjacency's is
+cleared: it marks the vertices inside their own annihilator, and the
 ring is reduced exactly when no vertex has a loop.  `annihilator_set`
 keeps the per-element definition as an independent check.  `build_zdg`
 checks the caller's caps before any V x V array exists and caches the
@@ -24,6 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import numth
+from .counts import _check_q
 from .rings import Ring, RingError
 
 DEFAULT_VERTEX_CAP = 5000
@@ -39,6 +42,7 @@ class ZeroDivisorGraph:
     vertices: list
     adjacency: np.ndarray  # bool, symmetric, zero diagonal
     loops: np.ndarray  # bool, loops[i] exactly when vertices[i] squares to 0
+    element_index: np.ndarray  # int64, the position of vertices[i] in ring.elements()
     # flavor -> spectra.brute_spectrum of this graph; empty again after dataclasses.replace
     _oracle: dict = field(repr=False, compare=False, init=False, default_factory=dict)
 
@@ -66,11 +70,12 @@ class ZeroDivisorGraph:
 
 def _build(ring: Ring) -> ZeroDivisorGraph:
     zd = ring.zero_divisors(ring.cardinality)  # build_zdg checked the caller's caps
-    z = ring.zero_products(zd)
+    index = ring.zero_divisor_indices(ring.cardinality)
+    z = ring.zero_products(index)
     loops = z.diagonal().copy()
     adj = z if ring.commutative else z | z.T
     np.fill_diagonal(adj, False)
-    return ZeroDivisorGraph(ring, list(zd), adj, loops)
+    return ZeroDivisorGraph(ring, list(zd), adj, loops, index.copy())
 
 
 _build_cached = lru_cache(maxsize=1)(_build)
@@ -139,8 +144,7 @@ def degree_matring(n: int, q: int, r: int, squares_to_zero: bool) -> int:
     2*q^(n(n-r)) - q^((n-r)^2) - 1, and one less when the matrix squares
     to zero (it then sits inside its own annihilator).
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    _check_q(q)
     if not 1 <= r <= n - 1:
         raise RingError("rank must be between 1 and n-1 for a zero-divisor matrix")
     val = 2 * q ** (n * (n - r)) - q ** ((n - r) ** 2) - 1

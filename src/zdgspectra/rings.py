@@ -8,7 +8,10 @@ arithmetic, table-built zero products and associate keys, a class table
 without enumerating), unit and zero-divisor enumeration and canonical
 labels for its own payloads.  Element order is always lexicographic on
 the payload, so index 0 is the zero element and enumeration is
-reproducible.
+reproducible.  The tables read element indices (positions in
+`elements()`), never payloads: an index is the payload for Z_n and GF, the
+entries' base-q digits for a matrix and the factors' indices in C order
+for a product.  A matrix is a unit when its `gf_rref` rank is n.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -147,17 +150,18 @@ class Ring:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def zero_products(self, xs) -> np.ndarray:
-        """Bool array z of shape (len(xs), len(xs)) with z[i, j] exactly
-        when xs[i] * xs[j] == 0, built from tables instead of one `mul`
-        per pair.  It is not symmetric when the ring is not commutative."""
+    def zero_products(self, idx) -> np.ndarray:
+        """Bool array z of shape (len(idx), len(idx)) with z[i, j] exactly
+        when the elements of indices idx[i] and idx[j] multiply to 0, built
+        from tables instead of one `mul` per pair.  It is not symmetric
+        when the ring is not commutative."""
         raise NotImplementedError
 
-    def associate_keys(self, xs) -> np.ndarray:
-        """Int64 array k with k[i] == k[j] exactly when xs[i] and xs[j] are
-        associates (xs[i] = u xs[j] and xs[j] = xs[i] v for units u, v).
-        0 is a class of its own and the units form one class.  Keys are
-        comparable only within one call."""
+    def associate_keys(self, idx) -> np.ndarray:
+        """Int64 array k with k[i] == k[j] exactly when the elements x_i and
+        x_j of indices idx[i] and idx[j] are associates (x_i = u x_j and
+        x_j = x_i v for units u, v).  0 is a class of its own and the units
+        form one class.  Keys are comparable only within one call."""
         raise NotImplementedError
 
     def class_count(self) -> int:
@@ -222,21 +226,27 @@ class Ring:
         self.elements(cap)  # checks the cap on every call
         return self._split[1]
 
+    def zero_divisor_indices(self, cap: int | None = None) -> np.ndarray:
+        """The positions of `zero_divisors()` in `elements()`, ascending."""
+        self.elements(cap)  # checks the cap on every call
+        return self._split[2]
+
     def _unit_mask(self) -> np.ndarray:
         """Bool array aligned with `elements()`, set exactly at the units.
         It is computed from the element indices and reads no payload."""
         raise NotImplementedError
 
     @cached_property
-    def _split(self) -> tuple[list, list]:
-        """(units, zero-divisors) of the elements that `elements` cached,
-        found once from `_unit_mask`: every element that is neither a unit
-        nor 0 (element 0) is a zero-divisor."""
+    def _split(self) -> tuple[list, list, np.ndarray]:
+        """(units, zero-divisors, zero-divisor indices) of the elements that
+        `elements` cached, found once from `_unit_mask`: every element that
+        is neither a unit nor 0 (element 0) is a zero-divisor."""
         els = self._elements
         unit = self._unit_mask()
         zd = ~unit
         zd[0] = False
-        return list(itertools.compress(els, unit.tolist())), list(itertools.compress(els, zd.tolist()))
+        units = list(itertools.compress(els, unit.tolist()))
+        return units, list(itertools.compress(els, zd.tolist())), np.flatnonzero(zd)
 
 
 class Zn(Ring):
@@ -268,14 +278,14 @@ class Zn(Ring):
     def mul(self, a, b):
         return (a * b) % self.n
 
-    def zero_products(self, xs):
+    def zero_products(self, idx):
         # the int64 products are exact for n below 3e9, far past any ring that can be enumerated
-        vals = np.asarray(xs, dtype=np.int64)
+        vals = np.asarray(idx, dtype=np.int64)
         return np.outer(vals, vals) % self.n == 0
 
-    def associate_keys(self, xs):
+    def associate_keys(self, idx):
         # x ~ y exactly when gcd(x, n) = gcd(y, n)
-        return np.gcd(np.asarray(xs, dtype=np.int64), self.n)
+        return np.gcd(np.asarray(idx, dtype=np.int64), self.n)
 
     @cached_property
     def factors(self) -> list[tuple[int, int]]:  # computed once per ring
@@ -410,12 +420,12 @@ class GF(Ring):
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
-    def zero_products(self, xs):
-        z = np.asarray(xs) == 0
+    def zero_products(self, idx):
+        z = np.asarray(idx) == 0
         return z[:, None] | z[None, :]
 
-    def associate_keys(self, xs):
-        return (np.asarray(xs, dtype=np.int64) != 0).astype(np.int64)
+    def associate_keys(self, idx):
+        return (np.asarray(idx, dtype=np.int64) != 0).astype(np.int64)
 
     def class_count(self):
         return 2
@@ -605,32 +615,34 @@ class MatRing(Ring):
             dot = add[dot, mul[digits[:, k][:, None], digits[:, k][None, :]]]
         return dot == 0
 
-    def _right_kernels(self, xs):
-        """Right kernels and column codes of the matrices xs, vectors coded
-        as in `_kills`: ker[a, c] is set exactly when xs[a] v = 0 for the
-        vector v of code c, and cols[a, j] is the code of column j of xs[a]."""
-        n = self.n
-        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(xs))
-        mats = np.fromiter(flat, dtype=np.int64, count=len(xs) * n * n).reshape(len(xs), n, n)
-        weights = self.field.q ** np.arange(n, dtype=np.int64)
+    def _right_kernels(self, idx):
+        """Right kernels and column codes of the matrices A_a of indices
+        idx[a], vectors coded as in `_kills`: ker[a, c] is set exactly when
+        A_a v = 0 for the vector v of code c, and cols[a, j] is the code of
+        column j of A_a.  Index i lists the n^2 entries row by row as its
+        base-q digits, most significant first."""
+        n, q = self.n, self.field.q
+        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        mats = (np.asarray(idx, dtype=np.int64)[:, None] // place % q).reshape(-1, n, n)
+        weights = q ** np.arange(n, dtype=np.int64)
         return self._kills[mats @ weights].all(axis=1), weights @ mats
 
-    def zero_products(self, xs):
+    def zero_products(self, idx):
         """AB = 0 exactly when every column of B lies in the right kernel
         of A: one gather of the right-kernel bitsets per column of B."""
-        ker, cols = self._right_kernels(xs)
+        ker, cols = self._right_kernels(idx)
         out = ker[:, cols[:, 0]]
         for j in range(1, self.n):
             out &= ker[:, cols[:, j]]
         return out
 
-    def associate_keys(self, xs):
+    def associate_keys(self, idx):
         """B = UA for an invertible U exactly when B and A have one row
         space, that is one right kernel {v : Av = 0}; B = AV likewise for
         the column space and the left kernel {v : v^T A = 0}, read off the
         columns as the right kernel is off the rows.  The key is the pair
         of kernels, as bitsets over F_q^n."""
-        right, cols = self._right_kernels(xs)
+        right, cols = self._right_kernels(idx)
         left = self._kills.T[cols].all(axis=1)
         return row_keys(np.concatenate([right, left], axis=1))
 
@@ -666,29 +678,6 @@ class MatRing(Ring):
         labels = ["0"] + [f"r{r}.{a}.{b}" for r, a, b in proper] + ["u"]
         return np.array(sizes, dtype=np.int64), kills, labels
 
-    def det(self, a):
-        F, n = self.field, self.n
-        work = [list(row) for row in a]
-        det = 1
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if work[i][col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                det = F.neg(det)
-            det = F.mul(det, work[col][col])
-            inv = F.inv(work[col][col])
-            for i in range(col + 1, n):
-                if work[i][col] != 0:
-                    f = F.mul(work[i][col], inv)
-                    work[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(work[i], work[col])]
-        return det
-
     def rank(self, a):
         return gf_rank(self.field, a, self.n)
 
@@ -699,18 +688,12 @@ class MatRing(Ring):
         return gf_rref(self.field, tuple(zip(*a)), self.n)
 
     def is_unit(self, a):
-        return self.det(a) != 0
+        return self.rank(a) == self.n
 
     def _unit_mask(self):
-        """A matrix is a unit exactly when its right kernel is {0}.  Element
-        i lists the n^2 entries row by row as the base-q digits of i, most
-        significant first; each row's digits give its code as in `_kills`,
-        and the kernel is the AND of the `_kills` rows of those codes."""
-        n, q = self.n, self.field.q
-        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-        entries = np.arange(q ** (n * n), dtype=np.int64)[:, None] // place % q
-        codes = entries.reshape(-1, n, n) @ q ** np.arange(n, dtype=np.int64)  # [i, row]
-        return ~self._kills[codes, 1:].all(axis=1).any(axis=1)
+        """A matrix is a unit exactly when its right kernel is {0}."""
+        ker, _ = self._right_kernels(np.arange(self.cardinality))
+        return ~ker[:, 1:].any(axis=1)
 
     def label(self, a):
         F = self.field
@@ -736,14 +719,6 @@ def _product_table(tables):
         sizes *= factor_sizes[i]
         kills &= factor_kills[i][:, i]
     return sizes, kills, idx
-
-
-def _component(xs, k):
-    """Distinct values of component k of the tuples xs, in first-seen
-    order, and the position of each x[k] among them."""
-    index = {}
-    idx = np.array([index.setdefault(x[k], len(index)) for x in xs], dtype=np.intp)
-    return list(index), idx
 
 
 class ProductRing(Ring):
@@ -779,29 +754,42 @@ class ProductRing(Ring):
     def mul(self, a, b):
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
 
-    def zero_products(self, xs):
+    def _factor_indices(self, idx):
+        """Per factor: the factor, its element indices that occur in idx
+        (ascending, deduped by a mask, not np.unique's slower sort) and the
+        position of each idx[i]'s component among them.  Elements are in C
+        order over the factors, as itertools.product and `_unit_mask` list
+        them: factor k's index is idx // prod(cards[k+1:]) % cards[k]."""
+        idx = np.asarray(idx, dtype=np.int64)
+        stride = self.cardinality
+        for f in self.factors:
+            stride //= f.cardinality
+            component = idx // stride % f.cardinality
+            seen = np.zeros(f.cardinality, dtype=bool)
+            seen[component] = True
+            yield f, np.flatnonzero(seen), (np.cumsum(seen) - 1)[component]
+
+    def zero_products(self, idx):
         """A product is 0 exactly when it is 0 in every component: the AND
-        of each factor's table on the distinct values of that component,
+        of each factor's table on the distinct indices of that component,
         expanded with one gather per axis (columns first, as in
         `spectra.blow_up`)."""
         out = None
-        for k, f in enumerate(self.factors):
-            values, idx = _component(xs, k)
-            table = f.zero_products(values).take(idx, axis=1).take(idx, axis=0)
+        for f, values, pos in self._factor_indices(idx):
+            table = f.zero_products(values).take(pos, axis=1).take(pos, axis=0)
             if out is None:
                 out = table
             else:
                 out &= table
         return out
 
-    def associate_keys(self, xs):
+    def associate_keys(self, idx):
         """Associates componentwise: each factor's keys on the distinct
-        values of its component, combined in mixed radix."""
-        keys = np.zeros(len(xs), dtype=np.int64)
-        for k, f in enumerate(self.factors):
-            values, idx = _component(xs, k)
+        indices of its component, combined in mixed radix."""
+        keys = np.zeros(len(idx), dtype=np.int64)
+        for f, values, pos in self._factor_indices(idx):
             fk = f.associate_keys(values)
-            keys = keys * (int(fk.max()) + 1) + fk[idx]
+            keys = keys * (int(fk.max()) + 1) + fk[pos]
         return keys
 
     def class_count(self):

@@ -594,8 +594,10 @@ def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftR
         raise LiftError("multiplicity must be at least 1")
     if not math.isfinite(tol):
         raise LiftError(f"tolerance must be finite, got {tol}")
+    if not math.isfinite(lam):
+        raise LiftError(f"eigenvalue must be finite, got {lam}")
     base_residual = float(np.max(np.abs(b @ v - lam * v))) if n else 0.0
-    if base_residual > tol:
+    if not base_residual <= tol:  # fails closed on a nan residual
         raise LiftError(
             f"(lambda, v) is not an eigenpair of B (residual {base_residual:.3e})"
         )
@@ -618,7 +620,7 @@ def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftR
     a = b[np.ix_(ix, ix)]
     w = v[ix]
     residual = float(np.max(np.abs(a @ w - mu * w)))
-    if residual > tol:
+    if not residual <= tol:
         rayleigh = float(w @ a @ w) / float(w @ w)
         raise LiftVerificationError(
             f"lifted pair fails verification: formula mu = {mu!r}, "

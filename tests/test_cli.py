@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import zdgspectra
 from zdgspectra.classes import classes_associate
-from zdgspectra.cli import main
+from zdgspectra.cli import _COUNT_FORMS, main
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import parse_ring_spec
 from zdgspectra.spectra import DecompositionError
@@ -365,7 +366,48 @@ def test_non_finite_tol_is_a_usage_error(args, tmp_path):
     code, out, err = run_inproc(args)
     assert code == 1
     assert out == ""
-    assert "UsageError" in err and "a tolerance must be finite" in err
+    assert "UsageError" in err and "argument --tol: must be finite" in err
+
+
+@pytest.mark.parametrize("m", ["1", "3"])
+def test_non_finite_lift_value_is_a_usage_error(m, tmp_path):
+    # lam = nan made both residuals nan, which no tol refused: lift exited 0
+    # with "mu": NaN, which is not JSON
+    matrix = tmp_path / "b.txt"
+    matrix.write_text("2 0\n0 3\n")
+    args = ["lift", "--matrix", str(matrix), "--j", "0", "--m", m, "--vector", "1,0"]
+    code, out, err = run_inproc([*args, "--value", "nan"])
+    assert code == 1
+    assert out == ""
+    assert "UsageError" in err and "argument --value: must be finite" in err
+
+
+Q_FORMS = sorted(name for name, (needed, _) in _COUNT_FORMS.items() if "q" in needed)
+
+
+@pytest.mark.parametrize("what", Q_FORMS)
+def test_counts_refuse_a_q_that_is_no_prime_power(what):
+    # every form printed a count over a "field" of 6 elements
+    needed, _ = _COUNT_FORMS[what]
+    values = {"n": "2", "m": "2", "r": "1", "q": "6"}
+    args = ["counts", "--what", what, *[a for name in needed for a in (f"--{name}", values[name])]]
+    code, out, err = run_inproc(args)
+    assert code == 1
+    assert out == ""
+    assert err == "error: ValueError: 6 is not a prime power\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_refuses_to_print_billions_of_values(fmt):
+    # the closed route answers Zn(p^2), p = 2^31 - 1, at once; printing its
+    # 2,147,483,646 eigenvalues per flavor ended in a MemoryError traceback
+    started = time.perf_counter()
+    code, out, err = run_cli(["spectrum", "--ring", "Zn(4611686014132420609)", "--format", fmt])
+    assert time.perf_counter() - started < 30
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: RingError: ") and "2147483646 eigenvalues" in err
 
 
 def test_exit_code_verification_mismatch():

@@ -4,10 +4,12 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from zdgspectra import numth
 from zdgspectra.classes import (
+    classes_associate,
     _commutative_hypothesis,
     _noncommutative_hypothesis,
     _scan_commutative_hypothesis,
@@ -243,11 +245,14 @@ def test_matring_basics():
 
 def test_matring_rank_against_det():
     """For 2x2 matrices, rank has a closed description: 0 for the zero
-    matrix, 2 when det is nonzero, 1 otherwise."""
+    matrix, 2 when det is nonzero, 1 otherwise.  The determinant is
+    written out, so it is independent of the elimination behind rank."""
     for q, field in ((2, GF(2)), (3, GF(3))):
         ring = MatRing(2, field)
         for a in ring.elements():
-            expected = 0 if a == ring.zero else (2 if ring.det(a) != 0 else 1)
+            (a00, a01), (a10, a11) = a
+            det = field.sub(field.mul(a00, a11), field.mul(a01, a10))
+            expected = 0 if a == ring.zero else (2 if det != 0 else 1)
             assert ring.rank(a) == expected, (q, a)
 
 
@@ -417,3 +422,26 @@ def test_product_hypotheses_read_the_factors(spec):
     ring = parse_ring_spec(spec)
     assert _commutative_hypothesis(ring) == _scan_commutative_hypothesis(ring)
     assert _noncommutative_hypothesis(ring) == _scan_noncommutative_hypothesis(ring)
+
+
+# the ring tables read element indices (positions in elements()), never payloads
+INDEX_RINGS = ["Zn(12)", "GF(4)", "M(2,GF(3))", "M(2,GF(4))", "M(2,GF(2))xZn(4)", "GF(4)xZn(6)"]
+
+
+@pytest.mark.parametrize("spec", INDEX_RINGS)
+def test_zero_products_read_element_indices(spec):
+    ring = parse_ring_spec(spec)
+    els = ring.elements()
+    expected = np.array([[ring.mul(a, b) == ring.zero for b in els] for a in els])
+    assert np.array_equal(ring.zero_products(np.arange(ring.cardinality)), expected)
+
+
+@pytest.mark.parametrize("spec", INDEX_RINGS)
+def test_associate_keys_read_element_indices(spec):
+    ring = parse_ring_spec(spec)
+    idx = ring.zero_divisor_indices()
+    assert [ring.elements()[i] for i in idx] == ring.zero_divisors()
+    groups = {}
+    for i, key in enumerate(ring.associate_keys(idx).tolist()):
+        groups.setdefault(key, set()).add(i)
+    assert {frozenset(g) for g in groups.values()} == classes_associate(ring).index_sets()

@@ -81,3 +81,33 @@ def test_memos_use_functools():
     # tracer reads it with getattr to count fresh enumerations; a cached
     # property there would enumerate inside the tracer.
     assert {name: m for name, m in memos.items() if m} == {"rings.py": ["_elements"]}
+
+
+# the ring tables and the index decoders they share; see the rings docstring
+INDEX_READERS = {"zero_products", "associate_keys", "_unit_mask", "_right_kernels", "_factor_indices"}
+PAYLOAD_READS = {"fromiter", "chain", "elements", "_elements"}
+
+
+def payload_reads(path):
+    """(function, name) for every use of a name in PAYLOAD_READS, as a call
+    or an attribute, inside a function of INDEX_READERS, and the names of
+    all functions the module defines."""
+    tree = ast.parse(path.read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    reads = [
+        (fn.name, name)
+        for fn in functions
+        if fn.name in INDEX_READERS
+        for node in ast.walk(fn)
+        for name in [getattr(node, "attr", None) or getattr(node, "id", None)]
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in PAYLOAD_READS
+    ]
+    return reads, {fn.name for fn in functions}
+
+
+def test_ring_tables_read_element_indices():
+    # a table that flattened payloads (np.fromiter over itertools.chain) or
+    # read elements() would decode an element a second way
+    reads, defined = payload_reads(PACKAGE / "rings.py")
+    assert INDEX_READERS <= defined
+    assert reads == []

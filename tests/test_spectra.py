@@ -909,6 +909,15 @@ def test_lift_rejects_a_non_finite_tol():
             duplicate_lift(b, j=0, m=2, lam=5.0, v=[1.0, 0.0, 0.0], tol=tol)
 
 
+def test_lift_rejects_a_non_finite_eigenvalue():
+    # nan and inf made the residuals nan, and nan > tol is False
+    b = np.diag([2.0, 3.0])
+    for lam in (math.nan, math.inf, -math.inf):
+        for m in (1, 3):
+            with pytest.raises(LiftError, match="eigenvalue must be finite"):
+                duplicate_lift(b, j=0, m=m, lam=lam, v=[1.0, 0.0])
+
+
 def test_lift_m_one_is_identity():
     b = [[3.0]]
     res = duplicate_lift(b, j=0, m=1, lam=3.0, v=[1.0])
