@@ -38,7 +38,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISMATCH = 2
 
-MAX_PRINTED_VALUES = 10**6  # per flavor; Zn(1000000) prints 599,999 at a 200 MB peak
+MAX_PRINTED_VALUES = 10**7  # per flavor; Zn(1000000) prints 599,999 at a 200 MB peak
 
 
 class UsageError(Exception):

@@ -69,13 +69,13 @@ class ZeroDivisorGraph:
 
 
 def _build(ring: Ring) -> ZeroDivisorGraph:
-    zd = ring.zero_divisors(ring.cardinality)  # build_zdg checked the caller's caps
-    index = ring.zero_divisor_indices(ring.cardinality)
+    ring.elements(ring.cardinality)  # build_zdg checked the caller's caps
+    _, zd, index = ring._split  # the zero-divisors and their positions in elements()
     z = ring.zero_products(index)
     loops = z.diagonal().copy()
     adj = z if ring.commutative else z | z.T
     np.fill_diagonal(adj, False)
-    return ZeroDivisorGraph(ring, list(zd), adj, loops, index.copy())
+    return ZeroDivisorGraph(ring, list(zd), adj, loops, index)
 
 
 _build_cached = lru_cache(maxsize=1)(_build)

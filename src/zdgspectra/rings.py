@@ -226,11 +226,6 @@ class Ring:
         self.elements(cap)  # checks the cap on every call
         return self._split[1]
 
-    def zero_divisor_indices(self, cap: int | None = None) -> np.ndarray:
-        """The positions of `zero_divisors()` in `elements()`, ascending."""
-        self.elements(cap)  # checks the cap on every call
-        return self._split[2]
-
     def _unit_mask(self) -> np.ndarray:
         """Bool array aligned with `elements()`, set exactly at the units.
         It is computed from the element indices and reads no payload."""
@@ -240,13 +235,16 @@ class Ring:
     def _split(self) -> tuple[list, list, np.ndarray]:
         """(units, zero-divisors, zero-divisor indices) of the elements that
         `elements` cached, found once from `_unit_mask`: every element that
-        is neither a unit nor 0 (element 0) is a zero-divisor."""
+        is neither a unit nor 0 (element 0) is a zero-divisor.  The indices
+        are read-only, so a graph can keep them without a copy."""
         els = self._elements
         unit = self._unit_mask()
         zd = ~unit
         zd[0] = False
+        index = np.flatnonzero(zd)
+        index.flags.writeable = False
         units = list(itertools.compress(els, unit.tolist()))
-        return units, list(itertools.compress(els, zd.tolist())), np.flatnonzero(zd)
+        return units, list(itertools.compress(els, zd.tolist())), index
 
 
 class Zn(Ring):

@@ -15,6 +15,7 @@ from zdgspectra.classes import (
     _scan_commutative_hypothesis,
     _scan_noncommutative_hypothesis,
 )
+from zdgspectra.graph import build_zdg
 from zdgspectra.rings import (
     GF,
     MatRing,
@@ -439,8 +440,11 @@ def test_zero_products_read_element_indices(spec):
 @pytest.mark.parametrize("spec", INDEX_RINGS)
 def test_associate_keys_read_element_indices(spec):
     ring = parse_ring_spec(spec)
-    idx = ring.zero_divisor_indices()
-    assert [ring.elements()[i] for i in idx] == ring.zero_divisors()
+    els = ring.elements()
+    idx = np.array([els.index(a) for a in ring.zero_divisors()], dtype=np.int64)
+    graph = build_zdg(ring)
+    assert np.array_equal(graph.element_index, idx)
+    assert not graph.element_index.flags.writeable  # shared with the ring's cache
     groups = {}
     for i, key in enumerate(ring.associate_keys(idx).tolist()):
         groups.setdefault(key, set()).add(i)
