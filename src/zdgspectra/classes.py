@@ -6,26 +6,29 @@ Three relations matter here, always on the vertex set Z(R)*:
   neighborhood  a == b iff N(a) = N(b) in Gamma(R)
   annihilator   a ~m b iff ann(a) = ann(b), ann(x) = {y : xy = 0 or yx = 0}
 
-Every partition stores classes as sorted vertex-index lists, ordered by
-representative (the smallest member), with the cell kind needed by the
-join machinery: an associate class induces a complete subgraph exactly
-when its representative squares to zero, and is edgeless otherwise;
-neighborhood classes are always edgeless.
+A partition is the class id of each vertex, `cell_of`, with the classes
+numbered 0, 1, ... in order of their smallest members (representatives),
+and one claimed cell kind per class for the join machinery: an associate
+class induces a complete subgraph exactly when its representative
+squares to zero, and is edgeless otherwise; neighborhood classes are
+always edgeless.  The member lists of `classes` derive from `cell_of`.
 
-Every relation takes one path: `classes_for` groups the vertices of the
-caller's graph by a key array.  Associates are keyed by `associate_keys`
-on the graph's `element_index` (gcd with n for Z_n, the pair of kernels
-for a matrix, componentwise for a product), with the cell kind read off
-the graph's `loops`; equal
-neighborhoods by the id of each adjacency row (`rings.row_keys`); equal
-annihilators by the id of each adjacency row with the graph's `loops` on
-the diagonal (a in ann(a) iff a^2 = 0).
+Every relation takes one path: `classes_for` numbers the vertices of the
+caller's graph by a key array, in order of first appearance.  Associates
+are keyed by `associate_keys` on the graph's `element_index` (gcd with n
+for Z_n, the pair of kernels for a matrix, componentwise for a product),
+with the cell kind read off the graph's `loops`; equal neighborhoods by
+the id of each adjacency row (`rings.row_keys`, already numbered so);
+equal annihilators by the id of each adjacency row with the graph's
+`loops` on the diagonal (a in ann(a) iff a^2 = 0).
 `classes_associate` (unit orbits) and `_neighborhood_classes_masked`
 (pairwise row comparison) keep the definitions as the tests' references.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,67 +41,80 @@ class RelationAgreementError(RingError):
     """A proven relation between the partitions failed on an actual ring."""
 
 
-@dataclass
-class VertexClass:
-    representative: int  # vertex index of the smallest member
-    members: list[int]  # sorted vertex indices
-    size: int
-    kind: str | None  # 'complete' | 'null' | None (annihilator partition)
-
-    @staticmethod
-    def make(members, kind):
-        members = sorted(members)
-        return VertexClass(members[0], members, len(members), kind)
+# one class as `ClassPartition.classes` lists it: smallest member, sorted members, size, kind
+VertexClass = namedtuple("VertexClass", "representative members size kind")
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassPartition:
-    relation: str  # 'associate' | 'neighborhood' | 'annihilator'
-    classes: list[VertexClass]
+    """The class of each vertex as a read-only intp array, which must number
+    the classes 0, 1, ... in order of their smallest members, and one
+    claimed kind per class.  Partitions are equal when all three fields are."""
 
-    def index_sets(self) -> set[frozenset]:
-        return {frozenset(c.members) for c in self.classes}
+    relation: str  # 'associate' | 'neighborhood' | 'annihilator'
+    cell_of: np.ndarray
+    kinds: list[str | None]  # 'complete' | 'null' | None (annihilator partition)
+
+    def __post_init__(self):
+        self.cell_of = np.asarray(self.cell_of, dtype=np.intp)
+        self.cell_of.flags.writeable = False
+        # canonical ids raise the running maximum by one per class; as unsigned, a negative id overshoots
+        top = np.maximum.accumulate(self.cell_of.view(np.uintp))
+        rises = np.count_nonzero(top[1:] != top[:-1]) + (len(top) > 0)
+        if (int(top[-1]) + 1 if len(top) else 0) != rises or rises != len(self.kinds):
+            raise ValueError("cell_of must number its classes by smallest member, one kind each")
+
+    def __eq__(self, other):
+        same = isinstance(other, ClassPartition) and self.relation == other.relation and self.kinds == other.kinds
+        return same and np.array_equal(self.cell_of, other.cell_of)
+
+    @cached_property
+    def classes(self) -> list[VertexClass]:
+        order = np.argsort(self.cell_of, kind="stable")
+        members = np.split(order, np.cumsum(np.bincount(self.cell_of))[:-1])
+        return [VertexClass(int(m[0]), m.tolist(), len(m), kind) for m, kind in zip(members, self.kinds)]
 
     def member_sets(self, vertices) -> set[frozenset]:
         return {frozenset(vertices[i] for i in c.members) for c in self.classes}
 
     def to_json(self, graph: ZeroDivisorGraph) -> dict:
-        ring = graph.ring
-        return {
-            "relation": self.relation,
-            "classes": [
-                {
-                    "rep": ring.label(graph.vertices[c.representative]),
-                    "size": c.size,
-                    "kind": c.kind,
-                    "members": [ring.label(graph.vertices[i]) for i in c.members],
-                }
-                for c in self.classes
-            ],
-        }
+        labels = [graph.ring.label(v) for v in graph.vertices]
+        classes = [
+            dict(rep=labels[c.representative], size=c.size, kind=c.kind, members=[labels[i] for i in c.members])
+            for c in self.classes
+        ]
+        return {"relation": self.relation, "classes": classes}
 
 
-def _finish(relation, blocks_with_kind) -> ClassPartition:
-    classes = [VertexClass.make(members, kind) for members, kind in blocks_with_kind]
-    classes.sort(key=lambda c: c.representative)
-    return ClassPartition(relation, classes)
+def _group(relation, keys, kind) -> ClassPartition:
+    """The classes of the vertices with equal keys[i], numbered in order of
+    first appearance in one pass; kind(i) is the claimed kind of the class
+    whose smallest member is vertex i."""
+    ids, kinds, cell_of = {}, [], []
+    for i, key in enumerate(keys):
+        c = ids.get(key)
+        if c is None:
+            c = ids[key] = len(kinds)
+            kinds.append(kind(i))
+        cell_of.append(c)
+    return ClassPartition(relation, np.array(cell_of, dtype=np.intp), kinds)
 
 
-def _group(relation, keys: np.ndarray, kind) -> ClassPartition:
-    """The classes of the vertices with equal keys[i]; kind(i) is the cell
-    kind of the class whose smallest member is vertex i."""
-    groups: dict[int, list[int]] = {}
-    for i, key in enumerate(keys.tolist()):
-        groups.setdefault(key, []).append(i)
-    return _finish(relation, [(members, kind(members[0])) for members in groups.values()])
+def _by_row_keys(relation, rows, kind) -> ClassPartition:
+    """The classes of equal rows, numbered by `row_keys`, all of one kind."""
+    cell_of = row_keys(rows)
+    return ClassPartition(relation, cell_of, [kind] * (int(cell_of.max(initial=-1)) + 1))
 
 
 def partitions_equal(p: ClassPartition, q: ClassPartition) -> bool:
-    return p.index_sets() == q.index_sets()
+    return np.array_equal(p.cell_of, q.cell_of)
 
 
-def _associate_kind(ring, rep) -> str:
-    return "complete" if ring.mul(rep, rep) == ring.zero else "null"
+def _refines(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether y is constant on each class of the ids x: scattered onto them, y reads back."""
+    y_of = np.zeros(int(x.max(initial=-1)) + 1, dtype=y.dtype)
+    y_of[x] = y
+    return np.array_equal(y_of[x], y)
 
 
 def classes_associate(ring: Ring, element_cap: int | None = None) -> ClassPartition:
@@ -109,22 +125,17 @@ def classes_associate(ring: Ring, element_cap: int | None = None) -> ClassPartit
     """
     zd = ring.zero_divisors(element_cap)
     units = ring.units(element_cap)
-    index = {a: i for i, a in enumerate(zd)}
     mul = ring.mul
-    seen = set()
-    blocks = []
+    owner = {}  # element -> the first vertex of its orbit
     for i, a in enumerate(zd):
-        if i in seen:
+        if a in owner:
             continue
-        left = {mul(u, a) for u in units}
-        if ring.commutative:
-            orbit = left
-        else:
-            orbit = left & {mul(a, u) for u in units}
-        members = sorted(index[b] for b in orbit)
-        seen.update(members)
-        blocks.append((members, _associate_kind(ring, a)))
-    return _finish("associate", blocks)
+        orbit = {mul(u, a) for u in units}
+        if not ring.commutative:
+            orbit &= {mul(a, u) for u in units}
+        owner.update(dict.fromkeys(orbit, i))
+    keys = [owner[a] for a in zd]
+    return _group("associate", keys, lambda i: "complete" if mul(zd[i], zd[i]) == ring.zero else "null")
 
 
 def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
@@ -136,7 +147,7 @@ def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
     therefore implements the masked comparison; the pairwise masked
     comparator in _neighborhood_classes_masked exists as a cross-check.
     """
-    return _group("neighborhood", row_keys(graph.adjacency), lambda i: "null")
+    return _by_row_keys("neighborhood", graph.adjacency, "null")
 
 
 def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
@@ -159,11 +170,7 @@ def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
             mask[i] = mask[j] = False
             if np.array_equal(adj[i][mask], adj[j][mask]):
                 parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    blocks = [(members, "null") for members in groups.values()]
-    return _finish("neighborhood", blocks)
+    return _group("neighborhood", [find(i) for i in range(m)], lambda i: "null")
 
 
 def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
@@ -171,7 +178,7 @@ def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
     adjacency row of a with its diagonal position set when a^2 = 0."""
     ann = graph.adjacency.copy()
     np.fill_diagonal(ann, graph.loops)
-    return _group("annihilator", row_keys(ann), lambda i: None)
+    return _by_row_keys("annihilator", ann, None)
 
 
 def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPartition:
@@ -180,7 +187,7 @@ def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPa
     `classes_associate` is the definition the associate classes must equal."""
     if relation == "associate":
         keys = graph.ring.associate_keys(graph.element_index)
-        return _group("associate", keys, lambda i: "complete" if graph.loops[i] else "null")
+        return _group("associate", keys.tolist(), lambda i: "complete" if graph.loops[i] else "null")
     if relation == "neighborhood":
         return classes_neighborhood(graph)
     if relation == "annihilator":
@@ -245,11 +252,8 @@ def check_relation_agreements(graph: ZeroDivisorGraph) -> dict:
         if applicable and not holds:
             failures.append(name)
 
-    record(
-        "reduced-ring neighborhood equals annihilator",
-        reduced,
-        partitions_equal(neigh, annih) if reduced else True,
-    )
+    holds = not reduced or partitions_equal(neigh, annih)
+    record("reduced-ring neighborhood equals annihilator", reduced, holds)
 
     if ring.commutative:
         hyp = _commutative_hypothesis(ring)
@@ -259,34 +263,24 @@ def check_relation_agreements(graph: ZeroDivisorGraph) -> dict:
         hyp_name = "units u, v with u + v = 1"
     split_ok = True
     if hyp:
-        # each vertex that squares to 0 is alone in its class, the rest keep their annihilator classes
-        expected = {frozenset([i]) for i in np.flatnonzero(graph.loops).tolist()}
-        expected |= {frozenset(c.members) for c in annih.classes if not graph.loops[c.members].any()}
-        split_ok = neigh.index_sets() == expected
+        # vertices that square to 0 stand alone, the rest keep their annihilator classes (free of such)
+        expected = np.where(graph.loops, graph.order + np.arange(graph.order), annih.cell_of)
+        pure = _refines(annih.cell_of, graph.loops)
+        split_ok = pure and _refines(neigh.cell_of, expected) and _refines(expected, neigh.cell_of)
     record(f"neighborhood classes split by squares ({hyp_name})", hyp, split_ok)
 
     if isinstance(ring, Zn):
-        record(
-            "Z_n associate classes are gcd classes",
-            True,
-            partitions_equal(classes_associate(ring, ring.cardinality), assoc),
-        )
+        gcd_classes = classes_associate(ring, ring.cardinality)
+        record("Z_n associate classes are gcd classes", True, partitions_equal(gcd_classes, assoc))
 
     semisimple_like = isinstance(ring, MatRing) or (
         isinstance(ring, ProductRing)
         and all(isinstance(f, (GF, MatRing)) or (isinstance(f, Zn) and numth.is_prime(f.n)) for f in ring.factors)
     )
-    record(
-        "semisimple associate equals annihilator",
-        semisimple_like,
-        partitions_equal(assoc, annih) if semisimple_like else True,
-    )
+    holds = not semisimple_like or partitions_equal(assoc, annih)
+    record("semisimple associate equals annihilator", semisimple_like, holds)
 
-    annih_of = np.empty(graph.order, dtype=np.intp)  # vertex -> annihilator class
-    for n, c in enumerate(annih.classes):
-        annih_of[c.members] = n
-    refinement = all(len(set(annih_of[a.members].tolist())) == 1 for a in assoc.classes)
-    record("associate refines annihilator", True, refinement)
+    record("associate refines annihilator", True, _refines(assoc.cell_of, annih.cell_of))
 
     if failures:
         raise RelationAgreementError(

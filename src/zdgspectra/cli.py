@@ -83,6 +83,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A finite tolerance, 0 or more: below 0 every residual fails."""
+    if (value := _finite(text)) < 0:
+        raise argparse.ArgumentTypeError("must be 0 or more")
+    return value
+
+
 def _element_cap(args) -> int | None:
     if args.max_elements is not None:
         return args.max_elements
@@ -434,7 +441,7 @@ def _build_parser() -> _Parser:
 
     p_spectrum = sub.add_parser("spectrum", help="assembled and/or brute-force spectra")
     common(p_spectrum)
-    p_spectrum.add_argument("--tol", type=_finite, default=1e-7)
+    p_spectrum.add_argument("--tol", type=_tolerance, default=1e-7)
     p_spectrum.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_spectrum.add_argument("--method", choices=("join", "brute", "both"), default="join")
     p_spectrum.set_defaults(handler=_run_spectrum)
@@ -453,7 +460,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="compare join spectra against the dense oracle")
     common(p_verify)
-    p_verify.add_argument("--tol", type=_finite, default=1e-7)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-7)
     p_verify.add_argument("--sweep", help='e.g. "Zn:6..200" or "M:2,GF(3)"')
     p_verify.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_verify.set_defaults(handler=_run_verify)
@@ -465,7 +472,7 @@ def _build_parser() -> _Parser:
     p_lift.add_argument("--value", type=_finite, required=True, help="eigenvalue of the input matrix")
     p_lift.add_argument("--vector", required=True, help="comma-separated eigenvector entries")
     p_lift.add_argument("--format", choices=("json", "csv"), default="json")
-    p_lift.add_argument("--tol", type=_finite, default=1e-8)
+    p_lift.add_argument("--tol", type=_tolerance, default=1e-8)
     p_lift.set_defaults(handler=_run_lift)
 
     return parser

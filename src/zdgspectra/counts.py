@@ -52,6 +52,8 @@ def rank_count(n: int, m: int, r: int, q: int) -> int:
     (n choose r)_q column spaces, onto which F_q^m maps in
     prod_{j=0}^{r-1} (q^m - q^j) ways."""
     _check_q(q)
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
     if r < 0 or r > min(n, m):
         return 0
     return q_binomial(n, r, q) * prod(q**m - q**j for j in range(r))

@@ -152,20 +152,15 @@ def degree_matring(n: int, q: int, r: int, squares_to_zero: bool) -> int:
 
 
 def connected_component_count(graph: ZeroDivisorGraph) -> int:
-    m = graph.order
-    seen = np.zeros(m, dtype=bool)
+    """Breadth-first search a level at a time: the next is every unseen neighbor of this one."""
+    seen = np.zeros(graph.order, dtype=bool)
     count = 0
-    for start in range(m):
-        if seen[start]:
-            continue
+    while not seen.all():
         count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(graph.adjacency[i] & ~seen)[0]:
-                seen[j] = True
-                stack.append(int(j))
+        frontier = np.arange(len(seen)) == np.argmin(seen)  # the first unseen vertex
+        while frontier.any():
+            seen |= frontier
+            frontier = graph.adjacency[frontier].any(axis=0) & ~seen
     return count
 
 

@@ -105,14 +105,14 @@ def _smallest_irreducible(p, k):
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Int64 array k with k[i] == k[j] exactly when rows i and j of the 2-D
+    """Intp array k with k[i] == k[j] exactly when rows i and j of the 2-D
     bool array are equal: the ids 0, 1, ... in order of first appearance.
     Each row is packed into one byte string and numbered by a dict, which
     beats a sort of the strings (np.unique) from tens of rows to thousands."""
     bits = np.packbits(rows, axis=1)
     ids: dict[bytes, int] = {}
     keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel().tolist()
-    return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.int64)
+    return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.intp)
 
 
 class Ring:

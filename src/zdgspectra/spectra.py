@@ -193,57 +193,57 @@ def multiset_equal(s1, s2, tol: float = DEFAULT_TOL) -> MultisetMatch:
 def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecomposition:
     """Turn a vertex partition into a generalized-join decomposition.
 
-    Each part must induce a complete or an edgeless subgraph, and
-    adjacency between two parts must be all-or-nothing; both facts are
-    re-verified here rather than trusted.  H and each cell's kind are read
-    off the class representatives, and the blow-up of the result is
-    compared with the adjacency matrix entry for entry, at every graph
-    size.  Only when they differ are the mismatches permuted into class
-    order and OR-reduced to one flag per block: the first failing cell in
-    order raises, then the first non-constant class pair in row-major
-    order.
+    The partition's `cell_of` is read as is: one bincount gives the class
+    sizes, one stable argsort the class order, and the array itself
+    becomes the result's `cell_of`.  Each part must induce a complete or
+    an edgeless subgraph, and adjacency between two parts must be
+    all-or-nothing; both facts are re-verified here rather than trusted.
+    H and each cell's kind are read off the class representatives, and
+    the blow-up of the result is compared with the adjacency matrix entry
+    for entry, at every graph size.  Only when they differ are the
+    mismatches permuted into class order and OR-reduced to one flag per
+    block: the first failing cell in order raises, then the first
+    non-constant class pair in row-major order.
     """
     adj = graph.adjacency
-    classes = partition.classes
-    order = np.array([i for c in classes for i in c.members], dtype=np.intp)
-    if sorted(order.tolist()) != list(range(graph.order)):
+    cell_of = partition.cell_of
+    kinds = partition.kinds
+    sizes = np.bincount(cell_of, minlength=len(kinds))
+    if len(cell_of) != graph.order or not sizes.all():
         raise DecompositionError("partition does not cover the vertex set exactly")
 
-    m = len(classes)
-    sizes = np.array([len(c.members) for c in classes], dtype=np.int64)
+    order = np.argsort(cell_of, kind="stable")
     starts = np.cumsum(sizes) - sizes
     reps = order[starts]
     table = adj[reps[:, None], reps]
     # a cell of two or more vertices is complete when its representative
     # meets its second member; singletons are both complete and edgeless,
     # so they keep the claimed kind, which does not affect assembly
-    complete = np.array([c.kind == "complete" for c in classes], dtype=bool)
+    complete = np.array([kind == "complete" for kind in kinds], dtype=bool)
     multi = sizes > 1
     complete[multi] = adj[reps[multi], order[starts[multi] + 1]]
     np.fill_diagonal(table, complete)
-    cell_of = np.empty(graph.order, dtype=np.intp)
-    cell_of[order] = np.repeat(np.arange(m), sizes)
-    labels = [graph.ring.label(graph.vertices[c.representative]) for c in classes]
+    labels = [graph.ring.label(graph.vertices[i]) for i in reps.tolist()]
     dec = JoinDecomposition(partition.relation, sizes, table, labels, cell_of)
 
     mismatch = blow_up(dec)
     mismatch ^= adj
-    bad = np.zeros((m, m), dtype=bool)
+    bad = np.zeros(table.shape, dtype=bool)
     if mismatch.any():
         bad = np.logical_or.reduceat(
             np.logical_or.reduceat(mismatch[order[:, None], order], starts, axis=0),
             starts,
             axis=1,
         )
-    for c, label, is_complete, bad_cell in zip(classes, labels, complete, bad.diagonal()):
+    for claimed, size, label, is_complete, bad_cell in zip(kinds, sizes, labels, complete, bad.diagonal()):
         kind = "complete" if is_complete else "null"
         if bad_cell:
             raise DecompositionError(
                 f"class of {label} induces neither a complete nor an edgeless subgraph"
             )
-        if len(c.members) > 1 and c.kind not in (None, kind):
+        if size > 1 and claimed not in (None, kind):
             raise DecompositionError(
-                f"claimed {c.kind} cell is actually {kind} (representative {label})"
+                f"claimed {claimed} cell is actually {kind} (representative {label})"
             )
     if bad.any():
         i, j = np.argwhere(np.triu(bad, 1))[0]
@@ -592,8 +592,8 @@ def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftR
         raise LiftError(f"index {j} out of range for order {n}")
     if m < 1:
         raise LiftError("multiplicity must be at least 1")
-    if not math.isfinite(tol):
-        raise LiftError(f"tolerance must be finite, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise LiftError(f"tolerance must be finite and 0 or more, got {tol}")
     if not math.isfinite(lam):
         raise LiftError(f"eigenvalue must be finite, got {lam}")
     base_residual = float(np.max(np.abs(b @ v - lam * v))) if n else 0.0

@@ -1,5 +1,8 @@
 """Vertex equivalence classes: associates, equal neighborhoods, equal annihilators."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from zdgspectra import classes
@@ -7,7 +10,7 @@ from zdgspectra import graph as graph_module
 from zdgspectra.classes import (
     ClassPartition,
     RelationAgreementError,
-    VertexClass,
+    _neighborhood_classes_masked,
     check_relation_agreements,
     classes_annihilator,
     classes_associate,
@@ -33,6 +36,12 @@ RING_BATTERY = [
     "Zn(2)xZn(2)xZn(2)",
     "M(2,GF(2))xGF(2)",
 ]
+
+
+def index_sets(partition):
+    """The classes as sets of vertex indices, read off `cell_of` directly."""
+    cell_of = partition.cell_of
+    return {frozenset(np.flatnonzero(cell_of == c).tolist()) for c in range(len(partition.kinds))}
 
 
 def element_sets(ring, partition):
@@ -99,7 +108,7 @@ def test_associate_refines_annihilator(spec):
     ring = parse_ring_spec(spec)
     assoc = classes_for(build_zdg(ring), "associate")
     annih = classes_for(build_zdg(ring), "annihilator")
-    annih_sets = annih.index_sets()
+    annih_sets = index_sets(annih)
     for c in assoc.classes:
         mem = set(c.members)
         assert any(mem <= big for big in annih_sets), (spec, c.representative)
@@ -174,14 +183,12 @@ def test_masked_and_raw_neighborhood_comparators_agree():
     # classes_neighborhood groups raw adjacency rows; the masked comparator
     # ignores the two columns of the pair under comparison but skips adjacent
     # pairs, which provably classifies identically; check that on the battery
-    from zdgspectra.classes import _neighborhood_classes_masked
-
     for spec in RING_BATTERY:
         ring = parse_ring_spec(spec)
         g = build_zdg(ring)
         raw = classes_neighborhood(g)
         masked = _neighborhood_classes_masked(g)
-        assert raw.index_sets() == masked.index_sets(), spec
+        assert index_sets(raw) == index_sets(masked), spec
 
 
 def test_relation_agreement_battery():
@@ -195,7 +202,7 @@ def test_relation_check_reports_an_associate_class_across_annihilator_classes(mo
     # Zn(2)xZn(4) has four annihilator classes, so one associate class
     # holding every vertex must fail the refinement check
     ring = parse_ring_spec("Zn(2)xZn(4)")
-    merged = ClassPartition("associate", [VertexClass.make(range(build_zdg(ring).order), "null")])
+    merged = ClassPartition("associate", np.zeros(build_zdg(ring).order, dtype=np.intp), ["null"])
     monkeypatch.setattr(classes, "classes_for", lambda *args: merged)
     with pytest.raises(RelationAgreementError, match="associate refines annihilator"):
         check_relation_agreements(build_zdg(ring))
@@ -242,6 +249,43 @@ def test_partition_covers_all_vertices_once():
                 seen.extend(c.members)
             assert len(seen) == len(set(seen)) == order
             assert set(seen) == set(range(order))
+
+
+@pytest.mark.parametrize("spec", RING_BATTERY)
+def test_every_producer_numbers_classes_by_smallest_member(spec):
+    ring = parse_ring_spec(spec)
+    g = build_zdg(ring)
+    parts = [classes_for(g, relation) for relation in ("associate", "neighborhood", "annihilator")]
+    parts += [classes_associate(ring), _neighborhood_classes_masked(g)]
+    for part in parts:
+        assert part.cell_of.dtype == np.intp and not part.cell_of.flags.writeable, part.relation
+        ids = part.cell_of.tolist()
+        assert len(ids) == g.order
+        # the ids are 0, 1, ..., one per kind, and each class starts after the one before
+        assert sorted(set(ids)) == list(range(len(part.kinds))), part.relation
+        firsts = [ids.index(c) for c in range(len(part.kinds))]
+        assert firsts == sorted(firsts), part.relation
+
+    # index_sets equality is the definition partitions_equal replaced
+    for p, q in itertools.product(parts, repeat=2):
+        assert partitions_equal(p, q) == (index_sets(p) == index_sets(q)), (p.relation, q.relation)
+
+
+@pytest.mark.parametrize(
+    "cell_of, kinds",
+    [
+        ([1, 0], ["null", "null"]),  # numbered against first appearance
+        ([0, 2, 1, 2], ["null", "null", "null"]),
+        ([0, 0, 2], ["null", "null", "null"]),  # class 1 is empty
+        ([0, -1, 1], ["null", "null"]),
+        ([0, 1, 1], ["null"]),  # fewer kinds than classes
+        ([0, 1, 1], ["null", "null", "null"]),  # a kind for no class
+        ([], ["null"]),
+    ],
+)
+def test_class_partition_refuses_a_non_canonical_array(cell_of, kinds):
+    with pytest.raises(ValueError, match="cell_of must number its classes"):
+        ClassPartition("associate", np.array(cell_of, dtype=np.intp), kinds)
 
 
 def test_unknown_relation_rejected():

@@ -12,11 +12,12 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import zdgspectra
+from zdgspectra import spectra as spectra_module
 from zdgspectra.classes import classes_associate
 from zdgspectra.cli import _COUNT_FORMS, main
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import parse_ring_spec
-from zdgspectra.spectra import DecompositionError
+from zdgspectra.spectra import DecompositionError, SpectrumMultiset
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "zdgspectra", "schemas", "report.schema.json"
@@ -369,6 +370,38 @@ def test_non_finite_tol_is_a_usage_error(args, tmp_path):
     assert "UsageError" in err and "argument --tol: must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--ring", "Zn(8)", "--method", "both", "--tol", "-1"],
+        ["verify", "--ring", "Zn(8)", "--tol", "-1"],
+        ["lift", "--j", "0", "--m", "2", "--value", "2", "--vector", "1,0", "--tol", "-1"],
+    ],
+    ids=["spectrum", "verify", "lift"],
+)
+def test_negative_tol_is_a_usage_error(args, tmp_path):
+    # below 0 every residual fails: verify reported both flavors false at a
+    # max_dev of 2.2e-16 and exited 2, and lift refused the exact eigenpair
+    # (2, (1, 0)) of diag(2, 3) with a residual of 0
+    matrix = tmp_path / "b.txt"
+    matrix.write_text("2 0\n0 3\n")
+    if args[0] == "lift":
+        args = [*args, "--matrix", str(matrix)]
+    code, out, err = run_inproc(args)
+    assert code == 1
+    assert out == ""
+    assert "UsageError" in err and "argument --tol: must be 0 or more" in err
+
+
+@pytest.mark.parametrize("n, m", [("-1", "2"), ("2", "-3")], ids=["n", "m"])
+def test_rank_count_refuses_a_negative_dimension(n, m):
+    # both printed 0 while qbinom --n -1 already refused
+    code, out, err = run_inproc(["counts", "--what", "rank-count", "--n", n, "--m", m, "--r", "0", "--q", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: ValueError: n and m must be nonnegative\n"
+
+
 @pytest.mark.parametrize("m", ["1", "3"])
 def test_non_finite_lift_value_is_a_usage_error(m, tmp_path):
     # lam = nan made both residuals nan, which no tol refused: lift exited 0
@@ -410,9 +443,15 @@ def test_spectrum_refuses_to_print_billions_of_values(fmt):
     assert err.startswith("error: RingError: ") and "2147483646 eigenvalues" in err
 
 
-def test_exit_code_verification_mismatch():
-    # a negative tolerance can never be met, so verify reports a mismatch
-    code, out, _ = run_inproc(["verify", "--ring", "Zn(36)", "--tol", "-1"])
+def test_exit_code_verification_mismatch(monkeypatch):
+    # an assembled spectrum shifted by 1 never meets the oracle, so verify reports a mismatch
+    assemble = spectra_module.assemble_spectrum
+
+    def shifted(dec, flavor):
+        return SpectrumMultiset([(v + 1, k, tag) for v, k, tag in assemble(dec, flavor).runs])
+
+    monkeypatch.setattr(spectra_module, "assemble_spectrum", shifted)
+    code, out, _ = run_inproc(["verify", "--ring", "Zn(36)"])
     assert code == 2
 
 

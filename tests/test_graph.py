@@ -118,6 +118,18 @@ def test_component_counts():
     assert connected_component_count(build_zdg(MatRing(2, GF(2)))) == 1
 
 
+def test_component_count_of_two_components():
+    # Gamma(R) is always connected, so no ring reaches a second component:
+    # the paths 0 - 5 - 2 and 1 - 4 - 3 interleave their vertex indices
+    adjacency = np.zeros((6, 6), dtype=bool)
+    for i, j in [(0, 5), (5, 2), (1, 4), (4, 3)]:
+        adjacency[i, j] = adjacency[j, i] = True
+    g = graph_module.ZeroDivisorGraph(
+        Zn(6), list(range(6)), adjacency, np.zeros(6, dtype=bool), np.arange(6)
+    )
+    assert connected_component_count(g) == 2
+
+
 def test_graph_cap():
     with pytest.raises(GraphCapError):
         build_zdg(Zn(210), vertex_cap=10)
@@ -199,4 +211,4 @@ def test_matrix_graph_over_gf3_matches_element_arithmetic():
         spaces.setdefault((ring.row_space(a), ring.column_space(a)), []).append(i)
     part = classes_for(g)
     assert len(part.classes) == 338
-    assert part.index_sets() == {frozenset(members) for members in spaces.values()}
+    assert {frozenset(c.members) for c in part.classes} == {frozenset(members) for members in spaces.values()}

@@ -111,3 +111,30 @@ def test_ring_tables_read_element_indices():
     reads, defined = payload_reads(PACKAGE / "rings.py")
     assert INDEX_READERS <= defined
     assert reads == []
+
+
+# the partition readers that take `ClassPartition.cell_of` as is
+ARRAY_READERS = {"spectra.py": {"decompose"}, "classes.py": {"partitions_equal", "check_relation_agreements"}}
+
+
+def attribute_reads(path, functions, attr):
+    """The names of the functions in `functions` that the module defines,
+    and (function, line) for every read of the attribute `attr` in them."""
+    tree = ast.parse(path.read_text())
+    found = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in functions]
+    reads = [
+        (fn.name, node.lineno)
+        for fn in found
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+    return {fn.name for fn in found}, reads
+
+
+def test_partition_readers_take_the_id_array():
+    # the member lists of `ClassPartition.classes` are a view for printing
+    # and the tests: reading them would flatten the classes back into arrays
+    for module, functions in ARRAY_READERS.items():
+        defined, reads = attribute_reads(PACKAGE / module, functions, "classes")
+        assert defined == functions, module
+        assert reads == [], module

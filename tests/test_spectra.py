@@ -15,7 +15,7 @@ from zdgspectra import graph as graph_module
 from zdgspectra import numth
 from zdgspectra import rings as rings_module
 from zdgspectra import spectra as spectra_module
-from zdgspectra.classes import ClassPartition, VertexClass, check_relation_agreements, classes_for
+from zdgspectra.classes import ClassPartition, check_relation_agreements, classes_for
 from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
 from zdgspectra.eig import dense_eigenvalues
 from zdgspectra.graph import build_zdg, degree_matring
@@ -176,17 +176,9 @@ def test_decompose_rejects_mixed_cell():
     ring = Zn(8)
     g = build_zdg(ring)
     part = classes_for(build_zdg(ring), "associate")
-    import dataclasses
-
-    from zdgspectra.classes import ClassPartition, VertexClass
-
-    bad = ClassPartition(
-        relation="associate",
-        classes=[
-            dataclasses.replace(part.classes[0], members=[0, 1], size=2),
-            dataclasses.replace(part.classes[1], members=[2], size=1),
-        ],
-    )
+    # the vertices 2, 4, 6 as the classes {2, 4} and {6}, keeping the claimed
+    # kinds of the associate classes {2, 6} (null) and {4} (complete)
+    bad = ClassPartition("associate", np.array([0, 0, 1]), part.kinds)
     with pytest.raises(DecompositionError, match="claimed null cell is actually complete"):
         decompose(g, bad)
 
@@ -195,11 +187,20 @@ def test_decompose_rejects_incomplete_cover():
     ring = Zn(8)
     g = build_zdg(ring)
     part = classes_for(build_zdg(ring), "associate")
-    from zdgspectra.classes import ClassPartition
-
-    bad = ClassPartition(relation="associate", classes=part.classes[:1])
+    # ids for the first two of the three vertices only
+    bad = ClassPartition("associate", part.cell_of[:2], part.kinds)
     with pytest.raises(DecompositionError, match="does not cover the vertex set"):
         decompose(g, bad)
+
+
+def blocks_partition(relation, blocks, order):
+    """The partition whose classes are the (members, kind) blocks, as the
+    id array numbered by each block's smallest member."""
+    blocks = sorted(blocks, key=lambda block: min(block[0]))
+    cell_of = np.empty(order, dtype=np.intp)
+    for n, (members, _) in enumerate(blocks):
+        cell_of[members] = n
+    return ClassPartition(relation, cell_of, [kind for _, kind in blocks])
 
 
 @pytest.mark.parametrize(
@@ -212,7 +213,7 @@ def test_decompose_rejects_incomplete_cover():
     ],
 )
 def test_decompose_error_messages(blocks, message):
-    bad = ClassPartition("associate", [VertexClass.make(m, kind) for m, kind in blocks])
+    bad = blocks_partition("associate", blocks, 3)
     with pytest.raises(DecompositionError, match=message):
         decompose(build_zdg(Zn(8)), bad)
 
@@ -293,8 +294,7 @@ def test_decompose_equals_the_per_block_reference(specs):
         g = build_zdg(parse_ring_spec(spec))
         for relation in ("associate", "neighborhood", "annihilator"):
             for blocks in bad_partitions(classes_for(g, relation), rng):
-                classes = [VertexClass.make(m, k) for m, k in blocks]
-                partition = ClassPartition(relation, sorted(classes, key=lambda c: c.representative))
+                partition = blocks_partition(relation, blocks, g.order)
                 try:
                     expected = reference_decompose(g, partition)
                 except DecompositionError as error:
@@ -907,6 +907,13 @@ def test_lift_rejects_a_non_finite_tol():
     for tol in (math.nan, math.inf):
         with pytest.raises(LiftError, match="tolerance must be finite"):
             duplicate_lift(b, j=0, m=2, lam=5.0, v=[1.0, 0.0, 0.0], tol=tol)
+
+
+def test_lift_rejects_a_negative_tol():
+    # (2, (1, 0)) is an exact eigenpair of diag(2, 3), yet its residual of 0 failed tol = -1
+    for m in (1, 3):
+        with pytest.raises(LiftError, match="tolerance must be finite and 0 or more, got -1"):
+            duplicate_lift(np.diag([2.0, 3.0]), j=0, m=m, lam=2.0, v=[1.0, 0.0], tol=-1.0)
 
 
 def test_lift_rejects_a_non_finite_eigenvalue():
