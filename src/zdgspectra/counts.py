@@ -12,7 +12,6 @@ from math import prod
 from . import numth
 
 
-@cache  # gl_order runs once per class of a matrix ring's class table
 def _check_q(q: int) -> None:
     """Every formula here counts over a field of q elements, a prime power."""
     if q < 2:
@@ -223,6 +222,13 @@ def semisimple_class_size(profile: SemisimpleProfile) -> int:
     return total
 
 
+def _check_square_zero(profile: SemisimpleProfile, squares_to_zero: bool) -> None:
+    """x^2 = 0 puts the column space of each component x_k, of dimension
+    r_k, inside its kernel, of dimension n_k - r_k: so 2 r_k <= n_k."""
+    if squares_to_zero and any(2 * r > n for (n, _), r in zip(profile.factors, profile.ranks)):
+        raise ValueError(f"no element of rank profile {profile.ranks} squares to zero")
+
+
 def semisimple_vertex_degree(profile: SemisimpleProfile, squares_to_zero: bool = False) -> int:
     """Degree in Gamma(R) of one vertex x with the given rank profile.
 
@@ -232,6 +238,7 @@ def semisimple_vertex_degree(profile: SemisimpleProfile, squares_to_zero: bool =
     q^{(n_k - r_k)^2} choices per factor.  Inclusion-exclusion over the
     two sides, drop y = 0, and drop the self-loop when x^2 = 0.
     """
+    _check_square_zero(profile, squares_to_zero)
     left = prod(q ** (n * (n - r)) for (n, q), r in zip(profile.factors, profile.ranks))
     both = prod(q ** ((n - r) ** 2) for (n, q), r in zip(profile.factors, profile.ranks))
     return 2 * left - both - 1 - int(squares_to_zero)
@@ -255,6 +262,7 @@ def semisimple_class_degree(profile: SemisimpleProfile, squares_to_zero: bool = 
     left or on the right: count each side as a product over factors, count
     the two-sided tuples the same way, apply inclusion-exclusion, remove
     the zero class from each count, and drop [x] itself when x^2 = 0."""
+    _check_square_zero(profile, squares_to_zero)
     left = 1
     both = 1
     for (n, q), r in zip(profile.factors, profile.ranks):

@@ -142,11 +142,14 @@ def degree_matring(n: int, q: int, r: int, squares_to_zero: bool) -> int:
     """Degree of a rank-r matrix in Gamma(M_n(F_q)).
 
     2*q^(n(n-r)) - q^((n-r)^2) - 1, and one less when the matrix squares
-    to zero (it then sits inside its own annihilator).
+    to zero (it then sits inside its own annihilator).  Only a matrix with
+    2r <= n can: its rank-r column space must lie in its rank-(n-r) kernel.
     """
     _check_q(q)
     if not 1 <= r <= n - 1:
         raise RingError("rank must be between 1 and n-1 for a zero-divisor matrix")
+    if squares_to_zero and 2 * r > n:
+        raise RingError(f"no rank-{r} matrix in M_{n}(F_{q}) squares to zero")
     val = 2 * q ** (n * (n - r)) - q ** ((n - r) ** 2) - 1
     return val - 1 if squares_to_zero else val
 

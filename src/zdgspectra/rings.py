@@ -11,7 +11,8 @@ the payload, so index 0 is the zero element and enumeration is
 reproducible.  The tables read element indices (positions in
 `elements()`), never payloads: an index is the payload for Z_n and GF, the
 entries' base-q digits for a matrix and the factors' indices in C order
-for a product.  A matrix is a unit when its `gf_rref` rank is n.
+for a product.  A matrix ring's element and class tables read one dot
+product, `MatRing._orthogonal`; `gf_rref` serves `is_unit` and the tests.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -118,7 +119,6 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
 class Ring:
     """Common behavior: cached enumeration, unit/zero-divisor splits."""
 
-    kind = "?"
     commutative = True
     cardinality = 0
 
@@ -250,7 +250,6 @@ class Ring:
 class Zn(Ring):
     """The ring of integers modulo n."""
 
-    kind = "Zn"
     commutative = True
 
     def __init__(self, n: int):
@@ -335,7 +334,6 @@ class GF(Ring):
     GF(p^k) that only gives its class table or labels never builds them.
     """
 
-    kind = "GF"
     commutative = True
 
     def __init__(self, p: int, k: int = 1):
@@ -464,7 +462,7 @@ class GF(Ring):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over GF, on row-major tuple matrices
+# linear algebra over GF, on row-major tuple matrices; no pipeline path runs it
 
 
 def gf_rref(field, rows, width):
@@ -472,6 +470,7 @@ def gf_rref(field, rows, width):
 
     The result is the canonical basis of the row space: pivots are 1,
     pivot columns are cleared above and below, rows ordered by pivot.
+    It backs `MatRing.rank`, `is_unit` and the tests' reference.
     """
     work = [list(r) for r in rows]
     nrows = len(work)
@@ -498,11 +497,13 @@ def gf_rref(field, rows, width):
 
 
 def gf_rank(field, rows, width):
+    """Rank by elimination, for `MatRing.rank` and `is_unit`."""
     return len(gf_rref(field, rows, width))
 
 
 def gf_nullspace(field, rows, width):
-    """Canonical basis (RREF rows) of {v : M v^T = 0} for the row list M."""
+    """Canonical basis (RREF rows) of {v : M v^T = 0} for the row list M;
+    the tests' reference for `MatRing._class_table`."""
     rr = gf_rref(field, rows, width)
     pivots = []
     for row in rr:
@@ -522,7 +523,8 @@ def gf_nullspace(field, rows, width):
 
 
 def gf_span_contains(field, basis_rref, other_rows, width):
-    """True if span(other_rows) is inside the space with the given RREF basis."""
+    """True if span(other_rows) is inside the space with the given RREF
+    basis; the tests' reference for `MatRing._class_table`."""
     stacked = gf_rref(field, tuple(basis_rref) + tuple(other_rows), width)
     return stacked == tuple(basis_rref)
 
@@ -556,8 +558,6 @@ class MatRing(Ring):
     payload order makes the zero matrix element 0 and keeps enumeration
     deterministic.
     """
-
-    kind = "M"
 
     def __init__(self, n: int, field: GF):
         if n < 1:
@@ -600,18 +600,24 @@ class MatRing(Ring):
             out.append(tuple(orow))
         return tuple(out)
 
+    def _orthogonal(self, a, b) -> np.ndarray:
+        """Bool array, set where the dot product over F_q of a[..., k] and
+        b[..., k] (field codes, broadcast over the leading axes) is 0: one
+        gather in the field's q x q mul and add tables per coordinate."""
+        F, codes = self.field, range(self.field.q)
+        mul, add = (np.array([[op(x, y) for y in codes] for x in codes]) for op in (F.mul, F.add))
+        dot = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), dtype=np.int64)
+        for k in range(a.shape[-1]):
+            dot = add[dot, mul[a[..., k], b[..., k]]]
+        return dot == 0
+
     @cached_property
     def _kills(self) -> np.ndarray:
         """The q^n x q^n bool table of "row vector code r times column
         vector code c is 0", vectors coded base q (entry k times q^k)."""
-        F, n, q = self.field, self.n, self.field.q
+        n, q = self.n, self.field.q
         digits = np.arange(q**n)[:, None] // q ** np.arange(n) % q  # [code, k]: entry k
-        mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)])
-        add = np.array([[F.add(a, b) for b in range(q)] for a in range(q)])
-        dot = np.zeros((q**n, q**n), dtype=np.int64)
-        for k in range(n):
-            dot = add[dot, mul[digits[:, k][:, None], digits[:, k][None, :]]]
-        return dot == 0
+        return self._orthogonal(digits[:, None, :], digits[None, :, :])
 
     def _right_kernels(self, idx):
         """Right kernels and column codes of the matrices A_a of indices
@@ -654,15 +660,15 @@ class MatRing(Ring):
         of size |GL_r(F_q)|, then the units.
 
         xy = 0 exactly when the column space of y lies in the right kernel
-        of x, which the row space of x fixes; so one span check per
-        (row space, column space) pair fills the table, whose cost is the
-        square of the subspace count rather than of the class count."""
-        F, n, q = self.field, self.n, self.field.q
-        spaces = [s for r in range(1, n) for s in _all_subspaces(F, n, r)]
-        kernels = [gf_nullspace(F, s, n) for s in spaces]
-        contains = np.array(
-            [[gf_span_contains(F, k, s, n) for s in spaces] for k in kernels], dtype=bool
-        ).reshape(len(spaces), len(spaces))
+        of x: each basis row of that column space is orthogonal to each
+        basis row of the row space of x.  `_orthogonal` tests all pairs of RREF bases,
+        padded with zero rows to n - 1, at once: the table costs the square
+        of the subspace count, not of the class count."""
+        n, q = self.n, self.field.q
+        spaces = [s for r in range(1, n) for s in _all_subspaces(self.field, n, r)]
+        pad = [s + ((0,) * n,) * (n - 1 - len(s)) for s in spaces]
+        basis = np.array(pad, dtype=np.int64).reshape(len(spaces), n - 1, n)
+        contains = self._orthogonal(basis[:, None, :, None], basis[None, :, None, :]).all(axis=(2, 3))
         rank = np.array([len(s) for s in spaces], dtype=np.intp)
         rows, cols = np.nonzero(rank[:, None] == rank[None, :])  # by rank, row, column
         first = np.searchsorted(rank, rank)  # where each space's rank starts
@@ -670,11 +676,11 @@ class MatRing(Ring):
         kills = np.zeros((m, m), dtype=bool)
         kills[0, :] = kills[:, 0] = True
         kills[1:-1, 1:-1] = contains[np.ix_(rows, cols)]
-        ranks = rank[rows].tolist()
-        sizes = [1] + [gl_order(r, q) for r in ranks] + [gl_order(n, q)]
-        proper = zip(ranks, (rows - first[rows]).tolist(), (cols - first[cols]).tolist())
+        ranks = rank[rows]
+        sizes = np.array([gl_order(r, q) for r in range(n + 1)], dtype=np.int64)[np.r_[0, ranks, n]]
+        proper = zip(ranks.tolist(), (rows - first[rows]).tolist(), (cols - first[cols]).tolist())
         labels = ["0"] + [f"r{r}.{a}.{b}" for r, a, b in proper] + ["u"]
-        return np.array(sizes, dtype=np.int64), kills, labels
+        return sizes, kills, labels
 
     def rank(self, a):
         return gf_rank(self.field, a, self.n)
@@ -721,8 +727,6 @@ def _product_table(tables):
 
 class ProductRing(Ring):
     """Direct product of component rings, elementwise operations on tuples."""
-
-    kind = "x"
 
     def __init__(self, factors):
         factors = list(factors)

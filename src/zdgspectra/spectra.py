@@ -200,8 +200,8 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     all-or-nothing; both facts are re-verified here rather than trusted.
     H and each cell's kind are read off the class representatives, and
     the blow-up of the result is compared with the adjacency matrix entry
-    for entry, at every graph size.  Only when they differ are the
-    mismatches permuted into class order and OR-reduced to one flag per
+    for entry, at every graph size.  Only when they differ is each
+    mismatched vertex pair scattered to its class pair, one flag per
     block: the first failing cell in order raises, then the first
     non-constant class pair in row-major order.
     """
@@ -230,11 +230,8 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     mismatch ^= adj
     bad = np.zeros(table.shape, dtype=bool)
     if mismatch.any():
-        bad = np.logical_or.reduceat(
-            np.logical_or.reduceat(mismatch[order[:, None], order], starts, axis=0),
-            starts,
-            axis=1,
-        )
+        u, v = np.nonzero(mismatch)
+        bad[cell_of[u], cell_of[v]] = True
     for claimed, size, label, is_complete, bad_cell in zip(kinds, sizes, labels, complete, bad.diagonal()):
         kind = "complete" if is_complete else "null"
         if bad_cell:

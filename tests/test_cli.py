@@ -330,6 +330,15 @@ def test_counts_out_of_domain_is_an_input_error(args):
     assert "Traceback" not in err and err.startswith("error: ValueError: ")
 
 
+def test_degree_matrix_refuses_a_square_zero_class_that_cannot_exist():
+    # printed 12, but no rank-2 matrix in M_3(F_2) squares to 0
+    args = ["counts", "--what", "degree-matrix", "--n", "3", "--q", "2", "--r", "2", "--squares-to-zero"]
+    code, out, err = run_inproc(args)
+    assert code == 1
+    assert out == ""
+    assert err == "error: RingError: no rank-2 matrix in M_3(F_2) squares to zero\n"
+
+
 @pytest.mark.parametrize(
     "args, env",
     [

@@ -387,6 +387,21 @@ def test_semisimple_profile_validation():
         SemisimpleProfile(((2, 2), (1, 2)), (1,))  # length mismatch
 
 
+def test_semisimple_degrees_refuse_a_square_zero_class_that_cannot_exist():
+    # x^2 = 0 needs 2 r_k <= n_k in every component; these returned a degree
+    impossible = [(((3, 2),), (2,)), (((2, 2), (1, 3)), (1, 1)), (((4, 3), (2, 2)), (3, 0))]
+    for factors, ranks in impossible:
+        prof = SemisimpleProfile(factors, ranks)
+        for fn in (semisimple_vertex_degree, semisimple_class_degree):
+            fn(prof, False)
+            with pytest.raises(ValueError, match="squares to zero"):
+                fn(prof, True)
+    # a rank-1 component of size 2 beside a zero field component can
+    possible = SemisimpleProfile(((2, 2), (1, 3)), (1, 0))
+    for fn in (semisimple_vertex_degree, semisimple_class_degree):
+        assert fn(possible, True) == fn(possible, False) - 1
+
+
 SEMISIMPLE_RINGS = [
     ("Zn(2)xZn(3)", [(1, 2), (1, 3)]),
     ("Zn(2)xZn(2)xZn(2)", [(1, 2), (1, 2), (1, 2)]),

@@ -20,7 +20,7 @@ from zdgspectra.graph import (
     graph_json,
     neighborhood,
 )
-from zdgspectra.rings import GF, EnumerationCapError, MatRing, ProductRing, Zn, parse_ring_spec
+from zdgspectra.rings import GF, EnumerationCapError, MatRing, ProductRing, RingError, Zn, parse_ring_spec
 
 
 def edges_of(g):
@@ -110,6 +110,22 @@ def test_degree_matring_closed_form():
             r = ring.rank(a)
             sq_zero = ring.mul(a, a) == ring.zero
             assert degree(g, a) == degree_matring(2, q, r, sq_zero), (q, a)
+
+
+def test_degree_matring_refuses_a_square_zero_class_that_cannot_exist():
+    # a matrix squaring to 0 has its rank-r column space in its rank-(n-r)
+    # kernel; on the built graph of M_3(F_2) no rank-2 vertex has a loop
+    ring = MatRing(3, GF(2))
+    g = build_zdg(ring)
+    rank2 = [i for i, a in enumerate(g.vertices) if ring.rank(a) == 2]
+    assert rank2 and not g.loops[rank2].any()
+    assert set(g.degrees()[rank2].tolist()) == {degree_matring(3, 2, 2, False)} == {13}
+    for n, r in ((3, 2), (2, 1), (4, 2), (5, 2)):  # refused exactly when 2r > n
+        if 2 * r > n:
+            with pytest.raises(RingError, match=f"no rank-{r} matrix in M_{n}"):
+                degree_matring(n, 2, r, True)
+        else:
+            assert degree_matring(n, 2, r, True) == degree_matring(n, 2, r, False) - 1
 
 
 def test_component_counts():

@@ -7,7 +7,8 @@ Every eigenvalue goes through `eig.dense_eigenvalues`: a module that calls
 a `linalg.eig*` routine itself, or a second solver in `eig`, fails here.
 Values computed once per object or per argument use `functools.cached_property`
 or `functools.cache`: a hand-rolled `getattr(self, "_name", None)` memo
-fails here, with one exception named in the test.
+fails here, with one exception named in the test.  The matrix ring's
+dot-product tables call no Gaussian elimination.
 """
 import ast
 from pathlib import Path
@@ -138,3 +139,25 @@ def test_partition_readers_take_the_id_array():
         defined, reads = attribute_reads(PACKAGE / module, functions, "classes")
         assert defined == functions, module
         assert reads == [], module
+
+
+# the matrix tables that decide xy = 0 through `MatRing._orthogonal`
+DOT_PRODUCT_READERS = {"_class_table", "_kills"}
+ELIMINATIONS = {"gf_rref", "gf_rank", "gf_nullspace", "gf_span_contains"}
+
+
+def test_matrix_tables_run_no_elimination():
+    # the eliminations are the tests' reference and back `MatRing.rank`;
+    # a table that called one would decide xy = 0 a second way
+    tree = ast.parse((PACKAGE / "rings.py").read_text())
+    matring = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "MatRing")
+    found = [n for n in matring.body if isinstance(n, ast.FunctionDef) and n.name in DOT_PRODUCT_READERS]
+    assert {fn.name for fn in found} == DOT_PRODUCT_READERS
+    names = [
+        (fn.name, name)
+        for fn in found
+        for node in ast.walk(fn)
+        for name in [getattr(node, "attr", None) or getattr(node, "id", None)]
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in ELIMINATIONS
+    ]
+    assert names == []

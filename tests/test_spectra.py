@@ -558,7 +558,17 @@ def closed_h_by_pairs(ring, labels):
     return h
 
 
-@pytest.mark.parametrize("spec", ["M(3,GF(2))", "M(2,GF(3))xM(2,GF(2))", "M(2,GF(2))xGF(3)xGF(4)"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "M(3,GF(2))",
+        "M(2,GF(3))xM(2,GF(2))",
+        "M(2,GF(2))xGF(3)xGF(4)",
+        "M(2,GF(4))",
+        "M(2,GF(8))xGF(3)",
+        "M(2,GF(9))",
+    ],
+)
 def test_closed_h_equals_pairwise_span_checks(spec):
     ring = parse_ring_spec(spec)
     dec = decomposition_semisimple_closed(ring)
