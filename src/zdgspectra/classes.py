@@ -14,13 +14,14 @@ squares to zero, and is edgeless otherwise; neighborhood classes are
 always edgeless.  The member lists of `classes` derive from `cell_of`.
 
 Every relation takes one path: `classes_for` numbers the vertices of the
-caller's graph by a key array, in order of first appearance.  Associates
-are keyed by `associate_keys` on the graph's `element_index` (gcd with n
-for Z_n, the pair of kernels for a matrix, componentwise for a product),
-with the cell kind read off the graph's `loops`; equal neighborhoods by
-the id of each adjacency row (`rings.row_keys`, already numbered so);
-equal annihilators by the id of each adjacency row with the graph's
-`loops` on the diagonal (a in ann(a) iff a^2 = 0).
+caller's graph by a key per vertex through `rings.first_seen_ids`, which
+numbers every partition, associate key and partition check of the
+package.  Associates are keyed by `associate_keys` on the graph's
+`element_index` (gcd with n for Z_n, the pair of kernels for a matrix,
+componentwise for a product), with the cell kind read off the graph's
+`loops`; equal neighborhoods by the adjacency rows; equal annihilators
+by the adjacency rows with the graph's `loops` on the diagonal (a in
+ann(a) iff a^2 = 0).
 `classes_associate` (unit orbits) and `_neighborhood_classes_masked`
 (pairwise row comparison) keep the definitions as the tests' references.
 """
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import numth
 from .graph import ZeroDivisorGraph, build_zdg  # unused: perfbench's tracer wraps this name for its graph.build span
-from .rings import GF, MatRing, ProductRing, Ring, RingError, Zn, row_keys
+from .rings import GF, MatRing, ProductRing, Ring, RingError, Zn, first_seen_ids
 
 
 class RelationAgreementError(RingError):
@@ -58,10 +59,8 @@ class ClassPartition:
     def __post_init__(self):
         self.cell_of = np.asarray(self.cell_of, dtype=np.intp)
         self.cell_of.flags.writeable = False
-        # canonical ids raise the running maximum by one per class; as unsigned, a negative id overshoots
-        top = np.maximum.accumulate(self.cell_of.view(np.uintp))
-        rises = np.count_nonzero(top[1:] != top[:-1]) + (len(top) > 0)
-        if (int(top[-1]) + 1 if len(top) else 0) != rises or rises != len(self.kinds):
+        canonical = np.array_equal(first_seen_ids(self.cell_of), self.cell_of)
+        if not canonical or int(self.cell_of.max(initial=-1)) + 1 != len(self.kinds):
             raise ValueError("cell_of must number its classes by smallest member, one kind each")
 
     def __eq__(self, other):
@@ -86,24 +85,13 @@ class ClassPartition:
         return {"relation": self.relation, "classes": classes}
 
 
-def _group(relation, keys, kind) -> ClassPartition:
-    """The classes of the vertices with equal keys[i], numbered in order of
-    first appearance in one pass; kind(i) is the claimed kind of the class
-    whose smallest member is vertex i."""
-    ids, kinds, cell_of = {}, [], []
-    for i, key in enumerate(keys):
-        c = ids.get(key)
-        if c is None:
-            c = ids[key] = len(kinds)
-            kinds.append(kind(i))
-        cell_of.append(c)
-    return ClassPartition(relation, np.array(cell_of, dtype=np.intp), kinds)
-
-
-def _by_row_keys(relation, rows, kind) -> ClassPartition:
-    """The classes of equal rows, numbered by `row_keys`, all of one kind."""
-    cell_of = row_keys(rows)
-    return ClassPartition(relation, cell_of, [kind] * (int(cell_of.max(initial=-1)) + 1))
+def _partition(relation, keys, kind) -> ClassPartition:
+    """The classes of equal keys (an array or a list, rows for 2-D), numbered by
+    `first_seen_ids`; kind(i) is the claimed kind of the class whose smallest member is vertex i."""
+    cell_of = first_seen_ids(keys)
+    # the running maximum of canonical ids first reaches c at the smallest member of class c
+    first = np.searchsorted(np.maximum.accumulate(cell_of), np.arange(int(cell_of.max(initial=-1)) + 1))
+    return ClassPartition(relation, cell_of, [kind(i) for i in first.tolist()])
 
 
 def partitions_equal(p: ClassPartition, q: ClassPartition) -> bool:
@@ -111,10 +99,9 @@ def partitions_equal(p: ClassPartition, q: ClassPartition) -> bool:
 
 
 def _refines(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether y is constant on each class of the ids x: scattered onto them, y reads back."""
-    y_of = np.zeros(int(x.max(initial=-1)) + 1, dtype=y.dtype)
-    y_of[x] = y
-    return np.array_equal(y_of[x], y)
+    """Whether y is constant on each class of the ids x: the pairs (x, y)
+    have as many classes as x alone."""
+    return np.array_equal(first_seen_ids(np.stack([x, y], axis=1)), first_seen_ids(x))
 
 
 def classes_associate(ring: Ring, element_cap: int | None = None) -> ClassPartition:
@@ -135,7 +122,7 @@ def classes_associate(ring: Ring, element_cap: int | None = None) -> ClassPartit
             orbit &= {mul(a, u) for u in units}
         owner.update(dict.fromkeys(orbit, i))
     keys = [owner[a] for a in zd]
-    return _group("associate", keys, lambda i: "complete" if mul(zd[i], zd[i]) == ring.zero else "null")
+    return _partition("associate", keys, lambda i: "complete" if mul(zd[i], zd[i]) == ring.zero else "null")
 
 
 def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
@@ -147,7 +134,7 @@ def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
     therefore implements the masked comparison; the pairwise masked
     comparator in _neighborhood_classes_masked exists as a cross-check.
     """
-    return _by_row_keys("neighborhood", graph.adjacency, "null")
+    return _partition("neighborhood", graph.adjacency, lambda i: "null")
 
 
 def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
@@ -170,7 +157,7 @@ def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
             mask[i] = mask[j] = False
             if np.array_equal(adj[i][mask], adj[j][mask]):
                 parent[find(j)] = find(i)
-    return _group("neighborhood", [find(i) for i in range(m)], lambda i: "null")
+    return _partition("neighborhood", [find(i) for i in range(m)], lambda i: "null")
 
 
 def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
@@ -178,7 +165,7 @@ def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
     adjacency row of a with its diagonal position set when a^2 = 0."""
     ann = graph.adjacency.copy()
     np.fill_diagonal(ann, graph.loops)
-    return _by_row_keys("annihilator", ann, None)
+    return _partition("annihilator", ann, lambda i: None)
 
 
 def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPartition:
@@ -187,7 +174,7 @@ def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPa
     `classes_associate` is the definition the associate classes must equal."""
     if relation == "associate":
         keys = graph.ring.associate_keys(graph.element_index)
-        return _group("associate", keys.tolist(), lambda i: "complete" if graph.loops[i] else "null")
+        return _partition("associate", keys, lambda i: "complete" if graph.loops[i] else "null")
     if relation == "neighborhood":
         return classes_neighborhood(graph)
     if relation == "annihilator":

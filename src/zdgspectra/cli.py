@@ -8,6 +8,8 @@ except the seconds column of the verify CSV.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -54,6 +56,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_text(header: str, rows) -> str:
+    """The header line, then one quoted-as-needed CSV line per row; None prints empty."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _g12(x) -> str:
@@ -116,11 +127,8 @@ def _run_classes(args):
     payload = {"ring": ring.spec_string(), **classes_for(graph, args.relation).to_json(graph)}
     if args.format == "json":
         return EXIT_OK, _json_text(payload)
-    lines = ["rep,size,kind,members"]
-    for c in payload["classes"]:
-        kind = c["kind"] if c["kind"] is not None else ""
-        lines.append(f"{c['rep']},{c['size']},{kind},{';'.join(c['members'])}")
-    return EXIT_OK, "\n".join(lines) + "\n"
+    rows = ([c["rep"], c["size"], c["kind"], ";".join(c["members"])] for c in payload["classes"])
+    return EXIT_OK, _csv_text("rep,size,kind,members", rows)
 
 
 def _run_graph(args):
@@ -176,11 +184,8 @@ def _run_spectrum(args):
     code = EXIT_MISMATCH if mismatch else EXIT_OK
     if args.format == "json":
         return code, _json_text(reports)
-    lines = ["flavor,method,index,value"]
-    for rep in reports:
-        for i, v in enumerate(rep["values"]):
-            lines.append(f"{rep['flavor']},{rep['method']},{i},{_g12(v)}")
-    return code, "\n".join(lines) + "\n"
+    rows = ([r["flavor"], r["method"], i, _g12(v)] for r in reports for i, v in enumerate(r["values"]))
+    return code, _csv_text("flavor,method,index,value", rows)
 
 
 _COUNT_FORMS = {
@@ -224,12 +229,8 @@ def _run_counts(args):
                 },
             }
             return EXIT_OK, _json_text(payload)
-        lines = ["d,size,kind,N,neighbors"]
-        for e in profile.entries:
-            lines.append(
-                f"{e.d},{e.size},{e.kind},{e.big_n},{';'.join(str(x) for x in e.neighbors)}"
-            )
-        return EXIT_OK, "\n".join(lines) + "\n"
+        rows = ([e.d, e.size, e.kind, e.big_n, ";".join(map(str, e.neighbors))] for e in profile.entries)
+        return EXIT_OK, _csv_text("d,size,kind,N,neighbors", rows)
 
     spec = _COUNT_FORMS.get(args.what)
     if spec is None:
@@ -248,7 +249,7 @@ def _run_counts(args):
             {"formula": args.what, "inputs": inputs, "value": str(value)}
         )
     joined = ";".join(f"{k}={v}" for k, v in inputs.items())
-    return EXIT_OK, f"formula,inputs,value\n{args.what},{joined},{value}\n"
+    return EXIT_OK, _csv_text("formula,inputs,value", [[args.what, joined, value]])
 
 
 def _sweep_rings(text: str):
@@ -360,18 +361,14 @@ def _run_verify(args):
             ],
         }
         return code, _json_text(payload)
-    lines = ["ring,|Z|,flavor,method_agreement,max_dev,seconds"]
-    for row in rows:
-        if row["skipped"] or "error" in row:
-            status = "error" if "error" in row else "skipped"
-            lines.append(f"{row['ring']},,{row['flavor']},{status},,")
-            continue
-        dev = "" if row["max_deviation"] is None else _g12(row["max_deviation"])
-        lines.append(
-            f"{row['ring']},{row['order']},{row['flavor']},"
-            f"{'true' if row['matched'] else 'false'},{dev},{row['seconds']:.3f}"
-        )
-    return code, "\n".join(lines) + "\n"
+    lines = []
+    for row in rows:  # an unverified row has no order, deviation or seconds
+        unverified = "error" if "error" in row else "skipped" if row["skipped"] else None
+        agreement = unverified or ("true" if row["matched"] else "false")
+        dev = None if row["max_deviation"] is None else _g12(row["max_deviation"])
+        seconds = None if unverified else f"{row['seconds']:.3f}"
+        lines.append([row["ring"], row["order"], row["flavor"], agreement, dev, seconds])
+    return code, _csv_text("ring,|Z|,flavor,method_agreement,max_dev,seconds", lines)
 
 
 def _parse_rational(token: str) -> float:
@@ -405,9 +402,9 @@ def _run_lift(args):
     }
     if args.format == "json":
         return EXIT_OK, _json_text(payload)
-    lines = ["quantity,value", f"mu,{_g12(result.mu)}", f"residual,{_g12(result.residual)}"]
-    lines.append("vector," + ";".join(_g12(x) for x in result.vector))
-    return EXIT_OK, "\n".join(lines) + "\n"
+    rows = [["mu", _g12(result.mu)], ["residual", _g12(result.residual)]]
+    rows.append(["vector", ";".join(_g12(x) for x in result.vector)])
+    return EXIT_OK, _csv_text("quantity,value", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +494,9 @@ def main(argv=None) -> int:
         np.linalg.LinAlgError,
         ValueError,
     ) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        cause = exc.__cause__  # the auto route chains the closed route's refusal to its cap error
+        closed = "" if cause is None else f"; closed route: {type(cause).__name__}: {cause}"
+        print(f"error: {type(exc).__name__}: {exc}{closed}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(text)
     return code

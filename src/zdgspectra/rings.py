@@ -37,6 +37,7 @@ from . import numth
 from .counts import gl_order, q_binomial
 
 DEFAULT_ELEMENT_CAP = 20000
+CLOSED_CELL_CAP = 4096  # zero-divisor classes that `class_table` takes
 
 
 class RingError(Exception):
@@ -105,15 +106,17 @@ def _smallest_irreducible(p, k):
 # ---------------------------------------------------------------------------
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Intp array k with k[i] == k[j] exactly when rows i and j of the 2-D
-    bool array are equal: the ids 0, 1, ... in order of first appearance.
-    Each row is packed into one byte string and numbered by a dict, which
-    beats a sort of the strings (np.unique) from tens of rows to thousands."""
-    bits = np.packbits(rows, axis=1)
-    ids: dict[bytes, int] = {}
-    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel().tolist()
-    return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.intp)
+def first_seen_ids(keys) -> np.ndarray:
+    """Intp ids, equal exactly where the keys are, numbered 0, 1, ... in
+    order of first appearance; the keys of a 2-D array are its rows, bool
+    rows packed into bytes.  A dict numbers them, which beats a sort of the
+    rows (np.unique) from tens of rows to thousands."""
+    keys = np.asarray(keys)
+    if keys.ndim == 2:  # each row one byte string
+        rows = np.ascontiguousarray(np.packbits(keys, axis=1) if keys.dtype == bool else keys)
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    ids: dict = {}
+    return np.array([ids.setdefault(key, len(ids)) for key in keys.tolist()], dtype=np.intp)
 
 
 class Ring:
@@ -158,31 +161,32 @@ class Ring:
         raise NotImplementedError
 
     def associate_keys(self, idx) -> np.ndarray:
-        """Int64 array k with k[i] == k[j] exactly when the elements x_i and
-        x_j of indices idx[i] and idx[j] are associates (x_i = u x_j and
-        x_j = x_i v for units u, v).  0 is a class of its own and the units
-        form one class.  Keys are comparable only within one call."""
+        """Array k with k[i] == k[j] exactly when the elements x_i and x_j of
+        indices idx[i] and idx[j] are associates (x_i = u x_j and x_j = x_i v
+        for units u, v).  0 is a class of its own and the units form one
+        class.  Keys, ids of `first_seen_ids` for matrix and product rings,
+        are comparable only within one call."""
         raise NotImplementedError
 
     def class_count(self) -> int:
         """Number of associate classes, 0 and the units included."""
         raise NotImplementedError
 
-    def class_table(self, cap: int):
+    def class_table(self):
         """(sizes, kills, labels) over all associate classes, built without
         enumerating the ring: sizes an int64 array, kills the bool m x m
         table of "class i times class j is 0" (its diagonal marks the
         classes that square to 0) and one label per class.  Class 0 is
-        {0} and the last class is the units.  The class count is checked
-        against cap before any table is built, and the size (every class
-        size must fit int64) before the class count is computed."""
+        {0} and the last class is the units.  The zero-divisor classes are
+        counted against CLOSED_CELL_CAP before any table is built, and the
+        size (every class size must fit int64) before the count."""
         if self.cardinality >= 2**63:
             raise RingError(f"{self.spec_string()} has 2^63 or more elements")
-        count = self.class_count()
-        if count > cap:
+        count = self.class_count() - 2
+        if count > CLOSED_CELL_CAP:
             raise RingError(
-                f"{self.spec_string()}: {count} classes (0 and the units included) "
-                f"exceed the closed-route cap of {cap}"
+                f"{self.spec_string()}: {count} zero-divisor classes "
+                f"exceed the closed-route cap of {CLOSED_CELL_CAP}"
             )
         return self._class_table()
 
@@ -648,7 +652,7 @@ class MatRing(Ring):
         of kernels, as bitsets over F_q^n."""
         right, cols = self._right_kernels(idx)
         left = self._kills.T[cols].all(axis=1)
-        return row_keys(np.concatenate([right, left], axis=1))
+        return first_seen_ids(np.concatenate([right, left], axis=1))
 
     def class_count(self):
         return sum(q_binomial(self.n, r, self.field.q) ** 2 for r in range(1, self.n)) + 2
@@ -786,13 +790,10 @@ class ProductRing(Ring):
         return out
 
     def associate_keys(self, idx):
-        """Associates componentwise: each factor's keys on the distinct
-        indices of its component, combined in mixed radix."""
-        keys = np.zeros(len(idx), dtype=np.int64)
-        for f, values, pos in self._factor_indices(idx):
-            fk = f.associate_keys(values)
-            keys = keys * (int(fk.max()) + 1) + fk[pos]
-        return keys
+        """Associates componentwise: the ids of the tuples of each factor's
+        keys on the distinct indices of its component."""
+        keys = [f.associate_keys(values)[pos] for f, values, pos in self._factor_indices(idx)]
+        return first_seen_ids(np.stack(keys, axis=1))
 
     def class_count(self):
         return prod(f.class_count() for f in self.factors)

@@ -55,11 +55,10 @@ from .counts import zn_profile  # unused: perfbench's tracer wraps this name for
 from .eig import dense_eigenvalues
 from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
 from .graph import GraphCapError, ZeroDivisorGraph, build_zdg
-from .rings import EnumerationCapError, Ring, RingError, Zn
+from .rings import CLOSED_CELL_CAP, EnumerationCapError, Ring, RingError, Zn
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
-CLOSED_CELL_CAP = 4096
 
 
 class DecompositionError(Exception):
@@ -147,12 +146,12 @@ class SpectrumMultiset:
     def from_pairs(pairs) -> "SpectrumMultiset":
         return SpectrumMultiset([(v, 1, tag) for v, tag in sorted(pairs, key=lambda t: t[0])])
 
-    def clusters(self, gap: float = CLUSTER_GAP) -> list[dict]:
+    def clusters(self) -> list[dict]:
         """Group near-equal sorted values for presentation only."""
         out = []
         run: list[float] = []
         for v in self.values:
-            if run and v - run[-1] > gap:
+            if run and v - run[-1] > CLUSTER_GAP:
                 out.append({"value": sum(run) / len(run), "multiplicity": len(run)})
                 run = []
             run.append(v)
@@ -373,7 +372,7 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     the class squares to 0, and H joins two cells when their product is 0
     in either order.  No ring elements are enumerated; more than
     CLOSED_CELL_CAP cells raise RingError before any table is built."""
-    sizes, kills, labels = ring.class_table(CLOSED_CELL_CAP + 2)
+    sizes, kills, labels = ring.class_table()
     kills = kills[1:-1, 1:-1]
     return JoinDecomposition("associate", sizes[1:-1], kills | kills.T, labels[1:-1])
 

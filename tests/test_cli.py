@@ -1,5 +1,7 @@
 """Command-line front end: output formats, schema validation, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -44,7 +46,6 @@ def run_cli(args, env=None):
 def run_inproc(args):
     """Call main() directly when the exit code is all that matters."""
     import contextlib
-    import io
 
     out = io.StringIO()
     err = io.StringIO()
@@ -77,6 +78,22 @@ def test_classes_csv():
     lines = out.strip().splitlines()
     assert lines[0] == "rep,size,kind,members"
     assert len(lines) == 4  # header + 3 associate classes
+
+
+def test_csv_quotes_matrix_and_product_labels():
+    # matrix labels and specs hold commas: unquoted, a row had more fields than its header
+    code, out, err = run_inproc(["verify", "--ring", "M(2,GF(3))", "--format", "csv"])
+    assert code == 0, err
+    header, *rows = csv.reader(io.StringIO(out))
+    assert [len(r) for r in rows] == [len(header)] * 2
+    assert [r[0] for r in rows] == ["M(2,GF(3))"] * 2
+    ring = ["--ring", "M(2,GF(2))xZn(4)"]
+    code, out, err = run_inproc(["classes", *ring, "--format", "csv"])
+    assert code == 0, err
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["rep", "size", "kind", "members"] and {len(r) for r in rows} == {4}
+    classes = json.loads(run_inproc(["classes", *ring])[1])["classes"]
+    assert rows == [[c["rep"], str(c["size"]), c["kind"], ";".join(c["members"])] for c in classes]
 
 
 def test_classes_json_equals_unit_orbit_definition():
@@ -528,6 +545,22 @@ def test_auto_route_reports_the_cap():
         code, _, err = run_inproc(args)
         assert code == 1, args
         assert "GraphCapError" in err and "over the cap 10" in err, err
+
+
+def test_auto_route_reports_why_the_closed_route_refused():
+    # a higher element or vertex cap cannot help either ring: the closed
+    # route's refusal is the reason, on the same line as the cap error
+    for args, count in (
+        (["spectrum", "--ring", "Zn(963761198400)"], 6718),
+        (["spectrum", "--ring", "x".join(["Zn(2)"] * 13), "--max-vertices", "10"], 8190),
+    ):
+        code, out, err = run_inproc(args)
+        assert (code, out) == (1, ""), args
+        assert len(err.splitlines()) == 1, err
+        assert "CapError" in err and (
+            f"; closed route: RingError: {args[2]}: {count} zero-divisor classes "
+            "exceed the closed-route cap of 4096\n"
+        ) in err, err
 
 
 def test_verify_checks_the_ring_under_the_flag_cap(monkeypatch):

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdgspectra import numth
 from zdgspectra.classes import (
@@ -25,6 +27,7 @@ from zdgspectra.rings import (
     EnumerationCapError,
     Zn,
     _smallest_irreducible,
+    first_seen_ids,
     parse_ring_spec,
 )
 
@@ -346,7 +349,7 @@ ZN_TABLE_MODULI = list(range(2, 401)) + [720720, 6983776800, 48886437600, 2**40,
 def test_zn_class_table_by_divisor_arithmetic(n):
     # class d holds the x with gcd(x, n) = d: phi(n/d) of them, and class d
     # times class d' is 0 exactly when n/d divides d'; checked on Python ints
-    sizes, kills, labels = Zn(n).class_table(4098)
+    sizes, kills, labels = Zn(n).class_table()
     ds = numth.divisors(n)
     assert labels == ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
     ds = ds[-1:] + ds[1:-1] + ds[:1]
@@ -364,7 +367,7 @@ def test_class_table_refuses_a_huge_ring_before_factoring(monkeypatch):
     monkeypatch.setattr(numth, "factorize", no_factorize)
     for spec in ("Zn(9223372036854775837)", "Zn(4294967311)xZn(4294967311)"):
         with pytest.raises(RingError, match="2\\^63 or more elements"):
-            parse_ring_spec(spec).class_table(4098)
+            parse_ring_spec(spec).class_table()
 
 
 def test_factorize_splits_large_prime_factors():
@@ -450,3 +453,39 @@ def test_associate_keys_read_element_indices(spec):
         groups.setdefault(key, set()).add(i)
     orbits = classes_associate(ring).classes
     assert {frozenset(g) for g in groups.values()} == {frozenset(c.members) for c in orbits}
+
+
+def first_appearance(keys) -> list[int]:
+    # plain-Python reference: each new key takes the next id
+    ids = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+@st.composite
+def key_rows(draw, entries):
+    """(width, rows): up to 12 rows of one width from 1 to 70, drawn from up
+    to three rows and their twins, which differ in the last entry only, so
+    equal rows recur and unequal ones can differ past a packed byte."""
+    width = draw(st.integers(1, 70))
+    pool = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=3))
+    pool += [r[:-1] + [not r[-1] if isinstance(r[-1], bool) else r[-1] + 1] for r in pool]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    return width, [pool[i] for i in picks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=40))
+def test_first_seen_ids_numbers_int_keys(keys):
+    ids = first_seen_ids(np.array(keys, dtype=np.int64))
+    assert ids.dtype == np.intp and ids.tolist() == first_appearance(keys)
+
+
+@pytest.mark.parametrize(
+    "dtype, entries", [(bool, st.booleans()), (np.int64, st.integers(-2**40, 2**40))], ids=["bool", "int64"]
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_first_seen_ids_numbers_rows(dtype, entries, data):
+    width, rows = data.draw(key_rows(entries))
+    ids = first_seen_ids(np.array(rows, dtype=dtype).reshape(len(rows), width))
+    assert ids.dtype == np.intp and ids.tolist() == first_appearance(tuple(r) for r in rows)

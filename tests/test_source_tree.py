@@ -8,7 +8,9 @@ a `linalg.eig*` routine itself, or a second solver in `eig`, fails here.
 Values computed once per object or per argument use `functools.cached_property`
 or `functools.cache`: a hand-rolled `getattr(self, "_name", None)` memo
 fails here, with one exception named in the test.  The matrix ring's
-dot-product tables call no Gaussian elimination.
+dot-product tables call no Gaussian elimination.  Keys are numbered in
+one routine, `rings.first_seen_ids`, and partitions built in one,
+`classes._partition`.
 """
 import ast
 from pathlib import Path
@@ -161,3 +163,27 @@ def test_matrix_tables_run_no_elimination():
         if isinstance(node, (ast.Attribute, ast.Name)) and name in ELIMINATIONS
     ]
     assert names == []
+
+
+def callers(path, name):
+    """The functions (innermost, or "<module>") of a module that call
+    `name` as a function or a method."""
+    found = set()
+
+    def visit(node, owner):
+        owner = node.name if isinstance(node, ast.FunctionDef) else owner
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_one_class_numbering():
+    # a second dict numbering, or a partition built outside `_partition`,
+    # would decide the class order a second way
+    assert callers(PACKAGE / "rings.py", "setdefault") == {"first_seen_ids"}
+    assert callers(PACKAGE / "classes.py", "setdefault") == set()
+    assert callers(PACKAGE / "classes.py", "ClassPartition") == {"_partition"}
