@@ -59,7 +59,10 @@ class ClassPartition:
     def __post_init__(self):
         self.cell_of = np.asarray(self.cell_of, dtype=np.intp)
         self.cell_of.flags.writeable = False
-        canonical = np.array_equal(first_seen_ids(self.cell_of), self.cell_of)
+        # canonical: ids start at 0 and each is at most one above the largest
+        # before it; the unsigned view reads a negative id as a huge one
+        top = np.maximum.accumulate(self.cell_of.view(np.uintp))
+        canonical = not top[:1].any() and bool((top[1:] - top[:-1] <= 1).all())
         if not canonical or int(self.cell_of.max(initial=-1)) + 1 != len(self.kinds):
             raise ValueError("cell_of must number its classes by smallest member, one kind each")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import counts
 from .classes import classes_for
-from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, edge_list_text, graph_json
+from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_json
 from .rings import EnumerationCapError, MatRing, RingError, Zn, parse_ring_spec
 from .spectra import (
     DecompositionError,
@@ -134,9 +134,11 @@ def _run_classes(args):
 def _run_graph(args):
     ring = parse_ring_spec(args.ring)
     graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=_element_cap(args))
+    payload = graph_json(graph)
     if args.format == "json":
-        return EXIT_OK, _json_text(graph_json(graph))
-    return EXIT_OK, edge_list_text(graph)
+        return EXIT_OK, _json_text(payload)
+    labels = payload["vertices"]
+    return EXIT_OK, _csv_text("u,v", ([labels[i], labels[j]] for i, j in payload["edges"]))
 
 
 def _run_spectrum(args):

@@ -5,6 +5,7 @@ exhaustive enumeration in the test suite.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import prod
@@ -97,7 +98,7 @@ def nilpotent2_count(n: int, q: int) -> int:
 
 def compressed_degree_matrix(n: int, q: int, r: int) -> int:
     """Closed-form degree of a rank-r class in the compressed graph of
-    M_n(F_q):
+    M_n(F_q), the one-factor case of `semisimple_class_degree`:
 
         2 * sum_i C_q(n-r, i) C_q(n, i) - sum_i C_q(n-r, i)^2
 
@@ -108,9 +109,8 @@ def compressed_degree_matrix(n: int, q: int, r: int) -> int:
     """
     if not 1 <= r <= n - 1:
         raise ValueError("rank must be in [1, n-1]")
-    crossed = sum(q_binomial(n - r, i, q) * q_binomial(n, i, q) for i in range(1, n - r + 1))
-    both = sum(q_binomial(n - r, i, q) ** 2 for i in range(1, n - r + 1))
-    return 2 * crossed - both
+    _check_q(q)
+    return semisimple_class_degree(SemisimpleProfile(((n, q),), (r,)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +294,9 @@ class BooleanSkeleton:
 
 
 def boolean_skeleton(qs) -> BooleanSkeleton:
+    """The skeleton of prod_i F_{q_i}, read off the semisimple formulas: the
+    class of support S is the rank profile with rank 1 on S and 0 off it,
+    each field a factor (1, q_i)."""
     qs = tuple(qs)
     t = len(qs)
     if t < 2:
@@ -301,14 +304,10 @@ def boolean_skeleton(qs) -> BooleanSkeleton:
     for q in qs:
         if numth.prime_power(q) is None:
             raise ValueError(f"{q} is not a prime power")
-    import itertools
-
-    subsets = []
-    for size in range(1, t):
-        subsets.extend(itertools.combinations(range(t), size))
-    subsets.sort()
-    sizes = [prod(qs[i] - 1 for i in s) for s in subsets]
-    class_degrees = [2 ** (t - len(s)) - 1 for s in subsets]
-    vertex_degrees = [prod(qs[i] for i in range(t) if i not in s) - 1 for s in subsets]
-    assert len(subsets) == 2**t - 2
+    subsets = sorted(s for size in range(1, t) for s in itertools.combinations(range(t), size))
+    factors = tuple((1, q) for q in qs)
+    profiles = [SemisimpleProfile(factors, tuple(int(i in s) for i in range(t))) for s in subsets]
+    sizes = [semisimple_class_size(p) for p in profiles]
+    class_degrees = [semisimple_class_degree(p) for p in profiles]
+    vertex_degrees = [semisimple_vertex_degree(p) for p in profiles]
     return BooleanSkeleton(qs, subsets, sizes, class_degrees, vertex_degrees)

@@ -25,8 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import numth
-from .counts import _check_q
+from .counts import SemisimpleProfile, _check_q, semisimple_vertex_degree
 from .rings import Ring, RingError
 
 DEFAULT_VERTEX_CAP = 5000
@@ -124,34 +123,27 @@ def degree(graph: ZeroDivisorGraph, a) -> int:
 def degree_zn(n: int, d: int) -> int:
     """Degree of any vertex x with gcd(x, n) = d in Gamma(Z_n).
 
-    Sums the sizes phi(n/d') of the divisor classes annihilating d and
-    drops the self term when n | d^2.
+    The annihilator of x is the d multiples of n/d; its d - 1 nonzero
+    members are all zero-divisors, and x is one of them when n | d^2.
     """
     if not 1 < d < n or n % d != 0:
         raise RingError(f"{d} is not a nontrivial divisor of {n}")
-    total = 0
-    for dd in numth.nontrivial_divisors(n):
-        if (d * dd) % n == 0:
-            total += numth.euler_phi(n // dd)
-    if (d * d) % n == 0:
-        total -= 1
-    return total
+    return d - 1 - (d * d % n == 0)
 
 
 def degree_matring(n: int, q: int, r: int, squares_to_zero: bool) -> int:
-    """Degree of a rank-r matrix in Gamma(M_n(F_q)).
-
-    2*q^(n(n-r)) - q^((n-r)^2) - 1, and one less when the matrix squares
-    to zero (it then sits inside its own annihilator).  Only a matrix with
-    2r <= n can: its rank-r column space must lie in its rank-(n-r) kernel.
+    """Degree of a rank-r matrix in Gamma(M_n(F_q)): the one-factor case of
+    `counts.semisimple_vertex_degree`, 2*q^(n(n-r)) - q^((n-r)^2) - 1, and
+    one less when the matrix squares to zero (it then sits inside its own
+    annihilator).  Only a matrix with 2r <= n can: its rank-r column space
+    must lie in its rank-(n-r) kernel.
     """
     _check_q(q)
     if not 1 <= r <= n - 1:
         raise RingError("rank must be between 1 and n-1 for a zero-divisor matrix")
     if squares_to_zero and 2 * r > n:
         raise RingError(f"no rank-{r} matrix in M_{n}(F_{q}) squares to zero")
-    val = 2 * q ** (n * (n - r)) - q ** ((n - r) ** 2) - 1
-    return val - 1 if squares_to_zero else val
+    return semisimple_vertex_degree(SemisimpleProfile(((n, q),), (r,)), squares_to_zero)
 
 
 def connected_component_count(graph: ZeroDivisorGraph) -> int:
@@ -170,13 +162,6 @@ def connected_component_count(graph: ZeroDivisorGraph) -> int:
 def _edge_pairs(graph: ZeroDivisorGraph) -> list[list[int]]:
     """Every edge as [i, j] with i < j, in row-major (i, j) order."""
     return np.argwhere(np.triu(graph.adjacency, 1)).tolist()
-
-
-def edge_list_text(graph: ZeroDivisorGraph) -> str:
-    """One edge per line, 'u v' with canonical labels, (i, j) sorted."""
-    labels = [graph.ring.label(v) for v in graph.vertices]
-    lines = [f"{labels[i]} {labels[j]}" for i, j in _edge_pairs(graph)]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def graph_json(graph: ZeroDivisorGraph) -> dict:

@@ -34,7 +34,7 @@ from math import gcd, prod
 import numpy as np
 
 from . import numth
-from .counts import gl_order, q_binomial
+from .counts import class_count_matrix, gl_order
 
 DEFAULT_ELEMENT_CAP = 20000
 CLOSED_CELL_CAP = 4096  # zero-divisor classes that `class_table` takes
@@ -112,7 +112,9 @@ def first_seen_ids(keys) -> np.ndarray:
     rows packed into bytes.  A dict numbers them, which beats a sort of the
     rows (np.unique) from tens of rows to thousands."""
     keys = np.asarray(keys)
-    if keys.ndim == 2:  # each row one byte string
+    if keys.ndim == 2 and keys.shape[1] == 0:  # rows with no columns are all equal
+        keys = np.zeros(len(keys), dtype=np.int8)
+    elif keys.ndim == 2:  # each row one byte string
         rows = np.ascontiguousarray(np.packbits(keys, axis=1) if keys.dtype == bool else keys)
         keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
     ids: dict = {}
@@ -655,7 +657,8 @@ class MatRing(Ring):
         return first_seen_ids(np.concatenate([right, left], axis=1))
 
     def class_count(self):
-        return sum(q_binomial(self.n, r, self.field.q) ** 2 for r in range(1, self.n)) + 2
+        """The zero class, `class_count_matrix` proper-rank classes, and the units."""
+        return 2 if self.n == 1 else class_count_matrix(self.n, self.field.q) + 2
 
     def _class_table(self):
         """0, one class per (row space, column space) pair of each rank

@@ -115,7 +115,19 @@ def test_graph_json_and_csv():
     assert payload["vertices"] == ["2", "3", "4"]
     code, out, _ = run_cli(["graph", "--ring", "Zn(6)", "--format", "csv"])
     assert code == 0
-    assert out == "2 3\n3 4\n"
+    assert out == "u,v\n2,3\n3,4\n"
+
+
+def test_graph_csv_is_one_quoted_row_per_edge():
+    # matrix labels hold commas: a space-separated edge list splits them apart
+    for spec in ["Zn(12)", "M(2,GF(2))"]:
+        code, out, err = run_cli(["graph", "--ring", spec, "--format", "csv"])
+        assert code == 0, err
+        assert run_cli(["graph", "--ring", spec, "--format", "csv"])[1] == out
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["u", "v"]
+        assert all(len(row) == 2 for row in rows), spec
+        assert len(rows) == build_zdg(parse_ring_spec(spec)).edge_count
 
 
 def test_spectrum_json_both_methods():

@@ -26,9 +26,9 @@ from zdgspectra.counts import (
     zn_profile,
 )
 from zdgspectra.classes import classes_for
-from zdgspectra.graph import build_zdg, degree
+from zdgspectra.graph import build_zdg, degree, degree_matring, degree_zn
 from zdgspectra.numth import euler_phi, nontrivial_divisors
-from zdgspectra.rings import GF, MatRing, ProductRing, Zn, parse_ring_spec
+from zdgspectra.rings import GF, MatRing, ProductRing, RingError, Zn, parse_ring_spec
 
 
 # --- plain mod-p linear algebra, independent of the package's field code ---
@@ -257,6 +257,31 @@ def test_nilpotent2_count_rejects_n_below_one():
     for n in (0, -2):
         with pytest.raises(ValueError, match="n must be at least 1"):
             nilpotent2_count(n, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: compressed_degree_matrix(2, 1, 1), ValueError, "q must be at least 2"),
+        (lambda: compressed_degree_matrix(2, 6, 5), ValueError, "rank must be in [1, n-1]"),
+        (lambda: degree_matring(2, 6, 5, False), ValueError, "6 is not a prime power"),
+        (lambda: degree_matring(0, 2, 1, False), RingError, "rank must be between 1 and n-1 for a zero-divisor matrix"),
+        (lambda: degree_zn(12, 12), RingError, "12 is not a nontrivial divisor of 12"),
+        (lambda: boolean_skeleton((2, 1)), ValueError, "1 is not a prime power"),
+    ],
+    ids=["cdm-q1", "cdm-rank", "matring-q6", "matring-n0", "zn-d=n", "skeleton-q1"],
+)
+def test_closed_forms_refuse_out_of_domain_inputs(call, error, message):
+    # each entry point checks its own inputs before it reads a general formula
+    with pytest.raises(Exception) as excinfo:
+        call()
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_one_by_one_matrix_ring_has_two_classes(q):
+    # M_1(F_q) = F_q: the zero class and the units, no zero-divisor class
+    assert parse_ring_spec(f"M(1,GF({q}))").class_count() == 2
 
 
 def test_consistency_class_sizes_cover_rank_counts():

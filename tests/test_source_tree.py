@@ -10,7 +10,8 @@ or `functools.cache`: a hand-rolled `getattr(self, "_name", None)` memo
 fails here, with one exception named in the test.  The matrix ring's
 dot-product tables call no Gaussian elimination.  Keys are numbered in
 one routine, `rings.first_seen_ids`, and partitions built in one,
-`classes._partition`.
+`classes._partition`.  The one-factor and field-product degrees, sizes and
+class counts read the semisimple formulas of `counts`.
 """
 import ast
 from pathlib import Path
@@ -187,3 +188,29 @@ def test_one_class_numbering():
     assert callers(PACKAGE / "rings.py", "setdefault") == {"first_seen_ids"}
     assert callers(PACKAGE / "classes.py", "setdefault") == set()
     assert callers(PACKAGE / "classes.py", "ClassPartition") == {"_partition"}
+
+
+
+# (module, entry point, the general formula it returns once its own checks pass)
+CLOSED_FORMS = [
+    ("graph.py", "degree_matring", "semisimple_vertex_degree"),
+    ("counts.py", "compressed_degree_matrix", "semisimple_class_degree"),
+    ("counts.py", "boolean_skeleton", "semisimple_class_size"),
+    ("counts.py", "boolean_skeleton", "semisimple_class_degree"),
+    ("counts.py", "boolean_skeleton", "semisimple_vertex_degree"),
+    ("rings.py", "class_count", "class_count_matrix"),  # MatRing's; no other ring's reads it
+]
+
+
+def test_one_closed_form_per_count():
+    # a one-factor or field-factor case computed in place would state a
+    # degree, size or class count a second way
+    for module, entry, formula in CLOSED_FORMS:
+        assert entry in callers(PACKAGE / module, formula), (entry, formula)
+    # the annihilator of x has gcd(x, n) elements: no sum over divisor classes
+    numth = ast.parse((PACKAGE / "numth.py").read_text()).body
+    for routine in [n.name for n in numth if isinstance(n, ast.FunctionDef)]:
+        assert "degree_zn" not in callers(PACKAGE / "graph.py", routine), routine
+    graph = ast.parse((PACKAGE / "graph.py").read_text())
+    imports = [n for n in ast.walk(graph) if isinstance(n, ast.ImportFrom)]
+    assert "numth" not in {alias.name for n in imports for alias in n.names} | {n.module for n in imports}
