@@ -25,7 +25,9 @@ adjacency matrix entry for entry, at every graph size.  The closed route
 reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
 one class per divisor of n, under one cap on the class count
-(CLOSED_CELL_CAP).
+(CLOSED_CELL_CAP).  Class labels are presentation only: no spectrum
+depends on them, so a decomposition builds its `labels` on first read,
+and the graph route's check reads them only to word the error it raises.
 
 Every eigenvalue here comes from LAPACK (`eig.dense_eigenvalues`): the
 assembled route solves the order-m quotient, the oracle the order-|V|
@@ -46,7 +48,9 @@ caller reads `values` or `provenance`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,12 +90,15 @@ class JoinDecomposition:
     """Gamma(R) as a generalized join over H, built by both routes from a
     symmetric bool m x m class table: its diagonal marks the complete
     cells and its off-diagonal part is H.  `cell_of` is None on the closed
-    route, which lays the vertices out in cell order."""
+    route, which lays the vertices out in cell order.  `make_labels`
+    returns one label per cell; it runs on the first read of `labels`,
+    which keeps the list.  Labels are presentation only (error messages,
+    reports): nothing in the spectra reads them."""
 
     relation: str
     sizes: np.ndarray  # int64, n_i
     table: InitVar[np.ndarray]
-    labels: list[str]
+    make_labels: Callable[[], list[str]] = field(repr=False)
     cell_of: np.ndarray | None = None  # intp, the cell of each vertex
     complete: np.ndarray = field(init=False)  # bool, one per cell
     h_adjacency: np.ndarray = field(init=False)  # symmetric, no self-loops
@@ -102,6 +109,10 @@ class JoinDecomposition:
         self.h_adjacency = table.copy()
         np.fill_diagonal(self.h_adjacency, False)
         self.neighbor_weights = self.h_adjacency @ self.sizes
+
+    @cached_property
+    def labels(self) -> list[str]:
+        return self.make_labels()
 
     @property
     def class_count(self) -> int:
@@ -202,7 +213,9 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     for entry, at every graph size.  Only when they differ is each
     mismatched vertex pair scattered to its class pair, one flag per
     block: the first failing cell in order raises, then the first
-    non-constant class pair in row-major order.
+    non-constant class pair in row-major order.  No label is formatted
+    unless one is read: the result keeps the ring and the m representative
+    payloads, never the graph, for `labels`.
     """
     adj = graph.adjacency
     cell_of = partition.cell_of
@@ -222,30 +235,33 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     multi = sizes > 1
     complete[multi] = adj[reps[multi], order[starts[multi] + 1]]
     np.fill_diagonal(table, complete)
-    labels = [graph.ring.label(graph.vertices[i]) for i in reps.tolist()]
-    dec = JoinDecomposition(partition.relation, sizes, table, labels, cell_of)
+    ring, payloads = graph.ring, [graph.vertices[i] for i in reps.tolist()]
+    dec = JoinDecomposition(
+        partition.relation, sizes, table, lambda: [ring.label(a) for a in payloads], cell_of
+    )
 
     mismatch = blow_up(dec)
     mismatch ^= adj
-    bad = np.zeros(table.shape, dtype=bool)
+    bad = None
     if mismatch.any():
         u, v = np.nonzero(mismatch)
+        bad = np.zeros(table.shape, dtype=bool)
         bad[cell_of[u], cell_of[v]] = True
-    for claimed, size, label, is_complete, bad_cell in zip(kinds, sizes, labels, complete, bad.diagonal()):
+    for i, (claimed, size, is_complete) in enumerate(zip(kinds, sizes.tolist(), complete.tolist())):
         kind = "complete" if is_complete else "null"
-        if bad_cell:
+        if bad is not None and bad[i, i]:
             raise DecompositionError(
-                f"class of {label} induces neither a complete nor an edgeless subgraph"
+                f"class of {dec.labels[i]} induces neither a complete nor an edgeless subgraph"
             )
         if size > 1 and claimed not in (None, kind):
             raise DecompositionError(
-                f"claimed {claimed} cell is actually {kind} (representative {label})"
+                f"claimed {claimed} cell is actually {kind} (representative {dec.labels[i]})"
             )
-    if bad.any():
+    if bad is not None:
         i, j = np.argwhere(np.triu(bad, 1))[0]
         raise DecompositionError(
-            f"adjacency between the classes of {labels[i]} and "
-            f"{labels[j]} is not constant"
+            f"adjacency between the classes of {dec.labels[i]} and "
+            f"{dec.labels[j]} is not constant"
         )
     return dec
 
@@ -374,7 +390,7 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     CLOSED_CELL_CAP cells raise RingError before any table is built."""
     sizes, kills, labels = ring.class_table()
     kills = kills[1:-1, 1:-1]
-    return JoinDecomposition("associate", sizes[1:-1], kills | kills.T, labels[1:-1])
+    return JoinDecomposition("associate", sizes[1:-1], kills | kills.T, lambda: labels[1:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 eigenvalue toolbox (duplicate lift, two-graph combination, shift lemma)."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +218,74 @@ def test_decompose_error_messages(blocks, message):
     bad = blocks_partition("associate", blocks, 3)
     with pytest.raises(DecompositionError, match=message):
         decompose(build_zdg(Zn(8)), bad)
+
+
+# Gamma(Z_16): the vertices 2, 4, ..., 14 sit at the indices 0..6
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        # {4, 12} is complete, claimed null; the mixed {6, 8, 10} comes later
+        (
+            [([0], None), ([1, 5], "null"), ([2, 3, 4], None), ([6], None)],
+            "claimed null cell is actually complete (representative 4)",
+        ),
+        # {4, 6, 8} is mixed; the null {10, 12}, claimed complete, comes later
+        (
+            [([0], None), ([1, 2, 3], None), ([4, 5], "complete"), ([6], None)],
+            "class of 4 induces neither a complete nor an edgeless subgraph",
+        ),
+        # valid cells {2, 14}, {4}, {6, 12}, {8, 10}; the pairs (0, 3) and
+        # (1, 2) are not constant, and row-major order names (0, 3)
+        (
+            [([0, 6], "null"), ([1], None), ([2, 5], "null"), ([3, 4], "complete")],
+            "adjacency between the classes of 2 and 8 is not constant",
+        ),
+    ],
+    ids=["claimed-before-mixed", "mixed-before-claimed", "pair-behind-valid-cells"],
+)
+def test_decompose_raises_the_first_failure(blocks, message):
+    bad = blocks_partition("associate", blocks, 7)
+    with pytest.raises(DecompositionError) as raised:
+        decompose(build_zdg(Zn(16)), bad)
+    assert str(raised.value) == message
+
+
+def smallest_member_labels(ring, g, dec):
+    """The ring's label of each class's smallest vertex, class by class."""
+    firsts = np.unique(dec.cell_of, return_index=True)[1]
+    return [ring.label(g.vertices[i]) for i in firsts.tolist()]
+
+
+@pytest.mark.parametrize("spec", ["Zn(18)", "M(2,GF(4))", "M(2,GF(2))xGF(4)", "Zn(4)xZn(9)xGF(2)"])
+def test_success_path_formats_no_label(spec, monkeypatch):
+    """decompose, spectrum_pair and verify_ring format no label; the first
+    read of `labels` formats them and the list is kept."""
+    calls = []
+    for cls in (Zn, GF, MatRing, ProductRing):
+        original = cls.label
+        monkeypatch.setattr(cls, "label", lambda self, a, f=original: calls.append(a) or f(self, a))
+    ring = parse_ring_spec(spec)
+    g = build_zdg(ring)
+    dec = decompose(g, classes_for(g, "associate"))
+    spectrum_pair(dec)
+    verify_ring(ring)
+    assert calls == []
+    monkeypatch.undo()
+    assert dec.labels == smallest_member_labels(ring, g, dec)
+    assert dec.labels is dec.labels
+
+
+def test_decomposition_does_not_keep_its_graph_alive():
+    ring = parse_ring_spec("M(2,GF(2))xZn(4)")
+    g = build_zdg(ring)
+    dec = decompose(g, classes_for(g, "associate"))
+    expected = smallest_member_labels(ring, g, dec)
+    ref = weakref.ref(g)
+    del g
+    graph_module._build_cached.cache_clear()
+    gc.collect()
+    assert ref() is None
+    assert dec.labels == expected
 
 
 def reference_decompose(g, partition):
