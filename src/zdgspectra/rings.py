@@ -178,10 +178,12 @@ class Ring:
         """(sizes, kills, labels) over all associate classes, built without
         enumerating the ring: sizes an int64 array, kills the bool m x m
         table of "class i times class j is 0" (its diagonal marks the
-        classes that square to 0) and one label per class.  Class 0 is
-        {0} and the last class is the units.  The zero-divisor classes are
-        counted against CLOSED_CELL_CAP before any table is built, and the
-        size (every class size must fit int64) before the count."""
+        classes that square to 0) and labels, a function of no arguments
+        that returns one label per class, so that no label is formatted
+        unless one is read.  Class 0 is {0} and the last class is the
+        units.  The zero-divisor classes are counted against
+        CLOSED_CELL_CAP before any table is built, and the size (every
+        class size must fit int64) before the count."""
         if self.cardinality >= 2**63:
             raise RingError(f"{self.spec_string()} has 2^63 or more elements")
         count = self.class_count() - 2
@@ -312,7 +314,10 @@ class Zn(Ring):
         kills = np.ones((len(ds), len(ds)), dtype=bool)
         for e, (_, a) in zip(np.array(exps).T, self.factors):  # by prime: no m x m x k array
             kills &= e[:, None] >= a - e
-        labels = ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
+
+        def labels():
+            return ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
+
         return np.array(sizes, dtype=np.int64), kills, labels
 
     def is_unit(self, a):
@@ -434,7 +439,7 @@ class GF(Ring):
 
     def _class_table(self):
         kills = np.array([[True, True], [True, False]])
-        return np.array([1, self.q - 1], dtype=np.int64), kills, ["0", "u"]
+        return np.array([1, self.q - 1], dtype=np.int64), kills, lambda: ["0", "u"]
 
     def inv(self, a):
         if a == 0:
@@ -685,8 +690,12 @@ class MatRing(Ring):
         kills[1:-1, 1:-1] = contains[np.ix_(rows, cols)]
         ranks = rank[rows]
         sizes = np.array([gl_order(r, q) for r in range(n + 1)], dtype=np.int64)[np.r_[0, ranks, n]]
-        proper = zip(ranks.tolist(), (rows - first[rows]).tolist(), (cols - first[cols]).tolist())
-        labels = ["0"] + [f"r{r}.{a}.{b}" for r, a, b in proper] + ["u"]
+        row_ids, col_ids = rows - first[rows], cols - first[cols]
+
+        def labels():
+            proper = zip(ranks.tolist(), row_ids.tolist(), col_ids.tolist())
+            return ["0"] + [f"r{r}.{a}.{b}" for r, a, b in proper] + ["u"]
+
         return sizes, kills, labels
 
     def rank(self, a):
@@ -807,10 +816,12 @@ class ProductRing(Ring):
         class last."""
         tables = [f._class_table() for f in self.factors]
         sizes, kills, idx = _product_table([(s, k) for s, k, _ in tables])
-        labels = [
-            "(" + ",".join(t[2][c] for t, c in zip(tables, combo)) + ")"
-            for combo in idx.T.tolist()
-        ]
+        factor_labels = [t[2] for t in tables]
+
+        def labels():
+            names = [f_labels() for f_labels in factor_labels]
+            return ["(" + ",".join(n[c] for n, c in zip(names, combo)) + ")" for combo in idx.T.tolist()]
+
         return sizes, kills, labels
 
     def is_unit(self, a):

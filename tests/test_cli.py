@@ -16,6 +16,7 @@ jsonschema = pytest.importorskip("jsonschema")
 import zdgspectra
 from zdgspectra import spectra as spectra_module
 from zdgspectra.classes import classes_associate
+from zdgspectra import cli as cli_module
 from zdgspectra.cli import _COUNT_FORMS, main
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import parse_ring_spec
@@ -295,6 +296,7 @@ def test_json_outputs_are_byte_stable():
         ["classes", "--ring", "Zn(30)"],
         ["graph", "--ring", "Zn(30)"],
         ["spectrum", "--ring", "Zn(30)", "--method", "both"],
+        ["spectrum", "--ring", "Zn(30)", "--method", "both", "--format", "runs"],
         ["counts", "--what", "class-count", "--n", "2", "--q", "3"],
         ["verify", "--ring", "Zn(30)"],
     ):
@@ -478,7 +480,63 @@ def test_spectrum_refuses_to_print_billions_of_values(fmt):
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
-    assert err.startswith("error: RingError: ") and "2147483646 eigenvalues" in err
+    assert err == (
+        "error: RingError: Gamma(Zn(4611686014132420609)) has 2147483646 eigenvalues per "
+        "flavor, over the 10000000 that json and csv print; --format runs prints them as runs\n"
+    )
+
+
+@pytest.mark.parametrize("method", ["join", "brute", "both"])
+def test_spectrum_refuses_before_any_spectrum_is_solved(method, monkeypatch):
+    # the order of the decomposition or graph decides; no assemble or oracle call runs
+    def unexpected(*args):
+        raise AssertionError("a spectrum was solved before the refusal")
+
+    monkeypatch.setattr(cli_module, "assemble_spectrum", unexpected)
+    monkeypatch.setattr(cli_module, "brute_spectrum", unexpected)
+    monkeypatch.setattr(cli_module, "MAX_PRINTED_VALUES", 10)
+    code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)", "--method", method])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: RingError: Gamma(Zn(30)) has 21 eigenvalues per flavor, over the 10 "
+        "that json and csv print; --format runs prints them as runs\n"
+    )
+
+
+def test_spectrum_runs_print_what_json_refuses():
+    code, out, err = run_cli(["spectrum", "--ring", "Zn(4611686014132420609)", "--format", "runs"])
+    assert code == 0, err
+    payload = json.loads(out)
+    validate(payload)
+    # one complete cell, K_{p-1}, p = 2^31 - 1
+    p = 2**31 - 1
+    assert [r["runs"] for r in payload] == [
+        [[-1.0, p - 2, "cell-inherited"], [float(p - 2), 1, "quotient"]],
+        [[0.0, 1, "quotient"], [float(p - 1), p - 2, "cell-inherited"]],
+    ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--ring", "Zn(36)", "--method", "both"],
+        ["--ring", "M(2,GF(3))", "--relation", "neighborhood"],
+        ["--ring", "Zn(1000000)"],
+    ],
+    ids=["Zn(36)", "M(2,GF(3))", "Zn(1000000)"],
+)
+def test_spectrum_runs_follow_the_schema(args):
+    code, out, _ = run_inproc(["spectrum", *args, "--format", "runs"])
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload)
+    assert [r["flavor"] for r in payload] == ["adjacency", "laplacian"]
+    ring = parse_ring_spec(args[1])
+    relation = args[args.index("--relation") + 1] if "--relation" in args else "associate"
+    dec = spectra_module.ring_join_decomposition(ring, relation)
+    for report, spectrum in zip(payload, spectra_module.spectrum_pair(dec)):
+        assert [tuple(run) for run in report["runs"]] == spectrum.runs
+        assert report["verification"] is None or report["verification"]["matched"]
 
 
 def test_exit_code_verification_mismatch(monkeypatch):

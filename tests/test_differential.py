@@ -9,9 +9,14 @@ closed route.  The keyed partitions and the unit list are compared with
 their definitions: associates with unit orbits, equal neighborhoods with
 the pairwise masked row comparison, equal annihilators with grouping by
 `annihilator_set`, units with per-element `is_unit`.  The graph's loops
-are compared with a^2 = 0 and with `is_reduced`.
+are compared with a^2 = 0 and with `is_reduced`.  The runs that
+`zdg spectrum --format runs` prints expand to the values the json format
+prints, under every relation.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdgspectra import numth
+from zdgspectra.cli import main
 from zdgspectra.classes import _neighborhood_classes_masked, classes_associate, classes_for
 from zdgspectra.counts import gl_order
 from zdgspectra.graph import annihilator_set, build_zdg
@@ -90,3 +96,21 @@ def test_graph_route_matches_definition_and_oracles(factors):
     for flavor in FLAVORS:
         match = multiset_equal(assemble_spectrum(closed, flavor), graph_route[flavor], tol=1e-7)
         assert match.matched, (spec, flavor, match.max_deviation)
+
+
+def spectrum_stdout(*args) -> list[dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["spectrum", *args]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=20, deadline=None)
+@given(products, st.sampled_from(["associate", "neighborhood", "annihilator"]))
+def test_spectrum_runs_expand_to_the_json_values(factors, relation):
+    args = ["--ring", "x".join(f[0] for f in factors), "--relation", relation, "--method", "both"]
+    runs, values = spectrum_stdout(*args, "--format", "runs"), spectrum_stdout(*args)
+    assert len(runs) == len(values) == 2
+    for r, v in zip(runs, values):
+        assert {k: r[k] for k in r if k != "runs"} == {k: v[k] for k in v if k not in ("values", "clusters")}
+        assert [value for value, k, _ in r["runs"] for _ in range(k)] == v["values"], args

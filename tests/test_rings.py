@@ -351,7 +351,7 @@ def test_zn_class_table_by_divisor_arithmetic(n):
     # times class d' is 0 exactly when n/d divides d'; checked on Python ints
     sizes, kills, labels = Zn(n).class_table()
     ds = numth.divisors(n)
-    assert labels == ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
+    assert labels() == ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
     ds = ds[-1:] + ds[1:-1] + ds[:1]
     assert sizes.tolist() == [numth.euler_phi(n // d) for d in ds]
     assert sum(sizes.tolist()) == n

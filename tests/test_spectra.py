@@ -275,6 +275,25 @@ def test_success_path_formats_no_label(spec, monkeypatch):
     assert dec.labels is dec.labels
 
 
+@pytest.mark.parametrize("spec", ["Zn(720)", "GF(4)xZn(6)", "M(3,GF(2))", "M(2,GF(3))xZn(12)"])
+def test_closed_route_formats_no_label(spec, monkeypatch):
+    """The class table hands back its labels as a function, and the closed
+    route calls it on the first read of `labels` only."""
+    calls = []
+    for cls in (Zn, GF, MatRing, ProductRing):
+
+        def counted(self, table=cls._class_table):
+            sizes, kills, labels = table(self)
+            return sizes, kills, lambda: calls.append(self) or labels()
+
+        monkeypatch.setattr(cls, "_class_table", counted)
+    dec = decomposition_semisimple_closed(parse_ring_spec(spec))
+    spectrum_pair(dec)
+    assert calls == []
+    labels = dec.labels
+    assert len(calls) >= 1 and dec.labels is labels
+
+
 def test_decomposition_does_not_keep_its_graph_alive():
     ring = parse_ring_spec("M(2,GF(2))xZn(4)")
     g = build_zdg(ring)
