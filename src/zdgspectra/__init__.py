@@ -9,9 +9,7 @@ a dense LAPACK eigendecomposition of the whole graph.
 from .classes import (
     ClassPartition,
     VertexClass,
-    check_relation_agreements,
     classes_annihilator,
-    classes_associate,
     classes_for,
     classes_neighborhood,
     partitions_equal,
@@ -36,13 +34,11 @@ from .counts import (
 from .eig import BACKEND, dense_eigenvalues
 from .graph import (
     ZeroDivisorGraph,
-    annihilator_set,
     build_zdg,
     connected_component_count,
     degree,
     degree_matring,
     degree_zn,
-    neighborhood,
 )
 from .rings import (
     GF,
@@ -51,7 +47,6 @@ from .rings import (
     Ring,
     RingError,
     Zn,
-    is_reduced,
     parse_ring_spec,
 )
 from .spectra import (
@@ -73,7 +68,6 @@ from .spectra import (
     quotient_adjacency,
     quotient_laplacian,
     ring_join_decomposition,
-    spectrum_zn,
     verify_ring,
 )
 

@@ -12,11 +12,12 @@ vertices' element indices (positions in the ring's `elements()`, kept as
 `element_index`), never a payload.  The table's diagonal is kept as
 `loops`, the vertices that square to 0, before the adjacency's is
 cleared: it marks the vertices inside their own annihilator, and the
-ring is reduced exactly when no vertex has a loop.  `annihilator_set`
-keeps the per-element definition as an independent check.  `build_zdg`
-checks the caller's caps before any V x V array exists and caches the
-graph under the ring alone, one graph at a time: every reuse is of the
-ring just built, so a sweep holds one V x V array, not one per ring.
+ring is reduced exactly when no vertex has a loop.  The per-element
+annihilator and reducedness definitions that check both are the tests'
+references, in tests/reference.py.  `build_zdg` checks the caller's caps
+before any V x V array exists and caches the graph under the ring
+alone, one graph at a time: every reuse is of the ring just built, so a
+sweep holds one V x V array, not one per ring.
 """
 from __future__ import annotations
 
@@ -87,33 +88,6 @@ def build_zdg(ring: Ring, vertex_cap: int | None = None, element_cap: int | None
     if m > vertex_cap:
         raise GraphCapError(f"Gamma({ring.spec_string()}) has {m} vertices, over the cap {vertex_cap}")
     return _build_cached(ring)
-
-
-def annihilator_set(ring: Ring, a, element_cap: int | None = None) -> set:
-    """{x in Z(R) : ax = 0 or xa = 0}; contains a itself exactly when a^2 = 0.
-
-    Computed straight from the definition (one pass of multiplications), so
-    it doubles as an independent check on the adjacency matrix.
-    """
-    zero = ring.zero
-    if a == zero:
-        raise RingError("annihilator sets are defined for zero-divisors, not 0")
-    if ring.is_unit(a):
-        raise RingError(f"{ring.label(a)} is a unit, not a zero-divisor")
-    mul = ring.mul
-    comm = ring.commutative
-    out = set()
-    for x in ring.zero_divisors(element_cap):
-        if mul(a, x) == zero or (not comm and mul(x, a) == zero):
-            out.add(x)
-    return out
-
-
-def neighborhood(graph: ZeroDivisorGraph, a) -> set:
-    """Open neighborhood N(a) as a set of ring elements."""
-    i = graph.index_of(a)
-    row = graph.adjacency[i]
-    return {graph.vertices[j] for j in np.nonzero(row)[0]}
 
 
 def degree(graph: ZeroDivisorGraph, a) -> int:

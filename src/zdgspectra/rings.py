@@ -12,7 +12,7 @@ reproducible.  The tables read element indices (positions in
 `elements()`), never payloads: an index is the payload for Z_n and GF, the
 entries' base-q digits for a matrix and the factors' indices in C order
 for a product.  A matrix ring's element and class tables read one dot
-product, `MatRing._orthogonal`; `gf_rref` serves `is_unit` and the tests.
+product, `MatRing._orthogonal`; `gf_rref` serves `rank` and `is_unit`.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -473,7 +473,7 @@ class GF(Ring):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over GF, on row-major tuple matrices; no pipeline path runs it
+# elimination over GF, on row-major tuple matrices, for `MatRing.rank` and `is_unit`
 
 
 def gf_rref(field, rows, width):
@@ -481,7 +481,7 @@ def gf_rref(field, rows, width):
 
     The result is the canonical basis of the row space: pivots are 1,
     pivot columns are cleared above and below, rows ordered by pivot.
-    It backs `MatRing.rank`, `is_unit` and the tests' reference.
+    It backs `MatRing.rank` and `is_unit`.
     """
     work = [list(r) for r in rows]
     nrows = len(work)
@@ -510,34 +510,6 @@ def gf_rref(field, rows, width):
 def gf_rank(field, rows, width):
     """Rank by elimination, for `MatRing.rank` and `is_unit`."""
     return len(gf_rref(field, rows, width))
-
-
-def gf_nullspace(field, rows, width):
-    """Canonical basis (RREF rows) of {v : M v^T = 0} for the row list M;
-    the tests' reference for `MatRing._class_table`."""
-    rr = gf_rref(field, rows, width)
-    pivots = []
-    for row in rr:
-        for j in range(width):
-            if row[j] != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(width) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * width
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(rr[i][f])
-        basis.append(tuple(v))
-    return gf_rref(field, basis, width)
-
-
-def gf_span_contains(field, basis_rref, other_rows, width):
-    """True if span(other_rows) is inside the space with the given RREF
-    basis; the tests' reference for `MatRing._class_table`."""
-    stacked = gf_rref(field, tuple(basis_rref) + tuple(other_rows), width)
-    return stacked == tuple(basis_rref)
 
 
 def _all_subspaces(field, n: int, r: int):
@@ -840,12 +812,6 @@ class ProductRing(Ring):
     def _enumerate(self):
         lists = [f.elements(cap=self.cardinality) for f in self.factors]
         return list(itertools.product(*lists))
-
-
-def is_reduced(ring: Ring, cap: int | None = None) -> bool:
-    """True when the ring has no nonzero element squaring to zero."""
-    zero = ring.zero
-    return not any(a != zero and ring.mul(a, a) == zero for a in ring.elements(cap))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ from .counts import zn_profile  # unused: perfbench's tracer wraps this name for
 from .eig import dense_eigenvalues
 from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
 from .graph import GraphCapError, ZeroDivisorGraph, build_zdg
-from .rings import CLOSED_CELL_CAP, EnumerationCapError, Ring, RingError, Zn
+from .rings import CLOSED_CELL_CAP, EnumerationCapError, Ring, RingError
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
@@ -170,10 +170,6 @@ class SpectrumMultiset:
     def provenance(self) -> list[str]:
         return self._expand(2)
 
-    @staticmethod
-    def from_pairs(pairs) -> "SpectrumMultiset":
-        return SpectrumMultiset([(v, 1, tag) for v, tag in sorted(pairs, key=lambda t: t[0])])
-
     def clusters(self) -> list[dict]:
         """Group near-equal sorted values for presentation only: a gap of
         more than CLUSTER_GAP between adjacent runs starts a new cluster.
@@ -202,12 +198,6 @@ class MultisetMatch:
     length_mismatch: bool = False
 
 
-def _values_of(spectrum) -> list[float]:
-    if isinstance(spectrum, SpectrumMultiset):
-        return spectrum.values
-    return [float(v) for v in spectrum]
-
-
 def _run_deviation(runs1, runs2) -> float:
     """max |x - y| over the eigenvalues of equal rank in two run lists of
     equal nonzero total multiplicity, with one subtraction per pair of
@@ -233,21 +223,24 @@ def _run_deviation(runs1, runs2) -> float:
             end2 += runs2[j][1]
 
 
+def _runs_of(spectrum) -> tuple[list, int]:
+    """The runs of a spectrum and its total multiplicity; a plain list of
+    values becomes one run of multiplicity 1 per sorted float."""
+    if isinstance(spectrum, SpectrumMultiset):
+        return spectrum.runs, len(spectrum)
+    runs = [(v, 1, None) for v in sorted(map(float, spectrum))]
+    return runs, len(runs)
+
+
 def multiset_equal(s1, s2, tol: float = DEFAULT_TOL) -> MultisetMatch:
-    """Compare two spectra as sorted multisets within an absolute tolerance.
-    Two `SpectrumMultiset`s are compared run against run, with no
-    expansion; anything else is expanded, sorted and compared value by
-    value."""
-    on_runs = isinstance(s1, SpectrumMultiset) and isinstance(s2, SpectrumMultiset)
-    if on_runs:
-        a, b = s1, s2
-    else:
-        a, b = sorted(_values_of(s1)), sorted(_values_of(s2))
-    if len(a) != len(b):
+    """Compare two spectra as sorted multisets within an absolute tolerance,
+    run against run, with no expansion of a `SpectrumMultiset`."""
+    (runs1, total1), (runs2, total2) = _runs_of(s1), _runs_of(s2)
+    if total1 != total2:
         return MultisetMatch(False, math.inf, length_mismatch=True)
-    if not a:
+    if not total1:
         return MultisetMatch(True, 0.0)
-    dev = _run_deviation(a.runs, b.runs) if on_runs else max(abs(x - y) for x, y in zip(a, b))
+    dev = _run_deviation(runs1, runs2)
     return MultisetMatch(dev <= tol, dev)
 
 
@@ -489,15 +482,6 @@ def spectrum_pair(dec: JoinDecomposition) -> tuple[SpectrumMultiset, SpectrumMul
     return assemble_adjacency_spectrum(dec), assemble_laplacian_spectrum(dec)
 
 
-def spectrum_zn(
-    n: int, relation: str = "associate", method: str = "auto"
-) -> tuple[SpectrumMultiset, SpectrumMultiset]:
-    """Adjacency and Laplacian spectra of Gamma(Z_n) via the join."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return spectrum_pair(ring_join_decomposition(Zn(n), relation, method))
-
-
 @dataclass
 class VerifyOutcome:
     ring_spec: str
@@ -706,7 +690,7 @@ def boolean_pairing_report(values, tol: float = CLUSTER_GAP) -> dict:
     Works greedily from the largest magnitude down; reports the pairs,
     any leftovers, and the count of (near-)zero values.  This is a
     reporting check only: callers warn on failure instead of asserting."""
-    values = [float(v) for v in _values_of(values)]
+    values = [float(v) for v in (values.values if isinstance(values, SpectrumMultiset) else values)]
     zeros = [v for v in values if abs(v) <= tol]
     remaining = sorted((v for v in values if abs(v) > tol), key=abs, reverse=True)
     paired = []

@@ -1,0 +1,277 @@
+"""The definitions the tests check the package against.
+
+Each reference states its definition directly: associate classes as unit
+orbits, equal neighborhoods by pairwise row comparison, annihilators and
+reducedness element by element, kernels and span containment by
+elimination over GF(q), and the proven agreements between the three
+vertex relations.  The package's pipeline calls none of them.
+
+A partition built here numbers its classes with its own dict, by first
+appearance in vertex order, and never through `rings.first_seen_ids` or
+`classes._partition`: a fault in the package's numbering then breaks the
+code under test and not its reference, and the comparison fails.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from zdgspectra import numth
+from zdgspectra.classes import (
+    ClassPartition,
+    classes_annihilator,
+    classes_for,
+    classes_neighborhood,
+    partitions_equal,
+)
+from zdgspectra.graph import ZeroDivisorGraph
+from zdgspectra.rings import GF, MatRing, ProductRing, Ring, RingError, Zn, gf_rref
+from zdgspectra.spectra import SpectrumMultiset
+
+
+class RelationAgreementError(RingError):
+    """A proven relation between the partitions failed on an actual ring."""
+
+
+# ---------------------------------------------------------------------------
+# vertex partitions by definition
+
+
+def _first_appearance(keys, kind) -> tuple[list[int], list]:
+    """Class ids for the keys, equal exactly where the keys are, numbered
+    0, 1, ... in order of first appearance, and kind(i) for each class,
+    with i the vertex where the class first appears."""
+    ids: dict = {}
+    kinds = []
+    cell_of = []
+    for i, key in enumerate(keys):
+        if key not in ids:
+            ids[key] = len(ids)
+            kinds.append(kind(i))
+        cell_of.append(ids[key])
+    return cell_of, kinds
+
+
+def classes_associate(ring: Ring, element_cap: int | None = None) -> ClassPartition:
+    """Associate classes by direct unit orbiting.
+
+    The class of a is {ua : u a unit} meet {av : v a unit}; for a
+    commutative ring the two orbits coincide and one suffices.
+    """
+    zd = ring.zero_divisors(element_cap)
+    units = ring.units(element_cap)
+    mul = ring.mul
+    owner = {}  # element -> the first vertex of its orbit
+    for i, a in enumerate(zd):
+        if a in owner:
+            continue
+        orbit = {mul(u, a) for u in units}
+        if not ring.commutative:
+            orbit &= {mul(a, u) for u in units}
+        owner.update(dict.fromkeys(orbit, i))
+    cell_of, kinds = _first_appearance(
+        [owner[a] for a in zd], lambda i: "complete" if mul(zd[i], zd[i]) == ring.zero else "null"
+    )
+    return ClassPartition("associate", cell_of, kinds)
+
+
+def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
+    """Quadratic comparator: rows equal off {a, b} and a, b non-adjacent."""
+    m = graph.order
+    adj = graph.adjacency
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if adj[i, j]:
+                continue
+            mask = np.ones(m, dtype=bool)
+            mask[i] = mask[j] = False
+            if np.array_equal(adj[i][mask], adj[j][mask]):
+                parent[find(j)] = find(i)
+    cell_of, kinds = _first_appearance([find(i) for i in range(m)], lambda i: "null")
+    return ClassPartition("neighborhood", cell_of, kinds)
+
+
+# ---------------------------------------------------------------------------
+# annihilators, neighborhoods and reducedness, element by element
+
+
+def annihilator_set(ring: Ring, a, element_cap: int | None = None) -> set:
+    """{x in Z(R) : ax = 0 or xa = 0}; contains a itself exactly when a^2 = 0.
+
+    Computed straight from the definition (one pass of multiplications), so
+    it doubles as an independent check on the adjacency matrix.
+    """
+    zero = ring.zero
+    if a == zero:
+        raise RingError("annihilator sets are defined for zero-divisors, not 0")
+    if ring.is_unit(a):
+        raise RingError(f"{ring.label(a)} is a unit, not a zero-divisor")
+    mul = ring.mul
+    comm = ring.commutative
+    out = set()
+    for x in ring.zero_divisors(element_cap):
+        if mul(a, x) == zero or (not comm and mul(x, a) == zero):
+            out.add(x)
+    return out
+
+
+def neighborhood(graph: ZeroDivisorGraph, a) -> set:
+    """Open neighborhood N(a) as a set of ring elements."""
+    i = graph.index_of(a)
+    row = graph.adjacency[i]
+    return {graph.vertices[j] for j in np.nonzero(row)[0]}
+
+
+def is_reduced(ring: Ring, cap: int | None = None) -> bool:
+    """True when the ring has no nonzero element squaring to zero."""
+    zero = ring.zero
+    return not any(a != zero and ring.mul(a, a) == zero for a in ring.elements(cap))
+
+
+# ---------------------------------------------------------------------------
+# kernels and span containment over GF, for the matrix class tables
+
+
+def gf_nullspace(field, rows, width):
+    """Canonical basis (RREF rows) of {v : M v^T = 0} for the row list M;
+    the reference for `MatRing._class_table`."""
+    rr = gf_rref(field, rows, width)
+    pivots = []
+    for row in rr:
+        for j in range(width):
+            if row[j] != 0:
+                pivots.append(j)
+                break
+    free = [j for j in range(width) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * width
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(rr[i][f])
+        basis.append(tuple(v))
+    return gf_rref(field, basis, width)
+
+
+def gf_span_contains(field, basis_rref, other_rows, width):
+    """True if span(other_rows) is inside the space with the given RREF
+    basis; the reference for `MatRing._class_table`."""
+    stacked = gf_rref(field, tuple(basis_rref) + tuple(other_rows), width)
+    return stacked == tuple(basis_rref)
+
+
+# ---------------------------------------------------------------------------
+# spectra one eigenvalue at a time
+
+
+def spectrum_from_pairs(pairs) -> SpectrumMultiset:
+    """The spectrum of (value, provenance) pairs, one run per pair."""
+    return SpectrumMultiset([(v, 1, tag) for v, tag in sorted(pairs, key=lambda t: t[0])])
+
+
+# ---------------------------------------------------------------------------
+# structural agreements between the three relations
+
+
+def _refines(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether y is constant on each class of the ids x: there are as many
+    distinct (x, y) pairs as distinct x."""
+    x, y = x.tolist(), y.tolist()
+    return len(set(zip(x, y))) == len(set(x))
+
+
+def _commutative_hypothesis(ring):
+    """A unit u with (1-u)^2 != 0.  On a product it holds exactly when it
+    holds in some factor: the other components of u can be 1."""
+    if isinstance(ring, ProductRing):
+        return any(_commutative_hypothesis(f) for f in ring.factors)
+    return _scan_commutative_hypothesis(ring)
+
+
+def _noncommutative_hypothesis(ring):
+    """Units u, v with u + v = 1.  On a product it holds exactly when it
+    holds in every factor, as units and sums are componentwise."""
+    if isinstance(ring, ProductRing):
+        return all(_noncommutative_hypothesis(f) for f in ring.factors)
+    return _scan_noncommutative_hypothesis(ring)
+
+
+def _scan_commutative_hypothesis(ring):
+    """The commutative hypothesis by a scan over every unit of the ring."""
+    one, zero = ring.one, ring.zero
+    for u in ring.units(ring.cardinality):
+        d = ring.sub(one, u)
+        if ring.mul(d, d) != zero:
+            return True
+    return False
+
+
+def _scan_noncommutative_hypothesis(ring):
+    """The noncommutative hypothesis by a scan over every unit of the ring."""
+    one = ring.one
+    unit_set = set(ring.units(ring.cardinality))
+    return any(ring.sub(one, u) in unit_set for u in unit_set)
+
+
+def check_relation_agreements(graph: ZeroDivisorGraph) -> dict:
+    """Verify the proven relationships between ~, == and ~m on the ring of
+    `graph`, which passed the caller's caps: the unit scans read the whole ring.
+
+    Raises RelationAgreementError on any applicable failure (that means an
+    implementation bug, not bad input); returns a per-check report.
+    """
+    ring = graph.ring
+    assoc = classes_for(graph, "associate")
+    neigh = classes_neighborhood(graph)
+    annih = classes_annihilator(graph)
+    reduced = not graph.loops.any()  # a nonzero a with a^2 = 0 is a vertex with a loop
+    checks = []
+    failures = []
+
+    def record(name, applicable, holds, detail=""):
+        checks.append({"name": name, "applicable": applicable, "holds": holds, "detail": detail})
+        if applicable and not holds:
+            failures.append(name)
+
+    holds = not reduced or partitions_equal(neigh, annih)
+    record("reduced-ring neighborhood equals annihilator", reduced, holds)
+
+    if ring.commutative:
+        hyp = _commutative_hypothesis(ring)
+        hyp_name = "unit u with (1-u)^2 != 0"
+    else:
+        hyp = _noncommutative_hypothesis(ring)
+        hyp_name = "units u, v with u + v = 1"
+    split_ok = True
+    if hyp:
+        # vertices that square to 0 stand alone, the rest keep their annihilator classes (free of such)
+        expected = np.where(graph.loops, graph.order + np.arange(graph.order), annih.cell_of)
+        pure = _refines(annih.cell_of, graph.loops)
+        split_ok = pure and _refines(neigh.cell_of, expected) and _refines(expected, neigh.cell_of)
+    record(f"neighborhood classes split by squares ({hyp_name})", hyp, split_ok)
+
+    if isinstance(ring, Zn):
+        gcd_classes = classes_associate(ring, ring.cardinality)
+        record("Z_n associate classes are gcd classes", True, partitions_equal(gcd_classes, assoc))
+
+    semisimple_like = isinstance(ring, MatRing) or (
+        isinstance(ring, ProductRing)
+        and all(isinstance(f, (GF, MatRing)) or (isinstance(f, Zn) and numth.is_prime(f.n)) for f in ring.factors)
+    )
+    holds = not semisimple_like or partitions_equal(assoc, annih)
+    record("semisimple associate equals annihilator", semisimple_like, holds)
+
+    record("associate refines annihilator", True, _refines(assoc.cell_of, annih.cell_of))
+
+    if failures:
+        raise RelationAgreementError(
+            f"relation agreement failed on {ring.spec_string()}: {', '.join(failures)}"
+        )
+    return {"ring": ring.spec_string(), "reduced": reduced, "checks": checks}

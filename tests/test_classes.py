@@ -5,15 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
+import reference
+from reference import (
+    RelationAgreementError,
+    _neighborhood_classes_masked,
+    check_relation_agreements,
+    classes_associate,
+)
 from zdgspectra import classes
 from zdgspectra import graph as graph_module
 from zdgspectra.classes import (
     ClassPartition,
-    RelationAgreementError,
-    _neighborhood_classes_masked,
-    check_relation_agreements,
     classes_annihilator,
-    classes_associate,
     classes_for,
     classes_neighborhood,
     partitions_equal,
@@ -179,6 +182,23 @@ def test_product_fast_path_agreement():
         assert partitions_equal(classes_for(build_zdg(ring)), classes_associate(ring)), spec
 
 
+@pytest.mark.parametrize("spec", ["Zn(12)", "M(2,GF(2))"])
+def test_reference_catches_a_fault_in_the_package_numbering(spec, monkeypatch):
+    # the unit-orbit reference numbers its own classes, so a numbering that
+    # is still canonical but merges the first two classes shows as a mismatch
+    ring = parse_ring_spec(spec)
+    g = build_zdg(ring)
+    assert classes_for(g) == classes_associate(ring)
+    numbered = classes.first_seen_ids
+
+    def merging(keys):
+        ids = numbered(keys)
+        return ids - (ids >= 1)
+
+    monkeypatch.setattr(classes, "first_seen_ids", merging)
+    assert classes_for(g) != classes_associate(ring)
+
+
 def test_masked_and_raw_neighborhood_comparators_agree():
     # classes_neighborhood groups raw adjacency rows; the masked comparator
     # ignores the two columns of the pair under comparison but skips adjacent
@@ -203,7 +223,7 @@ def test_relation_check_reports_an_associate_class_across_annihilator_classes(mo
     # holding every vertex must fail the refinement check
     ring = parse_ring_spec("Zn(2)xZn(4)")
     merged = ClassPartition("associate", np.zeros(build_zdg(ring).order, dtype=np.intp), ["null"])
-    monkeypatch.setattr(classes, "classes_for", lambda *args: merged)
+    monkeypatch.setattr(reference, "classes_for", lambda *args: merged)
     with pytest.raises(RelationAgreementError, match="associate refines annihilator"):
         check_relation_agreements(build_zdg(ring))
 

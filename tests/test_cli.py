@@ -14,8 +14,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import zdgspectra
+from reference import classes_associate
 from zdgspectra import spectra as spectra_module
-from zdgspectra.classes import classes_associate
 from zdgspectra import cli as cli_module
 from zdgspectra.cli import _COUNT_FORMS, main
 from zdgspectra.graph import build_zdg

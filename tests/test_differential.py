@@ -23,12 +23,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import _neighborhood_classes_masked, annihilator_set, classes_associate, is_reduced
 from zdgspectra import numth
 from zdgspectra.cli import main
-from zdgspectra.classes import _neighborhood_classes_masked, classes_associate, classes_for
+from zdgspectra.classes import classes_for
 from zdgspectra.counts import gl_order
-from zdgspectra.graph import annihilator_set, build_zdg
-from zdgspectra.rings import is_reduced, parse_ring_spec
+from zdgspectra.graph import build_zdg
+from zdgspectra.rings import parse_ring_spec
 from zdgspectra.spectra import (
     assemble_spectrum,
     blow_up,

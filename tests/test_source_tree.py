@@ -10,13 +10,16 @@ or `functools.cache`: a hand-rolled `getattr(self, "_name", None)` memo
 fails here, with one exception named in the test.  The matrix ring's
 dot-product tables call no Gaussian elimination.  Keys are numbered in
 one routine, `rings.first_seen_ids`, and partitions built in one,
-`classes._partition`.  The one-factor and field-product degrees, sizes and
-class counts read the semisimple formulas of `counts`.
+`classes._partition`; the tests' references in tests/reference.py call
+neither, and the package defines none of their names.  The one-factor
+and field-product degrees, sizes and class counts read the semisimple
+formulas of `counts`.
 """
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zdgspectra"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 
 def test_package_holds_only_python_and_schemas():
@@ -118,7 +121,11 @@ def test_ring_tables_read_element_indices():
 
 
 # the partition readers that take `ClassPartition.cell_of` as is
-ARRAY_READERS = {"spectra.py": {"decompose"}, "classes.py": {"partitions_equal", "check_relation_agreements"}}
+ARRAY_READERS = {
+    PACKAGE / "spectra.py": {"decompose"},
+    PACKAGE / "classes.py": {"partitions_equal"},
+    REFERENCE: {"check_relation_agreements"},
+}
 
 
 def attribute_reads(path, functions, attr):
@@ -138,10 +145,13 @@ def attribute_reads(path, functions, attr):
 def test_partition_readers_take_the_id_array():
     # the member lists of `ClassPartition.classes` are a view for printing
     # and the tests: reading them would flatten the classes back into arrays
-    for module, functions in ARRAY_READERS.items():
-        defined, reads = attribute_reads(PACKAGE / module, functions, "classes")
-        assert defined == functions, module
-        assert reads == [], module
+    for path, functions in ARRAY_READERS.items():
+        defined, reads = attribute_reads(path, functions, "classes")
+        assert defined == functions, path.name
+        assert reads == [], path.name
+    # the relation checks compare the id arrays themselves
+    _, reads = attribute_reads(REFERENCE, {"check_relation_agreements"}, "cell_of")
+    assert reads
 
 
 # the matrix tables that decide xy = 0 through `MatRing._orthogonal`
@@ -189,6 +199,26 @@ def test_one_class_numbering():
     assert callers(PACKAGE / "classes.py", "setdefault") == set()
     assert callers(PACKAGE / "classes.py", "ClassPartition") == {"_partition"}
 
+
+def defined_names(tree, everywhere):
+    """The functions and classes a module defines, at any depth when
+    `everywhere`, else at its top level, and its top-level assignments."""
+    nodes = ast.walk(tree) if everywhere else tree.body
+    names = {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    targets = [t for n in tree.body if isinstance(n, ast.Assign) for t in n.targets]
+    return names | {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_references_number_their_own_classes():
+    # a reference that numbered its classes through the package's routine
+    # would break with the code it checks and still agree with it
+    assert callers(REFERENCE, "first_seen_ids") == set()
+    assert callers(REFERENCE, "_partition") == set()
+    # a reference defined in the package too would be a second copy that can drift
+    ours = defined_names(ast.parse(REFERENCE.read_text()), everywhere=False)
+    assert ours
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert defined_names(ast.parse(path.read_text()), everywhere=True) & ours == set(), path.name
 
 
 # (module, entry point, the general formula it returns once its own checks pass)

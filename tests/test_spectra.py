@@ -13,11 +13,12 @@ import weakref
 import numpy as np
 import pytest
 
+from reference import check_relation_agreements, gf_nullspace, gf_span_contains, spectrum_from_pairs
 from zdgspectra import graph as graph_module
 from zdgspectra import numth
 from zdgspectra import rings as rings_module
 from zdgspectra import spectra as spectra_module
-from zdgspectra.classes import ClassPartition, check_relation_agreements, classes_for
+from zdgspectra.classes import ClassPartition, classes_for
 from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
 from zdgspectra.eig import dense_eigenvalues
 from zdgspectra.graph import build_zdg, degree_matring
@@ -28,8 +29,6 @@ from zdgspectra.rings import (
     RingError,
     Zn,
     _all_subspaces,
-    gf_nullspace,
-    gf_span_contains,
     parse_ring_spec,
 )
 from zdgspectra.spectra import (
@@ -58,7 +57,6 @@ from zdgspectra.spectra import (
     quotient_laplacian,
     ring_join_decomposition,
     spectrum_pair,
-    spectrum_zn,
     verify_ring,
 )
 
@@ -433,19 +431,19 @@ def test_field_decomposes_to_no_cells(spec):
 
 
 def test_zn8_spectra_anchor():
-    adj, lap = spectrum_zn(8)
+    adj, lap = spectrum_pair(ring_join_decomposition(Zn(8)))
     assert adj.values == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2)], abs=1e-9)
     assert lap.values == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
 
 
 def test_zn9_spectra_anchor():
-    adj, lap = spectrum_zn(9)
+    adj, lap = spectrum_pair(ring_join_decomposition(Zn(9)))
     assert adj.values == pytest.approx([-1.0, 1.0], abs=1e-12)
     assert lap.values == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
 def test_prime_gives_empty_spectra():
-    adj, lap = spectrum_zn(13)
+    adj, lap = spectrum_pair(ring_join_decomposition(Zn(13)))
     assert adj.values == [] and lap.values == []
 
 
@@ -821,11 +819,11 @@ def test_laplacian_positivity_and_components(spec):
 
 
 def test_multiset_equal_tolerance_edges():
-    a = SpectrumMultiset.from_pairs([(0.0, "x")])
-    b = SpectrumMultiset.from_pairs([(1e-06, "x")])
+    a = spectrum_from_pairs([(0.0, "x")])
+    b = spectrum_from_pairs([(1e-06, "x")])
     assert not multiset_equal(a, b, tol=1e-7).matched
     assert multiset_equal(a, b, tol=1e-5).matched
-    c = SpectrumMultiset.from_pairs([(0.0, "x"), (0.0, "x")])
+    c = spectrum_from_pairs([(0.0, "x"), (0.0, "x")])
     m = multiset_equal(a, c, tol=1e-7)
     assert not m.matched and m.length_mismatch
 
@@ -848,7 +846,7 @@ def test_spectrum_multiset_validation():
 
 def per_vertex_reference(dec, flavor):
     """Assembly with one (value, provenance) pair per eigenvalue, sorted by
-    from_pairs: the reference the run form must reproduce exactly.  It
+    `spectrum_from_pairs`: the reference the run form must reproduce exactly.  It
     solves the quotient with the same solver as `_assemble`, so that the
     comparison is about how runs expand, not about the eigensolver."""
     pairs = []
@@ -863,7 +861,7 @@ def per_vertex_reference(dec, flavor):
     quotient = quotient_adjacency if flavor == "adjacency" else quotient_laplacian
     if dec.class_count:
         pairs.extend((v, "quotient") for v in dense_eigenvalues(quotient(dec)))
-    return SpectrumMultiset.from_pairs(pairs)
+    return spectrum_from_pairs(pairs)
 
 
 def run_form_decompositions():
@@ -911,7 +909,7 @@ def test_closed_route_runs_scale_with_class_count():
     # 2^23 - 1 vertices in 23 classes: checked from the runs alone, since
     # expanding them would build lists of 8M entries
     dec = ring_join_decomposition(Zn(2**24), method="closed")
-    adj, lap = spectrum_zn(2**24, method="closed")
+    adj, lap = spectrum_pair(ring_join_decomposition(Zn(2**24), method="closed"))
     m = dec.class_count
     edges2 = sum(
         n * (w + r)

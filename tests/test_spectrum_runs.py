@@ -6,6 +6,7 @@ instead, as both readers did before they walked runs, and the walking
 readers must agree with them bit for bit: the same `float.hex` for the
 deviation and for every cluster value.
 """
+import itertools
 import math
 import tracemalloc
 
@@ -101,7 +102,7 @@ def test_equal_length_deviation_matches_the_flat_reference(data):
     expected = reference_deviation(expanded(first), expanded(second))
     assert match.max_deviation.hex() == expected.hex()
     assert match.matched == (expected <= DEFAULT_TOL) and not match.length_mismatch
-    # a plain list on one side takes the sorted path, with the same result
+    # a plain list on one side becomes runs of one, with the same result
     mixed = multiset_equal(SpectrumMultiset(first), expanded(second))
     assert mixed.max_deviation.hex() == expected.hex()
 
@@ -115,6 +116,34 @@ def test_any_two_run_lists_match_the_flat_reference(first, second):
         assert match.length_mismatch and match.max_deviation == math.inf and not match.matched
     else:
         assert match.max_deviation.hex() == expected.hex()
+
+
+def runs_of_sorted(values):
+    """Runs of equal bits over the sorted values, so that -0.0 and 0.0 stay apart."""
+    return [
+        (float.fromhex(h), len(list(group)), "brute")
+        for h, group in itertools.groupby(sorted(values), key=float.hex)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lists_and_mixed_inputs_match_the_flat_reference(data):
+    # list/list, list/runs, runs/list and runs/runs all walk runs; the
+    # lists come unsorted, often of one length, with ties and both zeros
+    first = data.draw(st.lists(VALUES, max_size=12))
+    size = st.just(len(first)) if data.draw(st.booleans()) else st.integers(0, 12)
+    n = data.draw(size)
+    second = data.draw(st.lists(VALUES, min_size=n, max_size=n))
+    expected = reference_deviation(first, second)
+    forms = [(first, SpectrumMultiset(runs_of_sorted(first))), (second, SpectrumMultiset(runs_of_sorted(second)))]
+    for a, b in itertools.product(*forms):
+        match = multiset_equal(a, b)
+        if expected is None:
+            assert match.length_mismatch and match.max_deviation == math.inf and not match.matched
+        else:
+            assert match.max_deviation.hex() == expected.hex() and not match.length_mismatch
+            assert match.matched == (expected <= DEFAULT_TOL)
 
 
 def test_a_cluster_of_negative_zeros_sums_from_the_int_zero():
