@@ -6,6 +6,9 @@ class count; the json and csv formats print one value per eigenvalue
 and refuse a graph of more than MAX_PRINTED_VALUES vertices before any
 spectrum is assembled.
 
+Each verb's handler returns its report as a JSON payload and as a CSV
+header with lazy rows; `main` alone formats one of the two and prints it.
+
 Exit codes: 0 on success, 2 when a verification comparison fails or a
 ring in a verify run errors (its rows carry the error), 1 for bad input
 of any kind.  All output is deterministic for fixed inputs,
@@ -126,27 +129,33 @@ def _flavors(args) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit code, report text)
+# subcommand handlers; each returns (exit code, JSON payload, CSV header, CSV rows)
+
+
+def _comparison(check) -> dict:
+    """A MultisetMatch as printed, no deviation when the lengths differ; nulls for None."""
+    if check is None:
+        return {"matched": None, "max_deviation": None}
+    return {
+        "matched": check.matched,
+        "max_deviation": None if check.length_mismatch else check.max_deviation,
+    }
 
 
 def _run_classes(args):
     ring = parse_ring_spec(args.ring)
     graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=_element_cap(args))
     payload = {"ring": ring.spec_string(), **classes_for(graph, args.relation).to_json(graph)}
-    if args.format == "json":
-        return EXIT_OK, _json_text(payload)
     rows = ([c["rep"], c["size"], c["kind"], ";".join(c["members"])] for c in payload["classes"])
-    return EXIT_OK, _csv_text("rep,size,kind,members", rows)
+    return EXIT_OK, payload, "rep,size,kind,members", rows
 
 
 def _run_graph(args):
     ring = parse_ring_spec(args.ring)
     graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=_element_cap(args))
     payload = graph_json(graph)
-    if args.format == "json":
-        return EXIT_OK, _json_text(payload)
     labels = payload["vertices"]
-    return EXIT_OK, _csv_text("u,v", ([labels[i], labels[j]] for i, j in payload["edges"]))
+    return EXIT_OK, payload, "u,v", ([labels[i], labels[j]] for i, j in payload["edges"])
 
 
 def _run_spectrum(args):
@@ -176,10 +185,7 @@ def _run_spectrum(args):
         verification = None
         if need_join and need_brute:
             check = multiset_equal(spectrum, brute_spectrum(graph, flavor), args.tol)
-            verification = {
-                "matched": check.matched,
-                "max_deviation": None if check.length_mismatch else check.max_deviation,
-            }
+            verification = _comparison(check)
             mismatch = mismatch or not check.matched
         if args.format == "runs":
             spectrum_fields = {"runs": spectrum.runs}
@@ -196,10 +202,8 @@ def _run_spectrum(args):
             }
         )
     code = EXIT_MISMATCH if mismatch else EXIT_OK
-    if args.format in ("json", "runs"):
-        return code, _json_text(reports)
     rows = ([r["flavor"], r["method"], i, _g12(v)] for r in reports for i, v in enumerate(r["values"]))
-    return code, _csv_text("flavor,method,index,value", rows)
+    return code, reports, "flavor,method,index,value", rows
 
 
 _COUNT_FORMS = {
@@ -215,55 +219,36 @@ _COUNT_FORMS = {
         ("n", "q", "r"),
         lambda a: degree_matring(a.n, a.q, a.r, a.squares_to_zero),
     ),
+    "zn-profile": (("n",), lambda a: counts.zn_profile(a.n)),
 }
 
 
 def _run_counts(args):
-    if args.what == "zn-profile":
-        if args.n is None:
-            raise UsageError("counts --what zn-profile requires --n")
-        profile = counts.zn_profile(args.n)
-        if args.format == "json":
-            payload = {
-                "formula": "zn-profile",
-                "inputs": {"n": args.n},
-                "value": {
-                    "class_count": profile.class_count,
-                    "complete_count": profile.complete_count,
-                    "entries": [
-                        {
-                            "d": e.d,
-                            "size": e.size,
-                            "kind": e.kind,
-                            "neighbors": e.neighbors,
-                            "N": e.big_n,
-                        }
-                        for e in profile.entries
-                    ],
-                },
-            }
-            return EXIT_OK, _json_text(payload)
-        rows = ([e.d, e.size, e.kind, e.big_n, ";".join(map(str, e.neighbors))] for e in profile.entries)
-        return EXIT_OK, _csv_text("d,size,kind,N,neighbors", rows)
-
-    spec = _COUNT_FORMS.get(args.what)
-    if spec is None:
-        raise UsageError(f"unknown counting formula {args.what!r}")
-    needed, fn = spec
+    needed, fn = _COUNT_FORMS[args.what]
     missing = [name for name in needed if getattr(args, name) is None]
     if missing:
         flags = ", ".join(f"--{name}" for name in missing)
         raise UsageError(f"counts --what {args.what} requires {flags}")
     value = fn(args)
     inputs = {name: getattr(args, name) for name in needed}
+    if args.what == "zn-profile":
+        entries = [
+            {"d": e.d, "size": e.size, "kind": e.kind, "neighbors": e.neighbors, "N": e.big_n}
+            for e in value.entries
+        ]
+        profile = {
+            "class_count": value.class_count,
+            "complete_count": value.complete_count,
+            "entries": entries,
+        }
+        payload = {"formula": args.what, "inputs": inputs, "value": profile}
+        rows = ([e.d, e.size, e.kind, e.big_n, ";".join(map(str, e.neighbors))] for e in value.entries)
+        return EXIT_OK, payload, "d,size,kind,N,neighbors", rows
     if args.what == "degree-matrix":
         inputs["squares_to_zero"] = args.squares_to_zero
-    if args.format == "json":
-        return EXIT_OK, _json_text(
-            {"formula": args.what, "inputs": inputs, "value": str(value)}
-        )
+    payload = {"formula": args.what, "inputs": inputs, "value": str(value)}
     joined = ";".join(f"{k}={v}" for k, v in inputs.items())
-    return EXIT_OK, _csv_text("formula,inputs,value", [[args.what, joined, value]])
+    return EXIT_OK, payload, "formula,inputs,value", [[args.what, joined, value]]
 
 
 def _sweep_rings(text: str):
@@ -294,26 +279,13 @@ def _sweep_rings(text: str):
     return [parse_ring_spec(text)]
 
 
-_VERIFY_KEYS = ("ring", "order", "flavor", "matched", "max_deviation", "skipped", "error")
-
-
-def _unverified_rows(ring, flavors, error: str | None = None) -> list[dict]:
-    """One row per flavor for a ring that produced no comparison: skipped
-    over a cap when error is None, otherwise failed with that error."""
-    extra = {} if error is None else {"error": error}
-    return [
-        {
-            "ring": ring.spec_string(),
-            "order": None,
-            "flavor": flavor,
-            "matched": None,
-            "max_deviation": None,
-            "skipped": error is None,
-            "seconds": 0.0,
-            **extra,
-        }
-        for flavor in flavors
-    ]
+def _verify_csv_row(row, seconds):
+    # a ring with no comparison has no order, deviation or seconds
+    unverified = "error" if "error" in row else "skipped" if row["skipped"] else None
+    agreement = unverified or ("true" if row["matched"] else "false")
+    dev = None if row["max_deviation"] is None else _g12(row["max_deviation"])
+    timing = None if seconds is None else f"{seconds:.3f}"
+    return [row["ring"], row["order"], row["flavor"], agreement, dev, timing]
 
 
 def _run_verify(args):
@@ -328,10 +300,12 @@ def _run_verify(args):
     cap = _element_cap(args)
     flavors = _flavors(args)
 
-    rows = []
+    timed = []  # (printed row, seconds or None)
     mismatch = False
     for ring in rings:
         started = time.perf_counter()
+        checks, order, seconds = {}, None, None
+        status = {"skipped": True}  # over a cap
         try:
             outcome = verify_ring(
                 ring,
@@ -342,53 +316,33 @@ def _run_verify(args):
                 vertex_cap=args.max_vertices,
             )
         except (GraphCapError, EnumerationCapError):
-            rows.extend(_unverified_rows(ring, flavors))
-            continue
+            pass
         except (np.linalg.LinAlgError, DecompositionError) as exc:
             # one ring the pipeline cannot handle fails its own rows, not the sweep
             mismatch = True
-            rows.extend(_unverified_rows(ring, flavors, f"{type(exc).__name__}: {exc}"))
-            continue
-        seconds = time.perf_counter() - started
+            status = {"skipped": False, "error": f"{type(exc).__name__}: {exc}"}
+        else:
+            seconds = time.perf_counter() - started
+            checks, order, status = outcome.results, outcome.order, {"skipped": False}
         for flavor in flavors:
-            result = outcome.results[flavor]
-            mismatch = mismatch or not result.matched
-            rows.append(
-                {
-                    "ring": outcome.ring_spec,
-                    "order": outcome.order,
-                    "flavor": flavor,
-                    "matched": result.matched,
-                    "max_deviation": None if result.length_mismatch else result.max_deviation,
-                    "skipped": False,
-                    "seconds": seconds,
-                }
-            )
+            check = checks.get(flavor)
+            mismatch = mismatch or (check is not None and not check.matched)
+            row = {"ring": ring.spec_string(), "order": order, "flavor": flavor}
+            timed.append(({**row, **_comparison(check), **status}, seconds))
     code = EXIT_MISMATCH if mismatch else EXIT_OK
-
-    if args.format == "json":
-        payload = {
-            "relation": args.relation,
-            "all_matched": not mismatch,
-            "results": [
-                {key: row[key] for key in _VERIFY_KEYS if key in row} for row in rows
-            ],
-        }
-        return code, _json_text(payload)
-    lines = []
-    for row in rows:  # an unverified row has no order, deviation or seconds
-        unverified = "error" if "error" in row else "skipped" if row["skipped"] else None
-        agreement = unverified or ("true" if row["matched"] else "false")
-        dev = None if row["max_deviation"] is None else _g12(row["max_deviation"])
-        seconds = None if unverified else f"{row['seconds']:.3f}"
-        lines.append([row["ring"], row["order"], row["flavor"], agreement, dev, seconds])
-    return code, _csv_text("ring,|Z|,flavor,method_agreement,max_dev,seconds", lines)
+    payload = {
+        "relation": args.relation,
+        "all_matched": not mismatch,
+        "results": [row for row, _ in timed],
+    }
+    rows = (_verify_csv_row(row, seconds) for row, seconds in timed)
+    return code, payload, "ring,|Z|,flavor,method_agreement,max_dev,seconds", rows
 
 
 def _parse_rational(token: str) -> float:
     try:
         return float(Fraction(token))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise UsageError(f"bad rational {token!r}")
 
 
@@ -414,11 +368,9 @@ def _run_lift(args):
         "matrix": [[float(x) for x in row] for row in result.matrix],
         "residual": result.residual,
     }
-    if args.format == "json":
-        return EXIT_OK, _json_text(payload)
     rows = [["mu", _g12(result.mu)], ["residual", _g12(result.residual)]]
     rows.append(["vector", ";".join(_g12(x) for x in result.vector)])
-    return EXIT_OK, _csv_text("quantity,value", rows)
+    return EXIT_OK, payload, "quantity,value", rows
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +413,7 @@ def _build_parser() -> _Parser:
     p_counts.add_argument(
         "--what",
         required=True,
-        choices=sorted(_COUNT_FORMS) + ["zn-profile"],
+        choices=sorted(_COUNT_FORMS),
     )
     for flag in ("--n", "--m", "--r", "--q", "--d"):
         p_counts.add_argument(flag, type=int, default=None)
@@ -493,7 +445,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code, text = args.handler(args)
+        code, payload, header, rows = args.handler(args)
+        text = _csv_text(header, rows) if args.format == "csv" else _json_text(payload)
     except UsageError as exc:
         print(f"error: UsageError: {exc}", file=sys.stderr)
         return EXIT_ERROR

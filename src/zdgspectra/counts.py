@@ -144,13 +144,12 @@ def zn_profile(n: int) -> ZnProfile:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    divisors = numth.nontrivial_divisors(n)
+    sizes = {d: numth.euler_phi(n // d) for d in numth.nontrivial_divisors(n)}
     entries = []
-    for d in divisors:
-        size = numth.euler_phi(n // d)
+    for d, size in sizes.items():
         kind = "complete" if (d * d) % n == 0 else "null"
-        neighbors = [e for e in divisors if e != d and (d * e) % n == 0]
-        big_n = sum(numth.euler_phi(n // e) for e in neighbors)
+        neighbors = [e for e in sizes if e != d and (d * e) % n == 0]
+        big_n = sum(sizes[e] for e in neighbors)
         entries.append(ZnClassInfo(d, size, kind, neighbors, big_n))
     expected = prod(e + 1 for _, e in numth.factorize(n)) - 2
     assert expected == len(entries)

@@ -315,6 +315,145 @@ def test_sweep_csv_stable_apart_from_seconds():
     assert strip_seconds(first) == strip_seconds(second)
 
 
+# exact stdout of small reports that print no eigenvalue, so no BLAS build can
+# move a digit; a format change in any verb shows up here
+PINNED = [
+    (
+        ["classes", "--ring", "Zn(18)", "--relation", "annihilator", "--format", "csv"],
+        """\
+rep,size,kind,members
+2,6,,2;4;8;10;14;16
+3,2,,3;15
+6,2,,6;12
+9,1,,9
+""",
+    ),
+    (
+        ["graph", "--ring", "Zn(6)", "--format", "csv"],
+        """\
+u,v
+2,3
+3,4
+""",
+    ),
+    (
+        ["counts", "--what", "zn-profile", "--n", "18"],
+        """\
+{
+  "formula": "zn-profile",
+  "inputs": {
+    "n": 18
+  },
+  "value": {
+    "class_count": 4,
+    "complete_count": 1,
+    "entries": [
+      {
+        "d": 2,
+        "size": 6,
+        "kind": "null",
+        "neighbors": [
+          9
+        ],
+        "N": 1
+      },
+      {
+        "d": 3,
+        "size": 2,
+        "kind": "null",
+        "neighbors": [
+          6
+        ],
+        "N": 2
+      },
+      {
+        "d": 6,
+        "size": 2,
+        "kind": "complete",
+        "neighbors": [
+          3,
+          9
+        ],
+        "N": 3
+      },
+      {
+        "d": 9,
+        "size": 1,
+        "kind": "null",
+        "neighbors": [
+          2,
+          6
+        ],
+        "N": 8
+      }
+    ]
+  }
+}
+""",
+    ),
+    (
+        ["counts", "--what", "zn-profile", "--n", "18", "--format", "csv"],
+        """\
+d,size,kind,N,neighbors
+2,6,null,1,9
+3,2,null,2,6
+6,2,complete,3,3;9
+9,1,null,8,2;6
+""",
+    ),
+    (
+        ["counts", "--what", "degree-matrix", "--n", "3", "--q", "2", "--r", "1",
+         "--squares-to-zero", "--format", "csv"],
+        """\
+formula,inputs,value
+degree-matrix,n=3;q=2;r=1;squares_to_zero=True,110
+""",
+    ),
+    (
+        ["verify", "--ring", "M(3,GF(3))"],
+        """\
+{
+  "relation": "associate",
+  "all_matched": true,
+  "results": [
+    {
+      "ring": "M(3,GF(3))",
+      "order": null,
+      "flavor": "adjacency",
+      "matched": null,
+      "max_deviation": null,
+      "skipped": true
+    },
+    {
+      "ring": "M(3,GF(3))",
+      "order": null,
+      "flavor": "laplacian",
+      "matched": null,
+      "max_deviation": null,
+      "skipped": true
+    }
+  ]
+}
+""",
+    ),
+    (
+        ["verify", "--ring", "M(3,GF(3))", "--format", "csv"],
+        """\
+ring,|Z|,flavor,method_agreement,max_dev,seconds
+"M(3,GF(3))",,adjacency,skipped,,
+"M(3,GF(3))",,laplacian,skipped,,
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", PINNED, ids=[" ".join(args) for args, _ in PINNED])
+def test_small_outputs_are_pinned(args, expected):
+    code, out, err = run_inproc(args)
+    assert code == 0, err
+    assert out == expected
+
+
 # --- exit codes ---
 
 
@@ -453,6 +592,19 @@ def test_non_finite_lift_value_is_a_usage_error(m, tmp_path):
     assert code == 1
     assert out == ""
     assert "UsageError" in err and "argument --value: must be finite" in err
+
+
+@pytest.mark.parametrize("where", ["matrix", "vector"])
+def test_lift_refuses_a_rational_outside_float_range(where, tmp_path):
+    # float(Fraction("1e400")) raises OverflowError, which ended in a traceback
+    matrix = tmp_path / "b.txt"
+    matrix.write_text("1e400 0\n0 3\n" if where == "matrix" else "2 0\n0 3\n")
+    vector = "1e400,0" if where == "vector" else "1,0"
+    args = ["lift", "--matrix", str(matrix), "--j", "0", "--m", "2", "--value", "2"]
+    code, out, err = run_inproc([*args, "--vector", vector])
+    assert code == 1
+    assert out == ""
+    assert err == "error: UsageError: bad rational '1e400'\n"
 
 
 Q_FORMS = sorted(name for name, (needed, _) in _COUNT_FORMS.items() if "q" in needed)

@@ -13,7 +13,8 @@ one routine, `rings.first_seen_ids`, and partitions built in one,
 `classes._partition`; the tests' references in tests/reference.py call
 neither, and the package defines none of their names.  The one-factor
 and field-product degrees, sizes and class counts read the semisimple
-formulas of `counts`.
+formulas of `counts`.  Only `cli.main` formats a report as JSON or CSV;
+the verbs' handlers return theirs.
 """
 import ast
 from pathlib import Path
@@ -198,6 +199,13 @@ def test_one_class_numbering():
     assert callers(PACKAGE / "rings.py", "setdefault") == {"first_seen_ids"}
     assert callers(PACKAGE / "classes.py", "setdefault") == set()
     assert callers(PACKAGE / "classes.py", "ClassPartition") == {"_partition"}
+
+
+def test_one_output_path():
+    # a handler that formatted its own report would be a second place to
+    # thread a new field through
+    cli = PACKAGE / "cli.py"
+    assert callers(cli, "_json_text") == callers(cli, "_csv_text") == {"main"}
 
 
 def defined_names(tree, everywhere):
