@@ -9,6 +9,12 @@ spectrum is assembled.
 Each verb's handler returns its report as a JSON payload and as a CSV
 header with lazy rows; `main` alone formats one of the two and prints it.
 
+Each input has one spelling: a ring is a `--ring` spec, `verify --sweep`
+takes only `Zn:lo..hi` or `Zn:n`, the caps come only from their flags,
+and both `--tol` defaults are `spectra.DEFAULT_TOL`.  An error prints as
+one `error: <Type>: <message>` line; the `auto` route's cap error carries
+the closed route's refusal in its own message.
+
 Exit codes: 0 on success, 2 when a verification comparison fails or a
 ring in a verify run errors (its rows carry the error), 1 for bad input
 of any kind.  All output is deterministic for fixed inputs,
@@ -21,7 +27,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -31,8 +36,9 @@ import numpy as np
 from . import counts
 from .classes import classes_for
 from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_json
-from .rings import EnumerationCapError, MatRing, RingError, Zn, parse_ring_spec
+from .rings import EnumerationCapError, RingError, Zn, parse_ring_spec
 from .spectra import (
+    DEFAULT_TOL,
     DecompositionError,
     LiftError,
     LiftVerificationError,
@@ -112,16 +118,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _element_cap(args) -> int | None:
-    if args.max_elements is not None:
-        return args.max_elements
-    env = os.environ.get("ZDG_MAX_ELEMENTS")
-    try:
-        return None if env is None else _cap(env)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"ZDG_MAX_ELEMENTS: {exc}") from None
-
-
 def _flavors(args) -> list[str]:
     if args.flavor == "both":
         return ["adjacency", "laplacian"]
@@ -144,7 +140,7 @@ def _comparison(check) -> dict:
 
 def _run_classes(args):
     ring = parse_ring_spec(args.ring)
-    graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=_element_cap(args))
+    graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=args.max_elements)
     payload = {"ring": ring.spec_string(), **classes_for(graph, args.relation).to_json(graph)}
     rows = ([c["rep"], c["size"], c["kind"], ";".join(c["members"])] for c in payload["classes"])
     return EXIT_OK, payload, "rep,size,kind,members", rows
@@ -152,7 +148,7 @@ def _run_classes(args):
 
 def _run_graph(args):
     ring = parse_ring_spec(args.ring)
-    graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=_element_cap(args))
+    graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=args.max_elements)
     payload = graph_json(graph)
     labels = payload["vertices"]
     return EXIT_OK, payload, "u,v", ([labels[i], labels[j]] for i, j in payload["edges"])
@@ -160,17 +156,16 @@ def _run_graph(args):
 
 def _run_spectrum(args):
     ring = parse_ring_spec(args.ring)
-    cap = _element_cap(args)
     need_join = args.method in ("join", "both")
     need_brute = args.method in ("brute", "both")
     dec = None
     graph = None
     if need_join:
         dec = ring_join_decomposition(
-            ring, args.relation, element_cap=cap, vertex_cap=args.max_vertices
+            ring, args.relation, element_cap=args.max_elements, vertex_cap=args.max_vertices
         )
     if need_brute:
-        graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=cap)
+        graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=args.max_elements)
     order = dec.order if need_join else graph.order
     if args.format != "runs" and order > MAX_PRINTED_VALUES:
         raise RingError(
@@ -252,31 +247,18 @@ def _run_counts(args):
 
 
 def _sweep_rings(text: str):
-    """Expand a sweep spec: 'Zn:6..200' ranges over moduli, 'M:2,GF(3)'
-    names one matrix ring, anything else is a plain ring spec."""
-    if text.startswith("Zn:"):
-        body = text[3:]
-        if ".." in body:
-            lo, hi = body.split("..", 1)
-        else:
-            lo = hi = body
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise UsageError(f"bad Zn sweep range {text!r}")
-        if lo_i < 2 or hi_i < lo_i:
-            raise UsageError(f"bad Zn sweep range {text!r}")
-        return [Zn(n) for n in range(lo_i, hi_i + 1)]
-    if text.startswith("M:"):
-        body = text[2:]
-        size_text, _, field_text = body.partition(",")
-        try:
-            size = int(size_text)
-        except ValueError:
-            raise UsageError(f"bad matrix sweep spec {text!r}")
-        field = parse_ring_spec(field_text.strip() or "GF(2)")
-        return [MatRing(size, field)]
-    return [parse_ring_spec(text)]
+    """Expand a sweep spec, 'Zn:lo..hi' or 'Zn:n', into the rings Z_n;
+    one ring of any other kind is a --ring."""
+    if not text.startswith("Zn:"):
+        raise UsageError(f"--sweep takes Zn:lo..hi or Zn:n, not {text!r}; name one ring with --ring")
+    lo, dots, hi = text[3:].partition("..")
+    try:
+        lo_i, hi_i = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise UsageError(f"bad Zn sweep range {text!r}")
+    if lo_i < 2 or hi_i < lo_i:
+        raise UsageError(f"bad Zn sweep range {text!r}")
+    return [Zn(n) for n in range(lo_i, hi_i + 1)]
 
 
 def _verify_csv_row(row, seconds):
@@ -297,7 +279,6 @@ def _run_verify(args):
         rings = [parse_ring_spec(args.ring)]
     else:
         raise UsageError("verify needs --ring or --sweep")
-    cap = _element_cap(args)
     flavors = _flavors(args)
 
     timed = []  # (printed row, seconds or None)
@@ -312,7 +293,7 @@ def _run_verify(args):
                 args.relation,
                 args.tol,
                 flavors=flavors,
-                element_cap=cap,
+                element_cap=args.max_elements,
                 vertex_cap=args.max_vertices,
             )
         except (GraphCapError, EnumerationCapError):
@@ -381,9 +362,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="zdg", description="Spectra of zero-divisor graphs of finite rings.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, ring=True, relation=True, formats=("json", "csv")):
-        if ring:
-            p.add_argument("--ring", help="ring spec, e.g. Zn(18), GF(9), M(2,GF(3)), Zn(2)xZn(3)")
+    def common(p, relation=True, formats=("json", "csv")):
+        p.add_argument("--ring", help="ring spec, e.g. Zn(18), GF(9), M(2,GF(3)), Zn(2)xZn(3)")
         if relation:
             p.add_argument(
                 "--relation",
@@ -404,7 +384,7 @@ def _build_parser() -> _Parser:
 
     p_spectrum = sub.add_parser("spectrum", help="assembled and/or brute-force spectra")
     common(p_spectrum, formats=("json", "csv", "runs"))
-    p_spectrum.add_argument("--tol", type=_tolerance, default=1e-7)
+    p_spectrum.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_spectrum.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_spectrum.add_argument("--method", choices=("join", "brute", "both"), default="join")
     p_spectrum.set_defaults(handler=_run_spectrum)
@@ -423,8 +403,8 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="compare join spectra against the dense oracle")
     common(p_verify)
-    p_verify.add_argument("--tol", type=_tolerance, default=1e-7)
-    p_verify.add_argument("--sweep", help='e.g. "Zn:6..200" or "M:2,GF(3)"')
+    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p_verify.add_argument("--sweep", help='the rings Z_lo..Z_hi, as "Zn:lo..hi" (e.g. "Zn:6..200") or "Zn:n"')
     p_verify.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
     p_verify.set_defaults(handler=_run_verify)
 
@@ -461,9 +441,7 @@ def main(argv=None) -> int:
         np.linalg.LinAlgError,
         ValueError,
     ) as exc:
-        cause = exc.__cause__  # the auto route chains the closed route's refusal to its cap error
-        closed = "" if cause is None else f"; closed route: {type(cause).__name__}: {cause}"
-        print(f"error: {type(exc).__name__}: {exc}{closed}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(text)
     return code

@@ -223,21 +223,28 @@ def _run_deviation(runs1, runs2) -> float:
             end2 += runs2[j][1]
 
 
-def _runs_of(spectrum) -> tuple[list, int]:
+def _runs_of(spectrum) -> tuple[list | None, int]:
     """The runs of a spectrum and its total multiplicity; a plain list of
-    values becomes one run of multiplicity 1 per sorted float."""
+    values becomes one run of multiplicity 1 per sorted float, or None
+    when a value is nan or inf (a `SpectrumMultiset` holds none)."""
     if isinstance(spectrum, SpectrumMultiset):
         return spectrum.runs, len(spectrum)
-    runs = [(v, 1, None) for v in sorted(map(float, spectrum))]
-    return runs, len(runs)
+    values = sorted(map(float, spectrum))
+    if not all(map(math.isfinite, values)):
+        return None, len(values)
+    return [(v, 1, None) for v in values], len(values)
 
 
 def multiset_equal(s1, s2, tol: float = DEFAULT_TOL) -> MultisetMatch:
     """Compare two spectra as sorted multisets within an absolute tolerance,
-    run against run, with no expansion of a `SpectrumMultiset`."""
+    run against run, with no expansion of a `SpectrumMultiset`.  A nan or
+    inf on either side fails at an infinite deviation, as a length
+    mismatch does: no tolerance can place it."""
     (runs1, total1), (runs2, total2) = _runs_of(s1), _runs_of(s2)
     if total1 != total2:
         return MultisetMatch(False, math.inf, length_mismatch=True)
+    if runs1 is None or runs2 is None:
+        return MultisetMatch(False, math.inf)
     if not total1:
         return MultisetMatch(True, 0.0)
     dev = _run_deviation(runs1, runs2)
@@ -458,8 +465,8 @@ def ring_join_decomposition(
     'closed' reads the cells and H off the ring's class table without
     enumeration (associate relation only, at most CLOSED_CELL_CAP cells);
     'auto' prefers the graph route while it fits under the caps, and when
-    the closed route cannot take the ring either it raises the cap error,
-    chained to the closed route's refusal."""
+    the closed route cannot take the ring either it raises the cap error
+    with the closed route's refusal in its message, chained to it."""
     if method not in ("auto", "graph", "closed"):
         raise ValueError(f"unknown method '{method}'")
     if method == "closed":
@@ -474,7 +481,8 @@ def ring_join_decomposition(
         try:
             return ring_join_decomposition(ring, relation, "closed")
         except RingError as closed_error:
-            raise cap_error from closed_error
+            reason = f"closed route: {type(closed_error).__name__}: {closed_error}"
+            raise type(cap_error)(f"{cap_error}; {reason}") from closed_error
     return decompose(graph, classes_for(graph, relation))
 
 

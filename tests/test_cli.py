@@ -30,7 +30,7 @@ with open(SCHEMA_PATH) as fh:
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(zdgspectra.__file__))
 
 
-def run_cli(args, env=None):
+def run_cli(args):
     """Run through a subprocess so exit codes and stream separation are real."""
     cmd = [sys.executable, "-m", "zdgspectra.cli", *args]
     merged = dict(os.environ)
@@ -38,8 +38,6 @@ def run_cli(args, env=None):
     merged["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
     )
-    if env:
-        merged.update(env)
     proc = subprocess.run(cmd, capture_output=True, text=True, env=merged)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -202,11 +200,20 @@ def test_verify_sweep_csv():
 
 
 def test_verify_sweep_matrix_shorthand():
-    code, out, _ = run_cli(["verify", "--sweep", "M:2,GF(3)"])
+    code, out, _ = run_cli(["verify", "--ring", "M(2,GF(3))"])
     assert code == 0
     payload = json.loads(out)
     assert payload["all_matched"] is True
     assert payload["results"][0]["ring"] == "M(2,GF(3))"
+
+
+@pytest.mark.parametrize("sweep", ["M:2,GF(3)", "Zn(6)"])
+def test_sweep_takes_only_zn_ranges(sweep):
+    # one ring is a --ring: a second spelling of it under --sweep is refused
+    code, out, err = run_cli(["verify", "--sweep", sweep])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "--ring" in err, err
+    assert err.startswith("error: UsageError: ") and "Traceback" not in err
 
 
 def test_lift_json(tmp_path):
@@ -510,18 +517,17 @@ def test_degree_matrix_refuses_a_square_zero_class_that_cannot_exist():
 
 
 @pytest.mark.parametrize(
-    "args, env",
+    "args",
     [
-        (["verify", "--sweep", "Zn:6..8", "--max-elements", "-3"], None),
-        (["verify", "--ring", "GF(4)", "--max-vertices", "-1"], None),
-        (["verify", "--sweep", "Zn:6..8"], {"ZDG_MAX_ELEMENTS": "-3"}),
+        ["verify", "--sweep", "Zn:6..8", "--max-elements", "-3"],
+        ["verify", "--ring", "GF(4)", "--max-vertices", "-1"],
     ],
-    ids=["max-elements", "max-vertices", "env"],
+    ids=["max-elements", "max-vertices"],
 )
-def test_negative_cap_is_a_usage_error(args, env):
+def test_negative_cap_is_a_usage_error(args):
     # a negative cap refuses every ring, so verify would check nothing
     # and still report all_matched
-    code, out, err = run_cli(args, env=env)
+    code, out, err = run_cli(args)
     assert code == 1
     assert out == ""
     assert "Traceback" not in err and "a cap must be 0 or more" in err
@@ -823,16 +829,6 @@ def test_auto_route_falls_back_to_the_closed_route():
     for a, b in zip(closed, graph):
         assert len(a["values"]) == len(b["values"]) == 227
         assert np.abs(np.array(a["values"]) - np.array(b["values"])).max() <= 1e-9, a["flavor"]
-
-
-def test_env_cap_is_weaker_than_flag():
-    env = {"ZDG_MAX_ELEMENTS": "10"}
-    code, _, _ = run_cli(["classes", "--ring", "Zn(30)"], env=env)
-    assert code == 1
-    code, _, _ = run_cli(
-        ["classes", "--ring", "Zn(30)", "--max-elements", "100"], env=env
-    )
-    assert code == 0
 
 
 def test_missing_verb_is_input_error():

@@ -14,7 +14,9 @@ one routine, `rings.first_seen_ids`, and partitions built in one,
 neither, and the package defines none of their names.  The one-factor
 and field-product degrees, sizes and class counts read the semisimple
 formulas of `counts`.  Only `cli.main` formats a report as JSON or CSV;
-the verbs' handlers return theirs.
+the verbs' handlers return theirs.  Each CLI input has one spelling: a
+`cli.py` that reads the environment or an exception's `__cause__`, or a
+`--sweep` parser that builds a ring from a spec of its own, fails here.
 """
 import ast
 from pathlib import Path
@@ -206,6 +208,20 @@ def test_one_output_path():
     # thread a new field through
     cli = PACKAGE / "cli.py"
     assert callers(cli, "_json_text") == callers(cli, "_csv_text") == {"main"}
+
+
+def test_one_way_in():
+    # an environment variable would be a second element cap, a `__cause__`
+    # read a second place to word the auto route's refusal, and a ring
+    # parsed under --sweep a second spelling of --ring
+    cli = PACKAGE / "cli.py"
+    reads = {
+        getattr(node, "attr", None) or getattr(node, "id", None)
+        for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert reads & {"environ", "getenv", "__cause__"} == set()
+    assert "_sweep_rings" not in callers(cli, "parse_ring_spec") | callers(cli, "MatRing")
 
 
 def defined_names(tree, everywhere):

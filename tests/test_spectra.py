@@ -24,6 +24,7 @@ from zdgspectra.eig import dense_eigenvalues
 from zdgspectra.graph import build_zdg, degree_matring
 from zdgspectra.rings import (
     GF,
+    EnumerationCapError,
     MatRing,
     ProductRing,
     RingError,
@@ -562,6 +563,22 @@ def test_closed_route_refuses_over_the_cap_before_building(spec):
     assert time.perf_counter() - start < 1.0
 
 
+def test_auto_route_names_both_refusals():
+    # library callers see why neither route took the ring, not only the cap
+    ring = Zn(963761198400)
+    with pytest.raises(EnumerationCapError) as auto:
+        ring_join_decomposition(ring)
+    assert str(auto.value).endswith(
+        "; closed route: RingError: Zn(963761198400): 6718 zero-divisor classes "
+        "exceed the closed-route cap of 4096"
+    )
+    assert type(auto.value.__cause__) is RingError
+    with pytest.raises(EnumerationCapError) as graph_only:
+        ring_join_decomposition(ring, method="graph")
+    assert "closed route" not in str(graph_only.value)
+    assert str(graph_only.value) == "Zn(963761198400) has 963761198400 elements, over the cap 20000"
+
+
 @pytest.mark.parametrize("spec", ["GF(1000003)xZn(2)", "GF(1048576)xZn(2)"])
 def test_closed_route_reads_a_large_prime_field_without_its_tables(spec, monkeypatch):
     # neither the modulus (seconds of search for GF(2^20)) nor the log tables are needed
@@ -826,6 +843,32 @@ def test_multiset_equal_tolerance_edges():
     c = spectrum_from_pairs([(0.0, "x"), (0.0, "x")])
     m = multiset_equal(a, c, tol=1e-7)
     assert not m.matched and m.length_mismatch
+
+
+@pytest.mark.parametrize(
+    "s1, s2",
+    [
+        ([math.nan], [1.0]),
+        ([math.inf], [math.inf]),
+        ([1.0], [-math.inf]),
+        ([0.0, math.nan], [0.0, 0.0]),
+        (SpectrumMultiset([(1.0, 1, "quotient")]), [math.nan]),
+    ],
+    ids=["nan", "inf", "minus-inf", "nan-among-finite", "runs-against-nan"],
+)
+def test_multiset_equal_fails_on_a_non_finite_value(s1, s2):
+    # no tolerance can place a nan or an inf, so neither side may hold one
+    for m in (multiset_equal(s1, s2), multiset_equal(s2, s1)):
+        assert (m.matched, m.max_deviation, m.length_mismatch) == (False, math.inf, False)
+
+
+def test_fiedler_check_fails_on_a_nan_prediction(monkeypatch):
+    combine = spectra_module.fiedler_combine
+    monkeypatch.setattr(spectra_module, "fiedler_combine", lambda *a: [math.nan] + combine(*a)[1:])
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = np.array([1.0, 1.0]) / math.sqrt(2)
+    m = fiedler_check(a, a, u, u, 0.5)
+    assert (m.matched, m.max_deviation) == (False, math.inf)
 
 
 def test_spectrum_multiset_validation():
