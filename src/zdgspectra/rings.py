@@ -4,15 +4,16 @@ Ring elements are plain hashable payloads: residues and field elements are
 ints, matrices are row-major tuples of tuples of field ints, product
 elements are tuples of component payloads.  Each ring object supplies exact
 arithmetic, table-built zero products and associate keys, a class table
-(the associate classes with their sizes and xy = 0 relation, built
-without enumerating), unit and zero-divisor enumeration and canonical
-labels for its own payloads.  Element order is always lexicographic on
-the payload, so index 0 is the zero element and enumeration is
-reproducible.  The tables read element indices (positions in
-`elements()`), never payloads: an index is the payload for Z_n and GF, the
-entries' base-q digits for a matrix and the factors' indices in C order
-for a product.  A matrix ring's element and class tables read one dot
-product, `MatRing._orthogonal`; `gf_rref` serves `rank` and `is_unit`.
+(the associate classes with their sizes, xy = 0 relation and smallest
+members, built without enumerating), unit and zero-divisor enumeration
+and canonical labels for its own payloads.  Element order is always
+lexicographic on the payload, so index 0 is the zero element and
+enumeration is reproducible.  The tables read element indices (positions
+in `elements()`), never payloads: an index is the payload for Z_n and GF,
+the entries' base-q digits for a matrix and the factors' indices in C
+order for a product, and `element(i)` decodes one without enumerating.  A
+matrix ring's element and class tables read one dot product,
+`MatRing._dot`; `gf_rref` serves `rank` and `is_unit`.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -175,15 +176,16 @@ class Ring:
         raise NotImplementedError
 
     def class_table(self):
-        """(sizes, kills, labels) over all associate classes, built without
+        """(sizes, kills, reps) over all associate classes, built without
         enumerating the ring: sizes an int64 array, kills the bool m x m
         table of "class i times class j is 0" (its diagonal marks the
-        classes that square to 0) and labels, a function of no arguments
-        that returns one label per class, so that no label is formatted
-        unless one is read.  Class 0 is {0} and the last class is the
-        units.  The zero-divisor classes are counted against
+        classes that square to 0) and reps the int64 element index of each
+        class's smallest member.  The classes come in ascending order of
+        reps, the order in which the graph route numbers them, so class 0
+        is {0}; the units are the one class whose kill row holds class 0
+        alone.  The zero-divisor classes are counted against
         CLOSED_CELL_CAP before any table is built, and the size (every
-        class size must fit int64) before the count."""
+        element index must fit int64) before the count."""
         if self.cardinality >= 2**63:
             raise RingError(f"{self.spec_string()} has 2^63 or more elements")
         count = self.class_count() - 2
@@ -201,10 +203,15 @@ class Ring:
         raise NotImplementedError
 
     def label(self, a) -> str:
-        raise NotImplementedError
+        return str(a)
+
+    def element(self, i: int):
+        """The element of index i (its position in `elements()`), decoded
+        without enumerating; Z_n and GF code their elements by index."""
+        return i
 
     def _enumerate(self):
-        raise NotImplementedError
+        return list(range(self.cardinality))
 
     def elements(self, cap: int | None = None) -> list:
         """All elements in canonical (lexicographic) order, zero first."""
@@ -301,36 +308,27 @@ class Zn(Ring):
 
     def _class_table(self):
         """One class per divisor d = prod p^e of n: the x with gcd(x, n) = d,
-        phi(n/d) = prod phi(p^(a-e)) of them.  By the CRT class d times
-        class d' is 0 exactly when e + e' >= a at every prime.  The divisors
-        come from the factorization in ascending order, d = n (the class
-        {0}) is put first and d = 1 (the units) last."""
+        phi(n/d) = prod phi(p^(a-e)) of them, whose smallest member is
+        d % n.  By the CRT class d times class d' is 0 exactly when
+        e + e' >= a at every prime.  Sorted by d % n, the divisors come as
+        d = n (the class {0}), d = 1 (the units), then the rest ascending."""
         divisors = [(1, (), 1)]  # (d, its exponents e, phi(n/d))
         for p, a in self.factors:
             phi = [p ** (a - e) - p ** (a - e - 1) for e in range(a)] + [1]
             divisors = [(d * p**e, es + (e,), s * phi[e]) for d, es, s in divisors for e in range(a + 1)]
-        divisors.sort()
-        ds, exps, sizes = zip(*divisors[-1:], *divisors[1:-1], *divisors[:1])
+        divisors.sort(key=lambda divisor: divisor[0] % self.n)
+        ds, exps, sizes = zip(*divisors)
         kills = np.ones((len(ds), len(ds)), dtype=bool)
         for e, (_, a) in zip(np.array(exps).T, self.factors):  # by prime: no m x m x k array
             kills &= e[:, None] >= a - e
-
-        def labels():
-            return ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
-
-        return np.array(sizes, dtype=np.int64), kills, labels
+        reps = np.array([d % self.n for d in ds], dtype=np.int64)
+        return np.array(sizes, dtype=np.int64), kills, reps
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1
 
     def _unit_mask(self):
         return np.gcd(np.arange(self.n, dtype=np.int64), self.n) == 1
-
-    def label(self, a):
-        return str(a)
-
-    def _enumerate(self):
-        return list(range(self.n))
 
 
 class GF(Ring):
@@ -439,7 +437,7 @@ class GF(Ring):
 
     def _class_table(self):
         kills = np.array([[True, True], [True, False]])
-        return np.array([1, self.q - 1], dtype=np.int64), kills, lambda: ["0", "u"]
+        return np.array([1, self.q - 1], dtype=np.int64), kills, np.array([0, 1], dtype=np.int64)
 
     def inv(self, a):
         if a == 0:
@@ -453,8 +451,6 @@ class GF(Ring):
         return np.arange(self.q) != 0
 
     def label(self, a):
-        if self.k == 1:
-            return str(a)
         cs = [a // self.p**i % self.p for i in range(self.k)]
         terms = []
         for d in range(self.k - 1, -1, -1):
@@ -467,9 +463,6 @@ class GF(Ring):
                 xs = "x" if d == 1 else f"x^{d}"
                 terms.append(xs if c == 1 else f"{c}{xs}")
         return "+".join(terms) if terms else "0"
-
-    def _enumerate(self):
-        return list(range(self.q))
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +576,22 @@ class MatRing(Ring):
             out.append(tuple(orow))
         return tuple(out)
 
-    def _orthogonal(self, a, b) -> np.ndarray:
-        """Bool array, set where the dot product over F_q of a[..., k] and
-        b[..., k] (field codes, broadcast over the leading axes) is 0: one
-        gather in the field's q x q mul and add tables per coordinate."""
+    @cached_property
+    def _field_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The field's q x q mul and add tables on codes, built once per ring."""
         F, codes = self.field, range(self.field.q)
         mul, add = (np.array([[op(x, y) for y in codes] for x in codes]) for op in (F.mul, F.add))
+        return mul, add
+
+    def _dot(self, a, b) -> np.ndarray:
+        """The codes of the dot products over F_q of a[..., k] and b[..., k]
+        (field codes, broadcast over the leading axes): one gather in the
+        field's mul and add tables per coordinate."""
+        mul, add = self._field_tables
         dot = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), dtype=np.int64)
         for k in range(a.shape[-1]):
             dot = add[dot, mul[a[..., k], b[..., k]]]
-        return dot == 0
+        return dot
 
     @cached_property
     def _kills(self) -> np.ndarray:
@@ -600,18 +599,28 @@ class MatRing(Ring):
         vector code c is 0", vectors coded base q (entry k times q^k)."""
         n, q = self.n, self.field.q
         digits = np.arange(q**n)[:, None] // q ** np.arange(n) % q  # [code, k]: entry k
-        return self._orthogonal(digits[:, None, :], digits[None, :, :])
+        return self._dot(digits[:, None, :], digits[None, :, :]) == 0
+
+    @cached_property
+    def _place(self) -> np.ndarray:
+        """The weight of each entry in an element index, row by row, most
+        significant first: index i lists the n^2 entries as its base-q digits."""
+        return self.field.q ** np.arange(self.n * self.n - 1, -1, -1, dtype=np.int64)
+
+    def _entries(self, idx) -> np.ndarray:
+        """The n x n entry arrays of the matrices of indices idx."""
+        return (np.asarray(idx, dtype=np.int64)[:, None] // self._place % self.field.q).reshape(-1, self.n, self.n)
+
+    def element(self, i):
+        return tuple(map(tuple, self._entries([i])[0].tolist()))
 
     def _right_kernels(self, idx):
         """Right kernels and column codes of the matrices A_a of indices
         idx[a], vectors coded as in `_kills`: ker[a, c] is set exactly when
         A_a v = 0 for the vector v of code c, and cols[a, j] is the code of
-        column j of A_a.  Index i lists the n^2 entries row by row as its
-        base-q digits, most significant first."""
-        n, q = self.n, self.field.q
-        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-        mats = (np.asarray(idx, dtype=np.int64)[:, None] // place % q).reshape(-1, n, n)
-        weights = q ** np.arange(n, dtype=np.int64)
+        column j of A_a."""
+        mats = self._entries(idx)
+        weights = self.field.q ** np.arange(self.n, dtype=np.int64)
         return self._kills[mats @ weights].all(axis=1), weights @ mats
 
     def zero_products(self, idx):
@@ -638,37 +647,33 @@ class MatRing(Ring):
         return 2 if self.n == 1 else class_count_matrix(self.n, self.field.q) + 2
 
     def _class_table(self):
-        """0, one class per (row space, column space) pair of each rank
-        r = 1..n-1, labelled r{r}.{row space}.{column space} by the index
-        of each space among those of rank r in `_all_subspaces` order and
-        of size |GL_r(F_q)|, then the units.
+        """One class per (row space R, column space C) pair of each rank
+        r = 0..n, of size |GL_r(F_q)|: rank 0 is the class {0} and rank n
+        the units.  With B_R and B_C the RREF bases of the spaces as
+        `_all_subspaces` lists them, the class's smallest member is
+        B_C^T J_r B_R, J_r the r x r reversal (J_n for the units).
 
         xy = 0 exactly when the column space of y lies in the right kernel
         of x: each basis row of that column space is orthogonal to each
-        basis row of the row space of x.  `_orthogonal` tests all pairs of RREF bases,
-        padded with zero rows to n - 1, at once: the table costs the square
-        of the subspace count, not of the class count."""
+        basis row of the row space of x.  `_dot` tests all pairs of RREF
+        bases, padded with zero rows to n, at once: the table costs the
+        square of the subspace count, not of the class count.  The same
+        call with the bases' rows reversed gives the smallest members."""
         n, q = self.n, self.field.q
-        spaces = [s for r in range(1, n) for s in _all_subspaces(self.field, n, r)]
-        pad = [s + ((0,) * n,) * (n - 1 - len(s)) for s in spaces]
-        basis = np.array(pad, dtype=np.int64).reshape(len(spaces), n - 1, n)
-        contains = self._orthogonal(basis[:, None, :, None], basis[None, :, None, :]).all(axis=(2, 3))
+        spaces = [s for r in range(n + 1) for s in _all_subspaces(self.field, n, r)]
+        zeros = [((0,) * n,) * (n - len(s)) for s in spaces]
+        basis = np.array([s + z for s, z in zip(spaces, zeros)], dtype=np.int64)
+        flipped = np.array([s[::-1] + z for s, z in zip(spaces, zeros)], dtype=np.int64)  # J_r B
+        contains = (self._dot(basis[:, None, :, None], basis[None, :, None, :]) == 0).all(axis=(2, 3))
         rank = np.array([len(s) for s in spaces], dtype=np.intp)
-        rows, cols = np.nonzero(rank[:, None] == rank[None, :])  # by rank, row, column
-        first = np.searchsorted(rank, rank)  # where each space's rank starts
-        m = len(rows) + 2
-        kills = np.zeros((m, m), dtype=bool)
-        kills[0, :] = kills[:, 0] = True
-        kills[1:-1, 1:-1] = contains[np.ix_(rows, cols)]
-        ranks = rank[rows]
-        sizes = np.array([gl_order(r, q) for r in range(n + 1)], dtype=np.int64)[np.r_[0, ranks, n]]
-        row_ids, col_ids = rows - first[rows], cols - first[cols]
-
-        def labels():
-            proper = zip(ranks.tolist(), row_ids.tolist(), col_ids.tolist())
-            return ["0"] + [f"r{r}.{a}.{b}" for r, a, b in proper] + ["u"]
-
-        return sizes, kills, labels
+        rows, cols = np.nonzero(rank[:, None] == rank[None, :])
+        # entry (i, j) of B_C^T J_r B_R: the dot over k of B_C[k, i] and B_R[r - 1 - k, j]
+        members = self._dot(basis[cols].transpose(0, 2, 1)[:, :, None, :], flipped[rows].transpose(0, 2, 1)[:, None])
+        reps = members.reshape(len(rows), n * n) @ self._place
+        order = np.argsort(reps)
+        rows, cols = rows[order], cols[order]
+        sizes = np.array([gl_order(r, q) for r in range(n + 1)], dtype=np.int64)[rank[rows]]
+        return sizes, contains[np.ix_(rows, cols)], reps[order]
 
     def rank(self, a):
         return gf_rank(self.field, a, self.n)
@@ -696,21 +701,6 @@ class MatRing(Ring):
         # lexicographic on the rows, so on the flat row-major entries too
         rows = list(itertools.product(range(self.field.q), repeat=self.n))
         return list(itertools.product(rows, repeat=self.n))
-
-
-def _product_table(tables):
-    """Sizes and kills of a product of (sizes, kills) class tables: one
-    class per tuple of factor classes, in C order of the index tuples,
-    with the sizes multiplied and xy = 0 exactly when it holds in every
-    component.  The index tuples come back too, one row per factor."""
-    idx = np.indices([len(sizes) for sizes, _ in tables]).reshape(len(tables), -1)
-    m = idx.shape[1]
-    sizes = np.ones(m, dtype=np.int64)
-    kills = np.ones((m, m), dtype=bool)
-    for (factor_sizes, factor_kills), i in zip(tables, idx):
-        sizes *= factor_sizes[i]
-        kills &= factor_kills[i][:, i]
-    return sizes, kills, idx
 
 
 class ProductRing(Ring):
@@ -783,18 +773,22 @@ class ProductRing(Ring):
         return prod(f.class_count() for f in self.factors)
 
     def _class_table(self):
-        """Associates and xy = 0 are componentwise: the product of the
-        factors' tables, so the all-zero class comes first and the all-unit
-        class last."""
+        """Associates and xy = 0 are componentwise: one class per tuple of
+        factor classes, in C order of the index tuples, with the sizes
+        multiplied, xy = 0 exactly when it holds in every component and the
+        smallest member the factors' smallest members in mixed radix.  The
+        factors' reps ascend, so the C order ascends in reps too."""
         tables = [f._class_table() for f in self.factors]
-        sizes, kills, idx = _product_table([(s, k) for s, k, _ in tables])
-        factor_labels = [t[2] for t in tables]
-
-        def labels():
-            names = [f_labels() for f_labels in factor_labels]
-            return ["(" + ",".join(n[c] for n, c in zip(names, combo)) + ")" for combo in idx.T.tolist()]
-
-        return sizes, kills, labels
+        idx = np.indices([len(sizes) for sizes, _, _ in tables]).reshape(len(tables), -1)
+        m = idx.shape[1]
+        sizes = np.ones(m, dtype=np.int64)
+        kills = np.ones((m, m), dtype=bool)
+        reps = np.zeros(m, dtype=np.int64)
+        for f, (factor_sizes, factor_kills, factor_reps), i in zip(self.factors, tables, idx):
+            sizes *= factor_sizes[i]
+            kills &= factor_kills[i][:, i]
+            reps = reps * f.cardinality + factor_reps[i]
+        return sizes, kills, reps
 
     def is_unit(self, a):
         return all(f.is_unit(x) for f, x in zip(self.factors, a))
@@ -808,6 +802,13 @@ class ProductRing(Ring):
 
     def label(self, a):
         return "(" + ",".join(f.label(x) for f, x in zip(self.factors, a)) + ")"
+
+    def element(self, i):
+        parts = []
+        for f in reversed(self.factors):  # the last factor's index is the least significant digit
+            i, component = divmod(i, f.cardinality)
+            parts.append(f.element(component))
+        return tuple(reversed(parts))
 
     def _enumerate(self):
         lists = [f.elements(cap=self.cardinality) for f in self.factors]

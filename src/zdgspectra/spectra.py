@@ -25,9 +25,13 @@ adjacency matrix entry for entry, at every graph size.  The closed route
 reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
 one class per divisor of n, under one cap on the class count
-(CLOSED_CELL_CAP).  Class labels are presentation only: no spectrum
-depends on them, so a decomposition builds its `labels` on first read,
-and the graph route's check reads them only to word the error it raises.
+(CLOSED_CELL_CAP).  Both routes number the classes by smallest member and
+keep that member's element index as the class representative, so on a
+ring both take they give equal decompositions and equal runs.  Class
+labels are presentation only: no spectrum depends on them, so a
+decomposition formats its `labels` from the representatives on first
+read, and the graph route's check reads them only to word the error it
+raises.
 
 Every eigenvalue here comes from LAPACK (`eig.dense_eigenvalues`): the
 assembled route solves the order-m quotient, the oracle the order-|V|
@@ -53,7 +57,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -94,16 +97,18 @@ class ShiftLemmaError(Exception):
 class JoinDecomposition:
     """Gamma(R) as a generalized join over H, built by both routes from a
     symmetric bool m x m class table: its diagonal marks the complete
-    cells and its off-diagonal part is H.  `cell_of` is None on the closed
-    route, which lays the vertices out in cell order.  `make_labels`
-    returns one label per cell; it runs on the first read of `labels`,
-    which keeps the list.  Labels are presentation only (error messages,
-    reports): nothing in the spectra reads them."""
+    cells and its off-diagonal part is H.  The cells come in ascending
+    order of `reps`, the element index of each cell's smallest member.
+    `cell_of` is None on the closed route, which lays the vertices out in
+    cell order.  `labels` formats each representative with the ring's
+    `label` on first read and keeps the list.  Labels are presentation
+    only (error messages, reports): nothing in the spectra reads them."""
 
     relation: str
     sizes: np.ndarray  # int64, n_i
     table: InitVar[np.ndarray]
-    make_labels: Callable[[], list[str]] = field(repr=False)
+    ring: Ring = field(repr=False)
+    reps: np.ndarray = field(repr=False)  # int64, the element index of each cell's smallest member
     cell_of: np.ndarray | None = None  # intp, the cell of each vertex
     complete: np.ndarray = field(init=False)  # bool, one per cell
     h_adjacency: np.ndarray = field(init=False)  # symmetric, no self-loops
@@ -117,7 +122,7 @@ class JoinDecomposition:
 
     @cached_property
     def labels(self) -> list[str]:
-        return self.make_labels()
+        return [self.ring.label(self.ring.element(i)) for i in self.reps.tolist()]
 
     @property
     def class_count(self) -> int:
@@ -269,8 +274,8 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     mismatched vertex pair scattered to its class pair, one flag per
     block: the first failing cell in order raises, then the first
     non-constant class pair in row-major order.  No label is formatted
-    unless one is read: the result keeps the ring and the m representative
-    payloads, never the graph, for `labels`.
+    unless one is read: the result keeps the ring and the element indices
+    of the m representatives, never the graph, for `labels`.
     """
     adj = graph.adjacency
     cell_of = partition.cell_of
@@ -290,10 +295,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     multi = sizes > 1
     complete[multi] = adj[reps[multi], order[starts[multi] + 1]]
     np.fill_diagonal(table, complete)
-    ring, payloads = graph.ring, [graph.vertices[i] for i in reps.tolist()]
-    dec = JoinDecomposition(
-        partition.relation, sizes, table, lambda: [ring.label(a) for a in payloads], cell_of
-    )
+    dec = JoinDecomposition(partition.relation, sizes, table, graph.ring, graph.element_index[reps], cell_of)
 
     mismatch = blow_up(dec)
     mismatch ^= adj
@@ -439,13 +441,17 @@ def brute_spectrum(graph: ZeroDivisorGraph, flavor: str) -> SpectrumMultiset:
 def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     """Join decomposition of Gamma(ring) from `ring.class_table`, for every
     ring the parser builds (Z_n and Z_{p^a} factors too, despite the name):
-    the cells are the classes other than 0 and the units, complete where
-    the class squares to 0, and H joins two cells when their product is 0
-    in either order.  No ring elements are enumerated; more than
+    the cells are the classes other than 0 (class 0) and the units (the
+    class whose kill row holds class 0 alone), in the table's order, complete
+    where the class squares to 0, and H joins two cells when their product
+    is 0 in either order.  No ring elements are enumerated; more than
     CLOSED_CELL_CAP cells raise RingError before any table is built."""
-    sizes, kills, labels = ring.class_table()
-    kills = kills[1:-1, 1:-1]
-    return JoinDecomposition("associate", sizes[1:-1], kills | kills.T, lambda: labels()[1:-1])
+    sizes, kills, reps = ring.class_table()
+    # class 0 kills every class and the units kill no nonzero one, so the
+    # classes that kill a nonzero class are 0 and then the cells
+    cells = np.flatnonzero(kills[:, 1:].any(axis=1))[1:]
+    kills = kills.take(cells, axis=0).take(cells, axis=1)
+    return JoinDecomposition("associate", sizes.take(cells), kills | kills.T, ring, reps.take(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -831,6 +831,18 @@ def test_auto_route_falls_back_to_the_closed_route():
         assert np.abs(np.array(a["values"]) - np.array(b["values"])).max() <= 1e-9, a["flavor"]
 
 
+@pytest.mark.parametrize("form", [[], ["--format", "runs"]], ids=["json", "runs"])
+def test_closed_route_prints_the_graph_route_spectrum(form):
+    # both routes list the classes by smallest member, so the closed route
+    # that `auto` takes under the cap prints the graph route's bytes
+    # (2,303 vertices without the flag)
+    ring = ["--ring", "M(2,GF(2))xM(2,GF(3))xZn(2)"]
+    closed = run_inproc(["spectrum", *ring, "--max-vertices", "10", *form])
+    graph = run_inproc(["spectrum", *ring, *form])
+    assert closed[0] == graph[0] == 0
+    assert closed[1] == graph[1]
+
+
 def test_missing_verb_is_input_error():
     code, _, _ = run_inproc([])
     assert code == 1

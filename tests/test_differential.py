@@ -4,8 +4,9 @@ Each example is a product of at most three factors drawn from Zn(2..9),
 GF(2|3|4|5), M(2,GF(2)) and M(2,GF(3)), with at most MAX_VERTICES
 vertices.  The table-built adjacency is compared with the annihilator
 definition, the join decomposition is checked under both relations
-against the dense oracle, and every product is also compared with the
-closed route.  The keyed partitions and the unit list are compared with
+against the dense oracle, and every product's associate decomposition is
+also compared with the closed route's: equal cells in equal order and
+bit-identical runs.  The keyed partitions and the unit list are compared with
 their definitions: associates with unit orbits, equal neighborhoods with
 the pairwise masked row comparison, equal annihilators with grouping by
 `annihilator_set`, units with per-element `is_unit`.  The graph's loops
@@ -85,18 +86,19 @@ def test_graph_route_matches_definition_and_oracles(factors):
     brute = {flavor: brute_spectrum(g, flavor) for flavor in FLAVORS}
     graph_route = {}
     for relation in ("associate", "neighborhood"):
-        dec = decompose(g, classes_for(g, relation))
+        dec = graph_route[relation] = decompose(g, classes_for(g, relation))
         assert np.array_equal(blow_up(dec), g.adjacency), (spec, relation)
         for flavor in FLAVORS:
-            assembled = assemble_spectrum(dec, flavor)
-            match = multiset_equal(assembled, brute[flavor], tol=1e-7)
+            match = multiset_equal(assemble_spectrum(dec, flavor), brute[flavor], tol=1e-7)
             assert match.matched, (spec, relation, flavor, match.max_deviation)
-            graph_route[flavor] = assembled
 
-    closed = decomposition_semisimple_closed(ring)
+    # the closed route lists the associate classes in the graph route's order
+    closed, dec = decomposition_semisimple_closed(ring), graph_route["associate"]
+    for name in ("sizes", "complete", "h_adjacency"):
+        assert np.array_equal(getattr(closed, name), getattr(dec, name)), (spec, name)
+    assert closed.labels == dec.labels, spec
     for flavor in FLAVORS:
-        match = multiset_equal(assemble_spectrum(closed, flavor), graph_route[flavor], tol=1e-7)
-        assert match.matched, (spec, flavor, match.max_deviation)
+        assert assemble_spectrum(closed, flavor).runs == assemble_spectrum(dec, flavor).runs, (spec, flavor)
 
 
 def spectrum_stdout(*args) -> list[dict]:

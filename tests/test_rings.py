@@ -19,6 +19,7 @@ from reference import (
 from zdgspectra import numth
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import (
+    DEFAULT_ELEMENT_CAP,
     GF,
     MatRing,
     ProductRing,
@@ -347,15 +348,56 @@ ZN_TABLE_MODULI = list(range(2, 401)) + [720720, 6983776800, 48886437600, 2**40,
 
 @pytest.mark.parametrize("n", ZN_TABLE_MODULI, ids=str)
 def test_zn_class_table_by_divisor_arithmetic(n):
-    # class d holds the x with gcd(x, n) = d: phi(n/d) of them, and class d
-    # times class d' is 0 exactly when n/d divides d'; checked on Python ints
-    sizes, kills, labels = Zn(n).class_table()
-    ds = numth.divisors(n)
-    assert labels() == ["0"] + [f"[{d}]" for d in ds[1:-1]] + ["u"]
-    ds = ds[-1:] + ds[1:-1] + ds[:1]
+    # class d holds the x with gcd(x, n) = d: phi(n/d) of them, the smallest
+    # d % n, and the classes ascend in it; class d times class d' is 0
+    # exactly when n/d divides d'; checked on Python ints
+    sizes, kills, reps = Zn(n).class_table()
+    ds = sorted(numth.divisors(n), key=lambda d: d % n)
+    assert reps.tolist() == [d % n for d in ds]
     assert sizes.tolist() == [numth.euler_phi(n // d) for d in ds]
     assert sum(sizes.tolist()) == n
     assert kills.tolist() == [[dj % (n // di) == 0 for dj in ds] for di in ds]
+
+
+# every M(n, GF(q)), n >= 2, whose elements fit the default element cap
+MATRIX_TABLE_SPECS = [
+    f"M({n},GF({q}))"
+    for n in (2, 3)
+    for q in range(2, 12)
+    if numth.prime_power(q) and q ** (n * n) <= DEFAULT_ELEMENT_CAP
+]
+CLASS_TABLE_SPECS = (
+    [f"Zn({n})" for n in ZN_TABLE_MODULI]
+    + ["GF(8)", "M(1,GF(9))"]
+    + MATRIX_TABLE_SPECS
+    + ["M(2,GF(2))xZn(4)xGF(4)", "Zn(12)xM(2,GF(3))", "GF(8)xZn(2)xZn(9)"]
+)
+
+
+@pytest.mark.parametrize("spec", CLASS_TABLE_SPECS)
+def test_class_table_lists_classes_by_smallest_member(spec):
+    # (sizes, kills, reps) with no label function: reps ascend strictly from
+    # 0, and the units are the one class that kills class 0 alone
+    ring = parse_ring_spec(spec)
+    table = ring.class_table()
+    assert not any(callable(part) for part in table)
+    sizes, kills, reps = table
+    assert reps.dtype == np.int64 and reps[0] == 0 and (np.diff(reps) > 0).all()
+    only_zero = ~kills[:, 1:].any(axis=1)
+    assert only_zero.sum() == 1 and ring.is_unit(ring.element(int(reps[np.argmax(only_zero)])))
+    if ring.cardinality <= DEFAULT_ELEMENT_CAP:
+        # against enumeration: the first element of each class in index
+        # order, the class sizes, and xy = 0 on the representatives
+        ids = first_seen_ids(ring.associate_keys(np.arange(ring.cardinality)))
+        assert reps.tolist() == np.unique(ids, return_index=True)[1].tolist()
+        assert sizes.tolist() == np.bincount(ids).tolist()
+        assert np.array_equal(kills, ring.zero_products(reps))
+
+
+@pytest.mark.parametrize("spec", ["Zn(12)", "GF(8)", "M(2,GF(3))", "M(2,GF(2))xZn(4)xGF(4)"])
+def test_element_decodes_an_index(spec):
+    ring = parse_ring_spec(spec)
+    assert [ring.element(i) for i in range(ring.cardinality)] == ring.elements()
 
 
 def test_class_table_refuses_a_huge_ring_before_factoring(monkeypatch):

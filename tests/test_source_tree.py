@@ -157,7 +157,7 @@ def test_partition_readers_take_the_id_array():
     assert reads
 
 
-# the matrix tables that decide xy = 0 through `MatRing._orthogonal`
+# the matrix tables that decide xy = 0 through `MatRing._dot`
 DOT_PRODUCT_READERS = {"_class_table", "_kills"}
 ELIMINATIONS = {"gf_rref", "gf_rank", "gf_nullspace", "gf_span_contains"}
 

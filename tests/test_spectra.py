@@ -276,16 +276,12 @@ def test_success_path_formats_no_label(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["Zn(720)", "GF(4)xZn(6)", "M(3,GF(2))", "M(2,GF(3))xZn(12)"])
 def test_closed_route_formats_no_label(spec, monkeypatch):
-    """The class table hands back its labels as a function, and the closed
-    route calls it on the first read of `labels` only."""
+    """The closed route keeps the representatives' element indices and
+    formats their labels on the first read of `labels` only."""
     calls = []
     for cls in (Zn, GF, MatRing, ProductRing):
-
-        def counted(self, table=cls._class_table):
-            sizes, kills, labels = table(self)
-            return sizes, kills, lambda: calls.append(self) or labels()
-
-        monkeypatch.setattr(cls, "_class_table", counted)
+        original = cls.label
+        monkeypatch.setattr(cls, "label", lambda self, a, f=original: calls.append(a) or f(self, a))
     dec = decomposition_semisimple_closed(parse_ring_spec(spec))
     spectrum_pair(dec)
     assert calls == []
@@ -501,18 +497,19 @@ def test_matrix_ring_spectra_match_brute():
         assert out.matched, (q, out.results)
 
 
+def assert_routes_equal(closed, via_graph, context):
+    """Equal cells in equal order, and bit-identical runs, provenance included."""
+    for name in ("sizes", "complete", "h_adjacency"):
+        assert np.array_equal(getattr(closed, name), getattr(via_graph, name)), (context, name)
+    assert closed.labels == via_graph.labels, context
+    for a, b in zip(spectrum_pair(closed), spectrum_pair(via_graph)):
+        assert a.runs == b.runs, context
+
+
 def test_closed_zn_route_equals_graph_route():
     for n in (8, 16, 18, 30, 36, 72, 100, 144):
         closed = ring_join_decomposition(Zn(n), method="closed")
-        ring = Zn(n)
-        via_graph = graph_route(ring)
-        key = lambda dec: sorted(
-            zip(dec.sizes.tolist(), cell_kinds(dec), dec.neighbor_weights.tolist())
-        )
-        assert key(closed) == key(via_graph), n
-        a1 = assemble_adjacency_spectrum(closed)
-        a2 = assemble_adjacency_spectrum(via_graph)
-        assert multiset_equal(a1, a2, tol=1e-9).matched, n
+        assert_routes_equal(closed, graph_route(Zn(n)), n)
 
 
 def test_closed_semisimple_route_equals_graph_route():
@@ -523,18 +520,12 @@ def test_closed_semisimple_route_equals_graph_route():
         "M(2,GF(3))",
         "Zn(4)xM(2,GF(3))",
         "Zn(8)xZn(9)xGF(2)",
+        "M(3,GF(2))",
+        "M(2,GF(4))xGF(3)",
+        "M(2,GF(2))xM(2,GF(3))xZn(2)",
     ]:
-        ring = parse_ring_spec(spec)
-        closed = decomposition_semisimple_closed(ring)
-        explicit = graph_route(ring)
-        key = lambda dec: sorted(
-            zip(dec.sizes.tolist(), cell_kinds(dec), dec.neighbor_weights.tolist())
-        )
-        assert key(closed) == key(explicit), spec
-        for flavor in ("adjacency", "laplacian"):
-            s1 = assemble_spectrum(closed, flavor)
-            s2 = assemble_spectrum(explicit, flavor)
-            assert multiset_equal(s1, s2, tol=1e-9).matched, (spec, flavor)
+        closed = decomposition_semisimple_closed(parse_ring_spec(spec))
+        assert_routes_equal(closed, graph_route(parse_ring_spec(spec)), spec)
 
 
 def test_closed_zn_cells_equal_zn_profile():
@@ -543,7 +534,7 @@ def test_closed_zn_cells_equal_zn_profile():
     for n in [n for n in range(4, 401) if not numth.is_prime(n)] + [720720]:
         dec = ring_join_decomposition(Zn(n), method="closed")
         profile = zn_profile(n).entries
-        assert dec.labels == [f"[{e.d}]" for e in profile], n
+        assert dec.labels == [str(e.d) for e in profile], n
         cells = list(zip(dec.sizes.tolist(), cell_kinds(dec)))
         assert cells == [(e.size, e.kind) for e in profile], n
         neighbors = [[profile[j].d for j in np.flatnonzero(row)] for row in dec.h_adjacency]
@@ -611,55 +602,64 @@ def test_closed_route_refuses_sizes_past_int64():
             ring_join_decomposition(parse_ring_spec(spec), method="closed")
 
 
-def factor_classes(field, n):
-    """The proper classes of M_n(F_q) by label: (rank, RREF basis of the
-    right kernel, column space), rebuilt from `_all_subspaces`."""
-    out = {}
-    for r in range(1, n):
-        spaces = list(_all_subspaces(field, n, r))
-        for a, row in enumerate(spaces):
-            kernel = gf_nullspace(field, row, n)
-            for b, col in enumerate(spaces):
-                out[f"r{r}.{a}.{b}"] = (r, kernel, col)
+def factor_class(f, a):
+    """The class of the component a in the factor f, by elimination: for a
+    matrix, (field, n, rank, RREF basis of the right kernel, column space,
+    row space); a field is n = 1, rank 1 for a unit and 0 for 0."""
+    if isinstance(f, MatRing):
+        row = f.row_space(a)
+        return f.field, f.n, f.rank(a), gf_nullspace(f.field, row, f.n), f.column_space(a), row
+    return f, 1, int(a != 0), None, None, None
+
+
+def cell_classes(ring, dec):
+    """Per cell, the factor classes of its representative element."""
+    factors = ring.factors if isinstance(ring, ProductRing) else [ring]
+    out = []
+    for rep in dec.reps.tolist():
+        element = ring.element(rep)
+        components = element if isinstance(ring, ProductRing) else (element,)
+        out.append([factor_class(f, a) for f, a in zip(factors, components)])
     return out
 
 
-def left_kills_by_pairs(field, width, classes, x, y) -> bool:
+def all_cell_keys(ring):
+    """(rank, row space, column space) per factor for every class but the
+    all-zero and the all-unit one, rebuilt from `_all_subspaces`."""
+    per_factor = []
+    for f in ring.factors if isinstance(ring, ProductRing) else [ring]:
+        if isinstance(f, MatRing):
+            spaces = [list(_all_subspaces(f.field, f.n, r)) for r in range(f.n + 1)]
+            per_factor.append([(r, row, col) for r, s in enumerate(spaces) for row in s for col in s])
+        else:
+            per_factor.append([(0, None, None), (1, None, None)])
+    return list(itertools.product(*per_factor))[1:-1]
+
+
+def left_kills_by_pairs(x, y) -> bool:
     """Does x * y = 0 hold in one factor, at class level: the pairwise
     span check the closed route's tables replace."""
-    if x == "0" or y == "0":
+    field, n, rank_x, kernel, _, _ = x
+    _, _, rank_y, _, col, _ = y
+    if rank_x == 0 or rank_y == 0:
         return True
-    if x == "u" or y == "u":
+    if rank_x == n or rank_y == n:
         return False
-    return gf_span_contains(field, classes[x][1], classes[y][2], width)
+    return gf_span_contains(field, kernel, col, n)
 
 
-def factors_of(ring):
-    """(field, n, proper classes by label) per factor; fields are n = 1."""
-    return [
-        (f.field, f.n, factor_classes(f.field, f.n)) if isinstance(f, MatRing) else (f, 1, {})
-        for f in (ring.factors if isinstance(ring, ProductRing) else [ring])
-    ]
-
-
-def closed_h_by_pairs(ring, labels):
-    factors = factors_of(ring)
-    combos = [label.strip("()").split(",") for label in labels]
-    assert all(len(c) == len(factors) for c in combos)
-    m = len(combos)
+def closed_h_by_pairs(classes):
+    m = len(classes)
     h = np.zeros((m, m), dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
-            left = all(
-                left_kills_by_pairs(field, n, classes, combos[i][k], combos[j][k])
-                for k, (field, n, classes) in enumerate(factors)
-            )
-            right = left or all(
-                left_kills_by_pairs(field, n, classes, combos[j][k], combos[i][k])
-                for k, (field, n, classes) in enumerate(factors)
-            )
-            h[i, j] = h[j, i] = left or right
+            left = all(map(left_kills_by_pairs, classes[i], classes[j]))
+            h[i, j] = h[j, i] = left or all(map(left_kills_by_pairs, classes[j], classes[i]))
     return h
+
+
+def cell_keys(classes):
+    return [tuple((rank, row, col) for _, _, rank, _, col, row in cell) for cell in classes]
 
 
 @pytest.mark.parametrize(
@@ -674,24 +674,27 @@ def closed_h_by_pairs(ring, labels):
     ],
 )
 def test_closed_h_equals_pairwise_span_checks(spec):
+    # each cell's factor classes are read off its representative by
+    # elimination: every class but 0 and the units once, in ascending
+    # order of the representatives, with H from pairwise span checks
     ring = parse_ring_spec(spec)
     dec = decomposition_semisimple_closed(ring)
-    expected = [
-        "(" + ",".join(combo) + ")" if len(combo) > 1 else combo[0]
-        for combo in itertools.product(*[["0", *classes, "u"] for _, _, classes in factors_of(ring)])
-    ][1:-1]
-    assert dec.labels == expected
-    assert np.array_equal(dec.h_adjacency, closed_h_by_pairs(ring, expected))
+    classes = cell_classes(ring, dec)
+    assert sorted(cell_keys(classes), key=repr) == sorted(all_cell_keys(ring), key=repr)
+    assert (np.diff(dec.reps) > 0).all()
+    assert np.array_equal(dec.h_adjacency, closed_h_by_pairs(classes))
 
 
 def test_closed_m4_f2_spectra():
     # 45,375 vertices in 1,675 classes: no enumeration, only the traces
     # and the length are checked
-    dec = decomposition_semisimple_closed(parse_ring_spec("M(4,GF(2))"))
-    proper = factor_classes(GF(2), 4)
-    assert dec.class_count == len(proper) == class_count_matrix(4, 2) == 1675
-    assert dec.labels == list(proper)
-    ranks = [proper[label][0] for label in dec.labels]
+    ring = parse_ring_spec("M(4,GF(2))")
+    dec = decomposition_semisimple_closed(ring)
+    classes = cell_classes(ring, dec)
+    assert dec.class_count == class_count_matrix(4, 2) == 1675
+    assert sorted(cell_keys(classes)) == sorted(all_cell_keys(ring))
+    assert (np.diff(dec.reps) > 0).all()
+    ranks = [cell[0][2] for cell in classes]
     assert dec.sizes.tolist() == [gl_order(r, 2) for r in ranks]
     adj, lap = spectrum_pair(dec)
     assert len(adj) == len(lap) == dec.order == 45375
