@@ -2,8 +2,8 @@
 
 The graph of a ring decomposes as a generalized join over its compressed
 graph of associate (or equal-neighborhood) classes; spectra assemble
-from the cells plus two small quotient matrices and are verified against
-a dense LAPACK eigendecomposition of the whole graph.
+from the cells plus one small quotient matrix per flavor and are verified
+against a dense LAPACK eigendecomposition of the whole graph.
 """
 
 from .classes import (
@@ -65,8 +65,7 @@ from .spectra import (
     fiedler_check,
     fiedler_combine,
     multiset_equal,
-    quotient_adjacency,
-    quotient_laplacian,
+    quotient_matrix,
     ring_join_decomposition,
     verify_ring,
 )

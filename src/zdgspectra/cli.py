@@ -39,10 +39,10 @@ from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_js
 from .rings import EnumerationCapError, RingError, Zn, parse_ring_spec
 from .spectra import (
     DEFAULT_TOL,
+    FLAVORS,
     DecompositionError,
     LiftError,
     LiftVerificationError,
-    ShiftLemmaError,
     assemble_spectrum,
     brute_spectrum,
     duplicate_lift,
@@ -120,7 +120,7 @@ def _tolerance(text: str) -> float:
 
 def _flavors(args) -> list[str]:
     if args.flavor == "both":
-        return ["adjacency", "laplacian"]
+        return list(FLAVORS)
     return [args.flavor]
 
 
@@ -385,7 +385,7 @@ def _build_parser() -> _Parser:
     p_spectrum = sub.add_parser("spectrum", help="assembled and/or brute-force spectra")
     common(p_spectrum, formats=("json", "csv", "runs"))
     p_spectrum.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p_spectrum.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
+    p_spectrum.add_argument("--flavor", choices=(*FLAVORS, "both"), default="both")
     p_spectrum.add_argument("--method", choices=("join", "brute", "both"), default="join")
     p_spectrum.set_defaults(handler=_run_spectrum)
 
@@ -405,7 +405,7 @@ def _build_parser() -> _Parser:
     common(p_verify)
     p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_verify.add_argument("--sweep", help='the rings Z_lo..Z_hi, as "Zn:lo..hi" (e.g. "Zn:6..200") or "Zn:n"')
-    p_verify.add_argument("--flavor", choices=("adjacency", "laplacian", "both"), default="both")
+    p_verify.add_argument("--flavor", choices=(*FLAVORS, "both"), default="both")
     p_verify.set_defaults(handler=_run_verify)
 
     p_lift = sub.add_parser("lift", help="duplicate a matrix index and track an eigenpair")
@@ -437,7 +437,6 @@ def main(argv=None) -> int:
         RingError,
         LiftError,
         DecompositionError,
-        ShiftLemmaError,
         np.linalg.LinAlgError,
         ValueError,
     ) as exc:

@@ -1,17 +1,19 @@
 """Small number-theory helpers: primality, factorization, divisors, Euler phi.
 
 `is_prime` is Miller-Rabin to the prime bases 2..37: exact below 3.3e24,
-far past the 2^63 that `Ring.class_table` accepts.  `factorize`
-trial-divides below 1,000 only and splits the rest by Pollard's rho with
-Brent's cycle search (Brent 1980), so a large prime factor costs
-milliseconds, not a trial division up to its root.
+far past the 2^63 that `Ring.class_table` accepts.  `factorize` divides
+out the primes below 1,000 that one gcd finds and splits the rest by
+Pollard's rho with Brent's cycle search (Brent 1980), so a large prime
+factor costs milliseconds, not a trial division up to its root.
 """
 from __future__ import annotations
 
 from itertools import count
-from math import gcd
+from math import gcd, isqrt, prod
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1))]  # 168 of them
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
@@ -57,16 +59,18 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 2 as ordered (prime, exponent) pairs."""
     if n < 2:
         raise ValueError("factorize needs n >= 2")
-    out, f = {}, 2
-    while f < 1000 and f * f <= n:
-        while n % f == 0:
-            n //= f
-            out[f] = out.get(f, 0) + 1
-        f += 1 if f == 2 else 2
+    out, small = {}, gcd(n, _SMALL_PRODUCT)  # the product of n's primes below 1,000
+    for p in _SMALL_PRIMES:
+        if p > small or p * p > n:  # no prime of small is left, or n is 1 or prime
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        small //= gcd(small, p)
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
-        if m < f * f or is_prime(m):  # every factor of m is f or more
+        if m < 1009 * 1009 or is_prime(m):  # every factor of m is 1009 or more
             out[m] = out.get(m, 0) + 1
         else:
             d = _rho(m)

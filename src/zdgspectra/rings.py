@@ -578,9 +578,17 @@ class MatRing(Ring):
 
     @cached_property
     def _field_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The field's q x q mul and add tables on codes, built once per ring."""
-        F, codes = self.field, range(self.field.q)
-        mul, add = (np.array([[op(x, y) for y in codes] for x in codes]) for op in (F.mul, F.add))
+        """The field's q x q mul and add tables on codes, built once per ring:
+        exp[log x + log y] off row and column 0, and each base-p digit added
+        mod p.  Indices and digits are int32, to halve the q x q temporaries."""
+        F = self.field
+        log = np.array(F._log, dtype=np.int32)
+        mul = np.array(F._exp, dtype=np.int64)[log[:, None] + log]
+        mul[0] = mul[:, 0] = 0
+        add = np.zeros((F.q, F.q), dtype=np.int64)
+        for w in (F.p ** np.arange(F.k)).tolist():
+            digit = np.arange(F.q, dtype=np.int32) // w % F.p
+            add += (digit[:, None] + digit) % F.p * w
         return mul, add
 
     def _dot(self, a, b) -> np.ndarray:

@@ -2,18 +2,17 @@
 
 The compressed graph of Gamma(R) under ~ (or under equal neighborhoods)
 is a graph H on the classes; Gamma(R) is the generalized join over H of
-the induced class subgraphs, each complete or edgeless.  The adjacency
-and Laplacian spectra then split into values inherited from the cells
-and the eigenvalues of two small quotient matrices:
-
-    C_A[i][i] = r_i             C_A[i][j] = +sqrt(n_i n_j) on H-edges
-    C_N[i][i] = N_i             C_N[i][j] = -sqrt(n_i n_j) on H-edges
-
-with n_i the cell size, r_i its inner regularity (n_i - 1 if complete,
-else 0) and N_i the total size of its H-neighborhood (`neighbor_weights`);
-`quotient_adjacency` and `quotient_laplacian` return them as m x m
-arrays.  A complete cell contributes -1 (adjacency) and N_i + n_i
-(Laplacian), each n_i - 1 times; a null cell contributes 0 and N_i.
+the induced class subgraphs, each complete or edgeless.  Both spectra
+follow from one lemma (the equitable-partition form of the join:
+Cardoso, de Freitas, Martins and Robbiano, Discrete Math. 2013): the
+matrix that is f(c(u), c(v)) off its diagonal and g(c(u)) on it, c(u)
+the cell of vertex u, has the eigenvalues g_i - f_ii, n_i - 1 times per
+cell, and those of the m x m quotient with entries sqrt(n_i n_j) f_ij and
+g_i + (n_i - 1) f_ii on its diagonal.  Each flavor is one (f, g) entry
+of `FLAVORS`, f a multiple of the class table (diagonal: the complete
+cells; off it: H): adjacency is (table, 0) and the Laplacian (-table, d),
+d_i = N_i + (n_i - 1) complete_i being the vertex degree and N_i the
+total size of the cell's H-neighborhood.
 Everything is verified against a dense eigensolver oracle.
 
 A decomposition holds its cells as aligned arrays and comes from one of
@@ -57,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -106,19 +105,16 @@ class JoinDecomposition:
 
     relation: str
     sizes: np.ndarray  # int64, n_i
-    table: InitVar[np.ndarray]
+    table: np.ndarray  # bool, symmetric
     ring: Ring = field(repr=False)
     reps: np.ndarray = field(repr=False)  # int64, the element index of each cell's smallest member
     cell_of: np.ndarray | None = None  # intp, the cell of each vertex
-    complete: np.ndarray = field(init=False)  # bool, one per cell
-    h_adjacency: np.ndarray = field(init=False)  # symmetric, no self-loops
-    neighbor_weights: np.ndarray = field(init=False)  # int64, N_i = sum of n_j over H-neighbors
+    complete: np.ndarray = field(init=False)  # bool, one per cell: the table's diagonal
+    degrees: np.ndarray = field(init=False)  # int64, d_i = N_i + (n_i - 1) complete_i: each vertex's degree
 
-    def __post_init__(self, table):
-        self.complete = table.diagonal().copy()
-        self.h_adjacency = table.copy()
-        np.fill_diagonal(self.h_adjacency, False)
-        self.neighbor_weights = self.h_adjacency @ self.sizes
+    def __post_init__(self):
+        self.complete = self.table.diagonal()
+        self.degrees = self.table @ self.sizes - self.complete
 
     @cached_property
     def labels(self) -> list[str]:
@@ -291,10 +287,9 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     # a cell of two or more vertices is complete when its representative
     # meets its second member; singletons are both complete and edgeless,
     # so they keep the claimed kind, which does not affect assembly
-    complete = np.array([kind == "complete" for kind in kinds], dtype=bool)
-    multi = sizes > 1
-    complete[multi] = adj[reps[multi], order[starts[multi] + 1]]
-    np.fill_diagonal(table, complete)
+    np.fill_diagonal(table, [kind == "complete" for kind in kinds])
+    multi = np.flatnonzero(sizes > 1)
+    table[multi, multi] = adj[reps[multi], order[starts[multi] + 1]]
     dec = JoinDecomposition(partition.relation, sizes, table, graph.ring, graph.element_index[reps], cell_of)
 
     mismatch = blow_up(dec)
@@ -304,7 +299,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
         u, v = np.nonzero(mismatch)
         bad = np.zeros(table.shape, dtype=bool)
         bad[cell_of[u], cell_of[v]] = True
-    for i, (claimed, size, is_complete) in enumerate(zip(kinds, sizes.tolist(), complete.tolist())):
+    for i, (claimed, size, is_complete) in enumerate(zip(kinds, sizes.tolist(), dec.complete.tolist())):
         kind = "complete" if is_complete else "null"
         if bad is not None and bad[i, i]:
             raise DecompositionError(
@@ -327,73 +322,68 @@ def blow_up(dec: JoinDecomposition) -> np.ndarray:
     """Reconstruct the full adjacency matrix from the decomposition.
 
     The result is laid out on the graph's vertices through `cell_of`, or
-    in cell order when that is None (the closed route).  H fills the
-    off-diagonal blocks and `complete` each cell's own block, with one
-    gather per axis (columns first, so the rows come out C-contiguous like
-    the graph's adjacency); the diagonal is False.  `decompose` checks
-    every graph-route result against its adjacency this way."""
+    in cell order when that is None (the closed route), with one gather of
+    the class table per axis (columns first, so the rows come out
+    C-contiguous like the graph's adjacency); the diagonal is False.
+    `decompose` checks every graph-route result against its adjacency
+    this way."""
     cell_of = dec.cell_of
     if cell_of is None:
         cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)
-    pattern = dec.h_adjacency.copy()
-    np.fill_diagonal(pattern, dec.complete)
-    out = pattern.take(cell_of, axis=1).take(cell_of, axis=0)
+    out = dec.table.take(cell_of, axis=1).take(cell_of, axis=0)
     np.fill_diagonal(out, False)
     return out
 
 
-def _quotient_entries(dec: JoinDecomposition, diagonal, sign: float) -> np.ndarray:
-    """sign * sqrt(n_i n_j) on the H-edges, the given diagonal, 0 elsewhere.
-
-    The size products are exact int64 and both the int-to-float cast and
-    sqrt are correctly rounded, so every entry equals math.sqrt of the
-    Python integer product bit for bit."""
-    m = dec.class_count
-    i, j = np.nonzero(dec.h_adjacency)
-    c = np.zeros((m, m))
-    c[i, j] = sign * np.sqrt(dec.sizes[i] * dec.sizes[j])
-    np.fill_diagonal(c, diagonal)
-    return c
+# flavor -> (f, g) on a decomposition, as in the module docstring
+FLAVORS = {
+    "adjacency": lambda dec: (dec.table, 0),
+    "laplacian": lambda dec: (-1 * dec.table, dec.degrees),
+}
 
 
-def quotient_adjacency(dec: JoinDecomposition) -> np.ndarray:
-    regularity = np.where(dec.complete, dec.sizes - 1, 0)  # r_i
-    return _quotient_entries(dec, regularity, 1.0)
+def _join_parts(dec: JoinDecomposition, flavor: str) -> tuple[np.ndarray, np.ndarray]:
+    """The lemma's quotient and each cell's inherited value, both diagonals
+    integers until their one cast.  The size products are float64: each is
+    the correctly rounded int64 product, with no overflow past 2^63.  f is
+    an integer, so a zero entry is +0.0, never -0.0."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor '{flavor}'")
+    f, g = FLAVORS[flavor](dec)
+    f_diag = f.diagonal()
+    inherited = g - f_diag
+    quotient = np.sqrt(np.multiply.outer(dec.sizes, dec.sizes, dtype=np.float64)) * f
+    np.fill_diagonal(quotient, inherited + dec.sizes * f_diag)
+    return quotient, inherited
 
 
-def quotient_laplacian(dec: JoinDecomposition) -> np.ndarray:
-    return _quotient_entries(dec, dec.neighbor_weights, -1.0)
+def quotient_matrix(dec: JoinDecomposition, flavor: str) -> np.ndarray:
+    return _join_parts(dec, flavor)[0]
 
 
-def _assemble(dec: JoinDecomposition, inherited, quotient) -> SpectrumMultiset:
+def _assemble(dec: JoinDecomposition, flavor: str) -> SpectrumMultiset:
     """One run per cell of two or more vertices (its inherited value, n_i - 1
-    times) and one per eigenvalue of the quotient matrix, built as Python
-    lists from `inherited`, which maps (complete, n_i, N_i) to a cell's
-    value.  The stable sort keeps the cell runs ahead of equal quotient
-    values, which is the tie order that sorting the per-vertex values gives."""
+    times) and one per eigenvalue of the quotient matrix.  The stable sort
+    keeps the cell runs ahead of equal quotient values, which is the tie
+    order that sorting the per-vertex values gives."""
+    quotient, inherited = _join_parts(dec, flavor)
     sizes = dec.sizes.tolist()
-    cells = zip(dec.complete.tolist(), sizes, dec.neighbor_weights.tolist())
-    runs = [(inherited(*cell), cell[1] - 1, "cell-inherited") for cell in cells if cell[1] > 1]
+    runs = [(float(v), n - 1, "cell-inherited") for v, n in zip(inherited.tolist(), sizes) if n > 1]
     if sizes:
-        runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient(dec))]
+        runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient)]
     runs.sort(key=lambda run: run[0])
     spectrum = SpectrumMultiset(runs)
     assert len(spectrum) == sum(sizes)
     return spectrum
 
 
+# perfbench's tracer wraps these two names for its assemble span
 def assemble_adjacency_spectrum(dec: JoinDecomposition) -> SpectrumMultiset:
-    """Cell-inherited values (-1 per complete cell, 0 per null cell, each
-    n_i - 1 times) together with the eigenvalues of C_A."""
-    return _assemble(dec, lambda complete, n, big_n: -1.0 if complete else 0.0, quotient_adjacency)
+    return _assemble(dec, "adjacency")
 
 
 def assemble_laplacian_spectrum(dec: JoinDecomposition) -> SpectrumMultiset:
-    """Cell-inherited values (N_i + n_i per complete cell, N_i per null
-    cell, each n_i - 1 times) together with the eigenvalues of C_N."""
-    return _assemble(
-        dec, lambda complete, n, big_n: float(big_n + n if complete else big_n), quotient_laplacian
-    )
+    return _assemble(dec, "laplacian")
 
 
 def assemble_spectrum(dec: JoinDecomposition, flavor: str) -> SpectrumMultiset:
@@ -401,7 +391,7 @@ def assemble_spectrum(dec: JoinDecomposition, flavor: str) -> SpectrumMultiset:
         return assemble_adjacency_spectrum(dec)
     if flavor == "laplacian":
         return assemble_laplacian_spectrum(dec)
-    raise ValueError(f"unknown flavor '{flavor}'")
+    return _assemble(dec, flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +507,7 @@ def verify_ring(
     ring: Ring,
     relation: str = "associate",
     tol: float = DEFAULT_TOL,
-    flavors=("adjacency", "laplacian"),
+    flavors=tuple(FLAVORS),
     element_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> VerifyOutcome:

@@ -94,7 +94,7 @@ def test_graph_route_matches_definition_and_oracles(factors):
 
     # the closed route lists the associate classes in the graph route's order
     closed, dec = decomposition_semisimple_closed(ring), graph_route["associate"]
-    for name in ("sizes", "complete", "h_adjacency"):
+    for name in ("sizes", "complete", "table"):
         assert np.array_equal(getattr(closed, name), getattr(dec, name)), (spec, name)
     assert closed.labels == dec.labels, spec
     for flavor in FLAVORS:

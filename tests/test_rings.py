@@ -1,5 +1,6 @@
 """Ring construction, arithmetic axioms, and the spec-string parser."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -237,6 +238,17 @@ def test_prime_field_modulus_needs_no_scan():
         assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256])
+def test_matring_field_tables_equal_the_field_arithmetic(q):
+    # the tables are gathers on the log tables and digit sums: check them
+    # against one call of the field's own mul and add per pair
+    field = GF(*numth.prime_power(q))
+    mul, add = MatRing(1, field)._field_tables
+    for table, op in ((mul, field.mul), (add, field.add)):
+        expected = np.array([[op(x, y) for y in range(q)] for x in range(q)])
+        assert table.dtype == expected.dtype and np.array_equal(table, expected), op.__name__
+
+
 def test_matring_basics():
     ring = MatRing(2, GF(2))
     e11 = ((1, 0), (0, 0))
@@ -419,6 +431,13 @@ def test_factorize_splits_large_prime_factors():
     assert numth.factorize(p * q) == [(p, 1), (q, 1)]
     assert numth.factorize(p * p) == [(p, 2)]
     assert numth.factorize(3 * 5 * p * q * q) == [(3, 1), (5, 1), (p, 1), (q, 2)]
+    # one gcd finds the primes below 1,000; a cofactor below 1009^2 is prime
+    assert numth.factorize(6 * 1018057) == [(2, 1), (3, 1), (1018057, 1)]  # the last prime below 1009^2
+    assert numth.factorize(2 * 1009**2) == [(2, 1), (1009, 2)]
+    assert numth.factorize(2 * 1009 * 1013) == [(2, 1), (1009, 1), (1013, 1)]
+    assert numth.factorize(997**3 * 1018057) == [(997, 3), (1018057, 1)]
+    fifteen = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 997, 1009, p]
+    assert numth.factorize(math.prod(fifteen)) == [(f, 1) for f in fifteen]
     assert numth.is_prime(2**61 - 1) and not numth.is_prime(p * q)
     assert numth.divisors(p * q) == [1, p, q, p * q]
 

@@ -17,9 +17,16 @@ formulas of `counts`.  Only `cli.main` formats a report as JSON or CSV;
 the verbs' handlers return theirs.  Each CLI input has one spelling: a
 `cli.py` that reads the environment or an exception's `__cause__`, or a
 `--sweep` parser that builds a ring from a spec of its own, fails here.
+The flavor names are listed once, as the keys of `spectra.FLAVORS`: the
+CLI's choices read them, and the schema's one flavor def must equal them.
 """
+import argparse
 import ast
+import json
 from pathlib import Path
+
+from zdgspectra import cli
+from zdgspectra.spectra import FLAVORS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zdgspectra"
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
@@ -268,3 +275,22 @@ def test_one_closed_form_per_count():
     graph = ast.parse((PACKAGE / "graph.py").read_text())
     imports = [n for n in ast.walk(graph) if isinstance(n, ast.ImportFrom)]
     assert "numth" not in {alias.name for n in imports for alias in n.names} | {n.module for n in imports}
+
+
+def test_one_list_of_flavors():
+    # a flavor name spelled in the CLI or the schema would be a second list
+    # to keep in step with the table the assembly reads
+    verbs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for verb in ("spectrum", "verify"):
+        flavor = next(a for a in verbs.choices[verb]._actions if a.dest == "flavor")
+        assert list(flavor.choices) == [*FLAVORS, "both"], verb
+    schema = (PACKAGE / "schemas" / "report.schema.json").read_text()
+    assert json.loads(schema)["$defs"]["flavor"] == {"enum": list(FLAVORS)}
+    for name in FLAVORS:
+        assert schema.count(f'"{name}"') == 1, name  # the reports' flavors all refer to that def
+    literals = [
+        node.value
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert [s for s in literals if "adjacency" in s or "laplacian" in s] == []

@@ -33,6 +33,7 @@ from zdgspectra.rings import (
     parse_ring_spec,
 )
 from zdgspectra.spectra import (
+    FLAVORS,
     DecompositionError,
     LiftError,
     LiftInapplicableError,
@@ -54,8 +55,7 @@ from zdgspectra.spectra import (
     fiedler_combine,
     laplacian_matrix,
     multiset_equal,
-    quotient_adjacency,
-    quotient_laplacian,
+    quotient_matrix,
     ring_join_decomposition,
     spectrum_pair,
     verify_ring,
@@ -73,6 +73,18 @@ def decomposition_of(spec, relation="associate"):
 
 def cell_kinds(dec):
     return ["complete" if c else "null" for c in dec.complete.tolist()]
+
+
+def h_adjacency(dec):
+    """H: the class table off its diagonal."""
+    h = dec.table.copy()
+    np.fill_diagonal(h, False)
+    return h
+
+
+def neighbor_weights(dec):
+    """N_i, the total size of cell i's H-neighborhood, read off the degrees."""
+    return (dec.degrees - (dec.sizes - 1) * dec.complete).tolist()
 
 
 def regularity(dec):
@@ -105,10 +117,10 @@ def test_zn8_decomposition_and_quotients():
         (2, "null", 0),
         (1, "complete", 0),
     ]
-    assert dec.neighbor_weights.tolist() == [1, 2]
-    ca = quotient_adjacency(dec)
+    assert neighbor_weights(dec) == [1, 2]
+    ca = quotient_matrix(dec, "adjacency")
     assert ca == pytest.approx(np.array([[0, math.sqrt(2)], [math.sqrt(2), 0]]))
-    cn = quotient_laplacian(dec)
+    cn = quotient_matrix(dec, "laplacian")
     assert cn == pytest.approx(np.array([[1, -math.sqrt(2)], [-math.sqrt(2), 2]]))
     # C_N of a connected join always has eigenvalue 0; here the other is 3
     import numpy.linalg as la
@@ -126,7 +138,7 @@ def test_zn18_decomposition():
     assert size["6"] == 2 and kind["6"] == "complete"
     assert size["9"] == 1
     # H-edges: 2-9, 3-6, 6-9 (products divisible by 18)
-    h = dec.h_adjacency
+    h = h_adjacency(dec)
     assert h[idx["2"], idx["9"]] and h[idx["3"], idx["6"]] and h[idx["6"], idx["9"]]
     assert not h[idx["2"], idx["3"]] and not h[idx["2"], idx["6"]]
     assert not h[idx["3"], idx["9"]]
@@ -136,7 +148,7 @@ def test_complete_cell_regularity():
     dec = decomposition_of("Zn(16)")
     kind = dict(zip(dec.labels, cell_kinds(dec)))
     # r_i is the diagonal of C_A
-    r = dict(zip(dec.labels, np.diag(quotient_adjacency(dec)).tolist()))
+    r = dict(zip(dec.labels, np.diag(quotient_matrix(dec, "adjacency")).tolist()))
     # the class of 4 is {4, 12} with 4*12 = 48 = 0 mod 16: complete, K_2
     assert kind["4"] == "complete"
     assert r["4"] == 1
@@ -394,8 +406,8 @@ def test_decompose_equals_the_per_block_reference(specs):
                 ]
                 cells = list(zip(dec.sizes.tolist(), cell_kinds(dec), dec.labels, members))
                 assert cells == expected[0], (spec, relation)
-                assert np.array_equal(dec.h_adjacency, expected[1]), (spec, relation)
-                assert dec.neighbor_weights.tolist() == expected[2], (spec, relation)
+                assert np.array_equal(h_adjacency(dec), expected[1]), (spec, relation)
+                assert neighbor_weights(dec) == expected[2], (spec, relation)
                 outcomes.add("ok")
     if len(specs) > 1:
         assert outcomes == {"ok", "neither", "claimed", "not constant"}, outcomes
@@ -420,7 +432,7 @@ def test_decompose_peak_memory_is_one_adjacency(spec):
 def test_field_decomposes_to_no_cells(spec):
     for relation in ("associate", "neighborhood"):
         dec = decomposition_of(spec, relation)
-        assert dec.class_count == 0 and dec.labels == [] and dec.h_adjacency.shape == (0, 0)
+        assert dec.class_count == 0 and dec.labels == [] and dec.table.shape == (0, 0)
         assert blow_up(dec).shape == (0, 0)
 
 
@@ -499,7 +511,7 @@ def test_matrix_ring_spectra_match_brute():
 
 def assert_routes_equal(closed, via_graph, context):
     """Equal cells in equal order, and bit-identical runs, provenance included."""
-    for name in ("sizes", "complete", "h_adjacency"):
+    for name in ("sizes", "complete", "table"):
         assert np.array_equal(getattr(closed, name), getattr(via_graph, name)), (context, name)
     assert closed.labels == via_graph.labels, context
     for a, b in zip(spectrum_pair(closed), spectrum_pair(via_graph)):
@@ -537,9 +549,9 @@ def test_closed_zn_cells_equal_zn_profile():
         assert dec.labels == [str(e.d) for e in profile], n
         cells = list(zip(dec.sizes.tolist(), cell_kinds(dec)))
         assert cells == [(e.size, e.kind) for e in profile], n
-        neighbors = [[profile[j].d for j in np.flatnonzero(row)] for row in dec.h_adjacency]
+        neighbors = [[profile[j].d for j in np.flatnonzero(row)] for row in h_adjacency(dec)]
         assert neighbors == [e.neighbors for e in profile], n
-        assert dec.neighbor_weights.tolist() == [e.big_n for e in profile], n
+        assert neighbor_weights(dec) == [e.big_n for e in profile], n
 
 
 @pytest.mark.parametrize(
@@ -682,7 +694,7 @@ def test_closed_h_equals_pairwise_span_checks(spec):
     classes = cell_classes(ring, dec)
     assert sorted(cell_keys(classes), key=repr) == sorted(all_cell_keys(ring), key=repr)
     assert (np.diff(dec.reps) > 0).all()
-    assert np.array_equal(dec.h_adjacency, closed_h_by_pairs(classes))
+    assert np.array_equal(h_adjacency(dec), closed_h_by_pairs(classes))
 
 
 def test_closed_m4_f2_spectra():
@@ -896,7 +908,7 @@ def per_vertex_reference(dec, flavor):
     solves the quotient with the same solver as `_assemble`, so that the
     comparison is about how runs expand, not about the eigensolver."""
     pairs = []
-    weights = dec.neighbor_weights.tolist()
+    weights = neighbor_weights(dec)
     for size, kind, big_n in zip(dec.sizes.tolist(), cell_kinds(dec), weights):
         complete = kind == "complete"
         if flavor == "adjacency":
@@ -904,9 +916,8 @@ def per_vertex_reference(dec, flavor):
         else:
             inherited = float(big_n + size) if complete else float(big_n)
         pairs.extend((inherited, "cell-inherited") for _ in range(size - 1))
-    quotient = quotient_adjacency if flavor == "adjacency" else quotient_laplacian
     if dec.class_count:
-        pairs.extend((v, "quotient") for v in dense_eigenvalues(quotient(dec)))
+        pairs.extend((v, "quotient") for v in dense_eigenvalues(quotient_matrix(dec, flavor)))
     return spectrum_from_pairs(pairs)
 
 
@@ -940,15 +951,26 @@ def test_quotient_runs_certified_by_lifted_residuals():
         cell_of = dec.cell_of
         if cell_of is None:
             cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)
-        for flavor, quotient, full in (
-            ("adjacency", quotient_adjacency, adj.astype(float)),
-            ("laplacian", quotient_laplacian, laplacian_of(adj)),
-        ):
+        for flavor, full in (("adjacency", adj.astype(float)), ("laplacian", laplacian_of(adj))):
             ours = [v for v, _, tag in assemble_spectrum(dec, flavor).runs if tag == "quotient"]
-            _, y = np.linalg.eigh(quotient(dec))
+            _, y = np.linalg.eigh(quotient_matrix(dec, flavor))
             x = y[cell_of] / np.sqrt(dec.sizes[cell_of])[:, None]
             residual, loss = certificate(full, x, ours)
             assert residual <= 1e-9 and loss <= 1e-12, (dec.labels[0], flavor, residual, loss)
+
+
+def test_assembly_takes_a_flavor_neither_route_uses(monkeypatch):
+    # the signless Laplacian D + A is the entry (table, degrees): no
+    # flavor of the package has f = table with a nonzero g, so this checks
+    # the lemma's general (f, g) form against a solve of the whole matrix
+    monkeypatch.setitem(FLAVORS, "signless", lambda dec: (dec.table, dec.degrees))
+    for dec, adj in run_form_decompositions():
+        full = np.diag(adj.sum(axis=1)).astype(float) + adj
+        ours = assemble_spectrum(dec, "signless")
+        assert len(ours) == dec.order, dec.labels[0]
+        expected = np.linalg.eigvalsh(full).tolist()
+        dev = max((abs(a - b) for a, b in zip(ours.values, expected)), default=0.0)
+        assert dev <= 1e-9, (dec.labels[0], dev)
 
 
 def test_closed_route_runs_scale_with_class_count():
@@ -959,7 +981,7 @@ def test_closed_route_runs_scale_with_class_count():
     m = dec.class_count
     edges2 = sum(
         n * (w + r)
-        for n, w, r in zip(dec.sizes.tolist(), dec.neighbor_weights.tolist(), regularity(dec))
+        for n, w, r in zip(dec.sizes.tolist(), neighbor_weights(dec), regularity(dec))
     )
     assert len(adj) == len(lap) == 2**23 - 1
     assert len(adj.runs) <= 2 * m and len(lap.runs) <= 2 * m
@@ -971,14 +993,15 @@ def quotient_by_loops(dec, flavor):
     m = dec.class_count
     sizes = dec.sizes.tolist()
     r = regularity(dec)
+    weights = neighbor_weights(dec)
     c = np.zeros((m, m))
     for i in range(m):
         if flavor == "adjacency":
             c[i, i] = r[i]
         else:
-            c[i, i] = dec.neighbor_weights[i]
+            c[i, i] = weights[i]
         for j in range(i + 1, m):
-            if dec.h_adjacency[i, j]:
+            if dec.table[i, j]:
                 root = math.sqrt(sizes[i] * sizes[j])
                 c[i, j] = c[j, i] = root if flavor == "adjacency" else -root
     return c
@@ -992,13 +1015,13 @@ def test_quotients_equal_loop_formula_bit_for_bit():
     ):
         sizes = dec.sizes.tolist()
         weights = [
-            int(sum(sizes[j] for j in range(dec.class_count) if dec.h_adjacency[i, j]))
+            int(sum(sizes[j] for j in range(dec.class_count) if j != i and dec.table[i, j]))
             for i in range(dec.class_count)
         ]
-        assert dec.neighbor_weights.tolist() == weights
-        for flavor, quotient in (("adjacency", quotient_adjacency), ("laplacian", quotient_laplacian)):
+        assert neighbor_weights(dec) == weights
+        for flavor in ("adjacency", "laplacian"):
             # compare bit patterns, so that -0.0 against 0.0 counts too
-            ours = quotient(dec).view(np.uint64)
+            ours = quotient_matrix(dec, flavor).view(np.uint64)
             assert np.array_equal(ours, quotient_by_loops(dec, flavor).view(np.uint64)), flavor
 
 
