@@ -12,7 +12,6 @@ from .classes import (
     classes_annihilator,
     classes_for,
     classes_neighborhood,
-    partitions_equal,
 )
 from .counts import (
     BooleanSkeleton,

@@ -93,10 +93,6 @@ def _partition(relation, keys, kind) -> ClassPartition:
     return ClassPartition(relation, cell_of, [kind(i) for i in first.tolist()])
 
 
-def partitions_equal(p: ClassPartition, q: ClassPartition) -> bool:
-    return np.array_equal(p.cell_of, q.cell_of)
-
-
 def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
     """Partition by equal open neighborhoods.
 

@@ -3,8 +3,9 @@
 `zdg spectrum --format runs` prints each spectrum as its runs
 [value, multiplicity, provenance], in JSON, so its size grows with the
 class count; the json and csv formats print one value per eigenvalue
-and refuse a graph of more than MAX_PRINTED_VALUES vertices before any
-spectrum is assembled.
+and refuse a graph of more than MAX_PRINTED_VALUES vertices, read off the
+ring's closed vertex count after each route's own refusal and before any
+decomposition or graph is built.
 
 Each verb's handler returns its report as a JSON payload and as a CSV
 header with lazy rows; `main` alone formats one of the two and prints it.
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import counts
 from .classes import classes_for
-from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_json
+from .graph import GraphCapError, build_zdg, check_graph_caps, degree_matring, degree_zn, graph_json
 from .rings import EnumerationCapError, RingError, Zn, parse_ring_spec
 from .spectra import (
     DEFAULT_TOL,
@@ -46,6 +47,7 @@ from .spectra import (
     assemble_spectrum,
     brute_spectrum,
     duplicate_lift,
+    join_route,
     multiset_equal,
     ring_join_decomposition,
     verify_ring,
@@ -158,20 +160,20 @@ def _run_spectrum(args):
     ring = parse_ring_spec(args.ring)
     need_join = args.method in ("join", "both")
     need_brute = args.method in ("brute", "both")
-    dec = None
-    graph = None
+    caps = {"element_cap": args.max_elements, "vertex_cap": args.max_vertices}
+    # each route's refusal first, then the printed size, all before anything is built
     if need_join:
-        dec = ring_join_decomposition(
-            ring, args.relation, element_cap=args.max_elements, vertex_cap=args.max_vertices
-        )
+        join_route(ring, args.relation, **caps)
     if need_brute:
-        graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=args.max_elements)
-    order = dec.order if need_join else graph.order
+        check_graph_caps(ring, **caps)
+    order = ring.vertex_count()
     if args.format != "runs" and order > MAX_PRINTED_VALUES:
         raise RingError(
             f"Gamma({ring.spec_string()}) has {order} eigenvalues per flavor, over the "
             f"{MAX_PRINTED_VALUES} that json and csv print; --format runs prints them as runs"
         )
+    dec = ring_join_decomposition(ring, args.relation, **caps) if need_join else None
+    graph = build_zdg(ring, **caps) if need_brute else None
 
     reports = []
     mismatch = False

@@ -164,14 +164,7 @@ def zn_profile(n: int) -> ZnProfile:
 @dataclass(frozen=True)
 class SemisimpleProfile:
     """A class of zero-divisors in prod_k M_{n_k}(F_{q_k}), recorded as the
-    tuple of component ranks (field factors have n_k = 1, rank 0 or 1).
-
-    Index sets over the factor positions:
-      I1 = invertible components (r_k = n_k),
-      I2 = zero components (r_k = 0),
-      I3 = proper components (everything else),
-      I4 = nonzero components (I1 union I3).
-    """
+    tuple of component ranks (field factors have n_k = 1, rank 0 or 1)."""
 
     factors: tuple[tuple[int, int], ...]  # (n_k, q_k) pairs
     ranks: tuple[int, ...]
@@ -190,24 +183,6 @@ class SemisimpleProfile:
             raise ValueError("all components invertible: not a zero-divisor")
         if all(r == 0 for r in self.ranks):
             raise ValueError("the zero element is not a vertex")
-
-    @property
-    def i1(self):
-        return tuple(k for k, ((n, _), r) in enumerate(zip(self.factors, self.ranks)) if r == n)
-
-    @property
-    def i2(self):
-        return tuple(k for k, r in enumerate(self.ranks) if r == 0)
-
-    @property
-    def i3(self):
-        return tuple(
-            k for k, ((n, _), r) in enumerate(zip(self.factors, self.ranks)) if 0 < r < n
-        )
-
-    @property
-    def i4(self):
-        return tuple(k for k, r in enumerate(self.ranks) if r != 0)
 
 
 def semisimple_class_size(profile: SemisimpleProfile) -> int:

@@ -5,19 +5,26 @@ edge a-b exactly when ab = 0 or ba = 0.  Adjacency is a dense symmetric
 numpy bool matrix with a zero diagonal; vertex order is the canonical
 element order of the ring, so everything downstream is deterministic.
 
-The adjacency comes from the ring's `zero_products` table (ab = 0 for
-every vertex pair at once, built from per-ring lookup tables), OR-ed with
-its transpose when the ring is not commutative.  The table reads the
-vertices' element indices (positions in the ring's `elements()`, kept as
-`element_index`), never a payload.  The table's diagonal is kept as
-`loops`, the vertices that square to 0, before the adjacency's is
-cleared: it marks the vertices inside their own annihilator, and the
-ring is reduced exactly when no vertex has a loop.  The per-element
-annihilator and reducedness definitions that check both are the tests'
-references, in tests/reference.py.  `build_zdg` checks the caller's caps
-before any V x V array exists and caches the graph under the ring
-alone, one graph at a time: every reuse is of the ring just built, so a
-sweep holds one V x V array, not one per ring.
+The graph runs on element indices (positions in the ring's canonical
+element order), never on payloads.  `_build` takes the vertices' indices,
+kept as `element_index`, from the ring's `_unit_mask`: every element but
+0 and the units.  The adjacency comes from the ring's `zero_products`
+table on those indices (ab = 0 for every vertex pair at once, built from
+per-ring lookup tables), OR-ed with its transpose when the ring is not
+commutative.  The table's diagonal is kept as `loops`, the vertices that
+square to 0, before the adjacency's is cleared: it marks the vertices
+inside their own annihilator, and the ring is reduced exactly when no
+vertex has a loop.  The payloads, `vertices`, are decoded from the
+indices by `ring.element` on first read, for the printed reports and the
+tests; neither the ring nor the graph keeps a payload list otherwise.
+The per-element annihilator and reducedness definitions that check the
+graph are the tests' references, in tests/reference.py.
+
+`build_zdg` checks the caller's caps from closed counts before anything
+of size |R| exists: the element cap from the ring's cardinality, then
+the vertex cap from `vertex_count()`.  It caches the graph under the
+ring alone, one graph at a time: every reuse is of the ring just built,
+so a sweep holds one V x V array, not one per ring.
 """
 from __future__ import annotations
 
@@ -39,16 +46,20 @@ class GraphCapError(RingError):
 @dataclass
 class ZeroDivisorGraph:
     ring: Ring
-    vertices: list
     adjacency: np.ndarray  # bool, symmetric, zero diagonal
-    loops: np.ndarray  # bool, loops[i] exactly when vertices[i] squares to 0
-    element_index: np.ndarray  # int64, the position of vertices[i] in ring.elements()
+    loops: np.ndarray  # bool, loops[i] exactly when vertex i squares to 0
+    element_index: np.ndarray  # int64, ascending: the element index of vertex i
     # flavor -> spectra.brute_spectrum of this graph; empty again after dataclasses.replace
     _oracle: dict = field(repr=False, compare=False, init=False, default_factory=dict)
 
     @property
     def order(self) -> int:
-        return len(self.vertices)
+        return len(self.element_index)
+
+    @cached_property
+    def vertices(self) -> list:
+        """The vertices' payloads, decoded from `element_index` on first read."""
+        return [self.ring.element(i) for i in self.element_index.tolist()]
 
     @property
     def edge_count(self) -> int:
@@ -69,24 +80,33 @@ class ZeroDivisorGraph:
 
 
 def _build(ring: Ring) -> ZeroDivisorGraph:
-    ring.elements(ring.cardinality)  # build_zdg checked the caller's caps
-    _, zd, index = ring._split  # the zero-divisors and their positions in elements()
+    zd = ~ring._unit_mask()  # build_zdg checked the caller's caps
+    zd[0] = False  # element 0 is the zero
+    index = np.flatnonzero(zd)
+    index.flags.writeable = False  # the cached graph is shared
     z = ring.zero_products(index)
     loops = z.diagonal().copy()
     adj = z if ring.commutative else z | z.T
     np.fill_diagonal(adj, False)
-    return ZeroDivisorGraph(ring, list(zd), adj, loops, index)
+    return ZeroDivisorGraph(ring, adj, loops, index)
 
 
 _build_cached = lru_cache(maxsize=1)(_build)
 
 
-def build_zdg(ring: Ring, vertex_cap: int | None = None, element_cap: int | None = None) -> ZeroDivisorGraph:
-    """Construct Gamma(R), cached for the last ring: a cap refuses the graph, it never changes it."""
+def check_graph_caps(ring: Ring, vertex_cap: int | None = None, element_cap: int | None = None) -> None:
+    """Raise the cap error that `build_zdg` raises for these caps, from the
+    ring's cardinality and closed vertex count: nothing is enumerated."""
+    ring.check_element_cap(element_cap)
     vertex_cap = DEFAULT_VERTEX_CAP if vertex_cap is None else vertex_cap
-    m = len(ring.zero_divisors(element_cap))
+    m = ring.vertex_count()
     if m > vertex_cap:
         raise GraphCapError(f"Gamma({ring.spec_string()}) has {m} vertices, over the cap {vertex_cap}")
+
+
+def build_zdg(ring: Ring, vertex_cap: int | None = None, element_cap: int | None = None) -> ZeroDivisorGraph:
+    """Construct Gamma(R), cached for the last ring: a cap refuses the graph, it never changes it."""
+    check_graph_caps(ring, vertex_cap, element_cap)
     return _build_cached(ring)
 
 

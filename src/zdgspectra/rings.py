@@ -5,15 +5,23 @@ ints, matrices are row-major tuples of tuples of field ints, product
 elements are tuples of component payloads.  Each ring object supplies exact
 arithmetic, table-built zero products and associate keys, a class table
 (the associate classes with their sizes, xy = 0 relation and smallest
-members, built without enumerating), unit and zero-divisor enumeration
-and canonical labels for its own payloads.  Element order is always
-lexicographic on the payload, so index 0 is the zero element and
-enumeration is reproducible.  The tables read element indices (positions
-in `elements()`), never payloads: an index is the payload for Z_n and GF,
-the entries' base-q digits for a matrix and the factors' indices in C
-order for a product, and `element(i)` decodes one without enumerating.  A
-matrix ring's element and class tables read one dot product,
-`MatRing._dot`; `gf_rref` serves `rank` and `is_unit`.
+members, built without enumerating), closed counts of its units and
+zero-divisors, unit and zero-divisor enumeration and canonical labels for
+its own payloads.  Element order is always lexicographic on the payload,
+so index 0 is the zero element and enumeration is reproducible.  The
+tables read element indices (positions in `elements()`), never payloads:
+an index is the payload for Z_n and GF, the entries' base-q digits for a
+matrix and the factors' indices in C order for a product, and
+`element(i)` decodes one without enumerating.  A matrix ring's element
+and class tables read one dot product, `MatRing._dot`; `gf_rref` serves
+`rank`.
+
+A ring keeps no payloads unless a caller asks for them: the graph route
+reads `_unit_mask` and the index tables, and its caps read `cardinality`,
+`unit_count()` and `vertex_count()`, which are closed forms (phi(n),
+q - 1, |GL_n(F_q)|, the product over the factors).  Only `elements()`,
+`units()` and `zero_divisors()`, which the tests' references call,
+enumerate the payloads and keep them on the ring.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -123,7 +131,8 @@ def first_seen_ids(keys) -> np.ndarray:
 
 
 class Ring:
-    """Common behavior: cached enumeration, unit/zero-divisor splits."""
+    """Common behavior: closed counts, the caps, and the cached enumeration
+    and unit/zero-divisor splits that only the tests read."""
 
     commutative = True
     cardinality = 0
@@ -183,9 +192,15 @@ class Ring:
         class's smallest member.  The classes come in ascending order of
         reps, the order in which the graph route numbers them, so class 0
         is {0}; the units are the one class whose kill row holds class 0
-        alone.  The zero-divisor classes are counted against
-        CLOSED_CELL_CAP before any table is built, and the size (every
-        element index must fit int64) before the count."""
+        alone.  `check_class_table` refuses the ring first."""
+        self.check_class_table()
+        return self._class_table()
+
+    def check_class_table(self) -> None:
+        """Refuse a ring whose class table the closed route cannot take: its
+        zero-divisor classes are counted against CLOSED_CELL_CAP, and its
+        size (every element index must fit int64) before the count, from
+        closed forms before any table is built."""
         if self.cardinality >= 2**63:
             raise RingError(f"{self.spec_string()} has 2^63 or more elements")
         count = self.class_count() - 2
@@ -194,12 +209,8 @@ class Ring:
                 f"{self.spec_string()}: {count} zero-divisor classes "
                 f"exceed the closed-route cap of {CLOSED_CELL_CAP}"
             )
-        return self._class_table()
 
     def _class_table(self):
-        raise NotImplementedError
-
-    def is_unit(self, a) -> bool:
         raise NotImplementedError
 
     def label(self, a) -> str:
@@ -210,16 +221,31 @@ class Ring:
         without enumerating; Z_n and GF code their elements by index."""
         return i
 
-    def _enumerate(self):
-        return list(range(self.cardinality))
+    def unit_count(self) -> int:
+        """|U(R)|, in closed form: no element is enumerated."""
+        raise NotImplementedError
 
-    def elements(self, cap: int | None = None) -> list:
-        """All elements in canonical (lexicographic) order, zero first."""
+    def vertex_count(self) -> int:
+        """|Z(R)*|, the order of Gamma(R): in a finite ring every nonzero
+        element is a unit or a zero-divisor, so it is |R| - |U(R)| - 1."""
+        return self.cardinality - self.unit_count() - 1
+
+    def check_element_cap(self, cap: int | None = None) -> None:
+        """Refuse a ring of more than `cap` elements (DEFAULT_ELEMENT_CAP when
+        None): `elements` and `graph.build_zdg` raise this one error."""
         cap = DEFAULT_ELEMENT_CAP if cap is None else cap
         if self.cardinality > cap:
             raise EnumerationCapError(
                 f"{self.spec_string()} has {self.cardinality} elements, over the cap {cap}"
             )
+
+    def _enumerate(self):
+        return list(range(self.cardinality))
+
+    def elements(self, cap: int | None = None) -> list:
+        """All elements in canonical (lexicographic) order, zero first.  The
+        pipeline never calls it: the graph route reads element indices."""
+        self.check_element_cap(cap)
         cached = getattr(self, "_elements", None)
         if cached is None:
             cached = self._enumerate()
@@ -247,19 +273,15 @@ class Ring:
         raise NotImplementedError
 
     @cached_property
-    def _split(self) -> tuple[list, list, np.ndarray]:
-        """(units, zero-divisors, zero-divisor indices) of the elements that
-        `elements` cached, found once from `_unit_mask`: every element that
-        is neither a unit nor 0 (element 0) is a zero-divisor.  The indices
-        are read-only, so a graph can keep them without a copy."""
-        els = self._elements
+    def _split(self) -> tuple[list, list]:
+        """(units, zero-divisors) of the elements that `elements` cached,
+        found once from `_unit_mask`: every element that is neither a unit
+        nor 0 (element 0) is a zero-divisor."""
         unit = self._unit_mask()
         zd = ~unit
         zd[0] = False
-        index = np.flatnonzero(zd)
-        index.flags.writeable = False
-        units = list(itertools.compress(els, unit.tolist()))
-        return units, list(itertools.compress(els, zd.tolist())), index
+        els = self._elements
+        return list(itertools.compress(els, unit.tolist())), list(itertools.compress(els, zd.tolist()))
 
 
 class Zn(Ring):
@@ -324,8 +346,9 @@ class Zn(Ring):
         reps = np.array([d % self.n for d in ds], dtype=np.int64)
         return np.array(sizes, dtype=np.int64), kills, reps
 
-    def is_unit(self, a):
-        return gcd(a, self.n) == 1
+    def unit_count(self):
+        """phi(n) = prod p^(a-1) (p - 1) over the prime powers p^a of n."""
+        return prod(p ** (a - 1) * (p - 1) for p, a in self.factors)
 
     def _unit_mask(self):
         return np.gcd(np.arange(self.n, dtype=np.int64), self.n) == 1
@@ -444,8 +467,8 @@ class GF(Ring):
             raise RingError("0 has no inverse")
         return self._exp[-self._log[a]]
 
-    def is_unit(self, a):
-        return a != 0
+    def unit_count(self):
+        return self.q - 1
 
     def _unit_mask(self):
         return np.arange(self.q) != 0
@@ -466,7 +489,7 @@ class GF(Ring):
 
 
 # ---------------------------------------------------------------------------
-# elimination over GF, on row-major tuple matrices, for `MatRing.rank` and `is_unit`
+# elimination over GF, on row-major tuple matrices, for `MatRing.rank`
 
 
 def gf_rref(field, rows, width):
@@ -474,7 +497,7 @@ def gf_rref(field, rows, width):
 
     The result is the canonical basis of the row space: pivots are 1,
     pivot columns are cleared above and below, rows ordered by pivot.
-    It backs `MatRing.rank` and `is_unit`.
+    It backs `MatRing.rank`.
     """
     work = [list(r) for r in rows]
     nrows = len(work)
@@ -501,7 +524,7 @@ def gf_rref(field, rows, width):
 
 
 def gf_rank(field, rows, width):
-    """Rank by elimination, for `MatRing.rank` and `is_unit`."""
+    """Rank by elimination, for `MatRing.rank`."""
     return len(gf_rref(field, rows, width))
 
 
@@ -692,8 +715,8 @@ class MatRing(Ring):
     def column_space(self, a):
         return gf_rref(self.field, tuple(zip(*a)), self.n)
 
-    def is_unit(self, a):
-        return self.rank(a) == self.n
+    def unit_count(self):
+        return gl_order(self.n, self.field.q)
 
     def _unit_mask(self):
         """A matrix is a unit exactly when its right kernel is {0}."""
@@ -798,8 +821,8 @@ class ProductRing(Ring):
             reps = reps * f.cardinality + factor_reps[i]
         return sizes, kills, reps
 
-    def is_unit(self, a):
-        return all(f.is_unit(x) for f, x in zip(self.factors, a))
+    def unit_count(self):
+        return prod(f.unit_count() for f in self.factors)
 
     def _unit_mask(self):
         # a unit in every component; C order is the order of itertools.product

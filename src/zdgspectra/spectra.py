@@ -17,14 +17,15 @@ Everything is verified against a dense eigensolver oracle.
 
 A decomposition holds its cells as aligned arrays and comes from one of
 two routes, which both hand `JoinDecomposition` a bool class table.  The
-graph route enumerates the ring, builds Gamma(R), partitions it and
+graph route builds Gamma(R) on element indices, partitions it and
 checks the join structure: `decompose` reads the table off the class
 representatives and compares the blow-up of its result with the
 adjacency matrix entry for entry, at every graph size.  The closed route
 reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
 one class per divisor of n, under one cap on the class count
-(CLOSED_CELL_CAP).  Both routes number the classes by smallest member and
+(CLOSED_CELL_CAP).  `join_route` picks the route, or raises its refusal,
+from closed counts alone, before either route builds anything.  Both routes number the classes by smallest member and
 keep that member's element index as the class representative, so on a
 ring both take they give equal decompositions and equal runs.  Class
 labels are presentation only: no spectrum depends on them, so a
@@ -65,7 +66,7 @@ from .classes import ClassPartition, classes_for
 from .counts import zn_profile  # unused: perfbench's tracer wraps this name for its counts.profile span
 from .eig import dense_eigenvalues
 from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
-from .graph import GraphCapError, ZeroDivisorGraph, build_zdg
+from .graph import GraphCapError, ZeroDivisorGraph, build_zdg, check_graph_caps
 from .rings import CLOSED_CELL_CAP, EnumerationCapError, Ring, RingError
 
 DEFAULT_TOL = 1e-7
@@ -448,6 +449,45 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
 # ring-level entry points
 
 
+def _check_closed(ring: Ring, relation: str) -> None:
+    if relation != "associate":
+        raise RingError("closed-form decompositions exist for the associate relation only")
+    ring.check_class_table()
+
+
+def join_route(
+    ring: Ring,
+    relation: str = "associate",
+    method: str = "auto",
+    element_cap: int | None = None,
+    vertex_cap: int | None = None,
+) -> str:
+    """The route, 'graph' or 'closed', that `ring_join_decomposition` takes
+    with these arguments, or the refusal it raises, decided from the ring's
+    closed counts before anything is built: the graph caps
+    (`check_graph_caps`), then the closed route's (`check_class_table`).
+    'auto' prefers the graph route while it fits under the caps, and when
+    the closed route cannot take the ring either it raises the cap error
+    with the closed route's refusal in its message, chained to it."""
+    if method not in ("auto", "graph", "closed"):
+        raise ValueError(f"unknown method '{method}'")
+    if method == "closed":
+        _check_closed(ring, relation)
+        return "closed"
+    try:
+        check_graph_caps(ring, vertex_cap, element_cap)
+    except (GraphCapError, EnumerationCapError) as cap_error:
+        if method == "graph":
+            raise
+        try:
+            _check_closed(ring, relation)
+        except RingError as closed_error:
+            reason = f"closed route: {type(closed_error).__name__}: {closed_error}"
+            raise type(cap_error)(f"{cap_error}; {reason}") from closed_error
+        return "closed"
+    return "graph"
+
+
 def ring_join_decomposition(
     ring: Ring,
     relation: str = "associate",
@@ -455,30 +495,16 @@ def ring_join_decomposition(
     element_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> JoinDecomposition:
-    """Decompose Gamma(ring) by the requested relation.
+    """Decompose Gamma(ring) by the requested relation, on the route that
+    `join_route` names.
 
-    method 'graph' enumerates the ring and verifies the join structure;
+    method 'graph' builds the graph and verifies the join structure;
     'closed' reads the cells and H off the ring's class table without
     enumeration (associate relation only, at most CLOSED_CELL_CAP cells);
-    'auto' prefers the graph route while it fits under the caps, and when
-    the closed route cannot take the ring either it raises the cap error
-    with the closed route's refusal in its message, chained to it."""
-    if method not in ("auto", "graph", "closed"):
-        raise ValueError(f"unknown method '{method}'")
-    if method == "closed":
-        if relation != "associate":
-            raise RingError("closed-form decompositions exist for the associate relation only")
+    'auto' takes the graph route while it fits under the caps."""
+    if join_route(ring, relation, method, element_cap, vertex_cap) == "closed":
         return decomposition_semisimple_closed(ring)
-    try:
-        graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
-    except (GraphCapError, EnumerationCapError) as cap_error:
-        if method == "graph":
-            raise
-        try:
-            return ring_join_decomposition(ring, relation, "closed")
-        except RingError as closed_error:
-            reason = f"closed route: {type(closed_error).__name__}: {closed_error}"
-            raise type(cap_error)(f"{cap_error}; {reason}") from closed_error
+    graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
     return decompose(graph, classes_for(graph, relation))
 
 

