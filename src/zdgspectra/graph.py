@@ -15,8 +15,9 @@ commutative.  The table's diagonal is kept as `loops`, the vertices that
 square to 0, before the adjacency's is cleared: it marks the vertices
 inside their own annihilator, and the ring is reduced exactly when no
 vertex has a loop.  The payloads, `vertices`, are decoded from the
-indices by `ring.element` on first read, for the printed reports and the
-tests; neither the ring nor the graph keeps a payload list otherwise.
+indices by one `ring.decode` call on first read, for the printed reports
+and the tests; neither the ring nor the graph keeps a payload list
+otherwise.
 The per-element annihilator and reducedness definitions that check the
 graph are the tests' references, in tests/reference.py.
 
@@ -59,7 +60,7 @@ class ZeroDivisorGraph:
     @cached_property
     def vertices(self) -> list:
         """The vertices' payloads, decoded from `element_index` on first read."""
-        return [self.ring.element(i) for i in self.element_index.tolist()]
+        return self.ring.decode(self.element_index)
 
     @property
     def edge_count(self) -> int:
@@ -154,8 +155,12 @@ def connected_component_count(graph: ZeroDivisorGraph) -> int:
 
 
 def _edge_pairs(graph: ZeroDivisorGraph) -> list[list[int]]:
-    """Every edge as [i, j] with i < j, in row-major (i, j) order."""
-    return np.argwhere(np.triu(graph.adjacency, 1)).tolist()
+    """Every edge as [i, j] with i < j, in row-major (i, j) order: the
+    nonzero entries above the diagonal, with no triangular copy of the
+    adjacency."""
+    i, j = np.nonzero(graph.adjacency)
+    upper = i < j
+    return np.column_stack([i[upper], j[upper]]).tolist()
 
 
 def graph_json(graph: ZeroDivisorGraph) -> dict:

@@ -11,8 +11,9 @@ its own payloads.  Element order is always lexicographic on the payload,
 so index 0 is the zero element and enumeration is reproducible.  The
 tables read element indices (positions in `elements()`), never payloads:
 an index is the payload for Z_n and GF, the entries' base-q digits for a
-matrix and the factors' indices in C order for a product, and
-`element(i)` decodes one without enumerating.  A matrix ring's element
+matrix and the factors' indices in C order for a product.  One method per
+ring kind, `decode(idx)`, turns an index array into the payloads in the
+same order; every payload list comes from it.  A matrix ring's element
 and class tables read one dot product, `MatRing._dot`; `gf_rref` serves
 `rank`.
 
@@ -20,8 +21,8 @@ A ring keeps no payloads unless a caller asks for them: the graph route
 reads `_unit_mask` and the index tables, and its caps read `cardinality`,
 `unit_count()` and `vertex_count()`, which are closed forms (phi(n),
 q - 1, |GL_n(F_q)|, the product over the factors).  Only `elements()`,
-`units()` and `zero_divisors()`, which the tests' references call,
-enumerate the payloads and keep them on the ring.
+`units()` and `zero_divisors()`, which the tests' references call, decode
+whole index ranges, and only `elements()` keeps its list on the ring.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -131,8 +132,8 @@ def first_seen_ids(keys) -> np.ndarray:
 
 
 class Ring:
-    """Common behavior: closed counts, the caps, and the cached enumeration
-    and unit/zero-divisor splits that only the tests read."""
+    """Common behavior: closed counts, the caps, and the enumeration and
+    unit/zero-divisor lists that only the tests read."""
 
     commutative = True
     cardinality = 0
@@ -216,10 +217,11 @@ class Ring:
     def label(self, a) -> str:
         return str(a)
 
-    def element(self, i: int):
-        """The element of index i (its position in `elements()`), decoded
-        without enumerating; Z_n and GF code their elements by index."""
-        return i
+    def decode(self, idx) -> list:
+        """The elements of the element indices idx (positions in
+        `elements()`), in the same order; Z_n and GF code their elements
+        by index."""
+        return np.asarray(idx, dtype=np.int64).tolist()
 
     def unit_count(self) -> int:
         """|U(R)|, in closed form: no element is enumerated."""
@@ -239,49 +241,38 @@ class Ring:
                 f"{self.spec_string()} has {self.cardinality} elements, over the cap {cap}"
             )
 
-    def _enumerate(self):
-        return list(range(self.cardinality))
-
     def elements(self, cap: int | None = None) -> list:
-        """All elements in canonical (lexicographic) order, zero first.  The
-        pipeline never calls it: the graph route reads element indices."""
+        """All elements in canonical (lexicographic) order, zero first,
+        decoded once and kept.  The pipeline never calls it: the graph
+        route reads element indices."""
         self.check_element_cap(cap)
         cached = getattr(self, "_elements", None)
         if cached is None:
-            cached = self._enumerate()
+            cached = self.decode(np.arange(self.cardinality))
             self._elements = cached
         return cached
 
     def units(self, cap: int | None = None) -> list:
-        self.elements(cap)  # checks the cap on every call
-        return self._split[0]
+        self.check_element_cap(cap)
+        return self.decode(np.flatnonzero(self._unit_mask()))
 
     def zero_divisors(self, cap: int | None = None) -> list:
         """Nonzero non-units, in element order.
 
         In a finite ring every nonzero element is a unit or a (one-sided)
-        zero divisor, so no annihilator search is needed here: `_split`,
-        cached once per ring, tells the units by `_unit_mask`, from the
-        element indices alone.  Tests check the definition directly.
+        zero divisor, so no annihilator search is needed here: every
+        element but 0 (element 0) that `_unit_mask` leaves out, decoded
+        from its index.  Tests check the definition directly.
         """
-        self.elements(cap)  # checks the cap on every call
-        return self._split[1]
+        self.check_element_cap(cap)
+        zd = ~self._unit_mask()
+        zd[0] = False
+        return self.decode(np.flatnonzero(zd))
 
     def _unit_mask(self) -> np.ndarray:
         """Bool array aligned with `elements()`, set exactly at the units.
         It is computed from the element indices and reads no payload."""
         raise NotImplementedError
-
-    @cached_property
-    def _split(self) -> tuple[list, list]:
-        """(units, zero-divisors) of the elements that `elements` cached,
-        found once from `_unit_mask`: every element that is neither a unit
-        nor 0 (element 0) is a zero-divisor."""
-        unit = self._unit_mask()
-        zd = ~unit
-        zd[0] = False
-        els = self._elements
-        return list(itertools.compress(els, unit.tolist())), list(itertools.compress(els, zd.tolist()))
 
 
 class Zn(Ring):
@@ -642,8 +633,15 @@ class MatRing(Ring):
         """The n x n entry arrays of the matrices of indices idx."""
         return (np.asarray(idx, dtype=np.int64)[:, None] // self._place % self.field.q).reshape(-1, self.n, self.n)
 
-    def element(self, i):
-        return tuple(map(tuple, self._entries([i])[0].tolist()))
+    def decode(self, idx):
+        """Each row is one base-q^n digit of the index, read at the row
+        weights of `_place`: the distinct rows are decoded once, as
+        tuples, and each matrix gathers its n rows."""
+        n, q = self.n, self.field.q
+        codes = np.asarray(idx, dtype=np.int64)[:, None] // self._place[n - 1 :: n] % q**n
+        rows, pos = np.unique(codes, return_inverse=True)
+        table = list(map(tuple, (rows[:, None] // self._place[-n:] % q).tolist()))
+        return list(zip(*(map(table.__getitem__, col) for col in pos.reshape(codes.shape).T.tolist())))
 
     def _right_kernels(self, idx):
         """Right kernels and column codes of the matrices A_a of indices
@@ -727,11 +725,6 @@ class MatRing(Ring):
         F = self.field
         rows = ",".join("[" + ",".join(F.label(x) for x in row) + "]" for row in a)
         return "[" + rows + "]"
-
-    def _enumerate(self):
-        # lexicographic on the rows, so on the flat row-major entries too
-        rows = list(itertools.product(range(self.field.q), repeat=self.n))
-        return list(itertools.product(rows, repeat=self.n))
 
 
 class ProductRing(Ring):
@@ -834,16 +827,13 @@ class ProductRing(Ring):
     def label(self, a):
         return "(" + ",".join(f.label(x) for f, x in zip(self.factors, a)) + ")"
 
-    def element(self, i):
-        parts = []
-        for f in reversed(self.factors):  # the last factor's index is the least significant digit
-            i, component = divmod(i, f.cardinality)
-            parts.append(f.element(component))
-        return tuple(reversed(parts))
-
-    def _enumerate(self):
-        lists = [f.elements(cap=self.cardinality) for f in self.factors]
-        return list(itertools.product(*lists))
+    def decode(self, idx):
+        # the factors' indices in C order, split without `_factor_indices`,
+        # whose masks take a factor's cardinality: the labels of a
+        # closed-route product such as Zn(1000000007)xZn(2) need no
+        # array of that size
+        components = np.unravel_index(np.asarray(idx, dtype=np.int64), [f.cardinality for f in self.factors])
+        return list(zip(*(f.decode(c) for f, c in zip(self.factors, components))))
 
 
 # ---------------------------------------------------------------------------

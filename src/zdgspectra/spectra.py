@@ -25,13 +25,14 @@ reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
 one class per divisor of n, under one cap on the class count
 (CLOSED_CELL_CAP).  `join_route` picks the route, or raises its refusal,
-from closed counts alone, before either route builds anything.  Both routes number the classes by smallest member and
-keep that member's element index as the class representative, so on a
-ring both take they give equal decompositions and equal runs.  Class
-labels are presentation only: no spectrum depends on them, so a
-decomposition formats its `labels` from the representatives on first
-read, and the graph route's check reads them only to word the error it
-raises.
+from closed counts alone, before either route builds anything.  Both
+routes number the classes by smallest member and keep that member's
+element index as the class representative, so on a ring both take they
+give equal decompositions and equal runs.  Class labels are presentation
+only: no spectrum depends on them, so a decomposition decodes its
+representatives with one `ring.decode` call and formats their `labels` on
+first read, and the graph route's check reads them only to word the
+error it raises.
 
 Every eigenvalue here comes from LAPACK (`eig.dense_eigenvalues`): the
 assembled route solves the order-m quotient, the oracle the order-|V|
@@ -100,9 +101,10 @@ class JoinDecomposition:
     cells and its off-diagonal part is H.  The cells come in ascending
     order of `reps`, the element index of each cell's smallest member.
     `cell_of` is None on the closed route, which lays the vertices out in
-    cell order.  `labels` formats each representative with the ring's
-    `label` on first read and keeps the list.  Labels are presentation
-    only (error messages, reports): nothing in the spectra reads them."""
+    cell order.  `labels` decodes the representatives and formats each
+    with the ring's `label` on first read, and keeps the list.  Labels
+    are presentation only (error messages, reports): nothing in the
+    spectra reads them."""
 
     relation: str
     sizes: np.ndarray  # int64, n_i
@@ -119,7 +121,7 @@ class JoinDecomposition:
 
     @cached_property
     def labels(self) -> list[str]:
-        return [self.ring.label(self.ring.element(i)) for i in self.reps.tolist()]
+        return [self.ring.label(a) for a in self.ring.decode(self.reps)]
 
     @property
     def class_count(self) -> int:

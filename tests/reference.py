@@ -1,11 +1,12 @@
 """The definitions the tests check the package against.
 
-Each reference states its definition directly: associate classes as unit
-orbits, equal neighborhoods by pairwise row comparison, units,
-annihilators and reducedness element by element, the index sets of a
-semisimple rank profile, kernels and span containment by elimination
-over GF(q), and the proven agreements between the three vertex
-relations.  The package's pipeline calls none of them.
+Each reference states its definition directly: the lexicographic element
+order that element indices count, associate classes as unit orbits, equal
+neighborhoods by pairwise row comparison, units, annihilators and
+reducedness element by element, the index sets of a semisimple rank
+profile, kernels and span containment by elimination over GF(q), and the
+proven agreements between the three vertex relations.  The package's
+pipeline calls none of them.
 
 A partition built here numbers its classes with its own dict, by first
 appearance in vertex order, and never through `rings.first_seen_ids` or
@@ -14,6 +15,7 @@ code under test and not its reference, and the comparison fails.
 """
 from __future__ import annotations
 
+import itertools
 from math import gcd
 
 import numpy as np
@@ -28,6 +30,26 @@ from zdgspectra.spectra import SpectrumMultiset
 
 class RelationAgreementError(RingError):
     """A proven relation between the partitions failed on an actual ring."""
+
+
+# ---------------------------------------------------------------------------
+# element order by definition
+
+
+def enumerate_elements(ring: Ring) -> list:
+    """Every element, lexicographic on the payload, so that element i is
+    the one of index i: the residues or field codes in order, a matrix's
+    rows in itertools.product order over the row tuples (lexicographic on
+    the rows, so on the flat row-major entries too), and a product's
+    factor lists in itertools.product order."""
+    if isinstance(ring, (Zn, GF)):
+        return list(range(ring.cardinality))
+    if isinstance(ring, MatRing):
+        rows = list(itertools.product(range(ring.field.q), repeat=ring.n))
+        return list(itertools.product(rows, repeat=ring.n))
+    if isinstance(ring, ProductRing):
+        return list(itertools.product(*(enumerate_elements(f) for f in ring.factors)))
+    raise TypeError(f"no enumeration for {type(ring).__name__}")
 
 
 # ---------------------------------------------------------------------------

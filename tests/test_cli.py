@@ -417,6 +417,59 @@ degree-matrix,n=3;q=2;r=1;squares_to_zero=True,110
 """,
     ),
     (
+        ["classes", "--ring", "M(2,GF(2))xZn(2)", "--format", "csv"],
+        """\
+rep,size,kind,members
+"([[0,0],[0,0]],1)",1,null,"([[0,0],[0,0]],1)"
+"([[0,0],[0,1]],0)",1,null,"([[0,0],[0,1]],0)"
+"([[0,0],[0,1]],1)",1,null,"([[0,0],[0,1]],1)"
+"([[0,0],[1,0]],0)",1,complete,"([[0,0],[1,0]],0)"
+"([[0,0],[1,0]],1)",1,null,"([[0,0],[1,0]],1)"
+"([[0,0],[1,1]],0)",1,null,"([[0,0],[1,1]],0)"
+"([[0,0],[1,1]],1)",1,null,"([[0,0],[1,1]],1)"
+"([[0,1],[0,0]],0)",1,complete,"([[0,1],[0,0]],0)"
+"([[0,1],[0,0]],1)",1,null,"([[0,1],[0,0]],1)"
+"([[0,1],[0,1]],0)",1,null,"([[0,1],[0,1]],0)"
+"([[0,1],[0,1]],1)",1,null,"([[0,1],[0,1]],1)"
+"([[0,1],[1,0]],0)",6,null,"([[0,1],[1,0]],0);([[0,1],[1,1]],0);([[1,0],[0,1]],0);([[1,0],[1,1]],0);([[1,1],[0,1]],0);([[1,1],[1,0]],0)"
+"([[1,0],[0,0]],0)",1,null,"([[1,0],[0,0]],0)"
+"([[1,0],[0,0]],1)",1,null,"([[1,0],[0,0]],1)"
+"([[1,0],[1,0]],0)",1,null,"([[1,0],[1,0]],0)"
+"([[1,0],[1,0]],1)",1,null,"([[1,0],[1,0]],1)"
+"([[1,1],[0,0]],0)",1,null,"([[1,1],[0,0]],0)"
+"([[1,1],[0,0]],1)",1,null,"([[1,1],[0,0]],1)"
+"([[1,1],[1,1]],0)",1,complete,"([[1,1],[1,1]],0)"
+"([[1,1],[1,1]],1)",1,null,"([[1,1],[1,1]],1)"
+""",
+    ),
+    (
+        ["graph", "--ring", "M(2,GF(2))", "--format", "csv"],
+        """\
+u,v
+"[[0,0],[0,1]]","[[0,0],[1,0]]"
+"[[0,0],[0,1]]","[[0,1],[0,0]]"
+"[[0,0],[0,1]]","[[1,0],[0,0]]"
+"[[0,0],[0,1]]","[[1,0],[1,0]]"
+"[[0,0],[0,1]]","[[1,1],[0,0]]"
+"[[0,0],[1,0]]","[[0,0],[1,1]]"
+"[[0,0],[1,0]]","[[1,0],[0,0]]"
+"[[0,0],[1,0]]","[[1,0],[1,0]]"
+"[[0,0],[1,1]]","[[0,1],[0,1]]"
+"[[0,0],[1,1]]","[[1,0],[0,0]]"
+"[[0,0],[1,1]]","[[1,0],[1,0]]"
+"[[0,0],[1,1]]","[[1,1],[1,1]]"
+"[[0,1],[0,0]]","[[0,1],[0,1]]"
+"[[0,1],[0,0]]","[[1,0],[0,0]]"
+"[[0,1],[0,0]]","[[1,1],[0,0]]"
+"[[0,1],[0,1]]","[[1,0],[0,0]]"
+"[[0,1],[0,1]]","[[1,1],[0,0]]"
+"[[0,1],[0,1]]","[[1,1],[1,1]]"
+"[[1,0],[1,0]]","[[1,1],[0,0]]"
+"[[1,0],[1,0]]","[[1,1],[1,1]]"
+"[[1,1],[0,0]]","[[1,1],[1,1]]"
+""",
+    ),
+    (
         ["verify", "--ring", "M(3,GF(3))"],
         """\
 {

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reference import (
     classes_associate,
+    enumerate_elements,
     is_unit,
     _commutative_hypothesis,
     _noncommutative_hypothesis,
@@ -345,8 +346,8 @@ def test_enumeration_cap():
 
 
 def test_cached_splits_check_the_cap():
-    # units and zero-divisors are cached after the first call; the cap must
-    # still be checked on every later one, as elements() does
+    # units and zero-divisors check the cap on every call, as elements()
+    # does after its list is kept
     ring = Zn(50)
     assert len(ring.zero_divisors(100)) == 29
     assert len(ring.units(100)) == 20
@@ -397,7 +398,7 @@ def test_class_table_lists_classes_by_smallest_member(spec):
     sizes, kills, reps = table
     assert reps.dtype == np.int64 and reps[0] == 0 and (np.diff(reps) > 0).all()
     only_zero = ~kills[:, 1:].any(axis=1)
-    assert only_zero.sum() == 1 and is_unit(ring, ring.element(int(reps[np.argmax(only_zero)])))
+    assert only_zero.sum() == 1 and is_unit(ring, ring.decode([int(reps[np.argmax(only_zero)])])[0])
     if ring.cardinality <= DEFAULT_ELEMENT_CAP:
         # against enumeration: the first element of each class in index
         # order, the class sizes, and xy = 0 on the representatives
@@ -409,8 +410,32 @@ def test_class_table_lists_classes_by_smallest_member(spec):
 
 @pytest.mark.parametrize("spec", ["Zn(12)", "GF(8)", "M(2,GF(3))", "M(2,GF(2))xZn(4)xGF(4)"])
 def test_element_decodes_an_index(spec):
+    # one index at a time, as a label or a test reads one element
     ring = parse_ring_spec(spec)
-    assert [ring.element(i) for i in range(ring.cardinality)] == ring.elements()
+    assert [ring.decode([i])[0] for i in range(ring.cardinality)] == enumerate_elements(ring)
+
+
+DECODE_SPECS = [
+    "Zn(12)",
+    "GF(8)",
+    "M(1,GF(9))",
+    "M(2,GF(3))",
+    "M(3,GF(2))",
+    "M(2,GF(2))xZn(4)xGF(4)",
+    "Zn(4)xM(2,GF(3))",
+]
+
+
+@pytest.mark.parametrize("spec", DECODE_SPECS)
+def test_decode_equals_the_reference_enumeration(spec):
+    # every index, a shuffle with repeats, one index and none, against the
+    # lexicographic order stated in the reference, not against decode itself
+    ring = parse_ring_spec(spec)
+    expected = enumerate_elements(ring)
+    assert ring.elements() == expected
+    shuffled = np.random.default_rng(7).integers(0, ring.cardinality, size=2 * ring.cardinality)
+    for idx in (np.arange(ring.cardinality), shuffled, np.array([ring.cardinality - 1]), np.arange(0)):
+        assert ring.decode(idx) == [expected[i] for i in idx.tolist()], (spec, len(idx))
 
 
 def test_class_table_refuses_a_huge_ring_before_factoring(monkeypatch):

@@ -9,7 +9,8 @@ Values computed once per object or per argument use `functools.cached_property`
 or `functools.cache`: a hand-rolled `getattr(self, "_name", None)` memo
 fails here, with one exception named in the test.  The ring tables and
 the graph route's build and cap check read element indices and closed
-counts, never an enumeration of payloads.  The matrix ring's
+counts, never an enumeration of payloads, and each ring kind turns
+indices into payloads in one method, `decode`.  The matrix ring's
 dot-product tables call no Gaussian elimination.  Keys are numbered in
 one routine, `rings.first_seen_ids`, and partitions built in one,
 `classes._partition`; the tests' references in tests/reference.py call
@@ -134,7 +135,7 @@ def test_ring_tables_read_element_indices():
 
 # the graph route's build and its cap check; see the graph docstring
 GRAPH_BUILDERS = {"build_zdg", "check_graph_caps", "_build"}
-ENUMERATIONS = {"elements", "_elements", "_split", "zero_divisors", "units", "vertices"}
+ENUMERATIONS = {"elements", "_elements", "decode", "zero_divisors", "units", "vertices"}
 
 
 def test_graph_build_reads_element_indices():
@@ -144,6 +145,26 @@ def test_graph_build_reads_element_indices():
     reads, defined = payload_reads(PACKAGE / "graph.py", GRAPH_BUILDERS, ENUMERATIONS)
     assert GRAPH_BUILDERS <= defined
     assert reads == []
+
+
+def test_one_decoder():
+    # a second decoder (one index per call, or an enumeration of its own)
+    # would state the index format and the element order a second time
+    rings = PACKAGE / "rings.py"
+    tree = ast.parse(rings.read_text())
+    assert defined_names(tree, everywhere=True) & {"element", "_enumerate", "_split"} == set()
+    owners = [
+        cls.name
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "decode"
+    ]
+    assert owners == ["Ring", "MatRing", "ProductRing"]
+    assert callers(rings, "product") == {"_poly_is_irreducible", "_smallest_irreducible", "_all_subspaces"}
+    for module, reader in (("graph.py", "vertices"), ("spectra.py", "labels")):
+        assert callers(PACKAGE / module, "decode") == {reader}, module
+        assert callers(PACKAGE / module, "element") == set(), module
 
 
 # the partition readers that take `ClassPartition.cell_of` as is

@@ -628,8 +628,7 @@ def cell_classes(ring, dec):
     """Per cell, the factor classes of its representative element."""
     factors = ring.factors if isinstance(ring, ProductRing) else [ring]
     out = []
-    for rep in dec.reps.tolist():
-        element = ring.element(rep)
+    for element in ring.decode(dec.reps):
         components = element if isinstance(ring, ProductRing) else (element,)
         out.append([factor_class(f, a) for f, a in zip(factors, components)])
     return out
