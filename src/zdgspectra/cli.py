@@ -1,11 +1,13 @@
 """Command-line front end: ring specs in, JSON or CSV reports out.
 
-`zdg spectrum --format runs` prints each spectrum as its runs
-[value, multiplicity, provenance], in JSON, so its size grows with the
-class count; the json and csv formats print one value per eigenvalue
-and refuse a graph of more than MAX_PRINTED_VALUES vertices, read off the
-ring's closed vertex count after each route's own refusal and before any
-decomposition or graph is built.
+`zdg spectrum` takes the closed route wherever the ring's class table
+can (associate relation), the graph route under the caps otherwise, and
+`--method both` checks it against the graph's dense oracle.  `--format
+runs` prints each spectrum as its runs [value, multiplicity,
+provenance], in JSON, so its size grows with the class count; json and
+csv print one value per eigenvalue and refuse a graph of more than
+MAX_PRINTED_VALUES vertices, read off the ring's closed vertex count
+after each route's own refusal and before anything is built.
 
 Each verb's handler returns its report as a JSON payload and as a CSV
 header with lazy rows; `main` alone formats one of the two and prints it.

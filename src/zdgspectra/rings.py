@@ -688,6 +688,8 @@ class MatRing(Ring):
         bases, padded with zero rows to n, at once: the table costs the
         square of the subspace count, not of the class count.  The same
         call with the bases' rows reversed gives the smallest members."""
+        if self.n == 1:  # the field's table: a 1 x 1 matrix's index is its entry's code
+            return self.field._class_table()
         n, q = self.n, self.field.q
         spaces = [s for r in range(n + 1) for s in _all_subspaces(self.field, n, r)]
         zeros = [((0,) * n,) * (n - len(s)) for s in spaces]

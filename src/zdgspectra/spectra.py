@@ -25,8 +25,11 @@ reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
 one class per divisor of n, under one cap on the class count
 (CLOSED_CELL_CAP).  `join_route` picks the route, or raises its refusal,
-from closed counts alone, before either route builds anything.  Both
-routes number the classes by smallest member and keep that member's
+from closed counts alone, before either route builds anything: the
+default takes the closed route for associate spectra wherever the class
+table takes the ring, and the graph route stays the check (`verify_ring`)
+and the only route past that cap or for another relation.  Both routes
+number the classes by smallest member and keep that member's
 element index as the class representative, so on a ring both take they
 give equal decompositions and equal runs.  Class labels are presentation
 only: no spectrum depends on them, so a decomposition decodes its
@@ -40,9 +43,8 @@ matrix of the whole graph, so the two share no matrix unless every cell
 is a singleton, and the combination and shift identities solve their
 small blocks.  The oracle's spectrum is kept on its graph, one per
 flavor, and `build_zdg` keeps the graph of the ring it built last
-whatever the caps, so every caller that checks a ring (each relation of
-`verify_ring`, `zdg spectrum --method both`) partitions that graph and
-pays for the order-|V| solve once.
+whatever the caps, so each relation of `verify_ring` partitions that
+graph and pays for the order-|V| solve once.
 
 A spectrum is stored as runs of (value, multiplicity, provenance): one
 run per cell of two or more vertices and one per quotient eigenvalue,
@@ -68,7 +70,7 @@ from .counts import zn_profile  # unused: perfbench's tracer wraps this name for
 from .eig import dense_eigenvalues
 from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
 from .graph import GraphCapError, ZeroDivisorGraph, build_zdg, check_graph_caps
-from .rings import CLOSED_CELL_CAP, EnumerationCapError, Ring, RingError
+from .rings import EnumerationCapError, Ring, RingError
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
@@ -451,12 +453,6 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
 # ring-level entry points
 
 
-def _check_closed(ring: Ring, relation: str) -> None:
-    if relation != "associate":
-        raise RingError("closed-form decompositions exist for the associate relation only")
-    ring.check_class_table()
-
-
 def join_route(
     ring: Ring,
     relation: str = "associate",
@@ -465,28 +461,31 @@ def join_route(
     vertex_cap: int | None = None,
 ) -> str:
     """The route, 'graph' or 'closed', that `ring_join_decomposition` takes
-    with these arguments, or the refusal it raises, decided from the ring's
-    closed counts before anything is built: the graph caps
-    (`check_graph_caps`), then the closed route's (`check_class_table`).
-    'auto' prefers the graph route while it fits under the caps, and when
-    the closed route cannot take the ring either it raises the cap error
-    with the closed route's refusal in its message, chained to it."""
+    with these arguments, or the refusal it raises, read off closed counts
+    before anything is built.  'auto' takes the closed route wherever
+    `check_class_table` takes the ring and the relation is the associate
+    one, and the graph route under its caps (`check_graph_caps`) otherwise;
+    when both refuse it raises the cap error with the closed route's
+    refusal in its message, chained to it."""
     if method not in ("auto", "graph", "closed"):
         raise ValueError(f"unknown method '{method}'")
-    if method == "closed":
-        _check_closed(ring, relation)
-        return "closed"
+    if method != "graph":
+        try:
+            if relation != "associate":
+                raise RingError("closed-form decompositions exist for the associate relation only")
+            ring.check_class_table()
+            return "closed"
+        except RingError as error:
+            if method == "closed":
+                raise
+            closed_error = error
     try:
         check_graph_caps(ring, vertex_cap, element_cap)
     except (GraphCapError, EnumerationCapError) as cap_error:
         if method == "graph":
             raise
-        try:
-            _check_closed(ring, relation)
-        except RingError as closed_error:
-            reason = f"closed route: {type(closed_error).__name__}: {closed_error}"
-            raise type(cap_error)(f"{cap_error}; {reason}") from closed_error
-        return "closed"
+        reason = f"closed route: {type(closed_error).__name__}: {closed_error}"
+        raise type(cap_error)(f"{cap_error}; {reason}") from closed_error
     return "graph"
 
 
@@ -498,12 +497,8 @@ def ring_join_decomposition(
     vertex_cap: int | None = None,
 ) -> JoinDecomposition:
     """Decompose Gamma(ring) by the requested relation, on the route that
-    `join_route` names.
-
-    method 'graph' builds the graph and verifies the join structure;
-    'closed' reads the cells and H off the ring's class table without
-    enumeration (associate relation only, at most CLOSED_CELL_CAP cells);
-    'auto' takes the graph route while it fits under the caps."""
+    `join_route` names: 'graph' builds the graph and verifies the join
+    structure, 'closed' reads the cells and H off the ring's class table."""
     if join_route(ring, relation, method, element_cap, vertex_cap) == "closed":
         return decomposition_semisimple_closed(ring)
     graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)

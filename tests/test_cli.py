@@ -19,7 +19,7 @@ from zdgspectra import spectra as spectra_module
 from zdgspectra import cli as cli_module
 from zdgspectra.cli import _COUNT_FORMS, main
 from zdgspectra.graph import build_zdg
-from zdgspectra.rings import ProductRing, Zn, parse_ring_spec
+from zdgspectra.rings import MatRing, ProductRing, Zn, parse_ring_spec
 from zdgspectra.spectra import DecompositionError, SpectrumMultiset
 
 SCHEMA_PATH = os.path.join(
@@ -892,13 +892,29 @@ def test_classes_over_the_default_cap():
     assert len(out.strip().splitlines()) == 1 + 114
 
 
-def test_auto_route_falls_back_to_the_closed_route():
+def run_on_the_graph_route(monkeypatch, args):
+    """run_inproc with `spectrum`'s decomposition forced onto the graph
+    route, which `auto` no longer takes where the closed route can."""
+    decompositions = []
+
+    def graph_route(ring, relation, **caps):
+        decompositions.append(spectra_module.ring_join_decomposition(ring, relation, method="graph", **caps))
+        return decompositions[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_module, "ring_join_decomposition", graph_route)
+        result = run_inproc(args)
+    assert len(decompositions) == 1 and decompositions[0].cell_of is not None
+    return result
+
+
+def test_auto_route_falls_back_to_the_closed_route(monkeypatch):
     # a Z_{p^a} factor next to a matrix ring: over the vertex cap, the
     # closed route answers with the graph route's spectrum
     ring = ["--ring", "Zn(4)xM(2,GF(3))"]
     code, out, _ = run_inproc(["spectrum", *ring, "--max-vertices", "10"])
     assert code == 0
-    code, ref, _ = run_inproc(["spectrum", *ring, "--method", "join"])
+    code, ref, _ = run_on_the_graph_route(monkeypatch, ["spectrum", *ring, "--method", "join"])
     assert code == 0
     closed, graph = json.loads(out), json.loads(ref)
     assert [r["flavor"] for r in closed] == [r["flavor"] for r in graph] == ["adjacency", "laplacian"]
@@ -908,13 +924,55 @@ def test_auto_route_falls_back_to_the_closed_route():
 
 
 @pytest.mark.parametrize("form", [[], ["--format", "runs"]], ids=["json", "runs"])
-def test_closed_route_prints_the_graph_route_spectrum(form):
+def test_spectrum_builds_no_graph_where_the_class_table_takes_the_ring(form, monkeypatch):
+    from zdgspectra import graph
+
+    def no_graph(ring):
+        raise AssertionError(f"built the graph of {ring.spec_string()}")
+
+    monkeypatch.setattr(graph, "_build", no_graph)
+    monkeypatch.setattr(graph, "_build_cached", no_graph)
+    code, out, err = run_inproc(["spectrum", "--ring", "Zn(4620)", *form])
+    assert code == 0, err
+    assert [r["flavor"] for r in json.loads(out)] == ["adjacency", "laplacian"]
+
+
+def test_method_both_checks_the_closed_route_against_the_oracle(monkeypatch):
+    # the graph is built for the oracle only: the join side is the closed route
+    def no_decompose(graph, partition):
+        raise AssertionError("decomposed the graph")
+
+    monkeypatch.setattr(spectra_module, "decompose", no_decompose)
+    code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)", "--method", "both"])
+    assert code == 0, err
+    assert [(r["flavor"], r["verification"]["matched"]) for r in json.loads(out)] == [
+        ("adjacency", True),
+        ("laplacian", True),
+    ]
+
+
+def test_spectrum_of_one_by_one_matrices_builds_no_field_table(monkeypatch):
+    # M(1,GF(2^20)) is GF(2^20): no zero-divisors, and no q x q table
+    def no_table(self):
+        raise AssertionError("built a q x q table")
+
+    monkeypatch.setattr(MatRing, "_field_tables", property(no_table))
+    monkeypatch.setattr(MatRing, "_kills", property(no_table))
+    code, out, err = run_inproc(["spectrum", "--ring", "M(1,GF(1048576))"])
+    assert code == 0, err
+    assert [(r["flavor"], r["values"], r["clusters"]) for r in json.loads(out)] == [
+        ("adjacency", [], []),
+        ("laplacian", [], []),
+    ]
+
+
+@pytest.mark.parametrize("form", [[], ["--format", "runs"]], ids=["json", "runs"])
+def test_closed_route_prints_the_graph_route_spectrum(form, monkeypatch):
     # both routes list the classes by smallest member, so the closed route
-    # that `auto` takes under the cap prints the graph route's bytes
-    # (2,303 vertices without the flag)
+    # that `auto` takes prints the graph route's bytes (2,303 vertices)
     ring = ["--ring", "M(2,GF(2))xM(2,GF(3))xZn(2)"]
     closed = run_inproc(["spectrum", *ring, "--max-vertices", "10", *form])
-    graph = run_inproc(["spectrum", *ring, *form])
+    graph = run_on_the_graph_route(monkeypatch, ["spectrum", *ring, *form])
     assert closed[0] == graph[0] == 0
     assert closed[1] == graph[1]
 

@@ -408,6 +408,20 @@ def test_class_table_lists_classes_by_smallest_member(spec):
         assert np.array_equal(kills, ring.zero_products(reps))
 
 
+@pytest.mark.parametrize("q", [2, 9, 2003])
+def test_one_by_one_matrices_read_the_field_table(q, monkeypatch):
+    # M(1,GF(q)) is GF(q), and a 1 x 1 matrix's index is its entry's code,
+    # so its table needs neither q x q table of the matrix route
+    def no_table(self):
+        raise AssertionError("built a q x q table")
+
+    monkeypatch.setattr(MatRing, "_field_tables", property(no_table))
+    monkeypatch.setattr(MatRing, "_kills", property(no_table))
+    table = parse_ring_spec(f"M(1,GF({q}))").class_table()
+    for part, expected in zip(table, parse_ring_spec(f"GF({q})").class_table(), strict=True):
+        assert part.dtype == expected.dtype and np.array_equal(part, expected)
+
+
 @pytest.mark.parametrize("spec", ["Zn(12)", "GF(8)", "M(2,GF(3))", "M(2,GF(2))xZn(4)xGF(4)"])
 def test_element_decodes_an_index(spec):
     # one index at a time, as a label or a test reads one element

@@ -717,10 +717,12 @@ def test_closed_m4_f2_spectra():
     assert abs(math.fsum(v * k for v, k, _ in lap.runs) - degree_sum) <= 1e-9 * degree_sum
 
 
-def test_ring_join_decomposition_methods():
+def test_ring_join_decomposition_methods(monkeypatch):
     ring = Zn(18)
-    for method in ("auto", "graph", "closed"):
+    # only the graph route keeps each vertex's cell; `auto` takes the closed one
+    for method, graph_route in (("auto", False), ("graph", True), ("closed", False)):
         dec = ring_join_decomposition(ring, "associate", method=method)
+        assert (dec.cell_of is not None) == graph_route, method
         adj, lap = spectrum_pair(dec)
         g = build_zdg(ring)
         assert multiset_equal(adj, brute_spectrum(g, "adjacency")).matched, method
@@ -728,6 +730,26 @@ def test_ring_join_decomposition_methods():
     # closed method only exists for the associate relation
     with pytest.raises(Exception):
         ring_join_decomposition(ring, "neighborhood", method="closed")
+    # past the class cap, and for any other relation at any cap, `auto`
+    # takes the graph route
+    assert ring_join_decomposition(ring, "neighborhood").cell_of is not None
+    monkeypatch.setattr(rings_module, "CLOSED_CELL_CAP", 2)
+    assert ring_join_decomposition(Zn(30)).cell_of is not None
+    assert ring_join_decomposition(Zn(30), "neighborhood").cell_of is not None
+
+
+@pytest.mark.parametrize("spec", ["Zn(4620)", "M(2,GF(8))xZn(2)", "Zn(4)xM(2,GF(3))"])
+def test_auto_route_builds_no_graph_where_the_class_table_takes_the_ring(spec, monkeypatch):
+    # each ring's graph fits under the default caps
+    def no_graph(ring):
+        raise AssertionError(f"built the graph of {ring.spec_string()}")
+
+    monkeypatch.setattr(graph_module, "_build", no_graph)
+    monkeypatch.setattr(graph_module, "_build_cached", no_graph)
+    ring = parse_ring_spec(spec)
+    ring.check_element_cap()
+    assert ring.vertex_count() <= graph_module.DEFAULT_VERTEX_CAP
+    assert ring_join_decomposition(ring).cell_of is None
 
 
 def test_verify_ring_reports():
