@@ -1,27 +1,26 @@
 """Command-line front end: ring specs in, JSON or CSV reports out.
 
-`zdg spectrum` takes the closed route wherever the ring's class table
-can (associate relation), the graph route under the caps otherwise, and
-`--method both` checks it against the graph's dense oracle.  `--format
-runs` prints each spectrum as its runs [value, multiplicity,
+`zdg spectrum` prints the spectra of the route `spectra.join_route`
+picks, and `zdg verify` checks that route against the dense oracle.
+`--format runs` prints each spectrum as its runs [value, multiplicity,
 provenance], in JSON, so its size grows with the class count; json and
 csv print one value per eigenvalue and refuse a graph of more than
 MAX_PRINTED_VALUES vertices, read off the ring's closed vertex count
-after each route's own refusal and before anything is built.
+after the route's own refusal and before anything is built.
 
 Each verb's handler returns its report as a JSON payload and as a CSV
 header with lazy rows; `main` alone formats one of the two and prints it.
 
 Each input has one spelling: a ring is a `--ring` spec, `verify --sweep`
 takes only `Zn:lo..hi` or `Zn:n`, the caps come only from their flags,
-and both `--tol` defaults are `spectra.DEFAULT_TOL`.  An error prints as
-one `error: <Type>: <message>` line; the `auto` route's cap error carries
-the closed route's refusal in its own message.
+and the `verify --tol` default is `spectra.DEFAULT_TOL`.  An error prints
+as one `error: <Type>: <message>` line; the `auto` route's cap error
+carries the closed route's refusal in its own message.
 
-Exit codes: 0 on success, 2 when a verification comparison fails or a
-ring in a verify run errors (its rows carry the error), 1 for bad input
-of any kind.  All output is deterministic for fixed inputs,
-except the seconds column of the verify CSV.
+Exit codes: 0 on success, 2 when a verify comparison or a lifted
+eigenpair fails or a ring in a verify run errors (its rows carry the
+error), 1 for bad input of any kind.  All output is deterministic for
+fixed inputs, except the seconds column of the verify CSV.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import counts
 from .classes import classes_for
-from .graph import GraphCapError, build_zdg, check_graph_caps, degree_matring, degree_zn, graph_json
+from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_json
 from .rings import EnumerationCapError, RingError, Zn, parse_ring_spec
 from .spectra import (
     DEFAULT_TOL,
@@ -47,10 +46,8 @@ from .spectra import (
     LiftError,
     LiftVerificationError,
     assemble_spectrum,
-    brute_spectrum,
     duplicate_lift,
     join_route,
-    multiset_equal,
     ring_join_decomposition,
     verify_ring,
 )
@@ -136,10 +133,7 @@ def _comparison(check) -> dict:
     """A MultisetMatch as printed, no deviation when the lengths differ; nulls for None."""
     if check is None:
         return {"matched": None, "max_deviation": None}
-    return {
-        "matched": check.matched,
-        "max_deviation": None if check.length_mismatch else check.max_deviation,
-    }
+    return {"matched": check.matched, "max_deviation": None if check.length_mismatch else check.max_deviation}
 
 
 def _run_classes(args):
@@ -160,49 +154,26 @@ def _run_graph(args):
 
 def _run_spectrum(args):
     ring = parse_ring_spec(args.ring)
-    need_join = args.method in ("join", "both")
-    need_brute = args.method in ("brute", "both")
     caps = {"element_cap": args.max_elements, "vertex_cap": args.max_vertices}
-    # each route's refusal first, then the printed size, all before anything is built
-    if need_join:
-        join_route(ring, args.relation, **caps)
-    if need_brute:
-        check_graph_caps(ring, **caps)
+    # the route's refusal first, then the printed size, both before anything is built
+    join_route(ring, **caps)
     order = ring.vertex_count()
     if args.format != "runs" and order > MAX_PRINTED_VALUES:
         raise RingError(
             f"Gamma({ring.spec_string()}) has {order} eigenvalues per flavor, over the "
             f"{MAX_PRINTED_VALUES} that json and csv print; --format runs prints them as runs"
         )
-    dec = ring_join_decomposition(ring, args.relation, **caps) if need_join else None
-    graph = build_zdg(ring, **caps) if need_brute else None
-
+    dec = ring_join_decomposition(ring, **caps)
     reports = []
-    mismatch = False
     for flavor in _flavors(args):
-        spectrum = assemble_spectrum(dec, flavor) if need_join else brute_spectrum(graph, flavor)
-        verification = None
-        if need_join and need_brute:
-            check = multiset_equal(spectrum, brute_spectrum(graph, flavor), args.tol)
-            verification = _comparison(check)
-            mismatch = mismatch or not check.matched
+        spectrum = assemble_spectrum(dec, flavor)
         if args.format == "runs":
             spectrum_fields = {"runs": spectrum.runs}
         else:
             spectrum_fields = {"values": spectrum.values, "clusters": spectrum.clusters()}
-        reports.append(
-            {
-                "ring": ring.spec_string(),
-                "relation": args.relation,
-                "method": "join" if need_join else "brute",
-                "flavor": flavor,
-                **spectrum_fields,
-                "verification": verification,
-            }
-        )
-    code = EXIT_MISMATCH if mismatch else EXIT_OK
-    rows = ([r["flavor"], r["method"], i, _g12(v)] for r in reports for i, v in enumerate(r["values"]))
-    return code, reports, "flavor,method,index,value", rows
+        reports.append({"ring": ring.spec_string(), "flavor": flavor, **spectrum_fields})
+    rows = ([r["flavor"], i, _g12(v)] for r in reports for i, v in enumerate(r["values"]))
+    return EXIT_OK, reports, "flavor,index,value", rows
 
 
 _COUNT_FORMS = {
@@ -386,11 +357,10 @@ def _build_parser() -> _Parser:
     common(p_graph, relation=False)
     p_graph.set_defaults(handler=_run_graph)
 
-    p_spectrum = sub.add_parser("spectrum", help="assembled and/or brute-force spectra")
-    common(p_spectrum, formats=("json", "csv", "runs"))
-    p_spectrum.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    about = "spectra assembled through the join; `zdg verify --ring R` checks them against the dense oracle"
+    p_spectrum = sub.add_parser("spectrum", help=about, description=about)
+    common(p_spectrum, relation=False, formats=("json", "csv", "runs"))
     p_spectrum.add_argument("--flavor", choices=(*FLAVORS, "both"), default="both")
-    p_spectrum.add_argument("--method", choices=("join", "brute", "both"), default="join")
     p_spectrum.set_defaults(handler=_run_spectrum)
 
     p_counts = sub.add_parser("counts", help="closed-form counting formulas")

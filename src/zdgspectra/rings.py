@@ -546,7 +546,8 @@ class MatRing(Ring):
 
     Payloads are row-major tuples of tuples of field ints; lexicographic
     payload order makes the zero matrix element 0 and keeps enumeration
-    deterministic.
+    deterministic.  A 1 x 1 matrix's index is its entry's code, so M(1, F)
+    reads every table of the field's and builds no q x q table.
     """
 
     def __init__(self, n: int, field: GF):
@@ -655,6 +656,8 @@ class MatRing(Ring):
     def zero_products(self, idx):
         """AB = 0 exactly when every column of B lies in the right kernel
         of A: one gather of the right-kernel bitsets per column of B."""
+        if self.n == 1:
+            return self.field.zero_products(idx)
         ker, cols = self._right_kernels(idx)
         out = ker[:, cols[:, 0]]
         for j in range(1, self.n):
@@ -667,6 +670,8 @@ class MatRing(Ring):
         the column space and the left kernel {v : v^T A = 0}, read off the
         columns as the right kernel is off the rows.  The key is the pair
         of kernels, as bitsets over F_q^n."""
+        if self.n == 1:
+            return self.field.associate_keys(idx)
         right, cols = self._right_kernels(idx)
         left = self._kills.T[cols].all(axis=1)
         return first_seen_ids(np.concatenate([right, left], axis=1))
@@ -688,7 +693,7 @@ class MatRing(Ring):
         bases, padded with zero rows to n, at once: the table costs the
         square of the subspace count, not of the class count.  The same
         call with the bases' rows reversed gives the smallest members."""
-        if self.n == 1:  # the field's table: a 1 x 1 matrix's index is its entry's code
+        if self.n == 1:
             return self.field._class_table()
         n, q = self.n, self.field.q
         spaces = [s for r in range(n + 1) for s in _all_subspaces(self.field, n, r)]
@@ -720,6 +725,8 @@ class MatRing(Ring):
 
     def _unit_mask(self):
         """A matrix is a unit exactly when its right kernel is {0}."""
+        if self.n == 1:
+            return self.field._unit_mask()
         ker, _ = self._right_kernels(np.arange(self.cardinality))
         return ~ker[:, 1:].any(axis=1)
 

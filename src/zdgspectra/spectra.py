@@ -27,15 +27,15 @@ one class per divisor of n, under one cap on the class count
 (CLOSED_CELL_CAP).  `join_route` picks the route, or raises its refusal,
 from closed counts alone, before either route builds anything: the
 default takes the closed route for associate spectra wherever the class
-table takes the ring, and the graph route stays the check (`verify_ring`)
-and the only route past that cap or for another relation.  Both routes
-number the classes by smallest member and keep that member's
-element index as the class representative, so on a ring both take they
-give equal decompositions and equal runs.  Class labels are presentation
-only: no spectrum depends on them, so a decomposition decodes its
-representatives with one `ring.decode` call and formats their `labels` on
-first read, and the graph route's check reads them only to word the
-error it raises.
+table takes the ring, and the graph route past that cap or for another
+relation.  Both routes number the classes by smallest member and keep
+that member's element index as the class representative, so on a ring
+both take they give equal decompositions and equal runs; `verify_ring`,
+the one comparison with the oracle, requires them equal.  Class labels
+are presentation only: no spectrum depends on them, so a decomposition
+decodes its representatives with one `ring.decode` call and formats their
+`labels` on first read, and the two checks read them only to word the
+errors they raise.
 
 Every eigenvalue here comes from LAPACK (`eig.dense_eigenvalues`): the
 assembled route solves the order-m quotient, the oracle the order-|V|
@@ -526,6 +526,23 @@ class VerifyOutcome:
         return max(devs) if devs else 0.0
 
 
+def _closed_route_checked(dec: JoinDecomposition) -> JoinDecomposition:
+    """The closed decomposition of the ring of `dec`, a graph-route
+    associate one, required equal to it: sizes, class table and
+    representatives, class by class.  The first class that differs is
+    named by its graph-route label (the closed route's past the graph's
+    last class)."""
+    closed = decomposition_semisimple_closed(dec.ring)
+    m = min(dec.class_count, closed.class_count)
+    differs = (dec.sizes[:m] != closed.sizes[:m]) | (dec.reps[:m] != closed.reps[:m])
+    differs |= (dec.table[:m, :m] != closed.table[:m, :m]).any(axis=1)
+    i = next(iter(np.flatnonzero(differs).tolist()), m)
+    if i < max(dec.class_count, closed.class_count):
+        label = (dec if i < dec.class_count else closed).labels[i]
+        raise DecompositionError(f"the closed route differs from the graph route at the class of {label}")
+    return closed
+
+
 def verify_ring(
     ring: Ring,
     relation: str = "associate",
@@ -534,13 +551,17 @@ def verify_ring(
     element_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> VerifyOutcome:
-    """Assemble spectra through the join and compare with the dense oracle.
-    With every class a singleton (Z_2^k, associates) both routes solve one
-    matrix, so a max_deviation of 0.0 there is no independent check; the
-    tests certify those spectra by their residual against the graph's own
+    """Compare the spectra of the route `join_route(..., "auto")` takes
+    with the dense oracle of the graph built under the caps: the graph's
+    decomposition, or the closed one, which must equal it.  With every
+    class a singleton (Z_2^k, associates) both sides solve one matrix, so
+    a max_deviation of 0.0 there is no independent check; the tests
+    certify those spectra by their residual against the graph's own
     matrix (`test_brute_spectrum_certified_by_residuals`)."""
     graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
     dec = decompose(graph, classes_for(graph, relation))
+    if join_route(ring, relation, "auto", element_cap, vertex_cap) == "closed":
+        dec = _closed_route_checked(dec)
     results = {}
     for flavor in flavors:
         assembled = assemble_spectrum(dec, flavor)

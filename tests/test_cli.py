@@ -18,7 +18,7 @@ from reference import classes_associate
 from zdgspectra import spectra as spectra_module
 from zdgspectra import cli as cli_module
 from zdgspectra.cli import _COUNT_FORMS, main
-from zdgspectra.graph import build_zdg
+from zdgspectra.graph import GraphCapError, build_zdg
 from zdgspectra.rings import MatRing, ProductRing, Zn, parse_ring_spec
 from zdgspectra.spectra import DecompositionError, SpectrumMultiset
 
@@ -130,16 +130,19 @@ def test_graph_csv_is_one_quoted_row_per_edge():
 
 
 def test_spectrum_json_both_methods():
-    code, out, err = run_cli(
-        ["spectrum", "--ring", "Zn(18)", "--method", "both", "--flavor", "both"]
-    )
+    # the assembled spectra print from `spectrum`; their comparison with the
+    # dense oracle is `verify`'s
+    code, out, err = run_cli(["spectrum", "--ring", "Zn(18)", "--flavor", "both"])
     assert code == 0, err
     payload = json.loads(out)
     validate(payload)
-    joins = [r for r in payload if r["method"] == "join"]
-    assert len(joins) == 2
-    for r in joins:
-        assert r["verification"]["matched"] is True
+    assert [sorted(r) for r in payload] == [["clusters", "flavor", "ring", "values"]] * 2
+    code, out, err = run_cli(["verify", "--ring", "Zn(18)", "--flavor", "both"])
+    assert code == 0, err
+    assert [(r["flavor"], r["matched"]) for r in json.loads(out)["results"]] == [
+        ("adjacency", True),
+        ("laplacian", True),
+    ]
 
 
 def test_spectrum_csv_is_g12():
@@ -148,7 +151,7 @@ def test_spectrum_csv_is_g12():
     )
     assert code == 0
     rows = out.strip().splitlines()
-    assert rows[0] == "flavor,method,index,value"
+    assert rows[0] == "flavor,index,value"
     values = [r.split(",")[-1] for r in rows[1:]]
     assert values[0] == "-1.41421356237"  # %.12g rendering of -sqrt(2)
 
@@ -302,8 +305,8 @@ def test_json_outputs_are_byte_stable():
     for args in (
         ["classes", "--ring", "Zn(30)"],
         ["graph", "--ring", "Zn(30)"],
-        ["spectrum", "--ring", "Zn(30)", "--method", "both"],
-        ["spectrum", "--ring", "Zn(30)", "--method", "both", "--format", "runs"],
+        ["spectrum", "--ring", "Zn(30)"],
+        ["spectrum", "--ring", "Zn(30)", "--format", "runs"],
         ["counts", "--what", "class-count", "--n", "2", "--q", "3"],
         ["verify", "--ring", "Zn(30)"],
     ):
@@ -589,11 +592,10 @@ def test_negative_cap_is_a_usage_error(args):
 @pytest.mark.parametrize(
     "args",
     [
-        ["spectrum", "--ring", "Zn(18)", "--method", "both", "--tol=-inf"],
         ["verify", "--ring", "Zn(36)", "--tol", "inf"],
         ["lift", "--j", "0", "--m", "2", "--value", "5", "--vector", "1,0,0", "--tol", "nan"],
     ],
-    ids=["spectrum", "verify", "lift"],
+    ids=["verify", "lift"],
 )
 def test_non_finite_tol_is_a_usage_error(args, tmp_path):
     # against nan or inf no residual or deviation is ever too large, so lift
@@ -611,11 +613,10 @@ def test_non_finite_tol_is_a_usage_error(args, tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["spectrum", "--ring", "Zn(8)", "--method", "both", "--tol", "-1"],
         ["verify", "--ring", "Zn(8)", "--tol", "-1"],
         ["lift", "--j", "0", "--m", "2", "--value", "2", "--vector", "1,0", "--tol", "-1"],
     ],
-    ids=["spectrum", "verify", "lift"],
+    ids=["verify", "lift"],
 )
 def test_negative_tol_is_a_usage_error(args, tmp_path):
     # below 0 every residual fails: verify reported both flavors false at a
@@ -697,16 +698,15 @@ def test_spectrum_refuses_to_print_billions_of_values(fmt):
     )
 
 
-@pytest.mark.parametrize("method", ["join", "brute", "both"])
-def test_spectrum_refuses_before_any_spectrum_is_solved(method, monkeypatch):
-    # the order of the decomposition or graph decides; no assemble or oracle call runs
+def test_spectrum_refuses_before_any_spectrum_is_solved(monkeypatch):
+    # the ring's closed vertex count decides; no assemble or oracle call runs
     def unexpected(*args):
         raise AssertionError("a spectrum was solved before the refusal")
 
     monkeypatch.setattr(cli_module, "assemble_spectrum", unexpected)
-    monkeypatch.setattr(cli_module, "brute_spectrum", unexpected)
+    monkeypatch.setattr(spectra_module, "brute_spectrum", unexpected)
     monkeypatch.setattr(cli_module, "MAX_PRINTED_VALUES", 10)
-    code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)", "--method", method])
+    code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)"])
     assert (code, out) == (1, "")
     assert err == (
         "error: RingError: Gamma(Zn(30)) has 21 eigenvalues per flavor, over the 10 "
@@ -746,8 +746,8 @@ def test_spectrum_runs_print_what_json_refuses():
 @pytest.mark.parametrize(
     "args",
     [
-        ["--ring", "Zn(36)", "--method", "both"],
-        ["--ring", "M(2,GF(3))", "--relation", "neighborhood"],
+        ["--ring", "Zn(36)"],
+        ["--ring", "M(2,GF(3))"],
         ["--ring", "Zn(1000000)"],
     ],
     ids=["Zn(36)", "M(2,GF(3))", "Zn(1000000)"],
@@ -758,12 +758,9 @@ def test_spectrum_runs_follow_the_schema(args):
     payload = json.loads(out)
     validate(payload)
     assert [r["flavor"] for r in payload] == ["adjacency", "laplacian"]
-    ring = parse_ring_spec(args[1])
-    relation = args[args.index("--relation") + 1] if "--relation" in args else "associate"
-    dec = spectra_module.ring_join_decomposition(ring, relation)
+    dec = spectra_module.ring_join_decomposition(parse_ring_spec(args[1]))
     for report, spectrum in zip(payload, spectra_module.spectrum_pair(dec)):
         assert [tuple(run) for run in report["runs"]] == spectrum.runs
-        assert report["verification"] is None or report["verification"]["matched"]
 
 
 def test_exit_code_verification_mismatch(monkeypatch):
@@ -832,16 +829,14 @@ def test_exit_code_cap_exceeded():
 
 
 def test_auto_route_reports_the_cap():
-    # neither ring has a closed route here (Z_2^13 has 8,192 classes, over
-    # the closed route's cell cap; a relation other than the associate
-    # one), so the cap is what the user must see
-    for args in (
-        ["spectrum", "--ring", "x".join(["Zn(2)"] * 13), "--max-vertices", "10"],
-        ["spectrum", "--ring", "Zn(30)", "--relation", "neighborhood", "--max-vertices", "10"],
-    ):
-        code, _, err = run_inproc(args)
-        assert code == 1, args
-        assert "GraphCapError" in err and "over the cap 10" in err, err
+    # neither decomposition has a closed route here (Z_2^13 has 8,192
+    # classes, over the closed route's cell cap; a relation other than the
+    # associate one), so the cap is what the user must see
+    code, _, err = run_inproc(["spectrum", "--ring", "x".join(["Zn(2)"] * 13), "--max-vertices", "10"])
+    assert code == 1
+    assert "GraphCapError" in err and "over the cap 10" in err, err
+    with pytest.raises(GraphCapError, match="over the cap 10"):
+        spectra_module.ring_join_decomposition(Zn(30), "neighborhood", vertex_cap=10)
 
 
 def test_auto_route_reports_why_the_closed_route_refused(monkeypatch):
@@ -897,8 +892,8 @@ def run_on_the_graph_route(monkeypatch, args):
     route, which `auto` no longer takes where the closed route can."""
     decompositions = []
 
-    def graph_route(ring, relation, **caps):
-        decompositions.append(spectra_module.ring_join_decomposition(ring, relation, method="graph", **caps))
+    def graph_route(ring, **caps):
+        decompositions.append(spectra_module.ring_join_decomposition(ring, method="graph", **caps))
         return decompositions[-1]
 
     with monkeypatch.context() as patch:
@@ -914,7 +909,7 @@ def test_auto_route_falls_back_to_the_closed_route(monkeypatch):
     ring = ["--ring", "Zn(4)xM(2,GF(3))"]
     code, out, _ = run_inproc(["spectrum", *ring, "--max-vertices", "10"])
     assert code == 0
-    code, ref, _ = run_on_the_graph_route(monkeypatch, ["spectrum", *ring, "--method", "join"])
+    code, ref, _ = run_on_the_graph_route(monkeypatch, ["spectrum", *ring])
     assert code == 0
     closed, graph = json.loads(out), json.loads(ref)
     assert [r["flavor"] for r in closed] == [r["flavor"] for r in graph] == ["adjacency", "laplacian"]
@@ -937,22 +932,63 @@ def test_spectrum_builds_no_graph_where_the_class_table_takes_the_ring(form, mon
     assert [r["flavor"] for r in json.loads(out)] == ["adjacency", "laplacian"]
 
 
-def test_method_both_checks_the_closed_route_against_the_oracle(monkeypatch):
-    # the graph is built for the oracle only: the join side is the closed route
-    def no_decompose(graph, partition):
-        raise AssertionError("decomposed the graph")
+def test_verify_checks_the_closed_route_against_the_oracle(monkeypatch):
+    # the graph is built for the oracle and the check: the spectra compared
+    # are assembled from the closed route, which `spectrum` prints
+    assembled = []
+    assemble = spectra_module.assemble_spectrum
 
-    monkeypatch.setattr(spectra_module, "decompose", no_decompose)
-    code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)", "--method", "both"])
+    def recording(dec, flavor):
+        assembled.append(dec.cell_of is None)
+        return assemble(dec, flavor)
+
+    monkeypatch.setattr(spectra_module, "assemble_spectrum", recording)
+    code, out, err = run_inproc(["verify", "--ring", "Zn(30)"])
     assert code == 0, err
-    assert [(r["flavor"], r["verification"]["matched"]) for r in json.loads(out)] == [
+    assert [(r["flavor"], r["matched"]) for r in json.loads(out)["results"]] == [
         ("adjacency", True),
         ("laplacian", True),
     ]
+    assert assembled == [True, True]
+
+
+def test_verify_reports_a_closed_route_unlike_the_graph_as_error_rows(monkeypatch):
+    closed = spectra_module.decomposition_semisimple_closed
+
+    def one_kill_flipped(ring):
+        dec = closed(ring)
+        table = dec.table.copy()
+        table[1, 5] = table[5, 1] = not table[1, 5]  # the classes of 3 and 12 in Z_36
+        return spectra_module.JoinDecomposition(dec.relation, dec.sizes, table, dec.ring, dec.reps)
+
+    monkeypatch.setattr(spectra_module, "decomposition_semisimple_closed", one_kill_flipped)
+    code, out, err = run_inproc(["verify", "--ring", "Zn(36)"])
+    assert code == 2, err
+    message = "DecompositionError: the closed route differs from the graph route at the class of 3"
+    assert [(r["flavor"], r["error"]) for r in json.loads(out)["results"]] == [
+        ("adjacency", message),
+        ("laplacian", message),
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag", [["--method", "both"], ["--relation", "neighborhood"], ["--tol", "1e-9"]], ids=["method", "relation", "tol"]
+)
+def test_spectrum_refuses_a_removed_flag(flag):
+    # `verify` is the one check against the oracle; `spectrum` only prints
+    code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)", *flag])
+    assert (code, out) == (1, "")
+    assert err == f"error: UsageError: unrecognized arguments: {' '.join(flag)}\n"
+
+
+def test_spectrum_help_names_the_check():
+    code, out, _ = run_cli(["spectrum", "--help"])
+    assert code == 0
+    assert "zdg verify --ring R" in " ".join(out.split())
 
 
 def test_spectrum_of_one_by_one_matrices_builds_no_field_table(monkeypatch):
-    # M(1,GF(2^20)) is GF(2^20): no zero-divisors, and no q x q table
+    # M(1,GF(q)) is GF(q): no zero-divisors, and no q x q table on either route
     def no_table(self):
         raise AssertionError("built a q x q table")
 
@@ -964,6 +1000,24 @@ def test_spectrum_of_one_by_one_matrices_builds_no_field_table(monkeypatch):
         ("adjacency", [], []),
         ("laplacian", [], []),
     ]
+    for q in (2, 9, 4096):
+        ring = f"M(1,GF({q}))"
+        empty = {"matched": True, "max_deviation": 0.0, "skipped": False}
+        expected = {
+            "graph": {"ring": ring, "vertices": [], "edges": []},
+            "classes": {"ring": ring, "relation": "associate", "classes": []},
+            "verify": {
+                "relation": "associate",
+                "all_matched": True,
+                "results": [
+                    {"ring": ring, "order": 0, "flavor": flavor, **empty} for flavor in ("adjacency", "laplacian")
+                ],
+            },
+        }
+        for verb, payload in expected.items():
+            code, out, err = run_inproc([verb, "--ring", ring])
+            assert (code, err) == (0, ""), (verb, ring)
+            assert out == json.dumps(payload, indent=2) + "\n", (verb, ring)
 
 
 @pytest.mark.parametrize("form", [[], ["--format", "runs"]], ids=["json", "runs"])

@@ -15,7 +15,7 @@ the reference enumeration, told by `is_unit`, and the closed unit and
 vertex counts with the lengths of the enumerated lists.  The graph's loops
 are compared with a^2 = 0 and with `is_reduced`.  The runs that
 `zdg spectrum --format runs` prints expand to the values the json format
-prints, under every relation.
+prints, and `zdg verify` passes under every relation.
 """
 
 import contextlib
@@ -114,19 +114,22 @@ def test_graph_route_matches_definition_and_oracles(factors):
         assert assemble_spectrum(closed, flavor).runs == assemble_spectrum(dec, flavor).runs, (spec, flavor)
 
 
-def spectrum_stdout(*args) -> list[dict]:
+def cli_stdout(*args):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["spectrum", *args]) == 0
+        assert main(list(args)) == 0
     return json.loads(out.getvalue())
 
 
 @settings(max_examples=20, deadline=None)
 @given(products, st.sampled_from(["associate", "neighborhood", "annihilator"]))
 def test_spectrum_runs_expand_to_the_json_values(factors, relation):
-    args = ["--ring", "x".join(f[0] for f in factors), "--relation", relation, "--method", "both"]
-    runs, values = spectrum_stdout(*args, "--format", "runs"), spectrum_stdout(*args)
+    ring = ["--ring", "x".join(f[0] for f in factors)]
+    runs, values = cli_stdout("spectrum", *ring, "--format", "runs"), cli_stdout("spectrum", *ring)
     assert len(runs) == len(values) == 2
     for r, v in zip(runs, values):
         assert {k: r[k] for k in r if k != "runs"} == {k: v[k] for k in v if k not in ("values", "clusters")}
-        assert [value for value, k, _ in r["runs"] for _ in range(k)] == v["values"], args
+        assert [value for value, k, _ in r["runs"] for _ in range(k)] == v["values"], ring
+    # the printed spectra are checked under the associate relation, and the
+    # other relations' decompositions of the graph against the same oracle
+    assert cli_stdout("verify", *ring, "--relation", relation)["all_matched"], (ring, relation)

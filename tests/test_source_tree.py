@@ -22,6 +22,9 @@ the verbs' handlers return theirs.  Each CLI input has one spelling: a
 `--sweep` parser that builds a ring from a spec of its own, fails here.
 The flavor names are listed once, as the keys of `spectra.FLAVORS`: the
 CLI's choices read them, and the schema's one flavor def must equal them.
+A spectrum meets the dense oracle in one place, `spectra.verify_ring`: a
+second caller of `brute_spectrum`, or a CLI handler that compares spectra
+itself, fails here.
 """
 import argparse
 import ast
@@ -251,6 +254,15 @@ def test_one_output_path():
     # thread a new field through
     cli = PACKAGE / "cli.py"
     assert callers(cli, "_json_text") == callers(cli, "_csv_text") == {"main"}
+
+
+def test_one_comparison_path():
+    # a second comparison with the oracle would be a second check to keep in
+    # step with the route that `zdg spectrum` prints
+    oracle_callers = {p.name: callers(p, "brute_spectrum") for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in oracle_callers.items() if found} == {"spectra.py": {"verify_ring"}}
+    cli = PACKAGE / "cli.py"
+    assert callers(cli, "brute_spectrum") | callers(cli, "multiset_equal") == set()
 
 
 def test_one_way_in():

@@ -760,6 +760,61 @@ def test_verify_ring_reports():
     assert out.max_deviation <= 1e-7
 
 
+def test_verify_ring_checks_the_closed_route_on_criterion_3_rings(monkeypatch):
+    """Where `auto` takes the closed route, verify_ring requires the closed
+    decomposition to equal the graph's and assembles it: the spectra it
+    checks are the ones `zdg spectrum` prints."""
+    from test_acceptance import MATRIX_RINGS, SEMISIMPLE_RINGS
+
+    closed, assembled = [], []
+    real_closed, real_assemble = decomposition_semisimple_closed, assemble_spectrum
+    monkeypatch.setattr(
+        spectra_module, "decomposition_semisimple_closed", lambda ring: closed.append(ring) or real_closed(ring)
+    )
+    monkeypatch.setattr(
+        spectra_module,
+        "assemble_spectrum",
+        lambda dec, flavor: assembled.append(dec.cell_of is None) or real_assemble(dec, flavor),
+    )
+    specs = [f"Zn({n})" for n in range(6, 201)] + MATRIX_RINGS + SEMISIMPLE_RINGS
+    for spec in specs:
+        out = verify_ring(parse_ring_spec(spec))
+        assert out.matched, (spec, out.results)
+    assert [ring.spec_string() for ring in closed] == specs
+    assert assembled == [True] * 2 * len(specs)
+
+
+def corrupt_the_closed_route(monkeypatch, corrupt):
+    """Pass each closed decomposition's sizes and table through `corrupt`."""
+
+    def closed(ring):
+        dec = decomposition_semisimple_closed(ring)
+        sizes, table = dec.sizes.copy(), dec.table.copy()
+        corrupt(sizes, table)
+        return spectra_module.JoinDecomposition(dec.relation, sizes, table, dec.ring, dec.reps)
+
+    monkeypatch.setattr(spectra_module, "decomposition_semisimple_closed", closed)
+
+
+def flip_one_kill(sizes, table):
+    # Z_36's cells are the classes of 2, 3, 4, 6, 9, 12 and 18; 3 times 12 is 0
+    table[1, 5] = table[5, 1] = not table[1, 5]
+
+
+def one_wrong_size(sizes, table):
+    sizes[3] += 1  # the class of 6
+
+
+@pytest.mark.parametrize("corrupt, label", [(flip_one_kill, "3"), (one_wrong_size, "6")], ids=["kill", "size"])
+def test_verify_ring_refuses_a_closed_route_unlike_the_graph(corrupt, label, monkeypatch):
+    corrupt_the_closed_route(monkeypatch, corrupt)
+    message = f"the closed route differs from the graph route at the class of {label}"
+    with pytest.raises(DecompositionError, match=f"^{message}$"):
+        verify_ring(Zn(36))
+    # the other relations have no closed route to check
+    assert verify_ring(Zn(36), "neighborhood").matched
+
+
 def test_verify_ring_solves_each_oracle_once(monkeypatch):
     """Both relations of verify_ring check the one cached graph, so each
     flavor's order-|V| solve runs once; the results are those of a graph
