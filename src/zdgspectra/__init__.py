@@ -14,10 +14,8 @@ from .classes import (
     classes_neighborhood,
 )
 from .counts import (
-    BooleanSkeleton,
     SemisimpleProfile,
     ZnProfile,
-    boolean_skeleton,
     class_count_matrix,
     class_size_matrix,
     compressed_degree_matrix,

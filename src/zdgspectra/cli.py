@@ -12,10 +12,12 @@ Each verb's handler returns its report as a JSON payload and as a CSV
 header with lazy rows; `main` alone formats one of the two and prints it.
 
 Each input has one spelling: a ring is a `--ring` spec, `verify --sweep`
-takes only `Zn:lo..hi` or `Zn:n`, the caps come only from their flags,
-and the `verify --tol` default is `spectra.DEFAULT_TOL`.  An error prints
-as one `error: <Type>: <message>` line; the `auto` route's cap error
-carries the closed route's refusal in its own message.
+takes only `Zn:lo..hi` or `Zn:n`, the one graph cap comes only from
+`--max-vertices`, and the `verify --tol` default is
+`spectra.DEFAULT_TOL`.  The vertex cap bounds |R| too, since a ring with
+a vertex has |R| <= (V + 1)^2, so no element cap is needed.  An error
+prints as one `error: <Type>: <message>` line; the `auto` route's cap
+error carries the closed route's refusal in its own message.
 
 Exit codes: 0 on success, 2 when a verify comparison or a lifted
 eigenpair fails or a ring in a verify run errors (its rows carry the
@@ -38,7 +40,7 @@ import numpy as np
 from . import counts
 from .classes import classes_for
 from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_json
-from .rings import EnumerationCapError, RingError, Zn, parse_ring_spec
+from .rings import RingError, Zn, parse_ring_spec
 from .spectra import (
     DEFAULT_TOL,
     FLAVORS,
@@ -90,7 +92,7 @@ def _g12(x) -> str:
 
 
 def _cap(text: str) -> int:
-    """An element or vertex cap: an integer, 0 or more.  A negative cap
+    """A vertex cap: an integer, 0 or more.  A negative cap
     would refuse every ring, so that `verify` checks nothing and passes."""
     try:
         value = int(text)
@@ -138,7 +140,7 @@ def _comparison(check) -> dict:
 
 def _run_classes(args):
     ring = parse_ring_spec(args.ring)
-    graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=args.max_elements)
+    graph = build_zdg(ring, args.max_vertices)
     payload = {"ring": ring.spec_string(), **classes_for(graph, args.relation).to_json(graph)}
     rows = ([c["rep"], c["size"], c["kind"], ";".join(c["members"])] for c in payload["classes"])
     return EXIT_OK, payload, "rep,size,kind,members", rows
@@ -146,7 +148,7 @@ def _run_classes(args):
 
 def _run_graph(args):
     ring = parse_ring_spec(args.ring)
-    graph = build_zdg(ring, vertex_cap=args.max_vertices, element_cap=args.max_elements)
+    graph = build_zdg(ring, args.max_vertices)
     payload = graph_json(graph)
     labels = payload["vertices"]
     return EXIT_OK, payload, "u,v", ([labels[i], labels[j]] for i, j in payload["edges"])
@@ -154,16 +156,15 @@ def _run_graph(args):
 
 def _run_spectrum(args):
     ring = parse_ring_spec(args.ring)
-    caps = {"element_cap": args.max_elements, "vertex_cap": args.max_vertices}
     # the route's refusal first, then the printed size, both before anything is built
-    join_route(ring, **caps)
+    join_route(ring, vertex_cap=args.max_vertices)
     order = ring.vertex_count()
     if args.format != "runs" and order > MAX_PRINTED_VALUES:
         raise RingError(
             f"Gamma({ring.spec_string()}) has {order} eigenvalues per flavor, over the "
             f"{MAX_PRINTED_VALUES} that json and csv print; --format runs prints them as runs"
         )
-    dec = ring_join_decomposition(ring, **caps)
+    dec = ring_join_decomposition(ring, vertex_cap=args.max_vertices)
     reports = []
     for flavor in _flavors(args):
         spectrum = assemble_spectrum(dec, flavor)
@@ -261,17 +262,10 @@ def _run_verify(args):
     for ring in rings:
         started = time.perf_counter()
         checks, order, seconds = {}, None, None
-        status = {"skipped": True}  # over a cap
+        status = {"skipped": True}  # over the vertex cap
         try:
-            outcome = verify_ring(
-                ring,
-                args.relation,
-                args.tol,
-                flavors=flavors,
-                element_cap=args.max_elements,
-                vertex_cap=args.max_vertices,
-            )
-        except (GraphCapError, EnumerationCapError):
+            outcome = verify_ring(ring, args.relation, args.tol, flavors=flavors, vertex_cap=args.max_vertices)
+        except GraphCapError:
             pass
         except (np.linalg.LinAlgError, DecompositionError) as exc:
             # one ring the pipeline cannot handle fails its own rows, not the sweep
@@ -346,7 +340,6 @@ def _build_parser() -> _Parser:
                 default="associate",
             )
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--max-elements", type=_cap, default=None, help="enumeration cap override")
         p.add_argument("--max-vertices", type=_cap, default=None, help="graph size cap override")
 
     p_classes = sub.add_parser("classes", help="vertex classes under a relation")

@@ -5,7 +5,6 @@ exhaustive enumeration in the test suite.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import prod
@@ -244,44 +243,3 @@ def semisimple_class_degree(profile: SemisimpleProfile, squares_to_zero: bool = 
         left *= l_k
         both *= b_k
     return 2 * (left - 1) - (both - 1) - int(squares_to_zero)
-
-
-# ---------------------------------------------------------------------------
-# products of fields: the Boolean skeleton
-
-
-@dataclass
-class BooleanSkeleton:
-    """Class structure of Gamma(F_{q_1} x ... x F_{q_t}): one class per
-    nonempty proper subset S of positions (the support of the element),
-    classes S, T adjacent iff the supports are disjoint."""
-
-    qs: tuple[int, ...]
-    subsets: list[tuple[int, ...]]  # support tuples, sorted
-    sizes: list[int]  # prod_{i in S} (q_i - 1)
-    class_degrees: list[int]  # 2^{t - |S|} - 1
-    vertex_degrees: list[int]  # prod_{i not in S} q_i - 1
-
-    @property
-    def class_count(self) -> int:
-        return len(self.subsets)
-
-
-def boolean_skeleton(qs) -> BooleanSkeleton:
-    """The skeleton of prod_i F_{q_i}, read off the semisimple formulas: the
-    class of support S is the rank profile with rank 1 on S and 0 off it,
-    each field a factor (1, q_i)."""
-    qs = tuple(qs)
-    t = len(qs)
-    if t < 2:
-        raise ValueError("need at least two field factors")
-    for q in qs:
-        if numth.prime_power(q) is None:
-            raise ValueError(f"{q} is not a prime power")
-    subsets = sorted(s for size in range(1, t) for s in itertools.combinations(range(t), size))
-    factors = tuple((1, q) for q in qs)
-    profiles = [SemisimpleProfile(factors, tuple(int(i in s) for i in range(t))) for s in subsets]
-    sizes = [semisimple_class_size(p) for p in profiles]
-    class_degrees = [semisimple_class_degree(p) for p in profiles]
-    vertex_degrees = [semisimple_vertex_degree(p) for p in profiles]
-    return BooleanSkeleton(qs, subsets, sizes, class_degrees, vertex_degrees)

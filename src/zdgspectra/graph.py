@@ -21,11 +21,13 @@ otherwise.
 The per-element annihilator and reducedness definitions that check the
 graph are the tests' references, in tests/reference.py.
 
-`build_zdg` checks the caller's caps from closed counts before anything
-of size |R| exists: the element cap from the ring's cardinality, then
-the vertex cap from `vertex_count()`.  It caches the graph under the
-ring alone, one graph at a time: every reuse is of the ring just built,
-so a sweep holds one V x V array, not one per ring.
+`build_zdg` checks the caller's vertex cap against `vertex_count()`, a
+closed count, before anything of size |R| exists.  That one cap bounds
+|R| too: a ring with a vertex has |R| <= (V + 1)^2 (Ganesan, Math. Ann.
+157, 1964; Koh, Math. Ann. 171, 1967), and a ring with none is a field,
+whose graph `_build` makes without reading a unit mask.  It caches the
+graph under the ring alone, one graph at a time: every reuse is of the
+ring just built, so a sweep holds one V x V array, not one per ring.
 """
 from __future__ import annotations
 
@@ -81,9 +83,15 @@ class ZeroDivisorGraph:
 
 
 def _build(ring: Ring) -> ZeroDivisorGraph:
-    zd = ~ring._unit_mask()  # build_zdg checked the caller's caps
-    zd[0] = False  # element 0 is the zero
-    index = np.flatnonzero(zd)
+    # the unit mask takes |R|, which only the vertex cap bounds: a ring with
+    # no vertex is a field, of any size, and any other ring has
+    # |R| <= (V + 1)^2 <= (cap + 1)^2
+    if ring.vertex_count() > 0:
+        zd = ~ring._unit_mask()
+        zd[0] = False  # element 0 is the zero
+        index = np.flatnonzero(zd)
+    else:
+        index = np.zeros(0, dtype=np.intp)
     index.flags.writeable = False  # the cached graph is shared
     z = ring.zero_products(index)
     loops = z.diagonal().copy()
@@ -95,19 +103,18 @@ def _build(ring: Ring) -> ZeroDivisorGraph:
 _build_cached = lru_cache(maxsize=1)(_build)
 
 
-def check_graph_caps(ring: Ring, vertex_cap: int | None = None, element_cap: int | None = None) -> None:
-    """Raise the cap error that `build_zdg` raises for these caps, from the
-    ring's cardinality and closed vertex count: nothing is enumerated."""
-    ring.check_element_cap(element_cap)
+def check_graph_caps(ring: Ring, vertex_cap: int | None = None) -> None:
+    """Raise the cap error that `build_zdg` raises for this cap, from the
+    ring's closed vertex count: nothing is enumerated."""
     vertex_cap = DEFAULT_VERTEX_CAP if vertex_cap is None else vertex_cap
     m = ring.vertex_count()
     if m > vertex_cap:
         raise GraphCapError(f"Gamma({ring.spec_string()}) has {m} vertices, over the cap {vertex_cap}")
 
 
-def build_zdg(ring: Ring, vertex_cap: int | None = None, element_cap: int | None = None) -> ZeroDivisorGraph:
-    """Construct Gamma(R), cached for the last ring: a cap refuses the graph, it never changes it."""
-    check_graph_caps(ring, vertex_cap, element_cap)
+def build_zdg(ring: Ring, vertex_cap: int | None = None) -> ZeroDivisorGraph:
+    """Construct Gamma(R), cached for the last ring: the cap refuses the graph, it never changes it."""
+    check_graph_caps(ring, vertex_cap)
     return _build_cached(ring)
 
 

@@ -18,11 +18,14 @@ and class tables read one dot product, `MatRing._dot`; `gf_rref` serves
 `rank`.
 
 A ring keeps no payloads unless a caller asks for them: the graph route
-reads `_unit_mask` and the index tables, and its caps read `cardinality`,
-`unit_count()` and `vertex_count()`, which are closed forms (phi(n),
-q - 1, |GL_n(F_q)|, the product over the factors).  Only `elements()`,
-`units()` and `zero_divisors()`, which the tests' references call, decode
-whole index ranges, and only `elements()` keeps its list on the ring.
+reads `_unit_mask` and the index tables, and its vertex cap reads
+`vertex_count()`, |R| less the closed `unit_count()` (phi(n), q - 1,
+|GL_n(F_q)|, the product over the factors) and 1.  No element cap is
+needed: a ring with a zero-divisor has |R| <= (|Z(R)*| + 1)^2 (Ganesan
+1964; Koh 1967 for noncommutative rings), so the vertex cap bounds |R|
+wherever the graph has a vertex.  Only `elements()`, `units()` and
+`zero_divisors()`, which the tests' references call, decode whole index
+ranges, and only `elements()` keeps its list on the ring.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -46,7 +49,6 @@ import numpy as np
 from . import numth
 from .counts import class_count_matrix, gl_order
 
-DEFAULT_ELEMENT_CAP = 20000
 CLOSED_CELL_CAP = 4096  # zero-divisor classes that `class_table` takes
 
 
@@ -62,10 +64,6 @@ class RingSpecError(RingError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
-
-
-class EnumerationCapError(RingError):
-    """Raised when enumerating a ring would exceed the element cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +130,8 @@ def first_seen_ids(keys) -> np.ndarray:
 
 
 class Ring:
-    """Common behavior: closed counts, the caps, and the enumeration and
-    unit/zero-divisor lists that only the tests read."""
+    """Common behavior: closed counts, the closed route's refusal, and the
+    enumeration and unit/zero-divisor lists that only the tests read."""
 
     commutative = True
     cardinality = 0
@@ -232,31 +230,20 @@ class Ring:
         element is a unit or a zero-divisor, so it is |R| - |U(R)| - 1."""
         return self.cardinality - self.unit_count() - 1
 
-    def check_element_cap(self, cap: int | None = None) -> None:
-        """Refuse a ring of more than `cap` elements (DEFAULT_ELEMENT_CAP when
-        None): `elements` and `graph.build_zdg` raise this one error."""
-        cap = DEFAULT_ELEMENT_CAP if cap is None else cap
-        if self.cardinality > cap:
-            raise EnumerationCapError(
-                f"{self.spec_string()} has {self.cardinality} elements, over the cap {cap}"
-            )
-
-    def elements(self, cap: int | None = None) -> list:
+    def elements(self) -> list:
         """All elements in canonical (lexicographic) order, zero first,
         decoded once and kept.  The pipeline never calls it: the graph
         route reads element indices."""
-        self.check_element_cap(cap)
         cached = getattr(self, "_elements", None)
         if cached is None:
             cached = self.decode(np.arange(self.cardinality))
             self._elements = cached
         return cached
 
-    def units(self, cap: int | None = None) -> list:
-        self.check_element_cap(cap)
+    def units(self) -> list:
         return self.decode(np.flatnonzero(self._unit_mask()))
 
-    def zero_divisors(self, cap: int | None = None) -> list:
+    def zero_divisors(self) -> list:
         """Nonzero non-units, in element order.
 
         In a finite ring every nonzero element is a unit or a (one-sided)
@@ -264,7 +251,6 @@ class Ring:
         element but 0 (element 0) that `_unit_mask` leaves out, decoded
         from its index.  Tests check the definition directly.
         """
-        self.check_element_cap(cap)
         zd = ~self._unit_mask()
         zd[0] = False
         return self.decode(np.flatnonzero(zd))
@@ -304,7 +290,9 @@ class Zn(Ring):
         return (a * b) % self.n
 
     def zero_products(self, idx):
-        # the int64 products are exact for n below 3e9, far past any ring that can be enumerated
+        # the int64 products are exact for n below 3.03e9; |R| <= (V + 1)^2
+        # keeps that so below about 55,000 vertices, where this V x V
+        # product alone would take 24 GB
         vals = np.asarray(idx, dtype=np.int64)
         return np.outer(vals, vals) % self.n == 0
 
@@ -342,7 +330,11 @@ class Zn(Ring):
         return prod(p ** (a - 1) * (p - 1) for p, a in self.factors)
 
     def _unit_mask(self):
-        return np.gcd(np.arange(self.n, dtype=np.int64), self.n) == 1
+        # gcd(x, n) = 1 exactly when no prime of n divides x: one sieve per prime
+        mask = np.ones(self.n, dtype=bool)
+        for p, _ in self.factors:
+            mask[::p] = False
+        return mask
 
 
 class GF(Ring):

@@ -43,7 +43,7 @@ matrix of the whole graph, so the two share no matrix unless every cell
 is a singleton, and the combination and shift identities solve their
 small blocks.  The oracle's spectrum is kept on its graph, one per
 flavor, and `build_zdg` keeps the graph of the ring it built last
-whatever the caps, so each relation of `verify_ring` partitions that
+whatever the cap, so each relation of `verify_ring` partitions that
 graph and pays for the order-|V| solve once.
 
 A spectrum is stored as runs of (value, multiplicity, provenance): one
@@ -70,7 +70,7 @@ from .counts import zn_profile  # unused: perfbench's tracer wraps this name for
 from .eig import dense_eigenvalues
 from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
 from .graph import GraphCapError, ZeroDivisorGraph, build_zdg, check_graph_caps
-from .rings import EnumerationCapError, Ring, RingError
+from .rings import Ring, RingError
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
@@ -457,16 +457,15 @@ def join_route(
     ring: Ring,
     relation: str = "associate",
     method: str = "auto",
-    element_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> str:
     """The route, 'graph' or 'closed', that `ring_join_decomposition` takes
     with these arguments, or the refusal it raises, read off closed counts
     before anything is built.  'auto' takes the closed route wherever
     `check_class_table` takes the ring and the relation is the associate
-    one, and the graph route under its caps (`check_graph_caps`) otherwise;
-    when both refuse it raises the cap error with the closed route's
-    refusal in its message, chained to it."""
+    one, and the graph route under its vertex cap (`check_graph_caps`)
+    otherwise; when both refuse it raises the cap error with the closed
+    route's refusal in its message, chained to it."""
     if method not in ("auto", "graph", "closed"):
         raise ValueError(f"unknown method '{method}'")
     if method != "graph":
@@ -480,12 +479,12 @@ def join_route(
                 raise
             closed_error = error
     try:
-        check_graph_caps(ring, vertex_cap, element_cap)
-    except (GraphCapError, EnumerationCapError) as cap_error:
+        check_graph_caps(ring, vertex_cap)
+    except GraphCapError as cap_error:
         if method == "graph":
             raise
         reason = f"closed route: {type(closed_error).__name__}: {closed_error}"
-        raise type(cap_error)(f"{cap_error}; {reason}") from closed_error
+        raise GraphCapError(f"{cap_error}; {reason}") from closed_error
     return "graph"
 
 
@@ -493,15 +492,14 @@ def ring_join_decomposition(
     ring: Ring,
     relation: str = "associate",
     method: str = "auto",
-    element_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> JoinDecomposition:
     """Decompose Gamma(ring) by the requested relation, on the route that
     `join_route` names: 'graph' builds the graph and verifies the join
     structure, 'closed' reads the cells and H off the ring's class table."""
-    if join_route(ring, relation, method, element_cap, vertex_cap) == "closed":
+    if join_route(ring, relation, method, vertex_cap) == "closed":
         return decomposition_semisimple_closed(ring)
-    graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
+    graph = build_zdg(ring, vertex_cap)
     return decompose(graph, classes_for(graph, relation))
 
 
@@ -548,19 +546,18 @@ def verify_ring(
     relation: str = "associate",
     tol: float = DEFAULT_TOL,
     flavors=tuple(FLAVORS),
-    element_cap: int | None = None,
     vertex_cap: int | None = None,
 ) -> VerifyOutcome:
     """Compare the spectra of the route `join_route(..., "auto")` takes
-    with the dense oracle of the graph built under the caps: the graph's
+    with the dense oracle of the graph built under the vertex cap: the graph's
     decomposition, or the closed one, which must equal it.  With every
     class a singleton (Z_2^k, associates) both sides solve one matrix, so
     a max_deviation of 0.0 there is no independent check; the tests
     certify those spectra by their residual against the graph's own
     matrix (`test_brute_spectrum_certified_by_residuals`)."""
-    graph = build_zdg(ring, vertex_cap=vertex_cap, element_cap=element_cap)
+    graph = build_zdg(ring, vertex_cap)
     dec = decompose(graph, classes_for(graph, relation))
-    if join_route(ring, relation, "auto", element_cap, vertex_cap) == "closed":
+    if join_route(ring, relation, "auto", vertex_cap) == "closed":
         dec = _closed_route_checked(dec)
     results = {}
     for flavor in flavors:

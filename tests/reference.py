@@ -4,7 +4,7 @@ Each reference states its definition directly: the lexicographic element
 order that element indices count, associate classes as unit orbits, equal
 neighborhoods by pairwise row comparison, units, annihilators and
 reducedness element by element, the index sets of a semisimple rank
-profile, kernels and span containment by elimination over GF(q), and the
+profile, the class skeleton of a product of fields, kernels and span containment by elimination over GF(q), and the
 proven agreements between the three vertex relations.  The package's
 pipeline calls none of them.
 
@@ -16,13 +16,19 @@ code under test and not its reference, and the comparison fails.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from zdgspectra import numth
 from zdgspectra.classes import ClassPartition, classes_annihilator, classes_for, classes_neighborhood
-from zdgspectra.counts import SemisimpleProfile
+from zdgspectra.counts import (
+    SemisimpleProfile,
+    semisimple_class_degree,
+    semisimple_class_size,
+    semisimple_vertex_degree,
+)
 from zdgspectra.graph import ZeroDivisorGraph
 from zdgspectra.rings import GF, MatRing, ProductRing, Ring, RingError, Zn, gf_rref
 from zdgspectra.spectra import SpectrumMultiset
@@ -71,14 +77,14 @@ def _first_appearance(keys, kind) -> tuple[list[int], list]:
     return cell_of, kinds
 
 
-def classes_associate(ring: Ring, element_cap: int | None = None) -> ClassPartition:
+def classes_associate(ring: Ring) -> ClassPartition:
     """Associate classes by direct unit orbiting.
 
     The class of a is {ua : u a unit} meet {av : v a unit}; for a
     commutative ring the two orbits coincide and one suffices.
     """
-    zd = ring.zero_divisors(element_cap)
-    units = ring.units(element_cap)
+    zd = ring.zero_divisors()
+    units = ring.units()
     mul = ring.mul
     owner = {}  # element -> the first vertex of its orbit
     for i, a in enumerate(zd):
@@ -140,7 +146,7 @@ def is_unit(ring: Ring, a) -> bool:
     raise TypeError(f"no unit test for {type(ring).__name__}")
 
 
-def annihilator_set(ring: Ring, a, element_cap: int | None = None) -> set:
+def annihilator_set(ring: Ring, a) -> set:
     """{x in Z(R) : ax = 0 or xa = 0}; contains a itself exactly when a^2 = 0.
 
     Computed straight from the definition (one pass of multiplications), so
@@ -154,7 +160,7 @@ def annihilator_set(ring: Ring, a, element_cap: int | None = None) -> set:
     mul = ring.mul
     comm = ring.commutative
     out = set()
-    for x in ring.zero_divisors(element_cap):
+    for x in ring.zero_divisors():
         if mul(a, x) == zero or (not comm and mul(x, a) == zero):
             out.add(x)
     return out
@@ -167,10 +173,10 @@ def neighborhood(graph: ZeroDivisorGraph, a) -> set:
     return {graph.vertices[j] for j in np.nonzero(row)[0]}
 
 
-def is_reduced(ring: Ring, cap: int | None = None) -> bool:
+def is_reduced(ring: Ring) -> bool:
     """True when the ring has no nonzero element squaring to zero."""
     zero = ring.zero
-    return not any(a != zero and ring.mul(a, a) == zero for a in ring.elements(cap))
+    return not any(a != zero and ring.mul(a, a) == zero for a in ring.elements())
 
 
 def profile_index_sets(profile: SemisimpleProfile) -> tuple[tuple[int, ...], ...]:
@@ -187,6 +193,43 @@ def profile_index_sets(profile: SemisimpleProfile) -> tuple[tuple[int, ...], ...
         tuple(k for k, (n, r) in enumerate(pairs) if 0 < r < n),
         tuple(k for k, (_, r) in enumerate(pairs) if r != 0),
     )
+
+
+@dataclass
+class BooleanSkeleton:
+    """Class structure of Gamma(F_{q_1} x ... x F_{q_t}): one class per
+    nonempty proper subset S of positions (the support of the element),
+    classes S, T adjacent iff the supports are disjoint."""
+
+    qs: tuple[int, ...]
+    subsets: list[tuple[int, ...]]  # support tuples, sorted
+    sizes: list[int]  # prod_{i in S} (q_i - 1)
+    class_degrees: list[int]  # 2^{t - |S|} - 1
+    vertex_degrees: list[int]  # prod_{i not in S} q_i - 1
+
+    @property
+    def class_count(self) -> int:
+        return len(self.subsets)
+
+
+def boolean_skeleton(qs) -> BooleanSkeleton:
+    """The skeleton of prod_i F_{q_i}, read off the semisimple formulas: the
+    class of support S is the rank profile with rank 1 on S and 0 off it,
+    each field a factor (1, q_i)."""
+    qs = tuple(qs)
+    t = len(qs)
+    if t < 2:
+        raise ValueError("need at least two field factors")
+    for q in qs:
+        if numth.prime_power(q) is None:
+            raise ValueError(f"{q} is not a prime power")
+    subsets = sorted(s for size in range(1, t) for s in itertools.combinations(range(t), size))
+    factors = tuple((1, q) for q in qs)
+    profiles = [SemisimpleProfile(factors, tuple(int(i in s) for i in range(t))) for s in subsets]
+    sizes = [semisimple_class_size(p) for p in profiles]
+    class_degrees = [semisimple_class_degree(p) for p in profiles]
+    vertex_degrees = [semisimple_vertex_degree(p) for p in profiles]
+    return BooleanSkeleton(qs, subsets, sizes, class_degrees, vertex_degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +303,7 @@ def _noncommutative_hypothesis(ring):
 def _scan_commutative_hypothesis(ring):
     """The commutative hypothesis by a scan over every unit of the ring."""
     one, zero = ring.one, ring.zero
-    for u in ring.units(ring.cardinality):
+    for u in ring.units():
         d = ring.sub(one, u)
         if ring.mul(d, d) != zero:
             return True
@@ -270,13 +313,14 @@ def _scan_commutative_hypothesis(ring):
 def _scan_noncommutative_hypothesis(ring):
     """The noncommutative hypothesis by a scan over every unit of the ring."""
     one = ring.one
-    unit_set = set(ring.units(ring.cardinality))
+    unit_set = set(ring.units())
     return any(ring.sub(one, u) in unit_set for u in unit_set)
 
 
 def check_relation_agreements(graph: ZeroDivisorGraph) -> dict:
     """Verify the proven relationships between ~, == and ~m on the ring of
-    `graph`, which passed the caller's caps: the unit scans read the whole ring.
+    `graph`, which passed the caller's vertex cap: the unit scans read the
+    whole ring, at most (cap + 1)^2 elements.
 
     Raises RelationAgreementError on any applicable failure (that means an
     implementation bug, not bad input); returns a per-check report.
@@ -312,7 +356,7 @@ def check_relation_agreements(graph: ZeroDivisorGraph) -> dict:
     record(f"neighborhood classes split by squares ({hyp_name})", hyp, split_ok)
 
     if isinstance(ring, Zn):
-        gcd_classes = classes_associate(ring, ring.cardinality)
+        gcd_classes = classes_associate(ring)
         record("Z_n associate classes are gcd classes", True, partitions_equal(gcd_classes, assoc))
 
     semisimple_like = isinstance(ring, MatRing) or (

@@ -19,7 +19,7 @@ from zdgspectra import spectra as spectra_module
 from zdgspectra import cli as cli_module
 from zdgspectra.cli import _COUNT_FORMS, main
 from zdgspectra.graph import GraphCapError, build_zdg
-from zdgspectra.rings import MatRing, ProductRing, Zn, parse_ring_spec
+from zdgspectra.rings import GF, MatRing, ProductRing, Zn, parse_ring_spec
 from zdgspectra.spectra import DecompositionError, SpectrumMultiset
 
 SCHEMA_PATH = os.path.join(
@@ -574,11 +574,8 @@ def test_degree_matrix_refuses_a_square_zero_class_that_cannot_exist():
 
 @pytest.mark.parametrize(
     "args",
-    [
-        ["verify", "--sweep", "Zn:6..8", "--max-elements", "-3"],
-        ["verify", "--ring", "GF(4)", "--max-vertices", "-1"],
-    ],
-    ids=["max-elements", "max-vertices"],
+    [["verify", "--ring", "GF(4)", "--max-vertices", "-1"]],
+    ids=["max-vertices"],
 )
 def test_negative_cap_is_a_usage_error(args):
     # a negative cap refuses every ring, so verify would check nothing
@@ -840,8 +837,8 @@ def test_auto_route_reports_the_cap():
 
 
 def test_auto_route_reports_why_the_closed_route_refused(monkeypatch):
-    # a higher element or vertex cap cannot help either ring: the closed
-    # route's refusal is the reason, on the same line as the cap error,
+    # a higher vertex cap cannot help either ring: the closed route's
+    # refusal is the reason, on the same line as the cap error,
     # ahead of json's refusal of Zn(963761198400)'s too many values, and
     # both refusals are read off closed counts, with no class table built
     def unexpected(self):
@@ -979,6 +976,41 @@ def test_spectrum_refuses_a_removed_flag(flag):
     code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)", *flag])
     assert (code, out) == (1, "")
     assert err == f"error: UsageError: unrecognized arguments: {' '.join(flag)}\n"
+
+
+def test_one_graph_cap_flag():
+    # the vertex cap bounds |R| too, so there is no element cap to set
+    code, out, err = run_cli(["verify", "--ring", "Zn(30)", "--max-elements", "5"])
+    assert (code, out) == (1, "")
+    assert err == "error: UsageError: unrecognized arguments: --max-elements 5\n"
+
+
+@pytest.mark.parametrize("spec", ["Zn(22201)", "GF(101)xGF(211)"])
+def test_verify_takes_rings_past_the_old_element_cap(spec):
+    # 22,201 and 21,311 elements but 148 and 310 vertices: the vertex cap
+    # alone decides, and both flavors meet the oracle
+    code, out, err = run_inproc(["verify", "--ring", spec])
+    assert code == 0, err
+    rows = json.loads(out)["results"]
+    assert [(r["flavor"], r["skipped"], r["matched"]) for r in rows] == [
+        ("adjacency", False, True),
+        ("laplacian", False, True),
+    ]
+
+
+@pytest.mark.parametrize("spec", ["GF(1099511627776)", "M(1,GF(1099511627776))", "Zn(2305843009213693951)"])
+def test_verify_takes_a_field_of_any_size(spec, monkeypatch):
+    # a field has no vertex, so its empty graph is built without a unit
+    # mask of |R| entries
+    def no_mask(self):
+        raise AssertionError("built a unit mask")
+
+    for kind in (Zn, GF, MatRing, ProductRing):
+        monkeypatch.setattr(kind, "_unit_mask", no_mask)
+    code, out, err = run_inproc(["verify", "--ring", spec])
+    assert code == 0, err
+    rows = json.loads(out)["results"]
+    assert [(r["order"], r["skipped"], r["matched"]) for r in rows] == [(0, False, True)] * 2
 
 
 def test_spectrum_help_names_the_check():

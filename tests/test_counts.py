@@ -9,10 +9,9 @@ import math
 
 import pytest
 
-from reference import profile_index_sets
+from reference import boolean_skeleton, profile_index_sets
 from zdgspectra.counts import (
     SemisimpleProfile,
-    boolean_skeleton,
     class_count_matrix,
     class_size_matrix,
     compressed_degree_matrix,

@@ -21,7 +21,7 @@ from zdgspectra.graph import (
     degree_zn,
     graph_json,
 )
-from zdgspectra.rings import GF, EnumerationCapError, MatRing, ProductRing, RingError, Zn, parse_ring_spec
+from zdgspectra.rings import GF, MatRing, ProductRing, RingError, Zn, parse_ring_spec
 from zdgspectra.spectra import ring_join_decomposition, verify_ring
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -170,12 +170,25 @@ def test_caps_refuse_a_graph_and_do_not_key_it():
     g = build_zdg(ring)
     misses = graph_module._build_cached.cache_info().misses
     assert build_zdg(ring, vertex_cap=20000) is g
-    assert build_zdg(ring, element_cap=ring.cardinality) is g
     with pytest.raises(GraphCapError, match=f"has {g.order} vertices, over the cap {g.order - 1}$"):
         build_zdg(ring, vertex_cap=g.order - 1)
-    with pytest.raises(EnumerationCapError):
-        build_zdg(ring, element_cap=ring.cardinality - 1)
     assert graph_module._build_cached.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("spec", ["GF(1099511627776)", "M(1,GF(1099511627776))", "Zn(2305843009213693951)"])
+def test_fields_build_without_a_unit_mask(spec, monkeypatch):
+    # a ring with no vertex is a field, of any size: its graph is empty, and
+    # no array of |R| entries is made for it
+    def no_mask(self):
+        raise AssertionError("built a unit mask")
+
+    for kind in (Zn, GF, MatRing, ProductRing):
+        monkeypatch.setattr(kind, "_unit_mask", no_mask)
+    graph_module._build_cached.cache_clear()
+    g = build_zdg(parse_ring_spec(spec))
+    assert g.order == g.edge_count == 0
+    assert g.adjacency.shape == (0, 0) and g.loops.shape == (0,)
+    assert g.element_index.dtype == np.intp and g.vertices == []
 
 
 def test_cache_keeps_only_the_last_graph():
@@ -200,8 +213,8 @@ def test_graph_json_is_deterministic():
 @pytest.mark.parametrize("spec", [f"Zn({n})" for n in range(2, 401)] + POOL_SPECS)
 def test_closed_counts_equal_enumeration(spec):
     ring = parse_ring_spec(spec)
-    assert ring.unit_count() == len(ring.units(ring.cardinality)), spec
-    assert ring.vertex_count() == len(ring.zero_divisors(ring.cardinality)), spec
+    assert ring.unit_count() == len(ring.units()), spec
+    assert ring.vertex_count() == len(ring.zero_divisors()), spec
 
 
 def sub_rings(ring):

@@ -1,5 +1,6 @@
 """Ring construction, arithmetic axioms, and the spec-string parser."""
 
+import itertools
 import math
 import random
 import time
@@ -19,16 +20,16 @@ from reference import (
     _scan_commutative_hypothesis,
     _scan_noncommutative_hypothesis,
 )
+from test_acceptance import MATRIX_RINGS, SEMISIMPLE_RINGS
+from test_differential import FACTORS as DIFFERENTIAL_FACTORS
 from zdgspectra import numth
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import (
-    DEFAULT_ELEMENT_CAP,
     GF,
     MatRing,
     ProductRing,
     RingError,
     RingSpecError,
-    EnumerationCapError,
     Zn,
     _smallest_irreducible,
     first_seen_ids,
@@ -335,28 +336,6 @@ def test_parse_errors_carry_positions():
         parse_ring_spec("Zn(6) x")
 
 
-def test_enumeration_cap():
-    with pytest.raises(EnumerationCapError):
-        Zn(30000).elements(cap=20000)
-    # the cap is on demand, not on construction; None means the 20000 default
-    assert Zn(30000).cardinality == 30000
-    with pytest.raises(EnumerationCapError):
-        Zn(30000).elements()
-    assert len(Zn(30000).elements(cap=40000)) == 30000
-
-
-def test_cached_splits_check_the_cap():
-    # units and zero-divisors check the cap on every call, as elements()
-    # does after its list is kept
-    ring = Zn(50)
-    assert len(ring.zero_divisors(100)) == 29
-    assert len(ring.units(100)) == 20
-    with pytest.raises(EnumerationCapError):
-        ring.zero_divisors(10)
-    with pytest.raises(EnumerationCapError):
-        ring.units(10)
-
-
 ZN_TABLE_MODULI = list(range(2, 401)) + [720720, 6983776800, 48886437600, 2**40, 2 * 3**20]
 
 
@@ -373,12 +352,15 @@ def test_zn_class_table_by_divisor_arithmetic(n):
     assert kills.tolist() == [[dj % (n // di) == 0 for dj in ds] for di in ds]
 
 
-# every M(n, GF(q)), n >= 2, whose elements fit the default element cap
+# the rings small enough to check against enumeration here
+ENUMERABLE = 20000
+
+# every M(n, GF(q)), n >= 2, of at most ENUMERABLE elements
 MATRIX_TABLE_SPECS = [
     f"M({n},GF({q}))"
     for n in (2, 3)
     for q in range(2, 12)
-    if numth.prime_power(q) and q ** (n * n) <= DEFAULT_ELEMENT_CAP
+    if numth.prime_power(q) and q ** (n * n) <= ENUMERABLE
 ]
 CLASS_TABLE_SPECS = (
     [f"Zn({n})" for n in ZN_TABLE_MODULI]
@@ -399,13 +381,49 @@ def test_class_table_lists_classes_by_smallest_member(spec):
     assert reps.dtype == np.int64 and reps[0] == 0 and (np.diff(reps) > 0).all()
     only_zero = ~kills[:, 1:].any(axis=1)
     assert only_zero.sum() == 1 and is_unit(ring, ring.decode([int(reps[np.argmax(only_zero)])])[0])
-    if ring.cardinality <= DEFAULT_ELEMENT_CAP:
+    if ring.cardinality <= ENUMERABLE:
         # against enumeration: the first element of each class in index
         # order, the class sizes, and xy = 0 on the representatives
         ids = first_seen_ids(ring.associate_keys(np.arange(ring.cardinality)))
         assert reps.tolist() == np.unique(ids, return_index=True)[1].tolist()
         assert sizes.tolist() == np.bincount(ids).tolist()
         assert np.array_equal(kills, ring.zero_products(reps))
+
+
+def test_vertex_count_bounds_the_ring(monkeypatch):
+    # a ring with a zero-divisor has |R| <= (V + 1)^2 (Ganesan 1964; Koh
+    # 1967), so the vertex cap bounds every array of |R| entries the graph
+    # route makes; a ring with none is a field, of two associate classes.
+    # Here equality holds at Z_{p^2} alone.  Closed counts only: nothing is
+    # enumerated.
+    def no_enumeration(self, *args):
+        raise AssertionError("enumerated the ring")
+
+    for kind in (Zn, GF, MatRing, ProductRing):
+        monkeypatch.setattr(kind, "_unit_mask", no_enumeration)
+        monkeypatch.setattr(kind, "decode", no_enumeration)
+    differential = [
+        "x".join(spec for spec, _, _ in factors)
+        for k in (1, 2, 3)
+        for factors in itertools.product(DIFFERENTIAL_FACTORS, repeat=k)
+    ]
+    acceptance = [f"Zn({n})" for n in range(6, 201)] + MATRIX_RINGS + SEMISIMPLE_RINGS
+    specs = [f"Zn({n})" for n in range(2, 5001)] + CLASS_TABLE_SPECS + differential + acceptance
+    squares = {f"Zn({p * p})" for p in range(2, 71) if numth.is_prime(p)}
+    for spec in specs:
+        ring = parse_ring_spec(spec)
+        v = ring.vertex_count()
+        if v == 0:
+            assert ring.class_count() == 2, spec
+        else:
+            assert ring.cardinality <= (v + 1) ** 2, spec
+        assert (ring.cardinality == (v + 1) ** 2) == (spec in squares), spec
+
+
+def test_zn_unit_mask_sieves_the_primes():
+    # one strided clear per prime of n, against the gcd definition
+    for n in list(range(2, 2001)) + [720720, 2**20]:
+        assert np.array_equal(Zn(n)._unit_mask(), np.gcd(np.arange(n), n) == 1), n
 
 
 @pytest.mark.parametrize("q", [2, 9, 2003])

@@ -24,7 +24,8 @@ The flavor names are listed once, as the keys of `spectra.FLAVORS`: the
 CLI's choices read them, and the schema's one flavor def must equal them.
 A spectrum meets the dense oracle in one place, `spectra.verify_ring`: a
 second caller of `brute_spectrum`, or a CLI handler that compares spectra
-itself, fails here.
+itself, fails here.  The graph route has one cap, on its vertex count,
+which bounds |R| too: a module that names an element cap fails here.
 """
 import argparse
 import ast
@@ -266,7 +267,7 @@ def test_one_comparison_path():
 
 
 def test_one_way_in():
-    # an environment variable would be a second element cap, a `__cause__`
+    # an environment variable would be a second cap, a `__cause__`
     # read a second place to word the auto route's refusal, and a ring
     # parsed under --sweep a second spelling of --ring
     cli = PACKAGE / "cli.py"
@@ -302,20 +303,20 @@ def test_references_number_their_own_classes():
 
 # (module, entry point, the general formula it returns once its own checks pass)
 CLOSED_FORMS = [
-    ("graph.py", "degree_matring", "semisimple_vertex_degree"),
-    ("counts.py", "compressed_degree_matrix", "semisimple_class_degree"),
-    ("counts.py", "boolean_skeleton", "semisimple_class_size"),
-    ("counts.py", "boolean_skeleton", "semisimple_class_degree"),
-    ("counts.py", "boolean_skeleton", "semisimple_vertex_degree"),
-    ("rings.py", "class_count", "class_count_matrix"),  # MatRing's; no other ring's reads it
+    (PACKAGE / "graph.py", "degree_matring", "semisimple_vertex_degree"),
+    (PACKAGE / "counts.py", "compressed_degree_matrix", "semisimple_class_degree"),
+    (REFERENCE, "boolean_skeleton", "semisimple_class_size"),
+    (REFERENCE, "boolean_skeleton", "semisimple_class_degree"),
+    (REFERENCE, "boolean_skeleton", "semisimple_vertex_degree"),
+    (PACKAGE / "rings.py", "class_count", "class_count_matrix"),  # MatRing's; no other ring's reads it
 ]
 
 
 def test_one_closed_form_per_count():
     # a one-factor or field-factor case computed in place would state a
     # degree, size or class count a second way
-    for module, entry, formula in CLOSED_FORMS:
-        assert entry in callers(PACKAGE / module, formula), (entry, formula)
+    for path, entry, formula in CLOSED_FORMS:
+        assert entry in callers(path, formula), (entry, formula)
     # the annihilator of x has gcd(x, n) elements: no sum over divisor classes
     numth = ast.parse((PACKAGE / "numth.py").read_text()).body
     for routine in [n.name for n in numth if isinstance(n, ast.FunctionDef)]:
@@ -342,3 +343,32 @@ def test_one_list_of_flavors():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     ]
     assert [s for s in literals if "adjacency" in s or "laplacian" in s] == []
+
+
+# the element cap and its names; the vertex cap bounds |R| too
+ELEMENT_CAP_NAMES = {"element_cap", "max_elements", "EnumerationCapError", "DEFAULT_ELEMENT_CAP", "check_element_cap"}
+
+
+def signature(tree, name, owner=None):
+    """The parameter names of the function `name`, a method of the class
+    `owner` when given, as the module `tree` defines it."""
+    scope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == owner).body if owner else tree.body
+    fn = next(n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name)
+    return [a.arg for a in fn.args.args]
+
+
+def test_one_graph_cap():
+    # a ring with a vertex has |R| <= (V + 1)^2, so a second cap on |R|
+    # would be a value the vertex cap already fixes, behind a second flag
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        fields = ("attr", "id", "arg", "name")  # read, parameter, definition
+        names = {getattr(node, f, None) for node in ast.walk(ast.parse(text)) for f in fields}
+        assert names & ELEMENT_CAP_NAMES == set(), path.name
+        assert "max-elements" not in text, path.name
+    graph = ast.parse((PACKAGE / "graph.py").read_text())
+    for name in ("build_zdg", "check_graph_caps"):
+        assert signature(graph, name) == ["ring", "vertex_cap"], name
+    rings = ast.parse((PACKAGE / "rings.py").read_text())
+    for name in ("elements", "units", "zero_divisors"):
+        assert signature(rings, name, owner="Ring") == ["self"], name

@@ -21,10 +21,9 @@ from zdgspectra import spectra as spectra_module
 from zdgspectra.classes import ClassPartition, classes_for
 from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
 from zdgspectra.eig import dense_eigenvalues
-from zdgspectra.graph import build_zdg, degree_matring
+from zdgspectra.graph import GraphCapError, build_zdg, degree_matring
 from zdgspectra.rings import (
     GF,
-    EnumerationCapError,
     MatRing,
     ProductRing,
     RingError,
@@ -569,17 +568,17 @@ def test_closed_route_refuses_over_the_cap_before_building(spec):
 def test_auto_route_names_both_refusals():
     # library callers see why neither route took the ring, not only the cap
     ring = Zn(963761198400)
-    with pytest.raises(EnumerationCapError) as auto:
+    with pytest.raises(GraphCapError) as auto:
         ring_join_decomposition(ring)
     assert str(auto.value).endswith(
         "; closed route: RingError: Zn(963761198400): 6718 zero-divisor classes "
         "exceed the closed-route cap of 4096"
     )
     assert type(auto.value.__cause__) is RingError
-    with pytest.raises(EnumerationCapError) as graph_only:
+    with pytest.raises(GraphCapError) as graph_only:
         ring_join_decomposition(ring, method="graph")
     assert "closed route" not in str(graph_only.value)
-    assert str(graph_only.value) == "Zn(963761198400) has 963761198400 elements, over the cap 20000"
+    assert str(graph_only.value) == "Gamma(Zn(963761198400)) has 806101243199 vertices, over the cap 5000"
 
 
 @pytest.mark.parametrize("spec", ["GF(1000003)xZn(2)", "GF(1048576)xZn(2)"])
@@ -747,7 +746,6 @@ def test_auto_route_builds_no_graph_where_the_class_table_takes_the_ring(spec, m
     monkeypatch.setattr(graph_module, "_build", no_graph)
     monkeypatch.setattr(graph_module, "_build_cached", no_graph)
     ring = parse_ring_spec(spec)
-    ring.check_element_cap()
     assert ring.vertex_count() <= graph_module.DEFAULT_VERTEX_CAP
     assert ring_join_decomposition(ring).cell_of is None
 
