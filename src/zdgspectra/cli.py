@@ -12,17 +12,19 @@ Each verb's handler returns its report as a JSON payload and as a CSV
 header with lazy rows; `main` alone formats one of the two and prints it.
 
 Each input has one spelling: a ring is a `--ring` spec, `verify --sweep`
-takes only `Zn:lo..hi` or `Zn:n`, the one graph cap comes only from
-`--max-vertices`, and the `verify --tol` default is
-`spectra.DEFAULT_TOL`.  The vertex cap bounds |R| too, since a ring with
-a vertex has |R| <= (V + 1)^2, so no element cap is needed.  An error
-prints as one `error: <Type>: <message>` line; the `auto` route's cap
-error carries the closed route's refusal in its own message.
+takes only `Zn:lo..hi` or `Zn:n`, and the one graph cap comes only from
+`--max-vertices`.  The vertex cap bounds |R| too, since a ring with a
+vertex has |R| <= (V + 1)^2, so no element cap is needed.  `verify`
+compares every flavor at `spectra.DEFAULT_TOL` and has no tolerance or
+flavor flag.  An error prints as one `error: <Type>: <message>` line;
+the `auto` route's cap error carries the closed route's refusal in its
+own message.
 
-Exit codes: 0 on success, 2 when a verify comparison or a lifted
-eigenpair fails or a ring in a verify run errors (its rows carry the
-error), 1 for bad input of any kind.  All output is deterministic for
-fixed inputs, except the seconds column of the verify CSV.
+Exit codes: 0 on success, 1 for bad input of any kind, 2 when a lifted
+eigenpair fails or a verify run holds a ring not matched in every
+flavor: a mismatch, an error, or a ring skipped over the vertex cap,
+each printed as its rows.  All output is deterministic for fixed
+inputs, except the seconds column of the verify CSV.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ from .classes import classes_for
 from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_json
 from .rings import RingError, Zn, parse_ring_spec
 from .spectra import (
-    DEFAULT_TOL,
     FLAVORS,
     DecompositionError,
     LiftError,
@@ -92,8 +93,8 @@ def _g12(x) -> str:
 
 
 def _cap(text: str) -> int:
-    """A vertex cap: an integer, 0 or more.  A negative cap
-    would refuse every ring, so that `verify` checks nothing and passes."""
+    """A vertex cap: an integer, 0 or more.  A negative cap is
+    malformed input, refused before any ring is read."""
     try:
         value = int(text)
     except ValueError:
@@ -177,6 +178,7 @@ def _run_spectrum(args):
     return EXIT_OK, reports, "flavor,index,value", rows
 
 
+_COUNT_ARGS = ("n", "m", "r", "q", "d")
 _COUNT_FORMS = {
     "qbinom": (("n", "r", "q"), lambda a: counts.q_binomial(a.n, a.r, a.q)),
     "rank-count": (("n", "m", "r", "q"), lambda a: counts.rank_count(a.n, a.m, a.r, a.q)),
@@ -196,10 +198,15 @@ _COUNT_FORMS = {
 
 def _run_counts(args):
     needed, fn = _COUNT_FORMS[args.what]
-    missing = [name for name in needed if getattr(args, name) is None]
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
-        flags = ", ".join(f"--{name}" for name in missing)
-        raise UsageError(f"counts --what {args.what} requires {flags}")
+        raise UsageError(f"counts --what {args.what} requires {', '.join(missing)}")
+    # a flag the form does not read would print a value it did not change
+    unread = [f"--{name}" for name in _COUNT_ARGS if name not in needed and getattr(args, name) is not None]
+    if args.squares_to_zero and args.what != "degree-matrix":
+        unread.append("--squares-to-zero")
+    if unread:
+        raise UsageError(f"counts --what {args.what} does not read {', '.join(unread)}")
     value = fn(args)
     inputs = {name: getattr(args, name) for name in needed}
     if args.what == "zn-profile":
@@ -255,30 +262,28 @@ def _run_verify(args):
         rings = [parse_ring_spec(args.ring)]
     else:
         raise UsageError("verify needs --ring or --sweep")
-    flavors = _flavors(args)
-
     timed = []  # (printed row, seconds or None)
     mismatch = False
     for ring in rings:
         started = time.perf_counter()
         checks, order, seconds = {}, None, None
-        status = {"skipped": True}  # over the vertex cap
         try:
-            outcome = verify_ring(ring, args.relation, args.tol, flavors=flavors, vertex_cap=args.max_vertices)
+            outcome = verify_ring(ring, args.relation, args.max_vertices)
         except GraphCapError:
-            pass
+            # a ring over the vertex cap compares nothing, so it fails its rows
+            mismatch = True
+            status = {"skipped": True}
         except (np.linalg.LinAlgError, DecompositionError) as exc:
             # one ring the pipeline cannot handle fails its own rows, not the sweep
             mismatch = True
             status = {"skipped": False, "error": f"{type(exc).__name__}: {exc}"}
         else:
             seconds = time.perf_counter() - started
+            mismatch = mismatch or not outcome.matched
             checks, order, status = outcome.results, outcome.order, {"skipped": False}
-        for flavor in flavors:
-            check = checks.get(flavor)
-            mismatch = mismatch or (check is not None and not check.matched)
+        for flavor in FLAVORS:
             row = {"ring": ring.spec_string(), "order": order, "flavor": flavor}
-            timed.append(({**row, **_comparison(check), **status}, seconds))
+            timed.append(({**row, **_comparison(checks.get(flavor)), **status}, seconds))
     code = EXIT_MISMATCH if mismatch else EXIT_OK
     payload = {
         "relation": args.relation,
@@ -362,17 +367,15 @@ def _build_parser() -> _Parser:
         required=True,
         choices=sorted(_COUNT_FORMS),
     )
-    for flag in ("--n", "--m", "--r", "--q", "--d"):
-        p_counts.add_argument(flag, type=int, default=None)
+    for name in _COUNT_ARGS:
+        p_counts.add_argument(f"--{name}", type=int, default=None)
     p_counts.add_argument("--squares-to-zero", action="store_true")
     p_counts.add_argument("--format", choices=("json", "csv"), default="json")
     p_counts.set_defaults(handler=_run_counts)
 
     p_verify = sub.add_parser("verify", help="compare join spectra against the dense oracle")
     common(p_verify)
-    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_verify.add_argument("--sweep", help='the rings Z_lo..Z_hi, as "Zn:lo..hi" (e.g. "Zn:6..200") or "Zn:n"')
-    p_verify.add_argument("--flavor", choices=(*FLAVORS, "both"), default="both")
     p_verify.set_defaults(handler=_run_verify)
 
     p_lift = sub.add_parser("lift", help="duplicate a matrix index and track an eigenpair")

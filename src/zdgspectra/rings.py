@@ -136,14 +136,13 @@ class Ring:
     commutative = True
     cardinality = 0
 
-    def key(self):
-        raise NotImplementedError
-
+    # a ring is its spec: equal specs build equal rings, so the graph cache
+    # returns the graph of an equal ring
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.key() == other.key()
+        return isinstance(other, Ring) and self.spec_string() == other.spec_string()
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.spec_string())
 
     def __repr__(self):
         return self.spec_string()
@@ -274,9 +273,6 @@ class Zn(Ring):
         self.zero = 0
         self.one = 1 % n
 
-    def key(self):
-        return ("Zn", self.n)
-
     def spec_string(self):
         return f"Zn({self.n})"
 
@@ -366,9 +362,6 @@ class GF(Ring):
     @cached_property
     def modulus(self) -> tuple[int, ...]:
         return _smallest_irreducible(self.p, self.k)
-
-    def key(self):
-        return ("GF", self.p, self.k)
 
     def spec_string(self):
         return f"GF({self.q})"
@@ -554,9 +547,6 @@ class MatRing(Ring):
         self.zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
         self.one = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
-    def key(self):
-        return ("M", self.n, self.field.key())
-
     def spec_string(self):
         return f"M({self.n},{self.field.spec_string()})"
 
@@ -732,7 +722,8 @@ class ProductRing(Ring):
     """Direct product of component rings, elementwise operations on tuples."""
 
     def __init__(self, factors):
-        factors = list(factors)
+        # a product of products is the product of their factors, as parsed
+        factors = [g for f in factors for g in (f.factors if isinstance(f, ProductRing) else [f])]
         if len(factors) < 2:
             raise RingError("a product ring needs at least two factors")
         self.factors = factors
@@ -743,9 +734,6 @@ class ProductRing(Ring):
         self.commutative = all(f.commutative for f in factors)
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
-
-    def key(self):
-        return ("x",) + tuple(f.key() for f in self.factors)
 
     def spec_string(self):
         return "x".join(f.spec_string() for f in self.factors)

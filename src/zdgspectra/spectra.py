@@ -108,7 +108,6 @@ class JoinDecomposition:
     are presentation only (error messages, reports): nothing in the
     spectra reads them."""
 
-    relation: str
     sizes: np.ndarray  # int64, n_i
     table: np.ndarray  # bool, symmetric
     ring: Ring = field(repr=False)
@@ -295,7 +294,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     np.fill_diagonal(table, [kind == "complete" for kind in kinds])
     multi = np.flatnonzero(sizes > 1)
     table[multi, multi] = adj[reps[multi], order[starts[multi] + 1]]
-    dec = JoinDecomposition(partition.relation, sizes, table, graph.ring, graph.element_index[reps], cell_of)
+    dec = JoinDecomposition(sizes, table, graph.ring, graph.element_index[reps], cell_of)
 
     mismatch = blow_up(dec)
     mismatch ^= adj
@@ -446,7 +445,7 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     # classes that kill a nonzero class are 0 and then the cells
     cells = np.flatnonzero(kills[:, 1:].any(axis=1))[1:]
     kills = kills.take(cells, axis=0).take(cells, axis=1)
-    return JoinDecomposition("associate", sizes.take(cells), kills | kills.T, ring, reps.take(cells))
+    return JoinDecomposition(sizes.take(cells), kills | kills.T, ring, reps.take(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +519,7 @@ class VerifyOutcome:
 
     @property
     def max_deviation(self) -> float:
-        devs = [r.max_deviation for r in self.results.values()]
-        return max(devs) if devs else 0.0
+        return max(r.max_deviation for r in self.results.values())
 
 
 def _closed_route_checked(dec: JoinDecomposition) -> JoinDecomposition:
@@ -541,29 +539,25 @@ def _closed_route_checked(dec: JoinDecomposition) -> JoinDecomposition:
     return closed
 
 
-def verify_ring(
-    ring: Ring,
-    relation: str = "associate",
-    tol: float = DEFAULT_TOL,
-    flavors=tuple(FLAVORS),
-    vertex_cap: int | None = None,
-) -> VerifyOutcome:
-    """Compare the spectra of the route `join_route(..., "auto")` takes
-    with the dense oracle of the graph built under the vertex cap: the graph's
-    decomposition, or the closed one, which must equal it.  With every
-    class a singleton (Z_2^k, associates) both sides solve one matrix, so
-    a max_deviation of 0.0 there is no independent check; the tests
-    certify those spectra by their residual against the graph's own
-    matrix (`test_brute_spectrum_certified_by_residuals`)."""
+def verify_ring(ring: Ring, relation: str = "associate", vertex_cap: int | None = None) -> VerifyOutcome:
+    """Compare the spectrum of every flavor in FLAVORS, on the route
+    `join_route(..., "auto")` takes, with the dense oracle of the graph
+    built under the vertex cap, at DEFAULT_TOL: the graph's decomposition,
+    or the closed one, which must equal it.  A ring over the cap raises
+    GraphCapError.  With every class a singleton (Z_2^k, associates) both
+    sides solve one matrix, so a max_deviation of 0.0 there is no
+    independent check; the tests certify those spectra by their residual
+    against the graph's own matrix
+    (`test_brute_spectrum_certified_by_residuals`)."""
     graph = build_zdg(ring, vertex_cap)
     dec = decompose(graph, classes_for(graph, relation))
     if join_route(ring, relation, "auto", vertex_cap) == "closed":
         dec = _closed_route_checked(dec)
     results = {}
-    for flavor in flavors:
+    for flavor in FLAVORS:
         assembled = assemble_spectrum(dec, flavor)
         oracle = brute_spectrum(graph, flavor)
-        results[flavor] = multiset_equal(assembled, oracle, tol)
+        results[flavor] = multiset_equal(assembled, oracle)
     return VerifyOutcome(ring.spec_string(), graph.order, relation, results)
 
 

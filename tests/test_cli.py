@@ -137,7 +137,7 @@ def test_spectrum_json_both_methods():
     payload = json.loads(out)
     validate(payload)
     assert [sorted(r) for r in payload] == [["clusters", "flavor", "ring", "values"]] * 2
-    code, out, err = run_cli(["verify", "--ring", "Zn(18)", "--flavor", "both"])
+    code, out, err = run_cli(["verify", "--ring", "Zn(18)"])
     assert code == 0, err
     assert [(r["flavor"], r["matched"]) for r in json.loads(out)["results"]] == [
         ("adjacency", True),
@@ -191,15 +191,17 @@ def test_verify_single_ring():
 
 
 def test_verify_sweep_csv():
-    code, out, _ = run_cli(
-        ["verify", "--sweep", "Zn:6..30", "--format", "csv", "--flavor", "adjacency"]
-    )
+    code, out, _ = run_cli(["verify", "--sweep", "Zn:6..30", "--format", "csv"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "ring,|Z|,flavor,method_agreement,max_dev,seconds"
+    # one row per ring and flavor, every flavor compared
+    assert len(lines) == 1 + 2 * 25
     assert any(line.startswith("Zn(6),3,adjacency,true,") for line in lines)
+    assert any(line.startswith("Zn(6),3,laplacian,true,") for line in lines)
     # primes have empty graphs: still one row each, agreeing trivially
     assert any(line.startswith("Zn(7),0,adjacency,true,") for line in lines)
+    assert any(line.startswith("Zn(7),0,laplacian,true,") for line in lines)
 
 
 def test_verify_sweep_matrix_shorthand():
@@ -245,18 +247,21 @@ def test_lift_json(tmp_path):
 
 
 def test_verify_sweep_skips_over_cap_rings():
+    # a ring over the cap is compared with nothing, so its rows fail the
+    # run; the sweep goes on to the next ring
     code, out, _ = run_inproc(["verify", "--sweep", "Zn:9..10", "--max-vertices", "3"])
-    assert code == 0
+    assert code == 2
     payload = json.loads(out)
     validate(payload)
-    assert payload["all_matched"] is True
+    assert payload["all_matched"] is False
     skipped = [r for r in payload["results"] if r["skipped"]]
     assert [r["ring"] for r in skipped] == ["Zn(10)", "Zn(10)"]
     assert all(r["order"] is None and r["matched"] is None and "error" not in r for r in skipped)
+    assert [r["matched"] for r in payload["results"] if not r["skipped"]] == [True, True]
     code, out, _ = run_inproc(
         ["verify", "--sweep", "Zn:9..10", "--max-vertices", "3", "--format", "csv"]
     )
-    assert code == 0
+    assert code == 2
     assert out.strip().splitlines()[-1] == "Zn(10),,laplacian,skipped,,"
 
 
@@ -325,8 +330,8 @@ def test_sweep_csv_stable_apart_from_seconds():
     assert strip_seconds(first) == strip_seconds(second)
 
 
-# exact stdout of small reports that print no eigenvalue, so no BLAS build can
-# move a digit; a format change in any verb shows up here
+# exact stdout and exit code of small reports that print no eigenvalue, so no
+# BLAS build can move a digit; a format change in any verb shows up here
 PINNED = [
     (
         ["classes", "--ring", "Zn(18)", "--relation", "annihilator", "--format", "csv"],
@@ -477,7 +482,7 @@ u,v
         """\
 {
   "relation": "associate",
-  "all_matched": true,
+  "all_matched": false,
   "results": [
     {
       "ring": "M(3,GF(3))",
@@ -510,10 +515,15 @@ ring,|Z|,flavor,method_agreement,max_dev,seconds
 ]
 
 
+# M(3,GF(3)) has 8,450 vertices, over the default cap: verify compares nothing
+# and fails both rows
+PINNED_EXIT = {("verify", "--ring", "M(3,GF(3))"): 2, ("verify", "--ring", "M(3,GF(3))", "--format", "csv"): 2}
+
+
 @pytest.mark.parametrize("args, expected", PINNED, ids=[" ".join(args) for args, _ in PINNED])
 def test_small_outputs_are_pinned(args, expected):
     code, out, err = run_inproc(args)
-    assert code == 0, err
+    assert code == PINNED_EXIT.get(tuple(args), 0), err
     assert out == expected
 
 
@@ -535,6 +545,29 @@ def test_exit_code_missing_count_arg():
     code, _, err = run_inproc(["counts", "--what", "qbinom", "--n", "4"])
     assert code == 1
     assert "error:" in err
+
+
+# values every form takes; Z_4's 2 is a zero-divisor, so degree-zn takes d = 2
+COUNT_VALUES = {"n": "4", "m": "2", "r": "1", "q": "2", "d": "2"}
+
+
+def count_args(what, names):
+    return ["counts", "--what", what, *(x for name in names for x in (f"--{name}", COUNT_VALUES[name]))]
+
+
+@pytest.mark.parametrize("what", sorted(_COUNT_FORMS))
+def test_counts_refuse_a_flag_the_form_does_not_read(what):
+    # qbinom --n 3 --r 1 --q 2 --d 5 printed 7 and exited 0
+    needed = _COUNT_FORMS[what][0]
+    assert run_inproc(count_args(what, needed))[0] == 0
+    unread = next(name for name in COUNT_VALUES if name not in needed)
+    code, out, err = run_inproc(count_args(what, [*needed, unread]))
+    assert (code, out) == (1, "")
+    assert err == f"error: UsageError: counts --what {what} does not read --{unread}\n"
+    if what != "degree-matrix":
+        code, out, err = run_inproc([*count_args(what, needed), "--squares-to-zero"])
+        assert (code, out) == (1, "")
+        assert err == f"error: UsageError: counts --what {what} does not read --squares-to-zero\n"
 
 
 def test_degree_zn_zero_divisor_is_an_input_error():
@@ -578,8 +611,7 @@ def test_degree_matrix_refuses_a_square_zero_class_that_cannot_exist():
     ids=["max-vertices"],
 )
 def test_negative_cap_is_a_usage_error(args):
-    # a negative cap refuses every ring, so verify would check nothing
-    # and still report all_matched
+    # a negative cap is malformed input, refused before any ring is read
     code, out, err = run_cli(args)
     assert code == 1
     assert out == ""
@@ -588,19 +620,15 @@ def test_negative_cap_is_a_usage_error(args):
 
 @pytest.mark.parametrize(
     "args",
-    [
-        ["verify", "--ring", "Zn(36)", "--tol", "inf"],
-        ["lift", "--j", "0", "--m", "2", "--value", "5", "--vector", "1,0,0", "--tol", "nan"],
-    ],
-    ids=["verify", "lift"],
+    [["lift", "--j", "0", "--m", "2", "--value", "5", "--vector", "1,0,0", "--tol", "nan"]],
+    ids=["lift"],
 )
 def test_non_finite_tol_is_a_usage_error(args, tmp_path):
     # against nan or inf no residual or deviation is ever too large, so lift
     # passed diag(2, 0, 1) with a value that is no eigenvalue of it
     matrix = tmp_path / "b.txt"
     matrix.write_text("2 0 0\n0 0 0\n0 0 1\n")
-    if args[0] == "lift":
-        args = [*args, "--matrix", str(matrix)]
+    args = [*args, "--matrix", str(matrix)]
     code, out, err = run_inproc(args)
     assert code == 1
     assert out == ""
@@ -609,20 +637,15 @@ def test_non_finite_tol_is_a_usage_error(args, tmp_path):
 
 @pytest.mark.parametrize(
     "args",
-    [
-        ["verify", "--ring", "Zn(8)", "--tol", "-1"],
-        ["lift", "--j", "0", "--m", "2", "--value", "2", "--vector", "1,0", "--tol", "-1"],
-    ],
-    ids=["verify", "lift"],
+    [["lift", "--j", "0", "--m", "2", "--value", "2", "--vector", "1,0", "--tol", "-1"]],
+    ids=["lift"],
 )
 def test_negative_tol_is_a_usage_error(args, tmp_path):
-    # below 0 every residual fails: verify reported both flavors false at a
-    # max_dev of 2.2e-16 and exited 2, and lift refused the exact eigenpair
+    # below 0 every residual fails: lift refused the exact eigenpair
     # (2, (1, 0)) of diag(2, 3) with a residual of 0
     matrix = tmp_path / "b.txt"
     matrix.write_text("2 0\n0 3\n")
-    if args[0] == "lift":
-        args = [*args, "--matrix", str(matrix)]
+    args = [*args, "--matrix", str(matrix)]
     code, out, err = run_inproc(args)
     assert code == 1
     assert out == ""
@@ -956,7 +979,7 @@ def test_verify_reports_a_closed_route_unlike_the_graph_as_error_rows(monkeypatc
         dec = closed(ring)
         table = dec.table.copy()
         table[1, 5] = table[5, 1] = not table[1, 5]  # the classes of 3 and 12 in Z_36
-        return spectra_module.JoinDecomposition(dec.relation, dec.sizes, table, dec.ring, dec.reps)
+        return spectra_module.JoinDecomposition(dec.sizes, table, dec.ring, dec.reps)
 
     monkeypatch.setattr(spectra_module, "decomposition_semisimple_closed", one_kill_flipped)
     code, out, err = run_inproc(["verify", "--ring", "Zn(36)"])
@@ -976,6 +999,34 @@ def test_spectrum_refuses_a_removed_flag(flag):
     code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)", *flag])
     assert (code, out) == (1, "")
     assert err == f"error: UsageError: unrecognized arguments: {' '.join(flag)}\n"
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--flavor", "adjacency"]], ids=["tol", "flavor"])
+def test_verify_refuses_a_removed_flag(flag):
+    # verify passes only when every flavor matched at DEFAULT_TOL: no flag
+    # loosens the tolerance or leaves a flavor out
+    code, out, err = run_inproc(["verify", "--ring", "Zn(30)", *flag])
+    assert (code, out) == (1, "")
+    assert err == f"error: UsageError: unrecognized arguments: {' '.join(flag)}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--sweep", "Zn:6..20", "--max-vertices", "0"], ["--ring", "M(3,GF(3))"]],
+    ids=["cap-0-sweep", "over-default-cap"],
+)
+def test_verify_that_compares_nothing_fails(args):
+    # a ring skipped over the vertex cap is not a ring that matched; under
+    # a cap of 0 only the primes' empty graphs are compared
+    for fmt in ("json", "csv"):
+        code, out, err = run_inproc(["verify", *args, "--format", fmt])
+        assert (code, err) == (2, ""), fmt
+    payload = json.loads(run_inproc(["verify", *args])[1])
+    validate(payload)
+    assert payload["all_matched"] is False
+    rows = payload["results"]
+    assert any(r["skipped"] for r in rows)
+    assert all(r["matched"] is (None if r["skipped"] else True) for r in rows)
 
 
 def test_one_graph_cap_flag():

@@ -308,6 +308,22 @@ def test_parse_round_trips():
         assert ring.cardinality == card, text
 
 
+def test_a_ring_is_its_spec():
+    # equal specs are equal rings, however the ring was built, and the graph
+    # cache serves a ring the graph of an equal one
+    nested = ProductRing([ProductRing([Zn(2), Zn(4)]), GF(2, 2)])
+    parsed = parse_ring_spec("Zn(2)xZn(4)xGF(4)")
+    assert [f.spec_string() for f in nested.factors] == ["Zn(2)", "Zn(4)", "GF(4)"]
+    assert nested == parsed and hash(nested) == hash(parsed)
+    assert nested.elements() == parsed.elements()
+    assert GF(2, 2) == parse_ring_spec("GF(4)") and MatRing(2, GF(3)) == parse_ring_spec("M(2,GF(3))")
+    distinct = [Zn(4), GF(2, 2), MatRing(1, GF(2, 2)), Zn(2), ProductRing([Zn(2), Zn(2)])]
+    assert len(set(distinct)) == len(distinct)
+    assert all(a != b for a, b in itertools.combinations(distinct, 2))
+    assert build_zdg(nested) is build_zdg(parsed)
+    assert not any(hasattr(ring, "key") for ring in (*distinct, nested))
+
+
 def test_parse_m1_behaves_as_field():
     ring = parse_ring_spec("M(1,GF(3))")
     assert ring.cardinality == 3

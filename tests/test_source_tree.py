@@ -24,8 +24,10 @@ The flavor names are listed once, as the keys of `spectra.FLAVORS`: the
 CLI's choices read them, and the schema's one flavor def must equal them.
 A spectrum meets the dense oracle in one place, `spectra.verify_ring`: a
 second caller of `brute_spectrum`, or a CLI handler that compares spectra
-itself, fails here.  The graph route has one cap, on its vertex count,
-which bounds |R| too: a module that names an element cap fails here.
+itself, fails here, and so does a tolerance or flavor parameter on
+`verify_ring` or a `--tol` or `--flavor` flag on `zdg verify`.  The
+graph route has one cap, on its vertex count, which bounds |R| too: a
+module that names an element cap fails here.
 """
 import argparse
 import ast
@@ -266,6 +268,16 @@ def test_one_comparison_path():
     assert callers(cli, "brute_spectrum") | callers(cli, "multiset_equal") == set()
 
 
+def test_one_gate():
+    # a tolerance or a flavor list would let a caller pass the check by
+    # loosening it or by comparing less; verify_ring compares every flavor
+    # at DEFAULT_TOL, and `zdg verify` takes neither flag
+    spectra = ast.parse((PACKAGE / "spectra.py").read_text())
+    assert signature(spectra, "verify_ring") == ["ring", "relation", "vertex_cap"]
+    verbs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {a.dest for a in verbs.choices["verify"]._actions} & {"tol", "flavor"} == set()
+
+
 def test_one_way_in():
     # an environment variable would be a second cap, a `__cause__`
     # read a second place to word the auto route's refusal, and a ring
@@ -330,9 +342,8 @@ def test_one_list_of_flavors():
     # a flavor name spelled in the CLI or the schema would be a second list
     # to keep in step with the table the assembly reads
     verbs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for verb in ("spectrum", "verify"):
-        flavor = next(a for a in verbs.choices[verb]._actions if a.dest == "flavor")
-        assert list(flavor.choices) == [*FLAVORS, "both"], verb
+    flavor = next(a for a in verbs.choices["spectrum"]._actions if a.dest == "flavor")
+    assert list(flavor.choices) == [*FLAVORS, "both"]
     schema = (PACKAGE / "schemas" / "report.schema.json").read_text()
     assert json.loads(schema)["$defs"]["flavor"] == {"enum": list(FLAVORS)}
     for name in FLAVORS:

@@ -789,7 +789,7 @@ def corrupt_the_closed_route(monkeypatch, corrupt):
         dec = decomposition_semisimple_closed(ring)
         sizes, table = dec.sizes.copy(), dec.table.copy()
         corrupt(sizes, table)
-        return spectra_module.JoinDecomposition(dec.relation, sizes, table, dec.ring, dec.reps)
+        return spectra_module.JoinDecomposition(sizes, table, dec.ring, dec.reps)
 
     monkeypatch.setattr(spectra_module, "decomposition_semisimple_closed", closed)
 
