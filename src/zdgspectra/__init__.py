@@ -15,7 +15,6 @@ from .classes import (
 )
 from .counts import (
     SemisimpleProfile,
-    ZnProfile,
     class_count_matrix,
     class_size_matrix,
     compressed_degree_matrix,
@@ -26,7 +25,6 @@ from .counts import (
     semisimple_class_degree,
     semisimple_class_size,
     semisimple_vertex_degree,
-    zn_profile,
 )
 from .eig import BACKEND, dense_eigenvalues
 from .graph import (
@@ -65,6 +63,7 @@ from .spectra import (
     quotient_matrix,
     ring_join_decomposition,
     verify_ring,
+    zn_profile,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import counts
+from . import counts, spectra
 from .classes import classes_for
 from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_json
 from .rings import RingError, Zn, parse_ring_spec
@@ -192,7 +192,7 @@ _COUNT_FORMS = {
         ("n", "q", "r"),
         lambda a: degree_matring(a.n, a.q, a.r, a.squares_to_zero),
     ),
-    "zn-profile": (("n",), lambda a: counts.zn_profile(a.n)),
+    "zn-profile": (("n",), lambda a: spectra.zn_profile(a.n)),
 }
 
 
@@ -210,17 +210,8 @@ def _run_counts(args):
     value = fn(args)
     inputs = {name: getattr(args, name) for name in needed}
     if args.what == "zn-profile":
-        entries = [
-            {"d": e.d, "size": e.size, "kind": e.kind, "neighbors": e.neighbors, "N": e.big_n}
-            for e in value.entries
-        ]
-        profile = {
-            "class_count": value.class_count,
-            "complete_count": value.complete_count,
-            "entries": entries,
-        }
-        payload = {"formula": args.what, "inputs": inputs, "value": profile}
-        rows = ([e.d, e.size, e.kind, e.big_n, ";".join(map(str, e.neighbors))] for e in value.entries)
+        payload = {"formula": args.what, "inputs": inputs, "value": value}
+        rows = ([e["d"], e["size"], e["kind"], e["N"], ";".join(map(str, e["neighbors"]))] for e in value["entries"])
         return EXIT_OK, payload, "d,size,kind,N,neighbors", rows
     if args.what == "degree-matrix":
         inputs["squares_to_zero"] = args.squares_to_zero

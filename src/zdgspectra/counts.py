@@ -1,7 +1,9 @@
 """Exact counting formulas for zero-divisor classes over finite fields.
 
 Everything here is integer arithmetic; the formulas are checked against
-exhaustive enumeration in the test suite.
+exhaustive enumeration in the test suite.  The Z_n divisor classes are
+not counted here: `spectra.zn_profile` reports them off the lattice of
+`Zn._divisor_classes`, the one that the closed route reads.
 """
 from __future__ import annotations
 
@@ -110,50 +112,6 @@ def compressed_degree_matrix(n: int, q: int, r: int) -> int:
         raise ValueError("rank must be in [1, n-1]")
     _check_q(q)
     return semisimple_class_degree(SemisimpleProfile(((n, q),), (r,)))
-
-
-# ---------------------------------------------------------------------------
-# Z_n profiles
-
-
-@dataclass
-class ZnClassInfo:
-    d: int  # the divisor labelling the class
-    size: int  # phi(n/d)
-    kind: str  # 'complete' | 'null'
-    neighbors: list[int]  # divisors d' != d with n | d d'
-    big_n: int  # total size of neighboring classes, the join weight
-
-
-@dataclass
-class ZnProfile:
-    n: int
-    entries: list[ZnClassInfo]
-    class_count: int
-    complete_count: int
-
-
-def zn_profile(n: int) -> ZnProfile:
-    """Class-level description of Gamma(Z_n) without touching elements.
-
-    One entry per nontrivial divisor d: size phi(n/d), complete iff
-    n | d^2, adjacent to d' iff n | d d'.  The class count must come out
-    as prod(k_i + 1) - 2 over the factorization n = prod p_i^{k_i}; the
-    complete-cell count is taken by direct inspection of the divisors.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    sizes = {d: numth.euler_phi(n // d) for d in numth.nontrivial_divisors(n)}
-    entries = []
-    for d, size in sizes.items():
-        kind = "complete" if (d * d) % n == 0 else "null"
-        neighbors = [e for e in sizes if e != d and (d * e) % n == 0]
-        big_n = sum(sizes[e] for e in neighbors)
-        entries.append(ZnClassInfo(d, size, kind, neighbors, big_n))
-    expected = prod(e + 1 for _, e in numth.factorize(n)) - 2
-    assert expected == len(entries)
-    complete = sum(1 for e in entries if e.kind == "complete")
-    return ZnProfile(n, entries, len(entries), complete)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Small number-theory helpers: primality, factorization, divisors, Euler phi.
+"""Small number-theory helpers: primality, factorization and prime powers.
 
 `is_prime` is Miller-Rabin to the prime bases 2..37: exact below 3.3e24,
 far past the 2^63 that `Ring.class_table` accepts.  `factorize` divides
@@ -76,28 +76,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
             d = _rho(m)
             rest += [d, m // d]
     return sorted(out.items())
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    out = [1]
-    for p, a in factorize(n) if n > 1 else []:
-        out = [d * p**e for d in out for e in range(a + 1)]
-    return sorted(out)
-
-
-def nontrivial_divisors(n: int) -> list[int]:
-    """Divisors d of n with 1 < d < n, ascending."""
-    return [d for d in divisors(n) if 1 < d < n]
-
-
-def euler_phi(n: int) -> int:
-    if n == 1:
-        return 1
-    out = n
-    for p, _ in factorize(n):
-        out = out // p * (p - 1)
-    return out
 
 
 def prime_power(q: int) -> tuple[int, int] | None:

@@ -288,9 +288,11 @@ class Zn(Ring):
     def zero_products(self, idx):
         # the int64 products are exact for n below 3.03e9; |R| <= (V + 1)^2
         # keeps that so below about 55,000 vertices, where this V x V
-        # product alone would take 24 GB
+        # product alone would take 24 GB; the remainder is taken in place,
+        # so the product is the one V x V int64 array
         vals = np.asarray(idx, dtype=np.int64)
-        return np.outer(vals, vals) % self.n == 0
+        products = np.multiply.outer(vals, vals)
+        return np.remainder(products, self.n, out=products) == 0
 
     def associate_keys(self, idx):
         # x ~ y exactly when gcd(x, n) = gcd(y, n)
@@ -303,12 +305,16 @@ class Zn(Ring):
     def class_count(self):
         return prod(a + 1 for _, a in self.factors)
 
-    def _class_table(self):
-        """One class per divisor d = prod p^e of n: the x with gcd(x, n) = d,
-        phi(n/d) = prod phi(p^(a-e)) of them, whose smallest member is
-        d % n.  By the CRT class d times class d' is 0 exactly when
-        e + e' >= a at every prime.  Sorted by d % n, the divisors come as
-        d = n (the class {0}), d = 1 (the units), then the rest ascending."""
+    def _divisor_classes(self):
+        """The divisor lattice of n, the one Z_n class structure: (ds, sizes,
+        kills) with one class per divisor d = prod p^e of n, the x with
+        gcd(x, n) = d, phi(n/d) = prod phi(p^(a-e)) of them, whose smallest
+        member is d % n.  By the CRT class d times class d' is 0 exactly
+        when e + e' >= a at every prime.  Sorted by d % n, the divisors come
+        as d = n (the class {0}), d = 1 (the units), then the rest
+        ascending.  ds and sizes are Python ints, so any n is exact; kills
+        is the bool m x m table.  `_class_table` casts it to int64 and
+        `spectra.zn_profile` reports it."""
         divisors = [(1, (), 1)]  # (d, its exponents e, phi(n/d))
         for p, a in self.factors:
             phi = [p ** (a - e) - p ** (a - e - 1) for e in range(a)] + [1]
@@ -318,6 +324,10 @@ class Zn(Ring):
         kills = np.ones((len(ds), len(ds)), dtype=bool)
         for e, (_, a) in zip(np.array(exps).T, self.factors):  # by prime: no m x m x k array
             kills &= e[:, None] >= a - e
+        return ds, sizes, kills
+
+    def _class_table(self):
+        ds, sizes, kills = self._divisor_classes()
         reps = np.array([d % self.n for d in ds], dtype=np.int64)
         return np.array(sizes, dtype=np.int64), kills, reps
 

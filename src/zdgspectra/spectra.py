@@ -66,11 +66,10 @@ from functools import cached_property
 import numpy as np
 
 from .classes import ClassPartition, classes_for
-from .counts import zn_profile  # unused: perfbench's tracer wraps this name for its counts.profile span
 from .eig import dense_eigenvalues
 from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
 from .graph import GraphCapError, ZeroDivisorGraph, build_zdg, check_graph_caps
-from .rings import Ring, RingError
+from .rings import Ring, RingError, Zn
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
@@ -446,6 +445,36 @@ def decomposition_semisimple_closed(ring: Ring) -> JoinDecomposition:
     cells = np.flatnonzero(kills[:, 1:].any(axis=1))[1:]
     kills = kills.take(cells, axis=0).take(cells, axis=1)
     return JoinDecomposition(sizes.take(cells), kills | kills.T, ring, reps.take(cells))
+
+
+def zn_profile(n: int) -> dict:
+    """Gamma(Z_n) as a generalized join over its divisor classes, the report
+    that `zdg counts --what zn-profile` prints, read off the lattice of
+    `Zn._divisor_classes`: one entry per divisor 1 < d < n, ascending, with
+    its class size phi(n/d), its kind (complete iff n | d^2), its
+    H-neighbours (the d' != d with n | d d') and N, their total size.  The
+    report solves nothing, so unlike `class_table` it takes any n >= 2,
+    in Python ints."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    ds, sizes, kills = Zn(n)._divisor_classes()
+    # object arrays: exact past int64, and every neighbour list holds ds's own ints
+    ds, sizes = np.array(ds[2:], dtype=object), np.array(sizes[2:], dtype=object)
+    h = kills[2:, 2:]  # the class {0} (d = n) and the units (d = 1) come first
+    complete = h.diagonal().tolist()
+    np.fill_diagonal(h, False)
+    # row by row: h @ sizes would cast h to an m x m array of objects
+    entries = [
+        {
+            "d": d,
+            "size": size,
+            "kind": "complete" if c else "null",
+            "neighbors": ds[row].tolist(),
+            "N": sizes[row].sum(),
+        }
+        for d, size, c, row in zip(ds.tolist(), sizes.tolist(), complete, h)
+    ]
+    return {"class_count": len(entries), "complete_count": sum(complete), "entries": entries}
 
 
 # ---------------------------------------------------------------------------

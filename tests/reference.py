@@ -4,9 +4,10 @@ Each reference states its definition directly: the lexicographic element
 order that element indices count, associate classes as unit orbits, equal
 neighborhoods by pairwise row comparison, units, annihilators and
 reducedness element by element, the index sets of a semisimple rank
-profile, the class skeleton of a product of fields, kernels and span containment by elimination over GF(q), and the
-proven agreements between the three vertex relations.  The package's
-pipeline calls none of them.
+profile, the class skeleton of a product of fields, kernels and span containment by elimination over GF(q), the
+divisors and Euler phi of n and the divisor classes of Z_n one divisor
+at a time, and the proven agreements between the three vertex
+relations.  The package's pipeline calls none of them.
 
 A partition built here numbers its classes with its own dict, by first
 appearance in vertex order, and never through `rings.first_seen_ids` or
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -262,6 +263,52 @@ def gf_span_contains(field, basis_rref, other_rows, width):
     basis; the reference for `MatRing._class_table`."""
     stacked = gf_rref(field, tuple(basis_rref) + tuple(other_rows), width)
     return stacked == tuple(basis_rref)
+
+
+# ---------------------------------------------------------------------------
+# Z_n divisor arithmetic, one divisor at a time
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    out = [1]
+    for p, a in numth.factorize(n) if n > 1 else []:
+        out = [d * p**e for d in out for e in range(a + 1)]
+    return sorted(out)
+
+
+def nontrivial_divisors(n: int) -> list[int]:
+    """Divisors d of n with 1 < d < n, ascending."""
+    return [d for d in divisors(n) if 1 < d < n]
+
+
+def euler_phi(n: int) -> int:
+    if n == 1:
+        return 1
+    out = n
+    for p, _ in numth.factorize(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def zn_profile_by_divisor_scan(n: int) -> dict:
+    """The divisor classes of Gamma(Z_n) in the form of `spectra.zn_profile`,
+    scanned divisor by divisor: one entry per nontrivial divisor d, of
+    size phi(n/d), complete iff n | d^2, adjacent to d' iff n | d d', and
+    N the total size of its neighbours.  The class count must come out as
+    prod(k_i + 1) - 2 over the factorization n = prod p_i^{k_i}."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    sizes = {d: euler_phi(n // d) for d in nontrivial_divisors(n)}
+    entries = []
+    for d, size in sizes.items():
+        neighbors = [e for e in sizes if e != d and (d * e) % n == 0]
+        kind = "complete" if (d * d) % n == 0 else "null"
+        big_n = sum(sizes[e] for e in neighbors)
+        entries.append({"d": d, "size": size, "kind": kind, "neighbors": neighbors, "N": big_n})
+    assert len(entries) == prod(a + 1 for _, a in numth.factorize(n)) - 2
+    complete = sum(1 for e in entries if e["kind"] == "complete")
+    return {"class_count": len(entries), "complete_count": complete, "entries": entries}
 
 
 # ---------------------------------------------------------------------------

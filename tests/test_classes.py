@@ -12,6 +12,8 @@ from reference import (
     check_relation_agreements,
     partitions_equal,
     classes_associate,
+    euler_phi,
+    nontrivial_divisors,
 )
 from zdgspectra import classes
 from zdgspectra import graph as graph_module
@@ -22,7 +24,6 @@ from zdgspectra.classes import (
     classes_neighborhood,
 )
 from zdgspectra.graph import build_zdg
-from zdgspectra.numth import euler_phi, nontrivial_divisors
 from zdgspectra.rings import GF, MatRing, ProductRing, Zn, parse_ring_spec
 
 RING_BATTERY = [

@@ -9,7 +9,13 @@ import math
 
 import pytest
 
-from reference import boolean_skeleton, profile_index_sets
+from reference import (
+    boolean_skeleton,
+    euler_phi,
+    nontrivial_divisors,
+    profile_index_sets,
+    zn_profile_by_divisor_scan,
+)
 from zdgspectra.counts import (
     SemisimpleProfile,
     class_count_matrix,
@@ -23,12 +29,11 @@ from zdgspectra.counts import (
     semisimple_class_degree,
     semisimple_class_size,
     semisimple_vertex_degree,
-    zn_profile,
 )
 from zdgspectra.classes import classes_for
 from zdgspectra.graph import build_zdg, degree, degree_matring, degree_zn
-from zdgspectra.numth import euler_phi, nontrivial_divisors
 from zdgspectra.rings import GF, MatRing, ProductRing, RingError, Zn, parse_ring_spec
+from zdgspectra.spectra import zn_profile
 
 
 # --- plain mod-p linear algebra, independent of the package's field code ---
@@ -330,13 +335,13 @@ def test_compressed_degree_matrix_small_values():
 
 def test_zn_profile_18():
     prof = zn_profile(18)
-    assert prof.class_count == 4
-    assert prof.complete_count == 1
-    by_d = {e.d: e for e in prof.entries}
-    assert by_d[6].kind == "complete"
-    assert by_d[6].size == euler_phi(3) == 2
-    assert by_d[2].kind == "null"
-    assert sorted(by_d[9].neighbors) == [2, 6]
+    assert prof["class_count"] == 4
+    assert prof["complete_count"] == 1
+    by_d = {e["d"]: e for e in prof["entries"]}
+    assert by_d[6]["kind"] == "complete"
+    assert by_d[6]["size"] == euler_phi(3) == 2
+    assert by_d[2]["kind"] == "null"
+    assert sorted(by_d[9]["neighbors"]) == [2, 6]
 
 
 def test_zn_profile_class_count_formula():
@@ -350,23 +355,23 @@ def test_zn_profile_class_count_formula():
         expected = 1
         for _, k in factorize(n):
             expected *= k + 1
-        assert prof.class_count == expected - 2 == len(nontrivial_divisors(n))
+        assert prof["class_count"] == expected - 2 == len(nontrivial_divisors(n))
 
 
 def test_zn_profile_against_graph():
     for n in (12, 16, 18, 30, 36, 72, 100):
         g = build_zdg(Zn(n))
         prof = zn_profile(n)
-        for e in prof.entries:
-            assert e.size == euler_phi(n // e.d)
-            assert (e.kind == "complete") == (d_squares_to_zero(n, e.d))
-            # big_n is the number of vertices adjacent to the whole class
+        for e in prof["entries"]:
+            assert e["size"] == euler_phi(n // e["d"])
+            assert (e["kind"] == "complete") == (d_squares_to_zero(n, e["d"]))
+            # N is the number of vertices adjacent to the whole class
             expected_big_n = sum(
-                euler_phi(n // d2) for d2 in nontrivial_divisors(n) if (e.d * d2) % n == 0
+                euler_phi(n // d2) for d2 in nontrivial_divisors(n) if (e["d"] * d2) % n == 0
             )
-            if (e.d * e.d) % n == 0:
-                expected_big_n -= e.size
-            assert e.big_n == expected_big_n, (n, e.d)
+            if (e["d"] * e["d"]) % n == 0:
+                expected_big_n -= e["size"]
+            assert e["N"] == expected_big_n, (n, e["d"])
 
 
 def d_squares_to_zero(n, d):
@@ -378,8 +383,33 @@ def test_zn_profile_degrees_match_graph():
 
     for n in (18, 16, 48):
         g = build_zdg(Zn(n))
-        for e in zn_profile(n).entries:
-            assert degree_zn(n, e.d) == degree(g, e.d)
+        for e in zn_profile(n)["entries"]:
+            assert degree_zn(n, e["d"]) == degree(g, e["d"])
+
+
+def test_zn_profile_equals_the_divisor_scan_up_to_3000():
+    for n in range(2, 3001):
+        assert zn_profile(n) == zn_profile_by_divisor_scan(n), n
+
+
+@pytest.mark.parametrize("n", [720720, 6983776800, 2**64, 3**41], ids=str)
+def test_zn_profile_equals_the_divisor_scan(n):
+    # 2^64 and 3^41 are past int64, where the class table refuses the ring
+    assert zn_profile(n) == zn_profile_by_divisor_scan(n)
+
+
+def test_zn_profile_takes_rings_the_class_table_refuses():
+    # the report solves nothing, so neither the cell cap nor int64 bounds it
+    for n, classes in ((963761198400, 6718), (2**64, 63)):
+        with pytest.raises(RingError):
+            Zn(n).class_table()
+        assert zn_profile(n)["class_count"] == classes
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_zn_profile_refuses_n_below_2(n):
+    with pytest.raises(ValueError, match="^n must be at least 2$"):
+        zn_profile(n)
 
 
 # --- semisimple profiles ---

@@ -32,10 +32,10 @@ from reference import (
     annihilator_set,
     classes_associate,
     enumerate_elements,
+    euler_phi,
     is_reduced,
     is_unit,
 )
-from zdgspectra import numth
 from zdgspectra.cli import main
 from zdgspectra.classes import classes_for
 from zdgspectra.counts import gl_order
@@ -55,7 +55,7 @@ FLAVORS = ("adjacency", "laplacian")
 
 # (spec, order, unit count)
 FACTORS = (
-    [(f"Zn({n})", n, numth.euler_phi(n)) for n in range(2, 10)]
+    [(f"Zn({n})", n, euler_phi(n)) for n in range(2, 10)]
     + [(f"GF({q})", q, q - 1) for q in (2, 3, 4, 5)]
     + [(f"M(2,GF({q}))", q**4, gl_order(2, q)) for q in (2, 3)]
 )

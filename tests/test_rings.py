@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from reference import (
     classes_associate,
+    divisors,
     enumerate_elements,
+    euler_phi,
     is_unit,
     _commutative_hypothesis,
     _noncommutative_hypothesis,
@@ -361,11 +363,29 @@ def test_zn_class_table_by_divisor_arithmetic(n):
     # d % n, and the classes ascend in it; class d times class d' is 0
     # exactly when n/d divides d'; checked on Python ints
     sizes, kills, reps = Zn(n).class_table()
-    ds = sorted(numth.divisors(n), key=lambda d: d % n)
+    ds = sorted(divisors(n), key=lambda d: d % n)
     assert reps.tolist() == [d % n for d in ds]
-    assert sizes.tolist() == [numth.euler_phi(n // d) for d in ds]
+    assert sizes.tolist() == [euler_phi(n // d) for d in ds]
     assert sum(sizes.tolist()) == n
     assert kills.tolist() == [[dj % (n // di) == 0 for dj in ds] for di in ds]
+
+
+def test_zn_zero_products_hold_one_int64_product():
+    # the remainder is taken in place: one V x V int64 product and the bool
+    # result at the peak, not a second int64 array for the remainder
+    ring = Zn(2002)
+    idx = np.flatnonzero(~ring._unit_mask())[1:]
+    v = len(idx)
+    assert v == 1281
+    tracemalloc.start()
+    try:
+        zero = ring.zero_products(idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert zero.dtype == bool and zero.shape == (v, v)
+    assert np.array_equal(zero, np.outer(idx, idx) % 2002 == 0)
+    assert peak < 10 * v * v  # 8 bytes of product and 1 of result per pair
 
 
 # the rings small enough to check against enumeration here
@@ -513,7 +533,7 @@ def test_factorize_splits_large_prime_factors():
     fifteen = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 997, 1009, p]
     assert numth.factorize(math.prod(fifteen)) == [(f, 1) for f in fifteen]
     assert numth.is_prime(2**61 - 1) and not numth.is_prime(p * q)
-    assert numth.divisors(p * q) == [1, p, q, p * q]
+    assert divisors(p * q) == [1, p, q, p * q]
 
 
 def test_factorize_and_is_prime_agree_with_a_sieve():

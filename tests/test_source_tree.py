@@ -16,7 +16,9 @@ one routine, `rings.first_seen_ids`, and partitions built in one,
 `classes._partition`; the tests' references in tests/reference.py call
 neither, and the package defines none of their names.  The one-factor
 and field-product degrees, sizes and class counts read the semisimple
-formulas of `counts`.  Only `cli.main` formats a report as JSON or CSV;
+formulas of `counts`, and the Z_n divisor classes come from one lattice,
+`Zn._divisor_classes`, which the class table and `spectra.zn_profile`
+both read.  Only `cli.main` formats a report as JSON or CSV;
 the verbs' handlers return theirs.  Each CLI input has one spelling: a
 `cli.py` that reads the environment or an exception's `__cause__`, or a
 `--sweep` parser that builds a ring from a spec of its own, fails here.
@@ -311,6 +313,19 @@ def test_references_number_their_own_classes():
     assert ours
     for path in sorted(PACKAGE.glob("*.py")):
         assert defined_names(ast.parse(path.read_text()), everywhere=True) & ours == set(), path.name
+
+
+def test_one_divisor_lattice():
+    # a second scan over the divisors of n would state the Z_n classes a
+    # second way; the closed route and the zn-profile report read one lattice
+    assert callers(PACKAGE / "rings.py", "_divisor_classes") == {"_class_table"}
+    assert callers(PACKAGE / "spectra.py", "_divisor_classes") == {"zn_profile"}
+    numth = defined_names(ast.parse((PACKAGE / "numth.py").read_text()), everywhere=True)
+    assert numth & {"divisors", "nontrivial_divisors", "euler_phi"} == set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        imports = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.ImportFrom)]
+        from_counts = {a.name for n in imports if (n.module or "").split(".")[-1] == "counts" for a in n.names}
+        assert "zn_profile" not in from_counts, path.name
 
 
 # (module, entry point, the general formula it returns once its own checks pass)

@@ -13,13 +13,19 @@ import weakref
 import numpy as np
 import pytest
 
-from reference import check_relation_agreements, gf_nullspace, gf_span_contains, spectrum_from_pairs
+from reference import (
+    check_relation_agreements,
+    gf_nullspace,
+    gf_span_contains,
+    spectrum_from_pairs,
+    zn_profile_by_divisor_scan,
+)
 from zdgspectra import graph as graph_module
 from zdgspectra import numth
 from zdgspectra import rings as rings_module
 from zdgspectra import spectra as spectra_module
 from zdgspectra.classes import ClassPartition, classes_for
-from zdgspectra.counts import class_count_matrix, gl_order, zn_profile
+from zdgspectra.counts import class_count_matrix, gl_order
 from zdgspectra.eig import dense_eigenvalues
 from zdgspectra.graph import GraphCapError, build_zdg, degree_matring
 from zdgspectra.rings import (
@@ -540,17 +546,17 @@ def test_closed_semisimple_route_equals_graph_route():
 
 
 def test_closed_zn_cells_equal_zn_profile():
-    # counts.zn_profile, the divisor-by-divisor scan, is the oracle for
+    # the divisor-by-divisor scan of tests/reference.py is the oracle for
     # the CRT-built Z_n table: same classes in the same order
     for n in [n for n in range(4, 401) if not numth.is_prime(n)] + [720720]:
         dec = ring_join_decomposition(Zn(n), method="closed")
-        profile = zn_profile(n).entries
-        assert dec.labels == [str(e.d) for e in profile], n
+        profile = zn_profile_by_divisor_scan(n)["entries"]
+        assert dec.labels == [str(e["d"]) for e in profile], n
         cells = list(zip(dec.sizes.tolist(), cell_kinds(dec)))
-        assert cells == [(e.size, e.kind) for e in profile], n
-        neighbors = [[profile[j].d for j in np.flatnonzero(row)] for row in h_adjacency(dec)]
-        assert neighbors == [e.neighbors for e in profile], n
-        assert neighbor_weights(dec) == [e.big_n for e in profile], n
+        assert cells == [(e["size"], e["kind"]) for e in profile], n
+        neighbors = [[profile[j]["d"] for j in np.flatnonzero(row)] for row in h_adjacency(dec)]
+        assert neighbors == [e["neighbors"] for e in profile], n
+        assert neighbor_weights(dec) == [e["N"] for e in profile], n
 
 
 @pytest.mark.parametrize(
