@@ -7,13 +7,14 @@ follow from one lemma (the equitable-partition form of the join:
 Cardoso, de Freitas, Martins and Robbiano, Discrete Math. 2013): the
 matrix that is f(c(u), c(v)) off its diagonal and g(c(u)) on it, c(u)
 the cell of vertex u, has the eigenvalues g_i - f_ii, n_i - 1 times per
-cell, and those of the m x m quotient with entries sqrt(n_i n_j) f_ij and
-g_i + (n_i - 1) f_ii on its diagonal.  Each flavor is one (f, g) entry
-of `FLAVORS`, f a multiple of the class table (diagonal: the complete
-cells; off it: H): adjacency is (table, 0) and the Laplacian (-table, d),
-d_i = N_i + (n_i - 1) complete_i being the vertex degree and N_i the
-total size of the cell's H-neighborhood.
-Everything is verified against a dense eigensolver oracle.
+cell, and those of the m x m quotient with entries sqrt(n_i n_j) f_ij
+and g_i + (n_i - 1) f_ii on its diagonal.  Each flavor is one entry of
+`FLAVORS`: its (f, g), f a multiple of the class table (diagonal: the
+complete cells; off it: H), and the whole graph's matrix for the oracle.
+Adjacency is (table, 0) and A, the Laplacian (-table, d) and D - A,
+where d_i = N_i + (n_i - 1) complete_i is the vertex degree and N_i the
+total size of the cell's H-neighborhood.  Everything is verified
+against a dense eigensolver oracle.
 
 A decomposition holds its cells as aligned arrays and comes from one of
 two routes, which both hand `JoinDecomposition` a bool class table.  The
@@ -60,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -338,10 +340,23 @@ def blow_up(dec: JoinDecomposition) -> np.ndarray:
     return out
 
 
-# flavor -> (f, g) on a decomposition, as in the module docstring
+def adjacency_matrix(graph: ZeroDivisorGraph) -> np.ndarray:
+    return graph.adjacency.astype(np.float64)
+
+
+def laplacian_matrix(graph: ZeroDivisorGraph) -> np.ndarray:
+    # 0 - A keeps the off-diagonal zeros +0.0; the diagonal of A is zero
+    lap = np.subtract(0.0, graph.adjacency, dtype=np.float64)
+    np.fill_diagonal(lap, graph.degrees())
+    return lap
+
+
+# a flavor: its (f, g) on a decomposition, as in the module docstring, and the
+# whole graph's matrix, read off its adjacency and degrees alone, for the oracle
+Flavor = namedtuple("Flavor", "join matrix")
 FLAVORS = {
-    "adjacency": lambda dec: (dec.table, 0),
-    "laplacian": lambda dec: (-1 * dec.table, dec.degrees),
+    "adjacency": Flavor(lambda dec: (dec.table, 0), adjacency_matrix),
+    "laplacian": Flavor(lambda dec: (-1 * dec.table, dec.degrees), laplacian_matrix),
 }
 
 
@@ -352,7 +367,7 @@ def _join_parts(dec: JoinDecomposition, flavor: str) -> tuple[np.ndarray, np.nda
     an integer, so a zero entry is +0.0, never -0.0."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor '{flavor}'")
-    f, g = FLAVORS[flavor](dec)
+    f, g = FLAVORS[flavor].join(dec)
     f_diag = f.diagonal()
     inherited = g - f_diag
     quotient = np.sqrt(np.multiply.outer(dec.sizes, dec.sizes, dtype=np.float64)) * f
@@ -401,28 +416,14 @@ def assemble_spectrum(dec: JoinDecomposition, flavor: str) -> SpectrumMultiset:
 # the oracle
 
 
-def adjacency_matrix(graph: ZeroDivisorGraph) -> np.ndarray:
-    return graph.adjacency.astype(np.float64)
-
-
-def laplacian_matrix(graph: ZeroDivisorGraph) -> np.ndarray:
-    # 0 - A keeps the off-diagonal zeros +0.0; the diagonal of A is zero
-    lap = np.subtract(0.0, graph.adjacency, dtype=np.float64)
-    np.fill_diagonal(lap, graph.degrees())
-    return lap
-
-
 def brute_spectrum(graph: ZeroDivisorGraph, flavor: str) -> SpectrumMultiset:
-    """Direct dense eigendecomposition of A or D - A (LAPACK eigvalsh),
+    """Dense eigendecomposition (LAPACK eigvalsh) of the flavor's graph matrix,
     solved once per graph and flavor: the result is kept on the graph."""
     memo = graph._oracle
     if flavor not in memo:
-        if flavor == "adjacency":
-            m = adjacency_matrix(graph)
-        elif flavor == "laplacian":
-            m = laplacian_matrix(graph)
-        else:
+        if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor '{flavor}'")
+        m = FLAVORS[flavor].matrix(graph)
         memo[flavor] = SpectrumMultiset([(v, 1, "brute") for v in dense_eigenvalues(m)])
     return memo[flavor]
 

@@ -1,5 +1,6 @@
 """Command-line front end: output formats, schema validation, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,8 +46,6 @@ def run_cli(args):
 
 def run_inproc(args):
     """Call main() directly when the exit code is all that matters."""
-    import contextlib
-
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -781,6 +781,23 @@ def test_spectrum_runs_follow_the_schema(args):
     dec = spectra_module.ring_join_decomposition(parse_ring_spec(args[1]))
     for report, spectrum in zip(payload, spectra_module.spectrum_pair(dec)):
         assert [tuple(run) for run in report["runs"]] == spectrum.runs
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_streams_what_it_prints(fmt):
+    # main writes each chunk as it encodes it: the traced peak is the two
+    # flavors' values lists, 16 bytes per vertex, and not the whole text,
+    # which takes over 100
+    args = ["spectrum", "--ring", "Zn(200000)", "--format", fmt]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(args) == 0  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 32 * Zn(200000).vertex_count(), peak
 
 
 def test_exit_code_verification_mismatch(monkeypatch):

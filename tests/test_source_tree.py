@@ -18,7 +18,7 @@ neither, and the package defines none of their names.  The one-factor
 and field-product degrees, sizes and class counts read the semisimple
 formulas of `counts`, and the Z_n divisor classes come from one lattice,
 `Zn._divisor_classes`, which the class table and `spectra.zn_profile`
-both read.  Only `cli.main` formats a report as JSON or CSV;
+both read.  Only `cli.main` writes a report as JSON or CSV;
 the verbs' handlers return theirs.  Each CLI input has one spelling: a
 `cli.py` that reads the environment or an exception's `__cause__`, or a
 `--sweep` parser that builds a ring from a spec of its own, fails here.
@@ -29,7 +29,10 @@ second caller of `brute_spectrum`, or a CLI handler that compares spectra
 itself, fails here, and so does a tolerance or flavor parameter on
 `verify_ring` or a `--tol` or `--flavor` flag on `zdg verify`.  The
 graph route has one cap, on its vertex count, which bounds |R| too: a
-module that names an element cap fails here.
+module that names an element cap fails here.  Each name has one import
+path, from the module that defines it: an `__init__.py` that binds a name
+other than `__version__`, or an import in src/, tests/ or perfbench/ of a
+name that its module does not define, fails here.
 """
 import argparse
 import ast
@@ -39,7 +42,8 @@ from pathlib import Path
 from zdgspectra import cli
 from zdgspectra.spectra import FLAVORS
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zdgspectra"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "zdgspectra"
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 
@@ -258,7 +262,7 @@ def test_one_output_path():
     # a handler that formatted its own report would be a second place to
     # thread a new field through
     cli = PACKAGE / "cli.py"
-    assert callers(cli, "_json_text") == callers(cli, "_csv_text") == {"main"}
+    assert callers(cli, "_write_json") == callers(cli, "_write_csv") == {"main"}
 
 
 def test_one_comparison_path():
@@ -398,3 +402,38 @@ def test_one_graph_cap():
     rings = ast.parse((PACKAGE / "rings.py").read_text())
     for name in ("elements", "units", "zero_divisors"):
         assert signature(rings, name, owner="Ring") == ["self"], name
+
+
+def package_imports(path):
+    """(module, names) for each `from ... import` of the package in a file:
+    the bare module name, or "" for the package itself."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        names = [alias.name for alias in node.names]
+        if node.level == 1 and path.parent == PACKAGE:
+            yield module, names
+        elif node.level == 0 and module.split(".")[0] == "zdgspectra":
+            yield module.removeprefix("zdgspectra").removeprefix("."), names
+
+
+def test_one_import_path():
+    # a re-export would be a second spelling of each name, and a second list
+    # to keep in step with the module that defines it
+    docstring, *body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert [type(node) for node in body] == [ast.Assign]
+    assert [target.id for target in body[0].targets] == ["__version__"]
+    # and every import names a module of the package, or what a module defines
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    defines = {m: defined_names(ast.parse((PACKAGE / f"{m}.py").read_text()), everywhere=False) for m in modules}
+    found = [
+        (path.name, module, names)
+        for root in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / root).rglob("*.py"))
+        for module, names in package_imports(path)
+    ]
+    assert len(found) > 20
+    for name, module, names in found:
+        assert set(names) <= (defines.get(module, set()) if module else modules), (name, module, names)

@@ -40,6 +40,7 @@ from zdgspectra.rings import (
 from zdgspectra.spectra import (
     FLAVORS,
     DecompositionError,
+    Flavor,
     LiftError,
     LiftInapplicableError,
     LiftVerificationError,
@@ -1039,11 +1040,20 @@ def test_quotient_runs_certified_by_lifted_residuals():
             assert residual <= 1e-9 and loss <= 1e-12, (dec.labels[0], flavor, residual, loss)
 
 
+def signless_laplacian(graph):
+    """D + A of a graph, built here and not by the package."""
+    return np.diag(graph.degrees()).astype(float) + graph.adjacency
+
+
+# the signless Laplacian D + A as one entry of the flavor table
+SIGNLESS = Flavor(lambda dec: (dec.table, dec.degrees), signless_laplacian)
+
+
 def test_assembly_takes_a_flavor_neither_route_uses(monkeypatch):
     # the signless Laplacian D + A is the entry (table, degrees): no
     # flavor of the package has f = table with a nonzero g, so this checks
     # the lemma's general (f, g) form against a solve of the whole matrix
-    monkeypatch.setitem(FLAVORS, "signless", lambda dec: (dec.table, dec.degrees))
+    monkeypatch.setitem(FLAVORS, "signless", SIGNLESS)
     for dec, adj in run_form_decompositions():
         full = np.diag(adj.sum(axis=1)).astype(float) + adj
         ours = assemble_spectrum(dec, "signless")
@@ -1051,6 +1061,23 @@ def test_assembly_takes_a_flavor_neither_route_uses(monkeypatch):
         expected = np.linalg.eigvalsh(full).tolist()
         dev = max((abs(a - b) for a, b in zip(ours.values, expected)), default=0.0)
         assert dev <= 1e-9, (dec.labels[0], dev)
+
+
+def test_a_flavor_is_one_entry_of_the_table(monkeypatch):
+    # the oracle reads the entry's matrix as the assembly reads its (f, g),
+    # so verify_ring compares a new entry like the package's own flavors
+    monkeypatch.setitem(FLAVORS, "signless", SIGNLESS)
+    for spec in ("Zn(36)", "Zn(2)xZn(4)", "M(2,GF(2))", "GF(4)xGF(3)"):
+        outcome = verify_ring(parse_ring_spec(spec))
+        assert list(outcome.results) == ["adjacency", "laplacian", "signless"], spec
+        assert outcome.matched, (spec, outcome.results["signless"])
+
+
+def test_unknown_flavor_is_refused():
+    with pytest.raises(ValueError, match="unknown flavor 'signless'"):
+        brute_spectrum(build_zdg(Zn(12)), "signless")
+    with pytest.raises(ValueError, match="unknown flavor 'signless'"):
+        assemble_spectrum(graph_route(Zn(12)), "signless")
 
 
 def test_closed_route_runs_scale_with_class_count():
