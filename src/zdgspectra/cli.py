@@ -1,24 +1,23 @@
 """Command-line front end: ring specs in, JSON or CSV reports out.
 
-`zdg spectrum` prints the spectra of the route `spectra.join_route`
-picks, and `zdg verify` checks that route against the dense oracle.
-`--format runs` prints each spectrum as its runs [value, multiplicity,
-provenance], in JSON, so its size grows with the class count; json and
-csv print one value per eigenvalue and refuse a graph of more than
-MAX_PRINTED_VALUES vertices, read off the ring's closed vertex count
-after the route's own refusal and before anything is built.
+`zdg spectrum` prints the spectra of the closed route, read off the
+ring's class table, and `zdg verify` checks that route against the dense
+oracle.  `--format runs` prints each spectrum as its runs [value,
+multiplicity, provenance], in JSON, so its size grows with the class
+count; json and csv print one value per eigenvalue and refuse a graph of
+more than MAX_PRINTED_VALUES vertices, read off the ring's closed vertex
+count after the class cap's refusal and before anything is built.
 
 Each verb's handler raises or returns its report as a JSON payload and a
 CSV header with lazy rows; `main` alone streams one of the two to stdout.
 
 Each input has one spelling: a ring is a `--ring` spec, `verify --sweep`
 takes only `Zn:lo..hi` or `Zn:n`, and the one graph cap comes only from
-`--max-vertices`.  The vertex cap bounds |R| too, since a ring with a
-vertex has |R| <= (V + 1)^2, so no element cap is needed.  `verify`
-compares every flavor at `spectra.DEFAULT_TOL` and has no tolerance or
-flavor flag.  An error prints as one `error: <Type>: <message>` line;
-the `auto` route's cap error carries the closed route's refusal in its
-own message.
+`--max-vertices`, which `spectrum` does not take: it builds no graph.
+The vertex cap bounds |R| too, since a ring with a vertex has
+|R| <= (V + 1)^2, so no element cap is needed.  `verify` compares every
+flavor at `spectra.DEFAULT_TOL` and has no tolerance or flavor flag.  An
+error prints as one `error: <Type>: <message>` line.
 
 Exit codes: 0 on success, 1 for bad input of any kind, 2 when a lifted
 eigenpair fails or a verify run holds a ring not matched in every
@@ -48,9 +47,8 @@ from .spectra import (
     LiftError,
     LiftVerificationError,
     assemble_spectrum,
+    decomposition_semisimple_closed,
     duplicate_lift,
-    join_route,
-    ring_join_decomposition,
     verify_ring,
 )
 
@@ -74,16 +72,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Blocks:
+    """Stdout for one report, written a block of BLOCK pieces at a time:
+    json.dump writes once per encoder chunk and csv once per row, and
+    unbuffered, each write is a system call."""
+
+    BLOCK = 4096
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text: str) -> None:
+        self.pieces.append(text)
+        if len(self.pieces) == self.BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        sys.stdout.write("".join(self.pieces))
+        self.pieces.clear()
+
+
 def _write_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    out = _Blocks()
+    json.dump(payload, out, indent=2)
+    out.write("\n")
+    out.flush()
 
 
 def _write_csv(header: str, rows) -> None:
     """The header line, then one quoted-as-needed CSV line per row; None prints empty."""
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    out = _Blocks()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header.split(","))
     writer.writerows(rows)
+    out.flush()
 
 
 def _g12(x) -> str:
@@ -155,15 +177,15 @@ def _run_graph(args):
 
 def _run_spectrum(args):
     ring = parse_ring_spec(args.ring)
-    # the route's refusal first, then the printed size, both before anything is built
-    join_route(ring, vertex_cap=args.max_vertices)
+    # the class cap's refusal first, then the printed size, both before anything is built
+    ring.check_class_table()
     order = ring.vertex_count()
     if args.format != "runs" and order > MAX_PRINTED_VALUES:
         raise RingError(
             f"Gamma({ring.spec_string()}) has {order} eigenvalues per flavor, over the "
             f"{MAX_PRINTED_VALUES} that json and csv print; --format runs prints them as runs"
         )
-    dec = ring_join_decomposition(ring, vertex_cap=args.max_vertices)
+    dec = decomposition_semisimple_closed(ring)
     reports = []
     for flavor in _flavors(args):
         spectrum = assemble_spectrum(dec, flavor)
@@ -325,7 +347,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="zdg", description="Spectra of zero-divisor graphs of finite rings.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, relation=True, formats=("json", "csv")):
+    def common(p, relation=True, formats=("json", "csv"), cap=True):
         p.add_argument("--ring", help="ring spec, e.g. Zn(18), GF(9), M(2,GF(3)), Zn(2)xZn(3)")
         if relation:
             p.add_argument(
@@ -334,7 +356,8 @@ def _build_parser() -> _Parser:
                 default="associate",
             )
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--max-vertices", type=_cap, default=None, help="graph size cap override")
+        if cap:
+            p.add_argument("--max-vertices", type=_cap, default=None, help="graph size cap override")
 
     p_classes = sub.add_parser("classes", help="vertex classes under a relation")
     common(p_classes)
@@ -346,7 +369,7 @@ def _build_parser() -> _Parser:
 
     about = "spectra assembled through the join; `zdg verify --ring R` checks them against the dense oracle"
     p_spectrum = sub.add_parser("spectrum", help=about, description=about)
-    common(p_spectrum, relation=False, formats=("json", "csv", "runs"))
+    common(p_spectrum, relation=False, formats=("json", "csv", "runs"), cap=False)
     p_spectrum.add_argument("--flavor", choices=(*FLAVORS, "both"), default="both")
     p_spectrum.set_defaults(handler=_run_spectrum)
 

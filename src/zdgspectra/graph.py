@@ -103,18 +103,14 @@ def _build(ring: Ring) -> ZeroDivisorGraph:
 _build_cached = lru_cache(maxsize=1)(_build)
 
 
-def check_graph_caps(ring: Ring, vertex_cap: int | None = None) -> None:
-    """Raise the cap error that `build_zdg` raises for this cap, from the
-    ring's closed vertex count: nothing is enumerated."""
+def build_zdg(ring: Ring, vertex_cap: int | None = None) -> ZeroDivisorGraph:
+    """Construct Gamma(R), cached for the last ring: the cap refuses the
+    graph from the ring's closed vertex count, before anything is
+    enumerated, and never changes it."""
     vertex_cap = DEFAULT_VERTEX_CAP if vertex_cap is None else vertex_cap
     m = ring.vertex_count()
     if m > vertex_cap:
         raise GraphCapError(f"Gamma({ring.spec_string()}) has {m} vertices, over the cap {vertex_cap}")
-
-
-def build_zdg(ring: Ring, vertex_cap: int | None = None) -> ZeroDivisorGraph:
-    """Construct Gamma(R), cached for the last ring: the cap refuses the graph, it never changes it."""
-    check_graph_caps(ring, vertex_cap)
     return _build_cached(ring)
 
 

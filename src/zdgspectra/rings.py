@@ -799,18 +799,15 @@ class ProductRing(Ring):
         """Associates and xy = 0 are componentwise: one class per tuple of
         factor classes, in C order of the index tuples, with the sizes
         multiplied, xy = 0 exactly when it holds in every component and the
-        smallest member the factors' smallest members in mixed radix.  The
-        factors' reps ascend, so the C order ascends in reps too."""
-        tables = [f._class_table() for f in self.factors]
-        idx = np.indices([len(sizes) for sizes, _, _ in tables]).reshape(len(tables), -1)
-        m = idx.shape[1]
-        sizes = np.ones(m, dtype=np.int64)
-        kills = np.ones((m, m), dtype=bool)
-        reps = np.zeros(m, dtype=np.int64)
-        for f, (factor_sizes, factor_kills, factor_reps), i in zip(self.factors, tables, idx):
-            sizes *= factor_sizes[i]
-            kills &= factor_kills[i][:, i]
-            reps = reps * f.cardinality + factor_reps[i]
+        smallest member the factors' smallest members in mixed radix: a
+        left-to-right Kronecker fold over the factors.  The factors' reps
+        ascend, so the C order ascends in reps too."""
+        sizes, kills, reps = np.ones(1, dtype=np.int64), np.ones((1, 1), dtype=bool), np.zeros(1, dtype=np.int64)
+        for f in self.factors:
+            factor_sizes, factor_kills, factor_reps = f._class_table()
+            sizes = np.kron(sizes, factor_sizes)
+            kills = np.kron(kills, factor_kills)
+            reps = (reps[:, None] * f.cardinality + factor_reps).ravel()
         return sizes, kills, reps
 
     def unit_count(self):

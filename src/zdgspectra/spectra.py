@@ -25,11 +25,8 @@ adjacency matrix entry for entry, at every graph size.  The closed route
 reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
 one class per divisor of n, under one cap on the class count
-(CLOSED_CELL_CAP).  `join_route` picks the route, or raises its refusal,
-from closed counts alone, before either route builds anything: the
-default takes the closed route for associate spectra wherever the class
-table takes the ring, and the graph route past that cap or for another
-relation.  Both routes number the classes by smallest member and keep
+(CLOSED_CELL_CAP), checked before any table is built.  Both routes
+number the classes by smallest member and keep
 that member's element index as the class representative, so on a ring
 both take they give equal decompositions and equal runs; `verify_ring`,
 the one comparison with the oracle, requires them equal.  Class labels
@@ -70,7 +67,7 @@ import numpy as np
 from .classes import ClassPartition, classes_for
 from .eig import dense_eigenvalues
 from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
-from .graph import GraphCapError, ZeroDivisorGraph, build_zdg, check_graph_caps
+from .graph import ZeroDivisorGraph, build_zdg
 from .rings import Ring, RingError, Zn
 
 DEFAULT_TOL = 1e-7
@@ -482,51 +479,24 @@ def zn_profile(n: int) -> dict:
 # ring-level entry points
 
 
-def join_route(
-    ring: Ring,
-    relation: str = "associate",
-    method: str = "auto",
-    vertex_cap: int | None = None,
-) -> str:
-    """The route, 'graph' or 'closed', that `ring_join_decomposition` takes
-    with these arguments, or the refusal it raises, read off closed counts
-    before anything is built.  'auto' takes the closed route wherever
-    `check_class_table` takes the ring and the relation is the associate
-    one, and the graph route under its vertex cap (`check_graph_caps`)
-    otherwise; when both refuse it raises the cap error with the closed
-    route's refusal in its message, chained to it."""
-    if method not in ("auto", "graph", "closed"):
-        raise ValueError(f"unknown method '{method}'")
-    if method != "graph":
-        try:
-            if relation != "associate":
-                raise RingError("closed-form decompositions exist for the associate relation only")
-            ring.check_class_table()
-            return "closed"
-        except RingError as error:
-            if method == "closed":
-                raise
-            closed_error = error
-    try:
-        check_graph_caps(ring, vertex_cap)
-    except GraphCapError as cap_error:
-        if method == "graph":
-            raise
-        reason = f"closed route: {type(closed_error).__name__}: {closed_error}"
-        raise GraphCapError(f"{cap_error}; {reason}") from closed_error
-    return "graph"
-
-
 def ring_join_decomposition(
     ring: Ring,
     relation: str = "associate",
     method: str = "auto",
     vertex_cap: int | None = None,
 ) -> JoinDecomposition:
-    """Decompose Gamma(ring) by the requested relation, on the route that
-    `join_route` names: 'graph' builds the graph and verifies the join
-    structure, 'closed' reads the cells and H off the ring's class table."""
-    if join_route(ring, relation, method, vertex_cap) == "closed":
+    """Decompose Gamma(ring) by the requested relation: 'closed' reads the
+    cells and H off the ring's class table, 'graph' builds the graph under
+    the vertex cap and verifies the join structure, and 'auto' is 'closed'
+    for the associate relation and 'graph' for the others.  Each method
+    raises its own route's refusal; none falls back to the other."""
+    if method not in ("auto", "graph", "closed"):
+        raise ValueError(f"unknown method '{method}'")
+    if method == "auto":
+        method = "closed" if relation == "associate" else "graph"
+    if method == "closed":
+        if relation != "associate":
+            raise RingError("closed-form decompositions exist for the associate relation only")
         return decomposition_semisimple_closed(ring)
     graph = build_zdg(ring, vertex_cap)
     return decompose(graph, classes_for(graph, relation))
@@ -570,10 +540,10 @@ def _closed_route_checked(dec: JoinDecomposition) -> JoinDecomposition:
 
 
 def verify_ring(ring: Ring, relation: str = "associate", vertex_cap: int | None = None) -> VerifyOutcome:
-    """Compare the spectrum of every flavor in FLAVORS, on the route
-    `join_route(..., "auto")` takes, with the dense oracle of the graph
-    built under the vertex cap, at DEFAULT_TOL: the graph's decomposition,
-    or the closed one, which must equal it.  A ring over the cap raises
+    """Compare the spectrum of every flavor in FLAVORS with the dense
+    oracle of the graph built under the vertex cap, at DEFAULT_TOL: the
+    graph's decomposition, or the closed one, which must equal it, where
+    the closed route takes the ring.  A ring over the cap raises
     GraphCapError.  With every class a singleton (Z_2^k, associates) both
     sides solve one matrix, so a max_deviation of 0.0 there is no
     independent check; the tests certify those spectra by their residual
@@ -581,8 +551,15 @@ def verify_ring(ring: Ring, relation: str = "associate", vertex_cap: int | None 
     (`test_brute_spectrum_certified_by_residuals`)."""
     graph = build_zdg(ring, vertex_cap)
     dec = decompose(graph, classes_for(graph, relation))
-    if join_route(ring, relation, "auto", vertex_cap) == "closed":
-        dec = _closed_route_checked(dec)
+    # check the closed decomposition against the graph's when the relation
+    # is associate and `ring.check_class_table()` accepts the ring
+    if relation == "associate":
+        try:
+            ring.check_class_table()
+        except RingError:
+            pass
+        else:
+            dec = _closed_route_checked(dec)
     results = {}
     for flavor in FLAVORS:
         assembled = assemble_spectrum(dec, flavor)

@@ -785,9 +785,9 @@ def test_spectrum_runs_follow_the_schema(args):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_spectrum_streams_what_it_prints(fmt):
-    # main writes each chunk as it encodes it: the traced peak is the two
-    # flavors' values lists, 16 bytes per vertex, and not the whole text,
-    # which takes over 100
+    # main writes the text a block at a time as it encodes it: the traced
+    # peak is the two flavors' values lists, 16 bytes per vertex, and not
+    # the whole text, which takes over 100
     args = ["spectrum", "--ring", "Zn(200000)", "--format", fmt]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert main(args) == 0  # imports and first-call caches
@@ -798,6 +798,25 @@ def test_spectrum_streams_what_it_prints(fmt):
         finally:
             tracemalloc.stop()
     assert peak < 32 * Zn(200000).vertex_count(), peak
+
+
+class CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_writes_stdout_in_blocks(fmt):
+    # unbuffered, every write is a system call: one per encoder chunk or
+    # CSV row would be 241,497 or 239,999 of them here
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main(["spectrum", "--ring", "Zn(200000)", "--format", fmt]) == 0
+    assert out.writes <= 300, out.writes
+    assert out.getvalue().count("\n") > Zn(200000).vertex_count()
 
 
 def test_exit_code_verification_mismatch(monkeypatch):
@@ -866,37 +885,33 @@ def test_exit_code_cap_exceeded():
 
 
 def test_auto_route_reports_the_cap():
-    # neither decomposition has a closed route here (Z_2^13 has 8,192
-    # classes, over the closed route's cell cap; a relation other than the
-    # associate one), so the cap is what the user must see
-    code, _, err = run_inproc(["spectrum", "--ring", "x".join(["Zn(2)"] * 13), "--max-vertices", "10"])
-    assert code == 1
-    assert "GraphCapError" in err and "over the cap 10" in err, err
+    # each decomposition reports its own route's cap: `spectrum` reads the
+    # class table, and Z_2^13 has 8,190 zero-divisor classes, over its cap;
+    # a relation other than the associate one builds the graph, under the
+    # vertex cap
+    spec = "x".join(["Zn(2)"] * 13)
+    code, out, err = run_inproc(["spectrum", "--ring", spec])
+    assert (code, out) == (1, "")
+    assert err == f"error: RingError: {spec}: 8190 zero-divisor classes exceed the closed-route cap of 4096\n"
     with pytest.raises(GraphCapError, match="over the cap 10"):
         spectra_module.ring_join_decomposition(Zn(30), "neighborhood", vertex_cap=10)
 
 
 def test_auto_route_reports_why_the_closed_route_refused(monkeypatch):
-    # a higher vertex cap cannot help either ring: the closed route's
-    # refusal is the reason, on the same line as the cap error,
-    # ahead of json's refusal of Zn(963761198400)'s too many values, and
-    # both refusals are read off closed counts, with no class table built
+    # the class cap is `spectrum`'s one refusal, ahead of json's refusal of
+    # Zn(963761198400)'s too many values, and it is read off closed counts,
+    # with no class table built
     def unexpected(self):
         raise AssertionError("a class table was built before the refusal")
 
     monkeypatch.setattr(Zn, "_class_table", unexpected)
     monkeypatch.setattr(ProductRing, "_class_table", unexpected)
-    for args, count in (
-        (["spectrum", "--ring", "Zn(963761198400)"], 6718),
-        (["spectrum", "--ring", "x".join(["Zn(2)"] * 13), "--max-vertices", "10"], 8190),
-    ):
-        code, out, err = run_inproc(args)
-        assert (code, out) == (1, ""), args
-        assert len(err.splitlines()) == 1, err
-        assert "CapError" in err and (
-            f"; closed route: RingError: {args[2]}: {count} zero-divisor classes "
-            "exceed the closed-route cap of 4096\n"
-        ) in err, err
+    for spec, count in (("Zn(963761198400)", 6718), ("x".join(["Zn(2)"] * 13), 8190)):
+        code, out, err = run_inproc(["spectrum", "--ring", spec])
+        assert (code, out) == (1, ""), spec
+        assert err == (
+            f"error: RingError: {spec}: {count} zero-divisor classes exceed the closed-route cap of 4096\n"
+        ), err
 
 
 def test_verify_checks_the_ring_under_the_flag_cap(monkeypatch):
@@ -926,25 +941,25 @@ def test_classes_over_the_default_cap():
 
 def run_on_the_graph_route(monkeypatch, args):
     """run_inproc with `spectrum`'s decomposition forced onto the graph
-    route, which `auto` no longer takes where the closed route can."""
+    route, which `spectrum` never takes, under the default vertex cap."""
     decompositions = []
 
-    def graph_route(ring, **caps):
-        decompositions.append(spectra_module.ring_join_decomposition(ring, method="graph", **caps))
+    def graph_route(ring):
+        decompositions.append(spectra_module.ring_join_decomposition(ring, method="graph"))
         return decompositions[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli_module, "ring_join_decomposition", graph_route)
+        patch.setattr(cli_module, "decomposition_semisimple_closed", graph_route)
         result = run_inproc(args)
     assert len(decompositions) == 1 and decompositions[0].cell_of is not None
     return result
 
 
 def test_auto_route_falls_back_to_the_closed_route(monkeypatch):
-    # a Z_{p^a} factor next to a matrix ring: over the vertex cap, the
-    # closed route answers with the graph route's spectrum
+    # a Z_{p^a} factor next to a matrix ring: the closed route answers
+    # with the graph route's spectrum
     ring = ["--ring", "Zn(4)xM(2,GF(3))"]
-    code, out, _ = run_inproc(["spectrum", *ring, "--max-vertices", "10"])
+    code, out, _ = run_inproc(["spectrum", *ring])
     assert code == 0
     code, ref, _ = run_on_the_graph_route(monkeypatch, ["spectrum", *ring])
     assert code == 0
@@ -1009,10 +1024,13 @@ def test_verify_reports_a_closed_route_unlike_the_graph_as_error_rows(monkeypatc
 
 
 @pytest.mark.parametrize(
-    "flag", [["--method", "both"], ["--relation", "neighborhood"], ["--tol", "1e-9"]], ids=["method", "relation", "tol"]
+    "flag",
+    [["--method", "both"], ["--relation", "neighborhood"], ["--tol", "1e-9"], ["--max-vertices", "10"]],
+    ids=["method", "relation", "tol", "max-vertices"],
 )
 def test_spectrum_refuses_a_removed_flag(flag):
-    # `verify` is the one check against the oracle; `spectrum` only prints
+    # `verify` is the one check against the oracle; `spectrum` only prints,
+    # from the class table, and builds no graph for a vertex cap to bound
     code, out, err = run_inproc(["spectrum", "--ring", "Zn(30)", *flag])
     assert (code, out) == (1, "")
     assert err == f"error: UsageError: unrecognized arguments: {' '.join(flag)}\n"
@@ -1123,9 +1141,9 @@ def test_spectrum_of_one_by_one_matrices_builds_no_field_table(monkeypatch):
 @pytest.mark.parametrize("form", [[], ["--format", "runs"]], ids=["json", "runs"])
 def test_closed_route_prints_the_graph_route_spectrum(form, monkeypatch):
     # both routes list the classes by smallest member, so the closed route
-    # that `auto` takes prints the graph route's bytes (2,303 vertices)
+    # that `spectrum` takes prints the graph route's bytes (2,303 vertices)
     ring = ["--ring", "M(2,GF(2))xM(2,GF(3))xZn(2)"]
-    closed = run_inproc(["spectrum", *ring, "--max-vertices", "10", *form])
+    closed = run_inproc(["spectrum", *ring, *form])
     graph = run_on_the_graph_route(monkeypatch, ["spectrum", *ring, *form])
     assert closed[0] == graph[0] == 0
     assert closed[1] == graph[1]

@@ -145,8 +145,8 @@ def test_ring_tables_read_element_indices():
     assert reads == []
 
 
-# the graph route's build and its cap check; see the graph docstring
-GRAPH_BUILDERS = {"build_zdg", "check_graph_caps", "_build"}
+# the graph route's build, which checks its cap; see the graph docstring
+GRAPH_BUILDERS = {"build_zdg", "_build"}
 ENUMERATIONS = {"elements", "_elements", "decode", "zero_divisors", "units", "vertices"}
 
 
@@ -285,9 +285,9 @@ def test_one_gate():
 
 
 def test_one_way_in():
-    # an environment variable would be a second cap, a `__cause__`
-    # read a second place to word the auto route's refusal, and a ring
-    # parsed under --sweep a second spelling of --ring
+    # an environment variable would be a second cap, a read `__cause__` a
+    # refusal worded in a second place (each route words its own), and a
+    # ring parsed under --sweep a second spelling of --ring
     cli = PACKAGE / "cli.py"
     reads = {
         getattr(node, "attr", None) or getattr(node, "id", None)
@@ -397,8 +397,7 @@ def test_one_graph_cap():
         assert names & ELEMENT_CAP_NAMES == set(), path.name
         assert "max-elements" not in text, path.name
     graph = ast.parse((PACKAGE / "graph.py").read_text())
-    for name in ("build_zdg", "check_graph_caps"):
-        assert signature(graph, name) == ["ring", "vertex_cap"], name
+    assert signature(graph, "build_zdg") == ["ring", "vertex_cap"]
     rings = ast.parse((PACKAGE / "rings.py").read_text())
     for name in ("elements", "units", "zero_divisors"):
         assert signature(rings, name, owner="Ring") == ["self"], name

@@ -573,18 +573,16 @@ def test_closed_route_refuses_over_the_cap_before_building(spec):
 
 
 def test_auto_route_names_both_refusals():
-    # library callers see why neither route took the ring, not only the cap
+    # each method raises its own route's refusal: `auto` (the closed route
+    # for the associate relation) the class cap's, with no fallback to the
+    # graph route and no chained cap error, and `graph` the vertex cap's
     ring = Zn(963761198400)
-    with pytest.raises(GraphCapError) as auto:
+    with pytest.raises(RingError) as auto:
         ring_join_decomposition(ring)
-    assert str(auto.value).endswith(
-        "; closed route: RingError: Zn(963761198400): 6718 zero-divisor classes "
-        "exceed the closed-route cap of 4096"
-    )
-    assert type(auto.value.__cause__) is RingError
+    assert type(auto.value) is RingError and auto.value.__cause__ is None
+    assert str(auto.value) == "Zn(963761198400): 6718 zero-divisor classes exceed the closed-route cap of 4096"
     with pytest.raises(GraphCapError) as graph_only:
         ring_join_decomposition(ring, method="graph")
-    assert "closed route" not in str(graph_only.value)
     assert str(graph_only.value) == "Gamma(Zn(963761198400)) has 806101243199 vertices, over the cap 5000"
 
 
@@ -723,7 +721,7 @@ def test_closed_m4_f2_spectra():
     assert abs(math.fsum(v * k for v, k, _ in lap.runs) - degree_sum) <= 1e-9 * degree_sum
 
 
-def test_ring_join_decomposition_methods(monkeypatch):
+def test_ring_join_decomposition_methods():
     ring = Zn(18)
     # only the graph route keeps each vertex's cell; `auto` takes the closed one
     for method, graph_route in (("auto", False), ("graph", True), ("closed", False)):
@@ -736,11 +734,8 @@ def test_ring_join_decomposition_methods(monkeypatch):
     # closed method only exists for the associate relation
     with pytest.raises(Exception):
         ring_join_decomposition(ring, "neighborhood", method="closed")
-    # past the class cap, and for any other relation at any cap, `auto`
-    # takes the graph route
+    # for any other relation `auto` takes the graph route
     assert ring_join_decomposition(ring, "neighborhood").cell_of is not None
-    monkeypatch.setattr(rings_module, "CLOSED_CELL_CAP", 2)
-    assert ring_join_decomposition(Zn(30)).cell_of is not None
     assert ring_join_decomposition(Zn(30), "neighborhood").cell_of is not None
 
 
@@ -818,6 +813,17 @@ def test_verify_ring_refuses_a_closed_route_unlike_the_graph(corrupt, label, mon
         verify_ring(Zn(36))
     # the other relations have no closed route to check
     assert verify_ring(Zn(36), "neighborhood").matched
+
+
+def test_verify_ring_past_the_class_cap_checks_the_graph_route(monkeypatch):
+    # where the class table refuses the ring there is no closed route to
+    # hold equal, and the graph's decomposition meets the oracle alone
+    def unexpected(ring):
+        raise AssertionError("built a closed decomposition past the class cap")
+
+    monkeypatch.setattr(rings_module, "CLOSED_CELL_CAP", 2)
+    monkeypatch.setattr(spectra_module, "decomposition_semisimple_closed", unexpected)
+    assert verify_ring(Zn(30)).matched
 
 
 def test_verify_ring_solves_each_oracle_once(monkeypatch):
