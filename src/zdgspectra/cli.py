@@ -284,8 +284,9 @@ def _run_verify(args):
             # a ring over the vertex cap compares nothing, so it fails its rows
             mismatch = True
             status = {"skipped": True}
-        except (np.linalg.LinAlgError, DecompositionError) as exc:
-            # one ring the pipeline cannot handle fails its own rows, not the sweep
+        except (np.linalg.LinAlgError, DecompositionError, RingError) as exc:
+            # one ring the pipeline cannot handle fails its own rows, not the
+            # sweep: such as a Z_n table past the int64 limit
             mismatch = True
             status = {"skipped": False, "error": f"{type(exc).__name__}: {exc}"}
         else:

@@ -9,9 +9,12 @@ The graph runs on element indices (positions in the ring's canonical
 element order), never on payloads.  `_build` takes the vertices' indices,
 kept as `element_index`, from the ring's `_unit_mask`: every element but
 0 and the units.  The adjacency comes from the ring's `zero_products`
-table on those indices (ab = 0 for every vertex pair at once, built from
-per-ring lookup tables), OR-ed with its transpose when the ring is not
-commutative.  The table's diagonal is kept as `loops`, the vertices that
+table on those indices (ab = 0 for every vertex pair, built from per-ring
+lookup tables one row block at a time), OR-ed in place with its
+transpose, one pair of mirrored square tiles at a time, when the ring is
+not commutative: the adjacency is the one V x V array the build holds,
+and every temporary has at most `rings.BLOCK_ENTRIES` entries.  The
+table's diagonal is kept as `loops`, the vertices that
 square to 0, before the adjacency's is cleared: it marks the vertices
 inside their own annihilator, and the ring is reduced exactly when no
 vertex has a loop.  The payloads, `vertices`, are decoded from the
@@ -31,13 +34,14 @@ ring just built, so a sweep holds one V x V array, not one per ring.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .counts import SemisimpleProfile, _check_q, semisimple_vertex_degree
-from .rings import Ring, RingError
+from .rings import BLOCK_ENTRIES, Ring, RingError, row_blocks
 
 DEFAULT_VERTEX_CAP = 5000
 
@@ -93,11 +97,23 @@ def _build(ring: Ring) -> ZeroDivisorGraph:
     else:
         index = np.zeros(0, dtype=np.intp)
     index.flags.writeable = False  # the cached graph is shared
-    z = ring.zero_products(index)
-    loops = z.diagonal().copy()
-    adj = z if ring.commutative else z | z.T
+    adj = ring.zero_products(index)
+    loops = adj.diagonal().copy()
+    if not ring.commutative:
+        _or_transpose(adj)
     np.fill_diagonal(adj, False)
     return ZeroDivisorGraph(ring, adj, loops, index)
+
+
+def _or_transpose(z: np.ndarray) -> None:
+    """z |= z.T in place, on each pair of mirrored square tiles of at most
+    BLOCK_ENTRIES entries: a tile on the diagonal is its own mirror."""
+    tiles = row_blocks(len(z), math.isqrt(BLOCK_ENTRIES))
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
+            upper, lower = z[rows, cols], z[cols, rows]
+            upper |= lower.T
+            lower[...] = upper.T
 
 
 _build_cached = lru_cache(maxsize=1)(_build)

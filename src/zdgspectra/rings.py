@@ -18,7 +18,9 @@ and class tables read one dot product, `MatRing._dot`; `gf_rref` serves
 `rank`.
 
 A ring keeps no payloads unless a caller asks for them: the graph route
-reads `_unit_mask` and the index tables, and its vertex cap reads
+reads `_unit_mask` and the index tables, the V x V `zero_products` written
+from each ring's `_zero_rows` one row block (`row_blocks`, at most
+BLOCK_ENTRIES entries) at a time, and its vertex cap reads
 `vertex_count()`, |R| less the closed `unit_count()` (phi(n), q - 1,
 |GL_n(F_q)|, the product over the factors) and 1.  No element cap is
 needed: a ring with a zero-divisor has |R| <= (|Z(R)*| + 1)^2 (Ganesan
@@ -50,6 +52,9 @@ from . import numth
 from .counts import class_count_matrix, gl_order
 
 CLOSED_CELL_CAP = 4096  # zero-divisor classes that `class_table` takes
+# entries in one row block: the graph route builds and checks its V x V
+# tables a block at a time, so its only V x V array is the adjacency
+BLOCK_ENTRIES = 1 << 16
 
 
 class RingError(Exception):
@@ -114,6 +119,23 @@ def _smallest_irreducible(p, k):
 # ---------------------------------------------------------------------------
 
 
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """The row blocks of a rows x width table: consecutive slices of
+    max(1, BLOCK_ENTRIES // width) rows that cover range(rows), so a table
+    of at most BLOCK_ENTRIES entries is one block."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _distinct(keys, size):
+    """The distinct entries of keys, an int array of entries below size,
+    ascending, and the position of each key among them: np.unique with
+    return_inverse, by a mask of size entries instead of a sort."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
 def first_seen_ids(keys) -> np.ndarray:
     """Intp ids, equal exactly where the keys are, numbered 0, 1, ... in
     order of first appearance; the keys of a 2-D array are its rows, bool
@@ -167,7 +189,21 @@ class Ring:
         """Bool array z of shape (len(idx), len(idx)) with z[i, j] exactly
         when the elements of indices idx[i] and idx[j] multiply to 0, built
         from tables instead of one `mul` per pair.  It is not symmetric
-        when the ring is not commutative."""
+        when the ring is not commutative.  The ring's `_zero_rows` writes
+        it one row block (`row_blocks`) at a time, so z is the one array
+        of its size."""
+        rows_of = self._zero_rows(idx)
+        out = np.empty((len(idx), len(idx)), dtype=bool)
+        for rows in row_blocks(len(idx), len(idx)):
+            rows_of(rows, out[rows])
+        return out
+
+    def _zero_rows(self, idx):
+        """The zero-product table of idx by rows: a function rows_of(rows,
+        out) that writes rows `rows` (a slice or an index array) of the
+        table into `out`, a bool array of shape (number of rows, len(idx)).
+        The ring's checks and its per-element tables are made before it
+        returns."""
         raise NotImplementedError
 
     def associate_keys(self, idx) -> np.ndarray:
@@ -285,14 +321,27 @@ class Zn(Ring):
     def mul(self, a, b):
         return (a * b) % self.n
 
-    def zero_products(self, idx):
-        # the int64 products are exact for n below 3.03e9; |R| <= (V + 1)^2
-        # keeps that so below about 55,000 vertices, where this V x V
-        # product alone would take 24 GB; the remainder is taken in place,
-        # so the product is the one V x V int64 array
+    def _zero_rows(self, idx):
+        # a product of two residues is exact in int64 only while (n - 1)^2
+        # fits, so up to n = 3,037,000,500; past it the products would wrap.
+        # An empty table (a field of any size) has no product
+        if len(idx) and (self.n - 1) ** 2 > 2**63 - 1:
+            raise RingError(
+                f"{self.spec_string()}: products of residues reach (n - 1)^2, "
+                f"past the int64 limit 2^63 - 1"
+            )
         vals = np.asarray(idx, dtype=np.int64)
-        products = np.multiply.outer(vals, vals)
-        return np.remainder(products, self.n, out=products) == 0
+        buffer = None  # the int64 products of one row block, reused by the next
+
+        def rows_of(rows, out):
+            nonlocal buffer
+            if buffer is None or len(buffer) < len(out):  # grown to the largest block
+                buffer = np.empty(out.shape, dtype=np.int64)
+            products = np.multiply.outer(vals[rows], vals, out=buffer[: len(out)])
+            np.remainder(products, self.n, out=products)
+            np.equal(products, 0, out=out)
+
+        return rows_of
 
     def associate_keys(self, idx):
         # x ~ y exactly when gcd(x, n) = gcd(y, n)
@@ -321,9 +370,14 @@ class Zn(Ring):
             divisors = [(d * p**e, es + (e,), s * phi[e]) for d, es, s in divisors for e in range(a + 1)]
         divisors.sort(key=lambda divisor: divisor[0] % self.n)
         ds, exps, sizes = zip(*divisors)
-        kills = np.ones((len(ds), len(ds)), dtype=bool)
-        for e, (_, a) in zip(np.array(exps).T, self.factors):  # by prime: no m x m x k array
-            kills &= e[:, None] >= a - e
+        exps = np.array(exps).T
+        needs = [a - e for e, (_, a) in zip(exps, self.factors)]
+        kills = np.empty((len(ds), len(ds)), dtype=bool)
+        for rows in row_blocks(len(ds), len(ds)):  # by row block and prime: no m x m temporary
+            block = kills[rows]
+            block[...] = True
+            for e, need in zip(exps, needs):
+                block &= e[rows, None] >= need
         return ds, sizes, kills
 
     def _class_table(self):
@@ -434,9 +488,13 @@ class GF(Ring):
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
-    def zero_products(self, idx):
-        z = np.asarray(idx) == 0
-        return z[:, None] | z[None, :]
+    def _zero_rows(self, idx):
+        zero = np.asarray(idx) == 0
+
+        def rows_of(rows, out):
+            np.logical_or(zero[rows, None], zero, out=out)
+
+        return rows_of
 
     def associate_keys(self, idx):
         return (np.asarray(idx, dtype=np.int64) != 0).astype(np.int64)
@@ -512,6 +570,15 @@ def gf_rref(field, rows, width):
 def gf_rank(field, rows, width):
     """Rank by elimination, for `MatRing.rank`."""
     return len(gf_rref(field, rows, width))
+
+
+def _and_gathers(table, codes):
+    """The AND over k of table[codes[k]]: one row gather per row of codes,
+    ANDed in place, so no len(codes) x len(codes[0]) x width array."""
+    out = table[codes[0]]
+    for code in codes[1:]:
+        out &= table[code]
+    return out
 
 
 def _all_subspaces(field, n: int, r: int):
@@ -639,22 +706,30 @@ class MatRing(Ring):
     def _right_kernels(self, idx):
         """Right kernels and column codes of the matrices A_a of indices
         idx[a], vectors coded as in `_kills`: ker[a, c] is set exactly when
-        A_a v = 0 for the vector v of code c, and cols[a, j] is the code of
-        column j of A_a."""
+        A_a v = 0 for the vector v of code c, and cols[j, a] is the code of
+        column j of A_a.  The kernel is the AND of the n row kernels."""
         mats = self._entries(idx)
         weights = self.field.q ** np.arange(self.n, dtype=np.int64)
-        return self._kills[mats @ weights].all(axis=1), weights @ mats
+        rows = mats.transpose(1, 0, 2) @ weights  # rows[i, a]: the code of row i of A_a
+        return _and_gathers(self._kills, rows), mats.transpose(2, 0, 1) @ weights
 
-    def zero_products(self, idx):
+    def _zero_rows(self, idx):
         """AB = 0 exactly when every column of B lies in the right kernel
-        of A: one gather of the right-kernel bitsets per column of B."""
+        of A: each row block gathers its rows' right-kernel bitsets at the
+        code of each column of B, and ANDs the gathers in place."""
         if self.n == 1:
-            return self.field.zero_products(idx)
+            return self.field._zero_rows(idx)
         ker, cols = self._right_kernels(idx)
-        out = ker[:, cols[:, 0]]
-        for j in range(1, self.n):
-            out &= ker[:, cols[:, j]]
-        return out
+
+        def rows_of(rows, out):
+            kernels = ker[rows]
+            # the codes are in range, and mode="clip" keeps take from
+            # buffering `out`, as it does under the default mode
+            np.take(kernels, cols[0], axis=1, out=out, mode="clip")
+            for col in cols[1:]:
+                out &= kernels.take(col, axis=1)
+
+        return rows_of
 
     def associate_keys(self, idx):
         """B = UA for an invertible U exactly when B and A have one row
@@ -665,7 +740,7 @@ class MatRing(Ring):
         if self.n == 1:
             return self.field.associate_keys(idx)
         right, cols = self._right_kernels(idx)
-        left = self._kills.T[cols].all(axis=1)
+        left = _and_gathers(self._kills.T, cols)
         return first_seen_ids(np.concatenate([right, left], axis=1))
 
     def class_count(self):
@@ -716,11 +791,15 @@ class MatRing(Ring):
         return gl_order(self.n, self.field.q)
 
     def _unit_mask(self):
-        """A matrix is a unit exactly when its right kernel is {0}."""
+        """A matrix is a unit exactly when its right kernel is {0}, read
+        over blocks of elements, one q^n-bit kernel per element."""
         if self.n == 1:
             return self.field._unit_mask()
-        ker, _ = self._right_kernels(np.arange(self.cardinality))
-        return ~ker[:, 1:].any(axis=1)
+        mask = np.empty(self.cardinality, dtype=bool)
+        for rows in row_blocks(self.cardinality, self.field.q**self.n):
+            ker, _ = self._right_kernels(np.arange(rows.start, rows.stop))
+            np.logical_not(ker[:, 1:].any(axis=1), out=mask[rows])
+        return mask
 
     def label(self, a):
         F = self.field
@@ -767,24 +846,24 @@ class ProductRing(Ring):
         stride = self.cardinality
         for f in self.factors:
             stride //= f.cardinality
-            component = idx // stride % f.cardinality
-            seen = np.zeros(f.cardinality, dtype=bool)
-            seen[component] = True
-            yield f, np.flatnonzero(seen), (np.cumsum(seen) - 1)[component]
+            yield f, *_distinct(idx // stride % f.cardinality, f.cardinality)
 
-    def zero_products(self, idx):
-        """A product is 0 exactly when it is 0 in every component: the AND
-        of each factor's table on the distinct indices of that component,
-        expanded with one gather per axis (columns first, as in
-        `spectra.blow_up`)."""
-        out = None
-        for f, values, pos in self._factor_indices(idx):
-            table = f.zero_products(values).take(pos, axis=1).take(pos, axis=0)
-            if out is None:
-                out = table
-            else:
-                out &= table
-        return out
+    def _zero_rows(self, idx):
+        """A product is 0 exactly when it is 0 in every component: each row
+        block ANDs one table per factor, the factor's rows for the block's
+        distinct components, each expanded to the vertices with one column
+        gather and then copied to the block's rows that hold it."""
+        parts = [(f._zero_rows(values), len(values), pos) for f, values, pos in self._factor_indices(idx)]
+
+        def rows_of(rows, out):
+            out[...] = True
+            for factor_rows, width, pos in parts:
+                values, inverse = _distinct(pos[rows], width)
+                table = np.empty((len(values), width), dtype=bool)
+                factor_rows(values, table)
+                out &= table.take(pos, axis=1)[inverse]
+
+        return rows_of
 
     def associate_keys(self, idx):
         """Associates componentwise: the ids of the tuples of each factor's

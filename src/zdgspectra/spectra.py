@@ -21,7 +21,8 @@ two routes, which both hand `JoinDecomposition` a bool class table.  The
 graph route builds Gamma(R) on element indices, partitions it and
 checks the join structure: `decompose` reads the table off the class
 representatives and compares the blow-up of its result with the
-adjacency matrix entry for entry, at every graph size.  The closed route
+adjacency matrix entry for entry, at every graph size, a row block at a
+time.  The closed route
 reads the table off the ring's associate classes (`Ring.class_table`),
 enumerating nothing; it takes every ring the parser builds, Z_n through
 one class per divisor of n, under one cap on the class count
@@ -68,7 +69,7 @@ from .classes import ClassPartition, classes_for
 from .eig import dense_eigenvalues
 from .eig import dense_eigenvalues as jacobi_eigen  # unused: perfbench's tracer wraps this name for its eig span
 from .graph import ZeroDivisorGraph, build_zdg
-from .rings import Ring, RingError, Zn
+from .rings import Ring, RingError, Zn, row_blocks
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
@@ -268,9 +269,12 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     all-or-nothing; both facts are re-verified here rather than trusted.
     H and each cell's kind are read off the class representatives, and
     the blow-up of the result is compared with the adjacency matrix entry
-    for entry, at every graph size.  Only when they differ is each
-    mismatched vertex pair scattered to its class pair, one flag per
-    block: the first failing cell in order raises, then the first
+    for entry, at every graph size, one tile of row and column blocks
+    (`rings.row_blocks`) at a time, so no second V x V array exists: the
+    class table is gathered to a block of columns, then to each block of
+    rows, as `blow_up` gathers it whole.  Each mismatched vertex pair
+    is scattered to its class pair, one flag per pair of classes: the
+    first failing cell in order raises, then the first
     non-constant class pair in row-major order.  No label is formatted
     unless one is read: the result keeps the ring and the element indices
     of the m representatives, never the graph, for `labels`.
@@ -294,13 +298,22 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     table[multi, multi] = adj[reps[multi], order[starts[multi] + 1]]
     dec = JoinDecomposition(sizes, table, graph.ring, graph.element_index[reps], cell_of)
 
-    mismatch = blow_up(dec)
-    mismatch ^= adj
+    # `blow_up(dec)` XOR the adjacency, one tile at a time: the class
+    # table's rows are gathered to a block of columns, then each block of
+    # rows of the tile copies its classes' rows
     bad = None
-    if mismatch.any():
-        u, v = np.nonzero(mismatch)
-        bad = np.zeros(table.shape, dtype=bool)
-        bad[cell_of[u], cell_of[v]] = True
+    for cols in row_blocks(len(adj), len(kinds)):
+        wide = table.take(cell_of[cols], axis=1)
+        for rows in row_blocks(len(adj), cols.stop - cols.start):
+            mismatch = wide.take(cell_of[rows], axis=0)
+            first = max(rows.start, cols.start)  # the tile's first diagonal entry, if any
+            np.fill_diagonal(mismatch[first - rows.start :, first - cols.start :], False)
+            mismatch ^= adj[rows, cols]
+            if mismatch.any():
+                u, v = np.nonzero(mismatch)
+                if bad is None:
+                    bad = np.zeros(table.shape, dtype=bool)
+                bad[cell_of[u + rows.start], cell_of[v + cols.start]] = True
     for i, (claimed, size, is_complete) in enumerate(zip(kinds, sizes.tolist(), dec.complete.tolist())):
         kind = "complete" if is_complete else "null"
         if bad is not None and bad[i, i]:
@@ -327,8 +340,8 @@ def blow_up(dec: JoinDecomposition) -> np.ndarray:
     in cell order when that is None (the closed route), with one gather of
     the class table per axis (columns first, so the rows come out
     C-contiguous like the graph's adjacency); the diagonal is False.
-    `decompose` checks every graph-route result against its adjacency
-    this way."""
+    `decompose` compares the same rows with the adjacency a row block at
+    a time; this whole-matrix form is the tests' reference."""
     cell_of = dec.cell_of
     if cell_of is None:
         cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)

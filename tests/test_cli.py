@@ -21,7 +21,7 @@ from zdgspectra import spectra as spectra_module
 from zdgspectra import cli as cli_module
 from zdgspectra.cli import _COUNT_FORMS, main
 from zdgspectra.graph import GraphCapError, build_zdg
-from zdgspectra.rings import GF, MatRing, ProductRing, Zn, parse_ring_spec
+from zdgspectra.rings import GF, MatRing, ProductRing, RingError, Zn, parse_ring_spec
 from zdgspectra.spectra import DecompositionError, SpectrumMultiset
 
 SCHEMA_PATH = os.path.join(
@@ -267,7 +267,11 @@ def test_verify_sweep_skips_over_cap_rings():
 
 @pytest.mark.parametrize(
     "exc",
-    [np.linalg.LinAlgError("Eigenvalues did not converge"), DecompositionError("blow-up does not match")],
+    [
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        DecompositionError("blow-up does not match"),
+        RingError("Zn(8): products of residues reach (n - 1)^2, past the int64 limit 2^63 - 1"),
+    ],
 )
 def test_verify_sweep_reports_error_rows(monkeypatch, exc):
     from zdgspectra import cli
@@ -1081,6 +1085,20 @@ def test_verify_takes_rings_past_the_old_element_cap(spec):
     assert [(r["flavor"], r["skipped"], r["matched"]) for r in rows] == [
         ("adjacency", False, True),
         ("laplacian", False, True),
+    ]
+
+
+def test_verify_reports_the_int64_limit_as_an_error_row(monkeypatch):
+    # Z_n with n = 55127^2 has 55,126 vertices, but its residue products
+    # overflow int64; the unit mask's n entries (3 GB) are replaced by one
+    # vertex, element 1, since the table refuses any vertex of this ring
+    monkeypatch.setattr(Zn, "_unit_mask", lambda self: np.array([True, False]))
+    code, out, err = run_inproc(["verify", "--ring", "Zn(3038986129)", "--max-vertices", "60000"])
+    assert code == 2, err
+    message = "RingError: Zn(3038986129): products of residues reach (n - 1)^2, past the int64 limit 2^63 - 1"
+    assert [(r["flavor"], r["skipped"], r["error"]) for r in json.loads(out)["results"]] == [
+        ("adjacency", False, message),
+        ("laplacian", False, message),
     ]
 
 

@@ -3,6 +3,7 @@
 import gc
 import importlib.util
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from reference import annihilator_set, enumerate_elements, is_unit, neighborhood
 from zdgspectra import graph as graph_module
+from zdgspectra import rings as rings_module
 from zdgspectra.classes import classes_for
 from zdgspectra.graph import (
     GraphCapError,
@@ -189,6 +191,40 @@ def test_fields_build_without_a_unit_mask(spec, monkeypatch):
     assert g.order == g.edge_count == 0
     assert g.adjacency.shape == (0, 0) and g.loops.shape == (0,)
     assert g.element_index.dtype == np.intp and g.vertices == []
+
+
+@pytest.mark.parametrize("entries", [1, 7, 100])
+@pytest.mark.parametrize("spec", ["M(2,GF(3))", "M(2,GF(4))", "M(2,GF(2))xZn(4)", "Zn(36)xGF(2)"])
+def test_blocked_build_equals_the_definition(spec, entries, monkeypatch):
+    # row blocks and symmetrising tiles of a few entries: many of each, with
+    # a short last one, must still give the graph of its definition
+    for module in (rings_module, graph_module):
+        monkeypatch.setattr(module, "BLOCK_ENTRIES", entries)
+    ring = parse_ring_spec(spec)
+    g = graph_module._build(ring)
+    mul, zero = ring.mul, ring.zero
+    assert g.vertices == [a for a in enumerate_elements(ring) if a != zero and not is_unit(ring, a)]
+    assert g.loops.tolist() == [mul(a, a) == zero for a in g.vertices]
+    expected = [[a != b and (mul(a, b) == zero or mul(b, a) == zero) for b in g.vertices] for a in g.vertices]
+    assert g.adjacency.tolist() == expected
+
+
+@pytest.mark.parametrize("spec", ["M(2,GF(16))", "M(2,GF(8))xZn(2)"])
+def test_build_holds_one_adjacency(spec):
+    # the unit mask, the zero products and the symmetrising all work in
+    # blocks, so the adjacency is the one V x V array the build holds
+    graph_module._build_cached.cache_clear()
+    ring = parse_ring_spec(spec)
+    tracemalloc.start()
+    try:
+        g = build_zdg(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    v = g.order
+    assert v > 4000
+    graph_module._build_cached.cache_clear()
+    assert peak < 1.5 * v * v, peak / (v * v)
 
 
 def test_cache_keeps_only_the_last_graph():

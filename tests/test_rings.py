@@ -25,6 +25,7 @@ from reference import (
 from test_acceptance import MATRIX_RINGS, SEMISIMPLE_RINGS
 from test_differential import FACTORS as DIFFERENTIAL_FACTORS
 from zdgspectra import numth
+from zdgspectra import rings as rings_module
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import (
     GF,
@@ -36,6 +37,7 @@ from zdgspectra.rings import (
     _smallest_irreducible,
     first_seen_ids,
     parse_ring_spec,
+    row_blocks,
 )
 
 
@@ -371,8 +373,9 @@ def test_zn_class_table_by_divisor_arithmetic(n):
 
 
 def test_zn_zero_products_hold_one_int64_product():
-    # the remainder is taken in place: one V x V int64 product and the bool
-    # result at the peak, not a second int64 array for the remainder
+    # the products are taken one row block at a time in one int64 buffer,
+    # and the remainder and the comparison in place: the bool result is the
+    # one V x V array at the peak
     ring = Zn(2002)
     idx = np.flatnonzero(~ring._unit_mask())[1:]
     v = len(idx)
@@ -385,7 +388,63 @@ def test_zn_zero_products_hold_one_int64_product():
         tracemalloc.stop()
     assert zero.dtype == bool and zero.shape == (v, v)
     assert np.array_equal(zero, np.outer(idx, idx) % 2002 == 0)
-    assert peak < 10 * v * v  # 8 bytes of product and 1 of result per pair
+    assert peak < 2 * v * v  # 1 byte of result per pair, and one int64 row block
+    assert len(row_blocks(v, v)) > 1
+
+
+def test_zn_zero_products_refuse_the_int64_limit():
+    # n = 55127^2: the products of residues up to n - 1 wrap in int64, which
+    # made p(p - 1) * p(p - 2), a multiple of n, look nonzero
+    p = 55127
+    ring = Zn(p * p)
+    with pytest.raises(RingError, match=r"int64 limit 2\^63 - 1"):
+        ring.zero_products([p * (p - 1), p * (p - 2), 3 * p, 5])
+    # n = 3,037,000,500 is the largest modulus whose products fit
+    n = 3_037_000_500
+    idx = [n - 1, n // 2, 2, 5]
+    expected = [[a * b % n == 0 for b in idx] for a in idx]
+    assert Zn(n).zero_products(idx).tolist() == expected
+    with pytest.raises(RingError, match="int64"):
+        Zn(n + 1).zero_products([n])
+    # a field of any size has no vertex, so its empty table has no product
+    assert Zn(2**61 - 1).zero_products([]).shape == (0, 0)
+
+
+# one ring of each kind, and products mixing them
+BLOCKED_RINGS = ["Zn(36)", "GF(8)", "M(2,GF(3))", "M(2,GF(4))", "M(2,GF(2))xZn(4)", "GF(4)xZn(6)xGF(2)"]
+
+
+@pytest.mark.parametrize("entries", [1, 7, 100])
+@pytest.mark.parametrize("spec", BLOCKED_RINGS)
+def test_blocked_tables_equal_their_definitions(spec, entries, monkeypatch):
+    # with row blocks of a few entries every table takes many blocks and a
+    # short last one: each must still equal its definition
+    monkeypatch.setattr(rings_module, "BLOCK_ENTRIES", entries)
+    ring = parse_ring_spec(spec)
+    els = ring.elements()
+    assert ring._unit_mask().tolist() == [is_unit(ring, a) for a in els]
+    idx = np.flatnonzero(~ring._unit_mask())[::-1]  # not ascending: rows are gathered by position
+    table = ring.zero_products(idx)
+    assert table.tolist() == [[ring.mul(els[a], els[b]) == ring.zero for b in idx] for a in idx]
+    if isinstance(ring, Zn):
+        ds, sizes, kills = ring._divisor_classes()
+        assert kills.tolist() == [[di * dj % ring.n == 0 for dj in ds] for di in ds]
+
+
+@pytest.mark.parametrize("n", [6983776800, 963761198400])
+def test_zn_divisor_classes_peak_at_their_table(n):
+    # the kill table is built a row block at a time: the m x m bool table
+    # and row-block temporaries at the peak, not an m x m comparison per prime
+    ring = Zn(n)
+    m = ring.class_count()
+    tracemalloc.start()
+    try:
+        ds, sizes, kills = ring._divisor_classes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kills.shape == (m, m) and len(row_blocks(m, m)) > 1
+    assert peak < 1.25 * m * m + (1 << 21), peak / (m * m)
 
 
 # the rings small enough to check against enumeration here

@@ -116,7 +116,7 @@ def test_memos_use_functools():
 
 
 # the ring tables and the index decoders they share; see the rings docstring
-INDEX_READERS = {"zero_products", "associate_keys", "_unit_mask", "_right_kernels", "_factor_indices"}
+INDEX_READERS = {"zero_products", "_zero_rows", "associate_keys", "_unit_mask", "_right_kernels", "_factor_indices"}
 PAYLOAD_READS = {"fromiter", "chain", "elements", "_elements"}
 
 

@@ -421,8 +421,8 @@ def test_decompose_equals_the_per_block_reference(specs):
 
 @pytest.mark.parametrize("spec", ["Zn(720)", "Zn(4620)"])
 def test_decompose_peak_memory_is_one_adjacency(spec):
-    """The success path holds the blow-up and little else: no permuted copy
-    of the adjacency and no second layout."""
+    """The success path holds no permuted copy of the adjacency and no
+    second layout: at most row blocks of the blow-up."""
     g = build_zdg(parse_ring_spec(spec))
     partition = classes_for(g, "associate")
     tracemalloc.start()
@@ -432,6 +432,46 @@ def test_decompose_peak_memory_is_one_adjacency(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * g.order**2, peak / g.order**2
+
+
+def test_decompose_checks_the_join_in_row_blocks():
+    """The blow-up is compared with the adjacency a row block at a time:
+    no V x V array besides the graph's own."""
+    g = build_zdg(Zn(9998))
+    partition = classes_for(g, "associate")
+    tracemalloc.start()
+    try:
+        decompose(g, partition)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 4999 and len(rings_module.row_blocks(g.order, g.order)) > 1
+    assert peak < 0.25 * g.order**2, peak / g.order**2
+
+
+@pytest.mark.parametrize(
+    "merged, message",
+    [
+        # the classes of 4 and 8, merged, differ toward the class of 200 only
+        ((1, 2), "adjacency between the classes of 4 and 200 is not constant"),
+        # the last two classes, merged, form one mixed cell
+        ((12, 13), "class of 250 induces neither a complete nor an edgeless subgraph"),
+    ],
+)
+def test_decompose_reports_a_mismatch_past_the_first_row_block(merged, message):
+    """Gamma(Z_1000) has 599 vertices, so it takes several row blocks, and
+    the first of them lies inside the first class, which these merges leave
+    consistent: every mismatch is found past it, with the same text."""
+    g = build_zdg(Zn(1000))
+    blocks = [(c.members, c.kind) for c in classes_for(g, "associate").classes]
+    first = rings_module.row_blocks(g.order, g.order)[0]
+    assert first.stop <= len(blocks[0][0]) and len(blocks) == 14
+    i, j = merged
+    kept = [block for k, block in enumerate(blocks) if k not in merged]
+    bad = blocks_partition("associate", kept + [(blocks[i][0] + blocks[j][0], None)], g.order)
+    with pytest.raises(DecompositionError) as raised:
+        decompose(g, bad)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("spec", ["GF(4)", "Zn(7)"])
