@@ -19,8 +19,9 @@ numbers every partition and associate key of the package.  Associates
 are keyed by `associate_keys` on the graph's `element_index` (gcd with n
 for Z_n, the pair of kernels for a matrix, componentwise for a product),
 with the cell kind read off the graph's `loops`; equal neighborhoods by
-the adjacency rows; equal annihilators by the adjacency rows with the
-graph's `loops` on the diagonal (a in ann(a) iff a^2 = 0).  The
+the adjacency rows; equal annihilators by the adjacency rows packed to
+bits, with the diagonal bit set from the graph's `loops` (a in ann(a)
+iff a^2 = 0), so no relation copies the adjacency.  The
 definitions these keys stand for (unit orbits, pairwise row comparison)
 and the agreement checks between the relations are the tests'
 references, in tests/reference.py, which numbers its classes without
@@ -107,9 +108,11 @@ def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
 
 def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
     """Partition by equal annihilators: ann(a) as a row of bits is the
-    adjacency row of a with its diagonal position set when a^2 = 0."""
-    ann = graph.adjacency.copy()
-    np.fill_diagonal(ann, graph.loops)
+    adjacency row of a, packed as `first_seen_ids` packs bool rows, with
+    its diagonal bit set when a^2 = 0; the adjacency is not copied."""
+    ann = np.packbits(graph.adjacency, axis=1)
+    i = np.arange(graph.order)
+    ann[i, i // 8] |= graph.loops.astype(np.uint8) << (7 - i % 8).astype(np.uint8)
     return _partition("annihilator", ann, lambda i: None)
 
 

@@ -286,7 +286,7 @@ def _run_verify(args):
             status = {"skipped": True}
         except (np.linalg.LinAlgError, DecompositionError, RingError) as exc:
             # one ring the pipeline cannot handle fails its own rows, not the
-            # sweep: such as a Z_n table past the int64 limit
+            # sweep: such as a closed route unlike the graph route
             mismatch = True
             status = {"skipped": False, "error": f"{type(exc).__name__}: {exc}"}
         else:

@@ -322,24 +322,19 @@ class Zn(Ring):
         return (a * b) % self.n
 
     def _zero_rows(self, idx):
-        # a product of two residues is exact in int64 only while (n - 1)^2
-        # fits, so up to n = 3,037,000,500; past it the products would wrap.
-        # An empty table (a field of any size) has no product
-        if len(idx) and (self.n - 1) ** 2 > 2**63 - 1:
-            raise RingError(
-                f"{self.spec_string()}: products of residues reach (n - 1)^2, "
-                f"past the int64 limit 2^63 - 1"
-            )
+        # xy = 0 exactly when n / gcd(x, n) divides y: ann(x) is the
+        # multiples of that step.  No two residues are multiplied, so every
+        # n that int64 holds is exact
         vals = np.asarray(idx, dtype=np.int64)
-        buffer = None  # the int64 products of one row block, reused by the next
+        steps = self.n // self.associate_keys(vals)
+        buffer = None  # the int64 remainders of one row block, reused by the next
 
         def rows_of(rows, out):
             nonlocal buffer
-            if buffer is None or len(buffer) < len(out):  # grown to the largest block
+            if buffer is None or len(buffer) < len(out):  # a product ring's blocks need not shrink
                 buffer = np.empty(out.shape, dtype=np.int64)
-            products = np.multiply.outer(vals[rows], vals, out=buffer[: len(out)])
-            np.remainder(products, self.n, out=products)
-            np.equal(products, 0, out=out)
+            remainders = np.remainder(vals, steps[rows, None], out=buffer[: len(out)])
+            np.equal(remainders, 0, out=out)
 
         return rows_of
 

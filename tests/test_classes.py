@@ -1,6 +1,7 @@
 """Vertex equivalence classes: associates, equal neighborhoods, equal annihilators."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,22 @@ def test_annihilator_splits_only_square_zero_classes():
     assert frozenset({4}) in neigh and frozenset({12}) in neigh
     # {2,6,10,14} has 2*2 != 0: it survives intact
     assert frozenset({2, 6, 10, 14}) in annih and frozenset({2, 6, 10, 14}) in neigh
+
+
+def test_annihilator_keys_do_not_copy_the_adjacency():
+    # ann(a) is read off the adjacency packed to bits, so the partition
+    # allocates about V^2 / 4 bytes (the packed rows and their byte
+    # strings), not a second V x V bool array
+    graph = build_zdg(Zn(4620))
+    v = graph.order
+    tracemalloc.start()
+    try:
+        part = classes_annihilator(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v > 3000 and part.cell_of.shape == (v,)
+    assert peak < 0.5 * v * v, peak / (v * v)
 
 
 def test_partition_covers_all_vertices_once():

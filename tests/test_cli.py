@@ -270,7 +270,7 @@ def test_verify_sweep_skips_over_cap_rings():
     [
         np.linalg.LinAlgError("Eigenvalues did not converge"),
         DecompositionError("blow-up does not match"),
-        RingError("Zn(8): products of residues reach (n - 1)^2, past the int64 limit 2^63 - 1"),
+        RingError("Zn(8): 4097 zero-divisor classes exceed the closed-route cap of 4096"),
     ],
 )
 def test_verify_sweep_reports_error_rows(monkeypatch, exc):
@@ -1085,20 +1085,6 @@ def test_verify_takes_rings_past_the_old_element_cap(spec):
     assert [(r["flavor"], r["skipped"], r["matched"]) for r in rows] == [
         ("adjacency", False, True),
         ("laplacian", False, True),
-    ]
-
-
-def test_verify_reports_the_int64_limit_as_an_error_row(monkeypatch):
-    # Z_n with n = 55127^2 has 55,126 vertices, but its residue products
-    # overflow int64; the unit mask's n entries (3 GB) are replaced by one
-    # vertex, element 1, since the table refuses any vertex of this ring
-    monkeypatch.setattr(Zn, "_unit_mask", lambda self: np.array([True, False]))
-    code, out, err = run_inproc(["verify", "--ring", "Zn(3038986129)", "--max-vertices", "60000"])
-    assert code == 2, err
-    message = "RingError: Zn(3038986129): products of residues reach (n - 1)^2, past the int64 limit 2^63 - 1"
-    assert [(r["flavor"], r["skipped"], r["error"]) for r in json.loads(out)["results"]] == [
-        ("adjacency", False, message),
-        ("laplacian", False, message),
     ]
 
 

@@ -373,9 +373,9 @@ def test_zn_class_table_by_divisor_arithmetic(n):
 
 
 def test_zn_zero_products_hold_one_int64_product():
-    # the products are taken one row block at a time in one int64 buffer,
-    # and the remainder and the comparison in place: the bool result is the
-    # one V x V array at the peak
+    # the remainders are taken one row block at a time in one int64 buffer,
+    # and the comparison in place: the bool result is the one V x V array
+    # at the peak
     ring = Zn(2002)
     idx = np.flatnonzero(~ring._unit_mask())[1:]
     v = len(idx)
@@ -392,22 +392,25 @@ def test_zn_zero_products_hold_one_int64_product():
     assert len(row_blocks(v, v)) > 1
 
 
-def test_zn_zero_products_refuse_the_int64_limit():
-    # n = 55127^2: the products of residues up to n - 1 wrap in int64, which
-    # made p(p - 1) * p(p - 2), a multiple of n, look nonzero
+def test_zn_zero_products_are_exact_for_every_int64_modulus():
+    # y is in ann(x) exactly when n / gcd(x, n) divides y, and no two
+    # residues are multiplied, so the table is exact wherever the products
+    # would wrap in int64: at n = 55127^2, p(p - 1) * p(p - 2) is a multiple
+    # of n, and at n = 3(2^61 - 1) the residues themselves pass 2^62;
+    # n = 3,037,000,500 was the largest modulus whose products fit
     p = 55127
-    ring = Zn(p * p)
-    with pytest.raises(RingError, match=r"int64 limit 2\^63 - 1"):
-        ring.zero_products([p * (p - 1), p * (p - 2), 3 * p, 5])
-    # n = 3,037,000,500 is the largest modulus whose products fit
-    n = 3_037_000_500
-    idx = [n - 1, n // 2, 2, 5]
-    expected = [[a * b % n == 0 for b in idx] for a in idx]
-    assert Zn(n).zero_products(idx).tolist() == expected
-    with pytest.raises(RingError, match="int64"):
-        Zn(n + 1).zero_products([n])
-    # a field of any size has no vertex, so its empty table has no product
-    assert Zn(2**61 - 1).zero_products([]).shape == (0, 0)
+    q = 2**61 - 1
+    m = 3_037_000_500
+    cases = [
+        (p * p, [p * (p - 1), p * (p - 2), 3 * p, 5]),
+        (3 * q, [q, 3, 2 * q, 6, 5, 3 * q - 1]),
+        (m, [m - 1, m // 2, 2, 5]),
+    ]
+    for n, idx in cases:
+        expected = [[a * b % n == 0 for b in idx] for a in idx]
+        assert Zn(n).zero_products(idx).tolist() == expected
+    # a field of any size has no vertex, and an empty table
+    assert Zn(q).zero_products([]).shape == (0, 0)
 
 
 # one ring of each kind, and products mixing them
