@@ -23,7 +23,7 @@ Exit codes: 0 on success, 1 for bad input of any kind, 2 when a lifted
 eigenpair fails or a verify run holds a ring not matched in every
 flavor: a mismatch, an error, or a ring skipped over the vertex cap,
 each printed as its rows.  All output is deterministic for fixed
-inputs, except the seconds column of the verify CSV.
+inputs.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import csv
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -125,20 +124,13 @@ def _cap(text: str) -> int:
 
 
 def _finite(text: str) -> float:
-    """A finite tolerance or eigenvalue: against nan or inf no residual check fails."""
+    """A finite eigenvalue: against nan or inf no residual check fails."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """A finite tolerance, 0 or more: below 0 every residual fails."""
-    if (value := _finite(text)) < 0:
-        raise argparse.ArgumentTypeError("must be 0 or more")
     return value
 
 
@@ -255,13 +247,12 @@ def _sweep_rings(text: str):
     return [Zn(n) for n in range(lo_i, hi_i + 1)]
 
 
-def _verify_csv_row(row, seconds):
-    # a ring with no comparison has no order, deviation or seconds
+def _verify_csv_row(row):
+    # a ring with no comparison has no order or deviation
     unverified = "error" if "error" in row else "skipped" if row["skipped"] else None
     agreement = unverified or ("true" if row["matched"] else "false")
     dev = None if row["max_deviation"] is None else _g12(row["max_deviation"])
-    timing = None if seconds is None else f"{seconds:.3f}"
-    return [row["ring"], row["order"], row["flavor"], agreement, dev, timing]
+    return [row["ring"], row["order"], row["flavor"], agreement, dev]
 
 
 def _run_verify(args):
@@ -273,37 +264,27 @@ def _run_verify(args):
         rings = [parse_ring_spec(args.ring)]
     else:
         raise UsageError("verify needs --ring or --sweep")
-    timed = []  # (printed row, seconds or None)
-    mismatch = False
+    rows = []
     for ring in rings:
-        started = time.perf_counter()
-        checks, order, seconds = {}, None, None
+        checks, order = {}, None
         try:
             outcome = verify_ring(ring, args.relation, args.max_vertices)
         except GraphCapError:
             # a ring over the vertex cap compares nothing, so it fails its rows
-            mismatch = True
             status = {"skipped": True}
         except (np.linalg.LinAlgError, DecompositionError, RingError) as exc:
             # one ring the pipeline cannot handle fails its own rows, not the
             # sweep: such as a closed route unlike the graph route
-            mismatch = True
             status = {"skipped": False, "error": f"{type(exc).__name__}: {exc}"}
         else:
-            seconds = time.perf_counter() - started
-            mismatch = mismatch or not outcome.matched
             checks, order, status = outcome.results, outcome.order, {"skipped": False}
         for flavor in FLAVORS:
             row = {"ring": ring.spec_string(), "order": order, "flavor": flavor}
-            timed.append(({**row, **_comparison(checks.get(flavor)), **status}, seconds))
-    code = EXIT_MISMATCH if mismatch else EXIT_OK
-    payload = {
-        "relation": args.relation,
-        "all_matched": not mismatch,
-        "results": [row for row, _ in timed],
-    }
-    rows = (_verify_csv_row(row, seconds) for row, seconds in timed)
-    return code, payload, "ring,|Z|,flavor,method_agreement,max_dev,seconds", rows
+            rows.append({**row, **_comparison(checks.get(flavor)), **status})
+    all_matched = all(row["matched"] for row in rows)
+    payload = {"relation": args.relation, "all_matched": all_matched, "results": rows}
+    code = EXIT_OK if all_matched else EXIT_MISMATCH
+    return code, payload, "ring,|Z|,flavor,method_agreement,max_dev", map(_verify_csv_row, rows)
 
 
 def _parse_rational(token: str) -> float:
@@ -325,10 +306,8 @@ def _run_lift(args):
         raise UsageError(f"cannot read matrix file: {exc}")
     if not rows or any(len(r) != len(rows) for r in rows):
         raise UsageError("matrix file must hold a square whitespace-separated matrix")
-    vector = [_parse_rational(tok) for tok in args.vector.replace(",", " ").split()]
-    result = duplicate_lift(
-        np.array(rows), args.j, args.m, args.value, np.array(vector), tol=args.tol
-    )
+    vector = [_parse_rational(tok) for tok in args.vector.split(",")]
+    result = duplicate_lift(np.array(rows), args.j, args.m, args.value, np.array(vector))
     payload = {
         "mu": result.mu,
         "vector": [float(x) for x in result.vector],
@@ -398,7 +377,6 @@ def _build_parser() -> _Parser:
     p_lift.add_argument("--value", type=_finite, required=True, help="eigenvalue of the input matrix")
     p_lift.add_argument("--vector", required=True, help="comma-separated eigenvector entries")
     p_lift.add_argument("--format", choices=("json", "csv"), default="json")
-    p_lift.add_argument("--tol", type=_tolerance, default=1e-8)
     p_lift.set_defaults(handler=_run_lift)
 
     return parser

@@ -73,6 +73,7 @@ from .rings import Ring, RingError, Zn, row_blocks
 
 DEFAULT_TOL = 1e-7
 CLUSTER_GAP = 1e-6
+LEMMA_TOL = 1e-8
 
 
 class DecompositionError(Exception):
@@ -603,9 +604,10 @@ def fiedler_combine(alpha, u, beta, v, rho: float) -> list[float]:
     return sorted(alpha[1:] + beta[1:] + dense_eigenvalues(corner))
 
 
-def fiedler_check(a, b, u, v, rho: float, tol: float = 1e-8) -> MultisetMatch:
+def fiedler_check(a, b, u, v, rho: float) -> MultisetMatch:
     """Build the combined matrix explicitly and compare its spectrum with
-    fiedler_combine.  u and v must be unit eigenvectors of a and b."""
+    fiedler_combine within LEMMA_TOL.  u and v must be unit eigenvectors
+    of a and b, each with a residual of at most LEMMA_TOL."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -616,8 +618,8 @@ def fiedler_check(a, b, u, v, rho: float, tol: float = 1e-8) -> MultisetMatch:
         "u": (a, u, alpha_1),
         "v": (b, v, beta_1),
     }.items():
-        if np.max(np.abs(mat @ vec - val * vec)) > tol:
-            raise ValueError(f"{name} is not an eigenvector of its matrix within {tol}")
+        if np.max(np.abs(mat @ vec - val * vec)) > LEMMA_TOL:
+            raise ValueError(f"{name} is not an eigenvector of its matrix within {LEMMA_TOL}")
 
     def spectrum_without(mat, val):
         values = dense_eigenvalues(mat)
@@ -631,7 +633,7 @@ def fiedler_check(a, b, u, v, rho: float, tol: float = 1e-8) -> MultisetMatch:
     top = np.hstack([a, rho * np.outer(u, v)])
     bottom = np.hstack([rho * np.outer(v, u), b])
     combined = np.vstack([top, bottom])
-    return multiset_equal(predicted, dense_eigenvalues(combined), tol)
+    return multiset_equal(predicted, dense_eigenvalues(combined), LEMMA_TOL)
 
 
 @dataclass
@@ -641,7 +643,7 @@ class ShiftReport:
     max_deviation: float
 
 
-def check_shift_lemma(b_diag, a, d_diag, tol: float = 1e-8) -> ShiftReport:
+def check_shift_lemma(b_diag, a, d_diag) -> ShiftReport:
     """Verify sigma(B + DAD) = sigma(B) + sigma(DAD) for diagonal B, D and
     symmetric A with AB = BA.
 
@@ -650,7 +652,8 @@ def check_shift_lemma(b_diag, a, d_diag, tol: float = 1e-8) -> ShiftReport:
     that block B is beta times the identity.  Each eigenvalue mu of the
     block picks up beta, and the spectrum of the sum is the multiset of
     mu + beta.  The split is checked exactly and each block solved on its
-    own, so no eigenvector of DAD ever mixes two eigenspaces of B."""
+    own, so no eigenvector of DAD ever mixes two eigenspaces of B.  The
+    two spectra are compared within LEMMA_TOL."""
     b_diag = np.asarray(b_diag, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     d_diag = np.asarray(d_diag, dtype=np.float64)
@@ -667,7 +670,7 @@ def check_shift_lemma(b_diag, a, d_diag, tol: float = 1e-8) -> ShiftReport:
     pairs.sort()
     summed = [mu + beta for mu, beta in pairs]
     direct = dense_eigenvalues(np.diag(b_diag) + dad)
-    match = multiset_equal(summed, direct, tol)
+    match = multiset_equal(summed, direct, LEMMA_TOL)
     return ShiftReport(pairs, match.matched, match.max_deviation)
 
 
@@ -679,7 +682,7 @@ class LiftResult:
     residual: float
 
 
-def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftResult:
+def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
     """Track an eigenpair through duplicating index j of a matrix m times.
 
     Given B with eigenpair (lam, v), the matrix A = B[ix, ix] for the
@@ -689,7 +692,7 @@ def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftR
 
     with eigenvector w = v[ix].  When v[j] = 0 the shift vanishes and
     mu = lam without touching the quotient.  The pair is verified on the
-    explicitly built A; a residual above tol raises, reporting both the
+    explicitly built A; a residual above LEMMA_TOL raises, reporting both the
     formula value and the Rayleigh quotient of w."""
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -702,12 +705,10 @@ def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftR
         raise LiftError(f"index {j} out of range for order {n}")
     if m < 1:
         raise LiftError("multiplicity must be at least 1")
-    if not 0 <= tol < math.inf:
-        raise LiftError(f"tolerance must be finite and 0 or more, got {tol}")
     if not math.isfinite(lam):
         raise LiftError(f"eigenvalue must be finite, got {lam}")
     base_residual = float(np.max(np.abs(b @ v - lam * v))) if n else 0.0
-    if not base_residual <= tol:  # fails closed on a nan residual
+    if not base_residual <= LEMMA_TOL:  # fails closed on a nan residual
         raise LiftError(
             f"(lambda, v) is not an eigenpair of B (residual {base_residual:.3e})"
         )
@@ -730,7 +731,7 @@ def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftR
     a = b[np.ix_(ix, ix)]
     w = v[ix]
     residual = float(np.max(np.abs(a @ w - mu * w)))
-    if not residual <= tol:
+    if not residual <= LEMMA_TOL:
         rayleigh = float(w @ a @ w) / float(w @ w)
         raise LiftVerificationError(
             f"lifted pair fails verification: formula mu = {mu!r}, "
@@ -743,15 +744,16 @@ def duplicate_lift(b, j: int, m: int, lam: float, v, tol: float = 1e-8) -> LiftR
 # the reciprocal-pairing report
 
 
-def boolean_pairing_report(values, tol: float = CLUSTER_GAP) -> dict:
+def boolean_pairing_report(values) -> dict:
     """Try to match the nonzero values into {lambda, -1/lambda} pairs.
 
-    Works greedily from the largest magnitude down; reports the pairs,
-    any leftovers, and the count of (near-)zero values.  This is a
-    reporting check only: callers warn on failure instead of asserting."""
+    Works greedily from the largest magnitude down, pairing lambda with a
+    value within CLUSTER_GAP of -1/lambda; reports the pairs, any
+    leftovers, and the count of values within CLUSTER_GAP of zero.  This
+    is a reporting check only: callers warn on failure instead of asserting."""
     values = [float(v) for v in (values.values if isinstance(values, SpectrumMultiset) else values)]
-    zeros = [v for v in values if abs(v) <= tol]
-    remaining = sorted((v for v in values if abs(v) > tol), key=abs, reverse=True)
+    zeros = [v for v in values if abs(v) <= CLUSTER_GAP]
+    remaining = sorted((v for v in values if abs(v) > CLUSTER_GAP), key=abs, reverse=True)
     paired = []
     unpaired = []
     while remaining:
@@ -759,7 +761,7 @@ def boolean_pairing_report(values, tol: float = CLUSTER_GAP) -> dict:
         target = -1.0 / lam
         best = None
         for idx, candidate in enumerate(remaining):
-            if abs(candidate - target) <= tol:
+            if abs(candidate - target) <= CLUSTER_GAP:
                 best = idx
                 break
         if best is None:

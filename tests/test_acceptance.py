@@ -367,7 +367,7 @@ def test_criterion_10_boolean_pairing_informational():
     with criterion(10, "pairing {lambda, -1/lambda} on Z_2^2 and Z_2^3 (informational)"):
         for spec in ("Zn(2)xZn(2)", "Zn(2)xZn(2)xZn(2)"):
             adj, _ = spectrum_pair(ring_join_decomposition(parse_ring_spec(spec)))
-            report = boolean_pairing_report(adj.values, tol=1e-6)
+            report = boolean_pairing_report(adj.values)
             if not report["matched"]:
                 warnings.warn(
                     f"{spec}: nonzero adjacency eigenvalues do not admit a "

@@ -28,6 +28,11 @@ A spectrum meets the dense oracle in one place, `spectra.verify_ring`: a
 second caller of `brute_spectrum`, or a CLI handler that compares spectra
 itself, fails here, and so does a tolerance or flavor parameter on
 `verify_ring` or a `--tol` or `--flavor` flag on `zdg verify`.  The
+lemma checks have fixed gates too: a `tol` parameter on `fiedler_check`,
+`check_shift_lemma`, `duplicate_lift` or `boolean_pairing_report`, or a
+`--tol` flag on `zdg lift`, fails here.  `cli.py` reads no clock, so
+that stdout is deterministic: a `time` or `datetime` import or a
+`perf_counter` call there fails here.  The
 graph route has one cap, on its vertex count, which bounds |R| too: a
 module that names an element cap fails here.  Each name has one import
 path, from the module that defines it: an `__init__.py` that binds a name
@@ -277,11 +282,28 @@ def test_one_comparison_path():
 def test_one_gate():
     # a tolerance or a flavor list would let a caller pass the check by
     # loosening it or by comparing less; verify_ring compares every flavor
-    # at DEFAULT_TOL, and `zdg verify` takes neither flag
+    # at DEFAULT_TOL, the lemma checks run at LEMMA_TOL and the pairing
+    # report at CLUSTER_GAP, and neither `zdg verify` nor `zdg lift` takes
+    # a flag that moves them
     spectra = ast.parse((PACKAGE / "spectra.py").read_text())
     assert signature(spectra, "verify_ring") == ["ring", "relation", "vertex_cap"]
+    assert signature(spectra, "fiedler_check") == ["a", "b", "u", "v", "rho"]
+    assert signature(spectra, "check_shift_lemma") == ["b_diag", "a", "d_diag"]
+    assert signature(spectra, "duplicate_lift") == ["b", "j", "m", "lam", "v"]
+    assert signature(spectra, "boolean_pairing_report") == ["values"]
     verbs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert {a.dest for a in verbs.choices["verify"]._actions} & {"tol", "flavor"} == set()
+    assert "tol" not in {a.dest for a in verbs.choices["lift"]._actions}
+
+
+def test_cli_reads_no_clock():
+    # every report is a function of its inputs alone, so stdout is
+    # deterministic: a wall-clock field would differ from run to run
+    nodes = list(ast.walk(ast.parse((PACKAGE / "cli.py").read_text())))
+    modules = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module}
+    assert {name.split(".")[0] for name in modules} & {"time", "datetime"} == set()
+    assert "perf_counter" not in {getattr(node, "attr", None) or getattr(node, "id", None) for node in nodes}
 
 
 def test_one_way_in():
@@ -381,10 +403,11 @@ ELEMENT_CAP_NAMES = {"element_cap", "max_elements", "EnumerationCapError", "DEFA
 
 def signature(tree, name, owner=None):
     """The parameter names of the function `name`, a method of the class
-    `owner` when given, as the module `tree` defines it."""
+    `owner` when given, as the module `tree` defines it; keyword-only
+    parameters follow the positional ones."""
     scope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == owner).body if owner else tree.body
     fn = next(n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name)
-    return [a.arg for a in fn.args.args]
+    return [a.arg for a in fn.args.args + fn.args.kwonlyargs]
 
 
 def test_one_graph_cap():
