@@ -226,7 +226,18 @@ def test_relation_check_reports_an_associate_class_across_annihilator_classes(mo
     ring = parse_ring_spec("Zn(2)xZn(4)")
     merged = ClassPartition("associate", np.zeros(build_zdg(ring).order, dtype=np.intp), ["null"])
     monkeypatch.setattr(reference, "classes_for", lambda *args: merged)
-    with pytest.raises(RelationAgreementError, match="associate refines annihilator"):
+    with pytest.raises(RelationAgreementError, match="associate equals annihilator"):
+        check_relation_agreements(build_zdg(ring))
+
+
+def test_relation_check_reports_an_annihilator_class_across_associate_classes(monkeypatch):
+    # one of Zn(2)xZn(4)'s four annihilator classes has two members, so
+    # singleton associate classes refine it and must still fail equality
+    ring = parse_ring_spec("Zn(2)xZn(4)")
+    order = build_zdg(ring).order
+    split = ClassPartition("associate", np.arange(order), ["null"] * order)
+    monkeypatch.setattr(reference, "classes_for", lambda *args: split)
+    with pytest.raises(RelationAgreementError, match="associate equals annihilator"):
         check_relation_agreements(build_zdg(ring))
 
 

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from reference import (
     _neighborhood_classes_masked,
     annihilator_set,
+    check_relation_agreements,
     classes_associate,
     enumerate_elements,
     euler_phi,
@@ -95,6 +96,7 @@ def test_graph_route_matches_definition_and_oracles(factors):
     annihilator = [c.members for c in classes_for(g, "annihilator").classes]
     assert annihilator == sorted(by_annihilator.values()), spec
     assert ring.units() == [a for a in els if a != ring.zero and is_unit(ring, a)], spec
+    check_relation_agreements(g)
 
     brute = {flavor: brute_spectrum(g, flavor) for flavor in FLAVORS}
     graph_route = {}
