@@ -1,10 +1,13 @@
 """Equivalence relations on zero-divisors and the induced vertex partitions.
 
-Three relations matter here, always on the vertex set Z(R)*:
+Two relations matter here, always on the vertex set Z(R)*:
 
   associate     a ~ b  iff a = ub and b = av for units u, v
   neighborhood  a == b iff N(a) = N(b) in Gamma(R)
-  annihilator   a ~m b iff ann(a) = ann(b), ann(x) = {y : xy = 0 or yx = 0}
+
+Equal annihilators, ann(x) = {y : xy = 0 or yx = 0}, give the associate
+classes on every ring the parser builds, as each is quasi-Frobenius; the
+tests check this against an annihilator partition of their own.
 
 A partition is the class id of each vertex, `cell_of`, with the classes
 numbered 0, 1, ... in order of their smallest members (representatives),
@@ -19,13 +22,10 @@ numbers every partition and associate key of the package.  Associates
 are keyed by `associate_keys` on the graph's `element_index` (gcd with n
 for Z_n, the pair of kernels for a matrix, componentwise for a product),
 with the cell kind read off the graph's `loops`; equal neighborhoods by
-the adjacency rows; equal annihilators by the adjacency rows packed to
-bits, with the diagonal bit set from the graph's `loops` (a in ann(a)
-iff a^2 = 0), so no relation copies the adjacency.  The
-definitions these keys stand for (unit orbits, pairwise row comparison)
-and the agreement checks between the relations are the tests'
-references, in tests/reference.py, which numbers its classes without
-`first_seen_ids`.
+the adjacency rows.  The definitions these keys stand for (unit orbits,
+pairwise row comparison, equal annihilators) and the agreement checks
+between the relations are the tests' references, in tests/reference.py,
+which numbers its classes without `first_seen_ids`.
 """
 from __future__ import annotations
 
@@ -49,9 +49,9 @@ class ClassPartition:
     the classes 0, 1, ... in order of their smallest members, and one
     claimed kind per class.  Partitions are equal when all three fields are."""
 
-    relation: str  # 'associate' | 'neighborhood' | 'annihilator'
+    relation: str  # 'associate' | 'neighborhood'
     cell_of: np.ndarray
-    kinds: list[str | None]  # 'complete' | 'null' | None (annihilator partition)
+    kinds: list[str]  # 'complete' | 'null'
 
     def __post_init__(self):
         self.cell_of = np.asarray(self.cell_of, dtype=np.intp)
@@ -106,16 +106,6 @@ def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
     return _partition("neighborhood", graph.adjacency, lambda i: "null")
 
 
-def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
-    """Partition by equal annihilators: ann(a) as a row of bits is the
-    adjacency row of a, packed as `first_seen_ids` packs bool rows, with
-    its diagonal bit set when a^2 = 0; the adjacency is not copied."""
-    ann = np.packbits(graph.adjacency, axis=1)
-    i = np.arange(graph.order)
-    ann[i, i // 8] |= graph.loops.astype(np.uint8) << (7 - i % 8).astype(np.uint8)
-    return _partition("annihilator", ann, lambda i: None)
-
-
 def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPartition:
     """The partition of the vertices of `graph` under the named relation,
     grouped by one key per vertex (see the module docstring); the tests'
@@ -125,6 +115,4 @@ def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPa
         return _partition("associate", keys, lambda i: "complete" if graph.loops[i] else "null")
     if relation == "neighborhood":
         return classes_neighborhood(graph)
-    if relation == "annihilator":
-        return classes_annihilator(graph)
     raise RingError(f"unknown relation '{relation}'")

@@ -332,7 +332,7 @@ def _build_parser() -> _Parser:
         if relation:
             p.add_argument(
                 "--relation",
-                choices=("associate", "neighborhood", "annihilator"),
+                choices=("associate", "neighborhood"),
                 default="associate",
             )
         p.add_argument("--format", choices=formats, default="json")

@@ -118,7 +118,11 @@ class JoinDecomposition:
 
     def __post_init__(self):
         self.complete = self.table.diagonal()
-        self.degrees = self.table @ self.sizes - self.complete
+        # a row block of the table at a time: the product casts its bool operand to int64
+        degrees = np.empty_like(self.sizes)
+        for rows in row_blocks(len(self.sizes), len(self.sizes)):
+            degrees[rows] = self.table[rows] @ self.sizes
+        self.degrees = degrees - self.complete
 
     @cached_property
     def labels(self) -> list[str]:
@@ -321,7 +325,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
             raise DecompositionError(
                 f"class of {dec.labels[i]} induces neither a complete nor an edgeless subgraph"
             )
-        if size > 1 and claimed not in (None, kind):
+        if size > 1 and claimed != kind:
             raise DecompositionError(
                 f"claimed {claimed} cell is actually {kind} (representative {dec.labels[i]})"
             )
@@ -381,7 +385,9 @@ def _join_parts(dec: JoinDecomposition, flavor: str) -> tuple[np.ndarray, np.nda
     f, g = FLAVORS[flavor].join(dec)
     f_diag = f.diagonal()
     inherited = g - f_diag
-    quotient = np.sqrt(np.multiply.outer(dec.sizes, dec.sizes, dtype=np.float64)) * f
+    quotient = np.multiply.outer(dec.sizes, dec.sizes, dtype=np.float64)
+    np.sqrt(quotient, out=quotient)
+    np.multiply(quotient, f, out=quotient)
     np.fill_diagonal(quotient, inherited + dec.sizes * f_diag)
     return quotient, inherited
 
@@ -674,6 +680,13 @@ def check_shift_lemma(b_diag, a, d_diag) -> ShiftReport:
     return ShiftReport(pairs, match.matched, match.max_deviation)
 
 
+def _eigen_residual_ok(residual: float, mat, vec) -> bool:
+    """Whether a residual of mat @ vec = lam vec is within LEMMA_TOL times
+    max(1, ||mat||_inf ||vec||_inf); false when it is nan or infinite."""
+    scale = float(np.abs(mat).sum(axis=1).max(initial=0.0)) * float(np.abs(vec).max(initial=0.0))
+    return residual / max(1.0, scale) <= LEMMA_TOL
+
+
 @dataclass
 class LiftResult:
     mu: float
@@ -691,9 +704,10 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
         mu = lam + (sum_i B[i, j] / sum_i v[i]) * (m - 1) * v[j]
 
     with eigenvector w = v[ix].  When v[j] = 0 the shift vanishes and
-    mu = lam without touching the quotient.  The pair is verified on the
-    explicitly built A; a residual above LEMMA_TOL raises, reporting both the
-    formula value and the Rayleigh quotient of w."""
+    mu = lam without touching the quotient.  (lam, v) is checked on B and
+    the lifted pair on the explicitly built A, each at LEMMA_TOL relative
+    to its scale (`_eigen_residual_ok`); a lifted pair that fails reports
+    both the formula value and the Rayleigh quotient of w."""
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise LiftError("B must be a square matrix")
@@ -708,7 +722,7 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
     if not math.isfinite(lam):
         raise LiftError(f"eigenvalue must be finite, got {lam}")
     base_residual = float(np.max(np.abs(b @ v - lam * v))) if n else 0.0
-    if not base_residual <= LEMMA_TOL:  # fails closed on a nan residual
+    if not _eigen_residual_ok(base_residual, b, v):
         raise LiftError(
             f"(lambda, v) is not an eigenpair of B (residual {base_residual:.3e})"
         )
@@ -731,7 +745,7 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
     a = b[np.ix_(ix, ix)]
     w = v[ix]
     residual = float(np.max(np.abs(a @ w - mu * w)))
-    if not residual <= LEMMA_TOL:
+    if not _eigen_residual_ok(residual, a, w):
         rayleigh = float(w @ a @ w) / float(w @ w)
         raise LiftVerificationError(
             f"lifted pair fails verification: formula mu = {mu!r}, "

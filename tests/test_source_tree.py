@@ -24,6 +24,9 @@ the verbs' handlers return theirs.  Each CLI input has one spelling: a
 `--sweep` parser that builds a ring from a spec of its own, fails here.
 The flavor names are listed once, as the keys of `spectra.FLAVORS`: the
 CLI's choices read them, and the schema's one flavor def must equal them.
+The relations are associate and neighborhood, in the `--relation`
+choices, the schema's enums and the names `classes_for` accepts; equal
+annihilators give the associate classes, so a third relation fails here.
 A spectrum meets the dense oracle in one place, `spectra.verify_ring`: a
 second caller of `brute_spectrum`, or a CLI handler that compares spectra
 itself, fails here, and so does a tolerance or flavor parameter on
@@ -334,6 +337,10 @@ def test_references_number_their_own_classes():
     # would break with the code it checks and still agree with it
     assert callers(REFERENCE, "first_seen_ids") == set()
     assert callers(REFERENCE, "_partition") == set()
+    # every partition of the references, the annihilator one among them, goes through their own dict
+    partitions = {"classes_associate", "_neighborhood_classes_masked", "classes_annihilator"}
+    assert callers(REFERENCE, "_first_appearance") == partitions
+    assert callers(REFERENCE, "ClassPartition") == partitions
     # a reference defined in the package too would be a second copy that can drift
     ours = defined_names(ast.parse(REFERENCE.read_text()), everywhere=False)
     assert ours
@@ -395,6 +402,33 @@ def test_one_list_of_flavors():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     ]
     assert [s for s in literals if "adjacency" in s or "laplacian" in s] == []
+
+
+RELATIONS = ("associate", "neighborhood")
+
+
+def test_one_list_of_relations():
+    # every ring the parser builds is quasi-Frobenius, where equal
+    # annihilators make associates: an annihilator relation would be a
+    # second name for the associate partition
+    verbs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for verb in ("classes", "verify"):
+        relation = next(a for a in verbs.choices[verb]._actions if a.dest == "relation")
+        assert tuple(relation.choices) == RELATIONS, verb
+    defs = json.loads((PACKAGE / "schemas" / "report.schema.json").read_text())["$defs"]
+    for report in ("classesReport", "verifyReport"):
+        assert tuple(defs[report]["properties"]["relation"]["enum"]) == RELATIONS, report
+    kind = defs["classesReport"]["properties"]["classes"]["items"]["properties"]["kind"]
+    assert kind == {"enum": ["complete", "null"]}
+    tree = ast.parse((PACKAGE / "classes.py").read_text())
+    classes_for = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "classes_for")
+    accepted = [
+        node.comparators[0].value
+        for node in ast.walk(classes_for)
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "relation"
+    ]
+    assert tuple(accepted) == RELATIONS
+    assert "classes_annihilator" not in defined_names(tree, everywhere=True)
 
 
 # the element cap and its names; the vertex cap bounds |R| too

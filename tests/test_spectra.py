@@ -226,9 +226,9 @@ def blocks_partition(relation, blocks, order):
     "blocks, message",
     [
         # Gamma(Z_8) is the path 2 - 4 - 6 on the vertex indices 0, 1, 2
-        ([([0, 1, 2], None)], "neither a complete nor an edgeless"),
-        ([([0, 2], "complete"), ([1], None)], "claimed complete cell is actually null"),
-        ([([0, 1], None), ([2], None)], "classes of 2 and 6 is not constant"),
+        ([([0, 1, 2], "null")], "neither a complete nor an edgeless"),
+        ([([0, 2], "complete"), ([1], "complete")], "claimed complete cell is actually null"),
+        ([([0, 1], "complete"), ([2], "null")], "classes of 2 and 6 is not constant"),
     ],
 )
 def test_decompose_error_messages(blocks, message):
@@ -243,18 +243,18 @@ def test_decompose_error_messages(blocks, message):
     [
         # {4, 12} is complete, claimed null; the mixed {6, 8, 10} comes later
         (
-            [([0], None), ([1, 5], "null"), ([2, 3, 4], None), ([6], None)],
+            [([0], "null"), ([1, 5], "null"), ([2, 3, 4], "null"), ([6], "null")],
             "claimed null cell is actually complete (representative 4)",
         ),
         # {4, 6, 8} is mixed; the null {10, 12}, claimed complete, comes later
         (
-            [([0], None), ([1, 2, 3], None), ([4, 5], "complete"), ([6], None)],
+            [([0], "null"), ([1, 2, 3], "null"), ([4, 5], "complete"), ([6], "null")],
             "class of 4 induces neither a complete nor an edgeless subgraph",
         ),
         # valid cells {2, 14}, {4}, {6, 12}, {8, 10}; the pairs (0, 3) and
         # (1, 2) are not constant, and row-major order names (0, 3)
         (
-            [([0, 6], "null"), ([1], None), ([2, 5], "null"), ([3, 4], "complete")],
+            [([0, 6], "null"), ([1], "complete"), ([2, 5], "null"), ([3, 4], "complete")],
             "adjacency between the classes of 2 and 8 is not constant",
         ),
     ],
@@ -339,11 +339,11 @@ def reference_decompose(g, partition):
                 f"class of {label} induces neither a complete nor an edgeless subgraph"
             )
         observed = "complete" if inner.any() else "null"
-        if n > 1 and c.kind not in (None, observed):
+        if n > 1 and c.kind != observed:
             raise DecompositionError(
                 f"claimed {c.kind} cell is actually {observed} (representative {label})"
             )
-        cells.append((n, observed if n > 1 else c.kind or observed, label, list(c.members)))
+        cells.append((n, observed if n > 1 else c.kind, label, list(c.members)))
     m = len(classes)
     h = np.zeros((m, m), dtype=bool)
     for i, j in itertools.combinations(range(m), 2):
@@ -359,7 +359,7 @@ def reference_decompose(g, partition):
 
 def bad_partitions(partition, rng):
     """The partition itself, then one seeded edit of each sort: two classes
-    merged, one vertex moved, one claimed kind flipped, all kinds dropped."""
+    merged, one vertex moved, one claimed kind flipped."""
     blocks = [(list(c.members), c.kind) for c in partition.classes]
     yield blocks
     if len(blocks) > 1:
@@ -376,9 +376,8 @@ def bad_partitions(partition, rng):
             yield moved
     if blocks:
         i = rng.randrange(len(blocks))
-        flip = {"complete": "null", "null": "complete", None: "complete"}[blocks[i][1]]
+        flip = {"complete": "null", "null": "complete"}[blocks[i][1]]
         yield [(members, flip if k == i else kind) for k, (members, kind) in enumerate(blocks)]
-    yield [(members, None) for members, _ in blocks]
 
 
 @pytest.mark.parametrize(
@@ -394,7 +393,7 @@ def test_decompose_equals_the_per_block_reference(specs):
     outcomes = set()
     for spec in specs:
         g = build_zdg(parse_ring_spec(spec))
-        for relation in ("associate", "neighborhood", "annihilator"):
+        for relation in ("associate", "neighborhood"):
             for blocks in bad_partitions(classes_for(g, relation), rng):
                 partition = blocks_partition(relation, blocks, g.order)
                 try:
@@ -468,7 +467,7 @@ def test_decompose_reports_a_mismatch_past_the_first_row_block(merged, message):
     assert first.stop <= len(blocks[0][0]) and len(blocks) == 14
     i, j = merged
     kept = [block for k, block in enumerate(blocks) if k not in merged]
-    bad = blocks_partition("associate", kept + [(blocks[i][0] + blocks[j][0], None)], g.order)
+    bad = blocks_partition("associate", kept + [(blocks[i][0] + blocks[j][0], blocks[i][1])], g.order)
     with pytest.raises(DecompositionError) as raised:
         decompose(g, bad)
     assert str(raised.value) == message
@@ -642,6 +641,39 @@ def test_closed_route_reads_a_large_prime_field_without_its_tables(spec, monkeyp
         tracemalloc.stop()
     assert sorted(dec.sizes.tolist()) == [1, ring.factors[0].q - 1]
     assert peak < 1 << 20  # the field's log tables alone take tens of MB
+
+
+# 2^11 - 2 = 2,046 classes, read without enumerating the ring
+GF2_11 = "x".join(["GF(2)"] * 11)
+
+
+def test_join_decomposition_sums_degrees_a_row_block_at_a_time():
+    """The degrees read the bool class table a row block at a time, so no
+    m x m int64 cast of it is made: about 8 m^2 bytes here."""
+    dec = decomposition_semisimple_closed(parse_ring_spec(GF2_11))
+    tracemalloc.start()
+    try:
+        again = spectra_module.JoinDecomposition(dec.sizes, dec.table, dec.ring, dec.reps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.class_count == 2046 and np.array_equal(again.degrees, dec.degrees)
+    assert peak < 1 << 20, peak
+
+
+def test_join_parts_build_the_quotient_in_place():
+    """The adjacency quotient is the one m x m float64 array its assembly
+    makes: the size products, their roots and the product with f share it."""
+    dec = decomposition_semisimple_closed(parse_ring_spec(GF2_11))
+    m = dec.class_count
+    tracemalloc.start()
+    try:
+        quotient, _ = spectra_module._join_parts(dec, "adjacency")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m >= 2000 and quotient.shape == (m, m)
+    assert peak < 1.1 * m * m * 8, peak / (m * m * 8)
 
 
 def test_closed_route_on_a_large_prime_modulus():
@@ -902,7 +934,7 @@ def test_verify_ring_partitions_the_graph_built_under_its_cap(monkeypatch):
     monkeypatch.setattr(graph_module, "DEFAULT_VERTEX_CAP", 10)
     ring = Zn(30)
     graph_module._build_cached.cache_clear()
-    for relation in ("associate", "neighborhood", "annihilator"):
+    for relation in ("associate", "neighborhood"):
         out = verify_ring(ring, relation, vertex_cap=100)
         assert out.order == 21 and out.matched, (relation, out.results)
     assert graph_module._build_cached.cache_info().misses == 1
@@ -912,7 +944,7 @@ def test_every_relation_reads_one_graph_per_ring():
     ring = parse_ring_spec("M(2,GF(2))xZn(4)")
     graph_module._build_cached.cache_clear()
     check_relation_agreements(build_zdg(ring, vertex_cap=20000))
-    for relation in ("associate", "neighborhood", "annihilator"):
+    for relation in ("associate", "neighborhood"):
         assert verify_ring(ring, relation, vertex_cap=6000).matched, relation
     assert graph_module._build_cached.cache_info().misses == 1
 
@@ -1252,6 +1284,27 @@ def test_lift_random_rank_one_family():
         # mu must be an exact eigenvalue of the duplicated matrix
         dup_vals = np.linalg.eigvalsh(res.matrix)
         assert min(abs(dup_vals - res.mu)) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [1e6, 1e8, 1e9])
+def test_lift_gate_is_relative_to_the_scale(c):
+    """B = c w w^T has the exact eigenpair (c |w|^2, w), whose rounded
+    residual grows with c: the gate scales with ||B|| ||v||, so every exact
+    pair passes, and a relative error of 1e-6 in lambda is still refused."""
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        w = rng.uniform(0.1, 1.1, size=n)
+        b = c * np.outer(w, w)
+        lam = c * float(w @ w)
+        j, m = int(rng.integers(0, n)), int(rng.integers(2, 5))
+        res = duplicate_lift(b, j=j, m=m, lam=lam, v=w)
+        assert res.mu == pytest.approx(c * float(res.vector @ res.vector), rel=1e-12)
+        with pytest.raises(LiftError, match="not an eigenpair of B"):
+            duplicate_lift(b, j=j, m=m, lam=lam * (1 + 1e-6), v=w)
+    # an exact pair whose column j is not proportional to it lifts to a wrong mu at every scale
+    with pytest.raises(LiftVerificationError):
+        duplicate_lift(c * np.array([[0.0, 1.0], [1.0, 0.0]]), j=0, m=2, lam=c, v=[1.0, 1.0])
 
 
 def test_lift_block_diagonal_v_j_zero_family():
