@@ -73,9 +73,6 @@ class ClassPartition:
         members = np.split(order, np.cumsum(np.bincount(self.cell_of))[:-1])
         return [VertexClass(int(m[0]), m.tolist(), len(m), kind) for m, kind in zip(members, self.kinds)]
 
-    def member_sets(self, vertices) -> set[frozenset]:
-        return {frozenset(vertices[i] for i in c.members) for c in self.classes}
-
     def to_json(self, graph: ZeroDivisorGraph) -> dict:
         labels = [graph.ring.label(v) for v in graph.vertices]
         classes = [

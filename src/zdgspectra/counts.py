@@ -142,17 +142,6 @@ class SemisimpleProfile:
             raise ValueError("the zero element is not a vertex")
 
 
-def semisimple_class_size(profile: SemisimpleProfile) -> int:
-    """Size of the associate class: invertible components contribute all of
-    GL_{n_k}(F_{q_k}), proper-rank components contribute |GL_{r_k}(F_{q_k})|,
-    zero components contribute one choice."""
-    total = 1
-    for (n, q), r in zip(profile.factors, profile.ranks):
-        if r > 0:
-            total *= gl_order(r if r < n else n, q)
-    return total
-
-
 def _check_square_zero(profile: SemisimpleProfile, squares_to_zero: bool) -> None:
     """x^2 = 0 puts the column space of each component x_k, of dimension
     r_k, inside its kernel, of dimension n_k - r_k: so 2 r_k <= n_k."""

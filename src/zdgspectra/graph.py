@@ -72,16 +72,6 @@ class ZeroDivisorGraph:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency)) // 2
 
-    @cached_property
-    def _index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    def index_of(self, a) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise RingError(f"{self.ring.label(a)} is not a vertex of Gamma({self.ring.spec_string()})") from None
-
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1, dtype=np.int64)
 
@@ -130,10 +120,6 @@ def build_zdg(ring: Ring, vertex_cap: int | None = None) -> ZeroDivisorGraph:
     return _build_cached(ring)
 
 
-def degree(graph: ZeroDivisorGraph, a) -> int:
-    return int(graph.adjacency[graph.index_of(a)].sum())
-
-
 def degree_zn(n: int, d: int) -> int:
     """Degree of any vertex x with gcd(x, n) = d in Gamma(Z_n).
 
@@ -158,19 +144,6 @@ def degree_matring(n: int, q: int, r: int, squares_to_zero: bool) -> int:
     if squares_to_zero and 2 * r > n:
         raise RingError(f"no rank-{r} matrix in M_{n}(F_{q}) squares to zero")
     return semisimple_vertex_degree(SemisimpleProfile(((n, q),), (r,)), squares_to_zero)
-
-
-def connected_component_count(graph: ZeroDivisorGraph) -> int:
-    """Breadth-first search a level at a time: the next is every unseen neighbor of this one."""
-    seen = np.zeros(graph.order, dtype=bool)
-    count = 0
-    while not seen.all():
-        count += 1
-        frontier = np.arange(len(seen)) == np.argmin(seen)  # the first unseen vertex
-        while frontier.any():
-            seen |= frontier
-            frontier = graph.adjacency[frontier].any(axis=0) & ~seen
-    return count
 
 
 def _edge_pairs(graph: ZeroDivisorGraph) -> list[list[int]]:

@@ -6,16 +6,16 @@ elements are tuples of component payloads.  Each ring object supplies exact
 arithmetic, table-built zero products and associate keys, a class table
 (the associate classes with their sizes, xy = 0 relation and smallest
 members, built without enumerating), closed counts of its units and
-zero-divisors, unit and zero-divisor enumeration and canonical labels for
-its own payloads.  Element order is always lexicographic on the payload,
+zero-divisors, zero-divisor enumeration and canonical labels for its own
+payloads.  Element order is always lexicographic on the payload,
 so index 0 is the zero element and enumeration is reproducible.  The
 tables read element indices (positions in `elements()`), never payloads:
 an index is the payload for Z_n and GF, the entries' base-q digits for a
 matrix and the factors' indices in C order for a product.  One method per
 ring kind, `decode(idx)`, turns an index array into the payloads in the
 same order; every payload list comes from it.  A matrix ring's element
-and class tables read one dot product, `MatRing._dot`; `gf_rref` serves
-`rank`.
+and class tables read one dot product, `MatRing._dot`, and no
+elimination.
 
 A ring keeps no payloads unless a caller asks for them: the graph route
 reads `_unit_mask` and the index tables, the V x V `zero_products` written
@@ -25,9 +25,9 @@ BLOCK_ENTRIES entries) at a time, and its vertex cap reads
 |GL_n(F_q)|, the product over the factors) and 1.  No element cap is
 needed: a ring with a zero-divisor has |R| <= (|Z(R)*| + 1)^2 (Ganesan
 1964; Koh 1967 for noncommutative rings), so the vertex cap bounds |R|
-wherever the graph has a vertex.  Only `elements()`, `units()` and
-`zero_divisors()`, which the tests' references call, decode whole index
-ranges, and only `elements()` keeps its list on the ring.
+wherever the graph has a vertex.  Only `elements()` and
+`zero_divisors()`, which the benchmark and the tests call, decode whole
+index ranges, and only `elements()` keeps its list on the ring.
 
 Field elements are encoded as integers in [0, p^k): the value
 sum(c_i * p^i) stands for the coefficient vector (c_0, ..., c_{k-1}) of a
@@ -153,7 +153,7 @@ def first_seen_ids(keys) -> np.ndarray:
 
 class Ring:
     """Common behavior: closed counts, the closed route's refusal, and the
-    enumeration and unit/zero-divisor lists that only the tests read."""
+    element and zero-divisor lists that the benchmark and the tests read."""
 
     commutative = True
     cardinality = 0
@@ -274,9 +274,6 @@ class Ring:
             cached = self.decode(np.arange(self.cardinality))
             self._elements = cached
         return cached
-
-    def units(self) -> list:
-        return self.decode(np.flatnonzero(self._unit_mask()))
 
     def zero_divisors(self) -> list:
         """Nonzero non-units, in element order.
@@ -527,46 +524,6 @@ class GF(Ring):
         return "+".join(terms) if terms else "0"
 
 
-# ---------------------------------------------------------------------------
-# elimination over GF, on row-major tuple matrices, for `MatRing.rank`
-
-
-def gf_rref(field, rows, width):
-    """Reduced row echelon form; returns the tuple of nonzero rows.
-
-    The result is the canonical basis of the row space: pivots are 1,
-    pivot columns are cleared above and below, rows ordered by pivot.
-    It backs `MatRing.rank`.
-    """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    rank = 0
-    for col in range(width):
-        piv = None
-        for i in range(rank, nrows):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [field.mul(inv, v) for v in work[rank]]
-        for i in range(nrows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return tuple(tuple(r) for r in work[:rank])
-
-
-def gf_rank(field, rows, width):
-    """Rank by elimination, for `MatRing.rank`."""
-    return len(gf_rref(field, rows, width))
-
-
 def _and_gathers(table, codes):
     """The AND over k of table[codes[k]]: one row gather per row of codes,
     ANDed in place, so no len(codes) x len(codes[0]) x width array."""
@@ -772,15 +729,6 @@ class MatRing(Ring):
         rows, cols = rows[order], cols[order]
         sizes = np.array([gl_order(r, q) for r in range(n + 1)], dtype=np.int64)[rank[rows]]
         return sizes, contains[np.ix_(rows, cols)], reps[order]
-
-    def rank(self, a):
-        return gf_rank(self.field, a, self.n)
-
-    def row_space(self, a):
-        return gf_rref(self.field, a, self.n)
-
-    def column_space(self, a):
-        return gf_rref(self.field, tuple(zip(*a)), self.n)
 
     def unit_count(self):
         return gl_order(self.n, self.field.q)

@@ -39,8 +39,7 @@ errors they raise.
 Every eigenvalue here comes from LAPACK (`eig.dense_eigenvalues`): the
 assembled route solves the order-m quotient, the oracle the order-|V|
 matrix of the whole graph, so the two share no matrix unless every cell
-is a singleton, and the combination and shift identities solve their
-small blocks.  The oracle's spectrum is kept on its graph, one per
+is a singleton.  The oracle's spectrum is kept on its graph, one per
 flavor, and `build_zdg` keeps the graph of the ring it built last
 whatever the cap, so each relation of `verify_ring` partitions that
 graph and pays for the order-|V| solve once.
@@ -50,9 +49,8 @@ run per cell of two or more vertices and one per quotient eigenvalue,
 so assembly costs time and memory in the class count m, not in the
 vertex count |V|.  Its readers stay on the runs: `len()` is counted once
 when the runs are validated, `clusters()` merges adjacent runs, and
-`multiset_equal` walks two spectra run against run.  Only `values` and
-`provenance` expand them to |V| items, each into one list with no
-temporary list per run.
+`multiset_equal` walks two spectra run against run.  Only `values`
+expands them, to |V| items in one list with no temporary list per run.
 """
 from __future__ import annotations
 
@@ -90,10 +88,6 @@ class LiftInapplicableError(LiftError):
 
 class LiftVerificationError(LiftError):
     """The formula produced a value the explicit matrix disagrees with."""
-
-
-class ShiftLemmaError(Exception):
-    pass
 
 
 @dataclass(eq=False)
@@ -143,8 +137,7 @@ class SpectrumMultiset:
     provenance), with provenance one of 'cell-inherited', 'quotient' or
     'brute'.  `len()` is the total multiplicity, counted once when the runs
     are validated; `clusters()` and `multiset_equal` read the runs as they
-    are.  `values` and `provenance` expand them into aligned
-    per-eigenvalue lists."""
+    are, and `values` expands them into one value per eigenvalue."""
 
     runs: list[tuple[float, int, str]]
     _length: int = field(init=False, repr=False, compare=False)
@@ -159,25 +152,18 @@ class SpectrumMultiset:
     def __len__(self) -> int:
         return self._length
 
-    def _expand(self, column: int) -> list:
-        """One list of the column's items, each repeated its multiplicity:
-        each run extends the list from `repeat`, so no list per run is
-        built.  Over 15 orders of the closed-large benchmark rings this
-        peaked at a median 49 MB of RSS, against 55 MB for one `list()` over
-        a chain of the repeats and for a list sized up front from `len()`
-        (glibc malloc, 2-core x86-64 host)."""
-        out: list = []
-        for run in self.runs:
-            out.extend(itertools.repeat(run[column], run[1]))
-        return out
-
     @property
     def values(self) -> list[float]:
-        return self._expand(0)
-
-    @property
-    def provenance(self) -> list[str]:
-        return self._expand(2)
+        """One list of the values, each repeated its multiplicity: each run
+        extends the list from `repeat`, so no list per run is built.  Over
+        15 orders of the closed-large benchmark rings this peaked at a
+        median 49 MB of RSS, against 55 MB for one `list()` over a chain of
+        the repeats and for a list sized up front from `len()` (glibc
+        malloc, 2-core x86-64 host)."""
+        out: list[float] = []
+        for run in self.runs:
+            out.extend(itertools.repeat(run[0], run[1]))
+        return out
 
     def clusters(self) -> list[dict]:
         """Group near-equal sorted values for presentation only: a gap of
@@ -277,7 +263,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     for entry, at every graph size, one tile of row and column blocks
     (`rings.row_blocks`) at a time, so no second V x V array exists: the
     class table is gathered to a block of columns, then to each block of
-    rows, as `blow_up` gathers it whole.  Each mismatched vertex pair
+    rows.  Each mismatched vertex pair
     is scattered to its class pair, one flag per pair of classes: the
     first failing cell in order raises, then the first
     non-constant class pair in row-major order.  No label is formatted
@@ -303,7 +289,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     table[multi, multi] = adj[reps[multi], order[starts[multi] + 1]]
     dec = JoinDecomposition(sizes, table, graph.ring, graph.element_index[reps], cell_of)
 
-    # `blow_up(dec)` XOR the adjacency, one tile at a time: the class
+    # the blow-up of `dec` XOR the adjacency, one tile at a time: the class
     # table's rows are gathered to a block of columns, then each block of
     # rows of the tile copies its classes' rows
     bad = None
@@ -336,23 +322,6 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
             f"{dec.labels[j]} is not constant"
         )
     return dec
-
-
-def blow_up(dec: JoinDecomposition) -> np.ndarray:
-    """Reconstruct the full adjacency matrix from the decomposition.
-
-    The result is laid out on the graph's vertices through `cell_of`, or
-    in cell order when that is None (the closed route), with one gather of
-    the class table per axis (columns first, so the rows come out
-    C-contiguous like the graph's adjacency); the diagonal is False.
-    `decompose` compares the same rows with the adjacency a row block at
-    a time; this whole-matrix form is the tests' reference."""
-    cell_of = dec.cell_of
-    if cell_of is None:
-        cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)
-    out = dec.table.take(cell_of, axis=1).take(cell_of, axis=0)
-    np.fill_diagonal(out, False)
-    return out
 
 
 def adjacency_matrix(graph: ZeroDivisorGraph) -> np.ndarray:
@@ -390,10 +359,6 @@ def _join_parts(dec: JoinDecomposition, flavor: str) -> tuple[np.ndarray, np.nda
     np.multiply(quotient, f, out=quotient)
     np.fill_diagonal(quotient, inherited + dec.sizes * f_diag)
     return quotient, inherited
-
-
-def quotient_matrix(dec: JoinDecomposition, flavor: str) -> np.ndarray:
-    return _join_parts(dec, flavor)[0]
 
 
 def _assemble(dec: JoinDecomposition, flavor: str) -> SpectrumMultiset:
@@ -589,95 +554,7 @@ def verify_ring(ring: Ring, relation: str = "associate", vertex_cap: int | None 
 
 
 # ---------------------------------------------------------------------------
-# small matrix lemmas
-
-
-def fiedler_combine(alpha, u, beta, v, rho: float) -> list[float]:
-    """Spectrum of [[A, rho*u*v^T], [rho*v*u^T, B]] given the spectra of A
-    and B: alpha[0] and beta[0] must be the eigenvalues belonging to the
-    unit eigenvectors u of A and v of B.  The result keeps alpha[1:] and
-    beta[1:] and replaces alpha[0], beta[0] by the eigenvalues of
-    [[alpha[0], rho], [rho, beta[0]]]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    for name, w in (("u", u), ("v", v)):
-        norm = float(np.linalg.norm(w))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"{name} is not unit-norm (|{name}| = {norm!r})")
-    alpha = [float(x) for x in alpha]
-    beta = [float(x) for x in beta]
-    corner = np.array([[alpha[0], rho], [rho, beta[0]]])
-    return sorted(alpha[1:] + beta[1:] + dense_eigenvalues(corner))
-
-
-def fiedler_check(a, b, u, v, rho: float) -> MultisetMatch:
-    """Build the combined matrix explicitly and compare its spectrum with
-    fiedler_combine within LEMMA_TOL.  u and v must be unit eigenvectors
-    of a and b, each with a residual of at most LEMMA_TOL."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    alpha_1 = float(u @ a @ u)
-    beta_1 = float(v @ b @ v)
-    for name, (mat, vec, val) in {
-        "u": (a, u, alpha_1),
-        "v": (b, v, beta_1),
-    }.items():
-        if np.max(np.abs(mat @ vec - val * vec)) > LEMMA_TOL:
-            raise ValueError(f"{name} is not an eigenvector of its matrix within {LEMMA_TOL}")
-
-    def spectrum_without(mat, val):
-        values = dense_eigenvalues(mat)
-        values.pop(min(range(len(values)), key=lambda i: abs(values[i] - val)))
-        return values
-
-    alpha = [alpha_1] + spectrum_without(a, alpha_1)
-    beta = [beta_1] + spectrum_without(b, beta_1)
-    predicted = fiedler_combine(alpha, u, beta, v, rho)
-
-    top = np.hstack([a, rho * np.outer(u, v)])
-    bottom = np.hstack([rho * np.outer(v, u), b])
-    combined = np.vstack([top, bottom])
-    return multiset_equal(predicted, dense_eigenvalues(combined), LEMMA_TOL)
-
-
-@dataclass
-class ShiftReport:
-    pairs: list[tuple[float, float]]  # (eigenvalue of DAD, matched diagonal of B)
-    matched: bool
-    max_deviation: float
-
-
-def check_shift_lemma(b_diag, a, d_diag) -> ShiftReport:
-    """Verify sigma(B + DAD) = sigma(B) + sigma(DAD) for diagonal B, D and
-    symmetric A with AB = BA.
-
-    Commutation makes DAD vanish between coordinates where B differs, so
-    DAD splits into one block per distinct diagonal value beta of B; on
-    that block B is beta times the identity.  Each eigenvalue mu of the
-    block picks up beta, and the spectrum of the sum is the multiset of
-    mu + beta.  The split is checked exactly and each block solved on its
-    own, so no eigenvector of DAD ever mixes two eigenspaces of B.  The
-    two spectra are compared within LEMMA_TOL."""
-    b_diag = np.asarray(b_diag, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    d_diag = np.asarray(d_diag, dtype=np.float64)
-    commutator = a * b_diag[None, :] - b_diag[:, None] * a
-    if np.any(commutator != 0.0):
-        raise ShiftLemmaError("A and B do not commute")
-    dad = d_diag[:, None] * a * d_diag[None, :]
-    if np.any(dad[b_diag[:, None] != b_diag[None, :]] != 0.0):
-        raise ShiftLemmaError("DAD couples coordinates where B differs")
-    pairs = []
-    for beta in np.unique(b_diag).tolist():
-        block = np.flatnonzero(b_diag == beta)
-        pairs += [(mu, beta) for mu in dense_eigenvalues(dad[np.ix_(block, block)])]
-    pairs.sort()
-    summed = [mu + beta for mu, beta in pairs]
-    direct = dense_eigenvalues(np.diag(b_diag) + dad)
-    match = multiset_equal(summed, direct, LEMMA_TOL)
-    return ShiftReport(pairs, match.matched, match.max_deviation)
+# the duplication lemma
 
 
 def _eigen_residual_ok(residual: float, mat, vec) -> bool:
@@ -753,38 +630,3 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
         )
     return LiftResult(mu, w, a, residual)
 
-
-# ---------------------------------------------------------------------------
-# the reciprocal-pairing report
-
-
-def boolean_pairing_report(values) -> dict:
-    """Try to match the nonzero values into {lambda, -1/lambda} pairs.
-
-    Works greedily from the largest magnitude down, pairing lambda with a
-    value within CLUSTER_GAP of -1/lambda; reports the pairs, any
-    leftovers, and the count of values within CLUSTER_GAP of zero.  This
-    is a reporting check only: callers warn on failure instead of asserting."""
-    values = [float(v) for v in (values.values if isinstance(values, SpectrumMultiset) else values)]
-    zeros = [v for v in values if abs(v) <= CLUSTER_GAP]
-    remaining = sorted((v for v in values if abs(v) > CLUSTER_GAP), key=abs, reverse=True)
-    paired = []
-    unpaired = []
-    while remaining:
-        lam = remaining.pop(0)
-        target = -1.0 / lam
-        best = None
-        for idx, candidate in enumerate(remaining):
-            if abs(candidate - target) <= CLUSTER_GAP:
-                best = idx
-                break
-        if best is None:
-            unpaired.append(lam)
-        else:
-            paired.append((lam, remaining.pop(best)))
-    return {
-        "paired": paired,
-        "unpaired": unpaired,
-        "zero_count": len(zeros),
-        "matched": not unpaired,
-    }

@@ -3,11 +3,20 @@
 Each reference states its definition directly: the lexicographic element
 order that element indices count, associate classes as unit orbits, equal
 neighborhoods by pairwise row comparison, equal annihilators vertex by
-vertex, units, annihilators and reducedness element by element, the
-index sets of a semisimple rank profile, the class skeleton of a product of fields, kernels and span containment by elimination over GF(q), the
-divisors and Euler phi of n and the divisor classes of Z_n one divisor
-at a time, and the proven agreements between the associate, neighborhood
-and annihilator relations.  The package's pipeline calls none of them.
+vertex, units, annihilators, neighborhoods, connected components and
+reducedness element by element, the index sets and class sizes of a
+semisimple rank profile, the class skeleton of a product of fields,
+ranks, row and column spaces, kernels and span containment by
+elimination over GF(q), the divisors and Euler phi of n and the divisor
+classes of Z_n one divisor at a time, a spectrum's provenance one
+eigenvalue at a time, the blow-up of a decomposition to the whole
+adjacency, and the proven agreements between the associate,
+neighborhood and annihilator relations.  The paper's matrix lemmas are
+checked here too, each on its explicitly built matrix at LEMMA_TOL
+relative to that matrix's scale: Fiedler's two-graph combination, the
+shift identity for commuting B and DAD, and the reciprocal pairing of
+Boolean spectra.  The package runs none of them; `zdg lift` runs the
+one lemma it needs, vertex duplication (`spectra.duplicate_lift`).
 
 A partition built here numbers its classes with its own dict, by first
 appearance in vertex order, and never through `rings.first_seen_ids` or
@@ -24,15 +33,19 @@ import numpy as np
 
 from zdgspectra import numth
 from zdgspectra.classes import ClassPartition, classes_for, classes_neighborhood
-from zdgspectra.counts import (
-    SemisimpleProfile,
-    semisimple_class_degree,
-    semisimple_class_size,
-    semisimple_vertex_degree,
-)
+from zdgspectra.counts import SemisimpleProfile, gl_order, semisimple_class_degree, semisimple_vertex_degree
+from zdgspectra.eig import dense_eigenvalues
 from zdgspectra.graph import ZeroDivisorGraph
-from zdgspectra.rings import GF, MatRing, ProductRing, Ring, RingError, Zn, gf_rref
-from zdgspectra.spectra import SpectrumMultiset
+from zdgspectra.rings import GF, MatRing, ProductRing, Ring, RingError, Zn
+from zdgspectra.spectra import (
+    CLUSTER_GAP,
+    LEMMA_TOL,
+    JoinDecomposition,
+    MultisetMatch,
+    SpectrumMultiset,
+    _eigen_residual_ok,
+    multiset_equal,
+)
 
 
 class RelationAgreementError(RingError):
@@ -85,15 +98,15 @@ def classes_associate(ring: Ring) -> ClassPartition:
     commutative ring the two orbits coincide and one suffices.
     """
     zd = ring.zero_divisors()
-    units = ring.units()
+    unit_list = units(ring)
     mul = ring.mul
     owner = {}  # element -> the first vertex of its orbit
     for i, a in enumerate(zd):
         if a in owner:
             continue
-        orbit = {mul(u, a) for u in units}
+        orbit = {mul(u, a) for u in unit_list}
         if not ring.commutative:
-            orbit &= {mul(a, u) for u in units}
+            orbit &= {mul(a, u) for u in unit_list}
         owner.update(dict.fromkeys(orbit, i))
     cell_of, kinds = _first_appearance(
         [owner[a] for a in zd], lambda i: "complete" if mul(zd[i], zd[i]) == ring.zero else "null"
@@ -103,6 +116,10 @@ def classes_associate(ring: Ring) -> ClassPartition:
 
 def partitions_equal(p: ClassPartition, q: ClassPartition) -> bool:
     return np.array_equal(p.cell_of, q.cell_of)
+
+
+def member_sets(partition: ClassPartition, vertices) -> set[frozenset]:
+    return {frozenset(vertices[i] for i in c.members) for c in partition.classes}
 
 
 def _neighborhood_classes_masked(graph: ZeroDivisorGraph) -> ClassPartition:
@@ -147,6 +164,11 @@ def classes_annihilator(graph: ZeroDivisorGraph) -> ClassPartition:
 # units, annihilators, neighborhoods and reducedness, element by element
 
 
+def units(ring: Ring) -> list:
+    """The units in element order, decoded from the ring's unit mask."""
+    return ring.decode(np.flatnonzero(ring._unit_mask()))
+
+
 def is_unit(ring: Ring, a) -> bool:
     """Whether the payload a is a unit: gcd 1 with n in Z_n, nonzero in a
     field, full rank by elimination for a matrix, componentwise in a product."""
@@ -155,7 +177,7 @@ def is_unit(ring: Ring, a) -> bool:
     if isinstance(ring, GF):
         return a != 0
     if isinstance(ring, MatRing):
-        return ring.rank(a) == ring.n
+        return rank(ring, a) == ring.n
     if isinstance(ring, ProductRing):
         return all(is_unit(f, x) for f, x in zip(ring.factors, a))
     raise TypeError(f"no unit test for {type(ring).__name__}")
@@ -182,10 +204,23 @@ def annihilator_set(ring: Ring, a) -> set:
 
 
 def neighborhood(graph: ZeroDivisorGraph, a) -> set:
-    """Open neighborhood N(a) as a set of ring elements."""
-    i = graph.index_of(a)
-    row = graph.adjacency[i]
+    """Open neighborhood N(a) as a set of ring elements; its size is the
+    degree of a."""
+    row = graph.adjacency[graph.vertices.index(a)]
     return {graph.vertices[j] for j in np.nonzero(row)[0]}
+
+
+def connected_component_count(graph: ZeroDivisorGraph) -> int:
+    """Breadth-first search a level at a time: the next is every unseen neighbor of this one."""
+    seen = np.zeros(graph.order, dtype=bool)
+    count = 0
+    while not seen.all():
+        count += 1
+        frontier = np.arange(len(seen)) == np.argmin(seen)  # the first unseen vertex
+        while frontier.any():
+            seen |= frontier
+            frontier = graph.adjacency[frontier].any(axis=0) & ~seen
+    return count
 
 
 def is_reduced(ring: Ring) -> bool:
@@ -208,6 +243,17 @@ def profile_index_sets(profile: SemisimpleProfile) -> tuple[tuple[int, ...], ...
         tuple(k for k, (n, r) in enumerate(pairs) if 0 < r < n),
         tuple(k for k, (_, r) in enumerate(pairs) if r != 0),
     )
+
+
+def semisimple_class_size(profile: SemisimpleProfile) -> int:
+    """Size of the associate class: invertible components contribute all of
+    GL_{n_k}(F_{q_k}), proper-rank components contribute |GL_{r_k}(F_{q_k})|,
+    zero components contribute one choice."""
+    total = 1
+    for (n, q), r in zip(profile.factors, profile.ranks):
+        if r > 0:
+            total *= gl_order(r if r < n else n, q)
+    return total
 
 
 @dataclass
@@ -248,7 +294,50 @@ def boolean_skeleton(qs) -> BooleanSkeleton:
 
 
 # ---------------------------------------------------------------------------
-# kernels and span containment over GF, for the matrix class tables
+# elimination over GF: ranks, row and column spaces, kernels and span
+# containment, for the matrix class tables
+
+
+def gf_rref(field, rows, width):
+    """Reduced row echelon form; returns the tuple of nonzero rows.
+
+    The result is the canonical basis of the row space: pivots are 1,
+    pivot columns are cleared above and below, rows ordered by pivot.
+    """
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    top = 0  # the rows above are done
+    for col in range(width):
+        piv = None
+        for i in range(top, nrows):
+            if work[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[top], work[piv] = work[piv], work[top]
+        inv = field.inv(work[top][col])
+        work[top] = [field.mul(inv, v) for v in work[top]]
+        for i in range(nrows):
+            if i != top and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[top])]
+        top += 1
+        if top == nrows:
+            break
+    return tuple(tuple(r) for r in work[:top])
+
+
+def row_space(ring: MatRing, a):
+    return gf_rref(ring.field, a, ring.n)
+
+
+def column_space(ring: MatRing, a):
+    return gf_rref(ring.field, tuple(zip(*a)), ring.n)
+
+
+def rank(ring: MatRing, a) -> int:
+    return len(row_space(ring, a))
 
 
 def gf_nullspace(field, rows, width):
@@ -334,6 +423,25 @@ def spectrum_from_pairs(pairs) -> SpectrumMultiset:
     return SpectrumMultiset([(v, 1, tag) for v, tag in sorted(pairs, key=lambda t: t[0])])
 
 
+def provenance(spectrum: SpectrumMultiset) -> list[str]:
+    """Each run's provenance, repeated its multiplicity: aligned with `values`."""
+    return [tag for _, k, tag in spectrum.runs for _ in range(k)]
+
+
+def blow_up(dec: JoinDecomposition) -> np.ndarray:
+    """The full adjacency matrix of the decomposition, laid out on the
+    graph's vertices through `cell_of`, or in cell order when that is None
+    (the closed route), with one gather of the class table per axis; the
+    diagonal is False.  `spectra.decompose` compares the same entries with
+    the adjacency a tile at a time."""
+    cell_of = dec.cell_of
+    if cell_of is None:
+        cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)
+    out = dec.table.take(cell_of, axis=1).take(cell_of, axis=0)
+    np.fill_diagonal(out, False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # structural agreements between the relations
 
@@ -364,7 +472,7 @@ def _noncommutative_hypothesis(ring):
 def _scan_commutative_hypothesis(ring):
     """The commutative hypothesis by a scan over every unit of the ring."""
     one, zero = ring.one, ring.zero
-    for u in ring.units():
+    for u in units(ring):
         d = ring.sub(one, u)
         if ring.mul(d, d) != zero:
             return True
@@ -374,7 +482,7 @@ def _scan_commutative_hypothesis(ring):
 def _scan_noncommutative_hypothesis(ring):
     """The noncommutative hypothesis by a scan over every unit of the ring."""
     one = ring.one
-    unit_set = set(ring.units())
+    unit_set = set(units(ring))
     return any(ring.sub(one, u) in unit_set for u in unit_set)
 
 
@@ -441,3 +549,132 @@ def check_relation_agreements(graph: ZeroDivisorGraph) -> dict:
             f"relation agreement failed on {ring.spec_string()}: {', '.join(failures)}"
         )
     return {"ring": ring.spec_string(), "reduced": reduced, "checks": checks}
+
+
+# ---------------------------------------------------------------------------
+# the paper's matrix lemmas, checked on explicitly built matrices
+
+
+class ShiftLemmaError(Exception):
+    pass
+
+
+@dataclass
+class ShiftReport:
+    pairs: list[tuple[float, float]]  # (eigenvalue of DAD, matched diagonal of B)
+    matched: bool
+    max_deviation: float
+
+
+def _lemma_gate(matrix) -> float:
+    """LEMMA_TOL relative to the scale of the explicit matrix: times
+    max(1, ||matrix||_inf), as `spectra._eigen_residual_ok` scales it."""
+    return LEMMA_TOL * max(1.0, float(np.abs(matrix).sum(axis=1).max(initial=0.0)))
+
+
+def fiedler_combine(alpha, u, beta, v, rho: float) -> list[float]:
+    """Spectrum of [[A, rho*u*v^T], [rho*v*u^T, B]] given the spectra of A
+    and B: alpha[0] and beta[0] must be the eigenvalues belonging to the
+    unit eigenvectors u of A and v of B.  The result keeps alpha[1:] and
+    beta[1:] and replaces alpha[0], beta[0] by the eigenvalues of
+    [[alpha[0], rho], [rho, beta[0]]]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    for name, w in (("u", u), ("v", v)):
+        norm = float(np.linalg.norm(w))
+        if abs(norm - 1.0) > 1e-10:
+            raise ValueError(f"{name} is not unit-norm (|{name}| = {norm!r})")
+    alpha = [float(x) for x in alpha]
+    beta = [float(x) for x in beta]
+    corner = np.array([[alpha[0], rho], [rho, beta[0]]])
+    return sorted(alpha[1:] + beta[1:] + dense_eigenvalues(corner))
+
+
+def fiedler_check(a, b, u, v, rho: float) -> MultisetMatch:
+    """Build the combined matrix M explicitly and compare its spectrum with
+    fiedler_combine within LEMMA_TOL * max(1, ||M||_inf).  u and v must be
+    unit eigenvectors of a and b, each residual within the relative gate of
+    `spectra._eigen_residual_ok`.  M is exactly symmetric when a and b are:
+    the transpose of each outer product is the other, bit for bit."""
+    a, b, u, v = (np.asarray(x, dtype=np.float64) for x in (a, b, u, v))
+    alpha_1 = float(u @ a @ u)
+    beta_1 = float(v @ b @ v)
+    for name, (mat, vec, val) in {"u": (a, u, alpha_1), "v": (b, v, beta_1)}.items():
+        if not _eigen_residual_ok(float(np.max(np.abs(mat @ vec - val * vec))), mat, vec):
+            raise ValueError(f"{name} is not an eigenvector of its matrix")
+
+    def spectrum_without(mat, val):
+        values = dense_eigenvalues(mat)
+        values.pop(min(range(len(values)), key=lambda i: abs(values[i] - val)))
+        return values
+
+    alpha = [alpha_1] + spectrum_without(a, alpha_1)
+    beta = [beta_1] + spectrum_without(b, beta_1)
+    predicted = fiedler_combine(alpha, u, beta, v, rho)
+    combined = np.block([[a, rho * np.outer(u, v)], [rho * np.outer(v, u), b]])
+    return multiset_equal(predicted, dense_eigenvalues(combined), _lemma_gate(combined))
+
+
+def check_shift_lemma(b_diag, a, d_diag) -> ShiftReport:
+    """Verify sigma(B + DAD) = sigma(B) + sigma(DAD) for diagonal B, D and
+    symmetric A with AB = BA.
+
+    Commutation makes DAD vanish between coordinates where B differs, so
+    DAD splits into one block per distinct diagonal value beta of B; on
+    that block B is beta times the identity.  Each eigenvalue mu of the
+    block picks up beta, and the spectrum of the sum is the multiset of
+    mu + beta.  The split is checked exactly and each block solved on its
+    own, so no eigenvector of DAD ever mixes two eigenspaces of B.  DAD is
+    A times the outer product of D's diagonal with itself, so it is
+    exactly symmetric.  The two spectra are compared within LEMMA_TOL *
+    max(1, ||B + DAD||_inf)."""
+    b_diag = np.asarray(b_diag, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    d_diag = np.asarray(d_diag, dtype=np.float64)
+    commutator = a * b_diag[None, :] - b_diag[:, None] * a
+    if np.any(commutator != 0.0):
+        raise ShiftLemmaError("A and B do not commute")
+    dad = a * np.multiply.outer(d_diag, d_diag)
+    if np.any(dad[b_diag[:, None] != b_diag[None, :]] != 0.0):
+        raise ShiftLemmaError("DAD couples coordinates where B differs")
+    pairs = []
+    for beta in np.unique(b_diag).tolist():
+        block = np.flatnonzero(b_diag == beta)
+        pairs += [(mu, beta) for mu in dense_eigenvalues(dad[np.ix_(block, block)])]
+    pairs.sort()
+    summed = [mu + beta for mu, beta in pairs]
+    direct = np.diag(b_diag) + dad
+    match = multiset_equal(summed, dense_eigenvalues(direct), _lemma_gate(direct))
+    return ShiftReport(pairs, match.matched, match.max_deviation)
+
+
+def boolean_pairing_report(values) -> dict:
+    """Try to match the nonzero values into {lambda, -1/lambda} pairs.
+
+    Works greedily from the largest magnitude down, pairing lambda with a
+    value within CLUSTER_GAP of -1/lambda; reports the pairs, any
+    leftovers, and the count of values within CLUSTER_GAP of zero.  This
+    is a reporting check only: callers warn on failure instead of asserting."""
+    values = [float(v) for v in (values.values if isinstance(values, SpectrumMultiset) else values)]
+    zeros = [v for v in values if abs(v) <= CLUSTER_GAP]
+    remaining = sorted((v for v in values if abs(v) > CLUSTER_GAP), key=abs, reverse=True)
+    paired = []
+    unpaired = []
+    while remaining:
+        lam = remaining.pop(0)
+        target = -1.0 / lam
+        best = None
+        for idx, candidate in enumerate(remaining):
+            if abs(candidate - target) <= CLUSTER_GAP:
+                best = idx
+                break
+        if best is None:
+            unpaired.append(lam)
+        else:
+            paired.append((lam, remaining.pop(best)))
+    return {
+        "paired": paired,
+        "unpaired": unpaired,
+        "zero_count": len(zeros),
+        "matched": not unpaired,
+    }

@@ -15,6 +15,7 @@ from reference import (
     partitions_equal,
     classes_associate,
     euler_phi,
+    member_sets,
     nontrivial_divisors,
 )
 from zdgspectra import classes
@@ -47,7 +48,7 @@ def index_sets(partition):
 
 def element_sets(ring, partition):
     vertices = build_zdg(ring).vertices
-    return partition.member_sets(vertices)
+    return member_sets(partition, vertices)
 
 
 def test_zn18_annihilator_classes():

@@ -14,9 +14,13 @@ from hypothesis import strategies as st
 from reference import (
     classes_associate,
     divisors,
+    column_space,
     enumerate_elements,
     euler_phi,
     is_unit,
+    rank,
+    row_space,
+    units,
     _commutative_hypothesis,
     _noncommutative_hypothesis,
     _scan_commutative_hypothesis,
@@ -105,9 +109,9 @@ def test_zero_divisor_counts_zn():
     for n in range(2, 201):
         ring = Zn(n)
         zd = ring.zero_divisors()
-        units = set(ring.units())
+        unit_set = set(units(ring))
         assert ring.zero not in zd
-        assert not units.intersection(zd)
+        assert not unit_set.intersection(zd)
         assert len(zd) == n - phi_trial(n) - 1
 
 
@@ -278,15 +282,15 @@ def test_matring_rank_against_det():
             (a00, a01), (a10, a11) = a
             det = field.sub(field.mul(a00, a11), field.mul(a01, a10))
             expected = 0 if a == ring.zero else (2 if det != 0 else 1)
-            assert ring.rank(a) == expected, (q, a)
+            assert rank(ring, a) == expected, (q, a)
 
 
 def test_matring_row_and_column_space():
     ring = MatRing(2, GF(2))
     a = ((1, 1), (1, 1))
-    assert ring.rank(a) == 1
-    assert ring.row_space(a) == (((1, 1),))
-    assert ring.column_space(a) == (((1, 1),))
+    assert rank(ring, a) == 1
+    assert row_space(ring, a) == (((1, 1),))
+    assert column_space(ring, a) == (((1, 1),))
 
 
 def test_product_ring():
@@ -640,7 +644,7 @@ def test_units_and_zero_divisors_align_with_sorted_elements(spec):
     assert len(els) == ring.cardinality
     assert els[0] == ring.zero
     assert all(a < b for a, b in zip(els, els[1:]))
-    assert ring.units() == [a for a in els if is_unit(ring, a)]
+    assert units(ring) == [a for a in els if is_unit(ring, a)]
     assert ring.zero_divisors() == [a for a in els if a != ring.zero and not is_unit(ring, a)]
 
 

@@ -31,20 +31,25 @@ A spectrum meets the dense oracle in one place, `spectra.verify_ring`: a
 second caller of `brute_spectrum`, or a CLI handler that compares spectra
 itself, fails here, and so does a tolerance or flavor parameter on
 `verify_ring` or a `--tol` or `--flavor` flag on `zdg verify`.  The
-lemma checks have fixed gates too: a `tol` parameter on `fiedler_check`,
-`check_shift_lemma`, `duplicate_lift` or `boolean_pairing_report`, or a
-`--tol` flag on `zdg lift`, fails here.  `cli.py` reads no clock, so
+lemma checks have fixed gates too: a `tol` parameter on `duplicate_lift`
+or on the references `fiedler_check`, `check_shift_lemma` or
+`boolean_pairing_report`, or a `--tol` flag on `zdg lift`, fails here.  `cli.py` reads no clock, so
 that stdout is deterministic: a `time` or `datetime` import or a
 `perf_counter` call there fails here.  The
 graph route has one cap, on its vertex count, which bounds |R| too: a
 module that names an element cap fails here.  Each name has one import
 path, from the module that defines it: an `__init__.py` that binds a name
 other than `__version__`, or an import in src/, tests/ or perfbench/ of a
-name that its module does not define, fails here.
+name that its module does not define, fails here.  The package holds what
+`zdg` and the benchmark run: a function, class or method that no code in
+src/ or perfbench/ and no `zdg` entry point names fails here, unless it
+is listed with its reason; a helper that only the tests read belongs in
+tests/reference.py.
 """
 import argparse
 import ast
 import json
+import re
 from pathlib import Path
 
 from zdgspectra import cli
@@ -222,12 +227,12 @@ def test_partition_readers_take_the_id_array():
 
 # the matrix tables that decide xy = 0 through `MatRing._dot`
 DOT_PRODUCT_READERS = {"_class_table", "_kills"}
-ELIMINATIONS = {"gf_rref", "gf_rank", "gf_nullspace", "gf_span_contains"}
+ELIMINATIONS = {"gf_rref", "gf_nullspace", "gf_span_contains"}
 
 
 def test_matrix_tables_run_no_elimination():
-    # the eliminations are the tests' reference and back `MatRing.rank`;
-    # a table that called one would decide xy = 0 a second way
+    # the eliminations are the tests' references; a table that called one
+    # would decide xy = 0 a second way
     tree = ast.parse((PACKAGE / "rings.py").read_text())
     matring = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "MatRing")
     found = [n for n in matring.body if isinstance(n, ast.FunctionDef) and n.name in DOT_PRODUCT_READERS]
@@ -285,15 +290,16 @@ def test_one_comparison_path():
 def test_one_gate():
     # a tolerance or a flavor list would let a caller pass the check by
     # loosening it or by comparing less; verify_ring compares every flavor
-    # at DEFAULT_TOL, the lemma checks run at LEMMA_TOL and the pairing
-    # report at CLUSTER_GAP, and neither `zdg verify` nor `zdg lift` takes
-    # a flag that moves them
+    # at DEFAULT_TOL, the lemma checks run at LEMMA_TOL relative to their
+    # matrices and the pairing report at CLUSTER_GAP, and neither
+    # `zdg verify` nor `zdg lift` takes a flag that moves them
     spectra = ast.parse((PACKAGE / "spectra.py").read_text())
     assert signature(spectra, "verify_ring") == ["ring", "relation", "vertex_cap"]
-    assert signature(spectra, "fiedler_check") == ["a", "b", "u", "v", "rho"]
-    assert signature(spectra, "check_shift_lemma") == ["b_diag", "a", "d_diag"]
     assert signature(spectra, "duplicate_lift") == ["b", "j", "m", "lam", "v"]
-    assert signature(spectra, "boolean_pairing_report") == ["values"]
+    reference = ast.parse(REFERENCE.read_text())
+    assert signature(reference, "fiedler_check") == ["a", "b", "u", "v", "rho"]
+    assert signature(reference, "check_shift_lemma") == ["b_diag", "a", "d_diag"]
+    assert signature(reference, "boolean_pairing_report") == ["values"]
     verbs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert {a.dest for a in verbs.choices["verify"]._actions} & {"tol", "flavor"} == set()
     assert "tol" not in {a.dest for a in verbs.choices["lift"]._actions}
@@ -456,7 +462,7 @@ def test_one_graph_cap():
     graph = ast.parse((PACKAGE / "graph.py").read_text())
     assert signature(graph, "build_zdg") == ["ring", "vertex_cap"]
     rings = ast.parse((PACKAGE / "rings.py").read_text())
-    for name in ("elements", "units", "zero_divisors"):
+    for name in ("elements", "zero_divisors"):
         assert signature(rings, name, owner="Ring") == ["self"], name
 
 
@@ -493,3 +499,42 @@ def test_one_import_path():
     assert len(found) > 20
     for name, module, names in found:
         assert set(names) <= (defines.get(module, set()) if module else modules), (name, module, names)
+
+
+# definitions that no code in src/ or perfbench/ names, each kept for its reason
+UNNAMED_DEFINITIONS = {
+    "rings.Ring.elements": "perfbench's tracer wraps it by the string 'Ring.elements'",
+    "rings.GF.inv": "payload arithmetic, with add, neg and mul: the tests' elimination divides by it",
+}
+
+
+def definitions(tree):
+    """The functions and classes a module defines at its top level, and
+    the methods and classes of each class, as "Class.name"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{n.name}" for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)))
+
+
+def test_package_defines_only_what_it_runs():
+    # a definition that only the tests read is a second public name to keep
+    # in step with the pipeline; as a reference in tests/reference.py it
+    # checks the package without being part of it
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    entry_points = re.findall(r'^zdg = "zdgspectra\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert entry_points == ["console_main"]
+    unnamed = {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in definitions(ast.parse(path.read_text()))
+        for last in [name.rsplit(".", 1)[-1]]
+        if last not in named | set(entry_points) and not (last.startswith("__") and last.endswith("__"))
+    }
+    assert unnamed == set(UNNAMED_DEFINITIONS)

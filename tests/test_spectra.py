@@ -1,5 +1,6 @@
-"""Join decompositions, quotient matrices, spectrum assembly, and the
-eigenvalue toolbox (duplicate lift, two-graph combination, shift lemma)."""
+"""Join decompositions, quotient matrices, spectrum assembly, the
+duplicate lift, and the two-graph combination and shift lemma checks of
+tests/reference.py."""
 
 import dataclasses
 import gc
@@ -13,10 +14,22 @@ import weakref
 import numpy as np
 import pytest
 
+import reference
 from reference import (
+    ShiftLemmaError,
+    blow_up,
+    boolean_pairing_report,
     check_relation_agreements,
+    check_shift_lemma,
+    column_space,
+    connected_component_count,
+    fiedler_check,
+    fiedler_combine,
     gf_nullspace,
     gf_span_contains,
+    provenance,
+    rank,
+    row_space,
     spectrum_from_pairs,
     zn_profile_by_divisor_scan,
 )
@@ -44,24 +57,17 @@ from zdgspectra.spectra import (
     LiftError,
     LiftInapplicableError,
     LiftVerificationError,
-    ShiftLemmaError,
     SpectrumMultiset,
     adjacency_matrix,
     assemble_adjacency_spectrum,
     assemble_laplacian_spectrum,
     assemble_spectrum,
-    blow_up,
-    boolean_pairing_report,
     brute_spectrum,
-    check_shift_lemma,
     decompose,
     decomposition_semisimple_closed,
     duplicate_lift,
-    fiedler_check,
-    fiedler_combine,
     laplacian_matrix,
     multiset_equal,
-    quotient_matrix,
     ring_join_decomposition,
     spectrum_pair,
     verify_ring,
@@ -124,9 +130,9 @@ def test_zn8_decomposition_and_quotients():
         (1, "complete", 0),
     ]
     assert neighbor_weights(dec) == [1, 2]
-    ca = quotient_matrix(dec, "adjacency")
+    ca = spectra_module._join_parts(dec, "adjacency")[0]
     assert ca == pytest.approx(np.array([[0, math.sqrt(2)], [math.sqrt(2), 0]]))
-    cn = quotient_matrix(dec, "laplacian")
+    cn = spectra_module._join_parts(dec, "laplacian")[0]
     assert cn == pytest.approx(np.array([[1, -math.sqrt(2)], [-math.sqrt(2), 2]]))
     # C_N of a connected join always has eigenvalue 0; here the other is 3
     import numpy.linalg as la
@@ -154,7 +160,7 @@ def test_complete_cell_regularity():
     dec = decomposition_of("Zn(16)")
     kind = dict(zip(dec.labels, cell_kinds(dec)))
     # r_i is the diagonal of C_A
-    r = dict(zip(dec.labels, np.diag(quotient_matrix(dec, "adjacency")).tolist()))
+    r = dict(zip(dec.labels, np.diag(spectra_module._join_parts(dec, "adjacency")[0]).tolist()))
     # the class of 4 is {4, 12} with 4*12 = 48 = 0 mod 16: complete, K_2
     assert kind["4"] == "complete"
     assert r["4"] == 1
@@ -504,8 +510,8 @@ def test_prime_gives_empty_spectra():
 def test_provenance_lengths_align():
     dec = decomposition_of("Zn(18)")
     s = assemble_adjacency_spectrum(dec)
-    assert len(s.values) == len(s.provenance) == 11
-    assert s.provenance.count("quotient") == dec.class_count
+    assert len(s.values) == len(provenance(s)) == 11
+    assert provenance(s).count("quotient") == dec.class_count
 
 
 def test_assembly_matches_brute_small_sweep():
@@ -539,7 +545,7 @@ def test_brute_spectrum_certified_by_residuals():
             ("laplacian", laplacian_matrix, laplacian_of(g.adjacency)),
         ):
             brute = brute_spectrum(g, flavor)
-            assert brute.provenance == ["brute"] * g.order
+            assert provenance(brute) == ["brute"] * g.order
             _, x = np.linalg.eigh(matrix(g))
             residual, loss = certificate(full, x, brute.values)
             assert residual <= 1e-9 and loss <= 1e-12, (spec, flavor, residual, loss)
@@ -695,8 +701,8 @@ def factor_class(f, a):
     matrix, (field, n, rank, RREF basis of the right kernel, column space,
     row space); a field is n = 1, rank 1 for a unit and 0 for 0."""
     if isinstance(f, MatRing):
-        row = f.row_space(a)
-        return f.field, f.n, f.rank(a), gf_nullspace(f.field, row, f.n), f.column_space(a), row
+        row = row_space(f, a)
+        return f.field, f.n, rank(f, a), gf_nullspace(f.field, row, f.n), column_space(f, a), row
     return f, 1, int(a != 0), None, None, None
 
 
@@ -995,8 +1001,6 @@ def test_trace_identities(spec):
 
 @pytest.mark.parametrize("spec", INVARIANT_RINGS)
 def test_laplacian_positivity_and_components(spec):
-    from zdgspectra.graph import connected_component_count
-
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
     dec = decompose(g, classes_for(g, "associate"))
@@ -1037,8 +1041,8 @@ def test_multiset_equal_fails_on_a_non_finite_value(s1, s2):
 
 
 def test_fiedler_check_fails_on_a_nan_prediction(monkeypatch):
-    combine = spectra_module.fiedler_combine
-    monkeypatch.setattr(spectra_module, "fiedler_combine", lambda *a: [math.nan] + combine(*a)[1:])
+    combine = reference.fiedler_combine
+    monkeypatch.setattr(reference, "fiedler_combine", lambda *a: [math.nan] + combine(*a)[1:])
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     u = np.array([1.0, 1.0]) / math.sqrt(2)
     m = fiedler_check(a, a, u, u, 0.5)
@@ -1049,7 +1053,7 @@ def test_spectrum_multiset_validation():
     s = SpectrumMultiset([(-1.0, 2, "cell-inherited"), (0.5, 1, "quotient")])
     assert len(s) == 3
     assert s.values == [-1.0, -1.0, 0.5]
-    assert s.provenance == ["cell-inherited", "cell-inherited", "quotient"]
+    assert provenance(s) == ["cell-inherited", "cell-inherited", "quotient"]
     with pytest.raises(AssertionError):
         SpectrumMultiset([(1.0, 1, "a"), (0.0, 1, "b")])  # runs not ascending
     with pytest.raises(AssertionError):
@@ -1076,7 +1080,7 @@ def per_vertex_reference(dec, flavor):
             inherited = float(big_n + size) if complete else float(big_n)
         pairs.extend((inherited, "cell-inherited") for _ in range(size - 1))
     if dec.class_count:
-        pairs.extend((v, "quotient") for v in dense_eigenvalues(quotient_matrix(dec, flavor)))
+        pairs.extend((v, "quotient") for v in dense_eigenvalues(spectra_module._join_parts(dec, flavor)[0]))
     return spectrum_from_pairs(pairs)
 
 
@@ -1099,7 +1103,7 @@ def test_runs_expand_to_per_vertex_assembly():
             ours = assemble_spectrum(dec, flavor)
             ref = per_vertex_reference(dec, flavor)
             assert ours.values == ref.values, (dec.labels[0], flavor)
-            assert ours.provenance == ref.provenance, (dec.labels[0], flavor)
+            assert provenance(ours) == provenance(ref), (dec.labels[0], flavor)
 
 
 def test_quotient_runs_certified_by_lifted_residuals():
@@ -1112,7 +1116,7 @@ def test_quotient_runs_certified_by_lifted_residuals():
             cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)
         for flavor, full in (("adjacency", adj.astype(float)), ("laplacian", laplacian_of(adj))):
             ours = [v for v, _, tag in assemble_spectrum(dec, flavor).runs if tag == "quotient"]
-            _, y = np.linalg.eigh(quotient_matrix(dec, flavor))
+            _, y = np.linalg.eigh(spectra_module._join_parts(dec, flavor)[0])
             x = y[cell_of] / np.sqrt(dec.sizes[cell_of])[:, None]
             residual, loss = certificate(full, x, ours)
             assert residual <= 1e-9 and loss <= 1e-12, (dec.labels[0], flavor, residual, loss)
@@ -1206,7 +1210,7 @@ def test_quotients_equal_loop_formula_bit_for_bit():
         assert neighbor_weights(dec) == weights
         for flavor in ("adjacency", "laplacian"):
             # compare bit patterns, so that -0.0 against 0.0 counts too
-            ours = quotient_matrix(dec, flavor).view(np.uint64)
+            ours = spectra_module._join_parts(dec, flavor)[0].view(np.uint64)
             assert np.array_equal(ours, quotient_by_loops(dec, flavor).view(np.uint64)), flavor
 
 
@@ -1470,6 +1474,47 @@ def test_shift_lemma_interleaved_eigenspaces():
         report = check_shift_lemma(b, a, d)
         assert report.matched and report.max_deviation <= 1e-8, seed
         assert sorted(beta for _, beta in report.pairs) == pytest.approx(sorted(b)), seed
+
+
+def scaled_lemma_cases(c):
+    """(check, arguments, order of the explicit matrix) at entry scale c:
+    Fiedler's A = c u u^T and B = c v v^T with rho = c / 2, and the shift
+    identity with B = c or 2c on shuffled coordinates (both taken), A c
+    times a positive symmetric block on each, and D drawn from [1, 3)."""
+    rng = np.random.default_rng(46)
+    cases = []
+    for _ in range(100):
+        u, v = (rng.uniform(0.1, 1.1, size=int(rng.integers(2, 6))) for _ in range(2))
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        cases.append((fiedler_check, (c * np.outer(u, u), c * np.outer(v, v), u, v, c / 2), len(u) + len(v)))
+        n = int(rng.integers(2, 7))
+        labels = rng.permutation(np.arange(n) % 2)
+        a = c * rng.uniform(0.1, 1.1, size=(n, n))
+        a = (a + a.T) / 2
+        a[labels[:, None] != labels] = 0.0
+        cases.append((check_shift_lemma, (c * (1.0 + labels), a, rng.uniform(1.0, 3.0, size=n)), n))
+    return cases
+
+
+@pytest.mark.parametrize("c", [1.0, 1e6, 1e8, 1e10])
+def test_lemma_gates_are_relative_to_the_scale(c, monkeypatch):
+    """The rounding of the explicit matrices grows with c: the lemma checks
+    gate at LEMMA_TOL relative to each matrix, so every exact instance
+    passes, and raising the largest eigenvalue of the explicit matrix by a
+    relative 1e-6 is still refused."""
+    order = 0
+
+    def raise_the_largest(matrix):
+        values = dense_eigenvalues(matrix)
+        if len(values) == order:  # the explicit matrix; the lemma's own blocks are smaller
+            values[-1] *= 1 + 1e-6
+        return values
+
+    for check, args, order in scaled_lemma_cases(c):
+        assert check(*args).matched, (check.__name__, c)
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, "dense_eigenvalues", raise_the_largest)
+            assert not check(*args).matched, (check.__name__, c)
 
 
 # --- boolean pairing ---
