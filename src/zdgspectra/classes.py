@@ -5,10 +5,6 @@ Two relations matter here, always on the vertex set Z(R)*:
   associate     a ~ b  iff a = ub and b = av for units u, v
   neighborhood  a == b iff N(a) = N(b) in Gamma(R)
 
-Equal annihilators, ann(x) = {y : xy = 0 or yx = 0}, give the associate
-classes on every ring the parser builds, as each is quasi-Frobenius; the
-tests check this against an annihilator partition of their own.
-
 A partition is the class id of each vertex, `cell_of`, with the classes
 numbered 0, 1, ... in order of their smallest members (representatives),
 and one claimed cell kind per class for the join machinery: an associate
@@ -16,16 +12,18 @@ class induces a complete subgraph exactly when its representative
 squares to zero, and is edgeless otherwise; neighborhood classes are
 always edgeless.  The member lists of `classes` derive from `cell_of`.
 
-Every relation takes one path: `classes_for` numbers the vertices of the
-caller's graph by a key per vertex through `rings.first_seen_ids`, which
-numbers every partition and associate key of the package.  Associates
-are keyed by `associate_keys` on the graph's `element_index` (gcd with n
-for Z_n, the pair of kernels for a matrix, componentwise for a product),
-with the cell kind read off the graph's `loops`; equal neighborhoods by
-the adjacency rows.  The definitions these keys stand for (unit orbits,
-pairwise row comparison, equal annihilators) and the agreement checks
-between the relations are the tests' references, in tests/reference.py,
-which numbers its classes without `first_seen_ids`.
+Both relations are read off the graph, in one function, `classes_for`.
+With a zero diagonal, a vertex's adjacency row is its open neighborhood;
+with its own bit set when it squares to 0 (the graph's `loops`), the row
+is its annihilator among the vertices, {y : xy = 0 or yx = 0}.  Every ring
+the parser builds (Z_n, GF(q), M_n(F_q) and their products) is
+quasi-Frobenius, and there equal annihilators make associates: r(a) = r(b)
+gives Ra = Rb and l(a) = l(b) gives aR = bR (Lam, Lectures on Modules and
+Rings, section 15).  The proof, and the unit-orbit definition of the
+associate classes that the tests compare with, are in tests/reference.py
+(`check_relation_agreements`, `classes_associate`).  So the ring supplies
+no associate key: its zero products make the graph, and the graph both
+partitions.
 """
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import ZeroDivisorGraph, build_zdg  # unused: perfbench's tracer wraps this name for its graph.build span
-from .rings import RingError, first_seen_ids
+from .rings import RingError, row_blocks
 
 
 # one class as `ClassPartition.classes` lists it: smallest member, sorted members, size, kind
@@ -82,34 +80,28 @@ class ClassPartition:
         return {"relation": self.relation, "classes": classes}
 
 
-def _partition(relation, keys, kind) -> ClassPartition:
-    """The classes of equal keys (an array or a list, rows for 2-D), numbered by
-    `first_seen_ids`; kind(i) is the claimed kind of the class whose smallest member is vertex i."""
-    cell_of = first_seen_ids(keys)
-    # the running maximum of canonical ids first reaches c at the smallest member of class c
-    first = np.searchsorted(np.maximum.accumulate(cell_of), np.arange(int(cell_of.max(initial=-1)) + 1))
-    return ClassPartition(relation, cell_of, [kind(i) for i in first.tolist()])
-
-
-def classes_neighborhood(graph: ZeroDivisorGraph) -> ClassPartition:
-    """Partition by equal open neighborhoods.
-
-    With a zero diagonal, N(a) = N(b) is exactly row equality: equality off
-    positions {a, b} plus the forced non-adjacency of a and b (a in N(b)
-    would put b's row apart from a's at position b).  Grouping by row ids
-    therefore implements the masked comparison, which the tests' pairwise
-    comparator checks.
-    """
-    return _partition("neighborhood", graph.adjacency, lambda i: "null")
-
-
 def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPartition:
-    """The partition of the vertices of `graph` under the named relation,
-    grouped by one key per vertex (see the module docstring); the tests'
-    unit-orbit reference is the definition the associate classes must equal."""
-    if relation == "associate":
-        keys = graph.ring.associate_keys(graph.element_index)
-        return _partition("associate", keys, lambda i: "complete" if graph.loops[i] else "null")
-    if relation == "neighborhood":
-        return classes_neighborhood(graph)
-    raise RingError(f"unknown relation '{relation}'")
+    """The partition of the vertices of `graph` under the named relation:
+    the classes of equal adjacency rows, each with the vertex's own bit
+    set when it squares to 0 under the associate relation (see the module
+    docstring).  The rows are packed into bytes one row block
+    (`rings.row_blocks`, at most BLOCK_ENTRIES bytes) at a time, and one
+    dict numbers them in order of first appearance, across the blocks."""
+    associate = relation == "associate"
+    if not associate and relation != "neighborhood":
+        raise RingError(f"unknown relation '{relation}'")
+    adj, loops = graph.adjacency, graph.loops
+    width = -(-len(adj) // 8)  # the bytes of one packed row
+    cell_of = np.empty(len(adj), dtype=np.intp)
+    ids: dict = {}
+    for rows in row_blocks(len(adj), width):
+        packed = np.packbits(adj[rows], axis=1)
+        if associate:  # vertex i's own bit is bit 7 - i % 8 of byte i // 8
+            own = np.arange(rows.start, rows.stop)
+            packed[own - rows.start, own >> 3] |= np.where(loops[rows], 128 >> (own & 7), 0).astype(np.uint8)
+        keys = packed.view(np.dtype((np.void, width))).ravel()  # one byte string per row
+        cell_of[rows] = [ids.setdefault(key, len(ids)) for key in keys.tolist()]
+    # the running maximum of canonical ids first reaches c at the smallest member of class c
+    first = np.searchsorted(np.maximum.accumulate(cell_of), np.arange(len(ids)))
+    kinds = ["complete" if associate and loop else "null" for loop in loops[first].tolist()]
+    return ClassPartition(relation, cell_of, kinds)

@@ -3,12 +3,17 @@
 Ring elements are plain hashable payloads: residues and field elements are
 ints, matrices are row-major tuples of tuples of field ints, product
 elements are tuples of component payloads.  Each ring object supplies exact
-arithmetic, table-built zero products and associate keys, a class table
-(the associate classes with their sizes, xy = 0 relation and smallest
+arithmetic, table-built zero products, its units, a class table (the
+associate classes with their sizes, xy = 0 relation and smallest
 members, built without enumerating), closed counts of its units and
 zero-divisors, zero-divisor enumeration and canonical labels for its own
-payloads.  Element order is always lexicographic on the payload,
-so index 0 is the zero element and enumeration is reproducible.  The
+payloads.  No ring keys its associates: every ring here is
+quasi-Frobenius, where associates are the elements of equal annihilator,
+so `classes.classes_for` reads both partitions off the graph that the
+zero products build (the proof is `check_relation_agreements` in
+tests/reference.py).  Element order is always lexicographic on the
+payload, so index 0 is the zero element and enumeration is
+reproducible.  The
 tables read element indices (positions in `elements()`), never payloads:
 an index is the payload for Z_n and GF, the entries' base-q digits for a
 matrix and the factors' indices in C order for a product.  One method per
@@ -136,21 +141,6 @@ def _distinct(keys, size):
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
 
 
-def first_seen_ids(keys) -> np.ndarray:
-    """Intp ids, equal exactly where the keys are, numbered 0, 1, ... in
-    order of first appearance; the keys of a 2-D array are its rows, bool
-    rows packed into bytes.  A dict numbers them, which beats a sort of the
-    rows (np.unique) from tens of rows to thousands."""
-    keys = np.asarray(keys)
-    if keys.ndim == 2 and keys.shape[1] == 0:  # rows with no columns are all equal
-        keys = np.zeros(len(keys), dtype=np.int8)
-    elif keys.ndim == 2:  # each row one byte string
-        rows = np.ascontiguousarray(np.packbits(keys, axis=1) if keys.dtype == bool else keys)
-        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    ids: dict = {}
-    return np.array([ids.setdefault(key, len(ids)) for key in keys.tolist()], dtype=np.intp)
-
-
 class Ring:
     """Common behavior: closed counts, the closed route's refusal, and the
     element and zero-divisor lists that the benchmark and the tests read."""
@@ -204,14 +194,6 @@ class Ring:
         table into `out`, a bool array of shape (number of rows, len(idx)).
         The ring's checks and its per-element tables are made before it
         returns."""
-        raise NotImplementedError
-
-    def associate_keys(self, idx) -> np.ndarray:
-        """Array k with k[i] == k[j] exactly when the elements x_i and x_j of
-        indices idx[i] and idx[j] are associates (x_i = u x_j and x_j = x_i v
-        for units u, v).  0 is a class of its own and the units form one
-        class.  Keys, ids of `first_seen_ids` for matrix and product rings,
-        are comparable only within one call."""
         raise NotImplementedError
 
     def class_count(self) -> int:
@@ -323,7 +305,7 @@ class Zn(Ring):
         # multiples of that step.  No two residues are multiplied, so every
         # n that int64 holds is exact
         vals = np.asarray(idx, dtype=np.int64)
-        steps = self.n // self.associate_keys(vals)
+        steps = self.n // np.gcd(vals, self.n)
         buffer = None  # the int64 remainders of one row block, reused by the next
 
         def rows_of(rows, out):
@@ -334,10 +316,6 @@ class Zn(Ring):
             np.equal(remainders, 0, out=out)
 
         return rows_of
-
-    def associate_keys(self, idx):
-        # x ~ y exactly when gcd(x, n) = gcd(y, n)
-        return np.gcd(np.asarray(idx, dtype=np.int64), self.n)
 
     @cached_property
     def factors(self) -> list[tuple[int, int]]:  # computed once per ring
@@ -488,9 +466,6 @@ class GF(Ring):
 
         return rows_of
 
-    def associate_keys(self, idx):
-        return (np.asarray(idx, dtype=np.int64) != 0).astype(np.int64)
-
     def class_count(self):
         return 2
 
@@ -524,15 +499,6 @@ class GF(Ring):
         return "+".join(terms) if terms else "0"
 
 
-def _and_gathers(table, codes):
-    """The AND over k of table[codes[k]]: one row gather per row of codes,
-    ANDed in place, so no len(codes) x len(codes[0]) x width array."""
-    out = table[codes[0]]
-    for code in codes[1:]:
-        out &= table[code]
-    return out
-
-
 def _all_subspaces(field, n: int, r: int):
     """Canonical RREF bases of every r-dimensional subspace of F_q^n,
     generated by pivot-column choice plus free entries."""
@@ -562,6 +528,12 @@ class MatRing(Ring):
     payload order makes the zero matrix element 0 and keeps enumeration
     deterministic.  A 1 x 1 matrix's index is its entry's code, so M(1, F)
     reads every table of the field's and builds no q x q table.
+
+    M_n(F_q) is quasi-Frobenius: B = UA for a unit U exactly when B and A
+    have one right kernel (one row space), and B = AV exactly when they
+    have one left kernel, so equal annihilators make associates and the
+    graph gives the associate classes (tests/reference.py,
+    `check_relation_agreements`, holds the proof).
     """
 
     def __init__(self, n: int, field: GF):
@@ -663,7 +635,10 @@ class MatRing(Ring):
         mats = self._entries(idx)
         weights = self.field.q ** np.arange(self.n, dtype=np.int64)
         rows = mats.transpose(1, 0, 2) @ weights  # rows[i, a]: the code of row i of A_a
-        return _and_gathers(self._kills, rows), mats.transpose(2, 0, 1) @ weights
+        ker = self._kills[rows[0]]  # one row gather per row of A, ANDed in place
+        for code in rows[1:]:
+            ker &= self._kills[code]
+        return ker, mats.transpose(2, 0, 1) @ weights
 
     def _zero_rows(self, idx):
         """AB = 0 exactly when every column of B lies in the right kernel
@@ -682,18 +657,6 @@ class MatRing(Ring):
                 out &= kernels.take(col, axis=1)
 
         return rows_of
-
-    def associate_keys(self, idx):
-        """B = UA for an invertible U exactly when B and A have one row
-        space, that is one right kernel {v : Av = 0}; B = AV likewise for
-        the column space and the left kernel {v : v^T A = 0}, read off the
-        columns as the right kernel is off the rows.  The key is the pair
-        of kernels, as bitsets over F_q^n."""
-        if self.n == 1:
-            return self.field.associate_keys(idx)
-        right, cols = self._right_kernels(idx)
-        left = _and_gathers(self._kills.T, cols)
-        return first_seen_ids(np.concatenate([right, left], axis=1))
 
     def class_count(self):
         """The zero class, `class_count_matrix` proper-rank classes, and the units."""
@@ -807,12 +770,6 @@ class ProductRing(Ring):
                 out &= table.take(pos, axis=1)[inverse]
 
         return rows_of
-
-    def associate_keys(self, idx):
-        """Associates componentwise: the ids of the tuples of each factor's
-        keys on the distinct indices of its component."""
-        keys = [f.associate_keys(values)[pos] for f, values, pos in self._factor_indices(idx)]
-        return first_seen_ids(np.stack(keys, axis=1))
 
     def class_count(self):
         return prod(f.class_count() for f in self.factors)

@@ -9,9 +9,9 @@ matrix that is f(c(u), c(v)) off its diagonal and g(c(u)) on it, c(u)
 the cell of vertex u, has the eigenvalues g_i - f_ii, n_i - 1 times per
 cell, and those of the m x m quotient with entries sqrt(n_i n_j) f_ij
 and g_i + (n_i - 1) f_ii on its diagonal.  Each flavor is one entry of
-`FLAVORS`: its (f, g), f a multiple of the class table (diagonal: the
+`FLAVORS`: its (sign, g), f = sign times the class table (diagonal: the
 complete cells; off it: H), and the whole graph's matrix for the oracle.
-Adjacency is (table, 0) and A, the Laplacian (-table, d) and D - A,
+Adjacency is (1, 0) and A, the Laplacian (-1, d) and D - A,
 where d_i = N_i + (n_i - 1) complete_i is the vertex degree and N_i the
 total size of the cell's H-neighborhood.  Everything is verified
 against a dense eigensolver oracle.
@@ -230,11 +230,12 @@ def _runs_of(spectrum) -> tuple[list | None, int]:
     return [(v, 1, None) for v in values], len(values)
 
 
-def multiset_equal(s1, s2, tol: float = DEFAULT_TOL) -> MultisetMatch:
-    """Compare two spectra as sorted multisets within an absolute tolerance,
-    run against run, with no expansion of a `SpectrumMultiset`.  A nan or
-    inf on either side fails at an infinite deviation, as a length
-    mismatch does: no tolerance can place it."""
+def multiset_equal(s1, s2) -> MultisetMatch:
+    """Compare two spectra as sorted multisets within DEFAULT_TOL, absolute,
+    run against run, with no expansion of a `SpectrumMultiset`; a caller
+    with another gate compares `max_deviation` with it.  A nan or inf on
+    either side fails at an infinite deviation, as a length mismatch does:
+    no gate can place it."""
     (runs1, total1), (runs2, total2) = _runs_of(s1), _runs_of(s2)
     if total1 != total2:
         return MultisetMatch(False, math.inf, length_mismatch=True)
@@ -243,7 +244,7 @@ def multiset_equal(s1, s2, tol: float = DEFAULT_TOL) -> MultisetMatch:
     if not total1:
         return MultisetMatch(True, 0.0)
     dev = _run_deviation(runs1, runs2)
-    return MultisetMatch(dev <= tol, dev)
+    return MultisetMatch(dev <= DEFAULT_TOL, dev)
 
 
 # ---------------------------------------------------------------------------
@@ -335,28 +336,33 @@ def laplacian_matrix(graph: ZeroDivisorGraph) -> np.ndarray:
     return lap
 
 
-# a flavor: its (f, g) on a decomposition, as in the module docstring, and the
-# whole graph's matrix, read off its adjacency and degrees alone, for the oracle
+# a flavor: its (sign, g) on a decomposition, sign +1 or -1 and f = sign * table
+# as in the module docstring, and the whole graph's matrix, read off its
+# adjacency and degrees alone, for the oracle
 Flavor = namedtuple("Flavor", "join matrix")
 FLAVORS = {
-    "adjacency": Flavor(lambda dec: (dec.table, 0), adjacency_matrix),
-    "laplacian": Flavor(lambda dec: (-1 * dec.table, dec.degrees), laplacian_matrix),
+    "adjacency": Flavor(lambda dec: (1, 0), adjacency_matrix),
+    "laplacian": Flavor(lambda dec: (-1, dec.degrees), laplacian_matrix),
 }
 
 
 def _join_parts(dec: JoinDecomposition, flavor: str) -> tuple[np.ndarray, np.ndarray]:
     """The lemma's quotient and each cell's inherited value, both diagonals
     integers until their one cast.  The size products are float64: each is
-    the correctly rounded int64 product, with no overflow past 2^63.  f is
-    an integer, so a zero entry is +0.0, never -0.0."""
+    the correctly rounded int64 product, with no overflow past 2^63.  The
+    quotient is the one m x m array made: f = sign * table is applied as the
+    bool table and then the sign, on the table's entries alone, so a zero
+    entry is +0.0, never -0.0."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor '{flavor}'")
-    f, g = FLAVORS[flavor].join(dec)
-    f_diag = f.diagonal()
+    sign, g = FLAVORS[flavor].join(dec)
+    f_diag = sign * dec.complete
     inherited = g - f_diag
     quotient = np.multiply.outer(dec.sizes, dec.sizes, dtype=np.float64)
     np.sqrt(quotient, out=quotient)
-    np.multiply(quotient, f, out=quotient)
+    np.multiply(quotient, dec.table, out=quotient)
+    if sign < 0:
+        np.negative(quotient, out=quotient, where=dec.table)
     np.fill_diagonal(quotient, inherited + dec.sizes * f_diag)
     return quotient, inherited
 

@@ -19,20 +19,21 @@ Boolean spectra.  The package runs none of them; `zdg lift` runs the
 one lemma it needs, vertex duplication (`spectra.duplicate_lift`).
 
 A partition built here numbers its classes with its own dict, by first
-appearance in vertex order, and never through `rings.first_seen_ids` or
-`classes._partition`: a fault in the package's numbering then breaks the
-code under test and not its reference, and the comparison fails.
+appearance in vertex order, and never through `classes.classes_for`: a
+fault in the package's numbering then breaks the code under test and not
+its reference, and the comparison fails.  A lemma check with a gate of
+its own compares `multiset_equal`'s `max_deviation` with that gate.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, prod
 
 import numpy as np
 
 from zdgspectra import numth
-from zdgspectra.classes import ClassPartition, classes_for, classes_neighborhood
+from zdgspectra.classes import ClassPartition, classes_for
 from zdgspectra.counts import SemisimpleProfile, gl_order, semisimple_class_degree, semisimple_vertex_degree
 from zdgspectra.eig import dense_eigenvalues
 from zdgspectra.graph import ZeroDivisorGraph
@@ -91,26 +92,62 @@ def _first_appearance(keys, kind) -> tuple[list[int], list]:
     return cell_of, kinds
 
 
+def _unit_generators(ring: Ring) -> list:
+    """Units that generate the unit group U: each unit, in element order,
+    that the group generated so far misses, until that group is all of U.
+    The group generated is the closure of {1} under right multiplication
+    by the generators, which in a finite ring is a group."""
+    unit_list = units(ring)
+    mul = ring.mul
+    group, gens = {ring.one}, []
+    for u in unit_list:
+        if len(group) == len(unit_list):
+            break
+        if u in group:
+            continue
+        gens.append(u)
+        frontier = [mul(x, u) for x in group]
+        while frontier:
+            new = set(frontier) - group
+            group |= new
+            frontier = [mul(x, g) for x in new for g in gens]
+    return gens
+
+
+def _orbit_owners(vertices, step) -> list[int]:
+    """For each vertex, the first vertex of its orbit, the orbits being
+    the closures under `step`, which maps a vertex to its images under
+    the generators."""
+    owner: dict = {}
+    for i, a in enumerate(vertices):
+        if a in owner:
+            continue
+        owner[a] = i
+        frontier = [a]
+        for x in frontier:  # the list grows while it is read
+            for y in step(x):
+                if y not in owner:
+                    owner[y] = i
+                    frontier.append(y)
+    return [owner[a] for a in vertices]
+
+
 def classes_associate(ring: Ring) -> ClassPartition:
     """Associate classes by direct unit orbiting.
 
-    The class of a is {ua : u a unit} meet {av : v a unit}; for a
+    The class of a is {ua : u a unit} meet {av : v a unit}: b is in it
+    exactly when the left orbits Ua and Ub are one and the right orbits
+    aU and bU are one.  Each orbit is the closure of a vertex under
+    multiplication by `_unit_generators`, one side at a time; for a
     commutative ring the two orbits coincide and one suffices.
     """
     zd = ring.zero_divisors()
-    unit_list = units(ring)
+    gens = _unit_generators(ring)
     mul = ring.mul
-    owner = {}  # element -> the first vertex of its orbit
-    for i, a in enumerate(zd):
-        if a in owner:
-            continue
-        orbit = {mul(u, a) for u in unit_list}
-        if not ring.commutative:
-            orbit &= {mul(a, u) for u in unit_list}
-        owner.update(dict.fromkeys(orbit, i))
-    cell_of, kinds = _first_appearance(
-        [owner[a] for a in zd], lambda i: "complete" if mul(zd[i], zd[i]) == ring.zero else "null"
-    )
+    keys = _orbit_owners(zd, lambda a: [mul(g, a) for g in gens])
+    if not ring.commutative:
+        keys = list(zip(keys, _orbit_owners(zd, lambda a: [mul(a, g) for g in gens])))
+    cell_of, kinds = _first_appearance(keys, lambda i: "complete" if mul(zd[i], zd[i]) == ring.zero else "null")
     return ClassPartition("associate", cell_of, kinds)
 
 
@@ -510,7 +547,7 @@ def check_relation_agreements(graph: ZeroDivisorGraph) -> dict:
     """
     ring = graph.ring
     assoc = classes_for(graph, "associate")
-    neigh = classes_neighborhood(graph)
+    neigh = classes_for(graph, "neighborhood")
     annih = classes_annihilator(graph)
     reduced = not graph.loops.any()  # a nonzero a with a^2 = 0 is a vertex with a loop
     checks = []
@@ -572,6 +609,12 @@ def _lemma_gate(matrix) -> float:
     return LEMMA_TOL * max(1.0, float(np.abs(matrix).sum(axis=1).max(initial=0.0)))
 
 
+def _gated(match: MultisetMatch, gate: float) -> MultisetMatch:
+    """The match judged at `gate` instead of DEFAULT_TOL: a length mismatch
+    or a non-finite value stays at an infinite deviation, past any gate."""
+    return replace(match, matched=match.max_deviation <= gate)
+
+
 def fiedler_combine(alpha, u, beta, v, rho: float) -> list[float]:
     """Spectrum of [[A, rho*u*v^T], [rho*v*u^T, B]] given the spectra of A
     and B: alpha[0] and beta[0] must be the eigenvalues belonging to the
@@ -612,7 +655,7 @@ def fiedler_check(a, b, u, v, rho: float) -> MultisetMatch:
     beta = [beta_1] + spectrum_without(b, beta_1)
     predicted = fiedler_combine(alpha, u, beta, v, rho)
     combined = np.block([[a, rho * np.outer(u, v)], [rho * np.outer(v, u), b]])
-    return multiset_equal(predicted, dense_eigenvalues(combined), _lemma_gate(combined))
+    return _gated(multiset_equal(predicted, dense_eigenvalues(combined)), _lemma_gate(combined))
 
 
 def check_shift_lemma(b_diag, a, d_diag) -> ShiftReport:
@@ -644,7 +687,7 @@ def check_shift_lemma(b_diag, a, d_diag) -> ShiftReport:
     pairs.sort()
     summed = [mu + beta for mu, beta in pairs]
     direct = np.diag(b_diag) + dad
-    match = multiset_equal(summed, dense_eigenvalues(direct), _lemma_gate(direct))
+    match = _gated(multiset_equal(summed, dense_eigenvalues(direct)), _lemma_gate(direct))
     return ShiftReport(pairs, match.matched, match.max_deviation)
 
 

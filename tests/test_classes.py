@@ -2,9 +2,13 @@
 the tests' own equal-annihilator partition, which the associate one equals."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from reference import (
@@ -20,8 +24,9 @@ from reference import (
 )
 from zdgspectra import classes
 from zdgspectra import graph as graph_module
-from zdgspectra.classes import ClassPartition, classes_for, classes_neighborhood
-from zdgspectra.graph import build_zdg
+from zdgspectra import rings as rings_module
+from zdgspectra.classes import ClassPartition, classes_for
+from zdgspectra.graph import ZeroDivisorGraph, build_zdg
 from zdgspectra.rings import GF, MatRing, ProductRing, Zn, parse_ring_spec
 
 RING_BATTERY = [
@@ -190,24 +195,85 @@ def test_reference_catches_a_fault_in_the_package_numbering(spec, monkeypatch):
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
     assert classes_for(g) == classes_associate(ring)
-    numbered = classes.first_seen_ids
 
-    def merging(keys):
-        ids = numbered(keys)
-        return ids - (ids >= 1)
+    def merging(relation, cell_of, kinds):
+        return ClassPartition(relation, cell_of - (cell_of >= 1), kinds[:1] + kinds[2:])
 
-    monkeypatch.setattr(classes, "first_seen_ids", merging)
-    assert classes_for(g) != classes_associate(ring)
+    monkeypatch.setattr(classes, "ClassPartition", merging)
+    assert not partitions_equal(classes_for(g), classes_associate(ring))
+
+
+def first_appearance(keys) -> list[int]:
+    # plain-Python reference: each new key takes the next id
+    ids = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+@st.composite
+def square_rows(draw):
+    """(rows, loops): a bool matrix of order 0 to 70 whose rows are drawn
+    from up to three rows and their twins, which differ in the last entry
+    only, so equal rows recur and unequal ones can differ past a packed
+    byte, and one loop flag per row."""
+    order = draw(st.integers(0, 70))
+    pool = draw(st.lists(st.lists(st.booleans(), min_size=order, max_size=order), min_size=1, max_size=3))
+    pool += [r[:-1] + [not r[-1]] for r in pool if r]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=order, max_size=order))
+    loops = draw(st.lists(st.booleans(), min_size=order, max_size=order))
+    return [pool[i] for i in picks], loops
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_rows())
+def test_classes_for_numbers_packed_rows(drawn):
+    # classes_for reads the adjacency rows and the loops alone: the
+    # neighborhood classes are the equal rows, the associate classes the
+    # equal rows with each vertex's own entry set when it has a loop, both
+    # numbered by first appearance across the row blocks, which a block
+    # of 4 bytes makes one to four rows each; an associate class is
+    # complete exactly when its first vertex has a loop
+    rows, loops = drawn
+    order = len(rows)
+    adjacency = np.array(rows, dtype=bool).reshape(order, order)
+    g = ZeroDivisorGraph(Zn(2), adjacency, np.array(loops, dtype=bool), np.arange(order))
+    own = [tuple(r[:i] + [r[i] or loops[i]] + r[i + 1 :]) for i, r in enumerate(rows)]
+    for relation, keys in (("neighborhood", [tuple(r) for r in rows]), ("associate", own)):
+        ids = first_appearance(keys)
+        firsts = [ids.index(c) for c in range(max(ids, default=-1) + 1)]
+        kinds = ["complete" if relation == "associate" and loops[i] else "null" for i in firsts]
+        for entries in (rings_module.BLOCK_ENTRIES, 4):
+            with mock.patch.object(rings_module, "BLOCK_ENTRIES", entries):
+                part = classes_for(g, relation)
+            assert part.cell_of.tolist() == ids, (relation, entries)
+            assert part.kinds == kinds, (relation, entries)
+
+
+@pytest.mark.parametrize("relation", ["associate", "neighborhood"])
+def test_partition_peak_is_a_small_part_of_the_graph(relation):
+    # the rows are packed one row block at a time and one dict holds a key
+    # per class, so the traced peak is a few row blocks, not a packed copy
+    # of the adjacency (V^2 / 8 bytes) and its byte strings
+    g = build_zdg(Zn(4620))
+    tracemalloc.start()
+    try:
+        part = classes_for(g, relation)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(part.cell_of) == g.order > 3000
+    assert peak < 0.05 * g.order**2, peak / g.order**2
+    # the 26 row blocks number one partition: the references agree with it
+    assert all(check["holds"] for check in check_relation_agreements(g)["checks"])
 
 
 def test_masked_and_raw_neighborhood_comparators_agree():
-    # classes_neighborhood groups raw adjacency rows; the masked comparator
+    # classes_for groups raw adjacency rows; the masked comparator
     # ignores the two columns of the pair under comparison but skips adjacent
     # pairs, which provably classifies identically; check that on the battery
     for spec in RING_BATTERY:
         ring = parse_ring_spec(spec)
         g = build_zdg(ring)
-        raw = classes_neighborhood(g)
+        raw = classes_for(g, "neighborhood")
         masked = _neighborhood_classes_masked(g)
         assert index_sets(raw) == index_sets(masked), spec
 
@@ -253,14 +319,14 @@ def test_reduced_ring_collapses_neighborhood_to_annihilator():
     for spec in ["Zn(2)xZn(3)", "Zn(3)xZn(5)", "Zn(2)xZn(2)xZn(2)"]:
         ring = parse_ring_spec(spec)
         assert partitions_equal(
-            classes_neighborhood(build_zdg(ring)), classes_annihilator(build_zdg(ring))
+            classes_for(build_zdg(ring), "neighborhood"), classes_annihilator(build_zdg(ring))
         ), spec
 
 
 def test_annihilator_splits_only_square_zero_classes():
     ring = Zn(16)
     annih = element_sets(ring, classes_annihilator(build_zdg(ring)))
-    neigh = element_sets(ring, classes_neighborhood(build_zdg(ring)))
+    neigh = element_sets(ring, classes_for(build_zdg(ring), "neighborhood"))
     # {4,12} has 4*4 = 0: it splits under the neighborhood relation
     assert frozenset({4, 12}) in annih
     assert frozenset({4}) in neigh and frozenset({12}) in neigh

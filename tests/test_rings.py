@@ -8,8 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from reference import (
     classes_associate,
@@ -30,6 +28,7 @@ from test_acceptance import MATRIX_RINGS, SEMISIMPLE_RINGS
 from test_differential import FACTORS as DIFFERENTIAL_FACTORS
 from zdgspectra import numth
 from zdgspectra import rings as rings_module
+from zdgspectra.classes import classes_for
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import (
     GF,
@@ -39,7 +38,6 @@ from zdgspectra.rings import (
     RingSpecError,
     Zn,
     _smallest_irreducible,
-    first_seen_ids,
     parse_ring_spec,
     row_blocks,
 )
@@ -490,11 +488,15 @@ def test_class_table_lists_classes_by_smallest_member(spec):
     only_zero = ~kills[:, 1:].any(axis=1)
     assert only_zero.sum() == 1 and is_unit(ring, ring.decode([int(reps[np.argmax(only_zero)])])[0])
     if ring.cardinality <= ENUMERABLE:
-        # against enumeration: the first element of each class in index
-        # order, the class sizes, and xy = 0 on the representatives
-        ids = first_seen_ids(ring.associate_keys(np.arange(ring.cardinality)))
-        assert reps.tolist() == np.unique(ids, return_index=True)[1].tolist()
-        assert sizes.tolist() == np.bincount(ids).tolist()
+        # against the unit orbits: {0}, the units and each orbit of
+        # zero-divisors by the index of its first element, the class sizes,
+        # and xy = 0 on the representatives
+        unit = ring._unit_mask()
+        vertex_index = np.flatnonzero(~unit)[1:]  # element 0 is the zero
+        size_of = {0: 1, int(np.argmax(unit)): int(unit.sum())}
+        size_of.update((int(vertex_index[c.representative]), c.size) for c in classes_associate(ring).classes)
+        assert reps.tolist() == sorted(size_of)
+        assert sizes.tolist() == [size_of[r] for r in sorted(size_of)]
         assert np.array_equal(kills, ring.zero_products(reps))
 
 
@@ -675,45 +677,5 @@ def test_associate_keys_read_element_indices(spec):
     graph = build_zdg(ring)
     assert np.array_equal(graph.element_index, idx)
     assert not graph.element_index.flags.writeable  # shared with the ring's cache
-    groups = {}
-    for i, key in enumerate(ring.associate_keys(idx).tolist()):
-        groups.setdefault(key, set()).add(i)
-    orbits = classes_associate(ring).classes
-    assert {frozenset(g) for g in groups.values()} == {frozenset(c.members) for c in orbits}
-
-
-def first_appearance(keys) -> list[int]:
-    # plain-Python reference: each new key takes the next id
-    ids = {}
-    return [ids.setdefault(key, len(ids)) for key in keys]
-
-
-@st.composite
-def key_rows(draw, entries):
-    """(width, rows): up to 12 rows of one width from 0 to 70, drawn from up
-    to three rows and their twins, which differ in the last entry only, so
-    equal rows recur and unequal ones can differ past a packed byte.  Rows
-    of width 0, drawn about half the time, have no twins: they are all equal."""
-    width = draw(st.just(0) | st.integers(1, 70))
-    pool = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=3))
-    pool += [r[:-1] + [not r[-1] if isinstance(r[-1], bool) else r[-1] + 1] for r in pool if r]
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
-    return width, [pool[i] for i in picks]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-3, 3), max_size=40))
-def test_first_seen_ids_numbers_int_keys(keys):
-    ids = first_seen_ids(np.array(keys, dtype=np.int64))
-    assert ids.dtype == np.intp and ids.tolist() == first_appearance(keys)
-
-
-@pytest.mark.parametrize(
-    "dtype, entries", [(bool, st.booleans()), (np.int64, st.integers(-2**40, 2**40))], ids=["bool", "int64"]
-)
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_first_seen_ids_numbers_rows(dtype, entries, data):
-    width, rows = data.draw(key_rows(entries))
-    ids = first_seen_ids(np.array(rows, dtype=dtype).reshape(len(rows), width))
-    assert ids.dtype == np.intp and ids.tolist() == first_appearance(tuple(r) for r in rows)
+    # the associate classes, read off the graph's tables on those indices, are the unit orbits
+    assert classes_for(graph, "associate") == classes_associate(ring)

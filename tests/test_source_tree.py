@@ -11,10 +11,11 @@ fails here, with one exception named in the test.  The ring tables and
 the graph route's build and cap check read element indices and closed
 counts, never an enumeration of payloads, and each ring kind turns
 indices into payloads in one method, `decode`.  The matrix ring's
-dot-product tables call no Gaussian elimination.  Keys are numbered in
-one routine, `rings.first_seen_ids`, and partitions built in one,
-`classes._partition`; the tests' references in tests/reference.py call
-neither, and the package defines none of their names.  The one-factor
+dot-product tables call no Gaussian elimination.  Classes are numbered
+by one dict, and partitions built, in one function, `classes.classes_for`;
+the tests' references in tests/reference.py number their own, call
+`classes_for` only in the agreement check that compares with it, and the
+package defines none of their names.  The one-factor
 and field-product degrees, sizes and class counts read the semisimple
 formulas of `counts`, and the Z_n divisor classes come from one lattice,
 `Zn._divisor_classes`, which the class table and `spectra.zn_profile`
@@ -26,11 +27,13 @@ The flavor names are listed once, as the keys of `spectra.FLAVORS`: the
 CLI's choices read them, and the schema's one flavor def must equal them.
 The relations are associate and neighborhood, in the `--relation`
 choices, the schema's enums and the names `classes_for` accepts; equal
-annihilators give the associate classes, so a third relation fails here.
+annihilators give the associate classes, so a third relation, or a ring
+kind that keys its associates (`associate_keys`), fails here.
 A spectrum meets the dense oracle in one place, `spectra.verify_ring`: a
 second caller of `brute_spectrum`, or a CLI handler that compares spectra
 itself, fails here, and so does a tolerance or flavor parameter on
-`verify_ring` or a `--tol` or `--flavor` flag on `zdg verify`.  The
+`verify_ring` or `multiset_equal` or a `--tol` or `--flavor` flag on
+`zdg verify`.  The
 lemma checks have fixed gates too: a `tol` parameter on `duplicate_lift`
 or on the references `fiedler_check`, `check_shift_lemma` or
 `boolean_pairing_report`, or a `--tol` flag on `zdg lift`, fails here.  `cli.py` reads no clock, so
@@ -129,7 +132,7 @@ def test_memos_use_functools():
 
 
 # the ring tables and the index decoders they share; see the rings docstring
-INDEX_READERS = {"zero_products", "_zero_rows", "associate_keys", "_unit_mask", "_right_kernels", "_factor_indices"}
+INDEX_READERS = {"zero_products", "_zero_rows", "_unit_mask", "_right_kernels", "_factor_indices"}
 PAYLOAD_READS = {"fromiter", "chain", "elements", "_elements"}
 
 
@@ -263,12 +266,15 @@ def callers(path, name):
     return found
 
 
+def package_callers(name):
+    """The modules of the package that call `name`, each with its callers."""
+    found = {p.name: callers(p, name) for p in sorted(PACKAGE.glob("*.py"))}
+    return {module: owners for module, owners in found.items() if owners}
+
+
 def test_one_class_numbering():
-    # a second dict numbering, or a partition built outside `_partition`,
-    # would decide the class order a second way
-    assert callers(PACKAGE / "rings.py", "setdefault") == {"first_seen_ids"}
-    assert callers(PACKAGE / "classes.py", "setdefault") == set()
-    assert callers(PACKAGE / "classes.py", "ClassPartition") == {"_partition"}
+    # a second dict numbering would decide the class order a second way
+    assert package_callers("setdefault") == {"classes.py": {"classes_for"}}
 
 
 def test_one_output_path():
@@ -290,11 +296,13 @@ def test_one_comparison_path():
 def test_one_gate():
     # a tolerance or a flavor list would let a caller pass the check by
     # loosening it or by comparing less; verify_ring compares every flavor
-    # at DEFAULT_TOL, the lemma checks run at LEMMA_TOL relative to their
-    # matrices and the pairing report at CLUSTER_GAP, and neither
-    # `zdg verify` nor `zdg lift` takes a flag that moves them
+    # at DEFAULT_TOL, as multiset_equal does, the lemma checks run at
+    # LEMMA_TOL relative to their matrices and the pairing report at
+    # CLUSTER_GAP, and neither `zdg verify` nor `zdg lift` takes a flag
+    # that moves them
     spectra = ast.parse((PACKAGE / "spectra.py").read_text())
     assert signature(spectra, "verify_ring") == ["ring", "relation", "vertex_cap"]
+    assert signature(spectra, "multiset_equal") == ["s1", "s2"]
     assert signature(spectra, "duplicate_lift") == ["b", "j", "m", "lam", "v"]
     reference = ast.parse(REFERENCE.read_text())
     assert signature(reference, "fiedler_check") == ["a", "b", "u", "v", "rho"]
@@ -341,8 +349,7 @@ def defined_names(tree, everywhere):
 def test_references_number_their_own_classes():
     # a reference that numbered its classes through the package's routine
     # would break with the code it checks and still agree with it
-    assert callers(REFERENCE, "first_seen_ids") == set()
-    assert callers(REFERENCE, "_partition") == set()
+    assert callers(REFERENCE, "classes_for") == {"check_relation_agreements"}
     # every partition of the references, the annihilator one among them, goes through their own dict
     partitions = {"classes_associate", "_neighborhood_classes_masked", "classes_annihilator"}
     assert callers(REFERENCE, "_first_appearance") == partitions
@@ -435,6 +442,11 @@ def test_one_list_of_relations():
     ]
     assert tuple(accepted) == RELATIONS
     assert "classes_annihilator" not in defined_names(tree, everywhere=True)
+    # and both are keyed there, off the graph: no ring kind keys its
+    # associates, and no other function builds a partition
+    rings = ast.parse((PACKAGE / "rings.py").read_text())
+    assert "associate_keys" not in {name.rsplit(".", 1)[-1] for name in definitions(rings)}
+    assert package_callers("ClassPartition") == {"classes.py": {"classes_for"}}
 
 
 # the element cap and its names; the vertex cap bounds |R| too

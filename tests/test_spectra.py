@@ -528,8 +528,8 @@ def test_assembly_matches_brute_small_sweep():
             ):
                 ours = assemble(dec)
                 ref = brute_spectrum(g, flavor)
-                match = multiset_equal(ours, ref, tol=1e-7)
-                assert match.matched, (n, relation, flavor, match.max_deviation)
+                match = multiset_equal(ours, ref)
+                assert match.max_deviation <= 1e-7, (n, relation, flavor, match.max_deviation)
 
 
 def test_brute_spectrum_certified_by_residuals():
@@ -668,18 +668,22 @@ def test_join_decomposition_sums_degrees_a_row_block_at_a_time():
 
 
 def test_join_parts_build_the_quotient_in_place():
-    """The adjacency quotient is the one m x m float64 array its assembly
-    makes: the size products, their roots and the product with f share it."""
+    """Each flavor's quotient is the one m x m float64 array its assembly
+    makes: the size products, their roots, the product with the bool table
+    and the Laplacian's sign share it."""
     dec = decomposition_semisimple_closed(parse_ring_spec(GF2_11))
     m = dec.class_count
-    tracemalloc.start()
-    try:
-        quotient, _ = spectra_module._join_parts(dec, "adjacency")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert m >= 2000 and quotient.shape == (m, m)
-    assert peak < 1.1 * m * m * 8, peak / (m * m * 8)
+    assert m >= 2000
+    for flavor in ("adjacency", "laplacian"):
+        tracemalloc.start()
+        try:
+            quotient, _ = spectra_module._join_parts(dec, flavor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert quotient.shape == (m, m), flavor
+        assert peak < 1.1 * m * m * 8, (flavor, peak / (m * m * 8))
+        del quotient
 
 
 def test_closed_route_on_a_large_prime_modulus():
@@ -1016,11 +1020,12 @@ def test_laplacian_positivity_and_components(spec):
 def test_multiset_equal_tolerance_edges():
     a = spectrum_from_pairs([(0.0, "x")])
     b = spectrum_from_pairs([(1e-06, "x")])
-    assert not multiset_equal(a, b, tol=1e-7).matched
-    assert multiset_equal(a, b, tol=1e-5).matched
+    # matched at DEFAULT_TOL, 1e-7; a caller with a looser gate reads max_deviation
+    m = multiset_equal(a, b)
+    assert not m.matched and m.max_deviation == 1e-06 and m.max_deviation <= 1e-5
     c = spectrum_from_pairs([(0.0, "x"), (0.0, "x")])
-    m = multiset_equal(a, c, tol=1e-7)
-    assert not m.matched and m.length_mismatch
+    m = multiset_equal(a, c)
+    assert not m.matched and m.length_mismatch and not m.max_deviation <= 1e-5
 
 
 @pytest.mark.parametrize(
@@ -1128,12 +1133,12 @@ def signless_laplacian(graph):
 
 
 # the signless Laplacian D + A as one entry of the flavor table
-SIGNLESS = Flavor(lambda dec: (dec.table, dec.degrees), signless_laplacian)
+SIGNLESS = Flavor(lambda dec: (1, dec.degrees), signless_laplacian)
 
 
 def test_assembly_takes_a_flavor_neither_route_uses(monkeypatch):
-    # the signless Laplacian D + A is the entry (table, degrees): no
-    # flavor of the package has f = table with a nonzero g, so this checks
+    # the signless Laplacian D + A is the entry (1, degrees), f = table:
+    # no flavor of the package has f = table with a nonzero g, so this checks
     # the lemma's general (f, g) form against a solve of the whole matrix
     monkeypatch.setitem(FLAVORS, "signless", SIGNLESS)
     for dec, adj in run_form_decompositions():
