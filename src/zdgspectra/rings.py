@@ -1,26 +1,27 @@
 """Finite rings: Z_n, GF(p^k), full matrix rings over GF, and direct products.
 
-Ring elements are plain hashable payloads: residues and field elements are
-ints, matrices are row-major tuples of tuples of field ints, product
-elements are tuples of component payloads.  Each ring object supplies exact
-arithmetic, table-built zero products, its units, a class table (the
-associate classes with their sizes, xy = 0 relation and smallest
-members, built without enumerating), closed counts of its units and
-zero-divisors, zero-divisor enumeration and canonical labels for its own
-payloads.  No ring keys its associates: every ring here is
-quasi-Frobenius, where associates are the elements of equal annihilator,
-so `classes.classes_for` reads both partitions off the graph that the
-zero products build (the proof is `check_relation_agreements` in
-tests/reference.py).  Element order is always lexicographic on the
-payload, so index 0 is the zero element and enumeration is
-reproducible.  The
-tables read element indices (positions in `elements()`), never payloads:
-an index is the payload for Z_n and GF, the entries' base-q digits for a
-matrix and the factors' indices in C order for a product.  One method per
-ring kind, `decode(idx)`, turns an index array into the payloads in the
-same order; every payload list comes from it.  A matrix ring's element
-and class tables read one dot product, `MatRing._dot`, and no
-elimination.
+Ring elements are plain hashable payloads: residues and field elements
+are ints, matrices are row-major tuples of tuples of field ints, product
+elements are tuples of component payloads.  Each ring object supplies
+table-built zero products, its units, a class table (the associate
+classes with their sizes, xy = 0 relation and smallest members, built
+without enumerating), closed counts of its units and zero-divisors,
+zero-divisor enumeration and canonical labels for its own payloads, and
+no payload arithmetic: the graph reads only which products vanish and
+which elements are units, and the tests' reference arithmetic is
+`arithmetic` in tests/reference.py.  No ring keys its associates: every
+ring here is quasi-Frobenius, where associates are the elements of equal
+annihilator, so `classes.classes_for` reads both partitions off the
+graph that the zero products build (the proof is
+`check_relation_agreements` in tests/reference.py).  Element order is
+always lexicographic on the payload, so index 0 is the zero element and
+enumeration is reproducible.  The tables read element indices (positions
+in `elements()`), never payloads: an index is the payload for Z_n and
+GF, the entries' base-q digits for a matrix and the factors' indices in
+C order for a product.  One method per ring kind, `decode(idx)`, turns
+an index array into the payloads in the same order; every payload list
+comes from it.  A matrix ring's element and class tables read one dot
+product, `MatRing._dot`, and no elimination.
 
 A ring keeps no payloads unless a caller asks for them: the graph route
 reads `_unit_mask` and the index tables, the V x V `zero_products` written
@@ -162,23 +163,10 @@ class Ring:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    # arithmetic on payloads
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
     def zero_products(self, idx) -> np.ndarray:
         """Bool array z of shape (len(idx), len(idx)) with z[i, j] exactly
         when the elements of indices idx[i] and idx[j] multiply to 0, built
-        from tables instead of one `mul` per pair.  It is not symmetric
+        from tables without multiplying two elements.  It is not symmetric
         when the ring is not commutative.  The ring's `_zero_rows` writes
         it one row block (`row_blocks`) at a time, so z is the one array
         of its size."""
@@ -285,20 +273,9 @@ class Zn(Ring):
             raise RingError("Zn modulus must be at least 2")
         self.n = n
         self.cardinality = n
-        self.zero = 0
-        self.one = 1 % n
 
     def spec_string(self):
         return f"Zn({self.n})"
-
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
-
-    def mul(self, a, b):
-        return (a * b) % self.n
 
     def _zero_rows(self, idx):
         # xy = 0 exactly when n / gcd(x, n) divides y: ann(x) is the
@@ -370,13 +347,10 @@ class Zn(Ring):
 class GF(Ring):
     """The finite field with p^k elements.
 
-    Arithmetic runs on discrete logarithms to the base g, the first
-    primitive element in code order: exp[i] = g^i (listed twice over, so
-    exponent sums need no reduction), log[g^i] = i, and the Zech
-    logarithms zech[i] = log(1 + g^i), with None where 1 + g^i = 0.  Each
-    of add, neg, mul and inv is then a few list lookups.  The modulus and
-    the tables, which take O(q) memory, are found on first use, so a large
-    GF(p^k) that only gives its class table or labels never builds them.
+    Its tables need no arithmetic: every code but 0 is a unit.  The
+    modulus, which only a matrix ring's field tables read, is found on
+    first use, so a large GF(p^k) that only gives its class table or
+    labels never searches for one.
     """
 
     commutative = True
@@ -390,8 +364,6 @@ class GF(Ring):
         self.k = k
         self.q = p**k
         self.cardinality = self.q
-        self.zero = 0
-        self.one = 1
 
     @cached_property
     def modulus(self) -> tuple[int, ...]:
@@ -399,64 +371,6 @@ class GF(Ring):
 
     def spec_string(self):
         return f"GF({self.q})"
-
-    @cached_property
-    def _logs(self):
-        """Find g and build the exp, log and Zech tables.  Each candidate g
-        gets one vectorised multiply-by-g map over all codes, and g is
-        primitive when the walk of its powers takes q - 1 steps to return
-        to 1.  Every power of a candidate that fails has order below q - 1
-        too, so later candidates among them are skipped."""
-        p, k, q = self.p, self.k, self.q
-        codes = np.arange(q, dtype=np.int64)
-        weights = p ** np.arange(k, dtype=np.int64)
-        digits = np.stack([codes // w % p for w in weights.tolist()], axis=1)  # [code, i]: coefficient of x^i
-        companion = np.eye(k, k, 1, dtype=np.int64)  # row i: the digits of x^(i+1)
-        companion[-1] = np.negative(self.modulus[:k]) % p
-        failed = np.zeros(q, dtype=bool)
-        # for k > 1 the codes below p are F_p, whose elements have order below q - 1
-        for g in range(1 if k == 1 else p, q):
-            if failed[g]:
-                continue
-            rows = [digits[g]]  # rows[i]: the digits of g x^i, so c g = sum of c_i rows[i]
-            for _ in range(k - 1):
-                rows.append(rows[-1] @ companion % p)
-            times_g = (digits @ np.array(rows) % p @ weights).tolist()
-            powers = [1]
-            while len(powers) < q and times_g[powers[-1]] != 1:
-                powers.append(times_g[powers[-1]])
-            if len(powers) == q - 1:
-                break
-            failed[powers] = True
-        else:
-            raise RingError(f"no element of order {q - 1} in {self.spec_string()}")
-        exp = np.array(powers, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        plus_one = np.where(codes % p == p - 1, codes + 1 - p, codes + 1)  # only the constant digit changes
-        zech = log[plus_one[exp]].tolist()
-        zech[log[p - 1]] = None  # 1 + g^i = 0 exactly when g^i = -1
-        return powers + powers, log.tolist(), zech
-
-    # plain instance attributes once read, so add, neg, mul and inv pay nothing for the laziness
-    _exp = cached_property(lambda self: self._logs[0])
-    _log = cached_property(lambda self: self._logs[1])
-    _zech = cached_property(lambda self: self._logs[2])
-
-    def add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        i = self._log[a]
-        z = self._zech[self._log[b] - i]  # log(1 + b/a); a negative index wraps mod q - 1
-        return 0 if z is None else self._exp[i + z]
-
-    def neg(self, a):
-        return self._exp[self._log[a] + self._log[self.p - 1]] if a else 0
-
-    def mul(self, a, b):
-        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def _zero_rows(self, idx):
         zero = np.asarray(idx) == 0
@@ -472,11 +386,6 @@ class GF(Ring):
     def _class_table(self):
         kills = np.array([[True, True], [True, False]])
         return np.array([1, self.q - 1], dtype=np.int64), kills, np.array([0, 1], dtype=np.int64)
-
-    def inv(self, a):
-        if a == 0:
-            raise RingError("0 has no inverse")
-        return self._exp[-self._log[a]]
 
     def unit_count(self):
         return self.q - 1
@@ -545,48 +454,32 @@ class MatRing(Ring):
         self.field = field
         self.cardinality = field.q ** (n * n)
         self.commutative = n == 1
-        self.zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-        self.one = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
     def spec_string(self):
         return f"M({self.n},{self.field.spec_string()})"
 
-    def add(self, a, b):
-        F = self.field
-        return tuple(tuple(F.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-    def neg(self, a):
-        F = self.field
-        return tuple(tuple(F.neg(x) for x in row) for row in a)
-
-    def mul(self, a, b):
-        F, n = self.field, self.n
-        bt = tuple(zip(*b))  # columns of b
-        out = []
-        for row in a:
-            orow = []
-            for col in bt:
-                acc = 0
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc = F.add(acc, F.mul(x, y))
-                orow.append(acc)
-            out.append(tuple(orow))
-        return tuple(out)
-
     @cached_property
     def _field_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The field's q x q mul and add tables on codes, built once per ring:
-        exp[log x + log y] off row and column 0, and each base-p digit added
-        mod p.  Indices and digits are int32, to halve the q x q temporaries."""
-        F = self.field
-        log = np.array(F._log, dtype=np.int32)
-        mul = np.array(F._exp, dtype=np.int64)[log[:, None] + log]
-        mul[0] = mul[:, 0] = 0
-        add = np.zeros((F.q, F.q), dtype=np.int64)
-        for w in (F.p ** np.arange(F.k)).tolist():
-            digit = np.arange(F.q, dtype=np.int32) // w % F.p
-            add += (digit[:, None] + digit) % F.p * w
+        """The field's q x q mul and add tables on codes, built once per ring
+        from the modulus alone.  Times x is a linear map on the digit
+        vectors, the modulus's companion matrix, so k - 1 steps of it give
+        the digits of b x^i for every b, and ab = sum_i a_i b x^i is one
+        matmul with a's digits; a + b adds the digits.  Both digit sums are
+        reduced mod p and weighted together.  The digits are float64, so
+        BLAS runs the matmuls, and every value is an integer below 2^53,
+        so exact."""
+        p, k, q = self.field.p, self.field.k, self.field.q
+        weights = p ** np.arange(k, dtype=np.float64)
+        digits = np.arange(q, dtype=np.float64)[:, None] // weights % p  # [code, i]: coefficient of x^i
+        companion = np.eye(k, k, 1)  # row i: the digits of x^(i+1)
+        companion[-1] = np.negative(self.field.modulus[:k]) % p
+        shifts = [digits]  # shifts[i][b]: the digits of b x^i
+        for _ in range(k - 1):
+            shifts.append(shifts[-1] @ companion % p)
+        products = (digits @ np.stack(shifts).reshape(k, q * k)).reshape(q, q, k)
+        sums = np.stack([products, digits[:, None] + digits])
+        sums -= p * np.floor(sums / p)
+        mul, add = (sums @ weights).astype(np.int64)
         return mul, add
 
     def _dot(self, a, b) -> np.ndarray:
@@ -727,20 +620,9 @@ class ProductRing(Ring):
             card *= f.cardinality
         self.cardinality = card
         self.commutative = all(f.commutative for f in factors)
-        self.zero = tuple(f.zero for f in factors)
-        self.one = tuple(f.one for f in factors)
 
     def spec_string(self):
         return "x".join(f.spec_string() for f in self.factors)
-
-    def add(self, a, b):
-        return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def neg(self, a):
-        return tuple(f.neg(x) for f, x in zip(self.factors, a))
-
-    def mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
 
     def _factor_indices(self, idx):
         """Per factor: the factor, its element indices that occur in idx

@@ -565,9 +565,10 @@ def verify_ring(ring: Ring, relation: str = "associate", vertex_cap: int | None 
 
 def _eigen_residual_ok(residual: float, mat, vec) -> bool:
     """Whether a residual of mat @ vec = lam vec is within LEMMA_TOL times
-    max(1, ||mat||_inf ||vec||_inf); false when it is nan or infinite."""
+    ||mat||_inf ||vec||_inf, with no floor, so scaling vec scales both
+    sides; false when the residual or the scale is nan or infinite."""
     scale = float(np.abs(mat).sum(axis=1).max(initial=0.0)) * float(np.abs(vec).max(initial=0.0))
-    return residual / max(1.0, scale) <= LEMMA_TOL
+    return residual <= LEMMA_TOL * scale < math.inf
 
 
 @dataclass
@@ -587,7 +588,10 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
         mu = lam + (sum_i B[i, j] / sum_i v[i]) * (m - 1) * v[j]
 
     with eigenvector w = v[ix].  When v[j] = 0 the shift vanishes and
-    mu = lam without touching the quotient.  (lam, v) is checked on B and
+    mu = lam without touching the quotient.  v must have a nonzero entry,
+    and both zero tests (v[j] and the sum of v) are relative to
+    ||v||_inf, so scaling v by a power of 2 scales w and keeps mu and the
+    verdict.  (lam, v) is checked on B and
     the lifted pair on the explicitly built A, each at LEMMA_TOL relative
     to its scale (`_eigen_residual_ok`); a lifted pair that fails reports
     both the formula value and the Rayleigh quotient of w."""
@@ -604,6 +608,8 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
         raise LiftError("multiplicity must be at least 1")
     if not math.isfinite(lam):
         raise LiftError(f"eigenvalue must be finite, got {lam}")
+    if not v.any():
+        raise LiftError("eigenvector must have a nonzero entry")
     base_residual = float(np.max(np.abs(b @ v - lam * v))) if n else 0.0
     if not _eigen_residual_ok(base_residual, b, v):
         raise LiftError(
@@ -612,11 +618,12 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
     if m == 1:
         return LiftResult(float(lam), v.copy(), b.copy(), base_residual)
 
-    if abs(v[j]) < 1e-12:
+    v_max = float(np.abs(v).max())
+    if abs(v[j]) < 1e-12 * v_max:
         mu = float(lam)
     else:
         v_sum = float(v.sum())
-        if abs(v_sum) < 1e-12:
+        if abs(v_sum) < 1e-12 * v_max:
             raise LiftInapplicableError(
                 "formula inapplicable: eigenvector entries sum to zero "
                 "while the duplicated entry is nonzero"

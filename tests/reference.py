@@ -1,22 +1,23 @@
 """The definitions the tests check the package against.
 
-Each reference states its definition directly: the lexicographic element
-order that element indices count, associate classes as unit orbits, equal
-neighborhoods by pairwise row comparison, equal annihilators vertex by
-vertex, units, annihilators, neighborhoods, connected components and
-reducedness element by element, the index sets and class sizes of a
-semisimple rank profile, the class skeleton of a product of fields,
-ranks, row and column spaces, kernels and span containment by
-elimination over GF(q), the divisors and Euler phi of n and the divisor
-classes of Z_n one divisor at a time, a spectrum's provenance one
-eigenvalue at a time, the blow-up of a decomposition to the whole
-adjacency, and the proven agreements between the associate,
-neighborhood and annihilator relations.  The paper's matrix lemmas are
-checked here too, each on its explicitly built matrix at LEMMA_TOL
-relative to that matrix's scale: Fiedler's two-graph combination, the
-shift identity for commuting B and DAD, and the reciprocal pairing of
-Boolean spectra.  The package runs none of them; `zdg lift` runs the
-one lemma it needs, vertex duplication (`spectra.duplicate_lift`).
+Each reference states its definition directly: payload arithmetic (the
+rings supply none), the lexicographic element order that element indices
+count, associate classes as unit orbits, equal neighborhoods by pairwise
+row comparison, equal annihilators vertex by vertex, units,
+annihilators, neighborhoods, connected components and reducedness
+element by element, the index sets and class sizes of a semisimple rank
+profile, the class skeleton of a product of fields, ranks, row and
+column spaces, kernels and span containment by elimination over GF(q),
+the divisors and Euler phi of n and the divisor classes of Z_n one
+divisor at a time, a spectrum's provenance one eigenvalue at a time, the
+blow-up of a decomposition to the whole adjacency, and the proven
+agreements between the associate, neighborhood and annihilator
+relations.  The paper's matrix lemmas are checked here too, each on its
+explicitly built matrix at LEMMA_TOL relative to that matrix's scale:
+Fiedler's two-graph combination, the shift identity for commuting B and
+DAD, and the reciprocal pairing of Boolean spectra.  The package runs
+none of them; `zdg lift` runs the one lemma it needs, vertex duplication
+(`spectra.duplicate_lift`).
 
 A partition built here numbers its classes with its own dict, by first
 appearance in vertex order, and never through `classes.classes_for`: a
@@ -27,7 +28,9 @@ its own compares `multiset_equal`'s `max_deviation` with that gate.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cache
 from math import gcd, prod
 
 import numpy as np
@@ -51,6 +54,100 @@ from zdgspectra.spectra import (
 
 class RelationAgreementError(RingError):
     """A proven relation between the partitions failed on an actual ring."""
+
+
+# ---------------------------------------------------------------------------
+# payload arithmetic by definition
+
+Arithmetic = namedtuple("Arithmetic", "zero one add neg sub mul inv")
+
+
+def schoolbook(field: GF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field's q x q add and mul tables and its neg list on codes, by
+    schoolbook polynomial arithmetic modulo field.modulus over every pair
+    at once: digits added mod p, and the digit convolution reduced from
+    its top degree down.  The reference `MatRing._field_tables` must match."""
+    p, k, q, m = field.p, field.k, field.q, field.modulus
+    weights = p ** np.arange(k, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // weights % p  # [code, i]: coefficient of x^i
+    product = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            product[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
+    for d in range(2 * k - 2, k - 1, -1):  # x^d = x^(d-k) x^k, and m is monic of degree k
+        top = product[:, :, d] % p
+        for i in range(k + 1):
+            product[:, :, d - k + i] -= top * m[i]
+    return (digits[:, None] + digits) % p @ weights, product[:, :, :k] % p @ weights, -digits % p @ weights
+
+
+@cache
+def _field_lists(field: GF) -> tuple[list, list, list]:
+    """`schoolbook`'s add and mul tables and neg list as lists, built once per field."""
+    return tuple(table.tolist() for table in schoolbook(field))
+
+
+def _arithmetic(zero, one, add, neg, mul, inv) -> Arithmetic:
+    return Arithmetic(zero, one, add, neg, lambda a, b: add(a, neg(b)), mul, inv)
+
+
+def arithmetic(ring: Ring) -> Arithmetic:
+    """Zero, one, add, neg, sub, mul and inv on the ring's payloads: residues
+    mod n, the field's `schoolbook` tables, tabulated once per field, rows
+    times columns over the field, and componentwise on a product.  inv
+    raises ValueError on a non-unit; a matrix's comes from eliminating
+    [a | 1].  Only the field tables are cached: a cache of the rings would
+    keep each ring's own tables alive for the whole test run."""
+    if isinstance(ring, Zn):
+        n = ring.n
+        return _arithmetic(0, 1 % n, lambda a, b: (a + b) % n, lambda a: -a % n, lambda a, b: a * b % n, lambda a: pow(a, -1, n))
+    if isinstance(ring, GF):
+        add, mul, neg = _field_lists(ring)
+        return _arithmetic(0, 1, lambda a, b: add[a][b], neg.__getitem__, lambda a, b: mul[a][b], lambda a: mul[a].index(1))
+    if isinstance(ring, MatRing):
+        F, n = arithmetic(ring.field), ring.n
+        add, times, _ = _field_lists(ring.field)
+        one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+        def mul(a, b):
+            cols = list(zip(*b))
+            out = []
+            for row in a:
+                entries = []
+                for col in cols:
+                    acc = 0
+                    for x, y in zip(row, col):
+                        acc = add[acc][times[x][y]]
+                    entries.append(acc)
+                out.append(tuple(entries))
+            return tuple(out)
+
+        def inv(a):
+            rows = gf_rref(ring.field, [row + e for row, e in zip(a, one)], 2 * n)
+            if tuple(row[:n] for row in rows) != one:
+                raise ValueError(f"{ring.label(a)} is not a unit of {ring.spec_string()}")
+            return tuple(row[n:] for row in rows)
+
+        return _arithmetic(
+            ((0,) * n,) * n,
+            one,
+            lambda a, b: tuple(tuple(map(F.add, ra, rb)) for ra, rb in zip(a, b)),
+            lambda a: tuple(tuple(map(F.neg, row)) for row in a),
+            mul,
+            inv,
+        )
+    if isinstance(ring, ProductRing):
+        parts = [arithmetic(f) for f in ring.factors]
+        adds, negs, muls, invs = ([getattr(part, name) for part in parts] for name in ("add", "neg", "mul", "inv"))
+        return _arithmetic(
+            tuple(part.zero for part in parts),
+            tuple(part.one for part in parts),
+            lambda a, b: tuple([add(x, y) for add, x, y in zip(adds, a, b)]),
+            lambda a: tuple([neg(x) for neg, x in zip(negs, a)]),
+            lambda a, b: tuple([mul(x, y) for mul, x, y in zip(muls, a, b)]),
+            lambda a: tuple([inv(x) for inv, x in zip(invs, a)]),
+        )
+    raise TypeError(f"no arithmetic for {type(ring).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +195,8 @@ def _unit_generators(ring: Ring) -> list:
     The group generated is the closure of {1} under right multiplication
     by the generators, which in a finite ring is a group."""
     unit_list = units(ring)
-    mul = ring.mul
-    group, gens = {ring.one}, []
+    mul = arithmetic(ring).mul
+    group, gens = {arithmetic(ring).one}, []
     for u in unit_list:
         if len(group) == len(unit_list):
             break
@@ -143,11 +240,11 @@ def classes_associate(ring: Ring) -> ClassPartition:
     """
     zd = ring.zero_divisors()
     gens = _unit_generators(ring)
-    mul = ring.mul
+    zero, mul = arithmetic(ring).zero, arithmetic(ring).mul
     keys = _orbit_owners(zd, lambda a: [mul(g, a) for g in gens])
     if not ring.commutative:
         keys = list(zip(keys, _orbit_owners(zd, lambda a: [mul(a, g) for g in gens])))
-    cell_of, kinds = _first_appearance(keys, lambda i: "complete" if mul(zd[i], zd[i]) == ring.zero else "null")
+    cell_of, kinds = _first_appearance(keys, lambda i: "complete" if mul(zd[i], zd[i]) == zero else "null")
     return ClassPartition("associate", cell_of, kinds)
 
 
@@ -226,12 +323,11 @@ def annihilator_set(ring: Ring, a) -> set:
     Computed straight from the definition (one pass of multiplications), so
     it doubles as an independent check on the adjacency matrix.
     """
-    zero = ring.zero
+    zero, mul = arithmetic(ring).zero, arithmetic(ring).mul
     if a == zero:
         raise RingError("annihilator sets are defined for zero-divisors, not 0")
     if is_unit(ring, a):
         raise RingError(f"{ring.label(a)} is a unit, not a zero-divisor")
-    mul = ring.mul
     comm = ring.commutative
     out = set()
     for x in ring.zero_divisors():
@@ -262,8 +358,8 @@ def connected_component_count(graph: ZeroDivisorGraph) -> int:
 
 def is_reduced(ring: Ring) -> bool:
     """True when the ring has no nonzero element squaring to zero."""
-    zero = ring.zero
-    return not any(a != zero and ring.mul(a, a) == zero for a in ring.elements())
+    zero, mul = arithmetic(ring).zero, arithmetic(ring).mul
+    return not any(a != zero and mul(a, a) == zero for a in ring.elements())
 
 
 def profile_index_sets(profile: SemisimpleProfile) -> tuple[tuple[int, ...], ...]:
@@ -341,6 +437,7 @@ def gf_rref(field, rows, width):
     The result is the canonical basis of the row space: pivots are 1,
     pivot columns are cleared above and below, rows ordered by pivot.
     """
+    F = arithmetic(field)
     work = [list(r) for r in rows]
     nrows = len(work)
     top = 0  # the rows above are done
@@ -353,12 +450,12 @@ def gf_rref(field, rows, width):
         if piv is None:
             continue
         work[top], work[piv] = work[piv], work[top]
-        inv = field.inv(work[top][col])
-        work[top] = [field.mul(inv, v) for v in work[top]]
+        inv = F.inv(work[top][col])
+        work[top] = [F.mul(inv, v) for v in work[top]]
         for i in range(nrows):
             if i != top and work[i][col] != 0:
                 f = work[i][col]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[top])]
+                work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[top])]
         top += 1
         if top == nrows:
             break
@@ -393,7 +490,7 @@ def gf_nullspace(field, rows, width):
         v = [0] * width
         v[f] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(rr[i][f])
+            v[pc] = arithmetic(field).neg(rr[i][f])
         basis.append(tuple(v))
     return gf_rref(field, basis, width)
 
@@ -508,19 +605,19 @@ def _noncommutative_hypothesis(ring):
 
 def _scan_commutative_hypothesis(ring):
     """The commutative hypothesis by a scan over every unit of the ring."""
-    one, zero = ring.one, ring.zero
+    ops = arithmetic(ring)
     for u in units(ring):
-        d = ring.sub(one, u)
-        if ring.mul(d, d) != zero:
+        d = ops.sub(ops.one, u)
+        if ops.mul(d, d) != ops.zero:
             return True
     return False
 
 
 def _scan_noncommutative_hypothesis(ring):
     """The noncommutative hypothesis by a scan over every unit of the ring."""
-    one = ring.one
+    ops = arithmetic(ring)
     unit_set = set(units(ring))
-    return any(ring.sub(one, u) in unit_set for u in unit_set)
+    return any(ops.sub(ops.one, u) in unit_set for u in unit_set)
 
 
 def check_relation_agreements(graph: ZeroDivisorGraph) -> dict:
@@ -605,7 +702,8 @@ class ShiftReport:
 
 def _lemma_gate(matrix) -> float:
     """LEMMA_TOL relative to the scale of the explicit matrix: times
-    max(1, ||matrix||_inf), as `spectra._eigen_residual_ok` scales it."""
+    max(1, ||matrix||_inf).  A spectrum has no vector to scale, so unlike
+    `spectra._eigen_residual_ok` the gate keeps a floor of LEMMA_TOL."""
     return LEMMA_TOL * max(1.0, float(np.abs(matrix).sum(axis=1).max(initial=0.0)))
 
 

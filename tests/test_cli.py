@@ -666,6 +666,33 @@ def test_lift_refuses_a_vector_not_comma_separated(vector, token, tmp_path):
     assert err == f"error: UsageError: bad rational {token!r}\n"
 
 
+def test_lift_refuses_a_zero_eigenvector(tmp_path):
+    # v = 0 passed both residual checks: lift exited 0 with mu = 3.0
+    matrix = tmp_path / "b.txt"
+    matrix.write_text("2 1\n1 2\n")
+    args = ["lift", "--matrix", str(matrix), "--j", "0", "--m", "3", "--value", "3", "--vector", "0,0"]
+    code, out, err = run_inproc(args)
+    assert (code, out) == (1, "")
+    assert err == "error: LiftError: eigenvector must have a nonzero entry\n"
+
+
+@pytest.mark.parametrize("scale", ["1", "1e-6", "1e-11", "1e-13"])
+def test_lift_verdict_does_not_depend_on_the_vector_scale(scale, tmp_path):
+    # absolute zero tests and a floored gate passed small vectors: B = [1]
+    # lifted (1e-13) to mu = 1, and (1e-11, 1e-11) lifted on [[2, 1], [1, 2]]
+    one = tmp_path / "one.txt"
+    one.write_text("1\n")
+    args = ["lift", "--matrix", str(one), "--j", "0", "--m", "2", "--value", "1", "--format", "csv"]
+    code, out, _ = run_inproc([*args, "--vector", scale])
+    assert code == 0 and out.splitlines()[1] == "mu,2"
+    pair = tmp_path / "pair.txt"
+    pair.write_text("2 1\n1 2\n")
+    args = ["lift", "--matrix", str(pair), "--j", "0", "--m", "3", "--value", "3"]
+    code, out, err = run_inproc([*args, "--vector", f"{scale},{scale}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: LiftVerificationError: lifted pair fails verification")
+
+
 def test_lift_refuses_a_removed_flag(tmp_path):
     # the eigenpair checks run at the fixed spectra.LEMMA_TOL: no flag moves it
     matrix = tmp_path / "b.txt"

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from reference import (
+    arithmetic,
     boolean_skeleton,
     column_space,
     euler_phi,
@@ -89,18 +90,16 @@ def test_census_pinned_values():
 @pytest.mark.parametrize("q", [2, 3])
 def test_idempotent_count_by_enumeration(q):
     ring = MatRing(2, GF(q))
-    found = sum(
-        1
-        for a in ring.elements()
-        if ring.mul(a, a) == a and a != ring.zero and a != ring.one
-    )
+    ops = arithmetic(ring)
+    found = sum(1 for a in ring.elements() if ops.mul(a, a) == a and a != ops.zero and a != ops.one)
     assert idempotent_count(2, q) == found
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_nilpotent2_count_by_enumeration(q):
     ring = MatRing(2, GF(q))
-    found = sum(1 for a in ring.elements() if a != ring.zero and ring.mul(a, a) == ring.zero)
+    mul, zero = arithmetic(ring).mul, arithmetic(ring).zero
+    found = sum(1 for a in ring.elements() if a != zero and mul(a, a) == zero)
     assert nilpotent2_count(2, q) == found
 
 
@@ -313,18 +312,19 @@ def test_compressed_degree_matrix_offset(q):
     classes; the loop-free graph degree of a class differs by exactly one
     when the representative squares to zero."""
     ring = MatRing(2, GF(q))
+    mul, zero = arithmetic(ring).mul, arithmetic(ring).zero
     g = build_zdg(ring)
     part = classes_for(build_zdg(ring), "associate")
     # compressed graph: one node per class, adjacency inherited
     reps = [g.vertices[c.representative] for c in part.classes]
     for c, rep in zip(part.classes, reps):
         r = rank(ring, rep)
-        sq_zero = ring.mul(rep, rep) == ring.zero
+        sq_zero = mul(rep, rep) == zero
         compressed_deg = 0
         for d, other in zip(part.classes, reps):
             if d is c:
                 continue
-            if ring.mul(rep, other) == ring.zero or ring.mul(other, rep) == ring.zero:
+            if mul(rep, other) == zero or mul(other, rep) == zero:
                 compressed_deg += 1
         raw = compressed_degree_matrix(2, q, r)
         assert raw - (1 if sq_zero else 0) == compressed_deg, (q, rep)
@@ -426,7 +426,7 @@ def profile_for(ring_factors, element):
     ranks = []
     for (n, q, fring), comp in zip(ring_factors, element):
         factors.append((n, q))
-        ranks.append(rank(fring, comp) if isinstance(fring, MatRing) else (0 if comp == fring.zero else 1))
+        ranks.append(rank(fring, comp) if isinstance(fring, MatRing) else (0 if comp == arithmetic(fring).zero else 1))
     return SemisimpleProfile(tuple(factors), tuple(ranks))
 
 
@@ -473,6 +473,7 @@ SEMISIMPLE_RINGS = [
 @pytest.mark.parametrize("spec,shape", SEMISIMPLE_RINGS, ids=lambda s: s if isinstance(s, str) else "")
 def test_semisimple_closed_forms_by_enumeration(spec, shape):
     ring = parse_ring_spec(spec)
+    mul, zero = arithmetic(ring).mul, arithmetic(ring).zero
     g = build_zdg(ring)
     part = classes_for(build_zdg(ring), "associate")
     fring_list = ring.factors
@@ -484,9 +485,9 @@ def test_semisimple_closed_forms_by_enumeration(spec, shape):
             if isinstance(fr, MatRing):
                 ranks.append(rank(fr, comp))
             else:
-                ranks.append(0 if comp == fr.zero else 1)
+                ranks.append(0 if comp == arithmetic(fr).zero else 1)
         prof = SemisimpleProfile(tuple(shape), tuple(ranks))
-        sq_zero = ring.mul(rep, rep) == ring.zero
+        sq_zero = mul(rep, rep) == zero
 
         assert semisimple_class_size(prof) == c.size, (spec, rep)
         assert semisimple_vertex_degree(prof, sq_zero) == len(neighborhood(g, rep)), (spec, rep)
@@ -497,7 +498,7 @@ def test_semisimple_closed_forms_by_enumeration(spec, shape):
             if d is c:
                 continue
             other = g.vertices[d.representative]
-            if ring.mul(rep, other) == ring.zero or ring.mul(other, rep) == ring.zero:
+            if mul(rep, other) == zero or mul(other, rep) == zero:
                 cdeg += 1
         assert semisimple_class_degree(prof, sq_zero) == cdeg, (spec, rep)
 
@@ -507,11 +508,11 @@ def test_semisimple_worked_value():
     prof = SemisimpleProfile(((2, 2), (1, 2)), (1, 1))
     ring = parse_ring_spec("M(2,GF(2))xGF(2)")
     g = build_zdg(ring)
-    mat = ring.factors[0]
+    mat, ops = ring.factors[0], arithmetic(ring.factors[0])
     witness = None
     for a in g.vertices:
         m, u = a
-        if u == ring.factors[1].one and rank(mat, m) == 1 and mat.mul(m, m) != mat.zero:
+        if u == arithmetic(ring.factors[1]).one and rank(mat, m) == 1 and ops.mul(m, m) != ops.zero:
             witness = a
             break
     assert witness is not None

@@ -29,6 +29,10 @@ The relations are associate and neighborhood, in the `--relation`
 choices, the schema's enums and the names `classes_for` accepts; equal
 annihilators give the associate classes, so a third relation, or a ring
 kind that keys its associates (`associate_keys`), fails here.
+No ring kind carries payload arithmetic: a class in `rings.py` that
+defines add, neg, sub, mul or inv or GF's log or Zech tables, or sets a
+zero or one payload, fails here; the tests' arithmetic is `arithmetic` in
+tests/reference.py.
 A spectrum meets the dense oracle in one place, `spectra.verify_ring`: a
 second caller of `brute_spectrum`, or a CLI handler that compares spectra
 itself, fails here, and so does a tolerance or flavor parameter on
@@ -516,7 +520,6 @@ def test_one_import_path():
 # definitions that no code in src/ or perfbench/ names, each kept for its reason
 UNNAMED_DEFINITIONS = {
     "rings.Ring.elements": "perfbench's tracer wraps it by the string 'Ring.elements'",
-    "rings.GF.inv": "payload arithmetic, with add, neg and mul: the tests' elimination divides by it",
 }
 
 
@@ -550,3 +553,37 @@ def test_package_defines_only_what_it_runs():
         if last not in named | set(entry_points) and not (last.startswith("__") and last.endswith("__"))
     }
     assert unnamed == set(UNNAMED_DEFINITIONS)
+
+
+PAYLOAD_ARITHMETIC = {"add", "neg", "sub", "mul", "inv", "_logs", "_zech"}
+
+
+def test_rings_supply_no_payload_arithmetic():
+    """Gamma(R) reads which products vanish and which elements are units,
+    and a ring kind supplies just that, as index tables: payload arithmetic
+    (add, neg, sub, mul, inv, GF's log and Zech tables, the zero and one
+    payloads) is the tests' reference, `arithmetic` in tests/reference.py.
+    `test_package_defines_only_what_it_runs` missed this code while the
+    rings carried it: it matches definitions by name, and the locals `mul`,
+    `add` and `sub` in `MatRing._dot` and `cli._build_parser` have these
+    methods' names."""
+    tree = ast.parse((PACKAGE / "rings.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert {"Ring", "Zn", "GF", "MatRing", "ProductRing"} <= {c.name for c in classes}
+    found = set()
+    for c in classes:
+        for node in c.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found |= {f"{c.name}.{node.name}"} if node.name in PAYLOAD_ARITHMETIC else set()
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {f"{c.name}.{t.id}" for t in targets if getattr(t, "id", None) in PAYLOAD_ARITHMETIC}
+        found |= {
+            f"{c.name}.self.{node.attr}"
+            for node in ast.walk(c)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+            and node.attr in ("zero", "one")
+        }
+    assert found == set()

@@ -633,7 +633,7 @@ def test_auto_route_names_both_refusals():
 
 @pytest.mark.parametrize("spec", ["GF(1000003)xZn(2)", "GF(1048576)xZn(2)"])
 def test_closed_route_reads_a_large_prime_field_without_its_tables(spec, monkeypatch):
-    # neither the modulus (seconds of search for GF(2^20)) nor the log tables are needed
+    # neither the modulus (seconds of search for GF(2^20)) nor any table of q entries is needed
     def no_search(p, k):
         raise AssertionError(f"searched for a modulus of GF({p}^{k})")
 
@@ -646,7 +646,7 @@ def test_closed_route_reads_a_large_prime_field_without_its_tables(spec, monkeyp
     finally:
         tracemalloc.stop()
     assert sorted(dec.sizes.tolist()) == [1, ring.factors[0].q - 1]
-    assert peak < 1 << 20  # the field's log tables alone take tens of MB
+    assert peak < 1 << 20  # one int64 per element of the field alone takes 8 MB
 
 
 # 2^11 - 2 = 2,046 classes, read without enumerating the ring
@@ -1314,6 +1314,60 @@ def test_lift_gate_is_relative_to_the_scale(c):
     # an exact pair whose column j is not proportional to it lifts to a wrong mu at every scale
     with pytest.raises(LiftVerificationError):
         duplicate_lift(c * np.array([[0.0, 1.0], [1.0, 0.0]]), j=0, m=2, lam=c, v=[1.0, 1.0])
+
+
+def test_lift_refuses_a_zero_eigenvector():
+    # v = 0 passed both residual checks, and lift printed mu = lam
+    b = [[2.0, 1.0], [1.0, 2.0]]
+    for m in (1, 3):
+        with pytest.raises(LiftError, match="eigenvector must have a nonzero entry"):
+            duplicate_lift(b, j=0, m=m, lam=3.0, v=[0.0, -0.0])
+
+
+def lift_gate_instances(c):
+    """The (b, j, m, lam, v) instances of `test_lift_gate_is_relative_to_the_scale`
+    at scale c, drawn in its order: each exact pair, the same pair with lam
+    off by a relative 1e-6, and the exact pair whose lift is wrong."""
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        w = rng.uniform(0.1, 1.1, size=n)
+        b = c * np.outer(w, w)
+        lam = c * float(w @ w)
+        j, m = int(rng.integers(0, n)), int(rng.integers(2, 5))
+        yield b, j, m, lam, w
+        yield b, j, m, lam * (1 + 1e-6), w
+    yield c * np.array([[0.0, 1.0], [1.0, 0.0]]), 0, 2, c, np.array([1.0, 1.0])
+
+
+def lift_outcome(b, j, m, lam, v):
+    try:
+        return duplicate_lift(b, j=j, m=m, lam=lam, v=v)
+    except LiftError as error:
+        return type(error)
+
+
+def test_lift_verdict_is_invariant_under_scaling_the_vector():
+    """Scaling v by 2^k is exact, so it must keep the verdict: the same
+    exception, or a bit-identical mu with the lifted vector scaled by 2^k.
+    The zero tests on v[j] and on the sum of v were absolute and the
+    residual gate had a floor of 1, so B = [1] lifted v = (1e-13) to mu = 1
+    instead of 2, and [[2, 1], [1, 2]] lifted s (1, 1) at s = 1e-11."""
+    cases = [(np.array([[1.0]]), 0, 2, 1.0, np.array([1.0])), (np.array([[2.0, 1.0], [1.0, 2.0]]), 0, 3, 3.0, np.ones(2))]
+    cases += [case for c in (1e6, 1e8, 1e9) for case in lift_gate_instances(c)]
+    assert lift_outcome(*cases[0]).mu == 2.0
+    assert lift_outcome(*cases[1]) is LiftVerificationError
+    for b, j, m, lam, v in cases:
+        base = lift_outcome(b, j, m, lam, v)
+        for k in range(-60, 61, 10):
+            scaled = lift_outcome(b, j, m, lam, v * 2.0**k)
+            if isinstance(base, type):
+                assert scaled is base, (k, b, lam, v)
+            else:
+                assert scaled.mu == base.mu and np.array_equal(scaled.vector, base.vector * 2.0**k), (k, b, lam, v)
+    for s in (1e-6, 1e-11, 1e-13):
+        assert lift_outcome(*cases[1][:4], s * np.ones(2)) is LiftVerificationError, s
+        assert lift_outcome(*cases[0][:4], np.array([s])).mu == 2.0, s
 
 
 def test_lift_block_diagonal_v_j_zero_family():
