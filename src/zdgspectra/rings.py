@@ -81,24 +81,15 @@ class RingSpecError(RingError):
 # polynomial arithmetic over F_p (little-endian coefficient tuples)
 
 
-def _poly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m, over F_p."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(_poly_trim(tuple(a))) - 1 >= dm:
-        a = list(_poly_trim(tuple(a)))
-        lead = a[-1]
-        shift = len(a) - 1 - dm
+def _remainder(a, m, p):
+    """The remainder of a modulo the monic polynomial m, over F_p, as its
+    len(m) - 1 low coefficients: one subtraction at each shift, top first."""
+    a, dm = list(a), len(m) - 1
+    for shift in range(len(a) - 1 - dm, -1, -1):
+        lead = a[shift + dm]
         for i in range(dm + 1):
             a[shift + i] = (a[shift + i] - lead * m[i]) % p
-    return _poly_trim(tuple(a))
+    return a[:dm]
 
 
 def _poly_is_irreducible(poly, p):
@@ -106,7 +97,7 @@ def _poly_is_irreducible(poly, p):
     k = len(poly) - 1
     for d in range(1, k // 2 + 1):
         for cs in itertools.product(range(p), repeat=d):
-            if not _poly_mod(poly, cs + (1,), p):
+            if not any(_remainder(poly, cs + (1,), p)):
                 return False
     return True
 
@@ -283,14 +274,9 @@ class Zn(Ring):
         # n that int64 holds is exact
         vals = np.asarray(idx, dtype=np.int64)
         steps = self.n // np.gcd(vals, self.n)
-        buffer = None  # the int64 remainders of one row block, reused by the next
 
         def rows_of(rows, out):
-            nonlocal buffer
-            if buffer is None or len(buffer) < len(out):  # a product ring's blocks need not shrink
-                buffer = np.empty(out.shape, dtype=np.int64)
-            remainders = np.remainder(vals, steps[rows, None], out=buffer[: len(out)])
-            np.equal(remainders, 0, out=out)
+            np.equal(np.remainder(vals, steps[rows, None]), 0, out=out)
 
         return rows_of
 
@@ -411,9 +397,6 @@ class GF(Ring):
 def _all_subspaces(field, n: int, r: int):
     """Canonical RREF bases of every r-dimensional subspace of F_q^n,
     generated by pivot-column choice plus free entries."""
-    if r == 0:
-        yield ()
-        return
     for pivots in itertools.combinations(range(n), r):
         free = [
             (i, j)
@@ -624,17 +607,18 @@ class ProductRing(Ring):
     def spec_string(self):
         return "x".join(f.spec_string() for f in self.factors)
 
+    def _components(self, idx):
+        """The factors' element indices of the indices idx, one array per
+        factor.  Elements are in C order over the factors, as
+        itertools.product and `_unit_mask` list them."""
+        return np.unravel_index(np.asarray(idx, dtype=np.int64), [f.cardinality for f in self.factors])
+
     def _factor_indices(self, idx):
         """Per factor: the factor, its element indices that occur in idx
         (ascending, deduped by a mask, not np.unique's slower sort) and the
-        position of each idx[i]'s component among them.  Elements are in C
-        order over the factors, as itertools.product and `_unit_mask` list
-        them: factor k's index is idx // prod(cards[k+1:]) % cards[k]."""
-        idx = np.asarray(idx, dtype=np.int64)
-        stride = self.cardinality
-        for f in self.factors:
-            stride //= f.cardinality
-            yield f, *_distinct(idx // stride % f.cardinality, f.cardinality)
+        position of each idx[i]'s component among them, from `_components`."""
+        for f, c in zip(self.factors, self._components(idx)):
+            yield f, *_distinct(c, f.cardinality)
 
     def _zero_rows(self, idx):
         """A product is 0 exactly when it is 0 in every component: each row
@@ -685,12 +669,10 @@ class ProductRing(Ring):
         return "(" + ",".join(f.label(x) for f, x in zip(self.factors, a)) + ")"
 
     def decode(self, idx):
-        # the factors' indices in C order, split without `_factor_indices`,
-        # whose masks take a factor's cardinality: the labels of a
-        # closed-route product such as Zn(1000000007)xZn(2) need no
-        # array of that size
-        components = np.unravel_index(np.asarray(idx, dtype=np.int64), [f.cardinality for f in self.factors])
-        return list(zip(*(f.decode(c) for f, c in zip(self.factors, components))))
+        # `_components`, not `_factor_indices`, whose masks take a factor's
+        # cardinality: the labels of a closed-route product such as
+        # Zn(1000000007)xZn(2) need no array of that size
+        return list(zip(*(f.decode(c) for f, c in zip(self.factors, self._components(idx)))))
 
 
 # ---------------------------------------------------------------------------

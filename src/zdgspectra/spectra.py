@@ -375,8 +375,7 @@ def _assemble(dec: JoinDecomposition, flavor: str) -> SpectrumMultiset:
     quotient, inherited = _join_parts(dec, flavor)
     sizes = dec.sizes.tolist()
     runs = [(float(v), n - 1, "cell-inherited") for v, n in zip(inherited.tolist(), sizes) if n > 1]
-    if sizes:
-        runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient)]
+    runs += [(v, 1, "quotient") for v in dense_eigenvalues(quotient)]
     runs.sort(key=lambda run: run[0])
     spectrum = SpectrumMultiset(runs)
     assert len(spectrum) == sum(sizes)
@@ -587,14 +586,14 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
 
         mu = lam + (sum_i B[i, j] / sum_i v[i]) * (m - 1) * v[j]
 
-    with eigenvector w = v[ix].  When v[j] = 0 the shift vanishes and
-    mu = lam without touching the quotient.  v must have a nonzero entry,
-    and both zero tests (v[j] and the sum of v) are relative to
-    ||v||_inf, so scaling v by a power of 2 scales w and keeps mu and the
-    verdict.  (lam, v) is checked on B and
-    the lifted pair on the explicitly built A, each at LEMMA_TOL relative
-    to its scale (`_eigen_residual_ok`); a lifted pair that fails reports
-    both the formula value and the Rayleigh quotient of w."""
+    with eigenvector w = v[ix].  When m = 1 or v[j] = 0 the shift vanishes
+    and mu = lam without touching the quotient; at m = 1, A is B.  v must
+    have a nonzero entry, and both zero tests (v[j] and the sum of v) are
+    relative to ||v||_inf, so scaling v by a power of 2 scales w and keeps
+    mu and the verdict.  (lam, v) is checked on B and the lifted pair on
+    the explicitly built A, each at LEMMA_TOL relative to its scale
+    (`_eigen_residual_ok`); a lifted pair that fails reports both the
+    formula value and the Rayleigh quotient of w."""
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise LiftError("B must be a square matrix")
@@ -610,16 +609,13 @@ def duplicate_lift(b, j: int, m: int, lam: float, v) -> LiftResult:
         raise LiftError(f"eigenvalue must be finite, got {lam}")
     if not v.any():
         raise LiftError("eigenvector must have a nonzero entry")
-    base_residual = float(np.max(np.abs(b @ v - lam * v))) if n else 0.0
+    base_residual = float(np.max(np.abs(b @ v - lam * v)))
     if not _eigen_residual_ok(base_residual, b, v):
         raise LiftError(
             f"(lambda, v) is not an eigenpair of B (residual {base_residual:.3e})"
         )
-    if m == 1:
-        return LiftResult(float(lam), v.copy(), b.copy(), base_residual)
-
     v_max = float(np.abs(v).max())
-    if abs(v[j]) < 1e-12 * v_max:
+    if m == 1 or abs(v[j]) < 1e-12 * v_max:
         mu = float(lam)
     else:
         v_sum = float(v.sum())

@@ -702,9 +702,11 @@ class ShiftReport:
 
 def _lemma_gate(matrix) -> float:
     """LEMMA_TOL relative to the scale of the explicit matrix: times
-    max(1, ||matrix||_inf).  A spectrum has no vector to scale, so unlike
-    `spectra._eigen_residual_ok` the gate keeps a floor of LEMMA_TOL."""
-    return LEMMA_TOL * max(1.0, float(np.abs(matrix).sum(axis=1).max(initial=0.0)))
+    ||matrix||_inf, with no floor, as in `spectra._eigen_residual_ok`.  A
+    floor would accept on a matrix of norm below 1 a relative error that
+    the gate refuses at norm 1, so scaling an instance down would loosen
+    its check."""
+    return LEMMA_TOL * float(np.abs(matrix).sum(axis=1).max(initial=0.0))
 
 
 def _gated(match: MultisetMatch, gate: float) -> MultisetMatch:
@@ -733,7 +735,7 @@ def fiedler_combine(alpha, u, beta, v, rho: float) -> list[float]:
 
 def fiedler_check(a, b, u, v, rho: float) -> MultisetMatch:
     """Build the combined matrix M explicitly and compare its spectrum with
-    fiedler_combine within LEMMA_TOL * max(1, ||M||_inf).  u and v must be
+    fiedler_combine within LEMMA_TOL * ||M||_inf.  u and v must be
     unit eigenvectors of a and b, each residual within the relative gate of
     `spectra._eigen_residual_ok`.  M is exactly symmetric when a and b are:
     the transpose of each outer product is the other, bit for bit."""
@@ -768,7 +770,7 @@ def check_shift_lemma(b_diag, a, d_diag) -> ShiftReport:
     own, so no eigenvector of DAD ever mixes two eigenspaces of B.  DAD is
     A times the outer product of D's diagonal with itself, so it is
     exactly symmetric.  The two spectra are compared within LEMMA_TOL *
-    max(1, ||B + DAD||_inf)."""
+    ||B + DAD||_inf."""
     b_diag = np.asarray(b_diag, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     d_diag = np.asarray(d_diag, dtype=np.float64)

@@ -693,6 +693,20 @@ def test_lift_verdict_does_not_depend_on_the_vector_scale(scale, tmp_path):
     assert err.startswith("error: LiftVerificationError: lifted pair fails verification")
 
 
+def test_lift_at_m_one_shifts_nothing(tmp_path):
+    # entries summing to 0 leave the formula no answer at m = 2, but m = 1
+    # duplicates nothing, so the pair comes back as it went in
+    matrix = tmp_path / "b.txt"
+    matrix.write_text("0 1\n1 0\n")
+    args = ["lift", "--matrix", str(matrix), "--j", "0", "--value", "-1", "--vector", "1,-1", "--format", "csv"]
+    code, out, err = run_cli([*args, "--m", "1"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["quantity,value", "mu,-1", "residual,0", "vector,1;-1"]
+    code, out, err = run_cli([*args, "--m", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: LiftInapplicableError: formula inapplicable")
+
+
 def test_lift_refuses_a_removed_flag(tmp_path):
     # the eigenpair checks run at the fixed spectra.LEMMA_TOL: no flag moves it
     matrix = tmp_path / "b.txt"

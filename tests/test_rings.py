@@ -4,6 +4,7 @@ the spec-string parser."""
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from reference import (
     column_space,
     enumerate_elements,
     euler_phi,
+    gf_rref,
     is_unit,
     rank,
     row_space,
@@ -30,6 +32,7 @@ from test_differential import FACTORS as DIFFERENTIAL_FACTORS
 from zdgspectra import numth
 from zdgspectra import rings as rings_module
 from zdgspectra.classes import classes_for
+from zdgspectra.counts import q_binomial
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import (
     GF,
@@ -38,6 +41,7 @@ from zdgspectra.rings import (
     RingError,
     RingSpecError,
     Zn,
+    _all_subspaces,
     _smallest_irreducible,
     parse_ring_spec,
     row_blocks,
@@ -196,6 +200,31 @@ def test_prime_field_modulus_needs_no_scan():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p, k in FIELDS_TO_81 if k >= 2])
+def test_modulus_is_the_smallest_irreducible(p, k):
+    # candidates in lexicographic order, constant term first: the first
+    # whose schoolbook mul table has no zero off row and column 0 makes a
+    # field, so it is the smallest irreducible.  schoolbook reads only p, k,
+    # q and the modulus, and shares no code with the package's trial division
+    for cs in itertools.product(range(p), repeat=k):
+        candidate = SimpleNamespace(p=p, k=k, q=p**k, modulus=cs + (1,))
+        if schoolbook(candidate)[1][1:, 1:].all():
+            break
+    assert GF(p, k).modulus == candidate.modulus
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_all_subspaces_lists_each_subspace_once_in_rref(q):
+    # r = 0 too: the one subspace of dimension 0 has the empty basis
+    field = GF(*numth.prime_power(q))
+    for n in range(1, 4):
+        for r in range(n + 1):
+            bases = list(_all_subspaces(field, n, r))
+            assert len(bases) == len(set(bases)) == q_binomial(n, r, q), (n, r)
+            for basis in bases:
+                assert len(basis) == r and gf_rref(field, basis, n) == basis, (n, r, basis)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256])
@@ -550,7 +579,7 @@ def test_factorize_splits_large_prime_factors():
     assert numth.factorize(p * q) == [(p, 1), (q, 1)]
     assert numth.factorize(p * p) == [(p, 2)]
     assert numth.factorize(3 * 5 * p * q * q) == [(3, 1), (5, 1), (p, 1), (q, 2)]
-    # one gcd finds the primes below 1,000; a cofactor below 1009^2 is prime
+    # trial division finds the primes below 1,000; a cofactor below 1009^2 is prime
     assert numth.factorize(6 * 1018057) == [(2, 1), (3, 1), (1018057, 1)]  # the last prime below 1009^2
     assert numth.factorize(2 * 1009**2) == [(2, 1), (1009, 2)]
     assert numth.factorize(2 * 1009 * 1013) == [(2, 1), (1009, 1), (1013, 1)]

@@ -1275,6 +1275,14 @@ def test_lift_m_one_is_identity():
     res = duplicate_lift(b, j=0, m=1, lam=3.0, v=[1.0])
     assert res.mu == pytest.approx(3.0)
     assert res.matrix.shape == (1, 1)
+    # entries summing to 0 leave the formula no answer at m = 2, but m = 1
+    # duplicates nothing: mu = lam, w = v and A = B
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    res = duplicate_lift(b, j=0, m=1, lam=-1.0, v=[1.0, -1.0])
+    assert (res.mu, res.residual) == (-1.0, 0.0)
+    assert np.array_equal(res.vector, [1.0, -1.0]) and np.array_equal(res.matrix, b)
+    with pytest.raises(LiftInapplicableError):
+        duplicate_lift(b, j=0, m=2, lam=-1.0, v=[1.0, -1.0])
 
 
 def test_lift_random_rank_one_family():
@@ -1555,12 +1563,12 @@ def scaled_lemma_cases(c):
     return cases
 
 
-@pytest.mark.parametrize("c", [1.0, 1e6, 1e8, 1e10])
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e6, 1e8, 1e10])
 def test_lemma_gates_are_relative_to_the_scale(c, monkeypatch):
     """The rounding of the explicit matrices grows with c: the lemma checks
     gate at LEMMA_TOL relative to each matrix, so every exact instance
     passes, and raising the largest eigenvalue of the explicit matrix by a
-    relative 1e-6 is still refused."""
+    relative 1e-6 is still refused, below scale 1 as above it."""
     order = 0
 
     def raise_the_largest(matrix):
