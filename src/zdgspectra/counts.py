@@ -142,13 +142,6 @@ class SemisimpleProfile:
             raise ValueError("the zero element is not a vertex")
 
 
-def _check_square_zero(profile: SemisimpleProfile, squares_to_zero: bool) -> None:
-    """x^2 = 0 puts the column space of each component x_k, of dimension
-    r_k, inside its kernel, of dimension n_k - r_k: so 2 r_k <= n_k."""
-    if squares_to_zero and any(2 * r > n for (n, _), r in zip(profile.factors, profile.ranks)):
-        raise ValueError(f"no element of rank profile {profile.ranks} squares to zero")
-
-
 def semisimple_vertex_degree(profile: SemisimpleProfile, squares_to_zero: bool = False) -> int:
     """Degree in Gamma(R) of one vertex x with the given rank profile.
 
@@ -156,9 +149,12 @@ def semisimple_vertex_degree(profile: SemisimpleProfile, squares_to_zero: bool =
     inside ker(x_k), giving q^{n_k(n_k - r_k)} choices per factor; the
     right side matches by transposition, and two-sided annihilators have
     q^{(n_k - r_k)^2} choices per factor.  Inclusion-exclusion over the
-    two sides, drop y = 0, and drop the self-loop when x^2 = 0.
+    two sides, drop y = 0, and drop the self-loop when x^2 = 0, which puts
+    the column space of each component x_k, of dimension r_k, inside its
+    kernel, of dimension n_k - r_k: so 2 r_k <= n_k.
     """
-    _check_square_zero(profile, squares_to_zero)
+    if squares_to_zero and any(2 * r > n for (n, _), r in zip(profile.factors, profile.ranks)):
+        raise ValueError(f"no element of rank profile {profile.ranks} squares to zero")
     left = prod(q ** (n * (n - r)) for (n, q), r in zip(profile.factors, profile.ranks))
     both = prod(q ** ((n - r) ** 2) for (n, q), r in zip(profile.factors, profile.ranks))
     return 2 * left - both - 1 - int(squares_to_zero)
@@ -175,18 +171,19 @@ def _factor_class_counts(n: int, q: int, r: int) -> tuple[int, int]:
     return one_sided, two_sided
 
 
-def semisimple_class_degree(profile: SemisimpleProfile, squares_to_zero: bool = False) -> int:
-    """Degree of the class of x in the loop-free compressed graph.
+def semisimple_class_degree(profile: SemisimpleProfile) -> int:
+    """The number of nonzero classes that annihilate the class of x, [x]
+    itself included when x^2 = 0: its degree in the compressed graph with
+    loops, which the loop-free degree undercuts by exactly that indicator.
 
     Classes adjacent to [x] are tuples annihilating x componentwise on the
     left or on the right: count each side as a product over factors, count
-    the two-sided tuples the same way, apply inclusion-exclusion, remove
-    the zero class from each count, and drop [x] itself when x^2 = 0."""
-    _check_square_zero(profile, squares_to_zero)
+    the two-sided tuples the same way, apply inclusion-exclusion and remove
+    the zero class from each count."""
     left = 1
     both = 1
     for (n, q), r in zip(profile.factors, profile.ranks):
         l_k, b_k = _factor_class_counts(n, q, r)
         left *= l_k
         both *= b_k
-    return 2 * (left - 1) - (both - 1) - int(squares_to_zero)
+    return 2 * (left - 1) - (both - 1)

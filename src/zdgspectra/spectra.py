@@ -95,18 +95,16 @@ class JoinDecomposition:
     """Gamma(R) as a generalized join over H, built by both routes from a
     symmetric bool m x m class table: its diagonal marks the complete
     cells and its off-diagonal part is H.  The cells come in ascending
-    order of `reps`, the element index of each cell's smallest member.
-    `cell_of` is None on the closed route, which lays the vertices out in
-    cell order.  `labels` decodes the representatives and formats each
-    with the ring's `label` on first read, and keeps the list.  Labels
-    are presentation only (error messages, reports): nothing in the
-    spectra reads them."""
+    order of `reps`, the element index of each cell's smallest member;
+    both routes keep only this class-level data.  `labels` decodes the
+    representatives and formats each with the ring's `label` on first
+    read, and keeps the list.  Labels are presentation only (error
+    messages, reports): nothing in the spectra reads them."""
 
     sizes: np.ndarray  # int64, n_i
     table: np.ndarray  # bool, symmetric
     ring: Ring = field(repr=False)
     reps: np.ndarray = field(repr=False)  # int64, the element index of each cell's smallest member
-    cell_of: np.ndarray | None = None  # intp, the cell of each vertex
     complete: np.ndarray = field(init=False)  # bool, one per cell: the table's diagonal
     degrees: np.ndarray = field(init=False)  # int64, d_i = N_i + (n_i - 1) complete_i: each vertex's degree
 
@@ -256,7 +254,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
 
     The partition's `cell_of` is read as is: one bincount gives the class
     sizes, one stable argsort the class order, and the array itself
-    becomes the result's `cell_of`.  Each part must induce a complete or
+    is not kept.  Each part must induce a complete or
     an edgeless subgraph, and adjacency between two parts must be
     all-or-nothing; both facts are re-verified here rather than trusted.
     H and each cell's kind are read off the class representatives, and
@@ -288,7 +286,7 @@ def decompose(graph: ZeroDivisorGraph, partition: ClassPartition) -> JoinDecompo
     np.fill_diagonal(table, [kind == "complete" for kind in kinds])
     multi = np.flatnonzero(sizes > 1)
     table[multi, multi] = adj[reps[multi], order[starts[multi] + 1]]
-    dec = JoinDecomposition(sizes, table, graph.ring, graph.element_index[reps], cell_of)
+    dec = JoinDecomposition(sizes, table, graph.ring, graph.element_index[reps])
 
     # the blow-up of `dec` XOR the adjacency, one tile at a time: the class
     # table's rows are gathered to a block of columns, then each block of
@@ -469,26 +467,18 @@ def zn_profile(n: int) -> dict:
 # ring-level entry points
 
 
-def ring_join_decomposition(
-    ring: Ring,
-    relation: str = "associate",
-    method: str = "auto",
-    vertex_cap: int | None = None,
-) -> JoinDecomposition:
-    """Decompose Gamma(ring) by the requested relation: 'closed' reads the
-    cells and H off the ring's class table, 'graph' builds the graph under
-    the vertex cap and verifies the join structure, and 'auto' is 'closed'
-    for the associate relation and 'graph' for the others.  Each method
-    raises its own route's refusal; none falls back to the other."""
-    if method not in ("auto", "graph", "closed"):
+def ring_join_decomposition(ring: Ring, relation: str = "associate", method: str = "closed") -> JoinDecomposition:
+    """Decompose Gamma(ring) by `relation`: 'closed', the default, reads the
+    cells and H off the ring's class table, for the associate relation only;
+    'graph' builds the graph under the default vertex cap and verifies the
+    join.  Each method raises its own route's refusal and never falls back."""
+    if method not in ("graph", "closed"):
         raise ValueError(f"unknown method '{method}'")
-    if method == "auto":
-        method = "closed" if relation == "associate" else "graph"
     if method == "closed":
         if relation != "associate":
             raise RingError("closed-form decompositions exist for the associate relation only")
         return decomposition_semisimple_closed(ring)
-    graph = build_zdg(ring, vertex_cap)
+    graph = build_zdg(ring)
     return decompose(graph, classes_for(graph, relation))
 
 
@@ -498,7 +488,6 @@ def spectrum_pair(dec: JoinDecomposition) -> tuple[SpectrumMultiset, SpectrumMul
 
 @dataclass
 class VerifyOutcome:
-    ring_spec: str
     order: int
     relation: str
     results: dict[str, MultisetMatch]
@@ -555,7 +544,7 @@ def verify_ring(ring: Ring, relation: str = "associate", vertex_cap: int | None 
         assembled = assemble_spectrum(dec, flavor)
         oracle = brute_spectrum(graph, flavor)
         results[flavor] = multiset_equal(assembled, oracle)
-    return VerifyOutcome(ring.spec_string(), graph.order, relation, results)
+    return VerifyOutcome(graph.order, relation, results)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from reference import classes_associate
 from zdgspectra import spectra as spectra_module
 from zdgspectra import cli as cli_module
 from zdgspectra.cli import _COUNT_FORMS, main
-from zdgspectra.graph import GraphCapError, build_zdg
+from zdgspectra.graph import build_zdg
 from zdgspectra.rings import GF, MatRing, ProductRing, RingError, Zn, parse_ring_spec
 from zdgspectra.spectra import DecompositionError, SpectrumMultiset
 
@@ -676,6 +676,53 @@ def test_lift_refuses_a_zero_eigenvector(tmp_path):
     assert err == "error: LiftError: eigenvector must have a nonzero entry\n"
 
 
+LIFT = ["lift", "--matrix", "{square}", "--j", "0", "--m", "3", "--value", "3", "--vector", "1,1"]
+
+
+def lift_with(**changed):
+    """LIFT with the value of each `--name` in `changed` replaced."""
+    args = list(LIFT)
+    for name, value in changed.items():
+        args[args.index(f"--{name}") + 1] = value
+    return args
+
+
+# (argv, the one line on stderr); {square} is a 2x2 matrix file,
+# {ragged} a matrix file with a short row, {missing} no file at all
+REFUSALS = [
+    (["verify", "--ring", "Zn(6)", "--sweep", "Zn:2..5"], "UsageError: give either --ring or --sweep, not both"),
+    (["verify"], "UsageError: verify needs --ring or --sweep"),
+    *[
+        (["verify", "--sweep", spec], f"UsageError: bad Zn sweep range {spec!r}")
+        for spec in ("Zn:a..b", "Zn:5..3", "Zn:1", "Zn:4..")
+    ],
+    (
+        ["verify", "--ring", "Zn(6)", "--max-vertices", "x"],
+        "UsageError: argument --max-vertices: invalid int value: 'x'",
+    ),
+    (lift_with(value="abc"), "UsageError: argument --value: invalid float value: 'abc'"),
+    (
+        lift_with(matrix="{missing}"),
+        "UsageError: cannot read matrix file: [Errno 2] No such file or directory: '{missing}'",
+    ),
+    (lift_with(matrix="{ragged}"), "UsageError: matrix file must hold a square whitespace-separated matrix"),
+    (lift_with(j="2"), "LiftError: index 2 out of range for order 2"),
+    (lift_with(j="-1"), "LiftError: index -1 out of range for order 2"),
+    (lift_with(m="0"), "LiftError: multiplicity must be at least 1"),
+    (lift_with(vector="1,1,1"), "LiftError: eigenvector length must match the matrix order"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_refusals_print_one_error_line(argv, message, tmp_path):
+    paths = {"square": tmp_path / "b.txt", "ragged": tmp_path / "ragged.txt", "missing": tmp_path / "missing.txt"}
+    paths["square"].write_text("2 1\n1 2\n")
+    paths["ragged"].write_text("2 1\n1\n")
+    code, out, err = run_inproc([arg.format_map(paths) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: {message.format_map(paths)}\n"
+
+
 @pytest.mark.parametrize("scale", ["1", "1e-6", "1e-11", "1e-13"])
 def test_lift_verdict_does_not_depend_on_the_vector_scale(scale, tmp_path):
     # absolute zero tests and a floored gate passed small vectors: B = [1]
@@ -926,16 +973,12 @@ def test_exit_code_cap_exceeded():
 
 
 def test_auto_route_reports_the_cap():
-    # each decomposition reports its own route's cap: `spectrum` reads the
-    # class table, and Z_2^13 has 8,190 zero-divisor classes, over its cap;
-    # a relation other than the associate one builds the graph, under the
-    # vertex cap
+    # `spectrum` reports the closed route's cap: it reads the class table,
+    # and Z_2^13 has 8,190 zero-divisor classes, over its cap
     spec = "x".join(["Zn(2)"] * 13)
     code, out, err = run_inproc(["spectrum", "--ring", spec])
     assert (code, out) == (1, "")
     assert err == f"error: RingError: {spec}: 8190 zero-divisor classes exceed the closed-route cap of 4096\n"
-    with pytest.raises(GraphCapError, match="over the cap 10"):
-        spectra_module.ring_join_decomposition(Zn(30), "neighborhood", vertex_cap=10)
 
 
 def test_auto_route_reports_why_the_closed_route_refused(monkeypatch):
@@ -984,15 +1027,21 @@ def run_on_the_graph_route(monkeypatch, args):
     """run_inproc with `spectrum`'s decomposition forced onto the graph
     route, which `spectrum` never takes, under the default vertex cap."""
     decompositions = []
+    decompose = spectra_module.decompose
 
-    def graph_route(ring):
-        decompositions.append(spectra_module.ring_join_decomposition(ring, method="graph"))
+    def recording(graph, partition):
+        decompositions.append(decompose(graph, partition))
         return decompositions[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli_module, "decomposition_semisimple_closed", graph_route)
+        patch.setattr(spectra_module, "decompose", recording)
+        patch.setattr(
+            cli_module,
+            "decomposition_semisimple_closed",
+            lambda ring: spectra_module.ring_join_decomposition(ring, method="graph"),
+        )
         result = run_inproc(args)
-    assert len(decompositions) == 1 and decompositions[0].cell_of is not None
+    assert len(decompositions) == 1
     return result
 
 
@@ -1028,13 +1077,16 @@ def test_spectrum_builds_no_graph_where_the_class_table_takes_the_ring(form, mon
 def test_verify_checks_the_closed_route_against_the_oracle(monkeypatch):
     # the graph is built for the oracle and the check: the spectra compared
     # are assembled from the closed route, which `spectrum` prints
-    assembled = []
-    assemble = spectra_module.assemble_spectrum
+    closed, assembled = [], []
+    real_closed, assemble = spectra_module.decomposition_semisimple_closed, spectra_module.assemble_spectrum
 
     def recording(dec, flavor):
-        assembled.append(dec.cell_of is None)
+        assembled.append(dec)
         return assemble(dec, flavor)
 
+    monkeypatch.setattr(
+        spectra_module, "decomposition_semisimple_closed", lambda ring: closed.append(real_closed(ring)) or closed[-1]
+    )
     monkeypatch.setattr(spectra_module, "assemble_spectrum", recording)
     code, out, err = run_inproc(["verify", "--ring", "Zn(30)"])
     assert code == 0, err
@@ -1042,7 +1094,7 @@ def test_verify_checks_the_closed_route_against_the_oracle(monkeypatch):
         ("adjacency", True),
         ("laplacian", True),
     ]
-    assert assembled == [True, True]
+    assert len(closed) == 1 and assembled == closed * 2
 
 
 def test_verify_reports_a_closed_route_unlike_the_graph_as_error_rows(monkeypatch):

@@ -107,8 +107,9 @@ def test_graph_route_matches_definition_and_oracles(factors):
     brute = {flavor: brute_spectrum(g, flavor) for flavor in FLAVORS}
     graph_route = {}
     for relation in ("associate", "neighborhood"):
-        dec = graph_route[relation] = decompose(g, classes_for(g, relation))
-        assert np.array_equal(blow_up(dec), g.adjacency), (spec, relation)
+        part = classes_for(g, relation)
+        dec = graph_route[relation] = decompose(g, part)
+        assert np.array_equal(blow_up(dec, part.cell_of), g.adjacency), (spec, relation)
         for flavor in FLAVORS:
             match = multiset_equal(assemble_spectrum(dec, flavor), brute[flavor])
             assert match.max_deviation <= 1e-7, (spec, relation, flavor, match.max_deviation)

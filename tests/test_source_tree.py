@@ -51,7 +51,12 @@ name that its module does not define, fails here.  The package holds what
 `zdg` and the benchmark run: a function, class or method that no code in
 src/ or perfbench/ and no `zdg` entry point names fails here, unless it
 is listed with its reason; a helper that only the tests read belongs in
-tests/reference.py.
+tests/reference.py.  Likewise every option is set and every field read:
+a parameter with a default that no call in src/ or perfbench/ to a
+function of its name passes, by position, keyword or `*args`, or a field
+of a package dataclass that no code there reads as an attribute, fails
+here.  Both match by name, so a field that shares its name with one read
+elsewhere passes unseen.
 """
 import argparse
 import ast
@@ -587,3 +592,75 @@ def test_rings_supply_no_payload_arithmetic():
             and node.attr in ("zero", "one")
         }
     assert found == set()
+
+
+def defaulted_parameters(tree):
+    """(qualified name, the name its calls use, parameter, position) for
+    each parameter with a default of every function that a module defines,
+    at any depth.  The position counts the positional arguments of a call,
+    so a method's starts after `self`, and it is None for a keyword-only
+    parameter; `__init__` is called by its class's name."""
+    found = []
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args][owner is not None :]
+                called = owner if child.name == "__init__" else child.name
+                name = f"{scope}{child.name}"
+                first = len(positional) - len(args.defaults)
+                found.extend((name, called, arg, i) for i, arg in enumerate(positional[first:], first))
+                found.extend((name, called, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+                visit(child, f"{name}.", None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}{child.name}.", child.name)
+            else:
+                visit(child, scope, owner)
+
+    visit(tree, "", None)
+    return found
+
+
+def passes(call, name, index):
+    """Whether a call passes the parameter `name`, at `index` among the
+    positional ones (None when keyword-only): by position, by keyword or
+    through a starred argument."""
+    keywords = {kw.arg for kw in call.keywords}  # None for a `**` argument
+    if name in keywords or None in keywords:
+        return True
+    return index is not None and (index < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def dataclass_fields(tree):
+    """("Class.field", field) for each field of every dataclass that a module defines."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for cls in classes:
+        if "dataclass" in {getattr(getattr(d, "func", d), "id", None) for d in cls.decorator_list}:
+            yield from ((f"{cls.name}.{n.target.id}", n.target.id) for n in cls.body if isinstance(n, ast.AnnAssign))
+
+
+def test_package_takes_only_what_it_is_passed():
+    # an option that no caller in src/ or perfbench/ sets, or a field that
+    # nothing there reads, is a value that only the tests move or see: a
+    # second configuration to keep in step with the one that runs
+    nodes = [
+        node
+        for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+    ]
+    calls = {}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            calls.setdefault(getattr(node.func, "id", None) or getattr(node.func, "attr", None), []).append(node)
+    reads = {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        unused += [
+            f"{path.stem}.{name}({arg})"
+            for name, called, arg, index in defaulted_parameters(tree)
+            if not any(passes(call, arg, index) for call in calls.get(called, []))
+        ]
+        unused += [f"{path.stem}.{name}" for name, attr in dataclass_fields(tree) if attr not in reads]
+    assert unused == []

@@ -173,8 +173,8 @@ def test_blow_up_reconstructs_bit_exact():
         ring = parse_ring_spec(spec)
         g = build_zdg(ring)
         for relation in ("associate", "neighborhood"):
-            dec = decompose(g, classes_for(g, relation))
-            assert np.array_equal(blow_up(dec), adjacency_matrix(g)), (spec, relation)
+            part = classes_for(g, relation)
+            assert np.array_equal(blow_up(decompose(g, part), part.cell_of), adjacency_matrix(g)), (spec, relation)
 
 
 def test_closed_blow_up_is_the_graph_in_cell_order():
@@ -182,7 +182,7 @@ def test_closed_blow_up_is_the_graph_in_cell_order():
     # cells out one after another, in the graph route's class order on Z_n
     for n in range(2, 201):
         g = build_zdg(Zn(n))
-        order = np.argsort(graph_route(Zn(n)).cell_of, kind="stable")
+        order = np.argsort(classes_for(g, "associate").cell_of, kind="stable")
         closed = ring_join_decomposition(Zn(n), method="closed")
         assert np.array_equal(blow_up(closed), g.adjacency[np.ix_(order, order)]), n
 
@@ -273,9 +273,9 @@ def test_decompose_raises_the_first_failure(blocks, message):
     assert str(raised.value) == message
 
 
-def smallest_member_labels(ring, g, dec):
+def smallest_member_labels(ring, g, cell_of):
     """The ring's label of each class's smallest vertex, class by class."""
-    firsts = np.unique(dec.cell_of, return_index=True)[1]
+    firsts = np.unique(cell_of, return_index=True)[1]
     return [ring.label(g.vertices[i]) for i in firsts.tolist()]
 
 
@@ -289,12 +289,13 @@ def test_success_path_formats_no_label(spec, monkeypatch):
         monkeypatch.setattr(cls, "label", lambda self, a, f=original: calls.append(a) or f(self, a))
     ring = parse_ring_spec(spec)
     g = build_zdg(ring)
-    dec = decompose(g, classes_for(g, "associate"))
+    part = classes_for(g, "associate")
+    dec = decompose(g, part)
     spectrum_pair(dec)
     verify_ring(ring)
     assert calls == []
     monkeypatch.undo()
-    assert dec.labels == smallest_member_labels(ring, g, dec)
+    assert dec.labels == smallest_member_labels(ring, g, part.cell_of)
     assert dec.labels is dec.labels
 
 
@@ -316,8 +317,9 @@ def test_closed_route_formats_no_label(spec, monkeypatch):
 def test_decomposition_does_not_keep_its_graph_alive():
     ring = parse_ring_spec("M(2,GF(2))xZn(4)")
     g = build_zdg(ring)
-    dec = decompose(g, classes_for(g, "associate"))
-    expected = smallest_member_labels(ring, g, dec)
+    part = classes_for(g, "associate")
+    dec = decompose(g, part)
+    expected = smallest_member_labels(ring, g, part.cell_of)
     ref = weakref.ref(g)
     del g
     graph_module._build_cached.cache_clear()
@@ -413,7 +415,7 @@ def test_decompose_equals_the_per_block_reference(specs):
                     continue
                 dec = decompose(g, partition)
                 members = [
-                    np.flatnonzero(dec.cell_of == i).tolist() for i in range(dec.class_count)
+                    np.flatnonzero(partition.cell_of == i).tolist() for i in range(dec.class_count)
                 ]
                 cells = list(zip(dec.sizes.tolist(), cell_kinds(dec), dec.labels, members))
                 assert cells == expected[0], (spec, relation)
@@ -618,14 +620,14 @@ def test_closed_route_refuses_over_the_cap_before_building(spec):
 
 
 def test_auto_route_names_both_refusals():
-    # each method raises its own route's refusal: `auto` (the closed route
-    # for the associate relation) the class cap's, with no fallback to the
-    # graph route and no chained cap error, and `graph` the vertex cap's
+    # each method raises its own route's refusal: the default, the closed
+    # route, the class cap's, with no fallback to the graph route and no
+    # chained cap error, and `graph` the vertex cap's
     ring = Zn(963761198400)
-    with pytest.raises(RingError) as auto:
+    with pytest.raises(RingError) as closed:
         ring_join_decomposition(ring)
-    assert type(auto.value) is RingError and auto.value.__cause__ is None
-    assert str(auto.value) == "Zn(963761198400): 6718 zero-divisor classes exceed the closed-route cap of 4096"
+    assert type(closed.value) is RingError and closed.value.__cause__ is None
+    assert str(closed.value) == "Zn(963761198400): 6718 zero-divisor classes exceed the closed-route cap of 4096"
     with pytest.raises(GraphCapError) as graph_only:
         ring_join_decomposition(ring, method="graph")
     assert str(graph_only.value) == "Gamma(Zn(963761198400)) has 806101243199 vertices, over the cap 5000"
@@ -803,22 +805,34 @@ def test_closed_m4_f2_spectra():
     assert abs(math.fsum(v * k for v, k, _ in lap.runs) - degree_sum) <= 1e-9 * degree_sum
 
 
-def test_ring_join_decomposition_methods():
+def test_ring_join_decomposition_methods(monkeypatch):
     ring = Zn(18)
-    # only the graph route keeps each vertex's cell; `auto` takes the closed one
-    for method, graph_route in (("auto", False), ("graph", True), ("closed", False)):
-        dec = ring_join_decomposition(ring, "associate", method=method)
-        assert (dec.cell_of is not None) == graph_route, method
+    closed = []
+    real_closed = decomposition_semisimple_closed
+    monkeypatch.setattr(
+        spectra_module, "decomposition_semisimple_closed", lambda ring: closed.append(ring) or real_closed(ring)
+    )
+    # the default is the closed route; "graph" builds and decomposes the graph
+    for args, closed_route in (((), True), (("associate", "graph"), False), (("associate", "closed"), True)):
+        closed.clear()
+        dec = ring_join_decomposition(ring, *args)
+        assert closed == [ring] * closed_route, args
         adj, lap = spectrum_pair(dec)
         g = build_zdg(ring)
-        assert multiset_equal(adj, brute_spectrum(g, "adjacency")).matched, method
-        assert multiset_equal(lap, brute_spectrum(g, "laplacian")).matched, method
-    # closed method only exists for the associate relation
-    with pytest.raises(Exception):
-        ring_join_decomposition(ring, "neighborhood", method="closed")
-    # for any other relation `auto` takes the graph route
-    assert ring_join_decomposition(ring, "neighborhood").cell_of is not None
-    assert ring_join_decomposition(Zn(30), "neighborhood").cell_of is not None
+        assert multiset_equal(adj, brute_spectrum(g, "adjacency")).matched, args
+        assert multiset_equal(lap, brute_spectrum(g, "laplacian")).matched, args
+    # closed method only exists for the associate relation, and is the default
+    for args in (("neighborhood",), ("neighborhood", "closed")):
+        with pytest.raises(RingError, match="associate relation only"):
+            ring_join_decomposition(ring, *args)
+    # any other relation takes the graph route
+    closed.clear()
+    for r in (ring, Zn(30)):
+        assert ring_join_decomposition(r, "neighborhood", "graph").order == r.vertex_count()
+    assert closed == []
+    # and there is no third method
+    with pytest.raises(ValueError, match="unknown method 'auto'"):
+        ring_join_decomposition(ring, "associate", "auto")
 
 
 @pytest.mark.parametrize("spec", ["Zn(4620)", "M(2,GF(8))xZn(2)", "Zn(4)xM(2,GF(3))"])
@@ -831,19 +845,19 @@ def test_auto_route_builds_no_graph_where_the_class_table_takes_the_ring(spec, m
     monkeypatch.setattr(graph_module, "_build_cached", no_graph)
     ring = parse_ring_spec(spec)
     assert ring.vertex_count() <= graph_module.DEFAULT_VERTEX_CAP
-    assert ring_join_decomposition(ring).cell_of is None
+    assert ring_join_decomposition(ring).order == ring.vertex_count()
 
 
 def test_verify_ring_reports():
     out = verify_ring(parse_ring_spec("Zn(30)"))
-    assert out.ring_spec == "Zn(30)"
+    assert (out.order, out.relation) == (21, "associate")
     assert set(out.results) == {"adjacency", "laplacian"}
     assert out.matched
     assert out.max_deviation <= 1e-7
 
 
 def test_verify_ring_checks_the_closed_route_on_criterion_3_rings(monkeypatch):
-    """Where `auto` takes the closed route, verify_ring requires the closed
+    """Where the closed route takes the ring, verify_ring requires the closed
     decomposition to equal the graph's and assembles it: the spectra it
     checks are the ones `zdg spectrum` prints."""
     from test_acceptance import MATRIX_RINGS, SEMISIMPLE_RINGS
@@ -851,19 +865,18 @@ def test_verify_ring_checks_the_closed_route_on_criterion_3_rings(monkeypatch):
     closed, assembled = [], []
     real_closed, real_assemble = decomposition_semisimple_closed, assemble_spectrum
     monkeypatch.setattr(
-        spectra_module, "decomposition_semisimple_closed", lambda ring: closed.append(ring) or real_closed(ring)
+        spectra_module, "decomposition_semisimple_closed", lambda ring: closed.append(real_closed(ring)) or closed[-1]
     )
     monkeypatch.setattr(
-        spectra_module,
-        "assemble_spectrum",
-        lambda dec, flavor: assembled.append(dec.cell_of is None) or real_assemble(dec, flavor),
+        spectra_module, "assemble_spectrum", lambda dec, flavor: assembled.append(dec) or real_assemble(dec, flavor)
     )
     specs = [f"Zn({n})" for n in range(6, 201)] + MATRIX_RINGS + SEMISIMPLE_RINGS
     for spec in specs:
         out = verify_ring(parse_ring_spec(spec))
         assert out.matched, (spec, out.results)
-    assert [ring.spec_string() for ring in closed] == specs
-    assert assembled == [True] * 2 * len(specs)
+    assert [dec.ring.spec_string() for dec in closed] == specs
+    # each flavor assembles the closed decomposition itself (`JoinDecomposition` compares by identity)
+    assert assembled == [dec for dec in closed for _ in range(2)]
 
 
 def corrupt_the_closed_route(monkeypatch, corrupt):
@@ -1090,20 +1103,22 @@ def per_vertex_reference(dec, flavor):
 
 
 def run_form_decompositions():
-    """(decomposition, full bool adjacency) pairs: the graph's own matrix on
-    the graph route, the blow-up on the closed one."""
+    """(decomposition, the cell of each vertex, full bool adjacency)
+    triples: the partition's cells and the graph's own matrix on the graph
+    route, the cells in order and the blow-up on the closed one."""
     out = []
     for n in range(6, 61):
         g = build_zdg(Zn(n))
         for relation in ("associate", "neighborhood"):
-            out.append((decompose(g, classes_for(g, relation)), g.adjacency))
+            part = classes_for(g, relation)
+            out.append((decompose(g, part), part.cell_of, g.adjacency))
     dec = decomposition_semisimple_closed(parse_ring_spec("M(2,GF(3))xGF(2)"))
-    out.append((dec, blow_up(dec)))
+    out.append((dec, np.repeat(np.arange(dec.class_count), dec.sizes), blow_up(dec)))
     return out
 
 
 def test_runs_expand_to_per_vertex_assembly():
-    for dec, _ in run_form_decompositions():
+    for dec, _, _ in run_form_decompositions():
         for flavor in ("adjacency", "laplacian"):
             ours = assemble_spectrum(dec, flavor)
             ref = per_vertex_reference(dec, flavor)
@@ -1115,10 +1130,7 @@ def test_quotient_runs_certified_by_lifted_residuals():
     # each quotient eigenvector y lifts to an eigenvector of the whole
     # matrix, y_i / sqrt(n_i) on every vertex of cell i (the equitable
     # partition lift); the assembled quotient runs must be its eigenvalues
-    for dec, adj in run_form_decompositions():
-        cell_of = dec.cell_of
-        if cell_of is None:
-            cell_of = np.repeat(np.arange(dec.class_count), dec.sizes)
+    for dec, cell_of, adj in run_form_decompositions():
         for flavor, full in (("adjacency", adj.astype(float)), ("laplacian", laplacian_of(adj))):
             ours = [v for v, _, tag in assemble_spectrum(dec, flavor).runs if tag == "quotient"]
             _, y = np.linalg.eigh(spectra_module._join_parts(dec, flavor)[0])
@@ -1141,7 +1153,7 @@ def test_assembly_takes_a_flavor_neither_route_uses(monkeypatch):
     # no flavor of the package has f = table with a nonzero g, so this checks
     # the lemma's general (f, g) form against a solve of the whole matrix
     monkeypatch.setitem(FLAVORS, "signless", SIGNLESS)
-    for dec, adj in run_form_decompositions():
+    for dec, _, adj in run_form_decompositions():
         full = np.diag(adj.sum(axis=1)).astype(float) + adj
         ours = assemble_spectrum(dec, "signless")
         assert len(ours) == dec.order, dec.labels[0]
@@ -1259,6 +1271,12 @@ def test_lift_rejects_non_eigenpair():
     b = [[0.0, 1.0], [1.0, 0.0]]
     with pytest.raises(LiftError):
         duplicate_lift(b, j=0, m=2, lam=0.5, v=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("b", [[[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]], [1.0, 2.0], [[[1.0]]]], ids=["2x3", "1-d", "3-d"])
+def test_lift_refuses_a_non_square_matrix(b):
+    with pytest.raises(LiftError, match="B must be a square matrix"):
+        duplicate_lift(b, j=0, m=2, lam=1.0, v=[1.0, 1.0])
 
 
 def test_lift_rejects_a_non_finite_eigenvalue():
