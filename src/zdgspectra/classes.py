@@ -10,7 +10,8 @@ numbered 0, 1, ... in order of their smallest members (representatives),
 and one claimed cell kind per class for the join machinery: an associate
 class induces a complete subgraph exactly when its representative
 squares to zero, and is edgeless otherwise; neighborhood classes are
-always edgeless.  The member lists of `classes` derive from `cell_of`.
+always edgeless.  The member lists of `classes` derive from `cell_of`;
+`cli` labels them in the `classes` report, which it alone builds.
 
 Both relations are read off the graph, in one function, `classes_for`.
 With a zero diagonal, a vertex's adjacency row is its open neighborhood;
@@ -70,14 +71,6 @@ class ClassPartition:
         order = np.argsort(self.cell_of, kind="stable")
         members = np.split(order, np.cumsum(np.bincount(self.cell_of))[:-1])
         return [VertexClass(int(m[0]), m.tolist(), len(m), kind) for m, kind in zip(members, self.kinds)]
-
-    def to_json(self, graph: ZeroDivisorGraph) -> dict:
-        labels = [graph.ring.label(v) for v in graph.vertices]
-        classes = [
-            dict(rep=labels[c.representative], size=c.size, kind=c.kind, members=[labels[i] for i in c.members])
-            for c in self.classes
-        ]
-        return {"relation": self.relation, "classes": classes}
 
 
 def classes_for(graph: ZeroDivisorGraph, relation: str = "associate") -> ClassPartition:

@@ -8,8 +8,9 @@ count; json and csv print one value per eigenvalue and refuse a graph of
 more than MAX_PRINTED_VALUES vertices, read off the ring's closed vertex
 count after the class cap's refusal and before anything is built.
 
-Each verb's handler raises or returns its report as a JSON payload and a
-CSV header with lazy rows; `main` alone streams one of the two to stdout.
+Every report is built here, from what the computing modules return: each
+verb's handler raises or returns its report as a JSON payload and a CSV
+header with lazy rows; `main` alone streams one of the two to stdout.
 
 Each input has one spelling: a ring is a `--ring` spec, `verify --sweep`
 takes only `Zn:lo..hi` or `Zn:n`, and the one graph cap comes only from
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import counts, spectra
 from .classes import classes_for
-from .graph import GraphCapError, build_zdg, degree_matring, degree_zn, graph_json
+from .graph import GraphCapError, build_zdg, degree_matring, degree_zn
 from .rings import RingError, Zn, parse_ring_spec
 from .spectra import (
     FLAVORS,
@@ -151,20 +153,36 @@ def _comparison(check) -> dict:
     return {"matched": check.matched, "max_deviation": None if check.length_mismatch else check.max_deviation}
 
 
+def _labels(graph) -> list[str]:
+    return [graph.ring.label(v) for v in graph.vertices]
+
+
+def _classes_report(graph, partition) -> dict:
+    """The classes of a partition of `graph`'s vertices, each by its labels."""
+    labels = _labels(graph)
+    classes = [
+        dict(rep=labels[c.representative], size=c.size, kind=c.kind, members=[labels[i] for i in c.members])
+        for c in partition.classes
+    ]
+    return {"ring": graph.ring.spec_string(), "relation": partition.relation, "classes": classes}
+
+
 def _run_classes(args):
-    ring = parse_ring_spec(args.ring)
-    graph = build_zdg(ring, args.max_vertices)
-    payload = {"ring": ring.spec_string(), **classes_for(graph, args.relation).to_json(graph)}
+    graph = build_zdg(parse_ring_spec(args.ring), args.max_vertices)
+    payload = _classes_report(graph, classes_for(graph, args.relation))
     rows = ([c["rep"], c["size"], c["kind"], ";".join(c["members"])] for c in payload["classes"])
     return EXIT_OK, payload, "rep,size,kind,members", rows
 
 
 def _run_graph(args):
-    ring = parse_ring_spec(args.ring)
-    graph = build_zdg(ring, args.max_vertices)
-    payload = graph_json(graph)
-    labels = payload["vertices"]
-    return EXIT_OK, payload, "u,v", ([labels[i], labels[j]] for i, j in payload["edges"])
+    graph = build_zdg(parse_ring_spec(args.ring), args.max_vertices)
+    labels = _labels(graph)
+    # each edge as [i, j], i < j, in row-major order, with no triangular copy of the adjacency
+    i, j = np.nonzero(graph.adjacency)
+    upper = i < j
+    edges = np.column_stack([i[upper], j[upper]]).tolist()
+    payload = {"ring": graph.ring.spec_string(), "vertices": labels, "edges": edges}
+    return EXIT_OK, payload, "u,v", ([labels[a], labels[b]] for a, b in edges)
 
 
 def _run_spectrum(args):
@@ -191,42 +209,38 @@ def _run_spectrum(args):
 
 
 _COUNT_ARGS = ("n", "m", "r", "q", "d")
+# each form's flags are its function's parameters, in their order
 _COUNT_FORMS = {
-    "qbinom": (("n", "r", "q"), lambda a: counts.q_binomial(a.n, a.r, a.q)),
-    "rank-count": (("n", "m", "r", "q"), lambda a: counts.rank_count(a.n, a.m, a.r, a.q)),
-    "class-size": (("r", "q"), lambda a: counts.class_size_matrix(a.r, a.q)),
-    "class-count": (("n", "q"), lambda a: counts.class_count_matrix(a.n, a.q)),
-    "idempotent-count": (("n", "q"), lambda a: counts.idempotent_count(a.n, a.q)),
-    "nilpotent2-count": (("n", "q"), lambda a: counts.nilpotent2_count(a.n, a.q)),
-    "compressed-degree": (("n", "q", "r"), lambda a: counts.compressed_degree_matrix(a.n, a.q, a.r)),
-    "degree-zn": (("n", "d"), lambda a: degree_zn(a.n, a.d)),
-    "degree-matrix": (
-        ("n", "q", "r"),
-        lambda a: degree_matring(a.n, a.q, a.r, a.squares_to_zero),
-    ),
-    "zn-profile": (("n",), lambda a: spectra.zn_profile(a.n)),
+    "qbinom": counts.q_binomial,
+    "rank-count": counts.rank_count,
+    "class-size": counts.class_size_matrix,
+    "class-count": counts.class_count_matrix,
+    "idempotent-count": counts.idempotent_count,
+    "nilpotent2-count": counts.nilpotent2_count,
+    "compressed-degree": counts.compressed_degree_matrix,
+    "degree-zn": degree_zn,
+    "degree-matrix": degree_matring,
+    "zn-profile": spectra.zn_profile,
 }
 
 
 def _run_counts(args):
-    needed, fn = _COUNT_FORMS[args.what]
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    fn = _COUNT_FORMS[args.what]
+    inputs = {name: getattr(args, name) for name in inspect.signature(fn).parameters}
+    missing = [f"--{name}" for name, value in inputs.items() if value is None]
     if missing:
         raise UsageError(f"counts --what {args.what} requires {', '.join(missing)}")
     # a flag the form does not read would print a value it did not change
-    unread = [f"--{name}" for name in _COUNT_ARGS if name not in needed and getattr(args, name) is not None]
-    if args.squares_to_zero and args.what != "degree-matrix":
+    unread = [f"--{name}" for name in _COUNT_ARGS if name not in inputs and getattr(args, name) is not None]
+    if args.squares_to_zero and "squares_to_zero" not in inputs:
         unread.append("--squares-to-zero")
     if unread:
         raise UsageError(f"counts --what {args.what} does not read {', '.join(unread)}")
-    value = fn(args)
-    inputs = {name: getattr(args, name) for name in needed}
+    value = fn(**inputs)
     if args.what == "zn-profile":
         payload = {"formula": args.what, "inputs": inputs, "value": value}
         rows = ([e["d"], e["size"], e["kind"], e["N"], ";".join(map(str, e["neighbors"]))] for e in value["entries"])
         return EXIT_OK, payload, "d,size,kind,N,neighbors", rows
-    if args.what == "degree-matrix":
-        inputs["squares_to_zero"] = args.squares_to_zero
     payload = {"formula": args.what, "inputs": inputs, "value": str(value)}
     joined = ";".join(f"{k}={v}" for k, v in inputs.items())
     return EXIT_OK, payload, "formula,inputs,value", [[args.what, joined, value]]

@@ -1,4 +1,4 @@
-"""Zero-divisor graphs: construction, annihilators, degrees, exports.
+"""Zero-divisor graphs: construction, annihilators, degrees.
 
 The graph Gamma(R) has the nonzero zero-divisors of R as vertices and an
 edge a-b exactly when ab = 0 or ba = 0.  Adjacency is a dense symmetric
@@ -18,9 +18,9 @@ table's diagonal is kept as `loops`, the vertices that
 square to 0, before the adjacency's is cleared: it marks the vertices
 inside their own annihilator, and the ring is reduced exactly when no
 vertex has a loop.  The payloads, `vertices`, are decoded from the
-indices by one `ring.decode` call on first read, for the printed reports
-and the tests; neither the ring nor the graph keeps a payload list
-otherwise.
+indices by one `ring.decode` call on first read, for the tests and the
+reports, which `cli` alone builds; neither the ring nor the graph keeps
+a payload list otherwise.
 The per-element annihilator and reducedness definitions that check the
 graph are the tests' references, in tests/reference.py.
 
@@ -145,20 +145,3 @@ def degree_matring(n: int, q: int, r: int, squares_to_zero: bool) -> int:
         raise RingError(f"no rank-{r} matrix in M_{n}(F_{q}) squares to zero")
     return semisimple_vertex_degree(SemisimpleProfile(((n, q),), (r,)), squares_to_zero)
 
-
-def _edge_pairs(graph: ZeroDivisorGraph) -> list[list[int]]:
-    """Every edge as [i, j] with i < j, in row-major (i, j) order: the
-    nonzero entries above the diagonal, with no triangular copy of the
-    adjacency."""
-    i, j = np.nonzero(graph.adjacency)
-    upper = i < j
-    return np.column_stack([i[upper], j[upper]]).tolist()
-
-
-def graph_json(graph: ZeroDivisorGraph) -> dict:
-    ring = graph.ring
-    return {
-        "ring": ring.spec_string(),
-        "vertices": [ring.label(v) for v in graph.vertices],
-        "edges": _edge_pairs(graph),
-    }

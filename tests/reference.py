@@ -11,7 +11,8 @@ column spaces, kernels and span containment by elimination over GF(q),
 the divisors and Euler phi of n and the divisor classes of Z_n one
 divisor at a time, a spectrum's provenance one eigenvalue at a time, the
 blow-up of a decomposition to the whole adjacency, the exact spectra of
-Gamma(F x F') and of Gamma(M_2(F_q)) at any q, and the proven
+Gamma(F x F') and of Gamma(M_2(F_q)) at any q, the adjacency spectrum of
+a product of fields from its factors' 2 x 2 eigenpairs, and the proven
 agreements between the associate, neighborhood and annihilator
 relations.  The paper's matrix lemmas are checked here too, each on its
 explicitly built matrix at LEMMA_TOL relative to that matrix's scale:
@@ -633,6 +634,56 @@ def m2_spectra(q: int) -> dict[str, list[tuple[float, int]]]:
     adjacency += [(x, q) for x in _quadratic_roots(q * q - 2 * q, (q - 1) * (q * q - 2))]
     adjacency.append((0, order - sum(k for _, k in adjacency)))
     return {"adjacency": _runs(adjacency), "laplacian": _runs(laplacian)}
+
+
+def field_product_adjacency(qs) -> list[tuple[float, int]]:
+    """The adjacency spectrum of Gamma(GF(q_1) x ... x GF(q_k)), k >= 2, as
+    runs, from the factors' 2 x 2 eigenpairs alone.
+
+    Over the supports, each factor in the order (absent, present), the
+    class table is W, the Kronecker product of W_i = [[1, s_i], [s_i, 0]]
+    with s_i = sqrt(q_i - 1).  The adjacency quotient is W less two
+    classes, all absent (the zero) and all present (the units); every
+    other cell is null, so the rest of the spectrum is 0.  W's eigenvalues
+    mu_j are products of the factors' (1 -+ sqrt(4 q_i - 3)) / 2, and g_j
+    holds eigenvector j's entries at the two deleted classes, each a
+    product of the factors' entries.  M(sigma) = sum_j g_j g_j^T /
+    (mu_j - sigma) is the deleted 2 x 2 block of (W - sigma)^-1, so by
+    Haynsworth's inertia additivity the quotient has #{mu_j < sigma} less
+    M's count of negative eigenvalues below sigma.  Bisecting that count
+    to brackets of width 1e-12 * max(1, |sigma|) places every eigenvalue
+    with its multiplicity.
+    """
+    mu, g = np.ones(1), np.ones((2, 1))
+    for q in qs:
+        s = sqrt(q - 1)
+        lam = (1 + np.array([-1.0, 1.0]) * sqrt(4 * q - 3)) / 2
+        v = np.array([lam, [s, s]]) / np.hypot(lam, s)  # column t is lam[t]'s unit eigenvector
+        mu = np.outer(mu, lam).ravel()
+        g = np.stack([np.outer(g[i], v[i]).ravel() for i in (0, 1)])
+
+    def below(sigma: float) -> int:
+        while (mu == sigma).any():  # off the poles
+            sigma = np.nextafter(sigma, inf)
+        (a, b), (_, c) = (g / (mu - sigma)) @ g.T
+        det = a * c - b * b
+        return int((mu < sigma).sum()) - (1 if det < 0 else 2 if a + c < 0 else 0)
+
+    m = len(mu) - 2
+    bound = 2 * float(np.abs(mu).max())  # past W's spectrum, which interlaces the quotient's
+    runs, pending = [], [(-bound, 0, bound, m)]
+    while pending:
+        lo, n_lo, hi, n_hi = pending.pop()
+        if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+            runs.append(((lo + hi) / 2, n_hi - n_lo))
+            continue
+        mid = (lo + hi) / 2
+        n_mid = below(mid)
+        for part in ((lo, n_lo, mid, n_mid), (mid, n_mid, hi, n_hi)):
+            if part[3] > part[1]:  # the part holds an eigenvalue
+                pending.append(part)
+    vertices = prod(qs) - prod(q - 1 for q in qs) - 1
+    return _runs([*runs, (0, vertices - m)])
 
 
 def rank_deviation(spectrum: SpectrumMultiset, exact) -> float:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -19,7 +20,7 @@ import zdgspectra
 from reference import classes_associate
 from zdgspectra import spectra as spectra_module
 from zdgspectra import cli as cli_module
-from zdgspectra.cli import _COUNT_FORMS, main
+from zdgspectra.cli import _COUNT_FORMS, _classes_report, main
 from zdgspectra.graph import build_zdg
 from zdgspectra.rings import GF, MatRing, ProductRing, RingError, Zn, parse_ring_spec
 from zdgspectra.spectra import DecompositionError, SpectrumMultiset
@@ -102,7 +103,7 @@ def test_classes_json_equals_unit_orbit_definition():
         code, out, err = run_cli(["classes", "--ring", spec, "--format", "json"])
         assert code == 0, err
         ring = parse_ring_spec(spec)
-        payload = {"ring": ring.spec_string(), **classes_associate(ring).to_json(build_zdg(ring))}
+        payload = _classes_report(build_zdg(ring), classes_associate(ring))
         assert out == json.dumps(payload, indent=2) + "\n", spec
 
 
@@ -115,6 +116,19 @@ def test_graph_json_and_csv():
     code, out, _ = run_cli(["graph", "--ring", "Zn(6)", "--format", "csv"])
     assert code == 0
     assert out == "u,v\n2,3\n3,4\n"
+
+
+def test_graph_json_is_deterministic():
+    # the same ring prints the same bytes, one label per vertex and one pair per edge
+    for spec in ["Zn(12)", "M(2,GF(2))"]:
+        code, out, err = run_inproc(["graph", "--ring", spec])
+        assert (code, err) == (0, ""), spec
+        assert run_inproc(["graph", "--ring", spec]) == (code, out, err), spec
+        payload = json.loads(out)
+        graph = build_zdg(parse_ring_spec(spec))
+        assert payload["ring"] == spec
+        assert len(payload["vertices"]) == graph.order
+        assert len(payload["edges"]) == graph.edge_count
 
 
 def test_graph_csv_is_one_quoted_row_per_edge():
@@ -552,6 +566,12 @@ def test_exit_code_missing_count_arg():
 COUNT_VALUES = {"n": "4", "m": "2", "r": "1", "q": "2", "d": "2"}
 
 
+def form_flags(what):
+    """The integer flags a count form reads: its function's parameters, less
+    the --squares-to-zero switch."""
+    return [name for name in inspect.signature(_COUNT_FORMS[what]).parameters if name != "squares_to_zero"]
+
+
 def count_args(what, names):
     return ["counts", "--what", what, *(x for name in names for x in (f"--{name}", COUNT_VALUES[name]))]
 
@@ -559,7 +579,7 @@ def count_args(what, names):
 @pytest.mark.parametrize("what", sorted(_COUNT_FORMS))
 def test_counts_refuse_a_flag_the_form_does_not_read(what):
     # qbinom --n 3 --r 1 --q 2 --d 5 printed 7 and exited 0
-    needed = _COUNT_FORMS[what][0]
+    needed = form_flags(what)
     assert run_inproc(count_args(what, needed))[0] == 0
     unread = next(name for name in COUNT_VALUES if name not in needed)
     code, out, err = run_inproc(count_args(what, [*needed, unread]))
@@ -775,13 +795,13 @@ def test_annihilator_is_not_a_relation(verb):
     )
 
 
-Q_FORMS = sorted(name for name, (needed, _) in _COUNT_FORMS.items() if "q" in needed)
+Q_FORMS = sorted(name for name in _COUNT_FORMS if "q" in form_flags(name))
 
 
 @pytest.mark.parametrize("what", Q_FORMS)
 def test_counts_refuse_a_q_that_is_no_prime_power(what):
     # every form printed a count over a "field" of 6 elements
-    needed, _ = _COUNT_FORMS[what]
+    needed = form_flags(what)
     values = {"n": "2", "m": "2", "r": "1", "q": "6"}
     args = ["counts", "--what", what, *[a for name in needed for a in (f"--{name}", values[name])]]
     code, out, err = run_inproc(args)

@@ -30,7 +30,6 @@ from zdgspectra.graph import (
     build_zdg,
     degree_matring,
     degree_zn,
-    graph_json,
 )
 from zdgspectra.rings import GF, MatRing, ProductRing, RingError, Zn, parse_ring_spec
 from zdgspectra.spectra import ring_join_decomposition, verify_ring
@@ -243,16 +242,6 @@ def test_cache_keeps_only_the_last_graph():
     build_zdg(Zn(91))
     gc.collect()
     assert first() is None
-
-
-def test_graph_json_is_deterministic():
-    # the CSV rows the CLI prints from it are checked in test_cli
-    g = build_zdg(Zn(12))
-    j1, j2 = graph_json(g), graph_json(g)
-    assert j1 == j2
-    assert j1["ring"] == "Zn(12)"
-    assert len(j1["vertices"]) == g.order
-    assert len(j1["edges"]) == g.edge_count
 
 
 @pytest.mark.parametrize("spec", [f"Zn({n})" for n in range(2, 401)] + POOL_SPECS)

@@ -20,9 +20,12 @@ and field-product degrees, sizes and class counts read the semisimple
 formulas of `counts`, and the Z_n divisor classes come from one lattice,
 `Zn._divisor_classes`, which the class table and `spectra.zn_profile`
 both read.  Only `cli.main` writes a report as JSON or CSV;
-the verbs' handlers return theirs.  Each CLI input has one spelling: a
-`cli.py` that reads the environment or an exception's `__cause__`, or a
-`--sweep` parser that builds a ring from a spec of its own, fails here.
+the verbs' handlers return theirs, and only `cli` builds one: a module
+other than `cli.py` that reads a graph's `vertices`, or a `zdg counts`
+form that wraps its function in a lambda, fails here.  Each CLI input
+has one spelling: a `cli.py` that reads the environment or an
+exception's `__cause__`, or a `--sweep` parser that builds a ring from a
+spec of its own, fails here.
 The flavor names are listed once, as the keys of `spectra.FLAVORS`: the
 CLI's choices read them, and the schema's one flavor def must equal them.
 The relations are associate and neighborhood, in the `--relation`
@@ -291,6 +294,25 @@ def test_one_output_path():
     # thread a new field through
     cli = PACKAGE / "cli.py"
     assert callers(cli, "_write_json") == callers(cli, "_write_csv") == {"main"}
+
+
+def test_reports_are_built_in_cli():
+    # a computing module that shaped a report would be a second place to
+    # keep its keys in step with the schema, and a lambda per count form
+    # would restate the flags its function's signature already names
+    reads = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        functions = {node.name for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
+        _, found = attribute_reads(path, functions, "vertices")
+        reads.update({path.name: found} if found and path.name != "cli.py" else {})
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    forms = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_COUNT_FORMS"
+    )
+    wrapped = [key.value for key, value in zip(forms.keys, forms.values) if not isinstance(value, (ast.Name, ast.Attribute))]
+    assert (reads, wrapped) == ({}, [])
 
 
 def test_one_comparison_path():
